@@ -22,8 +22,8 @@ from .catalog import (ContactModel, FixedComponentData, ModelError, dump_model,
 from .engine import (CalibrationConfig, CalibrationError, DEFAULT_CALIBRATION,
                      EngineError, FitError, QuasiPolynomial, UnsupportedModelError,
                      assemble_character, build_preset, calibrate_conventions,
-                     corollary_expand, dh_fourier, fit_quasi_polynomial, germ_at,
-                     identity_germ, principal_limit)
+                     corollary_expand, dh_fourier, germ_at, identity_germ,
+                     principal_limit)
 from . import oracle
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
     "CalibrationConfig", "CalibrationError", "DEFAULT_CALIBRATION",
     "EngineError", "FitError", "QuasiPolynomial", "UnsupportedModelError",
     "assemble_character", "build_preset", "calibrate_conventions",
-    "corollary_expand", "dh_fourier", "fit_quasi_polynomial", "germ_at",
-    "identity_germ", "principal_limit",
+    "corollary_expand", "dh_fourier", "germ_at", "identity_germ",
+    "principal_limit",
     "oracle",
 ]
 

@@ -155,9 +155,6 @@ def _run(body):
         sys.exit(EXIT_CALIBRATION)
     except FitError as exc:
         click.echo(f"verification mismatch: {exc}", err=True)
-        for r in exc.residuals[:10]:
-            click.echo(f"  m={r['m']}: fitted {r['fitted']} != actual {r['actual']}",
-                       err=True)
         sys.exit(EXIT_MISMATCH)
     except (ModelError, ScalarError, DeltaError, FormError, EngineError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -3,10 +3,11 @@
 The contributions are assembled per torsion point: each fixed component
 yields (2 pi i)^-k times the pairing of its Todd factor, its inverse normal
 determinant and the contact delta form; Fourier conversion of the germs
-gives exact quasi-polynomial character coefficients.  A separate direct
-evaluation of the coefficients is interpolated per residue class and
-verified on held-out samples, so the fitted quasi-polynomial never rests on
-the same arithmetic path twice.
+gives one polynomial in m per residue class modulo each torsion order.
+Those tables are summed once per residue class into the character's
+quasi-polynomial, and every coefficient is read off it; a residue
+polynomial of degree above the largest k = (dim - 1)/2 of a fixed
+component is rejected.
 
 Three global convention bits (orientation of the top pairing, Fourier sign,
 Todd series direction) are fixed once by `calibrate_conventions`, which
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import ExactScalar, approx_display
-from .deltas import DeltaError, DeltaGerm, fourier_contribution, germ_to_document
+from .deltas import DeltaGerm, fourier_contribution, germ_to_document
 from .forms import dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, fixed_submodel, preset_circle, preset_hopf_sphere,
                       preset_prequantum_cpn, preset_weighted_s3)
@@ -36,11 +37,7 @@ class UnsupportedModelError(EngineError):
 
 
 class FitError(EngineError):
-    """Quasi-polynomial fitting failed verification on held-out samples."""
-
-    def __init__(self, message, residuals):
-        super().__init__(message)
-        self.residuals = residuals
+    """A character's residue polynomial exceeds its degree bound (exit code 4)."""
 
 
 class CalibrationError(EngineError):
@@ -99,21 +96,13 @@ def _scalar_power(base, k):
 def _component_germ(comp, calibration):
     """(2 pi i)^-k times the pairing of Todd, inverse determinant and delta form."""
     k = comp.k
-    jet_order = k + 4  # default truncation: enough for every derivative the germ carries
-    for attempt in range(4):
-        try:
-            vars = (GERM_VAR,)
-            td = todd(comp.tangential, comp.generators, k, vars, jet_order,
-                      calibration.todd_direction)
-            dc = dc_inverse(comp.normal, comp.generators, k, vars, jet_order)
-            integrand = td * dc * j_form(comp, vars, jet_order)
-            germ = integrate_component(integrand, comp.pairing)
-            break
-        except DeltaError as exc:
-            if "raise the truncation" in str(exc) and attempt < 3:
-                jet_order *= 2
-                continue
-            raise
+    jet_order = k + 4  # enough for every derivative the germ carries
+    vars = (GERM_VAR,)
+    td = todd(comp.tangential, comp.generators, k, vars, jet_order,
+              calibration.todd_direction)
+    dc = dc_inverse(comp.normal, comp.generators, k, vars, jet_order)
+    integrand = td * dc * j_form(comp, vars, jet_order)
+    germ = integrate_component(integrand, comp.pairing)
     prefactor = _scalar_power(ExactScalar.pi_power(1, 2) * ExactScalar.i(), -k)
     return germ * prefactor
 
@@ -207,64 +196,44 @@ class QuasiPolynomial:
         }
 
 
-def _interpolate(nodes, values):
-    """Newton interpolation through integer nodes with exact scalar values."""
-    n = len(nodes)
-    dd = list(values)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            span = Fraction(nodes[i] - nodes[i - level])
-            dd[i] = (dd[i] - dd[i - 1]) * ExactScalar.from_rational(1 / span)
-    # expand the Newton form sum_j dd[j] prod_{i<j} (m - nodes[i])
-    coeffs = [ExactScalar.zero() for _ in range(n)]
-    basis = [Fraction(1)]  # polynomial prod (m - nodes[i]) as ascending Fractions
-    for j in range(n):
-        for power, q in enumerate(basis):
-            coeffs[power] = coeffs[power] + dd[j] * ExactScalar.from_rational(q)
-        new = [Fraction(0)] * (len(basis) + 1)
-        for power, q in enumerate(basis):
-            new[power + 1] += q
-            new[power] -= q * nodes[j]
-        basis = new
-    return coeffs
+def _poly_add(a, b):
+    """Sum of two ascending coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
-def fit_quasi_polynomial(samples, period, degree):
-    """Interpolate per residue class on degree+1 samples; verify the rest.
+def quasi_polynomial_from_tables(contributions, degree):
+    """Sum Fourier tables into one quasi-polynomial of degree at most `degree`.
 
-    Exact linear solving only: Newton interpolation through the samples
-    closest to zero, then every held-out sample is checked.  Any mismatch
-    raises `FitError` with the residual list.
+    `contributions` lists (q, table) pairs as `fourier_contribution` returns
+    them.  Tables of one torsion order are summed first, once per residue
+    mod q: torsion points of one order form a Galois orbit, so these sums
+    are usually rational and the sums over the lcm period stay cheap.  A
+    residue polynomial of degree above `degree` raises `FitError`.
     """
+    by_order = {}
+    for q, table in contributions:
+        acc = by_order.get(q, [[]] * q)
+        by_order[q] = [_poly_add(acc[r], table[r]) for r in range(q)]
+    period = math.lcm(*by_order)
     polys = {}
-    residuals = []
     for r in range(period):
-        ms = sorted((m for m in samples if m % period == r), key=abs)
-        if len(ms) < degree + 2:
+        poly = []
+        for q, acc in by_order.items():
+            poly = _poly_add(poly, acc[r % q])
+        polys[r] = poly
+    quasi = QuasiPolynomial(period, polys)
+    for r, coeffs in quasi.polys.items():
+        if len(coeffs) > degree + 1:
             raise FitError(
-                f"residue {r}: need at least {degree + 2} samples to fit degree "
-                f"{degree} and verify, have {len(ms)}", [])
-        fit_nodes = sorted(ms[:degree + 1])
-        coeffs = _interpolate(fit_nodes, [samples[m] for m in fit_nodes])
-        polys[r] = coeffs
-        qp_eval = lambda m, c=coeffs: _poly_eval(c, m)
-        for m in ms[degree + 1:]:
-            got = qp_eval(m)
-            if not (got - samples[m]).is_zero():
-                residuals.append({"m": m, "fitted": got.to_text(),
-                                  "actual": samples[m].to_text()})
-    if residuals:
-        raise FitError(
-            f"coefficients are not quasi-polynomial of period {period} and degree "
-            f"{degree}: {len(residuals)} held-out samples disagree", residuals)
-    return QuasiPolynomial(period, polys)
+                f"residue {r} mod {period}: the character polynomial has degree "
+                f"{len(coeffs) - 1}, above the bound {degree}")
+    return quasi
 
 
-def _poly_eval(coeffs, m):
-    acc = ExactScalar.zero()
-    for c in reversed(coeffs):
-        acc = acc * m + c
-    return acc
+# The per-layer trace in perfbench/tracing.py times this stage as `engine.fit`.
+fit_quasi_polynomial = quasi_polynomial_from_tables
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +259,11 @@ class CharacterResult:
 def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
     """Sum the Fourier contributions of every torsion germ of a rank-1 model.
 
-    Returns the exact coefficients for |m| <= max_m together with the
-    quasi-polynomial fitted per residue class modulo the lcm of the torsion
-    orders and verified on the held-out samples.
+    The contributions are summed per residue class into the quasi-polynomial
+    of period the lcm of the torsion orders (see
+    `quasi_polynomial_from_tables`); the exact coefficients for
+    |m| <= max_m are its values.  Any `max_m` >= 1 gives the whole
+    quasi-polynomial, whatever the period.
     """
     if model.rank != 1:
         raise UnsupportedModelError("characters are assembled for rank-1 models")
@@ -300,23 +271,14 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
         raise EngineError("max_m must be at least 1")
     germs = {}
     contributions = []
-    period = 1
     for at in model.torsion_support:
         germ = germ_at(model, at, calibration)
         germs[at] = germ
-        if germ.is_zero():
-            continue
-        q, table = fourier_contribution(germ, at, calibration.poisson_sign)
-        contributions.append((q, table))
-        period = math.lcm(period, q)
-    coefficients = {}
-    for m in range(-max_m, max_m + 1):
-        total = ExactScalar.zero()
-        for q, table in contributions:
-            total = total + _poly_eval(table[m % q], m)
-        coefficients[m] = total
+        if not germ.is_zero():
+            contributions.append(fourier_contribution(germ, at, calibration.poisson_sign))
     degree = max((c.k for comps in model.components.values() for c in comps), default=0)
-    quasi = fit_quasi_polynomial(coefficients, period, degree)
+    quasi = quasi_polynomial_from_tables(contributions, degree)
+    coefficients = {m: quasi.evaluate(m) for m in range(-max_m, max_m + 1)}
     non_integer = [m for m, c in coefficients.items() if not c.is_integer()]
     return CharacterResult(model.model_id, calibration, germs, coefficients, quasi,
                            non_integer)

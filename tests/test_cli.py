@@ -6,6 +6,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from contact_index import oracle
 from contact_index.cli import main
 from contact_index.catalog import dump_model, preset_weighted_s3
 from contact_index.deltas import germ_from_document
@@ -129,6 +130,17 @@ class TestCharacterCommand:
         first = runner.invoke(main, args)
         second = runner.invoke(main, args)
         assert _strip_stamp(first.output) == _strip_stamp(second.output)
+
+    def test_default_window_below_the_period_matches_the_oracle(self, runner,
+                                                                calibrated):
+        result = runner.invoke(main, ["character", "--preset", "weighted-s3",
+                                      "--weights", "5,7"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        values = {e["m"]: e.get("integer") for e in doc["coefficients"]}
+        assert values == {m: oracle.oracle_character("weighted-s3", (5, 7), m)
+                          for m in range(-50, 51)}
+        assert doc["quasi_polynomial"]["period"] == 35
 
     def test_missing_calibration_is_a_config_error(self, runner, tmp_path,
                                                    monkeypatch):

@@ -12,8 +12,9 @@ from contact_index.engine import (CalibrationConfig, CalibrationError, EngineErr
                                   FitError, QuasiPolynomial, UnsupportedModelError,
                                   assemble_character, build_preset,
                                   calibrate_conventions, corollary_expand,
-                                  dh_fourier, fit_quasi_polynomial, germ_at,
-                                  identity_germ, principal_limit, residual_factors)
+                                  dh_fourier, germ_at, identity_germ,
+                                  principal_limit, quasi_polynomial_from_tables,
+                                  residual_factors)
 from contact_index.scalars import ExactScalar
 
 PHI = ("phi",)
@@ -138,27 +139,44 @@ class TestCharacters:
         for m in range(-60, 61):
             assert res.quasi.evaluate(m) == res.coefficients[m]
 
+    @pytest.mark.parametrize("a,b,max_m", [(5, 7, 3), (2, 3, 1)])
+    def test_window_below_the_period_gives_the_whole_quasi_polynomial(self, a, b, max_m):
+        model = build_preset("weighted-s3", (a, b))
+        short = assemble_character(model, max_m)
+        full = assemble_character(model, 3 * a * b)
+        assert short.quasi.period == a * b
+        assert short.quasi == full.quasi
+        assert sorted(short.coefficients) == list(range(-max_m, max_m + 1))
+        for m in range(-max_m, max_m + 1):
+            assert short.coefficient_int(m) == \
+                oracle.oracle_character("weighted-s3", (a, b), m), m
+
     def test_rank_two_is_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             assemble_character(build_preset("prequantum-cpn", (1,)), 5)
 
 
 class TestQuasiPolynomialFit:
-    def test_failure_lists_residuals(self):
-        samples = {m: ExactScalar.from_rational(2 ** abs(m)) for m in range(-8, 9)}
-        with pytest.raises(FitError) as info:
-            fit_quasi_polynomial(samples, 1, 1)
-        assert info.value.residuals
+    def test_degree_above_the_bound_raises(self):
+        table = {0: [ONE, ONE, ONE], 1: [ONE]}
+        with pytest.raises(FitError, match="residue 0 mod 2.*degree 2"):
+            quasi_polynomial_from_tables([(2, table)], 1)
 
-    def test_insufficient_samples(self):
-        samples = {0: ONE, 1: ONE}
-        with pytest.raises(FitError, match="at least"):
-            fit_quasi_polynomial(samples, 1, 3)
-
-    def test_period_one_polynomial(self):
-        samples = {m: ExactScalar.from_rational(3 * m + 1) for m in range(-5, 6)}
-        qp = fit_quasi_polynomial(samples, 1, 1)
+    def test_period_one_table_evaluates(self):
+        table = {0: [ExactScalar.from_rational(1), ExactScalar.from_rational(3)]}
+        qp = quasi_polynomial_from_tables([(1, table)], 1)
+        assert qp.period == 1
         assert qp.evaluate(17) == ExactScalar.from_rational(52)
+        assert qp.evaluate(-5) == ExactScalar.from_rational(-14)
+
+    def test_tables_sum_per_residue_over_the_lcm_period(self):
+        two = {0: [ONE], 1: [ExactScalar.from_rational(-1)]}
+        three = {r: [ExactScalar.from_rational(r), ONE] for r in range(3)}
+        qp = quasi_polynomial_from_tables([(2, two), (3, three), (2, two)], 1)
+        assert qp.period == 6
+        for m in range(-12, 13):
+            want = 2 * (-1) ** (m % 2) + m % 3 + m
+            assert qp.evaluate(m) == ExactScalar.from_rational(want), m
 
     def test_equality_across_periods(self):
         a = QuasiPolynomial(1, {0: [ONE]})
