@@ -10,9 +10,8 @@ bundled model.
 """
 
 from .scalars import CyclotomicNumber, ExactScalar, ScalarError, approx_display
-from .deltas import (DeltaError, DeltaGerm, HalfDeltaGerm, SmoothJet,
-                     fourier_contribution, multiply_smooth, pair_with_trig,
-                     pullback_affine_nilpotent, scale_variable)
+from .deltas import (DeltaError, DeltaGerm, SmoothJet, fourier_contribution,
+                     multiply_smooth, pullback_affine_nilpotent, scale_variable)
 from .forms import (ChernRoot, FormElement, FormError, dc_inverse,
                     integrate_component, j_form, todd, todd_series)
 from .catalog import (ContactModel, FixedComponentData, ModelError, dump_model,
@@ -28,9 +27,8 @@ from . import oracle
 
 __all__ = [
     "CyclotomicNumber", "ExactScalar", "ScalarError", "approx_display",
-    "DeltaError", "DeltaGerm", "HalfDeltaGerm", "SmoothJet",
-    "fourier_contribution", "multiply_smooth", "pair_with_trig",
-    "pullback_affine_nilpotent", "scale_variable",
+    "DeltaError", "DeltaGerm", "SmoothJet", "fourier_contribution",
+    "multiply_smooth", "pullback_affine_nilpotent", "scale_variable",
     "ChernRoot", "FormElement", "FormError", "dc_inverse",
     "integrate_component", "j_form", "todd", "todd_series",
     "ContactModel", "FixedComponentData", "ModelError", "dump_model",

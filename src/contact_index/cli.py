@@ -181,7 +181,7 @@ def main():
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json"]), default="json",
               help="Germs are JSON-only.")
-@click.option("--digits", type=int, default=4)
+@click.option("--digits", type=click.IntRange(min=0), default=4)
 def germ(preset, n, weights, model_path, at_text, out, fmt, digits):
     """Germ of the index at one torsion point."""
     def body():
@@ -207,7 +207,7 @@ def germ(preset, n, weights, model_path, at_text, out, fmt, digits):
 @click.option("--max-m", type=int, default=50)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--digits", type=int, default=4)
+@click.option("--digits", type=click.IntRange(min=0), default=4)
 def character(preset, n, weights, model_path, max_m, out, fmt, digits):
     """Fourier coefficients and the quasi-polynomial of the index character."""
     def body():
@@ -229,8 +229,7 @@ def character(preset, n, weights, model_path, max_m, out, fmt, digits):
 @main.command()
 @_model_options
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--digits", type=int, default=4)
-def dh(preset, n, weights, model_path, out, digits):
+def dh(preset, n, weights, model_path, out):
     """The volume transform: the identity germ with the Todd factor dropped."""
     def body():
         calibration = _load_calibration()

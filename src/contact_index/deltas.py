@@ -1,7 +1,7 @@
-"""Germs of delta distributions at a point of the torus, and their calculus.
+"""Germs of delta distributions at a point of the circle, and their calculus.
 
-A germ is a finite combination sum_j c_j d0^(j) in one or two local angle
-variables, with exact scalar coefficients.  The module implements the
+A germ is a finite combination sum_j c_j d0^(j)(phi) in the local angle
+variable phi, with exact scalar coefficients.  The module implements the
 rewrite rules the localization needs:
 
 * rescaling of the argument,  d0^(j)(a x) = sign(a) a^-(j+1) d0^(j)(x);
@@ -9,11 +9,10 @@ rewrite rules the localization needs:
 * pullback through an affine-plus-nilpotent argument, which expands
   u(c + nu) as the finite Taylor sum  sum_j u^(j)(c) nu^j / j!;
 * conversion of a germ sitting at a root of unity into Fourier
-  coefficients (a quasi-polynomial in the frequency), and the dual pairing
-  with trigonometric polynomials used to cross-check that conversion.
+  coefficients (a quasi-polynomial in the frequency).
 
-Boundary-value germs d+ / d- exist only as a transient rewrite aid
-(`HalfDeltaGerm`); the pipeline itself stores d0-type germs exclusively.
+Jets and germs are dense ascending coefficient lists with trailing zeros
+trimmed; every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -24,66 +23,57 @@ from fractions import Fraction
 
 from .scalars import ExactScalar, _coerce
 
+GERM_VAR = "phi"
+
 
 class DeltaError(ValueError):
     """Raised for invalid germ operations (ellipticity, truncation, ...)."""
 
 
-class SmoothJet:
-    """Truncated polynomial in local variables with exact coefficients.
+def _trimmed(coeffs):
+    """Coerced copy of a coefficient list without its trailing zeros."""
+    out = [_coerce(c) for c in coeffs]
+    end = len(out)
+    while end and out[end - 1].is_zero():
+        end -= 1
+    return out[:end]
 
-    Terms of total degree above the truncation order are dropped; products
-    re-truncate.  The jet of the constant 1 is the multiplicative identity.
+
+def _poly_add(a, b):
+    """Sum of two ascending coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+class SmoothJet:
+    """Truncated power series in phi with exact coefficients.
+
+    `coeffs[e]` is the coefficient of phi^e.  Terms of degree above the
+    truncation order are dropped; products re-truncate.  The jet of the
+    constant 1 is the multiplicative identity.
     """
 
-    __slots__ = ("vars", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, vars, order, coeffs=None):
-        vars = tuple(vars)
-        if not 1 <= len(vars) <= 2:
-            raise DeltaError("jets support one or two variables")
-        self.vars = vars
+    def __init__(self, order, coeffs=()):
         self.order = int(order)
-        clean = {}
-        for exp, c in (coeffs or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != len(vars) or any(e < 0 for e in exp):
-                raise DeltaError(f"bad jet exponent {exp}")
-            c = _coerce(c)
-            if sum(exp) <= self.order and not c.is_zero():
-                clean[exp] = clean[exp] + c if exp in clean else c
-        self.coeffs = {e: c for e, c in clean.items() if not c.is_zero()}
+        self.coeffs = _trimmed(list(coeffs)[:self.order + 1])
 
     @staticmethod
-    def one(vars, order):
-        return SmoothJet(vars, order, {(0,) * len(tuple(vars)): ExactScalar.one()})
+    def one(order):
+        return SmoothJet(order, [ExactScalar.one()])
 
     @staticmethod
-    def zero(vars, order):
-        return SmoothJet(vars, order, {})
-
-    @staticmethod
-    def variable(vars, order, name, coeff=1):
-        vars = tuple(vars)
-        exp = tuple(1 if v == name else 0 for v in vars)
-        if sum(exp) != 1:
-            raise DeltaError(f"unknown jet variable {name!r}")
-        return SmoothJet(vars, order, {exp: _coerce(coeff)})
-
-    def _check(self, other):
-        if self.vars != other.vars:
-            raise DeltaError(f"jet variable mismatch: {self.vars} vs {other.vars}")
+    def variable(order, coeff=1):
+        """The jet coeff * phi."""
+        return SmoothJet(order, [ExactScalar.zero(), _coerce(coeff)])
 
     def __add__(self, other):
-        self._check(other)
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return SmoothJet(self.vars, order, out)
+        return SmoothJet(min(self.order, other.order), _poly_add(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return SmoothJet(self.vars, self.order, {e: -c for e, c in self.coeffs.items()})
+        return SmoothJet(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -91,162 +81,101 @@ class SmoothJet:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
             s = _coerce(other)
-            return SmoothJet(self.vars, self.order, {e: c * s for e, c in self.coeffs.items()})
-        self._check(other)
+            return SmoothJet(self.order, [c * s for c in self.coeffs])
         order = min(self.order, other.order)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) <= order:
-                    p = c1 * c2
-                    out[e] = out[e] + p if e in out else p
-        return SmoothJet(self.vars, order, out)
+        out = [ExactScalar.zero()] * min(order + 1, len(self.coeffs) + len(other.coeffs))
+        for e1, c1 in enumerate(self.coeffs[:order + 1]):
+            if c1.is_zero():
+                continue
+            for e2, c2 in enumerate(other.coeffs[:order + 1 - e1]):
+                out[e1 + e2] = out[e1 + e2] + c1 * c2
+        return SmoothJet(order, out)
 
     __rmul__ = __mul__
 
     def constant_term(self):
-        return self.coeffs.get((0,) * len(self.vars), ExactScalar.zero())
+        return self.coeffs[0] if self.coeffs else ExactScalar.zero()
 
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.coeffs)
-
-    def raised(self, order):
-        """Same jet viewed at a higher truncation order (no new information)."""
-        if order < self.order:
-            raise DeltaError("cannot lower jet truncation by raising")
-        return SmoothJet(self.vars, order, self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, SmoothJet):
             return NotImplemented
-        return self.vars == other.vars and (self - other).is_zero()
+        return (self - other).is_zero()
 
     __hash__ = None
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        def mono(e):
-            body = "*".join(f"{v}^{k}" for v, k in zip(self.vars, e) if k)
-            return body or "1"
-        return " + ".join(f"({c})*{mono(e)}" for e, c in sorted(self.coeffs.items()))
+        return " + ".join(f"({c})*{GERM_VAR}^{e}" if e else f"({c})"
+                          for e, c in enumerate(self.coeffs) if not c.is_zero())
 
 
 class DeltaGerm:
-    """Finite combination of derivatives of d0 at the origin of 1 or 2 angles."""
+    """Finite combination of derivatives of d0 at the origin of phi.
 
-    __slots__ = ("vars", "terms")
+    `terms[j]` is the coefficient of d0^(j).
+    """
 
-    def __init__(self, vars, terms=None):
-        vars = tuple(vars)
-        if not 1 <= len(vars) <= 2:
-            raise DeltaError("germs support one or two variables")
-        self.vars = vars
-        clean = {}
-        for order, c in (terms or {}).items():
-            order = tuple(int(j) for j in order)
-            if len(order) != len(vars) or any(j < 0 for j in order):
-                raise DeltaError(f"bad derivative order {order}")
-            c = _coerce(c)
-            if not c.is_zero():
-                clean[order] = clean[order] + c if order in clean else c
-        self.terms = {o: c for o, c in clean.items() if not c.is_zero()}
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        self.terms = _trimmed(terms)
 
     @staticmethod
-    def delta(vars=("phi",), order=None, coeff=1):
-        vars = tuple(vars)
-        order = order if order is not None else (0,) * len(vars)
-        if isinstance(order, int):
-            order = (order,)
-        return DeltaGerm(vars, {tuple(order): _coerce(coeff)})
+    def delta(order=0, coeff=1):
+        return DeltaGerm([ExactScalar.zero()] * order + [_coerce(coeff)])
 
     @staticmethod
-    def zero(vars=("phi",)):
-        return DeltaGerm(vars, {})
-
-    def _check(self, other):
-        if self.vars != other.vars:
-            raise DeltaError(f"germ variable mismatch: {self.vars} vs {other.vars}")
+    def zero():
+        return DeltaGerm()
 
     def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for o, c in other.terms.items():
-            out[o] = out[o] + c if o in out else c
-        return DeltaGerm(self.vars, out)
+        return DeltaGerm(_poly_add(self.terms, other.terms))
 
     def __neg__(self):
-        return DeltaGerm(self.vars, {o: -c for o, c in self.terms.items()})
+        return DeltaGerm([-c for c in self.terms])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
         s = _coerce(scalar)
-        return DeltaGerm(self.vars, {o: c * s for o, c in self.terms.items()})
+        return DeltaGerm([c * s for c in self.terms])
 
     __rmul__ = __mul__
 
-    def derivative(self, var=None):
-        """d/dx applied once in the given (or the only) variable."""
-        idx = self._var_index(var)
-        return DeltaGerm(self.vars, {
-            tuple(j + (1 if k == idx else 0) for k, j in enumerate(o)): c
-            for o, c in self.terms.items()})
-
-    def _var_index(self, var):
-        if var is None:
-            if len(self.vars) != 1:
-                raise DeltaError("variable name required for two-variable germs")
-            return 0
-        return self.vars.index(var)
+    def derivative(self):
+        """d/dphi applied once."""
+        return DeltaGerm([ExactScalar.zero()] + self.terms)
 
     def is_zero(self):
         return not self.terms
 
-    def max_order(self, var=None):
-        if not self.terms:
-            return 0
-        idx = self._var_index(var) if (var is not None or len(self.vars) == 1) else None
-        if idx is None:
-            return max(sum(o) for o in self.terms)
-        return max(o[idx] for o in self.terms)
-
-    def tensor(self, other):
-        """Tensor product of germs in disjoint variables."""
-        if set(self.vars) & set(other.vars):
-            raise DeltaError("tensor factors must use disjoint variables")
-        out = {}
-        for o1, c1 in self.terms.items():
-            for o2, c2 in other.terms.items():
-                out[o1 + o2] = c1 * c2
-        return DeltaGerm(self.vars + other.vars, out)
+    def max_order(self):
+        return max(len(self.terms) - 1, 0)
 
     def __eq__(self, other):
         if not isinstance(other, DeltaGerm):
             return NotImplemented
-        return self.vars == other.vars and (self - other).is_zero()
+        return (self - other).is_zero()
 
     __hash__ = None
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        def name(o):
-            return "*".join(f"d0^({j})[{v}]" if j else f"d0[{v}]"
-                            for v, j in zip(self.vars, o))
-        return " + ".join(f"({c})*{name(o)}" for o, c in sorted(self.terms.items()))
+        return " + ".join(f"({c})*d0^({j})[{GERM_VAR}]" if j else f"({c})*d0[{GERM_VAR}]"
+                          for j, c in enumerate(self.terms) if not c.is_zero())
 
 
 # ----------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------
 
-def scale_variable(germ, a, var=None):
+def scale_variable(germ, a):
     """Rewrite d0^(j)(a x) in terms of d0^(j)(x): coefficient sign(a) a^-(j+1).
 
     The homogeneity is forced by a d0(a x) = sign(a) d0(x) together with
@@ -256,55 +185,42 @@ def scale_variable(germ, a, var=None):
     a = Fraction(a)
     if a == 0:
         raise DeltaError("cannot rescale a germ variable by zero (ellipticity violation)")
-    idx = germ._var_index(var)
     sign = 1 if a > 0 else -1
-    out = {}
-    for o, c in germ.terms.items():
-        j = o[idx]
-        factor = Fraction(sign) * a ** (-(j + 1))
-        out[o] = c * ExactScalar.from_rational(factor)
-    return DeltaGerm(germ.vars, out)
+    return DeltaGerm([c * ExactScalar.from_rational(sign * a ** (-(j + 1)))
+                      for j, c in enumerate(germ.terms)])
 
 
-def multiply_smooth(germ, jet, var=None):
+def multiply_smooth(germ, jet):
     """Multiply a germ by a smooth jet via the Leibniz pairing.
 
-    x^k d0^(j) = 0 when k > j, else (-1)^k j!/(j-k)! d0^(j-k); extended
-    bilinearly over jet monomials and germ terms.  The jet must live in the
-    germ's variables and be truncated at least to the germ's top derivative
-    order, otherwise dropped jet terms could still pair nontrivially.
+    phi^k d0^(j) = 0 when k > j, else (-1)^k j!/(j-k)! d0^(j-k); extended
+    bilinearly over jet and germ terms.  The jet must be truncated at least
+    to the germ's top derivative order, otherwise dropped jet terms could
+    still pair nontrivially.
     """
-    if tuple(jet.vars) != tuple(germ.vars):
-        raise DeltaError(f"jet variables {jet.vars} do not match germ variables {germ.vars}")
-    need = germ.max_order() if len(germ.vars) == 1 else max(
-        (sum(o) for o in germ.terms), default=0)
+    need = germ.max_order()
     if jet.order < need:
         raise DeltaError(
             f"jet truncation order {jet.order} is below the germ's top derivative "
             f"order {need}; raise the truncation to at least {need}")
-    out = {}
-    for exp, jc in jet.coeffs.items():
-        for order, gc in germ.terms.items():
-            coeff = jc * gc
-            new_order = []
-            dead = False
-            for k, j in zip(exp, order):
-                if k > j:
-                    dead = True
-                    break
-                if k:
-                    num = Fraction(math.factorial(j), math.factorial(j - k))
-                    coeff = coeff * ExactScalar.from_rational(Fraction((-1) ** k) * num)
-                new_order.append(j - k)
-            if dead:
+    out = [ExactScalar.zero()] * len(germ.terms)
+    for k, jc in enumerate(jet.coeffs[:len(germ.terms)]):
+        if jc.is_zero():
+            continue
+        for j in range(k, len(germ.terms)):
+            gc = germ.terms[j]
+            if gc.is_zero():
                 continue
-            key = tuple(new_order)
-            out[key] = out[key] + coeff if key in out else coeff
-    return DeltaGerm(germ.vars, out)
+            coeff = jc * gc
+            if k:
+                num = Fraction(math.factorial(j), math.factorial(j - k))
+                coeff = coeff * ExactScalar.from_rational((-1) ** k * num)
+            out[j - k] = out[j - k] + coeff
+    return DeltaGerm(out)
 
 
-def pullback_affine_nilpotent(pattern, coeff, var, max_degree, constant=Fraction(0)):
-    """Taylor coefficients of u(c + nu) where c = coeff*var + constant.
+def pullback_affine_nilpotent(pattern, coeff, max_degree, constant=Fraction(0)):
+    """Taylor coefficients of u(c + nu) where c = coeff*phi + constant.
 
     Returns the list [u(c), u'(c), u''(c)/1, ...] of germs u^(j)(c) for
     j = 0..max_degree; the caller assembles sum_j germ_j nu^j / j! against
@@ -316,13 +232,11 @@ def pullback_affine_nilpotent(pattern, coeff, var, max_degree, constant=Fraction
     constant = Fraction(constant)
     if coeff == 0 and constant == 0:
         raise DeltaError("ellipticity violation: delta argument has no affine part")
-    if len(pattern.vars) != 1 or pattern.vars[0] != var:
-        raise DeltaError("pullback pattern must be a one-variable germ in the target variable")
     out = []
     base = pattern
     for _ in range(max_degree + 1):
         if coeff == 0 or constant != 0:
-            out.append(DeltaGerm.zero((var,)))
+            out.append(DeltaGerm.zero())
         else:
             out.append(scale_variable(base, coeff))
         base = base.derivative()
@@ -339,8 +253,6 @@ def fourier_contribution(germ, location, poisson_sign, period=None):
     with the convention sign s = +-1.  The result is exact: it is returned
     as the pair (period q, residue -> polynomial-in-m coefficient list).
     """
-    if len(germ.vars) != 1:
-        raise DeltaError("fourier conversion needs a one-variable germ")
     if poisson_sign not in (1, -1):
         raise DeltaError("poisson sign must be +1 or -1")
     loc = Fraction(location) % 1
@@ -349,42 +261,19 @@ def fourier_contribution(germ, location, poisson_sign, period=None):
         raise DeltaError("period must be a multiple of the location's torsion order")
     inv_two_pi = ExactScalar.pi_power(-1, Fraction(1, 2))
     s_i = ExactScalar.i() * poisson_sign
-    max_j = germ.max_order()
     # polynomial part: sum_j c_j (s i)^j m^j, coefficients indexed by power of m
-    poly = [ExactScalar.zero() for _ in range(max_j + 1)]
-    for (j,), c in germ.terms.items():
+    poly = []
+    for j, c in enumerate(germ.terms):
         w = inv_two_pi * c
         for _ in range(j):
             w = w * s_i
-        poly[j] = poly[j] + w
+        poly.append(w)
     table = {}
     for r in range(q):
         zeta_pow = ExactScalar.root_of_unity(-poisson_sign * r * loc.numerator,
                                              loc.denominator) if loc else ExactScalar.one()
         table[r] = [zeta_pow * p for p in poly]
     return q, table
-
-
-def pair_with_trig(germ, trig):
-    """Pair a germ with a trig polynomial sum_m a_m e^{i m phi}.
-
-    <sum_j c_j d0^(j), p> = sum_j c_j (-1)^j p^(j)(0); used as the oracle
-    for the Fourier conversion: for germs at the identity the pairing must
-    equal 2 pi sum_m c_m a_{-m}.
-    """
-    if len(germ.vars) != 1:
-        raise DeltaError("pairing needs a one-variable germ")
-    total = ExactScalar.zero()
-    i = ExactScalar.i()
-    for (j,), c in germ.terms.items():
-        for m, a in trig.items():
-            val = _coerce(a)
-            for _ in range(j):
-                val = val * (i * m)
-            if j % 2:
-                val = -val
-            total = total + c * val
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -395,122 +284,40 @@ def germ_to_document(germ, location):
     loc = Fraction(location) % 1
     return {
         "location": f"e^{{2pi*i*{loc.numerator}/{loc.denominator}}}",
-        "variables": list(germ.vars),
+        "variables": [GERM_VAR],
         "terms": [
-            {"derivative_order": list(o), "scalar": c.to_text()}
-            for o, c in sorted(germ.terms.items())
+            {"derivative_order": [j], "scalar": c.to_text()}
+            for j, c in enumerate(germ.terms) if not c.is_zero()
         ],
     }
 
 
+def _field(doc, key, path):
+    if key not in doc:
+        raise DeltaError(f"{path}{key}: missing field")
+    return doc[key]
+
+
 def germ_from_document(doc):
-    m = re.match(r"^e\^\{2pi\*i\*(-?\d+)/(\d+)\}$", doc["location"])
+    location_text = _field(doc, "location", "")
+    m = re.match(r"^e\^\{2pi\*i\*(-?\d+)/(\d+)\}$", location_text)
     if not m:
-        raise DeltaError(f"unparseable germ location {doc['location']!r}")
+        raise DeltaError(f"unparseable germ location {location_text!r}")
     location = Fraction(int(m.group(1)), int(m.group(2)))
-    vars = tuple(doc["variables"])
-    terms = {tuple(t["derivative_order"]): ExactScalar.from_text(t["scalar"])
-             for t in doc["terms"]}
-    return DeltaGerm(vars, terms), location % 1
-
-
-# ----------------------------------------------------------------------
-# boundary-value germs: transient rewrite forms for d+ and d-
-# ----------------------------------------------------------------------
-
-class HalfDeltaGerm:
-    """Combination of derivatives of the boundary values d+ and d-.
-
-    These satisfy d+ + d- = d0, the product rules x d+ = i/(2pi) and
-    x d- = -i/(2pi), and the rescaling a d+-(a x) = d+- (a > 0) or -d-+
-    (a < 0).  They are used only to check the rewrite identities; pipeline
-    germs are always reduced to d0 form via `reduce`.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for (sign, j), c in (terms or {}).items():
-            if sign not in (1, -1) or j < 0:
-                raise DeltaError("bad half-delta term")
-            c = _coerce(c)
-            if not c.is_zero():
-                key = (sign, int(j))
-                clean[key] = clean[key] + c if key in clean else c
-        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
-
-    @staticmethod
-    def half(sign, order=0, coeff=1):
-        return HalfDeltaGerm({(sign, order): _coerce(coeff)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return HalfDeltaGerm(out)
-
-    def __mul__(self, scalar):
-        s = _coerce(scalar)
-        return HalfDeltaGerm({k: c * s for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def scale_argument(self, a):
-        """a d+-(a x) rewrite: identity for a > 0, swaps the boundary for a < 0."""
-        a = Fraction(a)
-        if a == 0:
-            raise DeltaError("cannot rescale by zero")
-        out = {}
-        for (sign, j), c in self.terms.items():
-            factor = a ** (-(j + 1)) if a > 0 else -((-a) ** (-(j + 1)))
-            new_sign = sign if a > 0 else -sign
-            key = (new_sign, j)
-            add = c * ExactScalar.from_rational(abs(factor) * (1 if factor > 0 else -1))
-            out[key] = out[key] + add if key in out else add
-        return HalfDeltaGerm(out)
-
-    def multiply_by_x(self):
-        """(smooth constant, remaining germ) after one multiplication by x.
-
-        Uses x d+- = +-i/(2pi) and x d+-^(j) = -j d+-^(j-1) for j >= 1.
-        """
-        const = ExactScalar.zero()
-        out = {}
-        i_over_2pi = ExactScalar.i() * ExactScalar.pi_power(-1, Fraction(1, 2))
-        for (sign, j), c in self.terms.items():
-            if j == 0:
-                const = const + c * i_over_2pi * sign
-            else:
-                key = (sign, j - 1)
-                add = c * ExactScalar.from_rational(-j)
-                out[key] = out[key] + add if key in out else add
-        return const, HalfDeltaGerm(out)
-
-    def reduce(self, vars=("phi",)):
-        """Rewrite d+^(j) + d-^(j) pairs into d0^(j); fails if unbalanced."""
-        orders = {j for (_, j) in self.terms}
-        out = {}
-        for j in orders:
-            cp = self.terms.get((1, j), ExactScalar.zero())
-            cm = self.terms.get((-1, j), ExactScalar.zero())
-            if not (cp - cm).is_zero():
-                raise DeltaError(
-                    f"boundary germ at order {j} is unbalanced; cannot reduce to d0 form")
-            if not cp.is_zero():
-                out[(j,)] = cp
-        return DeltaGerm(vars, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfDeltaGerm):
-            return NotImplemented
-        diff = self + (other * ExactScalar.from_rational(-1))
-        return not diff.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({c})*d{'+' if s > 0 else '-'}^({j})" for (s, j), c in sorted(self.terms.items()))
+    variables = _field(doc, "variables", "")
+    if variables != [GERM_VAR]:
+        raise DeltaError(f"variables: germs are one-variable in {GERM_VAR!r}, "
+                         f"got {variables!r}")
+    terms = {}
+    for i, t in enumerate(_field(doc, "terms", "")):
+        path = f"terms[{i}]."
+        order = _field(t, "derivative_order", path)
+        if not (isinstance(order, list) and len(order) == 1
+                and type(order[0]) is int and order[0] >= 0):
+            raise DeltaError(f"{path}derivative_order: expected [j] with an integer "
+                             f"j >= 0, got {order!r}")
+        if order[0] in terms:
+            raise DeltaError(f"{path}derivative_order: repeated order {order[0]}")
+        terms[order[0]] = ExactScalar.from_text(_field(t, "scalar", path))
+    dense = [terms.get(j, ExactScalar.zero()) for j in range(max(terms, default=-1) + 1)]
+    return DeltaGerm(dense), location % 1

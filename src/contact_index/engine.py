@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import ExactScalar, approx_display
-from .deltas import DeltaGerm, fourier_contribution, germ_to_document
+from .deltas import DeltaGerm, _poly_add, fourier_contribution, germ_to_document
 from .forms import dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, fixed_submodel, preset_circle, preset_hopf_sphere,
                       preset_prequantum_cpn, preset_weighted_s3)
@@ -67,8 +67,6 @@ class CalibrationConfig:
 
 DEFAULT_CALIBRATION = CalibrationConfig()
 
-GERM_VAR = "phi"
-
 
 def build_preset(name, params, calibration=DEFAULT_CALIBRATION):
     o = calibration.orientation_sign
@@ -97,11 +95,10 @@ def _component_germ(comp, calibration):
     """(2 pi i)^-k times the pairing of Todd, inverse determinant and delta form."""
     k = comp.k
     jet_order = k + 4  # enough for every derivative the germ carries
-    vars = (GERM_VAR,)
-    td = todd(comp.tangential, comp.generators, k, vars, jet_order,
-              calibration.todd_direction)
-    dc = dc_inverse(comp.normal, comp.generators, k, vars, jet_order)
-    integrand = td * dc * j_form(comp, vars, jet_order)
+    td = todd(comp.tangential, comp.generators, k, jet_order=jet_order,
+              direction=calibration.todd_direction)
+    dc = dc_inverse(comp.normal, comp.generators, k, jet_order=jet_order)
+    integrand = td * dc * j_form(comp, jet_order=jet_order)
     germ = integrate_component(integrand, comp.pairing)
     prefactor = _scalar_power(ExactScalar.pi_power(1, 2) * ExactScalar.i(), -k)
     return germ * prefactor
@@ -120,7 +117,7 @@ def germ_at(model, at, calibration=DEFAULT_CALIBRATION):
             "go through corollary_expand")
     at = Fraction(at) % 1
     sub = fixed_submodel(model, at)
-    total = DeltaGerm.zero((GERM_VAR,))
+    total = DeltaGerm.zero()
     for comp in sub.components.get(IDENTITY, []):
         total = total + _component_germ(comp, calibration)
     return total
@@ -136,10 +133,9 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
     if model.rank != 1:
         raise UnsupportedModelError("the volume transform is computed for rank-1 models")
     n = model.ambient_n
-    total = DeltaGerm.zero((GERM_VAR,))
+    total = DeltaGerm.zero()
     for comp in model.components.get(IDENTITY, []):
-        jet_order = comp.k + 4
-        form = j_form(comp, (GERM_VAR,), jet_order)
+        form = j_form(comp, jet_order=comp.k + 4)
         total = total + integrate_component(form, comp.pairing)
     prefactor = _scalar_power(ExactScalar.pi_power(1, 2) * ExactScalar.i(), -n)
     return total * prefactor
@@ -194,13 +190,6 @@ class QuasiPolynomial:
                        "coefficients": [c.to_text() for c in self.polys[r]]}
                       for r in range(self.period)],
         }
-
-
-def _poly_add(a, b):
-    """Sum of two ascending coefficient lists."""
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
 def quasi_polynomial_from_tables(contributions, degree):

@@ -2,9 +2,11 @@
 
 A form element is a polynomial in nilpotent 2-form generators (the class of
 d-alpha plus any base curvature classes), truncated at the component's top
-generator degree k (so the component has dimension 2k+1).  Coefficients are
-pairs (smooth jet, optional delta germ); the single odd object alpha is
-tracked by a flag, and the product of two alpha-flagged elements is zero.
+generator degree k (so the component has dimension 2k+1).  Each coefficient
+is either a smooth jet or a delta germ in the local angle phi; a jet times a
+germ is resolved at once by the Leibniz pairing, and a germ times a germ is
+an error.  The single odd object alpha is tracked by a flag, and the product
+of two alpha-flagged elements is zero.
 
 The module also builds the two power series the localization consumes:
 
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import CyclotomicNumber, ExactScalar, _coerce
-from .deltas import DeltaGerm, SmoothJet, multiply_smooth
+from .deltas import (DeltaGerm, SmoothJet, multiply_smooth,
+                     pullback_affine_nilpotent)
 
 
 class FormError(ValueError):
@@ -54,74 +57,65 @@ class ChernRoot:
 
 
 class FormElement:
-    """Polynomial in even generators with (jet, germ) coefficients."""
+    """Polynomial in even generators whose coefficients are jets or germs."""
 
-    __slots__ = ("generators", "truncation", "vars", "jet_order", "terms", "alpha")
+    __slots__ = ("generators", "truncation", "jet_order", "terms", "alpha")
 
-    def __init__(self, generators, truncation, vars, jet_order, terms=None, alpha=False):
+    def __init__(self, generators, truncation, jet_order, terms=None, alpha=False):
         self.generators = tuple(generators)
         self.truncation = int(truncation)
-        self.vars = tuple(vars)
         self.jet_order = int(jet_order)
         self.alpha = bool(alpha)
         clean = {}
-        for exp, (jet, germ) in (terms or {}).items():
+        for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != len(self.generators) or any(e < 0 for e in exp):
                 raise FormError(f"bad generator exponent {exp}")
-            if sum(exp) > self.truncation:
-                continue
-            if jet.is_zero() or (germ is not None and germ.is_zero()):
-                continue
-            clean[exp] = (jet, germ)
+            if sum(exp) <= self.truncation and not coeff.is_zero():
+                clean[exp] = coeff
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def one(generators, truncation, vars, jet_order):
-        g = tuple(generators)
-        return FormElement(g, truncation, vars, jet_order,
-                           {(0,) * len(g): (SmoothJet.one(vars, jet_order), None)})
+    def one(generators, truncation, jet_order):
+        return FormElement.from_jet(SmoothJet.one(jet_order), generators, truncation)
 
     @staticmethod
-    def zero(generators, truncation, vars, jet_order):
-        return FormElement(generators, truncation, vars, jet_order, {})
+    def zero(generators, truncation, jet_order):
+        return FormElement(generators, truncation, jet_order, {})
 
     @staticmethod
-    def from_scalar(scalar, generators, truncation, vars, jet_order):
-        g = tuple(generators)
-        jet = SmoothJet.one(vars, jet_order) * _coerce(scalar)
-        return FormElement(g, truncation, vars, jet_order, {(0,) * len(g): (jet, None)})
+    def from_scalar(scalar, generators, truncation, jet_order):
+        return FormElement.from_jet(SmoothJet.one(jet_order) * _coerce(scalar),
+                                    generators, truncation)
 
     @staticmethod
     def from_jet(jet, generators, truncation):
         g = tuple(generators)
-        return FormElement(g, truncation, jet.vars, jet.order, {(0,) * len(g): (jet, None)})
+        return FormElement(g, truncation, jet.order, {(0,) * len(g): jet})
 
     @staticmethod
-    def generator(name, generators, truncation, vars, jet_order, coeff=1):
+    def generator(name, generators, truncation, jet_order, coeff=1):
         g = tuple(generators)
         exp = tuple(1 if x == name else 0 for x in g)
         if sum(exp) != 1:
             raise FormError(f"unknown generator {name!r}")
-        jet = SmoothJet.one(vars, jet_order) * _coerce(coeff)
-        return FormElement(g, truncation, vars, jet_order, {exp: (jet, None)})
+        jet = SmoothJet.one(jet_order) * _coerce(coeff)
+        return FormElement(g, truncation, jet_order, {exp: jet})
 
     # -- structural helpers -----------------------------------------------
 
     def _check(self, other):
-        if (self.generators != other.generators or self.truncation != other.truncation
-                or self.vars != other.vars):
-            raise FormError("form basis mismatch: generators, truncation and "
-                            "variables must agree")
+        if self.generators != other.generators or self.truncation != other.truncation:
+            raise FormError("form basis mismatch: generators and truncation must agree")
 
     def with_alpha(self):
         """Wedge with the contact one-form; at most one alpha factor exists."""
         if self.alpha:
             raise FormError("element already carries the alpha factor")
-        return FormElement(self.generators, self.truncation, self.vars,
-                           self.jet_order, self.terms, alpha=True)
+        return FormElement(self.generators, self.truncation, self.jet_order, self.terms,
+                           alpha=True)
 
     def is_zero(self):
         return not self.terms
@@ -133,59 +127,30 @@ class FormElement:
         if self.alpha != other.alpha and not (self.is_zero() or other.is_zero()):
             raise FormError("cannot add alpha-flagged and plain elements")
         out = dict(self.terms)
-        for exp, (jet, germ) in other.terms.items():
-            if exp not in out:
-                out[exp] = (jet, germ)
-                continue
-            jet0, germ0 = out[exp]
-            if (germ0 is None) != (germ is None):
-                raise FormError("cannot add a smooth term to a germ term")
-            if germ0 is None:
-                out[exp] = (jet0 + jet, None)
-            else:
-                if jet0 != jet and not (jet0.is_constant() and jet.is_constant()):
-                    raise FormError("germ terms with differing jets cannot be merged")
-                # constant jets: fold into the germ coefficient
-                g = germ0 * jet0.constant_term() + germ * jet.constant_term()
-                out[exp] = (SmoothJet.one(self.vars, self.jet_order), g)
-            if out[exp][0].is_zero() or (out[exp][1] is not None and out[exp][1].is_zero()):
-                del out[exp]
-        return FormElement(self.generators, self.truncation, self.vars, self.jet_order,
-                           out, alpha=self.alpha or other.alpha)
+        for exp, coeff in other.terms.items():
+            out[exp] = _add(out[exp], coeff) if exp in out else coeff
+        return FormElement(self.generators, self.truncation, self.jet_order, out,
+                           alpha=self.alpha or other.alpha)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
             s = _coerce(other)
-            return FormElement(self.generators, self.truncation, self.vars, self.jet_order,
-                               {e: (j * s, g) for e, (j, g) in self.terms.items()},
-                               alpha=self.alpha)
+            return FormElement(self.generators, self.truncation, self.jet_order,
+                               {e: c * s for e, c in self.terms.items()}, alpha=self.alpha)
         self._check(other)
         if self.alpha and other.alpha:
-            return FormElement.zero(self.generators, self.truncation, self.vars,
+            return FormElement.zero(self.generators, self.truncation,
                                     self.jet_order)  # alpha ^ alpha = 0
         out = {}
-        for e1, (j1, g1) in self.terms.items():
-            for e2, (j2, g2) in other.terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 if sum(exp) > self.truncation:
                     continue
-                if g1 is not None and g2 is not None:
-                    raise FormError("cannot multiply two germ-carrying coefficients")
-                jet = j1 * j2
-                germ = g1 if g1 is not None else g2
-                if exp in out:
-                    jet0, germ0 = out[exp]
-                    if (germ0 is None) != (germ is None):
-                        raise FormError("mixed smooth/germ accumulation")
-                    if germ is None:
-                        out[exp] = (jet0 + jet, None)
-                    else:
-                        merged = multiply_smooth(germ0, jet0) + multiply_smooth(germ, jet)
-                        out[exp] = (SmoothJet.one(self.vars, self.jet_order), merged)
-                else:
-                    out[exp] = (jet, germ)
-        return FormElement(self.generators, self.truncation, self.vars, self.jet_order,
-                           out, alpha=self.alpha or other.alpha)
+                prod = _times(c1, c2)
+                out[exp] = _add(out[exp], prod) if exp in out else prod
+        return FormElement(self.generators, self.truncation, self.jet_order, out,
+                           alpha=self.alpha or other.alpha)
 
     __rmul__ = __mul__
 
@@ -198,23 +163,8 @@ class FormElement:
     def __eq__(self, other):
         if not isinstance(other, FormElement):
             return NotImplemented
-        if (self.generators, self.truncation, self.vars, self.alpha) != \
-           (other.generators, other.truncation, other.vars, other.alpha):
-            return False
-        keys = set(self.terms) | set(other.terms)
-        for k in keys:
-            j1, g1 = self.terms.get(k, (SmoothJet.zero(self.vars, self.jet_order), None))
-            j2, g2 = other.terms.get(k, (SmoothJet.zero(self.vars, self.jet_order), None))
-            if (g1 is None) != (g2 is None):
-                return False
-            if g1 is None:
-                if j1 != j2:
-                    return False
-            else:
-                if multiply_smooth(g1, j1.raised(max(j1.order, g1.max_order()))) != \
-                   multiply_smooth(g2, j2.raised(max(j2.order, g2.max_order()))):
-                    return False
-        return True
+        return (self.generators, self.truncation, self.alpha, self.terms) == \
+            (other.generators, other.truncation, other.alpha, other.terms)
 
     __hash__ = None
 
@@ -225,8 +175,22 @@ class FormElement:
             body = "*".join(f"{g}^{e}" for g, e in zip(self.generators, exp) if e)
             return body or "1"
         head = "alpha*" if self.alpha else ""
-        return " + ".join(f"{head}[{j!r}{'' if g is None else ' x ' + repr(g)}]*{mono(e)}"
-                          for e, (j, g) in sorted(self.terms.items()))
+        return " + ".join(f"{head}[{c!r}]*{mono(e)}" for e, c in sorted(self.terms.items()))
+
+
+def _add(a, b):
+    if type(a) is not type(b):
+        raise FormError("cannot add a smooth term to a germ term")
+    return a + b
+
+
+def _times(a, b):
+    """Product of two coefficients; a jet acts on a germ by the Leibniz pairing."""
+    if isinstance(a, SmoothJet):
+        return a * b if isinstance(b, SmoothJet) else multiply_smooth(b, a)
+    if isinstance(b, SmoothJet):
+        return multiply_smooth(a, b)
+    raise FormError("cannot multiply two germ coefficients")
 
 
 # ----------------------------------------------------------------------
@@ -301,160 +265,104 @@ def evaluate_series(coeffs, element):
     generator exponent zero vanishes), so the sum is finite at the given
     truncation; the series must be at least truncation + jet order + 1 long.
     """
-    zero_exp = (0,) * len(element.generators)
-    const = element.terms.get(zero_exp, (SmoothJet.zero(element.vars, element.jet_order), None))
-    if const[0].constant_term() != ExactScalar.zero():
+    const = element.terms.get((0,) * len(element.generators))
+    if const is not None and not const.constant_term().is_zero():
         raise FormError("series argument must have zero constant term")
     need = element.truncation + element.jet_order + 1
     if len(coeffs) < need:
         raise FormError(f"series too short: need {need} coefficients, got {len(coeffs)}")
     acc = FormElement.from_scalar(coeffs[need - 1], element.generators, element.truncation,
-                                  element.vars, element.jet_order)
+                                  element.jet_order)
     for j in range(need - 2, -1, -1):
         acc = acc * element
         acc = acc + FormElement.from_scalar(coeffs[j], element.generators,
-                                            element.truncation, element.vars,
-                                            element.jet_order)
+                                            element.truncation, element.jet_order)
     return acc
 
 
-def root_value(root, generators, truncation, vars, jet_order):
-    """Equivariant value of a Chern root: curvature + i <weight, X> as a form."""
-    elem = FormElement.zero(generators, truncation, vars, jet_order)
+def root_value(root, generators, truncation, jet_order):
+    """Equivariant value of a Chern root: curvature + i w phi, w its circle weight."""
+    elem = FormElement.zero(generators, truncation, jet_order)
     for name, c in zip(generators, root.curvature):
         c = _coerce(c)
         if not c.is_zero():
-            elem = elem + FormElement.generator(name, generators, truncation, vars,
+            elem = elem + FormElement.generator(name, generators, truncation,
                                                 jet_order, coeff=c)
-    jet = SmoothJet.zero(vars, jet_order)
-    for var, w in zip(vars, root.weight):
-        if w:
-            jet = jet + SmoothJet.variable(vars, jet_order, var,
-                                           coeff=ExactScalar.i() * w)
-    if not jet.is_zero():
+    w = root.weight[0]
+    if w:
+        jet = SmoothJet.variable(jet_order, coeff=ExactScalar.i() * w)
         elem = elem + FormElement.from_jet(jet, generators, truncation)
     return elem
 
 
-def todd(roots, generators, truncation, vars, jet_order, direction="plus"):
+def todd(roots, generators, truncation, *, jet_order, direction="plus"):
     """Product of Todd factors over tangential Chern roots (empty product = 1)."""
     length = truncation + jet_order + 1
     series = todd_series(length, direction)
-    acc = FormElement.one(generators, truncation, vars, jet_order)
+    acc = FormElement.one(generators, truncation, jet_order)
     for root in roots:
         if not root.is_tangential():
             raise FormError("Todd factors take tangential roots only "
                             "(torsion eigenvalue must be 1)")
         acc = acc * evaluate_series(series, root_value(root, generators, truncation,
-                                                       vars, jet_order))
+                                                       jet_order))
     return acc
 
 
-def dc_inverse(roots, generators, truncation, vars, jet_order):
+def dc_inverse(roots, generators, truncation, *, jet_order):
     """Inverse normal determinant: product over roots of (1 - lambda e^value)^-1."""
     length = truncation + jet_order + 1
-    acc = FormElement.one(generators, truncation, vars, jet_order)
+    acc = FormElement.one(generators, truncation, jet_order)
     for root in roots:
         series = normal_factor_series(root.eigenvalue(), length)
         acc = acc * evaluate_series(series, root_value(root, generators, truncation,
-                                                       vars, jet_order))
+                                                       jet_order))
     return acc
 
 
-def j_form(component, vars, jet_order):
+def j_form(component, *, jet_order):
     """The contact form's delta-form over a fixed component.
 
-    alpha wedge sum_j d0^(j)(-mu <w_R, X>) (d-alpha)^j / j!, with the first
-    generator playing the role of the d-alpha class.  Requires a positive
-    moment constant (ellipticity).
+    alpha wedge sum_j d0^(j)(-mu w phi) (d-alpha)^j / j!, where w is the
+    component's Reeb weight and the first generator plays the role of the
+    d-alpha class.  Requires a positive moment constant (ellipticity).
     """
-    from .deltas import pullback_affine_nilpotent  # local import keeps module edges clean
-
     mu = Fraction(component.mu)
     if mu <= 0:
         raise FormError("ellipticity violation: moment constant must be positive")
+    w = component.reeb_weight[0]
+    if not w:
+        raise FormError("the moment covector must pair nontrivially with the circle "
+                        "on each component (constant-moment normalization)")
     k = component.k
     gens = component.generators
-    nonzero = [(v, w) for v, w in zip(vars, component.reeb_weight) if w]
-    if len(nonzero) != 1:
-        raise FormError("the moment covector must involve exactly one torus variable "
-                        "on each component (constant-moment normalization)")
-    var, w = nonzero[0]
-    pattern = DeltaGerm.delta((var,))
-    germs = pullback_affine_nilpotent(pattern, -mu * w, var, k)
-    acc = FormElement.zero(gens, k, vars, jet_order)
-    if gens:
-        nu = FormElement.generator(gens[0], gens, k, vars, jet_order)
-        nu_power = FormElement.one(gens, k, vars, jet_order)
+    germs = pullback_affine_nilpotent(DeltaGerm.delta(), -mu * w, k)
+    terms = {}
     for j, germ in enumerate(germs):
-        if len(vars) == 2:
-            germ = _embed_second_variable(germ, vars)
-        coeff_term = FormElement(gens, k, vars, jet_order,
-                                 {(0,) * len(gens): (SmoothJet.one(vars, jet_order),
-                                                     germ * ExactScalar.from_rational(Fraction(1, _fact(j))))})
-        if j == 0:
-            acc = acc + coeff_term
-        else:
-            acc = acc + coeff_term * nu_power
-        if gens and j < len(germs) - 1:
-            nu_power = nu_power * nu
-    return acc.with_alpha()
-
-
-def _embed_second_variable(germ, vars):
-    """View a one-variable germ as a germ in two variables (order 0 elsewhere)."""
-    if germ.vars == tuple(vars):
-        return germ
-    (v,) = germ.vars
-    idx = vars.index(v)
-    out = {}
-    for (j,), c in germ.terms.items():
-        order = [0, 0]
-        order[idx] = j
-        out[tuple(order)] = c
-    return DeltaGerm(vars, out)
+        exp = tuple(j if i == 0 else 0 for i in range(len(gens)))
+        terms[exp] = germ * ExactScalar.from_rational(Fraction(1, _fact(j)))
+    return FormElement(gens, k, jet_order, terms, alpha=True)
 
 
 def integrate_component(form, pairing):
     """Pair an alpha-flagged form against the component's top pairing table.
 
     Only monomials of top generator degree pair nontrivially (lower degrees
-    integrate to zero on an odd-dimensional component); the smooth jets are
-    absorbed into the germs at this point.  A top monomial missing from the
-    pairing table is an error.
+    integrate to zero on an odd-dimensional component); their coefficients
+    must be germs, which are summed weighted by the pairing values.  A top
+    monomial missing from the pairing table is an error.
     """
     if not form.alpha:
         raise FormError("only alpha-flagged elements integrate nontrivially")
     k = form.truncation
-    germ_total = None
-    for exp, (jet, germ) in form.terms.items():
+    total = DeltaGerm.zero()
+    for exp, coeff in form.terms.items():
         if sum(exp) != k:
             continue  # degree parity: no contribution off the top
         if exp not in pairing:
             raise FormError(f"pairing table has no entry for surviving monomial {exp}")
-        if germ is None:
+        if not isinstance(coeff, DeltaGerm):
             raise FormError("top coefficient carries no germ; nothing to integrate "
                             "against the delta form")
-        jet_for_germ = _restrict_jet(jet, germ.vars)
-        resolved = multiply_smooth(germ, jet_for_germ) * pairing[exp]
-        germ_total = resolved if germ_total is None else germ_total + resolved
-    if germ_total is None:
-        return DeltaGerm.zero(form.vars)
-    return germ_total
-
-
-def _restrict_jet(jet, germ_vars):
-    if tuple(jet.vars) == tuple(germ_vars):
-        return jet
-    # project away variables the germ does not see; only admissible if the jet
-    # is constant in them
-    keep = [i for i, v in enumerate(jet.vars) if v in germ_vars]
-    drop = [i for i, v in enumerate(jet.vars) if v not in germ_vars]
-    out = {}
-    for exp, c in jet.coeffs.items():
-        if any(exp[i] for i in drop):
-            raise FormError("jet depends on a variable outside the germ; "
-                            "two-variable integration requires separated data")
-        key = tuple(exp[i] for i in keep)
-        out[key] = out[key] + c if key in out else c
-    return SmoothJet(germ_vars, jet.order, out)
+        total = total + coeff * pairing[exp]
+    return total

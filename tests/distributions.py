@@ -1,0 +1,127 @@
+"""Test-only distributions: boundary-value germs and the trigonometric pairing.
+
+Both serve as independent routes that the germ calculus is checked against;
+the localization pipeline itself uses neither.
+"""
+
+from fractions import Fraction
+
+from contact_index.deltas import DeltaError, DeltaGerm
+from contact_index.scalars import ExactScalar, _coerce
+
+
+def pair_with_trig(germ, trig):
+    """Pair a germ with a trig polynomial sum_m a_m e^{i m phi}.
+
+    <sum_j c_j d0^(j), p> = sum_j c_j (-1)^j p^(j)(0); used as the oracle
+    for the Fourier conversion: for germs at the identity the pairing must
+    equal 2 pi sum_m c_m a_{-m}.
+    """
+    total = ExactScalar.zero()
+    i = ExactScalar.i()
+    for j, c in enumerate(germ.terms):
+        for m, a in trig.items():
+            val = _coerce(a)
+            for _ in range(j):
+                val = val * (i * m)
+            if j % 2:
+                val = -val
+            total = total + c * val
+    return total
+
+
+class HalfDeltaGerm:
+    """Combination of derivatives of the boundary values d+ and d-.
+
+    These satisfy d+ + d- = d0, the product rules x d+ = i/(2pi) and
+    x d- = -i/(2pi), and the rescaling a d+-(a x) = d+- (a > 0) or -d-+
+    (a < 0).  They are used only to check the rewrite identities; `reduce`
+    turns a balanced combination into a d0 germ.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        for (sign, j), c in (terms or {}).items():
+            if sign not in (1, -1) or j < 0:
+                raise DeltaError("bad half-delta term")
+            c = _coerce(c)
+            if not c.is_zero():
+                key = (sign, int(j))
+                clean[key] = clean[key] + c if key in clean else c
+        self.terms = {k: c for k, c in clean.items() if not c.is_zero()}
+
+    @staticmethod
+    def half(sign, order=0, coeff=1):
+        return HalfDeltaGerm({(sign, order): _coerce(coeff)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return HalfDeltaGerm(out)
+
+    def __mul__(self, scalar):
+        s = _coerce(scalar)
+        return HalfDeltaGerm({k: c * s for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def scale_argument(self, a):
+        """a d+-(a x) rewrite: identity for a > 0, swaps the boundary for a < 0."""
+        a = Fraction(a)
+        if a == 0:
+            raise DeltaError("cannot rescale by zero")
+        out = {}
+        for (sign, j), c in self.terms.items():
+            factor = a ** (-(j + 1)) if a > 0 else -((-a) ** (-(j + 1)))
+            new_sign = sign if a > 0 else -sign
+            key = (new_sign, j)
+            add = c * ExactScalar.from_rational(factor)
+            out[key] = out[key] + add if key in out else add
+        return HalfDeltaGerm(out)
+
+    def multiply_by_x(self):
+        """(smooth constant, remaining germ) after one multiplication by x.
+
+        Uses x d+- = +-i/(2pi) and x d+-^(j) = -j d+-^(j-1) for j >= 1.
+        """
+        const = ExactScalar.zero()
+        out = {}
+        i_over_2pi = ExactScalar.i() * ExactScalar.pi_power(-1, Fraction(1, 2))
+        for (sign, j), c in self.terms.items():
+            if j == 0:
+                const = const + c * i_over_2pi * sign
+            else:
+                key = (sign, j - 1)
+                add = c * ExactScalar.from_rational(-j)
+                out[key] = out[key] + add if key in out else add
+        return const, HalfDeltaGerm(out)
+
+    def reduce(self):
+        """Rewrite d+^(j) + d-^(j) pairs into d0^(j); fails if unbalanced."""
+        top = max((j for (_, j) in self.terms), default=-1)
+        out = []
+        for j in range(top + 1):
+            cp = self.terms.get((1, j), ExactScalar.zero())
+            cm = self.terms.get((-1, j), ExactScalar.zero())
+            if not (cp - cm).is_zero():
+                raise DeltaError(
+                    f"boundary germ at order {j} is unbalanced; cannot reduce to d0 form")
+            out.append(cp)
+        return DeltaGerm(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, HalfDeltaGerm):
+            return NotImplemented
+        diff = self + (other * ExactScalar.from_rational(-1))
+        return not diff.terms
+
+    __hash__ = None
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            f"({c})*d{'+' if s > 0 else '-'}^({j})" for (s, j), c in sorted(self.terms.items()))

@@ -15,15 +15,15 @@ from click.testing import CliRunner
 from contact_index import oracle
 from contact_index.catalog import scaled_model
 from contact_index.cli import main
-from contact_index.deltas import (DeltaGerm, HalfDeltaGerm, SmoothJet,
-                                  multiply_smooth, scale_variable)
+from contact_index.deltas import (DeltaGerm, SmoothJet, multiply_smooth,
+                                  scale_variable)
 from contact_index.engine import (CalibrationConfig, assemble_character,
                                   build_preset, calibrate_conventions,
                                   corollary_expand, dh_fourier, germ_at)
 from contact_index.forms import integrate_component, j_form
 from contact_index.scalars import ExactScalar
+from distributions import HalfDeltaGerm
 
-PHI = ("phi",)
 TWO_PI = ExactScalar.pi_power(1, 2)
 I = ExactScalar.i()
 
@@ -118,24 +118,24 @@ def test_criterion_6_double_expansion():
 def test_criterion_7_distribution_identity_suite():
     rng = random.Random(20260809)
     cases = 0
-    x = SmoothJet.variable(PHI, 8, "phi")
+    x = SmoothJet.variable(8)
     for _ in range(150):
         coeff = ExactScalar.from_rational(
             Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
         order = rng.randint(0, 6)
-        germ = DeltaGerm.delta(PHI, order, coeff)
+        germ = DeltaGerm.delta(order, coeff)
         a = Fraction(rng.randint(-9, 9) or 2, rng.randint(1, 9))
         # (d3) scale round trip
         assert scale_variable(scale_variable(germ, a), 1 / a) == germ
         cases += 1
         # (d2) delta-level identities
-        assert multiply_smooth(DeltaGerm.delta(PHI, 0, coeff), x).is_zero()
-        assert multiply_smooth(DeltaGerm.delta(PHI, 1, coeff), x) == \
-            DeltaGerm.delta(PHI, 0, coeff * ExactScalar.from_rational(-1))
+        assert multiply_smooth(DeltaGerm.delta(0, coeff), x).is_zero()
+        assert multiply_smooth(DeltaGerm.delta(1, coeff), x) == \
+            DeltaGerm.delta(0, coeff * ExactScalar.from_rational(-1))
         cases += 2
         # (d1) boundary rewrite agrees with the direct delta
         combo = HalfDeltaGerm.half(1, order, coeff) + HalfDeltaGerm.half(-1, order, coeff)
-        assert combo.reduce(PHI) == germ
+        assert combo.reduce() == germ
         cases += 1
         # (d3) boundary scaling round-trips, swapping halves at negative factors
         neg = -a if a > 0 else a
@@ -147,10 +147,10 @@ def test_criterion_7_distribution_identity_suite():
         # (d2) boundary product rule sums to the delta rule
         const, rest = combo.multiply_by_x()
         assert const.is_zero()
-        expected = DeltaGerm.delta(PHI, order - 1,
+        expected = DeltaGerm.delta(order - 1,
                                    coeff * ExactScalar.from_rational(-order)) \
-            if order else DeltaGerm.zero(PHI)
-        assert rest.reduce(PHI) == expected
+            if order else DeltaGerm.zero()
+        assert rest.reduce() == expected
         cases += 1
         # scale_variable homogeneity against the derivative route
         assert scale_variable(germ.derivative(), a) == \
@@ -184,10 +184,10 @@ def test_criterion_10_volume_transform():
     # independent route: drop the Todd factor from the worked sphere example
     # and re-integrate the delta form alone
     (comp,) = hopf.components[Fraction(0, 1)]
-    direct = integrate_component(j_form(comp, PHI, 5), comp.pairing)
+    direct = integrate_component(j_form(comp, jet_order=5), comp.pairing)
     direct = direct * (TWO_PI * I).inverse()
     assert got == direct
-    assert got == DeltaGerm.delta(PHI, 1, TWO_PI * I)
+    assert got == DeltaGerm.delta(1, TWO_PI * I)
     for lam in (2, 3, 5):
         assert dh_fourier(scaled_model(hopf, lam)) == got
     _report(10, "volume transform drops the Todd factor and is scaling-invariant")

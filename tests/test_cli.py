@@ -93,6 +93,12 @@ class TestGermCommand:
         result = runner.invoke(main, ["germ", "--preset", "circle", "--at", "x/y"])
         assert result.exit_code == 2
 
+    def test_negative_digits_is_a_config_error(self, runner, calibrated):
+        result = runner.invoke(main, ["germ", "--preset", "circle", "--at", "0/1",
+                                      "--digits", "-2"])
+        assert result.exit_code == 2
+        assert "--digits" in result.output
+
     def test_rank_two_is_unsupported(self, runner, calibrated):
         result = runner.invoke(main, ["germ", "--preset", "prequantum-cpn",
                                       "--n", "1", "--at", "0/1"])
@@ -174,6 +180,12 @@ class TestCharacterCommand:
                                       "--weights", "2;3"])
         assert result.exit_code == 2
 
+    def test_negative_digits_is_a_config_error(self, runner, calibrated):
+        result = runner.invoke(main, ["character", "--preset", "circle",
+                                      "--max-m", "3", "--digits", "-1"])
+        assert result.exit_code == 2
+        assert "--digits" in result.output
+
 
 class TestDhCommand:
     def test_sphere_volume_transform(self, runner, calibrated):
@@ -181,6 +193,11 @@ class TestDhCommand:
         assert result.exit_code == 0
         terms = json.loads(result.output)["germ"]["terms"]
         assert terms == [{"derivative_order": [1], "scalar": "(2*z4^1)*pi^1"}]
+
+    def test_has_no_digits_option(self, runner):
+        result = runner.invoke(main, ["dh", "--help"])
+        assert result.exit_code == 0
+        assert "--digits" not in result.output
 
 
 class TestCorollaryCommand:

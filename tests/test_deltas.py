@@ -1,24 +1,25 @@
 """Delta germ calculus: rescaling, smooth multiplication, pullback, Fourier."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from contact_index.deltas import (DeltaError, DeltaGerm, HalfDeltaGerm, SmoothJet,
+from contact_index.deltas import (DeltaError, DeltaGerm, SmoothJet,
                                   fourier_contribution, germ_from_document,
-                                  germ_to_document, multiply_smooth, pair_with_trig,
+                                  germ_to_document, multiply_smooth,
                                   pullback_affine_nilpotent, scale_variable)
 from contact_index.scalars import ExactScalar
+from distributions import HalfDeltaGerm, pair_with_trig
 
-PHI = ("phi",)
 ONE = ExactScalar.one()
 I = ExactScalar.i()
 TWO_PI = ExactScalar.pi_power(1, 2)
 
-d0 = DeltaGerm.delta(PHI, 0)
-d1 = DeltaGerm.delta(PHI, 1)
-d2 = DeltaGerm.delta(PHI, 2)
+d0 = DeltaGerm.delta(0)
+d1 = DeltaGerm.delta(1)
+d2 = DeltaGerm.delta(2)
 
 
 def evaluate_quasi(table_pair, m):
@@ -47,7 +48,7 @@ class TestScaleVariable:
         rng = random.Random(101)
         for _ in range(400):
             order = rng.randint(0, 5)
-            germ = DeltaGerm.delta(PHI, order, ExactScalar.from_rational(
+            germ = DeltaGerm.delta(order, ExactScalar.from_rational(
                 Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))))
             a = Fraction(rng.randint(-9, 9) or 3, rng.randint(1, 9))
             assert scale_variable(scale_variable(germ, a), 1 / a) == germ
@@ -55,53 +56,53 @@ class TestScaleVariable:
 
 class TestMultiplySmooth:
     def test_x_kills_delta(self):
-        x = SmoothJet.variable(PHI, 4, "phi")
+        x = SmoothJet.variable(4)
         assert multiply_smooth(d0, x).is_zero()
 
     def test_x_lowers_first_derivative(self):
-        x = SmoothJet.variable(PHI, 4, "phi")
+        x = SmoothJet.variable(4)
         assert multiply_smooth(d1, x) == d0 * ExactScalar.from_rational(-1)
 
     def test_x_on_first_derivative_against_pairing_oracle(self):
         # independent route: <x d0', e^{i m phi}> = <d0', x e^{i m phi}>
         # equals -(d/dphi)(phi e^{i m phi}) at 0 = -1 for every m
-        x = SmoothJet.variable(PHI, 4, "phi")
+        x = SmoothJet.variable(4)
         lhs = multiply_smooth(d1, x)
         for m in range(-5, 6):
             assert pair_with_trig(lhs, {m: ONE}) == ExactScalar.from_rational(-1)
 
     def test_one_plus_x(self):
-        jet = SmoothJet.one(PHI, 4) + SmoothJet.variable(PHI, 4, "phi")
+        jet = SmoothJet.one(4) + SmoothJet.variable(4)
         assert multiply_smooth(d0, jet) == d0
 
     def test_insufficient_truncation_is_an_error(self):
-        jet = SmoothJet.one(PHI, 1)
+        jet = SmoothJet.one(1)
         with pytest.raises(DeltaError, match="raise the truncation"):
-            multiply_smooth(DeltaGerm.delta(PHI, 3), jet)
+            multiply_smooth(DeltaGerm.delta(3), jet)
 
     def test_leibniz_general_order(self):
         # phi^2 * d0^(3) = 3!/(1!) d0^(1) = 6 d0' with sign (+1)^2
-        jet = SmoothJet(PHI, 5, {(2,): ONE})
-        got = multiply_smooth(DeltaGerm.delta(PHI, 3), jet)
-        assert got == DeltaGerm.delta(PHI, 1, ExactScalar.from_rational(6))
+        jet = SmoothJet(5, [0, 0, ONE])
+        got = multiply_smooth(DeltaGerm.delta(3), jet)
+        assert got == DeltaGerm.delta(1, ExactScalar.from_rational(6))
 
 
 class TestPullback:
     def test_negated_variable_pattern(self):
-        germs = pullback_affine_nilpotent(d0, -1, "phi", 2)
+        germs = pullback_affine_nilpotent(d0, -1, 2)
         assert germs[0] == d0          # d0(-phi) = d0(phi)
         assert germs[1] == d1 * ExactScalar.from_rational(-1)
         assert germs[2] == d2
 
     def test_sphere_expansion_matches_worked_example(self):
         # d0(nu - phi) = d0(-phi) + d0'(-phi) nu for a single nilpotent power
-        germs = pullback_affine_nilpotent(d0, -1, "phi", 1)
+        germs = pullback_affine_nilpotent(d0, -1, 1)
         assert germs[0] == d0
         assert germs[1] == -1 * d1
 
     def test_doubled_nilpotent_taylor(self):
         # d0(2 nu - phi): order-j coefficient u^(j)(-phi) 2^j / j!
-        germs = pullback_affine_nilpotent(d0, -1, "phi", 2)
+        germs = pullback_affine_nilpotent(d0, -1, 2)
         assembled = [germs[0],
                      germs[1] * ExactScalar.from_rational(2),
                      germs[2] * ExactScalar.from_rational(Fraction(4, 2))]
@@ -110,15 +111,15 @@ class TestPullback:
         assert assembled[2] == d2 * ExactScalar.from_rational(2)
 
     def test_trivial_nilpotent_is_even(self):
-        germs = pullback_affine_nilpotent(d0, -1, "phi", 0)
+        germs = pullback_affine_nilpotent(d0, -1, 0)
         assert germs == [d0]
 
     def test_ellipticity_violation(self):
         with pytest.raises(DeltaError, match="ellipticity"):
-            pullback_affine_nilpotent(d0, 0, "phi", 2)
+            pullback_affine_nilpotent(d0, 0, 2)
 
     def test_offset_support_gives_zero_germ(self):
-        germs = pullback_affine_nilpotent(d0, 1, "phi", 2, constant=Fraction(1, 3))
+        germs = pullback_affine_nilpotent(d0, 1, 2, constant=Fraction(1, 3))
         assert all(g.is_zero() for g in germs)
 
 
@@ -129,7 +130,7 @@ class TestFourier:
             assert evaluate_quasi(pair, m) == ONE
 
     def test_zero_germ(self):
-        pair = fourier_contribution(DeltaGerm.zero(PHI), Fraction(0), +1)
+        pair = fourier_contribution(DeltaGerm.zero(), Fraction(0), +1)
         assert evaluate_quasi(pair, 5).is_zero()
 
     def test_sphere_germ_gives_one_minus_m(self):
@@ -147,9 +148,9 @@ class TestFourier:
     def test_linearity(self):
         rng = random.Random(3)
         for _ in range(60):
-            g1 = DeltaGerm.delta(PHI, rng.randint(0, 4),
+            g1 = DeltaGerm.delta(rng.randint(0, 4),
                                  ExactScalar.from_rational(rng.randint(-5, 5)))
-            g2 = DeltaGerm.delta(PHI, rng.randint(0, 4),
+            g2 = DeltaGerm.delta(rng.randint(0, 4),
                                  ExactScalar.from_rational(rng.randint(-5, 5)))
             p_sum = fourier_contribution(g1 + g2, Fraction(1, 3), +1)
             p1 = fourier_contribution(g1, Fraction(1, 3), +1)
@@ -177,10 +178,11 @@ class TestPairWithTrig:
         # derivative orders up to 6, trig degree up to 20
         rng = random.Random(77)
         for _ in range(40):
-            germ = DeltaGerm(PHI, {
-                (rng.randint(0, 6),): ExactScalar.from_rational(
+            terms = {
+                rng.randint(0, 6): ExactScalar.from_rational(
                     Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4)))
-                for _ in range(3)})
+                for _ in range(3)}
+            germ = DeltaGerm([terms.get(j, 0) for j in range(7)])
             trig = {rng.randint(-20, 20): ExactScalar.from_rational(rng.randint(-3, 3))
                     for _ in range(5)}
             pair = fourier_contribution(germ, Fraction(0), +1)
@@ -206,11 +208,11 @@ class TestSerialization:
 class TestBoundaryGerms:
     def test_d1_identity_sum_reduces_to_delta(self):
         combo = HalfDeltaGerm.half(1) + HalfDeltaGerm.half(-1)
-        assert combo.reduce(PHI) == d0
+        assert combo.reduce() == d0
 
     def test_unbalanced_cannot_reduce(self):
         with pytest.raises(DeltaError, match="unbalanced"):
-            HalfDeltaGerm.half(1).reduce(PHI)
+            HalfDeltaGerm.half(1).reduce()
 
     def test_d2_product_rule_constants(self):
         const_p, rest_p = HalfDeltaGerm.half(1).multiply_by_x()
@@ -225,7 +227,7 @@ class TestBoundaryGerms:
         combo = HalfDeltaGerm.half(1) + HalfDeltaGerm.half(-1)
         const, rest = combo.multiply_by_x()
         assert const.is_zero()
-        assert rest.reduce(PHI).is_zero()
+        assert rest.reduce().is_zero()
 
     def test_d3_scaling_swaps_boundaries(self):
         assert HalfDeltaGerm.half(1).scale_argument(-1) == \
@@ -240,20 +242,68 @@ class TestBoundaryGerms:
         assert rest == HalfDeltaGerm.half(1) * ExactScalar.from_rational(-1)
 
 
-class TestTwoVariableGerms:
-    def test_tensor_product(self):
-        gx = DeltaGerm.delta(("X",), 1)
-        gphi = DeltaGerm.delta(PHI, 0, TWO_PI)
-        t = gx.tensor(gphi)
-        assert t.vars == ("X", "phi")
-        assert t.terms == {(1, 0): TWO_PI}
 
-    def test_tensor_needs_disjoint_variables(self):
-        with pytest.raises(DeltaError):
-            d0.tensor(d1)
 
-    def test_two_variable_smooth_multiplication(self):
-        germ = DeltaGerm.delta(("X", "phi"), (1, 0))
-        jet = SmoothJet.variable(("X", "phi"), 4, "X")
-        assert multiply_smooth(germ, jet) == \
-            DeltaGerm.delta(("X", "phi"), (0, 0), ExactScalar.from_rational(-1))
+class TestGermDocumentValidation:
+    def _doc(self):
+        return germ_to_document(d0 * TWO_PI + d2 * I, Fraction(1, 3))
+
+    @pytest.mark.parametrize("variables", [["X", "phi"], ["theta"], [], "phi"],
+                             ids=["two-variable", "other-name", "empty", "bare-string"])
+    def test_variables_other_than_phi_are_rejected(self, variables):
+        doc = self._doc()
+        doc["variables"] = variables
+        with pytest.raises(DeltaError, match="variables"):
+            germ_from_document(doc)
+
+    @pytest.mark.parametrize("order", [[1, 0], [], [-1], 2, ["2"], [True], [1.0]],
+                             ids=["two-entries", "empty", "negative", "bare-int",
+                                  "string", "bool", "float"])
+    def test_derivative_order_must_be_one_nonnegative_integer(self, order):
+        doc = self._doc()
+        doc["terms"][1]["derivative_order"] = order
+        with pytest.raises(DeltaError, match=r"terms\[1\]\.derivative_order"):
+            germ_from_document(doc)
+
+    def test_repeated_derivative_order_is_rejected(self):
+        doc = self._doc()
+        doc["terms"][1]["derivative_order"] = [0]
+        with pytest.raises(DeltaError, match="repeated order 0"):
+            germ_from_document(doc)
+
+    @pytest.mark.parametrize("path", [("location",), ("variables",), ("terms",),
+                                      ("terms", 0, "derivative_order"),
+                                      ("terms", 0, "scalar")],
+                             ids=lambda p: ".".join(map(str, p)))
+    def test_missing_key_names_the_field(self, path):
+        doc = self._doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        with pytest.raises(DeltaError, match=re.escape(path[-1]) + ": missing"):
+            germ_from_document(doc)
+
+
+class TestModuleAction:
+    def test_jet_product_acts_as_successive_multiplications(self):
+        # (g a) b == g (a b) for germs of order <= 6 and jets truncated at or
+        # above the germ's order: the identity that lets forms resolve a jet
+        # against a germ as soon as they meet
+        rng = random.Random(2007)
+        units = [ONE, I, TWO_PI, ExactScalar.root_of_unity(1, 3)]
+
+        def scalar():
+            return rng.choice(units) * ExactScalar.from_rational(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+        def jet(at_least):
+            return SmoothJet(rng.randint(at_least, 8),
+                             [scalar() for _ in range(rng.randint(0, 9))])
+
+        for _ in range(80):
+            order = rng.randint(0, 6)
+            germ = DeltaGerm([scalar() for _ in range(order + 1)])
+            a, b = jet(order), jet(order)
+            assert multiply_smooth(multiply_smooth(germ, a), b) == \
+                multiply_smooth(germ, a * b)

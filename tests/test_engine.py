@@ -17,7 +17,6 @@ from contact_index.engine import (CalibrationConfig, CalibrationError, EngineErr
                                   residual_factors)
 from contact_index.scalars import ExactScalar
 
-PHI = ("phi",)
 ONE = ExactScalar.one()
 I = ExactScalar.i()
 TWO_PI = ExactScalar.pi_power(1, 2)
@@ -35,11 +34,11 @@ RANK1_PRESETS = [
 class TestGerms:
     def test_circle_identity_germ(self):
         assert germ_at(build_preset("circle", ()), IDENTITY) == \
-            DeltaGerm.delta(PHI, 0, TWO_PI)
+            DeltaGerm.delta(0, TWO_PI)
 
     def test_sphere_identity_germ(self):
         germ = germ_at(build_preset("hopf", (1,)), IDENTITY)
-        assert germ == DeltaGerm(PHI, {(0,): TWO_PI, (1,): TWO_PI * I})
+        assert germ == DeltaGerm([TWO_PI, TWO_PI * I])
 
     def test_sphere_vanishes_off_the_identity(self):
         hopf = build_preset("hopf", (1,))
@@ -48,12 +47,11 @@ class TestGerms:
 
     def test_weighted_half_turn_germ_value(self):
         germ = germ_at(build_preset("weighted-s3", (1, 2)), Fraction(1, 2))
-        assert germ == DeltaGerm.delta(PHI, 0, ExactScalar.pi_power(1, Fraction(1, 2)))
+        assert germ == DeltaGerm.delta(0, ExactScalar.pi_power(1, Fraction(1, 2)))
 
     def test_weighted_third_turn_has_cyclotomic_coefficient(self):
         germ = germ_at(build_preset("weighted-s3", (2, 3)), Fraction(1, 3))
-        ((order, coeff),) = list(germ.terms.items())
-        assert order == (0,)
+        (coeff,) = germ.terms
         # (2 pi / 3) / (1 - e^{-4 pi i/3}): check by multiplying the factor back
         lam = ExactScalar.root_of_unity(-2, 3)
         assert coeff * (ONE - lam) == ExactScalar.pi_power(1, Fraction(2, 3))
@@ -191,7 +189,7 @@ class TestVolumeTransform:
 
     def test_sphere_drops_the_todd_factor(self):
         got = dh_fourier(build_preset("hopf", (1,)))
-        assert got == DeltaGerm.delta(PHI, 1, TWO_PI * I)
+        assert got == DeltaGerm.delta(1, TWO_PI * I)
 
     def test_scaling_invariance(self):
         for name, params in RANK1_PRESETS:

@@ -12,7 +12,6 @@ from contact_index.forms import (ChernRoot, FormElement, FormError, dc_inverse,
                                  normal_factor_series, root_value, todd, todd_series)
 from contact_index.scalars import CyclotomicNumber, ExactScalar
 
-PHI = ("phi",)
 ONE = ExactScalar.one()
 I = ExactScalar.i()
 TWO_PI = ExactScalar.pi_power(1, 2)
@@ -50,50 +49,51 @@ class TestToddSeries:
 
 class TestTodd:
     def test_empty_product_is_one(self):
-        assert todd([], ("dA",), 2, PHI, 4) == FormElement.one(("dA",), 2, PHI, 4)
+        assert todd([], ("dA",), 2, jet_order=4) == FormElement.one(("dA",), 2, 4)
 
     def test_round_sphere_value(self):
         # two factors of curvature i dA at truncation 1 multiply to 1 + i dA
         r = ChernRoot(curvature=(I,), weight=(0,))
-        td = todd([r, r], ("dA",), 1, PHI, 4)
-        expected = FormElement.one(("dA",), 1, PHI, 4) + \
-            FormElement.generator("dA", ("dA",), 1, PHI, 4, coeff=I)
+        td = todd([r, r], ("dA",), 1, jet_order=4)
+        expected = FormElement.one(("dA",), 1, 4) + \
+            FormElement.generator("dA", ("dA",), 1, 4, coeff=I)
         assert td == expected
 
     def test_single_root_taylor_coefficients(self):
         # 1 + c/2 + c^2/12 for curvature c, frozen from the recurrence oracle
         c = ExactScalar.from_rational(1)
         r = ChernRoot(curvature=(c,), weight=(0,))
-        td = todd([r], ("dA",), 2, PHI, 4)
-        assert td.terms[(0,)][0].constant_term() == ONE
-        assert td.terms[(1,)][0].constant_term() == ExactScalar.from_rational(Fraction(1, 2))
-        assert td.terms[(2,)][0].constant_term() == ExactScalar.from_rational(Fraction(1, 12))
+        td = todd([r], ("dA",), 2, jet_order=4)
+        assert td.terms[(0,)].constant_term() == ONE
+        assert td.terms[(1,)].constant_term() == ExactScalar.from_rational(Fraction(1, 2))
+        assert td.terms[(2,)].constant_term() == ExactScalar.from_rational(Fraction(1, 12))
 
     def test_multiplicativity(self):
         rng = random.Random(5)
         for _ in range(20):
             roots = [ChernRoot(curvature=(ExactScalar.from_rational(rng.randint(-3, 3)),),
                                weight=(rng.randint(-2, 2),)) for _ in range(3)]
-            left = todd(roots[:1], ("dA",), 2, PHI, 4) * todd(roots[1:], ("dA",), 2, PHI, 4)
-            assert left == todd(roots, ("dA",), 2, PHI, 4)
+            left = todd(roots[:1], ("dA",), 2, jet_order=4) * \
+                todd(roots[1:], ("dA",), 2, jet_order=4)
+            assert left == todd(roots, ("dA",), 2, jet_order=4)
 
     def test_tangential_precondition(self):
         bad = ChernRoot(curvature=(I,), weight=(0,), eigenvalue_exponent=Fraction(1, 2))
         with pytest.raises(FormError, match="tangential"):
-            todd([bad], ("dA",), 1, PHI, 4)
+            todd([bad], ("dA",), 1, jet_order=4)
 
 
 class TestNormalDeterminant:
     def test_empty_product_is_one(self):
-        assert dc_inverse([], ("dA",), 2, PHI, 4) == FormElement.one(("dA",), 2, PHI, 4)
+        assert dc_inverse([], ("dA",), 2, jet_order=4) == FormElement.one(("dA",), 2, 4)
 
     def test_minus_one_eigenvalue_jet(self):
         # (1 + e^{i b phi})^-1 = 1/2 - (i b / 4) phi + O(phi^2), b = 3
         r = ChernRoot(curvature=(), weight=(3,), eigenvalue_exponent=Fraction(1, 2))
-        dc = dc_inverse([r], (), 0, PHI, 1)
-        jet = dc.terms[()][0]
-        assert jet.coeffs[(0,)] == ExactScalar.from_rational(Fraction(1, 2))
-        assert jet.coeffs[(1,)] == I * ExactScalar.from_rational(Fraction(-3, 4))
+        dc = dc_inverse([r], (), 0, jet_order=1)
+        jet = dc.terms[()]
+        assert jet.coeffs[0] == ExactScalar.from_rational(Fraction(1, 2))
+        assert jet.coeffs[1] == I * ExactScalar.from_rational(Fraction(-3, 4))
 
     def test_minus_one_eigenvalue_jet_against_finite_differences(self):
         # numeric oracle: central differences of t -> 1/(1 + e^{3 i t}) at 0
@@ -102,14 +102,14 @@ class TestNormalDeterminant:
         h = 1e-6
         d1 = (f(h) - f(-h)) / (2 * h)
         r = ChernRoot(curvature=(), weight=(3,), eigenvalue_exponent=Fraction(1, 2))
-        jet = dc_inverse([r], (), 0, PHI, 1).terms[()][0]
-        assert abs(jet.coeffs[(0,)].complex_value() - f(0)) < 1e-12
-        assert abs(jet.coeffs[(1,)].complex_value() - d1) < 1e-6
+        jet = dc_inverse([r], (), 0, jet_order=1).terms[()]
+        assert abs(jet.coeffs[0].complex_value() - f(0)) < 1e-12
+        assert abs(jet.coeffs[1].complex_value() - d1) < 1e-6
 
     def test_cube_root_eigenvalue_constant(self):
         r = ChernRoot(curvature=(), weight=(0,), eigenvalue_exponent=Fraction(1, 3))
-        dc = dc_inverse([r], (), 0, PHI, 0)
-        value = dc.terms[()][0].constant_term()
+        dc = dc_inverse([r], (), 0, jet_order=0)
+        value = dc.terms[()].constant_term()
         lam = ExactScalar.root_of_unity(1, 3)
         assert value * (ONE - lam) == ONE
 
@@ -121,14 +121,14 @@ class TestNormalDeterminant:
         # dc_inverse(root) times the directly assembled (1 - lambda e^value) is 1
         r = ChernRoot(curvature=(I,), weight=(2,), eigenvalue_exponent=Fraction(1, 4))
         gens, k, order = ("dA",), 2, 3
-        inv = dc_inverse([r], gens, k, PHI, order)
+        inv = dc_inverse([r], gens, k, jet_order=order)
         lam = ExactScalar.root_of_unity(1, 4)
         length = k + order + 1
         exp_series = [ExactScalar.from_rational(Fraction(1, _fact(j))) for j in range(length)]
-        e_v = evaluate_series(exp_series, root_value(r, gens, k, PHI, order))
-        direct = FormElement.one(gens, k, PHI, order) - \
-            FormElement.from_scalar(lam, gens, k, PHI, order) * e_v
-        assert inv * direct == FormElement.one(gens, k, PHI, order)
+        e_v = evaluate_series(exp_series, root_value(r, gens, k, order))
+        direct = FormElement.one(gens, k, order) - \
+            FormElement.from_scalar(lam, gens, k, order) * e_v
+        assert inv * direct == FormElement.one(gens, k, order)
 
 
 def _fact(n):
@@ -148,26 +148,26 @@ def _sphere_component():
 
 class TestJForm:
     def test_sphere_delta_form(self):
-        form = j_form(_sphere_component(), PHI, 4)
+        form = j_form(_sphere_component(), jet_order=4)
         assert form.alpha
         # alpha (d0(-phi) + d0'(-phi) dA): constant term d0, linear term -d0'
-        d0 = DeltaGerm.delta(PHI, 0)
-        d1 = DeltaGerm.delta(PHI, 1)
-        assert form.terms[(0,)][1] == d0
-        assert form.terms[(1,)][1] == d1 * ExactScalar.from_rational(-1)
+        d0 = DeltaGerm.delta(0)
+        d1 = DeltaGerm.delta(1)
+        assert form.terms[(0,)] == d0
+        assert form.terms[(1,)] == d1 * ExactScalar.from_rational(-1)
 
     def test_circle_delta_form(self):
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
                                   pairing={(): TWO_PI})
-        form = j_form(comp, PHI, 4)
-        assert form.terms[()][1] == DeltaGerm.delta(PHI, 0)
+        form = j_form(comp, jet_order=4)
+        assert form.terms[()] == DeltaGerm.delta(0)
 
     def test_parity_no_generator_term_in_dimension_one(self):
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
                                   pairing={(): TWO_PI})
-        form = j_form(comp, PHI, 4)
+        form = j_form(comp, jet_order=4)
         assert set(form.terms) == {()}
 
     def test_nonpositive_moment_is_an_ellipticity_violation(self):
@@ -175,42 +175,51 @@ class TestJForm:
                                   normal=[], mu=Fraction(-1), reeb_weight=(1,),
                                   pairing={(1,): TWO_PI})
         with pytest.raises(FormError, match="ellipticity"):
-            j_form(comp, PHI, 4)
+            j_form(comp, jet_order=4)
 
 
 class TestMultiply:
     def _alpha_germ_form(self):
-        d0 = DeltaGerm.delta(PHI, 0)
-        d1 = DeltaGerm.delta(PHI, 1)
-        base = FormElement(("dA",), 1, PHI, 4, {
-            (0,): (SmoothJet.one(PHI, 4), d0),
-            (1,): (SmoothJet.one(PHI, 4), d1 * ExactScalar.from_rational(-1)),
+        d0 = DeltaGerm.delta(0)
+        d1 = DeltaGerm.delta(1)
+        base = FormElement(("dA",), 1, 4, {
+            (0,): d0,
+            (1,): d1 * ExactScalar.from_rational(-1),
         }, alpha=True)
         return base
 
     def test_todd_times_delta_form_expansion(self):
         # (1 + i dA) * alpha (d0 - d0' dA) = alpha d0 + alpha dA (i d0 - d0')
-        td = FormElement.one(("dA",), 1, PHI, 4) + \
-            FormElement.generator("dA", ("dA",), 1, PHI, 4, coeff=I)
+        td = FormElement.one(("dA",), 1, 4) + \
+            FormElement.generator("dA", ("dA",), 1, 4, coeff=I)
         prod = td * self._alpha_germ_form()
-        d0 = DeltaGerm.delta(PHI, 0)
-        d1 = DeltaGerm.delta(PHI, 1)
-        assert prod.terms[(0,)][1] == d0
-        jet, germ = prod.terms[(1,)]
-        from contact_index.deltas import multiply_smooth
-        assert multiply_smooth(germ, jet.raised(4)) == d0 * I - d1
+        d0 = DeltaGerm.delta(0)
+        d1 = DeltaGerm.delta(1)
+        assert prod.terms[(0,)] == d0
+        assert prod.terms[(1,)] == d0 * I - d1
 
     def test_multiplying_by_one_is_identity(self):
-        x = FormElement.generator("dA", ("dA",), 2, PHI, 4)
-        assert FormElement.one(("dA",), 2, PHI, 4) * x == x
+        x = FormElement.generator("dA", ("dA",), 2, 4)
+        assert FormElement.one(("dA",), 2, 4) * x == x
 
     def test_alpha_squares_to_zero(self):
         a = self._alpha_germ_form()
         assert (a * a).is_zero()
 
+    def test_adding_a_jet_coefficient_to_a_germ_coefficient_is_rejected(self):
+        jet = FormElement.generator("dA", ("dA",), 1, 4)
+        germ = FormElement(("dA",), 1, 4, {(1,): DeltaGerm.delta(1)})
+        with pytest.raises(FormError, match="smooth term to a germ term"):
+            jet + germ
+
+    def test_multiplying_two_germ_coefficients_is_rejected(self):
+        germ = FormElement(("dA",), 1, 4, {(0,): DeltaGerm.delta(0)})
+        with pytest.raises(FormError, match="two germ coefficients"):
+            germ * germ
+
     def test_basis_mismatch_is_rejected(self):
-        a = FormElement.one(("dA",), 1, PHI, 4)
-        b = FormElement.one(("dA", "e1"), 1, PHI, 4)
+        a = FormElement.one(("dA",), 1, 4)
+        b = FormElement.one(("dA", "e1"), 1, 4)
         with pytest.raises(FormError, match="basis"):
             a * b
 
@@ -222,14 +231,14 @@ class TestMultiply:
             def random_form(k):
                 terms = {}
                 for e in range(k + 1):
-                    terms[(e,)] = (SmoothJet.one(PHI, 4) *
-                                   ExactScalar.from_rational(rng.randint(-4, 4)), None)
-                return FormElement(("dA",), k, PHI, 4, terms)
+                    terms[(e,)] = SmoothJet.one(4) * \
+                        ExactScalar.from_rational(rng.randint(-4, 4))
+                return FormElement(("dA",), k, 4, terms)
             hi_a, hi_b = random_form(4), random_form(4)
-            lo_a = FormElement(("dA",), 2, PHI, 4, hi_a.terms)
-            lo_b = FormElement(("dA",), 2, PHI, 4, hi_b.terms)
+            lo_a = FormElement(("dA",), 2, 4, hi_a.terms)
+            lo_b = FormElement(("dA",), 2, 4, hi_b.terms)
             hi_prod = hi_a * hi_b
-            cut = FormElement(("dA",), 2, PHI, 4, hi_prod.terms)
+            cut = FormElement(("dA",), 2, 4, hi_prod.terms)
             assert cut == lo_a * lo_b
 
 
@@ -238,27 +247,27 @@ class TestIntegrate:
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
                                   pairing={(): TWO_PI})
-        form = j_form(comp, PHI, 4)
-        assert integrate_component(form, comp.pairing) == DeltaGerm.delta(PHI, 0, TWO_PI)
+        form = j_form(comp, jet_order=4)
+        assert integrate_component(form, comp.pairing) == DeltaGerm.delta(0, TWO_PI)
 
     def test_sphere_reproduces_worked_example(self):
         comp = _sphere_component()
-        td = todd(comp.tangential, comp.generators, comp.k, PHI, 5, "plus")
-        germ = integrate_component(td * j_form(comp, PHI, 5), comp.pairing)
+        td = todd(comp.tangential, comp.generators, comp.k, jet_order=5, direction="plus")
+        germ = integrate_component(td * j_form(comp, jet_order=5), comp.pairing)
         germ = germ * (TWO_PI * I).inverse()
-        expected = DeltaGerm(PHI, {(0,): TWO_PI, (1,): TWO_PI * I})
+        expected = DeltaGerm([TWO_PI, TWO_PI * I])
         assert germ == expected
 
     def test_zero_form_integrates_to_zero(self):
-        form = FormElement.zero(("dA",), 1, PHI, 4).with_alpha()
+        form = FormElement.zero(("dA",), 1, 4).with_alpha()
         assert integrate_component(form, {(1,): TWO_PI}).is_zero()
 
     def test_missing_pairing_entry_is_an_error(self):
-        form = j_form(_sphere_component(), PHI, 4)
+        form = j_form(_sphere_component(), jet_order=4)
         with pytest.raises(FormError, match="pairing"):
             integrate_component(form, {})
 
     def test_plain_elements_do_not_integrate(self):
-        td = FormElement.one(("dA",), 1, PHI, 4)
+        td = FormElement.one(("dA",), 1, 4)
         with pytest.raises(FormError, match="alpha"):
             integrate_component(td, {(1,): TWO_PI})
