@@ -359,10 +359,15 @@ def corollary_expand(model, max_m, max_k, calibration=DEFAULT_CALIBRATION):
     division; the zero remainder is itself the check that the slice is a
     finite character.  Returns {m: {weight: multiplicity}} with weights
     clipped to |weight| <= max_k (entries outside the window raise).
+    `max_m = 0` gives slice 0 alone; negative windows are rejected.
     """
     if model.rank != 2 or not model.fiber_families:
         raise UnsupportedModelError(
             "the double expansion needs a rank-2 model with separating fibers")
+    if max_m < 0:
+        raise EngineError(f"max_m must be at least 0, got {max_m}")
+    if max_k < 0:
+        raise EngineError(f"max_k must be at least 0, got {max_k}")
     table = {}
     for m in range(-max_m, max_m + 1):
         factors = residual_factors(model, m, calibration)

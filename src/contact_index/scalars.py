@@ -9,6 +9,25 @@ cyclotomic field modulo the L-th cyclotomic polynomial.  Levels are kept
 at multiples of 4 so that i = zeta_4 is always representable and needs no
 special casing.  pi is a formal graded symbol; nothing in this module ever
 evaluates it numerically except the display helper at the very bottom.
+
+Canonicalization does its linear algebra once per level and caches it:
+
+* The fold table of level L holds the integer rows x^e mod Phi_L for
+  phi(L) <= e < L (Phi_L is monic and integral).  Reduction adds c * row[e]
+  for each exponent past the basis, with no polynomial division; a product
+  of reduced operands has exponents <= 2 phi(L) - 2 < L, and every other
+  caller reduces exponents mod L first.
+* The demotion map of a pair (L, m), m | L, holds the rows where the
+  embedding Q(zeta_m) -> Q(zeta_L) is nonzero, phi(m) pivot rows P, and the
+  inverse of the embedding matrix restricted to P, from one Gauss-Jordan
+  elimination.  Testing membership in the subfield is then a support check,
+  an O(phi(m)^2) solve on the pivot coordinates, and one re-embedding
+  through the fold table.
+* When (phi(m) - 1) * L/m < phi(L), each zeta_m^j = zeta_L^(j L/m) is
+  already a basis vector: the pivots are the exponents j L/m, the inverse
+  is the identity, and membership is the support test alone.  Every (L, 4)
+  with L < 420 is of this kind; pairs such as (420, 4) or (572, 44) are not,
+  and go through the same map.
 """
 
 from __future__ import annotations
@@ -73,16 +92,44 @@ def _poly_divmod(p, d):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Coefficients of the n-th cyclotomic polynomial, ascending."""
-    p = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod(p, cyclotomic_polynomial(d))
-            assert not r, "cyclotomic division must be exact"
-            p = q
-    return tuple(p)
+    """Coefficients of the n-th cyclotomic polynomial, ascending.
+
+    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d), in integer arithmetic: the
+    factors with mu = 1 are multiplied in first, so that every division by
+    x^d - 1 afterwards is exact.
+    """
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    p = [1]
+    for d in divisors:
+        if _mobius(n // d) == 1:  # p * (x^d - 1)
+            out = [-a for a in p] + [0] * d
+            for i, a in enumerate(p):
+                out[i + d] += a
+            p = out
+    for d in divisors:
+        if _mobius(n // d) == -1:  # p / (x^d - 1), from the top
+            q = [0] * len(p)
+            for k in range(len(p) - 1, d - 1, -1):
+                q[k - d] = p[k] + q[k]
+            assert all(p[k] + q[k] == 0 for k in range(d)), "cyclotomic division must be exact"
+            p = q[:len(p) - d]
+    return tuple(Fraction(c) for c in p)
 
 
+def _mobius(n):
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+@lru_cache(maxsize=None)
 def _euler_phi(n):
     out = n
     m = n
@@ -98,18 +145,98 @@ def _euler_phi(n):
     return out
 
 
-def _reduce_mod_cyclotomic(coeffs, level):
-    """Reduce dict {exponent: Fraction} modulo Phi_level; keys below phi(level)."""
+# ----------------------------------------------------------------------
+# per-level tables, each built once and cached
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _fold_table(level):
+    """Rows x^e mod Phi_level for phi(level) <= e < level, at index e - phi(level).
+
+    Each row is a tuple of (exponent, integer) pairs with nonzero integers;
+    Phi_level is monic and integral, so every row is exact over Z.
+    """
     phi = _euler_phi(level)
-    deg = max(coeffs, default=-1)
-    dense = [Fraction(0)] * (deg + 1)
-    for e, c in coeffs.items():
-        dense[e % level if e >= level else e] += c  # callers pre-reduce mod level
-    mod = list(cyclotomic_polynomial(level))
-    _, rem = _poly_divmod(dense, mod)
-    out = {e: c for e, c in enumerate(rem) if c != 0}
-    assert all(e < phi for e in out)
-    return out
+    top = [-int(c) for c in cyclotomic_polynomial(level)[:phi]]  # x^phi
+    rows = []
+    row = top
+    for _ in range(phi, level):
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+        carry = row[-1]
+        row = [0] + row[:-1]
+        if carry:
+            row = [a + carry * t for a, t in zip(row, top)]
+    return tuple(rows)
+
+
+def _fold(raw, level):
+    """Reduce {exponent: coefficient} with exponents in [0, level) modulo Phi_level."""
+    phi = _euler_phi(level)
+    table = _fold_table(level)
+    out = {}
+    high = []
+    for e, c in raw.items():
+        if e < phi:
+            out[e] = c
+        elif c:
+            high.append((e, c))
+    for e, c in high:
+        for j, r in table[e - phi]:
+            out[j] = out.get(j, 0) + c * r
+    return {e: c for e, c in out.items() if c}
+
+
+def _integral(coeffs):
+    """(d, {exponent: integer}) with coeffs == numerators / d."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+
+
+@lru_cache(maxsize=None)
+def _subfield_levels(level):
+    """Proper divisors of `level` that are multiples of 4, ascending."""
+    return tuple(d for d in range(4, level) if level % d == 0 and d % 4 == 0)
+
+
+@lru_cache(maxsize=None)
+def _demotion_map(level, m):
+    """The embedding Q(zeta_m) -> Q(zeta_level), solved once.
+
+    Column j of the embedding matrix E (phi(level) x phi(m)) holds the
+    coordinates of zeta_level^(j*level/m).  Returns ``(support, pivots,
+    inverse)``: the rows where E is nonzero, phi(m) rows P with E[P, :]
+    invertible, and the rows of E[P, :]^-1 as (index, Fraction) pairs.
+    """
+    step = level // m
+    phi_m = _euler_phi(m)
+    cols = [_fold({j * step: 1}, level) for j in range(phi_m)]
+    support = frozenset(e for col in cols for e in col)
+    # Gauss-Jordan on [E^T | I]: the row operations R that bring E^T to
+    # reduced echelon form equal (E[P, :]^T)^-1 on its pivot columns P.
+    rows = [[Fraction(col.get(e, 0)) for e in range(_euler_phi(level))]
+            + [Fraction(int(j == k)) for k in range(phi_m)]
+            for j, col in enumerate(cols)]
+    pivots = []
+    for e in sorted(support):
+        r = len(pivots)
+        piv = next((i for i in range(r, phi_m) if rows[i][e]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][e]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(phi_m):
+            if i != r and rows[i][e]:
+                f = rows[i][e]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(e)
+        if len(pivots) == phi_m:
+            break
+    assert len(pivots) == phi_m, "the embedding of a subfield is injective"
+    right = [row[-phi_m:] for row in rows]  # R = (E[P, :]^T)^-1
+    inverse = tuple(tuple((k, right[k][j]) for k in range(phi_m) if right[k][j])
+                    for j in range(phi_m))
+    return support, tuple(pivots), inverse
 
 
 class CyclotomicNumber:
@@ -127,7 +254,8 @@ class CyclotomicNumber:
         phi = _euler_phi(level)
         clean = {}
         for e, c in coeffs.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c != 0:
                 if not (0 <= e < phi):
                     raise ScalarError(f"exponent {e} out of range for level {level}")
@@ -149,7 +277,7 @@ class CyclotomicNumber:
         """zeta_level ^ exponent, reduced."""
         if level % 4 != 0:
             raise ScalarError("level must be a multiple of 4")
-        return CyclotomicNumber(level, _reduce_mod_cyclotomic({exponent % level: Fraction(1)}, level))
+        return CyclotomicNumber(level, _fold({exponent % level: Fraction(1)}, level))
 
     @staticmethod
     def root_of_unity(p, q):
@@ -170,53 +298,34 @@ class CyclotomicNumber:
         if new_level == self.level:
             return self
         step = new_level // self.level
-        raw = {e * step: c for e, c in self.coeffs.items()}
-        return CyclotomicNumber(new_level, _reduce_mod_cyclotomic(raw, new_level))
+        return CyclotomicNumber(new_level, _fold({e * step: c for e, c in self.coeffs.items()},
+                                                 new_level))
 
     def demote(self):
         """Canonical form: the smallest level (multiple of 4) containing the value."""
         if not self.coeffs:
             return CyclotomicNumber(4, {}) if self.level != 4 else self
-        for m in sorted(d for d in range(4, self.level) if self.level % d == 0 and d % 4 == 0):
+        for m in _subfield_levels(self.level):
             down = self._try_demote(m)
             if down is not None:
                 return down
         return self
 
     def _try_demote(self, m):
-        # Solve promote(b, level) == self for b in Q(zeta_m) by Gaussian elimination.
-        phi_m = _euler_phi(m)
-        phi_l = _euler_phi(self.level)
+        # Solve promote(b, level) == self for b in Q(zeta_m) through the cached map.
+        support, pivots, inverse = _demotion_map(self.level, m)
+        if not self.coeffs.keys() <= support:
+            return None
+        at = [self.coeffs.get(e, 0) for e in pivots]
+        sol = {}
+        for j, row in enumerate(inverse):
+            c = sum(a * at[k] for k, a in row)
+            if c:
+                sol[j] = c
         step = self.level // m
-        cols = []
-        for j in range(phi_m):
-            red = _reduce_mod_cyclotomic({j * step: Fraction(1)}, self.level)
-            cols.append([red.get(e, Fraction(0)) for e in range(phi_l)])
-        rhs = [self.coeffs.get(e, Fraction(0)) for e in range(phi_l)]
-        # augmented matrix, rows indexed by basis exponents of the big field
-        mat = [[cols[j][r] for j in range(phi_m)] + [rhs[r]] for r in range(phi_l)]
-        pivots = []
-        row = 0
-        for col in range(phi_m):
-            piv = next((r for r in range(row, phi_l) if mat[r][col] != 0), None)
-            if piv is None:
-                continue
-            mat[row], mat[piv] = mat[piv], mat[row]
-            inv = 1 / mat[row][col]
-            mat[row] = [x * inv for x in mat[row]]
-            for r in range(phi_l):
-                if r != row and mat[r][col] != 0:
-                    f = mat[r][col]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-            pivots.append(col)
-            row += 1
-        sol = {c: Fraction(0) for c in range(phi_m)}
-        for r, col in enumerate(pivots):
-            sol[col] = mat[r][phi_m]
-        for r in range(row, phi_l):
-            if mat[r][phi_m] != 0:
-                return None  # inconsistent: value not in the subfield
-        return CyclotomicNumber(m, {e: c for e, c in sol.items() if c != 0})
+        if _fold({j * step: c for j, c in sol.items()}, self.level) != self.coeffs:
+            return None  # inconsistent: value not in the subfield
+        return CyclotomicNumber(m, sol)
 
     @staticmethod
     def _common(a, b):
@@ -240,15 +349,16 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         a, b = CyclotomicNumber._common(self, other)
+        den_a, num_a = _integral(a.coeffs)
+        den_b, num_b = _integral(b.coeffs)
         raw = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                raw[e1 + e2] = raw.get(e1 + e2, Fraction(0)) + c1 * c2
-        dense = [Fraction(0)] * (max(raw, default=-1) + 1)
-        for e, c in raw.items():
-            dense[e] = c
-        _, rem = _poly_divmod(dense, list(cyclotomic_polynomial(a.level)))
-        return CyclotomicNumber(a.level, {e: c for e, c in enumerate(rem) if c != 0}).demote()
+        for e1, c1 in num_a.items():
+            for e2, c2 in num_b.items():
+                raw[e1 + e2] = raw.get(e1 + e2, 0) + c1 * c2
+        # reduced operands keep e1 + e2 <= 2 phi - 2 < level
+        den = den_a * den_b
+        return CyclotomicNumber(a.level, {e: Fraction(c, den)
+                                          for e, c in _fold(raw, a.level).items()}).demote()
 
     def inverse(self):
         """Multiplicative inverse via the extended Euclidean algorithm."""
@@ -268,14 +378,14 @@ class CyclotomicNumber:
             raise ScalarError("element is a zero divisor; cannot invert")
         c = r0[0]
         inv = {e: v / c for e, v in enumerate(s0) if v != 0}
-        return CyclotomicNumber(self.level, _reduce_mod_cyclotomic(inv, self.level)).demote()
+        return CyclotomicNumber(self.level, _fold(inv, self.level)).demote()
 
     def conjugate(self):
         """Complex conjugation zeta -> zeta^{-1} (a field automorphism)."""
         raw = {}
         for e, c in self.coeffs.items():
             raw[(-e) % self.level] = raw.get((-e) % self.level, Fraction(0)) + c
-        return CyclotomicNumber(self.level, _reduce_mod_cyclotomic(raw, self.level)).demote()
+        return CyclotomicNumber(self.level, _fold(raw, self.level)).demote()
 
     # -- predicates and views -----------------------------------------
 

@@ -215,6 +215,14 @@ class TestCorollaryCommand:
         result = runner.invoke(main, ["corollary", "--preset", "circle"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("flag, value", [("--max-m", "-2"), ("--max-k", "-5")])
+    def test_negative_window_exits_2_naming_the_value(self, runner, calibrated, flag, value):
+        result = runner.invoke(main, ["corollary", "--preset", "prequantum-cpn",
+                                      "--n", "1", flag, value])
+        assert result.exit_code == 2
+        assert f"must be at least 0, got {value}" in result.output
+        assert "raise max_k" not in result.output
+
 
 class TestVerifyCommand:
     def test_sphere_passes(self, runner, calibrated):

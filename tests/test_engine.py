@@ -233,6 +233,14 @@ class TestDoubleExpansion:
         with pytest.raises(UnsupportedModelError):
             corollary_expand(build_preset("hopf", (1,)), 3, 3)
 
+    @pytest.mark.parametrize("max_m, max_k, name", [(-2, 4, "max_m"), (2, -5, "max_k")])
+    def test_negative_window_is_rejected(self, max_m, max_k, name):
+        with pytest.raises(EngineError, match=f"{name} must be at least 0, got -"):
+            corollary_expand(build_preset("prequantum-cpn", (1,)), max_m, max_k)
+
+    def test_zero_window_gives_slice_zero(self):
+        assert corollary_expand(build_preset("prequantum-cpn", (1,)), 0, 0) == {0: {0: 1}}
+
     def test_non_separating_fiber_is_unsupported(self):
         from contact_index.catalog import FiberFamily
         from contact_index.forms import ChernRoot

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from contact_index.scalars import (CyclotomicNumber, ExactScalar, ScalarError,
+                                   _demotion_map, _euler_phi, _subfield_levels,
                                    approx_display, cyclotomic_polynomial)
 
 
@@ -43,9 +44,29 @@ class TestCyclotomicLevels:
         with pytest.raises(ScalarError):
             z.promote(16)
 
-    def test_demote_round_trip(self):
-        z = CyclotomicNumber.zeta(4, 1).promote(24)
-        assert z.demote().level == 4
+    @pytest.mark.parametrize("value, level, expected", [
+        (CyclotomicNumber.zeta(4, 1), 24, 4),
+        (CyclotomicNumber.zeta(4, 1), 420, 4),
+        (CyclotomicNumber.root_of_unity(1, 11), 572, 44),
+        (CyclotomicNumber.root_of_unity(1, 13), 572, 52),
+        (CyclotomicNumber.root_of_unity(1, 3), 60, 12),
+        (CyclotomicNumber.root_of_unity(1, 11) * CyclotomicNumber.root_of_unity(1, 13), 572, 572),
+    ], ids=["i@24", "i@420", "zeta11@572", "zeta13@572", "zeta3@60", "zeta11*zeta13@572"])
+    def test_demote_round_trip(self, value, level, expected):
+        down = value.promote(level).demote()
+        assert down.level == expected == value.level
+        assert down.coeffs == value.coeffs
+
+    def test_demotion_below_the_first_fold_is_a_support_test(self):
+        # (phi(m) - 1) * L/m < phi(L): every zeta_m^j embeds as one basis vector
+        for level in range(8, 136, 4):
+            for m in _subfield_levels(level):
+                step = level // m
+                support, pivots, inverse = _demotion_map(level, m)
+                if (_euler_phi(m) - 1) * step < _euler_phi(level):
+                    grid = tuple(j * step for j in range(_euler_phi(m)))
+                    assert pivots == grid and support == frozenset(grid), (level, m)
+                    assert inverse == tuple(((j, 1),) for j in range(len(grid))), (level, m)
 
     def test_cross_level_equality(self):
         a = CyclotomicNumber.root_of_unity(1, 4)
