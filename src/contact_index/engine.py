@@ -18,10 +18,10 @@ characters (the free circle and the round three-sphere).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import ExactScalar, approx_display
+from .scalars import CyclotomicNumber, ExactScalar, approx_display
 from .deltas import DeltaGerm, _poly_add, fourier_contribution, germ_to_document
 from .forms import dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, fixed_submodel, preset_circle, preset_hopf_sphere,
@@ -147,10 +147,21 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
 
 @dataclass
 class QuasiPolynomial:
-    """Per-residue polynomials in m; period 1 is a plain polynomial."""
+    """Per-residue polynomials in m; period 1 is a plain polynomial.
+
+    Evaluation runs in integers.  Once per residue, the coefficients of each
+    pi-grade k are promoted to the lcm level L_k of that grade, and the
+    polynomial splits into rational component polynomials, one per (k,
+    basis exponent e), each stored as integer numerators over one common
+    denominator.  `evaluate(m)` runs Horner's rule on the numerators and
+    divides once per component; the cyclotomic parts are demoted, so the
+    value is the canonical one.  A rational quasi-polynomial is the case of
+    one component (k = 0, L_0 = 4, e = 0).
+    """
 
     period: int
     polys: dict  # residue -> ascending ExactScalar coefficients
+    _integer: dict = field(init=False, repr=False)  # residue -> _integer_components
 
     def __post_init__(self):
         if self.period < 1:
@@ -162,13 +173,20 @@ class QuasiPolynomial:
                 coeffs.pop()
             trimmed[r] = coeffs
         self.polys = trimmed
+        self._integer = {r: _integer_components(c) for r, c in trimmed.items()}
 
     def evaluate(self, m):
-        coeffs = self.polys[m % self.period]
-        acc = ExactScalar.zero()
-        for c in reversed(coeffs):
-            acc = acc * m + c
-        return acc
+        terms = {}
+        for k, level, components in self._integer[m % self.period]:
+            coeffs = {}
+            for e, den, nums in components:
+                acc = 0
+                for c in reversed(nums):
+                    acc = acc * m + c
+                if acc:
+                    coeffs[e] = Fraction(acc, den)
+            terms[k] = CyclotomicNumber(level, coeffs).demote()
+        return ExactScalar(terms)
 
     def __eq__(self, other):
         if not isinstance(other, QuasiPolynomial):
@@ -190,6 +208,22 @@ class QuasiPolynomial:
                        "coefficients": [c.to_text() for c in self.polys[r]]}
                       for r in range(self.period)],
         }
+
+
+def _integer_components(coeffs):
+    """[(k, L_k, [(e, den, numerators)])] for ascending ExactScalar coefficients."""
+    out = []
+    for k in sorted({k for c in coeffs for k in c.terms}):
+        parts = [c.terms.get(k) for c in coeffs]
+        level = math.lcm(*(p.level for p in parts if p is not None))
+        promoted = [p.promote(level).coeffs if p is not None else {} for p in parts]
+        components = []
+        for e in sorted({e for p in promoted for e in p}):
+            column = [p.get(e, Fraction(0)) for p in promoted]
+            den = math.lcm(*(c.denominator for c in column))
+            components.append((e, den, [c.numerator * (den // c.denominator) for c in column]))
+        out.append((k, level, components))
+    return out
 
 
 def quasi_polynomial_from_tables(contributions, degree):
@@ -357,9 +391,12 @@ def corollary_expand(model, max_m, max_k, calibration=DEFAULT_CALIBRATION):
     For each |m| <= max_m, sums the per-fiber residual factors into one
     rational function of the group variable and performs the exact Laurent
     division; the zero remainder is itself the check that the slice is a
-    finite character.  Returns {m: {weight: multiplicity}} with weights
-    clipped to |weight| <= max_k (entries outside the window raise).
-    `max_m = 0` gives slice 0 alone; negative windows are rejected.
+    finite character.  Only the fiber powers depend on m: the denominators,
+    each fiber's cofactor (its amplitude times the other fibers'
+    denominators) and their product are built once.  Returns
+    {m: {weight: multiplicity}} with weights clipped to |weight| <= max_k
+    (entries outside the window raise).  `max_m = 0` gives slice 0 alone;
+    negative windows are rejected.
     """
     if model.rank != 2 or not model.fiber_families:
         raise UnsupportedModelError(
@@ -368,22 +405,26 @@ def corollary_expand(model, max_m, max_k, calibration=DEFAULT_CALIBRATION):
         raise EngineError(f"max_m must be at least 0, got {max_m}")
     if max_k < 0:
         raise EngineError(f"max_k must be at least 0, got {max_k}")
+    factors = residual_factors(model, 1, calibration)  # each power is linear in m
+    denominators = [_denominator_poly(f["denominator_exponents"]) for f in factors]
+    cofactors = []
+    for i, f in enumerate(factors):
+        term = {0: Fraction(f["amplitude"])}
+        for j, d in enumerate(denominators):
+            if j != i:
+                term = _laurent_mul(term, d)
+        cofactors.append(term)
+    total_den = {0: Fraction(1)}
+    for d in denominators:
+        total_den = _laurent_mul(total_den, d)
     table = {}
     for m in range(-max_m, max_m + 1):
-        factors = residual_factors(model, m, calibration)
-        denominators = [_denominator_poly(f["denominator_exponents"]) for f in factors]
         total_num = {}
-        for i, f in enumerate(factors):
-            term = {f["power"]: Fraction(f["amplitude"])}
-            for j, d in enumerate(denominators):
-                if j != i:
-                    term = _laurent_mul(term, d)
+        for f, term in zip(factors, cofactors):
             for e, c in term.items():
-                total_num[e] = total_num.get(e, Fraction(0)) + c
-            total_num = {e: c for e, c in total_num.items() if c != 0}
-        total_den = {0: Fraction(1)}
-        for d in denominators:
-            total_den = _laurent_mul(total_den, d)
+                key = e + f["power"] * m
+                total_num[key] = total_num.get(key, Fraction(0)) + c
+        total_num = {e: c for e, c in total_num.items() if c != 0}
         weights = _laurent_divide(total_num, total_den)
         entry = {}
         for k, c in sorted(weights.items()):

@@ -18,6 +18,14 @@ The module also builds the two power series the localization consumes:
 Series are evaluated by Horner's rule over the truncated algebra: the
 argument (curvature part plus a constant-free jet) is nilpotent there, so
 every evaluation is a finite exact computation.
+
+Both products over roots group equal roots first.  A group of r equal roots
+(all n+1 tangential roots of the Hopf sphere, say) raises its scalar series
+to the r-th power by J.C.P. Miller's recurrence, which costs O(length^2)
+scalar operations, and is then evaluated once: one Horner pass and one form
+product per distinct root instead of per root.  The per-root checks
+(tangential roots for Todd, eigenvalue != 1 for the normal factor) still
+run on every root.
 """
 
 from __future__ import annotations
@@ -246,13 +254,16 @@ def _fact(n):
     return out
 
 
+_EIGENVALUE_ONE = ("fixed-set mismatch: normal eigenvalue 1 means the direction "
+                   "is tangential and the component was mis-identified")
+
+
 def normal_factor_series(eigenvalue, length):
     """Taylor coefficients of (1 - lambda e^t)^-1 for lambda != 1."""
     lam = ExactScalar.from_cyclotomic(eigenvalue) if isinstance(eigenvalue, CyclotomicNumber) \
         else _coerce(eigenvalue)
     if (ExactScalar.one() - lam).is_zero():
-        raise FormError("fixed-set mismatch: normal eigenvalue 1 means the direction "
-                        "is tangential and the component was mis-identified")
+        raise FormError(_EIGENVALUE_ONE)
     exp_t = _exp_series(length)
     series = [ExactScalar.one() - lam * exp_t[0]] + [-(lam * c) for c in exp_t[1:]]
     return _series_invert(series)
@@ -297,27 +308,70 @@ def root_value(root, generators, truncation, jet_order):
 
 def todd(roots, generators, truncation, *, jet_order, direction="plus"):
     """Product of Todd factors over tangential Chern roots (empty product = 1)."""
-    length = truncation + jet_order + 1
-    series = todd_series(length, direction)
-    acc = FormElement.one(generators, truncation, jet_order)
     for root in roots:
         if not root.is_tangential():
             raise FormError("Todd factors take tangential roots only "
                             "(torsion eigenvalue must be 1)")
-        acc = acc * evaluate_series(series, root_value(root, generators, truncation,
-                                                       jet_order))
-    return acc
+    series = todd_series(truncation + jet_order + 1, direction)
+    return _root_product(roots, lambda root: series, generators, truncation, jet_order)
 
 
 def dc_inverse(roots, generators, truncation, *, jet_order):
     """Inverse normal determinant: product over roots of (1 - lambda e^value)^-1."""
-    length = truncation + jet_order + 1
-    acc = FormElement.one(generators, truncation, jet_order)
     for root in roots:
-        series = normal_factor_series(root.eigenvalue(), length)
+        if root.is_tangential():
+            raise FormError(_EIGENVALUE_ONE)
+    length = truncation + jet_order + 1
+    return _root_product(roots, lambda root: normal_factor_series(root.eigenvalue(), length),
+                         generators, truncation, jet_order)
+
+
+def _root_product(roots, series_of, generators, truncation, jet_order):
+    """Product over roots of series_of(root) evaluated at root_value(root).
+
+    Equal roots are grouped (a list scan: the scalars are unhashable); a
+    group of r equal roots contributes the r-th power of its series,
+    evaluated once.
+    """
+    groups = []
+    for root in roots:
+        for group in groups:
+            if group[0] == root:
+                group[1] += 1
+                break
+        else:
+            groups.append([root, 1])
+    acc = FormElement.one(generators, truncation, jet_order)
+    for root, count in groups:
+        series = _series_power(series_of(root), count)
         acc = acc * evaluate_series(series, root_value(root, generators, truncation,
                                                        jet_order))
     return acc
+
+
+def _series_power(coeffs, r):
+    """The r-th power of a power series with invertible constant term.
+
+    J.C.P. Miller's recurrence: g_0 = f_0^r and
+    g_n = (1 / (n f_0)) sum_{k=1..n} ((r+1) k - n) f_k g_{n-k},
+    exact and truncated at the length of the input.
+    """
+    if r == 1:
+        return list(coeffs)
+    f0 = coeffs[0]
+    inv0 = f0.inverse()
+    g0 = ExactScalar.one()
+    for _ in range(r):
+        g0 = g0 * f0
+    out = [g0]
+    for n in range(1, len(coeffs)):
+        acc = ExactScalar.zero()
+        for k in range(1, n + 1):
+            weight = (r + 1) * k - n
+            if weight and not coeffs[k].is_zero():
+                acc = acc + coeffs[k] * out[n - k] * weight
+        out.append(acc * inv0 * ExactScalar.from_rational(Fraction(1, n)))
+    return out
 
 
 def j_form(component, *, jet_order):

@@ -100,6 +100,37 @@ def cpn_chi_polynomial(n, m):
     return int(num)
 
 
+def cpn_weight_multiplicities(n, m):
+    """Weight multiplicities of the m-th slice of the prequantum CP^n model.
+
+    For m >= 0: the number of monomials z^k, k in Z_{>=0}^{n+1}, of degree
+    sum k_j = m and weight sum j k_j = w, for every w, by direct
+    enumeration.  For m <= -n-1 duality gives sign (-1)^n and reflects each
+    weight w of degree -m-n-1 to -w - n(n+1)/2.  The gap -n <= m <= -1 is
+    empty.  For n = 1 this is `equivariant_s2_character`.
+    """
+    n, m = int(n), int(m)
+    if n < 0:
+        raise OracleError("n must be nonnegative")
+    if -n <= m <= -1:
+        return {}
+    sign, degree = (1, m) if m >= 0 else ((-1) ** n, -m - n - 1)
+    counts = {}
+
+    def rec(j, rest, weight):
+        if j == n:
+            w = weight + n * rest
+            counts[w] = counts.get(w, 0) + 1
+            return
+        for k in range(rest + 1):
+            rec(j + 1, rest - k, weight + j * k)
+
+    rec(0, degree, 0)
+    if m >= 0:
+        return counts
+    return {-w - n * (n + 1) // 2: sign * c for w, c in counts.items()}
+
+
 def equivariant_s2_character(m):
     """Weight multiplicities of the rotation action on the sphere sections.
 

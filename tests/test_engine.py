@@ -1,5 +1,6 @@
 """Engine: germs, character assembly, quasi-polynomials, the double expansion."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from contact_index.engine import (CalibrationConfig, CalibrationError, EngineErr
                                   dh_fourier, germ_at, identity_germ,
                                   principal_limit, quasi_polynomial_from_tables,
                                   residual_factors)
-from contact_index.scalars import ExactScalar
+from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi
 
 ONE = ExactScalar.one()
 I = ExactScalar.i()
@@ -181,6 +182,42 @@ class TestQuasiPolynomialFit:
         b = QuasiPolynomial(2, {0: [ONE], 1: [ONE]})
         assert a == b
 
+    def test_integer_evaluation_matches_exact_horner(self):
+        rng = random.Random(17)
+
+        def scalar():
+            terms = {}
+            for k in rng.sample([-1, 0, 1], rng.randint(0, 3)):
+                level = rng.choice([4, 12, 20])
+                terms[k] = CyclotomicNumber(level, {
+                    e: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                    for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))})
+            return ExactScalar(terms)
+
+        def horner(coeffs, m):  # the reference: exact scalar arithmetic throughout
+            acc = ExactScalar.zero()
+            for c in reversed(coeffs):
+                acc = acc * m + c
+            return acc
+
+        for period in (1, 3, 4):
+            polys = {r: [scalar() for _ in range(rng.randint(0, 4))]
+                     for r in range(period) if rng.random() < 0.8}
+            qp = QuasiPolynomial(period, polys)
+            for m in range(-13, 14):
+                want = horner(polys.get(m % period, []), m)
+                got = qp.evaluate(m)
+                assert got == want, (period, m)
+                assert got.to_text() == want.to_text(), (period, m)
+                assert all(c.level == c.demote().level for c in got.terms.values())
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hopf_characters_against_the_binomial_polynomial(self, n):
+        res = assemble_character(build_preset("hopf", (n,)), 30)
+        assert res.quasi.period == 1
+        for m in range(-30, 31):
+            assert res.coefficient_int(m) == oracle.cpn_chi_polynomial(n, -m), (n, m)
+
 
 class TestVolumeTransform:
     def test_circle_coincides_with_the_index(self):
@@ -208,6 +245,12 @@ class TestDoubleExpansion:
         assert table[3] == {0: 1, 1: 1, 2: 1, 3: 1}
         assert table[-1] == {}
         assert table[-2] == {-1: -1}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_slice_matches_the_enumeration_oracle(self, n):
+        table = corollary_expand(build_preset("prequantum-cpn", (n,)), 10, 40)
+        for m in range(-10, 11):
+            assert table[m] == oracle.cpn_weight_multiplicities(n, m), (n, m)
 
     def test_projective_plane_spot_checks(self):
         table = corollary_expand(build_preset("prequantum-cpn", (2,)), 2, 6)

@@ -7,8 +7,8 @@ import pytest
 
 from contact_index.catalog import FixedComponentData
 from contact_index.deltas import DeltaGerm, SmoothJet
-from contact_index.forms import (ChernRoot, FormElement, FormError, dc_inverse,
-                                 evaluate_series, integrate_component, j_form,
+from contact_index.forms import (ChernRoot, FormElement, FormError, _series_power,
+                                 dc_inverse, evaluate_series, integrate_component, j_form,
                                  normal_factor_series, root_value, todd, todd_series)
 from contact_index.scalars import CyclotomicNumber, ExactScalar
 
@@ -129,6 +129,49 @@ class TestNormalDeterminant:
         direct = FormElement.one(gens, k, order) - \
             FormElement.from_scalar(lam, gens, k, order) * e_v
         assert inv * direct == FormElement.one(gens, k, order)
+
+
+class TestGroupedRoots:
+    @pytest.mark.parametrize("direction", ["plus", "minus"])
+    def test_todd_equals_the_product_of_single_root_factors(self, direction):
+        rng = random.Random(11)
+        pool = [ChernRoot(curvature=(I * 2,), weight=(1,)),
+                ChernRoot(curvature=(ExactScalar.from_rational(-1),), weight=(0,))]
+        for _ in range(12):
+            roots = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
+            expected = FormElement.one(("dA",), 2, 3)
+            for r in roots:
+                expected = expected * todd([r], ("dA",), 2, jet_order=3, direction=direction)
+            assert todd(roots, ("dA",), 2, jet_order=3, direction=direction) == expected
+
+    def test_repeated_normal_root_squares_its_factor(self):
+        r = ChernRoot(curvature=(I,), weight=(3,), eigenvalue_exponent=Fraction(2, 5))
+        single = dc_inverse([r], ("dA",), 2, jet_order=3)
+        assert dc_inverse([r, r], ("dA",), 2, jet_order=3) == single * single
+
+    def test_every_repeated_root_is_checked(self):
+        good = ChernRoot(curvature=(I,), weight=(0,))
+        bad = ChernRoot(curvature=(I,), weight=(0,), eigenvalue_exponent=Fraction(1, 2))
+        with pytest.raises(FormError, match="tangential"):
+            todd([good, good, bad], ("dA",), 1, jet_order=2)
+        with pytest.raises(FormError, match="mis-identified"):
+            dc_inverse([bad, bad, good], ("dA",), 1, jet_order=2)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 5])
+    @pytest.mark.parametrize("kind", ["todd", "normal"])
+    def test_series_power_against_repeated_multiplication(self, r, kind):
+        length = 8
+        if kind == "todd":
+            f = todd_series(length, "plus")
+        else:  # constant term 1/(1 - zeta_5^2) != 1
+            f = normal_factor_series(CyclotomicNumber.root_of_unity(2, 5), length)
+        expected = [ONE] + [ExactScalar.zero()] * (length - 1)
+        for _ in range(r):
+            expected = [sum((expected[j] * f[n - j] for j in range(n + 1)), ExactScalar.zero())
+                        for n in range(length)]
+        got = _series_power(f, r)
+        assert len(got) == length
+        assert all(a == b for a, b in zip(got, expected))
 
 
 def _fact(n):

@@ -78,6 +78,30 @@ class TestEquivariantCharacter:
                 oracle.cpn_chi(1, m)
 
 
+class TestProjectiveWeights:
+    def test_examples(self):
+        assert oracle.cpn_weight_multiplicities(2, 2) == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
+        # dual side: degree 0 reflects to weight -n(n+1)/2 with sign (-1)^n
+        assert oracle.cpn_weight_multiplicities(2, -3) == {-3: 1}
+        assert oracle.cpn_weight_multiplicities(3, -4) == {-6: -1}
+
+    def test_gap_range_is_empty(self):
+        for n in (1, 2, 3):
+            for m in range(-n, 0):
+                assert oracle.cpn_weight_multiplicities(n, m) == {}
+
+    def test_circle_case_is_the_sphere_character(self):
+        for m in range(-15, 16):
+            assert oracle.cpn_weight_multiplicities(1, m) == \
+                oracle.equivariant_s2_character(m), m
+
+    def test_weight_sums_match_euler_characteristics(self):
+        for n in (1, 2, 3):
+            for m in range(-12, 13):
+                assert sum(oracle.cpn_weight_multiplicities(n, m).values()) == \
+                    oracle.cpn_chi(n, m), (n, m)
+
+
 class TestBallIntegral:
     def test_circle(self):
         assert oracle.ball_integral(0) == ExactScalar.pi_power(1, -2)
