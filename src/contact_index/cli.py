@@ -260,14 +260,16 @@ def corollary(preset, n, weights, model_path, max_m, max_k, out):
         report = _stamp({
             "model_id": model.model_id,
             "calibration": calibration.as_dict(),
-            "characters": [
-                {"m": m, "weights": [{"weight": k, "multiplicity": mult}
-                                     for k, mult in sorted(table[m].items())]}
-                for m in sorted(table)
-            ],
+            "characters": _characters(table),
         })
         _emit(_json_text(report), out)
     _run(body)
+
+
+def _characters(table):
+    return [{"m": m, "weights": [{"weight": k, "multiplicity": mult}
+                                 for k, mult in sorted(table[m].items())]}
+            for m in sorted(table)]
 
 
 def _verify_one(kind, params, max_m, max_k, calibration):
@@ -279,23 +281,16 @@ def _verify_one(kind, params, max_m, max_k, calibration):
     model = build_preset(kind, params, calibration)
     mismatches = []
     if kind == "prequantum-cpn":
-        if params != (1,):
-            raise UnsupportedModelError(
-                "oracle verification of the prequantum model covers n = 1 only")
         table = corollary_expand(model, max_m, max_k, calibration)
         for m in range(-max_m, max_m + 1):
-            expected = oracle.equivariant_s2_character(m)
+            expected = oracle.cpn_weight_multiplicities(params[0], m)
             if table[m] != expected:
                 mismatches.append({"m": m, "engine": table[m],
                                    "oracle": expected})
         doc = {
             "model_id": model.model_id,
             "calibration": calibration.as_dict(),
-            "characters": [
-                {"m": m, "weights": [{"weight": k, "multiplicity": mult}
-                                     for k, mult in sorted(table[m].items())]}
-                for m in sorted(table)
-            ],
+            "characters": _characters(table),
         }
     else:
         result = assemble_character(model, max_m, calibration)

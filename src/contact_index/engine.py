@@ -9,6 +9,10 @@ quasi-polynomial, and every coefficient is read off it; a residue
 polynomial of degree above the largest k = (dim - 1)/2 of a fixed
 component is rejected.
 
+The rank-2 double expansion runs in integers: each slice's numerator is
+divided by one binomial (1 - x^s) at a time with a stride recurrence, and
+a nonzero remainder (the top s entries of the running sums) rejects it.
+
 Three global convention bits (orientation of the top pairing, Fourier sign,
 Todd series direction) are fixed once by `calibrate_conventions`, which
 demands that exactly one of the eight combinations reproduces both anchor
@@ -17,6 +21,7 @@ characters (the free circle and the round three-sphere).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -311,51 +316,6 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
 # the rank-2 double expansion
 # ----------------------------------------------------------------------
 
-def _laurent_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = e1 + e2
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _laurent_divide(num, den):
-    """Exact division of Laurent polynomials over Q; the remainder must vanish."""
-    if not num:
-        return {}
-    if not den:
-        raise EngineError("division by the zero polynomial")
-    shift_n = min(num)
-    shift_d = min(den)
-    n = {e - shift_n: c for e, c in num.items()}
-    d = {e - shift_d: c for e, c in den.items()}
-    deg_n = max(n)
-    deg_d = max(d)
-    if deg_n < deg_d:
-        raise EngineError("residual character is not a Laurent polynomial "
-                          "(degree deficit)")
-    d0 = d[0]
-    quotient = {}
-    work = dict(n)
-    for e in range(deg_n - deg_d + 1):
-        c = work.get(e, Fraction(0))
-        if c == 0:
-            continue
-        q = c / d0
-        quotient[e] = q
-        for ed, cd in d.items():
-            key = e + ed
-            work[key] = work.get(key, Fraction(0)) - q * cd
-            if work[key] == 0:
-                del work[key]
-    if work:
-        raise EngineError(
-            "residual character is not a Laurent polynomial: nonzero remainder "
-            f"{sorted(work.items())}")
-    return {e + shift_n - shift_d: c for e, c in quotient.items() if c != 0}
-
-
 def residual_factors(model, m, calibration=DEFAULT_CALIBRATION):
     """Per-fiber data of the m-th principal Fourier slice.
 
@@ -388,15 +348,18 @@ def residual_factors(model, m, calibration=DEFAULT_CALIBRATION):
 def corollary_expand(model, max_m, max_k, calibration=DEFAULT_CALIBRATION):
     """Weight multiplicities of the group character per principal index m.
 
-    For each |m| <= max_m, sums the per-fiber residual factors into one
-    rational function of the group variable and performs the exact Laurent
-    division; the zero remainder is itself the check that the slice is a
-    finite character.  Only the fiber powers depend on m: the denominators,
-    each fiber's cofactor (its amplitude times the other fibers'
-    denominators) and their product are built once.  Returns
-    {m: {weight: multiplicity}} with weights clipped to |weight| <= max_k
-    (entries outside the window raise).  `max_m = 0` gives slice 0 alone;
-    negative windows are rejected.
+    Slice m sums amplitude * x^(power*m) / prod(1 - x^e) over the fibers, in
+    integers.  Built once per call: A, the lcm of the amplitudes'
+    denominators, and per fiber an integer cofactor, its amplitude times A
+    times the other fibers' denominators, where each denominator is written
+    as sign * x^shift * prod(1 - x^|e|) and the sign and shift go into the
+    cofactor, so every binomial left has constant term 1.  Per slice the
+    shifted cofactors sum to a dense numerator, `_divide_binomials` divides
+    it by one binomial at a time (a remainder or a degree deficit raises,
+    naming m), and each multiplicity is a quotient coefficient over A, which
+    must be an integer.  Returns {m: {weight: multiplicity}} with weights
+    clipped to |weight| <= max_k (entries outside the window raise).
+    `max_m = 0` gives slice 0 alone; negative windows are rejected.
     """
     if model.rank != 2 or not model.fiber_families:
         raise UnsupportedModelError(
@@ -406,44 +369,80 @@ def corollary_expand(model, max_m, max_k, calibration=DEFAULT_CALIBRATION):
     if max_k < 0:
         raise EngineError(f"max_k must be at least 0, got {max_k}")
     factors = residual_factors(model, 1, calibration)  # each power is linear in m
-    denominators = [_denominator_poly(f["denominator_exponents"]) for f in factors]
-    cofactors = []
+    scale = math.lcm(*(f["amplitude"].denominator for f in factors))
+    strides = [[abs(e) for e in f["denominator_exponents"]] for f in factors]
+    cofactors = []  # (power per unit m, lowest exponent, dense integer coefficients)
     for i, f in enumerate(factors):
-        term = {0: Fraction(f["amplitude"])}
-        for j, d in enumerate(denominators):
-            if j != i:
-                term = _laurent_mul(term, d)
-        cofactors.append(term)
-    total_den = {0: Fraction(1)}
-    for d in denominators:
-        total_den = _laurent_mul(total_den, d)
+        negative = [e for e in f["denominator_exponents"] if e < 0]
+        amplitude = int(f["amplitude"] * scale) * (-1) ** len(negative)
+        others = [s for j, fiber in enumerate(strides) if j != i for s in fiber]
+        cofactors.append((f["power"], -sum(negative),
+                          [amplitude * c for c in _binomial_product(others)]))
+    all_strides = [s for fiber in strides for s in fiber]
     table = {}
     for m in range(-max_m, max_m + 1):
-        total_num = {}
-        for f, term in zip(factors, cofactors):
-            for e, c in term.items():
-                key = e + f["power"] * m
-                total_num[key] = total_num.get(key, Fraction(0)) + c
-        total_num = {e: c for e, c in total_num.items() if c != 0}
-        weights = _laurent_divide(total_num, total_den)
+        low = min(shift + power * m for power, shift, _ in cofactors)
+        high = max(shift + power * m + len(term) for power, shift, term in cofactors)
+        num = [0] * (high - low)
+        for power, shift, term in cofactors:
+            base = shift + power * m - low
+            for j, c in enumerate(term):
+                num[base + j] += c
+        try:
+            quotient = _divide_binomials(num, all_strides)
+        except EngineError as exc:
+            raise EngineError(f"residual character at m={m} is not a Laurent "
+                              f"polynomial: {exc}") from None
         entry = {}
-        for k, c in sorted(weights.items()):
-            if c.denominator != 1:
-                raise EngineError(f"non-integer multiplicity {c} at weight {k}, m={m}")
+        for k, c in enumerate(quotient, low):
+            if not c:
+                continue
+            if c % scale:
+                raise EngineError(f"non-integer multiplicity {Fraction(c, scale)} "
+                                  f"at weight {k}, m={m}")
             if abs(k) > max_k:
                 raise EngineError(
                     f"weight {k} exceeds the requested window {max_k} at m={m}; "
                     f"raise max_k")
-            entry[k] = int(c)
+            entry[k] = c // scale
         table[m] = entry
     return table
 
 
-def _denominator_poly(exponents):
-    out = {0: Fraction(1)}
-    for e in exponents:
-        out = _laurent_mul(out, {0: Fraction(1), e: Fraction(-1)})
+def _binomial_product(strides):
+    """Ascending integer coefficients of prod (1 - x^s) over positive strides s."""
+    out = [1]
+    for s in strides:
+        out = out + [0] * s
+        for i in range(len(out) - 1, s - 1, -1):
+            out[i] -= out[i - s]
     return out
+
+
+def _divide_binomials(num, strides):
+    """Exact quotient of an integer polynomial by prod (1 - x^s), s > 0.
+
+    `num` lists ascending coefficients from x^0, zeros at either end
+    allowed.  Dividing by one binomial is the stride recurrence
+    q[i] += q[i - s], run as a running sum over each residue class mod s;
+    the division is exact exactly when the top s entries of the result
+    vanish, and those entries are then dropped.  Raises `EngineError` for a
+    numerator of lower degree than the denominator or a nonzero remainder.
+    """
+    q = list(num)
+    while q and not q[-1]:
+        q.pop()
+    if not q:
+        return []
+    if len(q) - next(j for j, c in enumerate(q) if c) <= sum(strides):
+        raise EngineError("degree deficit")
+    for s in strides:
+        for r in range(s):
+            q[r::s] = itertools.accumulate(q[r::s])
+        if any(q[-s:]):
+            raise EngineError("nonzero remainder")
+        del q[-s:]
+    return q
 
 
 def principal_limit(model, max_m, calibration=DEFAULT_CALIBRATION):

@@ -273,13 +273,17 @@ def evaluate_series(coeffs, element):
     """Horner evaluation of sum_j coeffs[j] * element^j in the truncated algebra.
 
     The element must have no constant term (its zeroth jet coefficient at
-    generator exponent zero vanishes), so the sum is finite at the given
-    truncation; the series must be at least truncation + jet order + 1 long.
+    generator exponent zero vanishes), so it is nilpotent and the sum is
+    finite: element^j vanishes for j > truncation + jet order, and already
+    for j > truncation when no coefficient carries a phi part (a root of
+    weight 0).  The series must be long enough for the terms that survive.
     """
     const = element.terms.get((0,) * len(element.generators))
     if const is not None and not const.constant_term().is_zero():
         raise FormError("series argument must have zero constant term")
-    need = element.truncation + element.jet_order + 1
+    need = element.truncation + 1
+    if any(len(c.coeffs) > 1 for c in element.terms.values()):
+        need += element.jet_order
     if len(coeffs) < need:
         raise FormError(f"series too short: need {need} coefficients, got {len(coeffs)}")
     acc = FormElement.from_scalar(coeffs[need - 1], element.generators, element.truncation,

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from contact_index import oracle
 from contact_index.cli import main
 from contact_index.catalog import dump_model, preset_weighted_s3
+from contact_index.engine import build_preset
 from contact_index.deltas import germ_from_document
 
 
@@ -224,6 +225,19 @@ class TestCorollaryCommand:
         assert "raise max_k" not in result.output
 
 
+    def test_nonzero_remainder_exits_2_naming_the_slice(self, runner, calibrated):
+        # a prequantum-cp1 document whose first fiber has amplitude 2
+        path = calibrated / "cp1.json"
+        dump_model(build_preset("prequantum-cpn", (1,)), path)
+        doc = json.loads(path.read_text())
+        doc["fiber_families"][0]["pairing"][0]["value"] = "(4)*pi^1"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["corollary", "--model", str(path),
+                                      "--max-m", "2", "--max-k", "4"])
+        assert result.exit_code == 2
+        assert "at m=-2 is not a Laurent polynomial: nonzero remainder" in result.output
+
+
 class TestVerifyCommand:
     def test_sphere_passes(self, runner, calibrated):
         result = runner.invoke(main, ["verify", "--preset", "hopf", "--n", "1",
@@ -240,6 +254,19 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--all", "--max-m", "30"])
         assert result.exit_code == 0
         assert result.output.count(": ok") == 7
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_projective_spaces_pass(self, runner, calibrated, n):
+        result = runner.invoke(main, ["verify", "--preset", "prequantum-cpn", "--n", n,
+                                      "--max-m", "10", "--max-k", "40"])
+        assert result.exit_code == 0
+        assert f"prequantum-cp{n}: ok" in result.output
+
+    def test_projective_window_too_small_asks_to_raise_max_k(self, runner, calibrated):
+        result = runner.invoke(main, ["verify", "--preset", "prequantum-cpn", "--n", "2",
+                                      "--max-m", "10", "--max-k", "15"])
+        assert result.exit_code == 2
+        assert "raise max_k" in result.output
 
     def test_user_models_have_no_oracle(self, runner, calibrated):
         path = calibrated / "m.json"

@@ -1,13 +1,14 @@
 """Engine: germs, character assembly, quasi-polynomials, the double expansion."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from contact_index import oracle
-from contact_index.catalog import (IDENTITY, ContactModel, FixedComponentData,
-                                   preset_circle, scaled_model)
+from contact_index.catalog import (IDENTITY, ContactModel, FiberFamily,
+                                   FixedComponentData, preset_circle, scaled_model)
 from contact_index.deltas import DeltaGerm
 from contact_index.engine import (CalibrationConfig, CalibrationError, EngineError,
                                   FitError, QuasiPolynomial, UnsupportedModelError,
@@ -17,6 +18,7 @@ from contact_index.engine import (CalibrationConfig, CalibrationError, EngineErr
                                   principal_limit, quasi_polynomial_from_tables,
                                   residual_factors)
 from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi
+from laurent_reference import corollary_reference
 
 ONE = ExactScalar.one()
 I = ExactScalar.i()
@@ -284,8 +286,47 @@ class TestDoubleExpansion:
     def test_zero_window_gives_slice_zero(self):
         assert corollary_expand(build_preset("prequantum-cpn", (1,)), 0, 0) == {0: {0: 1}}
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tables_equal_the_fraction_reference(self, n):
+        model = build_preset("prequantum-cpn", (n,))
+        assert corollary_expand(model, 15, 15 * n) == corollary_reference(model, 15)
+
+    def test_halved_fibers_sum_to_the_whole(self):
+        # every fiber twice at amplitude 1/2 (mu = 2): the common denominator
+        # 2 is cleared, and the multiplicities come back as integers
+        halves = _cpn_with_fibers(1, [(j, replace(f.component, mu=Fraction(2)))
+                                      for f in build_preset("prequantum-cpn", (1,)).fiber_families
+                                      for j in (f.sigma, f.sigma)])
+        assert corollary_expand(halves, 6, 10) == \
+            corollary_expand(build_preset("prequantum-cpn", (1,)), 6, 10)
+
+    def test_nonzero_remainder_names_the_slice(self):
+        with pytest.raises(EngineError, match="at m=-2 is not a Laurent polynomial: "
+                                              "nonzero remainder"):
+            corollary_expand(_cpn_with_amplitudes(1, [2, 1]), 2, 4)
+
+    def test_degree_deficit_names_the_slice(self):
+        # slice -1 of amplitudes (2, 1) is 1/(1 - x): a constant over a binomial
+        with pytest.raises(EngineError, match="at m=-1 .*degree deficit"):
+            corollary_expand(_cpn_with_amplitudes(1, [2, 1]), 1, 4)
+
+    def test_half_amplitudes_give_a_non_integer_multiplicity(self):
+        with pytest.raises(EngineError, match=r"non-integer multiplicity -1/2 at weight -1, m=-2"):
+            corollary_expand(_cpn_with_amplitudes(1, [Fraction(1, 2), Fraction(1, 2)]), 2, 4)
+
+    def test_weight_outside_the_window_asks_to_raise_max_k(self):
+        with pytest.raises(EngineError, match="weight 3 exceeds the requested window 2 "
+                                              "at m=3; raise max_k"):
+            corollary_expand(build_preset("prequantum-cpn", (1,)), 3, 2)
+
+    def test_non_rational_amplitude_is_rejected(self):
+        model = _cpn_with_amplitudes(1, [1, 1])
+        fam = model.fiber_families[0]
+        fam.component = replace(fam.component, pairing={(): TWO_PI * I})
+        with pytest.raises(EngineError, match="fiber amplitude must be rational"):
+            corollary_expand(model, 2, 4)
+
     def test_non_separating_fiber_is_unsupported(self):
-        from contact_index.catalog import FiberFamily
         from contact_index.forms import ChernRoot
         comp = FixedComponentData(
             dim_odd=1, generators=(), tangential=[],
@@ -297,6 +338,20 @@ class TestDoubleExpansion:
                              identity_model=build_preset("hopf", (1,)))
         with pytest.raises(UnsupportedModelError, match="separate"):
             corollary_expand(model, 2, 4)
+
+
+def _cpn_with_fibers(n, fibers):
+    """prequantum-cpn n with its fiber families replaced by (sigma, component) pairs."""
+    model = build_preset("prequantum-cpn", (n,))
+    return replace(model, fiber_families=[FiberFamily(s, c) for s, c in fibers])
+
+
+def _cpn_with_amplitudes(n, amplitudes):
+    """prequantum-cpn n with the j-th fiber's amplitude set to amplitudes[j]."""
+    model = build_preset("prequantum-cpn", (n,))
+    return _cpn_with_fibers(n, [
+        (f.sigma, replace(f.component, pairing={(): TWO_PI * Fraction(a)}))
+        for f, a in zip(model.fiber_families, amplitudes)])
 
 
 class TestCalibration:

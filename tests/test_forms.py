@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from contact_index import forms
 from contact_index.catalog import FixedComponentData
 from contact_index.deltas import DeltaGerm, SmoothJet
+from contact_index.engine import CalibrationConfig, build_preset
 from contact_index.forms import (ChernRoot, FormElement, FormError, _series_power,
                                  dc_inverse, evaluate_series, integrate_component, j_form,
                                  normal_factor_series, root_value, todd, todd_series)
@@ -172,6 +174,54 @@ class TestGroupedRoots:
         got = _series_power(f, r)
         assert len(got) == length
         assert all(a == b for a, b in zip(got, expected))
+
+
+def _full_horner(coeffs, element):
+    """Horner's rule over every power up to truncation + jet order."""
+    need = element.truncation + element.jet_order + 1
+    acc = FormElement.from_scalar(coeffs[need - 1], element.generators,
+                                  element.truncation, element.jet_order)
+    for j in range(need - 2, -1, -1):
+        acc = acc * element + FormElement.from_scalar(
+            coeffs[j], element.generators, element.truncation, element.jet_order)
+    return acc
+
+
+ALL_PRESETS = [("circle", ()), ("hopf", (1,)), ("hopf", (2,)), ("hopf", (3,)),
+               ("weighted-s3", (1, 2)), ("weighted-s3", (2, 3)), ("weighted-s3", (3, 4)),
+               ("weighted-s3", (5, 7)), ("prequantum-cpn", (1,)), ("prequantum-cpn", (2,))]
+ALL_CALIBRATIONS = [CalibrationConfig(s, o, d) for s in (1, -1) for o in (1, -1)
+                    for d in ("plus", "minus")]
+
+
+class TestShortHorner:
+    def test_weight_zero_argument_stops_at_the_truncation(self):
+        x = root_value(ChernRoot(curvature=(I,), weight=(0,)), ("dA",), 2, 5)
+        series = todd_series(3, "plus")  # truncation + 1 coefficients suffice
+        assert evaluate_series(series, x) == _full_horner(todd_series(8, "plus"), x)
+        y = root_value(ChernRoot(curvature=(I,), weight=(1,)), ("dA",), 2, 5)
+        with pytest.raises(FormError, match="need 8"):
+            evaluate_series(series, y)
+
+    @pytest.mark.parametrize("name, params", ALL_PRESETS)
+    def test_short_and_full_loops_agree_on_every_calibration(self, name, params,
+                                                             monkeypatch):
+        cases = []
+        for cal in ALL_CALIBRATIONS:
+            model = build_preset(name, params, cal)
+            model = model.identity_model or model  # rank 2: the principal reduction
+            for comp in (c for comps in model.components.values() for c in comps):
+                cases.append((comp, cal.todd_direction))
+
+        def forms_of(comp, direction):
+            order = comp.k + 4
+            return (todd(comp.tangential, comp.generators, comp.k, jet_order=order,
+                         direction=direction),
+                    dc_inverse(comp.normal, comp.generators, comp.k, jet_order=order))
+
+        short = [forms_of(*case) for case in cases]
+        monkeypatch.setattr(forms, "evaluate_series", _full_horner)
+        assert short == [forms_of(*case) for case in cases]
 
 
 def _fact(n):
