@@ -249,14 +249,15 @@ def dh(preset, n, weights, model_path, out):
 @main.command()
 @_model_options
 @click.option("--max-m", type=int, default=20)
-@click.option("--max-k", type=int, default=20)
+@click.option("--max-k", type=int, default=None, help="Weight window (default n * max-m).")
 @click.option("--out", type=click.Path(), default=None)
 def corollary(preset, n, weights, model_path, max_m, max_k, out):
     """Per-index group characters of a rank-2 prequantum model."""
     def body():
         calibration = _load_calibration()
         model = _resolve_model(preset, n, weights, model_path, calibration)
-        table = corollary_expand(model, max_m, max_k, calibration)
+        window = model.ambient_n * max_m if max_k is None else max_k  # holds |k| <= n |m|
+        table = corollary_expand(model, max_m, window, calibration)
         report = _stamp({
             "model_id": model.model_id,
             "calibration": calibration.as_dict(),
@@ -281,7 +282,8 @@ def _verify_one(kind, params, max_m, max_k, calibration):
     model = build_preset(kind, params, calibration)
     mismatches = []
     if kind == "prequantum-cpn":
-        table = corollary_expand(model, max_m, max_k, calibration)
+        window = model.ambient_n * max_m if max_k is None else max_k
+        table = corollary_expand(model, max_m, window, calibration)
         for m in range(-max_m, max_m + 1):
             expected = oracle.cpn_weight_multiplicities(params[0], m)
             if table[m] != expected:
@@ -308,7 +310,7 @@ def _verify_one(kind, params, max_m, max_k, calibration):
 @main.command()
 @_model_options
 @click.option("--max-m", type=int, default=50)
-@click.option("--max-k", type=int, default=60)
+@click.option("--max-k", type=int, default=None, help="Weight window (default n * max-m).")
 @click.option("--all", "run_all", is_flag=True, default=False,
               help="Verify every bundled preset in one invocation.")
 @click.option("--out", type=click.Path(), default=None)

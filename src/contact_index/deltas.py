@@ -147,6 +147,10 @@ class DeltaGerm:
 
     __rmul__ = __mul__
 
+    def galois(self, t):
+        """The automorphism zeta -> zeta^t applied to every coefficient."""
+        return DeltaGerm([c.galois(t) for c in self.terms])
+
     def derivative(self):
         """d/dphi applied once."""
         return DeltaGerm([ExactScalar.zero()] + self.terms)

@@ -1,9 +1,12 @@
 """Localization engine: germs at torsion points, characters, calibration.
 
-The contributions are assembled per torsion point: each fixed component
-yields (2 pi i)^-k times the pairing of its Todd factor, its inverse normal
-determinant and the contact delta form; Fourier conversion of the germs
-gives one polynomial in m per residue class modulo each torsion order.
+The contributions are assembled per Galois orbit of torsion points: each
+fixed component yields (2 pi i)^-k times the pairing of its Todd factor, its
+inverse normal determinant and the contact delta form; Fourier conversion
+of the germs gives one polynomial in m per residue class modulo each torsion
+order.  The germs at p/q are Galois conjugates, so an orbit is evaluated
+once and its table summed as a relative trace down to Q(i), unless the
+model fails the guard in `assemble_character`.
 Those tables are summed once per residue class into the character's
 quasi-polynomial, and every coefficient is read off it; a residue
 polynomial of degree above the largest k = (dim - 1)/2 of a fixed
@@ -23,10 +26,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .scalars import CyclotomicNumber, ExactScalar, approx_display
+from .scalars import CyclotomicNumber, ExactScalar, _euler_phi, approx_display
 from .deltas import DeltaGerm, _poly_add, fourier_contribution, germ_to_document
 from .forms import dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, fixed_submodel, preset_circle, preset_hopf_sphere,
@@ -236,9 +239,9 @@ def quasi_polynomial_from_tables(contributions, degree):
 
     `contributions` lists (q, table) pairs as `fourier_contribution` returns
     them.  Tables of one torsion order are summed first, once per residue
-    mod q: torsion points of one order form a Galois orbit, so these sums
-    are usually rational and the sums over the lcm period stay cheap.  A
-    residue polynomial of degree above `degree` raises `FitError`.
+    mod q; an orbit that `assemble_character` evaluated once arrives as one
+    table of traces, with values in Q(i)[pi].  A residue polynomial of
+    degree above `degree` raises `FitError`.
     """
     by_order = {}
     for q, table in contributions:
@@ -292,6 +295,15 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
     `quasi_polynomial_from_tables`); the exact coefficients for
     |m| <= max_m are its values.  Any `max_m` >= 1 gives the whole
     quasi-polynomial, whatever the period.
+
+    The points of one order q are evaluated once, at the representative p0/q:
+    the germ at p/q is the representative's under zeta -> zeta^t, t = 1 mod
+    4 and t = p/p0 mod q, and the orbit's table is the representative's with
+    each entry replaced by its trace to Q(i).  The guard, else point by
+    point: 4 does not divide q, every p/q with p prime to q is in the
+    support, every curvature and pairing scalar lies in Q(i)[pi], every
+    eigenvalue exponent has a denominator dividing q, and the components at
+    p/q are the representative's with each exponent e mapped to t e mod 1.
     """
     if model.rank != 1:
         raise UnsupportedModelError("characters are assembled for rank-1 models")
@@ -299,17 +311,48 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
         raise EngineError("max_m must be at least 1")
     germs = {}
     contributions = []
-    for at in model.torsion_support:
-        germ = germ_at(model, at, calibration)
-        germs[at] = germ
-        if not germ.is_zero():
-            contributions.append(fourier_contribution(germ, at, calibration.poisson_sign))
+    for q, points in itertools.groupby(model.torsion_support, key=lambda t: t.denominator):
+        points = list(points)
+        maps = _galois_maps(model, q, points)
+        for orbit in [points] if maps else [[at] for at in points]:  # else point by point
+            germ = germ_at(model, orbit[0], calibration)
+            germs.update(zip(orbit, [germ.galois(t) for t in maps] if maps else [germ]))
+            if not germ.is_zero():
+                _, table = fourier_contribution(germ, orbit[0], calibration.poisson_sign)
+                if maps:
+                    table = {r: [c.relative_trace(math.lcm(4, q)) for c in poly]
+                             for r, poly in table.items()}
+                contributions.append((q, table))
     degree = max((c.k for comps in model.components.values() for c in comps), default=0)
     quasi = quasi_polynomial_from_tables(contributions, degree)
     coefficients = {m: quasi.evaluate(m) for m in range(-max_m, max_m + 1)}
     non_integer = [m for m, c in coefficients.items() if not c.is_integer()]
     return CharacterResult(model.model_id, calibration, germs, coefficients, quasi,
                            non_integer)
+
+
+def _galois_maps(model, q, points):
+    """Per point, its t for `assemble_character`; None where the guard fails."""
+    def conjugate(roots, t):
+        return [replace(r, eigenvalue_exponent=t * r.eigenvalue_exponent % 1) for r in roots]
+    if len(points) == 1 or q % 4 == 0 or len(points) != _euler_phi(q):
+        return None
+    comps = model.components[points[0]]
+    roots = [r for c in comps for r in c.tangential + c.normal]
+    scalars = [s for r in roots for s in r.curvature] + \
+        [s for c in comps for s in c.pairing.values()]
+    if any(c.demote().level != 4 for s in scalars for c in s.terms.values()) or \
+            any(q % Fraction(r.eigenvalue_exponent).denominator for r in roots):
+        return None
+    level = math.lcm(4, q)
+    inverse = pow(points[0].numerator, -1, q)
+    maps = [next(t for t in range(at.numerator * inverse % q, level, q) if t % 4 == 1)
+            for at in points]
+    if any(model.components[at] != [replace(c, tangential=conjugate(c.tangential, t),
+                                            normal=conjugate(c.normal, t)) for c in comps]
+           for at, t in zip(points, maps)):
+        return None
+    return maps
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,9 @@ Canonicalization does its linear algebra once per level and caches it:
   is the identity, and membership is the support test alone.  Every (L, 4)
   with L < 420 is of this kind; pairs such as (420, 4) or (572, 44) are not,
   and go through the same map.
+* `galois(t)`, zeta -> zeta^t, permutes exponents mod L and folds once.
+  Row e of the trace table of level L holds the folded sum of zeta^(e t)
+  over the units t = 1 mod 4, so the trace down to Q(i) is linear in them.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -239,6 +243,14 @@ def _demotion_map(level, m):
     return support, tuple(pivots), inverse
 
 
+@lru_cache(maxsize=None)
+def _trace_table(level):
+    """Row e: sum of zeta^(e t) over t = 1 mod 4 coprime to `level`, folded."""
+    ts = [t for t in range(1, level, 4) if math.gcd(t, level) == 1]
+    return tuple(tuple(_fold(Counter(e * t % level for t in ts), level).items())
+                 for e in range(_euler_phi(level)))
+
+
 class CyclotomicNumber:
     """Element of Q(zeta_L) in the power basis mod the cyclotomic polynomial.
 
@@ -380,12 +392,25 @@ class CyclotomicNumber:
         inv = {e: v / c for e, v in enumerate(s0) if v != 0}
         return CyclotomicNumber(self.level, _fold(inv, self.level)).demote()
 
+    def galois(self, t):
+        """The automorphism zeta -> zeta^t, for t coprime to the level."""
+        if math.gcd(t, self.level) != 1:
+            raise ScalarError(f"{t} is not coprime to the level {self.level}")
+        return CyclotomicNumber(self.level, _fold({e * t % self.level: c
+                                                   for e, c in self.coeffs.items()}, self.level))
+
     def conjugate(self):
         """Complex conjugation zeta -> zeta^{-1} (a field automorphism)."""
+        return self.galois(-1)
+
+    def relative_trace(self, level):
+        """Trace from Q(zeta_level) down to Q(i): the sum of `galois(t)`, t = 1 mod 4."""
+        rows = _trace_table(level)
         raw = {}
-        for e, c in self.coeffs.items():
-            raw[(-e) % self.level] = raw.get((-e) % self.level, Fraction(0)) + c
-        return CyclotomicNumber(self.level, _fold(raw, self.level)).demote()
+        for e, c in self.promote(level).coeffs.items():
+            for j, r in rows[e]:
+                raw[j] = raw.get(j, 0) + c * r
+        return CyclotomicNumber(level, raw).demote()
 
     # -- predicates and views -----------------------------------------
 
@@ -519,6 +544,12 @@ class ExactScalar:
 
     def conjugate(self):
         return ExactScalar({k: c.conjugate() for k, c in self.terms.items()})
+
+    def galois(self, t):
+        return ExactScalar({k: c.galois(t) for k, c in self.terms.items()})
+
+    def relative_trace(self, level):
+        return ExactScalar({k: c.relative_trace(level) for k, c in self.terms.items()})
 
     # -- predicates ---------------------------------------------------
 

@@ -1,0 +1,26 @@
+"""Test-only reference for character assembly: one germ per torsion point.
+
+`character_reference` is the direct computation that the engine's orbit
+evaluation must reproduce: every torsion point's germ from `germ_at`, every
+nonzero germ's Fourier table from `fourier_contribution`, the tables summed
+into the quasi-polynomial, and each coefficient read off it.
+"""
+
+from contact_index.deltas import fourier_contribution
+from contact_index.engine import (DEFAULT_CALIBRATION, germ_at,
+                                  quasi_polynomial_from_tables)
+
+
+def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
+    """(germs, quasi-polynomial, coefficients) from the per-point loop."""
+    germs = {}
+    contributions = []
+    for at in model.torsion_support:
+        germ = germ_at(model, at, calibration)
+        germs[at] = germ
+        if not germ.is_zero():
+            contributions.append(fourier_contribution(germ, at, calibration.poisson_sign))
+    degree = max((c.k for comps in model.components.values() for c in comps), default=0)
+    quasi = quasi_polynomial_from_tables(contributions, degree)
+    coefficients = {m: quasi.evaluate(m) for m in range(-max_m, max_m + 1)}
+    return germs, quasi, coefficients

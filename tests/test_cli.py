@@ -225,6 +225,19 @@ class TestCorollaryCommand:
         assert "raise max_k" not in result.output
 
 
+    def test_default_window_holds_every_weight_of_a_projective_plane(self, runner, calibrated):
+        result = runner.invoke(main, ["corollary", "--preset", "prequantum-cpn", "--n", "2"])
+        assert result.exit_code == 0, result.output
+        by_m = {e["m"]: {w["weight"]: w["multiplicity"] for w in e["weights"]}
+                for e in json.loads(result.output)["characters"]}
+        assert by_m == {m: oracle.cpn_weight_multiplicities(2, m) for m in range(-20, 21)}
+
+    def test_explicit_window_too_small_still_exits_2(self, runner, calibrated):
+        result = runner.invoke(main, ["corollary", "--preset", "prequantum-cpn", "--n", "2",
+                                      "--max-k", "39"])
+        assert result.exit_code == 2
+        assert "raise max_k" in result.output
+
     def test_nonzero_remainder_exits_2_naming_the_slice(self, runner, calibrated):
         # a prequantum-cp1 document whose first fiber has amplitude 2
         path = calibrated / "cp1.json"
@@ -261,6 +274,11 @@ class TestVerifyCommand:
                                       "--max-m", "10", "--max-k", "40"])
         assert result.exit_code == 0
         assert f"prequantum-cp{n}: ok" in result.output
+
+    def test_projective_plane_passes_at_the_default_window(self, runner, calibrated):
+        result = runner.invoke(main, ["verify", "--preset", "prequantum-cpn", "--n", "2"])
+        assert result.exit_code == 0, result.output
+        assert "prequantum-cp2: ok" in result.output
 
     def test_projective_window_too_small_asks_to_raise_max_k(self, runner, calibrated):
         result = runner.invoke(main, ["verify", "--preset", "prequantum-cpn", "--n", "2",

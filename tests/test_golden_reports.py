@@ -1,0 +1,143 @@
+"""Golden SHA-256s of character reports, a byte-identity net for the engine.
+
+Each hash is of `character_document` at max_m = 30, serialized as JSON with
+sorted keys, for one preset under one of the eight calibrations (in the
+order of `CALIBRATIONS`).  The hashes were recorded with the per-point
+assembly, before torsion points were evaluated once per Galois orbit, so
+any change in a report, however small, fails here.  They do not depend on
+the benchmark's reference hashes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from contact_index.engine import (CalibrationConfig, assemble_character, build_preset,
+                                  character_document)
+
+CALIBRATIONS = [CalibrationConfig(s, o, d) for s in (1, -1) for o in (1, -1)
+                for d in ("plus", "minus")]
+
+GOLDEN = {
+    ("circle", ()): (
+        "2a3c21586ca468ba0987c1793fa716f67909eddc738e59173ceb4b36686dbe27",
+        "6215edb24de2629a12105a802398454492a451b4588032e6e77096d313382b66",
+        "84290f31468c46802b1a46531b426e5fa278434acc83822a5ec2a12841f9f9ab",
+        "7a0ae47155652f93691162b8546160ff082f424db92b86bc1eca4ab72ddf5f63",
+        "9c8b5a8002a433f103aab3e27f3c8ee013c16829b0703746807358b858f26a63",
+        "a7ebbfdb3c4e3e41fd21200f32a7afcd2e02525183d9d1887ee7bb566ed0a288",
+        "0aacc43d86f57bdb43164468ac2c38ac110d1cda9947c218d194949eff0ab6c1",
+        "1a426a549c44436172964fefecf3ba9f86beeba814bbf06b70c429f10b5a0d5a",
+    ),
+    ("hopf", (1,)): (
+        "5c9f684f7fca0ec5124688d74ff9dc08595e516bf71b589862454b27e8270336",
+        "1fa3f2c0561997108c4938bd2d2db2860a733a59fc9d0785598b5f728364aff1",
+        "09086610957de5b7128600539bcfb476757148de189ac3d85a3ac2e2a75ca729",
+        "bd151adf0e46e5481d80fcc81179c7c17cd7eed8a9fdcb57e52a95eec49ad91a",
+        "bbc8eadfa4881c3100590540fac0dae1e40d118ea72355e4e147fd04bb768bc1",
+        "59687ff1e19aa1169eda58ec2c70186bdc86e50440dcb8b3e5ed58523bcb3c67",
+        "a618d284918df6f156ba16b7b430c77f1d21351d27f8f15affe4db8dd628208a",
+        "ba04cdc497b7248c967236711114b6ea3f4b54b63d4d977e410a0cecd7333c25",
+    ),
+    ("hopf", (2,)): (
+        "5c1a2fc3d4f2c3f075dcf1e722f481fde934212348f2a9f457cffeb02a36bd7f",
+        "c020079b7dca395802178039df9a196a355ccd880f0d079ace5246fc96491490",
+        "60e416657faca325cf2fb2ed57168a26c82ec6e0adfb78a57a59dd1d97a7d1af",
+        "d52462888b43ef3dec785024a987640a78bce216b5eda05e3e5d01c142886475",
+        "5f45bdf7a93fa8d84bc07c4aab57ec87e593b840cbfe77ccf7f121047cd9c487",
+        "5dcb26f63f3e7118549bbe5bd0b7a52021cf7c0bafdf931c1162677d64e51e6b",
+        "a130ab58889ffdd9a7192cc2990519a5dae466d74d55f3b6fcb2df20cb5b1fb0",
+        "5ac3fcc29bf6ab75f2c3fe56373532037f3be12b2f02d996d54b13e3658b6ee5",
+    ),
+    ("hopf", (3,)): (
+        "c2a04b08cce6cd3cc626b42e7cda728a33cf255d3226296cfff75291673f6285",
+        "e37052a920f4929e859fb89570817a317b786d44815f5a767101fcd61d034c7f",
+        "80484b72bfc87d006d30cc28d6f5e6bbfa13e450fb0e9bae7da6c2defe6acb87",
+        "b4c331c7b37eb6011e318ece0d8017d2a2c0515af130e0a18c76c88f744a51d4",
+        "1fa4a402af5e9247769313ab5de7d126325e079cd5795022858a05ae30c23e38",
+        "af6a38121b99e04beb5a91b93fda8d04decd81cabc413866c7c9925e5617f9a3",
+        "ea3c87a1d2184cb91c9514d980f69c8e1bc59663fe1b7a016985ed19e2768b2e",
+        "27586b81d7f8a25aba3d1231382e606b993cb0c11bdb909f6b11e7c147c17916",
+    ),
+    ("weighted-s3", (2, 3)): (
+        "31752d36291f1c1d5e1216859a5f87f46519b8609429f2a9d8d9efc89e94594e",
+        "2d5e9c45aa18ddc9093b29de3488da0e2bf78c2be6fbfe5ed705de724aebfa83",
+        "e754321b3708f5caafa1a8ae1e1f900ef795f891256b7184028e94aebb9a6664",
+        "21bad73ff2510e28c6771ed3541e60efc5d8dd0cf7af0266e999ff3b808d4b69",
+        "fad654f209cd6ebd2e88af93e63fab870de1226b37b726b22402f82401104aae",
+        "462619ff043aab90ce8594648bb0916b93d6e165ed49fd2d8c858a7feeb0aa81",
+        "52d4c0db9105cdc439edbfa121dc652460bacbde033cab7697e72d9c01f3270d",
+        "57cbe361a0f24cef7f21be0f171bf624a31f91fc5ed6d88e80e1092ea8ca9086",
+    ),
+    ("weighted-s3", (3, 4)): (
+        "2a77b5cce5190d97d7e11d0fc307dd18c4781ede9e48157943e559c2539637c1",
+        "c23692584866e9dfed34e8a18556f35ade107fbafa0dd205986fdf79b33aa2d8",
+        "00680f9c2cd5f536271df693e74570a4e271562a684d00deefde790ee00116f4",
+        "bbe79cbd18a443e4e4705c5c6b6b1b144a8c40e38de35076ec1f1756188e2bb2",
+        "dfb06fb463e9b2b6846eb40d9d0bf8ad8ed5370f963a6641d5922a85c7062af1",
+        "02c04ac9c1fbe4ecffaa97eb5b3c3b0db264a3247fa294d67e95359351723c33",
+        "f09b3501cb7b7103514f9703ede38c306600e44dc25db874875256365b2eecc0",
+        "5643ef4f67c5894971ba71d92b5954920dffb225710fa62e284abe1aa4bd1340",
+    ),
+    ("weighted-s3", (4, 5)): (
+        "2ca29da466cad588c3f23b6bdc34ea9eea3500841ba6933ab920e823b0e98b09",
+        "b8c7997919ade994a807077858c73d20f04bf5fa123f06c06dc162d6e0dfe1f1",
+        "89a81c7067cc61e13bf428f2e4c0e94f29bd996b6ef808315f8f8a38d3afd029",
+        "92cd37105daa9740abb11ad0ca65d6fae6072b33c6083647ae8e789ca598d470",
+        "132af193f901844245e2863f7f342cd3713eaa454ad46cd8bbe9a36b8971063a",
+        "818460468c9e94c53af7a33065efa3c5c0aad448d9d10c4a47a728e726a71e1f",
+        "1f3af5a21ae7e78074831729bbc0619e4c7f122a68c2dccb8f19bf366ea23022",
+        "64a121c3bab95fa94d8361abb14cf856c4ec0e960a5750fe3d06a65279f3a5da",
+    ),
+    ("weighted-s3", (3, 10)): (
+        "df29cd54ba4b3cb6fa531da53e8dc4d8eb08862c8ff904f369d7745824170a77",
+        "63f1e463d084593911e68fad8f1ae2eee5474a96e5d68a743be627e298d1c389",
+        "44401c1b0c5b8f764729deec136ba44d42832aa09cc15681145634af1e3a699f",
+        "07db944a9054695213b74e101731fd3507dab9b49bad1a743b23ba14102d3aaf",
+        "3f3384131d6f2329bd47fc7c1752de81e9eff03ef91bbee8ca7044a4e25efe87",
+        "849a339608b29d52de03f734be28ef8685c2dc420dffe8c2e64a4481cebe4191",
+        "f06986c20e3f1227830fe21c42ccf1684d6ffa196e2ad55764827f53b28ff2f4",
+        "3abb08e9229cf90a7615dd0f918cf9db61702014332b54cf88f278a2978694fb",
+    ),
+    ("weighted-s3", (6, 7)): (
+        "bd7a04b1de1a2658ad89d7d2ba14a6bce74e0b3c5922f246eaee0271b3d6401e",
+        "f466746edb1b1dde763f8b383ee9ed0207d036b11f40f0aa90944c06f344ce61",
+        "626697f6ba488794819e46950b5685332f946193254ee474ed9557864a230287",
+        "031bbdea2f4c8719924837b025592c93ade3b9d51075ecd58f2638495cfb23bd",
+        "f4bbe6ae641568633eaed3395a57d40b2ad8ba2f2151f13725e187c9a69fe1bf",
+        "b57dd358662764852345ee70a3ed76cffd77c787110a7e8192de88c41192726e",
+        "0a935ede9c70301c6901a01e28074ec71fc8ce363a234cd07ecf2a58b4ba4974",
+        "a8243cb26fe4227525f38b132b782cee1ffde4e44a81f5ee5ae40d386fa03258",
+    ),
+    ("weighted-s3", (5, 7)): (
+        "57ab73c792b851864b9ad54699582b1214bbb6028c2ef32651cfbdb51c6fa780",
+        "20e171ea41419cd3e482c66f037dcd178edee9fdadc8b320196dbac8a8bbc3b8",
+        "c2f08c3004f511a216d0bbe18510f962566c67a48bf224c57f3559cfe894ee49",
+        "39cb5c1413e675afec5fff092de2dea4aff2db8f4ab5b68f7dbadbc480ec5b0b",
+        "393b0e3830d7a3ec820ea4925785876f597e4ab704262a89df2e1eb223304bf4",
+        "0a35d27e690301aef48b0fda9af76385a8a6e98852c33f741a97d01c9da1f325",
+        "fe984addc87a288add3e8bc7dbc28f6ff552d7fb62772278035ed60e4cd408bb",
+        "eab7c30efc63f7299ca6d3bd6544967563f2d5d9d98e46576082f1964a0c9b34",
+    ),
+    ("weighted-s3", (11, 13)): (
+        "322ec52d6fb070003b0ccbf7b7eeaeab6fbd49066a6453cdf1423496b98069bf",
+        "0c0fe23a44036ee856c9965288318f84c98d15390a2aa27e3500d526e0b2d4ce",
+        "028bc54f5c89e362b2f6cb85e2ba85b671e0e4a8ffbfcd4d699b4a4b0013eb78",
+        "2cdab4ecca74e4effa33ee3546c0d542a48698edde1abcdd5c3625c6d6f1684c",
+        "874db1b29eb12c940e8b01c97730e4715d716e08526717face2e515a6141a6d4",
+        "a573f72f5f8ec8e0c4d19f875f4a7fd7839b3baf772db3f76af3eecadc48ebe0",
+        "9bc7ed3de36c3b1dd45f6b7dd899234fc859d843a5361bdb0b40abb85821abe2",
+        "24245b830bd17f2991fb5cef29ee821283e45e8623d844608d395890e6c11655",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,params", list(GOLDEN), ids=lambda v: str(v))
+def test_character_report_is_byte_identical(kind, params):
+    got = []
+    for cal in CALIBRATIONS:
+        result = assemble_character(build_preset(kind, params, cal), 30, cal)
+        text = json.dumps(character_document(result), sort_keys=True)
+        got.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(got) == GOLDEN[kind, params]

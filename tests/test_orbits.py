@@ -1,0 +1,128 @@
+"""Orbit evaluation: one germ and one traced Fourier table per Galois orbit.
+
+`assemble_character` must reproduce the per-point reference of
+`character_reference` exactly: on the bundled weighted spheres, where each
+orbit of torsion points is evaluated once, and on model documents that
+break one of the guards, where the orbit falls back to the per-point loop.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from contact_index.catalog import model_from_document, model_to_document
+from contact_index.engine import (CalibrationConfig, _galois_maps, assemble_character,
+                                  build_preset, germ_at)
+from character_reference import character_reference
+
+CALIBRATIONS = [CalibrationConfig(s, o, d) for s in (1, -1) for o in (1, -1)
+                for d in ("plus", "minus")]
+PAIRS = [(2, 3), (3, 4), (4, 5), (3, 10), (6, 7), (5, 7), (11, 13)]
+
+
+def assert_matches_reference(model, max_m, calibration):
+    result = assemble_character(model, max_m, calibration)
+    germs, quasi, coefficients = character_reference(model, max_m, calibration)
+    assert list(result.germs) == list(germs)
+    for at, germ in germs.items():
+        assert result.germs[at] == germ, at
+    assert result.quasi == quasi
+    assert result.quasi.to_document() == quasi.to_document()
+    assert list(result.coefficients) == list(coefficients)
+    for m, c in coefficients.items():
+        assert result.coefficients[m] == c, m
+
+
+def orbits(model):
+    by_order = {}
+    for at in model.torsion_support:
+        by_order.setdefault(at.denominator, []).append(at)
+    return by_order
+
+
+@pytest.mark.parametrize("a,b", PAIRS)
+def test_weighted_spheres_match_the_per_point_reference(a, b):
+    for calibration in CALIBRATIONS:
+        model = build_preset("weighted-s3", (a, b), calibration)
+        assert_matches_reference(model, 30, calibration)
+
+
+@pytest.mark.parametrize("a,b", PAIRS)
+def test_bundled_orbits_take_the_orbit_path(a, b):
+    model = build_preset("weighted-s3", (a, b))
+    for q, points in orbits(model).items():
+        taken = _galois_maps(model, q, points) is not None
+        assert taken == (len(points) > 1 and q % 4 != 0), q
+
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def torsion_point(draw):
+    """(a, b, p, q, calibration): p/q a torsion point of weighted-s3 (a, b), 4 not dividing q."""
+    a = draw(st.integers(1, 30))
+    b = draw(st.integers(1, 30).filter(lambda b: math.gcd(a, b) == 1))
+    orders = [d for d in range(2, 31) if (a % d == 0 or b % d == 0) and d % 4]
+    assume(orders)
+    q = draw(st.sampled_from(orders))
+    p = draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    return a, b, p, q, draw(st.sampled_from(CALIBRATIONS))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(torsion_point())
+def test_germs_of_an_orbit_are_galois_conjugates(case):
+    a, b, p, q, calibration = case
+    model = build_preset("weighted-s3", (a, b), calibration)
+    level = math.lcm(4, q)
+    t = next(t for t in range(1, level) if t % 4 == 1 and t % q == p)
+    assert germ_at(model, Fraction(p, q), calibration) == \
+        germ_at(model, Fraction(1, q), calibration).galois(t)
+
+
+# ----------------------------------------------------------------------
+# documents that break one guard each: the order-5 orbit of weighted-s3 (2,5)
+# ----------------------------------------------------------------------
+
+def _order_five(doc, p):
+    (comp,) = [c for c in doc["components"] if c["at"] == f"{p}/5"]
+    return comp
+
+
+def _change_one_pairing(doc):
+    _order_five(doc, 2)["pairing"][0]["value"] = "(4/5)*pi^1"
+
+
+def _change_one_eigenvalue(doc):
+    _order_five(doc, 3)["normal_roots"][0]["eig"] = "1/5"
+
+
+def _remove_one_point(doc):
+    doc["components"].remove(_order_five(doc, 3))
+
+
+def _pairings_outside_gaussian_field(doc):
+    for p in range(1, 5):
+        _order_five(doc, p)["pairing"][0]["value"] = "(2/5*z20^4)*pi^1"
+
+
+def _eigenvalues_outside_the_orbit_field(doc):
+    # t * 1/6 mod 1 for the maps t = 1, 17, 13, 9 of the points 1/5 .. 4/5
+    for p, eig in zip(range(1, 5), ("1/6", "5/6", "1/6", "1/2")):
+        _order_five(doc, p)["normal_roots"][0]["eig"] = eig
+
+
+@pytest.mark.parametrize("edit", [_change_one_pairing, _change_one_eigenvalue,
+                                  _remove_one_point, _pairings_outside_gaussian_field,
+                                  _eigenvalues_outside_the_orbit_field])
+def test_broken_orbits_fall_back_to_the_per_point_loop(edit):
+    doc = model_to_document(build_preset("weighted-s3", (2, 5)))
+    edit(doc)
+    model = model_from_document(doc)
+    points = orbits(model)[5]
+    assert _galois_maps(model, 5, points) is None
+    for calibration in CALIBRATIONS[:2]:
+        assert_matches_reference(model, 20, calibration)

@@ -1,10 +1,12 @@
-"""Property tests: promotion to a larger level commutes with the ring operations.
+"""Property tests: promotion and the Galois maps commute with the ring operations.
 
 Seeded through a derandomized hypothesis profile, so every run draws the
 same examples.
 """
 
 from fractions import Fraction
+
+import math
 
 import pytest
 
@@ -54,3 +56,50 @@ def test_promotion_is_a_ring_homomorphism(case):
     assert (x + y).promote(level) == up_x + up_y
     assert canonical(x * y) == canonical(up_x * up_y)
     assert canonical(x + y) == canonical(up_x + up_y)
+
+
+GALOIS_LEVELS = (12, 20, 28, 44, 52, 60, 68)
+
+
+@st.composite
+def galois_case(draw):
+    """(x, y, t, u, level): two numbers at `level` and two units mod `level`."""
+    level = draw(st.sampled_from(GALOIS_LEVELS))
+    units = st.integers(1, level - 1).filter(lambda t: math.gcd(t, level) == 1)
+    return draw(at_level(level)), draw(at_level(level)), draw(units), draw(units), level
+
+
+@DETERMINISTIC
+@given(galois_case())
+def test_galois_is_a_ring_homomorphism(case):
+    x, y, t, _, _ = case
+    assert (x * y).galois(t) == x.galois(t) * y.galois(t)
+    assert (x + y).galois(t) == x.galois(t) + y.galois(t)
+
+
+@DETERMINISTIC
+@given(galois_case())
+def test_galois_maps_compose_by_multiplying_exponents(case):
+    x, _, t, u, level = case
+    assert x.galois(t).galois(u) == x.galois(t * u % level)
+
+
+@DETERMINISTIC
+@given(galois_case())
+def test_conjugation_is_galois_minus_one(case):
+    x, _, _, _, _ = case
+    assert x.galois(-1) == x.conjugate()
+    assert x.galois(-1).complex_value() == pytest.approx(x.complex_value().conjugate())
+
+
+@DETERMINISTIC
+@given(galois_case())
+def test_relative_trace_sums_the_maps_fixing_i(case):
+    x, _, _, _, level = case
+    trace = x.relative_trace(level)
+    explicit = CyclotomicNumber(4, {})
+    for t in range(1, level, 4):
+        if math.gcd(t, level) == 1:
+            explicit = explicit + x.galois(t)
+    assert trace.level == 4
+    assert trace == explicit
