@@ -11,35 +11,33 @@ bundled model.
 
 from .scalars import CyclotomicNumber, ExactScalar, ScalarError, approx_display
 from .deltas import (DeltaError, DeltaGerm, SmoothJet, fourier_contribution,
-                     multiply_smooth, pullback_affine_nilpotent, scale_variable)
+                     multiply_smooth, scale_variable)
 from .forms import (ChernRoot, FormElement, FormError, dc_inverse,
                     integrate_component, j_form, todd, todd_series)
 from .catalog import (ContactModel, FixedComponentData, ModelError, dump_model,
-                      fixed_submodel, load_model, model_from_document,
-                      model_to_document, preset_circle, preset_hopf_sphere,
-                      preset_prequantum_cpn, preset_weighted_s3, scaled_model)
+                      load_model, model_from_document, model_to_document,
+                      preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
+                      preset_weighted_s3, scaled_model)
 from .engine import (CalibrationConfig, CalibrationError, DEFAULT_CALIBRATION,
-                     EngineError, FitError, QuasiPolynomial, UnsupportedModelError,
+                     EngineError, QuasiPolynomial, UnsupportedModelError,
                      assemble_character, build_preset, calibrate_conventions,
-                     corollary_expand, dh_fourier, germ_at, identity_germ,
-                     principal_limit)
+                     corollary_expand, dh_fourier, germ_at)
 from . import oracle
 
 __all__ = [
     "CyclotomicNumber", "ExactScalar", "ScalarError", "approx_display",
     "DeltaError", "DeltaGerm", "SmoothJet", "fourier_contribution",
-    "multiply_smooth", "pullback_affine_nilpotent", "scale_variable",
+    "multiply_smooth", "scale_variable",
     "ChernRoot", "FormElement", "FormError", "dc_inverse",
     "integrate_component", "j_form", "todd", "todd_series",
     "ContactModel", "FixedComponentData", "ModelError", "dump_model",
-    "fixed_submodel", "load_model", "model_from_document", "model_to_document",
+    "load_model", "model_from_document", "model_to_document",
     "preset_circle", "preset_hopf_sphere", "preset_prequantum_cpn",
     "preset_weighted_s3", "scaled_model",
     "CalibrationConfig", "CalibrationError", "DEFAULT_CALIBRATION",
-    "EngineError", "FitError", "QuasiPolynomial", "UnsupportedModelError",
+    "EngineError", "QuasiPolynomial", "UnsupportedModelError",
     "assemble_character", "build_preset", "calibrate_conventions",
-    "corollary_expand", "dh_fourier", "germ_at", "identity_germ",
-    "principal_limit",
+    "corollary_expand", "dh_fourier", "germ_at",
     "oracle",
 ]
 

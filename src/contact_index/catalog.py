@@ -137,23 +137,6 @@ class ContactModel:
         return self
 
 
-def fixed_submodel(model, at):
-    """The model seen by the fixed set of a single torsion point.
-
-    Components of the given point become identity components; a point
-    outside the torsion support yields the empty model (zero germ).  The
-    operation is idempotent and the moments stay positive, so ellipticity
-    is inherited.
-    """
-    if model.rank != 1:
-        raise ModelError("fixed submodels are defined for rank-1 models")
-    at = Fraction(at) % 1
-    comps = model.components.get(at, [])
-    return ContactModel(rank=1, ambient_n=model.ambient_n,
-                        model_id=f"{model.model_id}@{at}",
-                        components={IDENTITY: comps} if comps else {})
-
-
 # ----------------------------------------------------------------------
 # presets
 # ----------------------------------------------------------------------
@@ -329,13 +312,47 @@ def _parse_scalar(text, path):
         raise ModelError(f"{path}: malformed scalar {text!r} ({exc})") from None
 
 
+_MISSING = object()
+
+
+def _get(doc, key, path, default=_MISSING):
+    if key in doc:
+        return doc[key]
+    if default is _MISSING:
+        raise ModelError(f"{path}{key}: missing field")
+    return default
+
+
+def _object(doc, path):
+    if not isinstance(doc, dict):
+        raise ModelError(f"{path or 'model document'}: expected an object, got {doc!r}")
+    return doc
+
+
+def _list(doc, key, path, required=False):
+    value = _get(doc, key, path) if required else doc.get(key, [])
+    if not isinstance(value, list):
+        raise ModelError(f"{path}{key}: expected a list, got {value!r}")
+    return value
+
+
+def _int(value, path):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"{path}: expected an integer, got {value!r}") from None
+
+
+def _ints(value, path):
+    """An integer or a list of integers, as a tuple."""
+    return tuple(_int(v, path) for v in (value if isinstance(value, (list, tuple)) else [value]))
+
+
 def _root_from_doc(doc, path):
-    curv = tuple(_parse_scalar(c, f"{path}.curv[{i}]") for i, c in enumerate(doc.get("curv", [])))
-    weight = doc.get("weight", 0)
-    if isinstance(weight, int):
-        weight = (weight,)
-    else:
-        weight = tuple(int(w) for w in weight)
+    doc = _object(doc, path)
+    curv = tuple(_parse_scalar(c, f"{path}.curv[{i}]")
+                 for i, c in enumerate(_list(doc, "curv", f"{path}.")))
+    weight = _ints(doc.get("weight", 0), f"{path}.weight")
     eig = _parse_fraction(doc.get("eig", "0/1"), f"{path}.eig") % 1
     return ChernRoot(curvature=curv, weight=weight, eigenvalue_exponent=eig)
 
@@ -349,38 +366,32 @@ def _root_to_doc(root):
 
 
 def _component_from_doc(doc, rank, path):
-    dim = int(doc["dim"])
-    k = (dim - 1) // 2
+    doc = _object(doc, path)
+    dim = _int(_get(doc, "dim", f"{path}."), f"{path}.dim")
+    roots = {key: [_root_from_doc(r, f"{path}.{key}[{i}]")
+                   for i, r in enumerate(_list(doc, key, f"{path}."))]
+             for key in ("tangential_roots", "normal_roots")}
+    pairing = {}
+    for i, p in enumerate(_list(doc, "pairing", f"{path}.")):
+        where = f"{path}.pairing[{i}]"
+        mono = _list(_object(p, where), "mono", f"{where}.", required=True)
+        pairing[_ints(mono, f"{where}.mono")] = _parse_scalar(_get(p, "value", f"{where}."),
+                                                              f"{where}.value")
     gen_count = None
-    for key in ("tangential_roots", "normal_roots"):
-        for r in doc.get(key, []):
-            c = len(r.get("curv", []))
-            gen_count = c if gen_count is None else gen_count
-            if c != gen_count:
-                raise ModelError(f"{path}.{key}: inconsistent curvature vector lengths")
-    for p in doc.get("pairing", []):
-        c = len(p["mono"])
-        gen_count = c if gen_count is None else gen_count
-        if c != gen_count:
-            raise ModelError(f"{path}.pairing: inconsistent monomial lengths")
+    for key, length in [(key, len(r.curvature)) for key, rs in roots.items() for r in rs] \
+            + [("pairing", len(mono)) for mono in pairing]:
+        gen_count = length if gen_count is None else gen_count
+        if length != gen_count:
+            noun = "monomial" if key == "pairing" else "curvature vector"
+            raise ModelError(f"{path}.{key}: inconsistent {noun} lengths")
     gen_count = gen_count or 0
     generators = tuple(["dA"] + [f"e{i}" for i in range(1, gen_count)])[:gen_count]
-    moment = doc.get("moment", {})
-    reeb = moment.get("reeb_weight", [1] * rank)
-    if isinstance(reeb, int):
-        reeb = (reeb,)
-    pairing = {}
-    for i, p in enumerate(doc.get("pairing", [])):
-        pairing[tuple(int(e) for e in p["mono"])] = _parse_scalar(p["value"],
-                                                                 f"{path}.pairing[{i}].value")
+    moment = _object(doc.get("moment", {}), f"{path}.moment")
     return FixedComponentData(
         dim_odd=dim, generators=generators,
-        tangential=[_root_from_doc(r, f"{path}.tangential_roots[{i}]")
-                    for i, r in enumerate(doc.get("tangential_roots", []))],
-        normal=[_root_from_doc(r, f"{path}.normal_roots[{i}]")
-                for i, r in enumerate(doc.get("normal_roots", []))],
+        tangential=roots["tangential_roots"], normal=roots["normal_roots"],
         mu=_parse_fraction(moment.get("mu", "1"), f"{path}.moment.mu"),
-        reeb_weight=tuple(int(w) for w in reeb),
+        reeb_weight=_ints(moment.get("reeb_weight", [1] * rank), f"{path}.moment.reeb_weight"),
         pairing=pairing,
     )
 
@@ -403,24 +414,29 @@ def _component_to_doc(comp, at=None):
 
 
 def model_from_document(doc, model_id=None):
-    """Build and validate a model from its JSON-compatible document."""
-    rank = int(doc.get("rank", 1))
-    ambient = int(doc["ambient_n"])
+    """Build and validate a model from its JSON-compatible document.
+
+    A field of the wrong shape raises `ModelError` naming the field.
+    """
+    doc = _object(doc, "")
+    rank = _int(doc.get("rank", 1), "rank")
+    ambient = _int(_get(doc, "ambient_n", ""), "ambient_n")
     mid = model_id or doc.get("model_id", "model")
     if rank == 1:
         components = {}
-        for i, cdoc in enumerate(doc.get("components", [])):
+        for i, cdoc in enumerate(_list(doc, "components", "")):
+            comp = _component_from_doc(cdoc, rank, f"components[{i}]")
             at = _parse_fraction(cdoc.get("at", "0/1"), f"components[{i}].at") % 1
-            components.setdefault(at, []).append(
-                _component_from_doc(cdoc, rank, f"components[{i}]"))
+            components.setdefault(at, []).append(comp)
         model = ContactModel(rank=1, ambient_n=ambient, model_id=mid,
                              components=components)
     elif rank == 2:
-        identity = model_from_document(doc["identity_model"])
-        families = [FiberFamily(sigma=int(f["sigma"]),
-                                component=_component_from_doc(f, rank,
-                                                              f"fiber_families[{i}]"))
-                    for i, f in enumerate(doc.get("fiber_families", []))]
+        identity = model_from_document(_get(doc, "identity_model", ""))
+        families = []
+        for i, f in enumerate(_list(doc, "fiber_families", "")):
+            comp = _component_from_doc(f, rank, f"fiber_families[{i}]")
+            sigma = _int(_get(f, "sigma", f"fiber_families[{i}]."), f"fiber_families[{i}].sigma")
+            families.append(FiberFamily(sigma=sigma, component=comp))
         model = ContactModel(rank=2, ambient_n=ambient, model_id=mid,
                              fiber_families=families, identity_model=identity)
     else:

@@ -24,10 +24,9 @@ import click
 from . import oracle
 from .catalog import ModelError, load_model
 from .deltas import DeltaError, germ_to_document
-from .engine import (CalibrationConfig, CalibrationError, EngineError, FitError,
-                     UnsupportedModelError, assemble_character, build_preset,
-                     calibrate_conventions, character_document, corollary_expand,
-                     dh_fourier, germ_at)
+from .engine import (CalibrationConfig, CalibrationError, EngineError, UnsupportedModelError,
+                     assemble_character, build_preset, calibrate_conventions,
+                     character_document, corollary_expand, dh_fourier, germ_at)
 from .forms import FormError
 from .scalars import ExactScalar, ScalarError, approx_display
 
@@ -101,6 +100,24 @@ def _stamp(doc):
     return doc
 
 
+def _preset_target(preset, n, weights):
+    """The (kind, params) pair that `build_preset` takes, from the options."""
+    if preset == "circle":
+        return "circle", ()
+    if preset in ("hopf", "prequantum-cpn"):
+        if n is None:
+            raise ConfigError(f"--preset {preset} needs --n")
+        return preset, (int(n),)
+    if preset == "weighted-s3":
+        if not weights:
+            raise ConfigError("--preset weighted-s3 needs --weights a,b")
+        parts = [p.strip() for p in weights.split(",")]
+        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+            raise ConfigError(f"--weights must be two integers 'a,b', got {weights!r}")
+        return preset, (int(parts[0]), int(parts[1]))
+    raise ConfigError(f"unknown preset {preset!r}")
+
+
 def _resolve_model(preset, n, weights, model_path, calibration):
     given = [x for x in (preset, model_path) if x]
     if len(given) != 1:
@@ -111,26 +128,9 @@ def _resolve_model(preset, n, weights, model_path, calibration):
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load model {model_path!r}: {exc}")
     try:
-        if preset == "circle":
-            return build_preset("circle", (), calibration)
-        if preset == "hopf":
-            if n is None:
-                raise ConfigError("--preset hopf needs --n")
-            return build_preset("hopf", (int(n),), calibration)
-        if preset == "weighted-s3":
-            if not weights:
-                raise ConfigError("--preset weighted-s3 needs --weights a,b")
-            parts = [p.strip() for p in weights.split(",")]
-            if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
-                raise ConfigError(f"--weights must be two integers 'a,b', got {weights!r}")
-            return build_preset("weighted-s3", (int(parts[0]), int(parts[1])), calibration)
-        if preset == "prequantum-cpn":
-            if n is None:
-                raise ConfigError("--preset prequantum-cpn needs --n")
-            return build_preset("prequantum-cpn", (int(n),), calibration)
+        return build_preset(*_preset_target(preset, n, weights), calibration)
     except ModelError as exc:
         raise ConfigError(str(exc))
-    raise ConfigError(f"unknown preset {preset!r}")
 
 
 def _parse_at(text):
@@ -153,9 +153,6 @@ def _run(body):
     except CalibrationError as exc:
         click.echo(f"calibration failure: {exc}", err=True)
         sys.exit(EXIT_CALIBRATION)
-    except FitError as exc:
-        click.echo(f"verification mismatch: {exc}", err=True)
-        sys.exit(EXIT_MISMATCH)
     except (ModelError, ScalarError, DeltaError, FormError, EngineError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
@@ -217,9 +214,8 @@ def character(preset, n, weights, model_path, max_m, out, fmt, digits):
         if fmt == "csv":
             lines = ["m,value"]
             for m in sorted(result.coefficients):
-                c = result.coefficients[m]
-                value = str(int(c.rational_value())) if c.is_integer() else c.to_text()
-                lines.append(f"{m},{value}")
+                value = result.integers[m]
+                lines.append(f"{m},{result.coefficients[m].to_text() if value is None else value}")
             _emit("\n".join(lines), out)
         else:
             _emit(_json_text(_stamp(character_document(result, digits))), out)
@@ -297,10 +293,10 @@ def _verify_one(kind, params, max_m, max_k, calibration):
     else:
         result = assemble_character(model, max_m, calibration)
         for m in range(-max_m, max_m + 1):
-            got = result.coefficients[m]
             want = oracle.oracle_character(kind, params, m)
-            if not got.is_integer() or int(got.rational_value()) != want:
-                mismatches.append({"m": m, "engine": got.to_text(), "oracle": want})
+            if result.integers[m] != want:
+                mismatches.append({"m": m, "engine": result.coefficients[m].to_text(),
+                                   "oracle": want})
         doc = character_document(result)
     doc["oracle_match"] = not mismatches
     doc["mismatches"] = mismatches[:10]
@@ -323,20 +319,10 @@ def verify(preset, n, weights, model_path, max_m, max_k, run_all, out):
                 "verification needs a bundled preset: user models carry no oracle")
         if run_all:
             targets = VERIFY_ALL
+        elif preset is None:
+            raise ConfigError("give --preset or --all")
         else:
-            if preset is None:
-                raise ConfigError("give --preset or --all")
-            model = _resolve_model(preset, n, weights, None, calibration)
-            if preset == "circle":
-                targets = (("circle", ()),)
-            elif preset == "hopf":
-                targets = (("hopf", (int(n),)),)
-            elif preset == "weighted-s3":
-                a, b = (int(p) for p in weights.split(","))
-                targets = (("weighted-s3", (a, b)),)
-            else:
-                targets = (("prequantum-cpn", (int(n),)),)
-            del model
+            targets = (_preset_target(preset, n, weights),)
         report = {"max_m": max_m, "calibration": calibration.as_dict(), "results": []}
         any_mismatch = False
         for kind, params in targets:
@@ -359,11 +345,10 @@ def verify(preset, n, weights, model_path, max_m, max_k, run_all, out):
 @click.option("--max-m", type=int, default=20)
 @click.option("--out", type=click.Path(), default=None,
               help="Calibration file path (default: the standard artifact location).")
-@click.option("--perturb-anchors", is_flag=True, default=False, hidden=True)
-def calibrate(max_m, out, perturb_anchors):
+def calibrate(max_m, out):
     """Select and record the unique passing convention combination."""
     def body():
-        cfg = calibrate_conventions(max_m=max_m, perturb=perturb_anchors)
+        cfg = calibrate_conventions(max_m=max_m)
         path = out or _calibration_path()
         doc = {"version": CALIBRATION_VERSION, **cfg.as_dict()}
         _atomic_write(path, _json_text(doc) + "\n")

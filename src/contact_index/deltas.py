@@ -6,8 +6,6 @@ rewrite rules the localization needs:
 
 * rescaling of the argument,  d0^(j)(a x) = sign(a) a^-(j+1) d0^(j)(x);
 * multiplication by a truncated smooth jet (Leibniz pairing);
-* pullback through an affine-plus-nilpotent argument, which expands
-  u(c + nu) as the finite Taylor sum  sum_j u^(j)(c) nu^j / j!;
 * conversion of a germ sitting at a root of unity into Fourier
   coefficients (a quasi-polynomial in the frequency).
 
@@ -151,10 +149,6 @@ class DeltaGerm:
         """The automorphism zeta -> zeta^t applied to every coefficient."""
         return DeltaGerm([c.galois(t) for c in self.terms])
 
-    def derivative(self):
-        """d/dphi applied once."""
-        return DeltaGerm([ExactScalar.zero()] + self.terms)
-
     def is_zero(self):
         return not self.terms
 
@@ -223,31 +217,7 @@ def multiply_smooth(germ, jet):
     return DeltaGerm(out)
 
 
-def pullback_affine_nilpotent(pattern, coeff, max_degree, constant=Fraction(0)):
-    """Taylor coefficients of u(c + nu) where c = coeff*phi + constant.
-
-    Returns the list [u(c), u'(c), u''(c)/1, ...] of germs u^(j)(c) for
-    j = 0..max_degree; the caller assembles sum_j germ_j nu^j / j! against
-    its own nilpotent element nu.  A zero affine part with zero constant is
-    an ellipticity violation; a nonzero constant places the delta away from
-    the expansion point, so every germ is zero.
-    """
-    coeff = Fraction(coeff)
-    constant = Fraction(constant)
-    if coeff == 0 and constant == 0:
-        raise DeltaError("ellipticity violation: delta argument has no affine part")
-    out = []
-    base = pattern
-    for _ in range(max_degree + 1):
-        if coeff == 0 or constant != 0:
-            out.append(DeltaGerm.zero())
-        else:
-            out.append(scale_variable(base, coeff))
-        base = base.derivative()
-    return out
-
-
-def fourier_contribution(germ, location, poisson_sign, period=None):
+def fourier_contribution(germ, location, poisson_sign):
     """Fourier coefficients contributed by a germ at a torsion point.
 
     A germ sum_j c_j d0^(j)(phi) sitting at zeta = e^{2 pi i p/q} contributes
@@ -255,14 +225,12 @@ def fourier_contribution(germ, location, poisson_sign, period=None):
         c_m = zeta^{-s m} (1/2pi) sum_j c_j (s i m)^j
 
     with the convention sign s = +-1.  The result is exact: it is returned
-    as the pair (period q, residue -> polynomial-in-m coefficient list).
+    as the pair (q, residue mod q -> polynomial-in-m coefficient list).
     """
     if poisson_sign not in (1, -1):
         raise DeltaError("poisson sign must be +1 or -1")
     loc = Fraction(location) % 1
-    q = loc.denominator if period is None else int(period)
-    if loc.denominator and q % loc.denominator != 0:
-        raise DeltaError("period must be a multiple of the location's torsion order")
+    q = loc.denominator
     inv_two_pi = ExactScalar.pi_power(-1, Fraction(1, 2))
     s_i = ExactScalar.i() * poisson_sign
     # polynomial part: sum_j c_j (s i)^j m^j, coefficients indexed by power of m

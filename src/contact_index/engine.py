@@ -8,9 +8,7 @@ order.  The germs at p/q are Galois conjugates, so an orbit is evaluated
 once and its table summed as a relative trace down to Q(i), unless the
 model fails the guard in `assemble_character`.
 Those tables are summed once per residue class into the character's
-quasi-polynomial, and every coefficient is read off it; a residue
-polynomial of degree above the largest k = (dim - 1)/2 of a fixed
-component is rejected.
+quasi-polynomial, and every coefficient is read off it.
 
 The rank-2 double expansion runs in integers: each slice's numerator is
 divided by one binomial (1 - x^s) at a time with a stride recurrence, and
@@ -32,8 +30,8 @@ from fractions import Fraction
 from .scalars import CyclotomicNumber, ExactScalar, _euler_phi, approx_display
 from .deltas import DeltaGerm, _poly_add, fourier_contribution, germ_to_document
 from .forms import dc_inverse, integrate_component, j_form, todd
-from .catalog import (IDENTITY, fixed_submodel, preset_circle, preset_hopf_sphere,
-                      preset_prequantum_cpn, preset_weighted_s3)
+from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
+                      preset_weighted_s3)
 
 
 class EngineError(ValueError):
@@ -42,10 +40,6 @@ class EngineError(ValueError):
 
 class UnsupportedModelError(EngineError):
     """Feature outside the supported scope (maps to CLI exit code 3)."""
-
-
-class FitError(EngineError):
-    """A character's residue polynomial exceeds its degree bound (exit code 4)."""
 
 
 class CalibrationError(EngineError):
@@ -65,12 +59,15 @@ class CalibrationConfig:
 
     @staticmethod
     def from_dict(d):
-        cfg = CalibrationConfig(int(d["poisson_sign"]), int(d["orientation_sign"]),
-                                str(d["todd_direction"]))
-        if cfg.poisson_sign not in (1, -1) or cfg.orientation_sign not in (1, -1) \
-                or cfg.todd_direction not in ("plus", "minus"):
-            raise EngineError(f"invalid calibration record {d!r}")
-        return cfg
+        if not isinstance(d, dict):
+            raise EngineError(f"calibration record must be a JSON object, got {d!r}")
+        for key, allowed in (("poisson_sign", (1, -1)), ("orientation_sign", (1, -1)),
+                             ("todd_direction", ("plus", "minus"))):
+            if d.get(key) not in allowed:
+                raise EngineError(f"calibration record: {key} must be one of {allowed}, "
+                                  f"got {d.get(key)!r}")
+        return CalibrationConfig(int(d["poisson_sign"]), int(d["orientation_sign"]),
+                                 d["todd_direction"])
 
 
 DEFAULT_CALIBRATION = CalibrationConfig()
@@ -92,11 +89,10 @@ def build_preset(name, params, calibration=DEFAULT_CALIBRATION):
     raise EngineError(f"unknown preset {name!r}")
 
 
-def _scalar_power(base, k):
-    out = ExactScalar.one()
-    for _ in range(abs(k)):
-        out = out * base
-    return out if k >= 0 else out.inverse()
+def _inverse_two_pi_i_power(k):
+    """(2 pi i)^-k as the one graded scalar 2^-k i^-k pi^-k."""
+    return ExactScalar({-k: CyclotomicNumber.zeta(4, -k)
+                        * CyclotomicNumber.from_rational(Fraction(1, 2 ** k))})
 
 
 def _component_germ(comp, calibration):
@@ -108,32 +104,23 @@ def _component_germ(comp, calibration):
     dc = dc_inverse(comp.normal, comp.generators, k, jet_order=jet_order)
     integrand = td * dc * j_form(comp, jet_order=jet_order)
     germ = integrate_component(integrand, comp.pairing)
-    prefactor = _scalar_power(ExactScalar.pi_power(1, 2) * ExactScalar.i(), -k)
-    return germ * prefactor
+    return germ * _inverse_two_pi_i_power(k)
 
 
 def germ_at(model, at, calibration=DEFAULT_CALIBRATION):
     """Germ of the index at one torsion point of a rank-1 model.
 
-    The sum over the components of the fixed submodel; an empty fixed set
-    gives the zero germ.  Components are evaluated in their listed order
-    after sorting torsion data, so results are deterministic.
+    The sum over the components fixed by that point, in their listed
+    order; a point outside the torsion support gives the zero germ.
     """
     if model.rank != 1:
         raise UnsupportedModelError(
             "germs at single points are computed for rank-1 models; rank-2 models "
             "go through corollary_expand")
-    at = Fraction(at) % 1
-    sub = fixed_submodel(model, at)
     total = DeltaGerm.zero()
-    for comp in sub.components.get(IDENTITY, []):
+    for comp in model.components.get(Fraction(at) % 1, []):
         total = total + _component_germ(comp, calibration)
     return total
-
-
-def identity_germ(model, calibration=DEFAULT_CALIBRATION):
-    """Germ at the identity; same as germ_at at 0/1, where no normal factor appears."""
-    return germ_at(model, IDENTITY, calibration)
 
 
 def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
@@ -145,8 +132,7 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
     for comp in model.components.get(IDENTITY, []):
         form = j_form(comp, jet_order=comp.k + 4)
         total = total + integrate_component(form, comp.pairing)
-    prefactor = _scalar_power(ExactScalar.pi_power(1, 2) * ExactScalar.i(), -n)
-    return total * prefactor
+    return total * _inverse_two_pi_i_power(n)
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +220,19 @@ def _integer_components(coeffs):
     return out
 
 
-def quasi_polynomial_from_tables(contributions, degree):
-    """Sum Fourier tables into one quasi-polynomial of degree at most `degree`.
+def quasi_polynomial_from_tables(contributions):
+    """Sum Fourier tables into one quasi-polynomial.
 
     `contributions` lists (q, table) pairs as `fourier_contribution` returns
     them.  Tables of one torsion order are summed first, once per residue
     mod q; an orbit that `assemble_character` evaluated once arrives as one
-    table of traces, with values in Q(i)[pi].  A residue polynomial of
-    degree above `degree` raises `FitError`.
+    table of traces, with values in Q(i)[pi].
+
+    Every residue polynomial has degree at most the largest k = (dim - 1)/2
+    of a fixed component, so no check is made: `j_form` emits d0^(j) only
+    for j <= k, `multiply_smooth` never raises a germ's order,
+    `integrate_component` sums germs and `galois` keeps their length, so a
+    germ has at most k + 1 terms and its Fourier polynomial degree <= k.
     """
     by_order = {}
     for q, table in contributions:
@@ -254,13 +245,7 @@ def quasi_polynomial_from_tables(contributions, degree):
         for q, acc in by_order.items():
             poly = _poly_add(poly, acc[r % q])
         polys[r] = poly
-    quasi = QuasiPolynomial(period, polys)
-    for r, coeffs in quasi.polys.items():
-        if len(coeffs) > degree + 1:
-            raise FitError(
-                f"residue {r} mod {period}: the character polynomial has degree "
-                f"{len(coeffs) - 1}, above the bound {degree}")
-    return quasi
+    return QuasiPolynomial(period, polys)
 
 
 # The per-layer trace in perfbench/tracing.py times this stage as `engine.fit`.
@@ -278,13 +263,8 @@ class CharacterResult:
     germs: dict            # torsion point -> DeltaGerm
     coefficients: dict     # m -> ExactScalar
     quasi: QuasiPolynomial
+    integers: dict         # m -> int, or None where the coefficient is not one
     non_integer: list
-
-    def coefficient_int(self, m):
-        c = self.coefficients[m]
-        if not c.is_integer():
-            raise EngineError(f"coefficient at m={m} is not an integer: {c}")
-        return int(c.rational_value())
 
 
 def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
@@ -323,12 +303,19 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
                     table = {r: [c.relative_trace(math.lcm(4, q)) for c in poly]
                              for r, poly in table.items()}
                 contributions.append((q, table))
-    degree = max((c.k for comps in model.components.values() for c in comps), default=0)
-    quasi = quasi_polynomial_from_tables(contributions, degree)
+    quasi = quasi_polynomial_from_tables(contributions)
     coefficients = {m: quasi.evaluate(m) for m in range(-max_m, max_m + 1)}
-    non_integer = [m for m, c in coefficients.items() if not c.is_integer()]
-    return CharacterResult(model.model_id, calibration, germs, coefficients, quasi,
-                           non_integer)
+    integers = {m: _integer_value(c) for m, c in coefficients.items()}
+    return CharacterResult(model.model_id, calibration, germs, coefficients, quasi, integers,
+                           [m for m, v in integers.items() if v is None])
+
+
+def _integer_value(c):
+    if c.is_rational():
+        value = c.rational_value()
+        if value.denominator == 1:
+            return value.numerator
+    return None
 
 
 def _galois_maps(model, q, points):
@@ -488,19 +475,6 @@ def _divide_binomials(num, strides):
     return q
 
 
-def principal_limit(model, max_m, calibration=DEFAULT_CALIBRATION):
-    """chi_m at the trivial group element, from the principal reduction.
-
-    The principal-only character coefficient at -m equals the weight sum of
-    the m-th slice; this is the consistency check between the fiber data and
-    the identity stratum.
-    """
-    if model.identity_model is None:
-        raise UnsupportedModelError("model has no principal reduction")
-    result = assemble_character(model.identity_model, max_m, calibration)
-    return {m: result.coefficients[-m] for m in range(-max_m, max_m + 1)}
-
-
 # ----------------------------------------------------------------------
 # calibration
 # ----------------------------------------------------------------------
@@ -519,14 +493,13 @@ def _anchor_pass(calibration, max_m=20):
     return True
 
 
-def calibrate_conventions(max_m=20, perturb=False):
+def calibrate_conventions(max_m=20):
     """Select the unique convention combination passing both anchors.
 
     Iterates the eight (orientation, Fourier sign, Todd direction) triples;
     exactly one must reproduce the all-ones circle character and the 1 - m
     sphere character.  Zero or several passing triples signal an
-    implementation bug and raise `CalibrationError`.  The `perturb` hook
-    damages the second anchor, forcing that failure path for tests.
+    implementation bug and raise `CalibrationError`.
     """
     passing = []
     for o in (1, -1):
@@ -534,13 +507,7 @@ def calibrate_conventions(max_m=20, perturb=False):
             for direction in ("plus", "minus"):
                 cfg = CalibrationConfig(poisson_sign=s, orientation_sign=o,
                                         todd_direction=direction)
-                ok = _anchor_pass(cfg, max_m)
-                if ok and perturb:
-                    hopf = build_preset("hopf", (1,), cfg)
-                    res = assemble_character(hopf, max_m, cfg)
-                    ok = all((res.coefficients[m] - ExactScalar.from_rational(1 - 2 * m)).is_zero()
-                             for m in range(-max_m, max_m + 1))
-                if ok:
+                if _anchor_pass(cfg, max_m):
                     passing.append(cfg)
     if len(passing) != 1:
         raise CalibrationError(
@@ -557,8 +524,8 @@ def character_document(result, digits=4):
     def coeff_entry(m):
         c = result.coefficients[m]
         entry = {"m": m, "value": c.to_text(), "approx": approx_display(c, digits)}
-        if c.is_integer():
-            entry["integer"] = int(c.rational_value())
+        if result.integers[m] is not None:
+            entry["integer"] = result.integers[m]
         return entry
 
     return {

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import CyclotomicNumber, ExactScalar, _coerce
-from .deltas import (DeltaGerm, SmoothJet, multiply_smooth,
-                     pullback_affine_nilpotent)
+from .deltas import DeltaGerm, SmoothJet, multiply_smooth, scale_variable
 
 
 class FormError(ValueError):
@@ -117,13 +116,6 @@ class FormElement:
     def _check(self, other):
         if self.generators != other.generators or self.truncation != other.truncation:
             raise FormError("form basis mismatch: generators and truncation must agree")
-
-    def with_alpha(self):
-        """Wedge with the contact one-form; at most one alpha factor exists."""
-        if self.alpha:
-            raise FormError("element already carries the alpha factor")
-        return FormElement(self.generators, self.truncation, self.jet_order, self.terms,
-                           alpha=True)
 
     def is_zero(self):
         return not self.terms
@@ -394,7 +386,7 @@ def j_form(component, *, jet_order):
                         "on each component (constant-moment normalization)")
     k = component.k
     gens = component.generators
-    germs = pullback_affine_nilpotent(DeltaGerm.delta(), -mu * w, k)
+    germs = [scale_variable(DeltaGerm.delta(j), -mu * w) for j in range(k + 1)]
     terms = {}
     for j, germ in enumerate(germs):
         exp = tuple(j if i == 0 else 0 for i in range(len(gens)))

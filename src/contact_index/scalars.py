@@ -399,10 +399,6 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.level, _fold({e * t % self.level: c
                                                    for e, c in self.coeffs.items()}, self.level))
 
-    def conjugate(self):
-        """Complex conjugation zeta -> zeta^{-1} (a field automorphism)."""
-        return self.galois(-1)
-
     def relative_trace(self, level):
         """Trace from Q(zeta_level) down to Q(i): the sum of `galois(t)`, t = 1 mod 4."""
         rows = _trace_table(level)
@@ -513,9 +509,6 @@ class ExactScalar:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         out = {}
@@ -538,12 +531,6 @@ class ExactScalar:
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
-    def conjugate(self):
-        return ExactScalar({k: c.conjugate() for k, c in self.terms.items()})
 
     def galois(self, t):
         return ExactScalar({k: c.galois(t) for k, c in self.terms.items()})
@@ -642,10 +629,3 @@ def approx_display(a, digits=4):
     im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_s}{sign}{im_s}i"
-
-
-# frequently used constants
-ONE = ExactScalar.one()
-ZERO = ExactScalar.zero()
-I = ExactScalar.i()
-TWO_PI = ExactScalar.pi_power(1, 2)

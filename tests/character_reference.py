@@ -20,7 +20,6 @@ def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
         germs[at] = germ
         if not germ.is_zero():
             contributions.append(fourier_contribution(germ, at, calibration.poisson_sign))
-    degree = max((c.k for comps in model.components.values() for c in comps), default=0)
-    quasi = quasi_polynomial_from_tables(contributions, degree)
+    quasi = quasi_polynomial_from_tables(contributions)
     coefficients = {m: quasi.evaluate(m) for m in range(-max_m, max_m + 1)}
     return germs, quasi, coefficients

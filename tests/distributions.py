@@ -1,6 +1,7 @@
-"""Test-only distributions: boundary-value germs and the trigonometric pairing.
+"""Test-only distributions: boundary-value germs, the trigonometric pairing
+and the derivative of a germ.
 
-Both serve as independent routes that the germ calculus is checked against;
+All serve as independent routes that the germ calculus is checked against;
 the localization pipeline itself uses neither.
 """
 
@@ -28,6 +29,11 @@ def pair_with_trig(germ, trig):
                 val = -val
             total = total + c * val
     return total
+
+
+def derivative(germ):
+    """d/dphi applied once: d0^(j) becomes d0^(j+1)."""
+    return DeltaGerm([ExactScalar.zero()] + germ.terms)
 
 
 class HalfDeltaGerm:

@@ -1,4 +1,4 @@
-"""Preset models, fixed submodels, document round trips, validation errors."""
+"""Preset models, document round trips, validation errors."""
 
 import json
 from fractions import Fraction
@@ -7,8 +7,7 @@ import pytest
 
 from contact_index import oracle
 from contact_index.catalog import (IDENTITY, ContactModel, FixedComponentData,
-                                   ModelError, dump_model, fixed_submodel,
-                                   load_model, model_from_document,
+                                   ModelError, dump_model, load_model, model_from_document,
                                    model_to_document, preset_circle,
                                    preset_hopf_sphere, preset_prequantum_cpn,
                                    preset_weighted_s3, scaled_model)
@@ -41,7 +40,6 @@ class TestHopfPreset:
     def test_free_action_has_no_extra_torsion(self):
         m = preset_hopf_sphere(1)
         assert m.torsion_support == [IDENTITY]
-        assert fixed_submodel(m, Fraction(1, 4)).components == {}
 
     def test_dimension_bookkeeping(self):
         for n in (1, 2, 3):
@@ -81,27 +79,6 @@ class TestWeightedPreset:
             for comps in m.components.values():
                 for c in comps:
                     assert c.k + len(c.normal) == m.ambient_n
-
-
-class TestFixedSubmodel:
-    def test_identity_returns_the_model_itself(self):
-        m = preset_hopf_sphere(1)
-        sub = fixed_submodel(m, IDENTITY)
-        assert sub.components[IDENTITY] == m.components[IDENTITY]
-
-    def test_weighted_half_turn(self):
-        sub = fixed_submodel(preset_weighted_s3(1, 2), Fraction(1, 2))
-        (comp,) = sub.components[IDENTITY]
-        assert comp.dim_odd == 1
-
-    def test_empty_off_support(self):
-        assert fixed_submodel(preset_hopf_sphere(1), Fraction(1, 4)).components == {}
-
-    def test_idempotent(self):
-        m = preset_weighted_s3(1, 2)
-        once = fixed_submodel(m, Fraction(1, 2))
-        twice = fixed_submodel(once, IDENTITY)
-        assert once.components == twice.components
 
 
 class TestPrequantumPreset:
@@ -240,3 +217,71 @@ class TestDocuments:
     def test_identity_must_be_present(self):
         with pytest.raises(ModelError, match="identity"):
             ContactModel(rank=1, ambient_n=0, model_id="m", components={}).validate()
+
+
+def _circle_doc():
+    return model_to_document(preset_circle())
+
+
+def _set(path, value):
+    """An edit of the circle document: set the field at `path` (keys and indices)."""
+    def edit(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _drop(path):
+    def edit(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+class TestDocumentShape:
+    @pytest.mark.parametrize("edit,field", [
+        (_drop(["ambient_n"]), r"^ambient_n: missing field"),
+        (_set(["ambient_n"], None), r"^ambient_n: expected an integer"),
+        (_set(["rank"], "one"), r"^rank: expected an integer"),
+        (_set(["components"], 5), r"^components: expected a list"),
+        (_set(["components", 0], 5), r"^components\[0\]: expected an object"),
+        (_drop(["components", 0, "dim"]), r"^components\[0\]\.dim: missing field"),
+        (_set(["components", 0, "dim"], [1]), r"^components\[0\]\.dim: expected an integer"),
+        (_set(["components", 0, "normal_roots"], {}),
+         r"^components\[0\]\.normal_roots: expected a list"),
+        (_set(["components", 0, "normal_roots"], [3]),
+         r"^components\[0\]\.normal_roots\[0\]: expected an object"),
+        (_set(["components", 0, "moment"], "1"), r"^components\[0\]\.moment: expected an object"),
+        (_set(["components", 0, "moment", "reeb_weight"], None),
+         r"^components\[0\]\.moment\.reeb_weight: expected an integer"),
+        (_drop(["components", 0, "pairing", 0, "mono"]),
+         r"^components\[0\]\.pairing\[0\]\.mono: missing field"),
+        (_drop(["components", 0, "pairing", 0, "value"]),
+         r"^components\[0\]\.pairing\[0\]\.value: missing field"),
+        (_set(["components", 0, "pairing", 0, "mono"], ["x"]),
+         r"^components\[0\]\.pairing\[0\]\.mono: expected an integer"),
+    ])
+    def test_wrong_shape_names_the_field(self, edit, field):
+        doc = _circle_doc()
+        edit(doc)
+        with pytest.raises(ModelError, match=field):
+            model_from_document(doc)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ModelError, match="^model document: expected an object"):
+            model_from_document([1])
+
+    @pytest.mark.parametrize("edit,field", [
+        (_drop(["identity_model"]), r"^identity_model: missing field"),
+        (_drop(["fiber_families", 1, "sigma"]), r"^fiber_families\[1\]\.sigma: missing field"),
+        (_set(["fiber_families", 0], []), r"^fiber_families\[0\]: expected an object"),
+    ])
+    def test_wrong_shape_of_a_rank_two_document_names_the_field(self, edit, field):
+        doc = model_to_document(preset_prequantum_cpn(1))
+        edit(doc)
+        with pytest.raises(ModelError, match=field):
+            model_from_document(doc)

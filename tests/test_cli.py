@@ -6,9 +6,9 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from contact_index import oracle
+from contact_index import engine, oracle
 from contact_index.cli import main
-from contact_index.catalog import dump_model, preset_weighted_s3
+from contact_index.catalog import dump_model, model_to_document, preset_weighted_s3
 from contact_index.engine import build_preset
 from contact_index.deltas import germ_from_document
 
@@ -50,10 +50,29 @@ class TestCalibrate:
         assert result.exit_code == 0
         assert (calibrated / "contact-index-calibration.json").read_text() == first
 
-    def test_perturbed_anchors_exit_five(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("passes,count", [(False, 0), (True, 8)], ids=["none", "all"])
+    def test_anchor_failures_exit_five(self, runner, tmp_path, monkeypatch, passes, count):
         monkeypatch.chdir(tmp_path)
-        result = runner.invoke(main, ["calibrate", "--perturb-anchors"])
+        monkeypatch.setattr(engine, "_anchor_pass", lambda cfg, max_m: passes)
+        result = runner.invoke(main, ["calibrate"])
         assert result.exit_code == 5
+        assert f"{count} of 8 passed the anchors" in result.output
+        assert not (tmp_path / "contact-index-calibration.json").exists()
+
+    @pytest.mark.parametrize("text,field", [
+        ("[]", "calibration record"),
+        ('"x"', "calibration record"),
+        ('{"poisson_sign": null, "orientation_sign": 1, "todd_direction": "plus"}',
+         "poisson_sign"),
+    ])
+    def test_malformed_calibration_file_exits_two(self, runner, tmp_path, monkeypatch,
+                                                  text, field):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CONTACT_INDEX_CALIBRATION", raising=False)
+        (tmp_path / "contact-index-calibration.json").write_text(text)
+        result = runner.invoke(main, ["character", "--preset", "circle", "--max-m", "2"])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
 
     def test_env_var_overrides_the_path(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -167,6 +186,33 @@ class TestCharacterCommand:
                                            "--format", "csv"])
         assert from_file.exit_code == 0
         assert from_file.output == from_preset.output
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"components": []}, "ambient_n"),
+        ({"ambient_n": 1, "components": 5}, "components"),
+        ([1], "model document"),
+    ])
+    def test_malformed_model_document_exits_two(self, runner, calibrated, doc, field):
+        path = calibrated / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["character", "--model", str(path)])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+
+    def test_non_integer_coefficients_print_exactly(self, runner, calibrated):
+        # the circle with half its orbit length: every coefficient is 1/2
+        doc = model_to_document(build_preset("circle", ()))
+        doc["components"][0]["pairing"][0]["value"] = "(1)*pi^1"
+        path = calibrated / "half.json"
+        path.write_text(json.dumps(doc))
+        csv = runner.invoke(main, ["character", "--model", str(path), "--max-m", "2",
+                                   "--format", "csv"])
+        assert csv.exit_code == 0, csv.output
+        assert csv.output.splitlines()[1:] == [f"{m},(1/2)*pi^0" for m in range(-2, 3)]
+        doc = json.loads(runner.invoke(main, ["character", "--model", str(path),
+                                              "--max-m", "2"]).output)
+        assert doc["non_integer_coefficients"] == list(range(-2, 3))
+        assert not any("integer" in e for e in doc["coefficients"])
 
     def test_preset_and_model_are_mutually_exclusive(self, runner, calibrated):
         result = runner.invoke(main, ["character", "--preset", "circle",
@@ -285,6 +331,17 @@ class TestVerifyCommand:
                                       "--max-m", "10", "--max-k", "15"])
         assert result.exit_code == 2
         assert "raise max_k" in result.output
+
+    def test_missing_n_exits_two_naming_the_option(self, runner, calibrated):
+        result = runner.invoke(main, ["verify", "--preset", "hopf"])
+        assert result.exit_code == 2
+        assert "--n" in result.output
+
+    def test_non_coprime_weights_exit_two(self, runner, calibrated):
+        result = runner.invoke(main, ["verify", "--preset", "weighted-s3",
+                                      "--weights", "2,4"])
+        assert result.exit_code == 2
+        assert "coprime" in result.output
 
     def test_user_models_have_no_oracle(self, runner, calibrated):
         path = calibrated / "m.json"

@@ -1,4 +1,4 @@
-"""Delta germ calculus: rescaling, smooth multiplication, pullback, Fourier."""
+"""Delta germ calculus: rescaling, smooth multiplication, Fourier."""
 
 import random
 import re
@@ -8,8 +8,7 @@ import pytest
 
 from contact_index.deltas import (DeltaError, DeltaGerm, SmoothJet,
                                   fourier_contribution, germ_from_document,
-                                  germ_to_document, multiply_smooth,
-                                  pullback_affine_nilpotent, scale_variable)
+                                  germ_to_document, multiply_smooth, scale_variable)
 from contact_index.scalars import ExactScalar
 from distributions import HalfDeltaGerm, pair_with_trig
 
@@ -85,42 +84,6 @@ class TestMultiplySmooth:
         jet = SmoothJet(5, [0, 0, ONE])
         got = multiply_smooth(DeltaGerm.delta(3), jet)
         assert got == DeltaGerm.delta(1, ExactScalar.from_rational(6))
-
-
-class TestPullback:
-    def test_negated_variable_pattern(self):
-        germs = pullback_affine_nilpotent(d0, -1, 2)
-        assert germs[0] == d0          # d0(-phi) = d0(phi)
-        assert germs[1] == d1 * ExactScalar.from_rational(-1)
-        assert germs[2] == d2
-
-    def test_sphere_expansion_matches_worked_example(self):
-        # d0(nu - phi) = d0(-phi) + d0'(-phi) nu for a single nilpotent power
-        germs = pullback_affine_nilpotent(d0, -1, 1)
-        assert germs[0] == d0
-        assert germs[1] == -1 * d1
-
-    def test_doubled_nilpotent_taylor(self):
-        # d0(2 nu - phi): order-j coefficient u^(j)(-phi) 2^j / j!
-        germs = pullback_affine_nilpotent(d0, -1, 2)
-        assembled = [germs[0],
-                     germs[1] * ExactScalar.from_rational(2),
-                     germs[2] * ExactScalar.from_rational(Fraction(4, 2))]
-        assert assembled[0] == d0
-        assert assembled[1] == d1 * ExactScalar.from_rational(-2)
-        assert assembled[2] == d2 * ExactScalar.from_rational(2)
-
-    def test_trivial_nilpotent_is_even(self):
-        germs = pullback_affine_nilpotent(d0, -1, 0)
-        assert germs == [d0]
-
-    def test_ellipticity_violation(self):
-        with pytest.raises(DeltaError, match="ellipticity"):
-            pullback_affine_nilpotent(d0, 0, 2)
-
-    def test_offset_support_gives_zero_germ(self):
-        germs = pullback_affine_nilpotent(d0, 1, 2, constant=Fraction(1, 3))
-        assert all(g.is_zero() for g in germs)
 
 
 class TestFourier:

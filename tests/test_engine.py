@@ -10,12 +10,12 @@ from contact_index import oracle
 from contact_index.catalog import (IDENTITY, ContactModel, FiberFamily,
                                    FixedComponentData, preset_circle, scaled_model)
 from contact_index.deltas import DeltaGerm
+from contact_index import engine
 from contact_index.engine import (CalibrationConfig, CalibrationError, EngineError,
-                                  FitError, QuasiPolynomial, UnsupportedModelError,
+                                  QuasiPolynomial, UnsupportedModelError,
                                   assemble_character, build_preset,
                                   calibrate_conventions, corollary_expand,
-                                  dh_fourier, germ_at, identity_germ,
-                                  principal_limit, quasi_polynomial_from_tables,
+                                  dh_fourier, germ_at, quasi_polynomial_from_tables,
                                   residual_factors)
 from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi
 from laurent_reference import corollary_reference
@@ -59,11 +59,6 @@ class TestGerms:
         lam = ExactScalar.root_of_unity(-2, 3)
         assert coeff * (ONE - lam) == ExactScalar.pi_power(1, Fraction(2, 3))
 
-    def test_identity_entry_point_matches_germ_at(self):
-        for name, params in RANK1_PRESETS:
-            model = build_preset(name, params)
-            assert identity_germ(model) == germ_at(model, IDENTITY)
-
     def test_additivity_over_components(self):
         (circle_comp,) = preset_circle().components[IDENTITY]
         doubled = ContactModel(rank=1, ambient_n=0, model_id="two-circles",
@@ -99,11 +94,11 @@ class TestScalingInvariance:
 class TestCharacters:
     def test_circle_is_all_ones(self):
         res = assemble_character(build_preset("circle", ()), 20)
-        assert all(res.coefficient_int(m) == 1 for m in range(-20, 21))
+        assert all(res.integers[m] == 1 for m in range(-20, 21))
 
     def test_sphere_is_one_minus_m(self):
         res = assemble_character(build_preset("hopf", (1,)), 20)
-        assert all(res.coefficient_int(m) == 1 - m for m in range(-20, 21))
+        assert all(res.integers[m] == 1 - m for m in range(-20, 21))
 
     @pytest.mark.parametrize("name,params", RANK1_PRESETS,
                              ids=[f"{n}{p}" for n, p in RANK1_PRESETS])
@@ -112,7 +107,7 @@ class TestCharacters:
         res = assemble_character(model, 100)
         assert res.non_integer == []
         for m in range(-100, 101):
-            assert res.coefficient_int(m) == oracle.oracle_character(name, params, m), m
+            assert res.integers[m] == oracle.oracle_character(name, params, m), m
 
     def test_weighted_period_is_the_torsion_lcm(self):
         res = assemble_character(build_preset("weighted-s3", (2, 3)), 30)
@@ -122,13 +117,13 @@ class TestCharacters:
         for a, b in ((3, 5), (4, 5)):
             res = assemble_character(build_preset("weighted-s3", (a, b)), 60)
             for m in range(-60, 61):
-                assert res.coefficient_int(m) == \
+                assert res.integers[m] == \
                     oracle.sphere_char_oracle(a, b, m), (a, b, m)
 
     def test_seven_sphere_character(self):
         res = assemble_character(build_preset("hopf", (3,)), 30)
         for m in range(-30, 31):
-            assert res.coefficient_int(m) == oracle.cpn_chi(3, -m), m
+            assert res.integers[m] == oracle.cpn_chi(3, -m), m
 
     def test_sphere_quasi_polynomial_coefficients(self):
         res = assemble_character(build_preset("hopf", (1,)), 10)
@@ -149,7 +144,7 @@ class TestCharacters:
         assert short.quasi == full.quasi
         assert sorted(short.coefficients) == list(range(-max_m, max_m + 1))
         for m in range(-max_m, max_m + 1):
-            assert short.coefficient_int(m) == \
+            assert short.integers[m] == \
                 oracle.oracle_character("weighted-s3", (a, b), m), m
 
     def test_rank_two_is_unsupported(self):
@@ -158,14 +153,9 @@ class TestCharacters:
 
 
 class TestQuasiPolynomialFit:
-    def test_degree_above_the_bound_raises(self):
-        table = {0: [ONE, ONE, ONE], 1: [ONE]}
-        with pytest.raises(FitError, match="residue 0 mod 2.*degree 2"):
-            quasi_polynomial_from_tables([(2, table)], 1)
-
     def test_period_one_table_evaluates(self):
         table = {0: [ExactScalar.from_rational(1), ExactScalar.from_rational(3)]}
-        qp = quasi_polynomial_from_tables([(1, table)], 1)
+        qp = quasi_polynomial_from_tables([(1, table)])
         assert qp.period == 1
         assert qp.evaluate(17) == ExactScalar.from_rational(52)
         assert qp.evaluate(-5) == ExactScalar.from_rational(-14)
@@ -173,7 +163,7 @@ class TestQuasiPolynomialFit:
     def test_tables_sum_per_residue_over_the_lcm_period(self):
         two = {0: [ONE], 1: [ExactScalar.from_rational(-1)]}
         three = {r: [ExactScalar.from_rational(r), ONE] for r in range(3)}
-        qp = quasi_polynomial_from_tables([(2, two), (3, three), (2, two)], 1)
+        qp = quasi_polynomial_from_tables([(2, two), (3, three), (2, two)])
         assert qp.period == 6
         for m in range(-12, 13):
             want = 2 * (-1) ** (m % 2) + m % 3 + m
@@ -218,7 +208,7 @@ class TestQuasiPolynomialFit:
         res = assemble_character(build_preset("hopf", (n,)), 30)
         assert res.quasi.period == 1
         for m in range(-30, 31):
-            assert res.coefficient_int(m) == oracle.cpn_chi_polynomial(n, -m), (n, m)
+            assert res.integers[m] == oracle.cpn_chi_polynomial(n, -m), (n, m)
 
 
 class TestVolumeTransform:
@@ -263,9 +253,10 @@ class TestDoubleExpansion:
         for n in (1, 2):
             model = build_preset("prequantum-cpn", (n,))
             table = corollary_expand(model, 8, 20)
-            limit = principal_limit(model, 8)
+            # chi_{-m} of the principal reduction is the weight sum of slice m
+            principal = assemble_character(model.identity_model, 8)
             for m in range(-8, 9):
-                assert sum(table[m].values()) == int(limit[m].rational_value())
+                assert sum(table[m].values()) == principal.integers[-m]
 
     def test_residual_factors_expose_the_slice_data(self):
         model = build_preset("prequantum-cpn", (1,))
@@ -363,13 +354,16 @@ class TestCalibration:
     def test_idempotent(self):
         assert calibrate_conventions(max_m=10) == calibrate_conventions(max_m=10)
 
-    def test_perturbed_anchors_fail_loudly(self):
-        with pytest.raises(CalibrationError, match="0 of 8"):
-            calibrate_conventions(max_m=10, perturb=True)
+    @pytest.mark.parametrize("passes,count", [(False, 0), (True, 8)], ids=["none", "all"])
+    def test_anchor_failures_raise(self, monkeypatch, passes, count):
+        monkeypatch.setattr(engine, "_anchor_pass", lambda cfg, max_m: passes)
+        with pytest.raises(CalibrationError, match=f"exactly one convention combination; "
+                                                   f"{count} of 8 passed the anchors"):
+            calibrate_conventions(max_m=10)
 
     def test_wrong_conventions_break_the_anchors(self):
         bad = CalibrationConfig(poisson_sign=-1, orientation_sign=1,
                                 todd_direction="plus")
         res = assemble_character(build_preset("hopf", (1,), bad), 5, bad)
-        values = [res.coefficient_int(m) for m in range(-5, 6)]
+        values = [res.integers[m] for m in range(-5, 6)]
         assert values != [1 - m for m in range(-5, 6)]

@@ -1,6 +1,7 @@
 """Form algebra: Todd and determinant factors, the delta form, integration."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,23 @@ class TestJForm:
         form = j_form(comp, jet_order=4)
         assert set(form.terms) == {()}
 
+    def test_five_sphere_delta_form_is_the_taylor_sum(self):
+        # alpha sum_j d0^(j)(-phi) dA^j / j!: d0, -d0', d0''/2
+        (comp,) = build_preset("hopf", (2,)).components[Fraction(0)]
+        form = j_form(comp, jet_order=4)
+        assert [form.terms[(j,)] for j in range(3)] == [
+            DeltaGerm.delta(0), DeltaGerm.delta(1, -1), DeltaGerm.delta(2, Fraction(1, 2))]
+
+    def test_moment_constant_rescales_the_delta_argument(self):
+        # mu = 2: d0^(j)(-2 phi) = -(-2)^-(j+1) d0^(j)(phi)
+        form = j_form(replace(_sphere_component(), mu=Fraction(2)), jet_order=4)
+        assert form.terms[(0,)] == DeltaGerm.delta(0, Fraction(1, 2))
+        assert form.terms[(1,)] == DeltaGerm.delta(1, Fraction(-1, 4))
+
+    def test_zero_reeb_weight_is_rejected(self):
+        with pytest.raises(FormError, match="pair nontrivially"):
+            j_form(replace(_sphere_component(), reeb_weight=(0,)), jet_order=4)
+
     def test_nonpositive_moment_is_an_ellipticity_violation(self):
         comp = FixedComponentData(dim_odd=3, generators=("dA",), tangential=[],
                                   normal=[], mu=Fraction(-1), reeb_weight=(1,),
@@ -352,7 +370,7 @@ class TestIntegrate:
         assert germ == expected
 
     def test_zero_form_integrates_to_zero(self):
-        form = FormElement.zero(("dA",), 1, 4).with_alpha()
+        form = FormElement(("dA",), 1, 4, {}, alpha=True)
         assert integrate_component(form, {(1,): TWO_PI}).is_zero()
 
     def test_missing_pairing_entry_is_an_error(self):

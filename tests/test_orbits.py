@@ -4,6 +4,8 @@
 `character_reference` exactly: on the bundled weighted spheres, where each
 orbit of torsion points is evaluated once, and on model documents that
 break one of the guards, where the orbit falls back to the per-point loop.
+On both, every germ has at most k + 1 terms, the degree bound that
+`quasi_polynomial_from_tables` relies on without checking it.
 """
 
 import math
@@ -115,14 +117,53 @@ def _eigenvalues_outside_the_orbit_field(doc):
         _order_five(doc, p)["normal_roots"][0]["eig"] = eig
 
 
-@pytest.mark.parametrize("edit", [_change_one_pairing, _change_one_eigenvalue,
-                                  _remove_one_point, _pairings_outside_gaussian_field,
-                                  _eigenvalues_outside_the_orbit_field])
-def test_broken_orbits_fall_back_to_the_per_point_loop(edit):
+EDITS = [_change_one_pairing, _change_one_eigenvalue, _remove_one_point,
+         _pairings_outside_gaussian_field, _eigenvalues_outside_the_orbit_field]
+
+
+def _broken_model(edit):
     doc = model_to_document(build_preset("weighted-s3", (2, 5)))
     edit(doc)
-    model = model_from_document(doc)
+    return model_from_document(doc)
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_broken_orbits_fall_back_to_the_per_point_loop(edit):
+    model = _broken_model(edit)
     points = orbits(model)[5]
     assert _galois_maps(model, 5, points) is None
     for calibration in CALIBRATIONS[:2]:
         assert_matches_reference(model, 20, calibration)
+
+
+# ----------------------------------------------------------------------
+# the degree bound that quasi_polynomial_from_tables relies on
+# ----------------------------------------------------------------------
+
+PRESETS = [("circle", ()), ("hopf", (1,)), ("hopf", (2,)), ("hopf", (3,)),
+           ("weighted-s3", (1, 2))] + [("weighted-s3", pair) for pair in PAIRS]
+
+
+def assert_germ_orders_within_the_bound(model, calibration):
+    """Every germ has at most k + 1 terms, k the largest (dim - 1)/2; the bound is met."""
+    bound = max(c.k for comps in model.components.values() for c in comps) + 1
+    result = assemble_character(model, 1, calibration)
+    assert list(result.germs) == model.torsion_support
+    for at, germ in result.germs.items():
+        assert len(germ.terms) <= bound, at
+    assert max(len(g.terms) for g in result.germs.values()) == bound
+    assert all(len(poly) <= bound for poly in result.quasi.polys.values())
+
+
+@pytest.mark.parametrize("name,params", PRESETS, ids=[f"{n}{p}" for n, p in PRESETS])
+def test_germ_order_is_at_most_k(name, params):
+    for calibration in CALIBRATIONS:
+        assert_germ_orders_within_the_bound(build_preset(name, params, calibration),
+                                            calibration)
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_germ_order_is_at_most_k_off_the_orbit_path(edit):
+    model = _broken_model(edit)
+    for calibration in CALIBRATIONS:
+        assert_germ_orders_within_the_bound(model, calibration)
