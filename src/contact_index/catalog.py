@@ -312,15 +312,10 @@ def _parse_scalar(text, path):
         raise ModelError(f"{path}: malformed scalar {text!r} ({exc})") from None
 
 
-_MISSING = object()
-
-
-def _get(doc, key, path, default=_MISSING):
-    if key in doc:
-        return doc[key]
-    if default is _MISSING:
+def _get(doc, key, path):
+    if key not in doc:
         raise ModelError(f"{path}{key}: missing field")
-    return default
+    return doc[key]
 
 
 def _object(doc, path):
@@ -338,9 +333,11 @@ def _list(doc, key, path, required=False):
 
 def _int(value, path):
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"{path}: expected an integer, got {value!r}") from None
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise ModelError(f"{path}: expected an integer, got {value!r}")
 
 
 def _ints(value, path):

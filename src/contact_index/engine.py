@@ -220,7 +220,7 @@ def _integer_components(coeffs):
     return out
 
 
-def quasi_polynomial_from_tables(contributions):
+def fit_quasi_polynomial(contributions):
     """Sum Fourier tables into one quasi-polynomial.
 
     `contributions` lists (q, table) pairs as `fourier_contribution` returns
@@ -248,10 +248,6 @@ def quasi_polynomial_from_tables(contributions):
     return QuasiPolynomial(period, polys)
 
 
-# The per-layer trace in perfbench/tracing.py times this stage as `engine.fit`.
-fit_quasi_polynomial = quasi_polynomial_from_tables
-
-
 # ----------------------------------------------------------------------
 # character assembly
 # ----------------------------------------------------------------------
@@ -264,7 +260,6 @@ class CharacterResult:
     coefficients: dict     # m -> ExactScalar
     quasi: QuasiPolynomial
     integers: dict         # m -> int, or None where the coefficient is not one
-    non_integer: list
 
 
 def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
@@ -272,7 +267,7 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
 
     The contributions are summed per residue class into the quasi-polynomial
     of period the lcm of the torsion orders (see
-    `quasi_polynomial_from_tables`); the exact coefficients for
+    `fit_quasi_polynomial`); the exact coefficients for
     |m| <= max_m are its values.  Any `max_m` >= 1 gives the whole
     quasi-polynomial, whatever the period.
 
@@ -303,11 +298,10 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
                     table = {r: [c.relative_trace(math.lcm(4, q)) for c in poly]
                              for r, poly in table.items()}
                 contributions.append((q, table))
-    quasi = quasi_polynomial_from_tables(contributions)
+    quasi = fit_quasi_polynomial(contributions)
     coefficients = {m: quasi.evaluate(m) for m in range(-max_m, max_m + 1)}
     integers = {m: _integer_value(c) for m, c in coefficients.items()}
-    return CharacterResult(model.model_id, calibration, germs, coefficients, quasi, integers,
-                           [m for m, v in integers.items() if v is None])
+    return CharacterResult(model.model_id, calibration, germs, coefficients, quasi, integers)
 
 
 def _integer_value(c):
@@ -535,5 +529,5 @@ def character_document(result, digits=4):
                   for at in sorted(result.germs, key=lambda t: (t.denominator, t.numerator))],
         "coefficients": [coeff_entry(m) for m in sorted(result.coefficients)],
         "quasi_polynomial": result.quasi.to_document(),
-        "non_integer_coefficients": result.non_integer,
+        "non_integer_coefficients": [m for m, v in result.integers.items() if v is None],
     }

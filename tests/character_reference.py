@@ -7,8 +7,7 @@ into the quasi-polynomial, and each coefficient read off it.
 """
 
 from contact_index.deltas import fourier_contribution
-from contact_index.engine import (DEFAULT_CALIBRATION, germ_at,
-                                  quasi_polynomial_from_tables)
+from contact_index.engine import DEFAULT_CALIBRATION, fit_quasi_polynomial, germ_at
 
 
 def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
@@ -20,6 +19,6 @@ def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
         germs[at] = germ
         if not germ.is_zero():
             contributions.append(fourier_contribution(germ, at, calibration.poisson_sign))
-    quasi = quasi_polynomial_from_tables(contributions)
+    quasi = fit_quasi_polynomial(contributions)
     coefficients = {m: quasi.evaluate(m) for m in range(-max_m, max_m + 1)}
     return germs, quasi, coefficients

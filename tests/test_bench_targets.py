@@ -4,7 +4,9 @@
 `TARGETS` table when a traced run starts, so a renamed or deleted name
 would otherwise show only then.  The table is loaded here by file path,
 without installing the tracer, and each entry is resolved the way the
-tracer resolves it.
+tracer resolves it.  This checks that each name exists, not that the
+pipeline calls it: a stage the code reaches under another name would
+resolve here and never be timed.
 """
 
 import importlib

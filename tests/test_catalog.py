@@ -251,6 +251,8 @@ class TestDocumentShape:
         (_set(["components", 0], 5), r"^components\[0\]: expected an object"),
         (_drop(["components", 0, "dim"]), r"^components\[0\]\.dim: missing field"),
         (_set(["components", 0, "dim"], [1]), r"^components\[0\]\.dim: expected an integer"),
+        (_set(["components", 0, "dim"], 3.5), r"^components\[0\]\.dim: expected an integer"),
+        (_set(["components", 0, "dim"], True), r"^components\[0\]\.dim: expected an integer"),
         (_set(["components", 0, "normal_roots"], {}),
          r"^components\[0\]\.normal_roots: expected a list"),
         (_set(["components", 0, "normal_roots"], [3]),
@@ -278,6 +280,8 @@ class TestDocumentShape:
     @pytest.mark.parametrize("edit,field", [
         (_drop(["identity_model"]), r"^identity_model: missing field"),
         (_drop(["fiber_families", 1, "sigma"]), r"^fiber_families\[1\]\.sigma: missing field"),
+        (_set(["fiber_families", 1, "sigma"], True),
+         r"^fiber_families\[1\]\.sigma: expected an integer"),
         (_set(["fiber_families", 0], []), r"^fiber_families\[0\]: expected an object"),
     ])
     def test_wrong_shape_of_a_rank_two_document_names_the_field(self, edit, field):

@@ -15,7 +15,7 @@ from contact_index.engine import (CalibrationConfig, CalibrationError, EngineErr
                                   QuasiPolynomial, UnsupportedModelError,
                                   assemble_character, build_preset,
                                   calibrate_conventions, corollary_expand,
-                                  dh_fourier, germ_at, quasi_polynomial_from_tables,
+                                  dh_fourier, fit_quasi_polynomial, germ_at,
                                   residual_factors)
 from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi
 from laurent_reference import corollary_reference
@@ -105,7 +105,7 @@ class TestCharacters:
     def test_oracle_equivalence_and_integrality(self, name, params):
         model = build_preset(name, params)
         res = assemble_character(model, 100)
-        assert res.non_integer == []
+        assert None not in res.integers.values()
         for m in range(-100, 101):
             assert res.integers[m] == oracle.oracle_character(name, params, m), m
 
@@ -155,7 +155,7 @@ class TestCharacters:
 class TestQuasiPolynomialFit:
     def test_period_one_table_evaluates(self):
         table = {0: [ExactScalar.from_rational(1), ExactScalar.from_rational(3)]}
-        qp = quasi_polynomial_from_tables([(1, table)])
+        qp = fit_quasi_polynomial([(1, table)])
         assert qp.period == 1
         assert qp.evaluate(17) == ExactScalar.from_rational(52)
         assert qp.evaluate(-5) == ExactScalar.from_rational(-14)
@@ -163,7 +163,7 @@ class TestQuasiPolynomialFit:
     def test_tables_sum_per_residue_over_the_lcm_period(self):
         two = {0: [ONE], 1: [ExactScalar.from_rational(-1)]}
         three = {r: [ExactScalar.from_rational(r), ONE] for r in range(3)}
-        qp = quasi_polynomial_from_tables([(2, two), (3, three), (2, two)])
+        qp = fit_quasi_polynomial([(2, two), (3, three), (2, two)])
         assert qp.period == 6
         for m in range(-12, 13):
             want = 2 * (-1) ** (m % 2) + m % 3 + m

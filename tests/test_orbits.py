@@ -5,7 +5,7 @@
 orbit of torsion points is evaluated once, and on model documents that
 break one of the guards, where the orbit falls back to the per-point loop.
 On both, every germ has at most k + 1 terms, the degree bound that
-`quasi_polynomial_from_tables` relies on without checking it.
+`fit_quasi_polynomial` relies on without checking it.
 """
 
 import math
@@ -137,7 +137,7 @@ def test_broken_orbits_fall_back_to_the_per_point_loop(edit):
 
 
 # ----------------------------------------------------------------------
-# the degree bound that quasi_polynomial_from_tables relies on
+# the degree bound that fit_quasi_polynomial relies on
 # ----------------------------------------------------------------------
 
 PRESETS = [("circle", ()), ("hopf", (1,)), ("hopf", (2,)), ("hopf", (3,)),
