@@ -295,8 +295,9 @@ def scaled_model(model, lam):
 # ----------------------------------------------------------------------
 
 def _parse_fraction(text, path):
-    if isinstance(text, float):
-        raise ModelError(f"{path}: floats are not accepted; use exact 'p/q' strings")
+    if isinstance(text, (bool, float)):
+        raise ModelError(f"{path}: expected an integer or an exact 'p/q' string, "
+                         f"got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     try:

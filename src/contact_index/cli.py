@@ -28,7 +28,7 @@ from .engine import (CalibrationConfig, CalibrationError, EngineError, Unsupport
                      assemble_character, build_preset, calibrate_conventions,
                      character_document, corollary_expand, dh_fourier, germ_at)
 from .forms import FormError
-from .scalars import ExactScalar, ScalarError, approx_display
+from .scalars import ScalarError, approx_display
 
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
@@ -176,10 +176,8 @@ def main():
 @_model_options
 @click.option("--at", "at_text", required=True, help="Torsion point p/q.")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json"]), default="json",
-              help="Germs are JSON-only.")
 @click.option("--digits", type=click.IntRange(min=0), default=4)
-def germ(preset, n, weights, model_path, at_text, out, fmt, digits):
+def germ(preset, n, weights, model_path, at_text, out, digits):
     """Germ of the index at one torsion point."""
     def body():
         calibration = _load_calibration()
@@ -188,7 +186,7 @@ def germ(preset, n, weights, model_path, at_text, out, fmt, digits):
         g = germ_at(model, at, calibration)
         doc = germ_to_document(g, at)
         for term in doc["terms"]:
-            term["approx"] = approx_display(ExactScalar.from_text(term["scalar"]), digits)
+            term["approx"] = approx_display(g.terms[term["derivative_order"][0]], digits)
         report = _stamp({
             "model_id": model.model_id,
             "calibration": calibration.as_dict(),
@@ -342,13 +340,12 @@ def verify(preset, n, weights, model_path, max_m, max_k, run_all, out):
 
 
 @main.command()
-@click.option("--max-m", type=int, default=20)
 @click.option("--out", type=click.Path(), default=None,
               help="Calibration file path (default: the standard artifact location).")
-def calibrate(max_m, out):
+def calibrate(out):
     """Select and record the unique passing convention combination."""
     def body():
-        cfg = calibrate_conventions(max_m=max_m)
+        cfg = calibrate_conventions()
         path = out or _calibration_path()
         doc = {"version": CALIBRATION_VERSION, **cfg.as_dict()}
         _atomic_write(path, _json_text(doc) + "\n")

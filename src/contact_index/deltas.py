@@ -16,7 +16,6 @@ trimmed; every operation returns a new value.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 from .scalars import ExactScalar, _coerce
@@ -249,7 +248,7 @@ def fourier_contribution(germ, location, poisson_sign):
 
 
 # ----------------------------------------------------------------------
-# germ serialization (torsion location + term list, exact round trip)
+# germ serialization (torsion location + term list, exact text)
 # ----------------------------------------------------------------------
 
 def germ_to_document(germ, location):
@@ -262,34 +261,3 @@ def germ_to_document(germ, location):
             for j, c in enumerate(germ.terms) if not c.is_zero()
         ],
     }
-
-
-def _field(doc, key, path):
-    if key not in doc:
-        raise DeltaError(f"{path}{key}: missing field")
-    return doc[key]
-
-
-def germ_from_document(doc):
-    location_text = _field(doc, "location", "")
-    m = re.match(r"^e\^\{2pi\*i\*(-?\d+)/(\d+)\}$", location_text)
-    if not m:
-        raise DeltaError(f"unparseable germ location {location_text!r}")
-    location = Fraction(int(m.group(1)), int(m.group(2)))
-    variables = _field(doc, "variables", "")
-    if variables != [GERM_VAR]:
-        raise DeltaError(f"variables: germs are one-variable in {GERM_VAR!r}, "
-                         f"got {variables!r}")
-    terms = {}
-    for i, t in enumerate(_field(doc, "terms", "")):
-        path = f"terms[{i}]."
-        order = _field(t, "derivative_order", path)
-        if not (isinstance(order, list) and len(order) == 1
-                and type(order[0]) is int and order[0] >= 0):
-            raise DeltaError(f"{path}derivative_order: expected [j] with an integer "
-                             f"j >= 0, got {order!r}")
-        if order[0] in terms:
-            raise DeltaError(f"{path}derivative_order: repeated order {order[0]}")
-        terms[order[0]] = ExactScalar.from_text(_field(t, "scalar", path))
-    dense = [terms.get(j, ExactScalar.zero()) for j in range(max(terms, default=-1) + 1)]
-    return DeltaGerm(dense), location % 1

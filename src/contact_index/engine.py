@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .scalars import CyclotomicNumber, ExactScalar, _euler_phi, approx_display
 from .deltas import DeltaGerm, _poly_add, fourier_contribution, germ_to_document
-from .forms import dc_inverse, integrate_component, j_form, todd
+from .forms import FormElement, dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
                       preset_weighted_s3)
 
@@ -63,11 +63,11 @@ class CalibrationConfig:
             raise EngineError(f"calibration record must be a JSON object, got {d!r}")
         for key, allowed in (("poisson_sign", (1, -1)), ("orientation_sign", (1, -1)),
                              ("todd_direction", ("plus", "minus"))):
-            if d.get(key) not in allowed:
+            value = d.get(key)
+            if type(value) is not type(allowed[0]) or value not in allowed:
                 raise EngineError(f"calibration record: {key} must be one of {allowed}, "
-                                  f"got {d.get(key)!r}")
-        return CalibrationConfig(int(d["poisson_sign"]), int(d["orientation_sign"]),
-                                 d["todd_direction"])
+                                  f"got {value!r}")
+        return CalibrationConfig(d["poisson_sign"], d["orientation_sign"], d["todd_direction"])
 
 
 DEFAULT_CALIBRATION = CalibrationConfig()
@@ -102,8 +102,7 @@ def _component_germ(comp, calibration):
     td = todd(comp.tangential, comp.generators, k, jet_order=jet_order,
               direction=calibration.todd_direction)
     dc = dc_inverse(comp.normal, comp.generators, k, jet_order=jet_order)
-    integrand = td * dc * j_form(comp, jet_order=jet_order)
-    germ = integrate_component(integrand, comp.pairing)
+    germ = integrate_component(td * dc, j_form(comp, jet_order=jet_order), comp.pairing)
     return germ * _inverse_two_pi_i_power(k)
 
 
@@ -130,8 +129,9 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
     n = model.ambient_n
     total = DeltaGerm.zero()
     for comp in model.components.get(IDENTITY, []):
-        form = j_form(comp, jet_order=comp.k + 4)
-        total = total + integrate_component(form, comp.pairing)
+        one = FormElement.one(comp.generators, comp.k, comp.k + 4)
+        total = total + integrate_component(one, j_form(comp, jet_order=comp.k + 4),
+                                            comp.pairing)
     return total * _inverse_two_pi_i_power(n)
 
 
@@ -473,21 +473,24 @@ def _divide_binomials(num, strides):
 # calibration
 # ----------------------------------------------------------------------
 
-def _anchor_pass(calibration, max_m=20):
+_ANCHOR_MAX_M = 20
+
+
+def _anchor_pass(calibration):
     circle = build_preset("circle", (), calibration)
-    res = assemble_character(circle, max_m, calibration)
-    for m in range(-max_m, max_m + 1):
+    res = assemble_character(circle, _ANCHOR_MAX_M, calibration)
+    for m in range(-_ANCHOR_MAX_M, _ANCHOR_MAX_M + 1):
         if not (res.coefficients[m] - ExactScalar.one()).is_zero():
             return False
     hopf = build_preset("hopf", (1,), calibration)
-    res = assemble_character(hopf, max_m, calibration)
-    for m in range(-max_m, max_m + 1):
+    res = assemble_character(hopf, _ANCHOR_MAX_M, calibration)
+    for m in range(-_ANCHOR_MAX_M, _ANCHOR_MAX_M + 1):
         if not (res.coefficients[m] - ExactScalar.from_rational(1 - m)).is_zero():
             return False
     return True
 
 
-def calibrate_conventions(max_m=20):
+def calibrate_conventions():
     """Select the unique convention combination passing both anchors.
 
     Iterates the eight (orientation, Fourier sign, Todd direction) triples;
@@ -501,7 +504,7 @@ def calibrate_conventions(max_m=20):
             for direction in ("plus", "minus"):
                 cfg = CalibrationConfig(poisson_sign=s, orientation_sign=o,
                                         todd_direction=direction)
-                if _anchor_pass(cfg, max_m):
+                if _anchor_pass(cfg):
                     passing.append(cfg)
     if len(passing) != 1:
         raise CalibrationError(

@@ -2,11 +2,10 @@
 
 A form element is a polynomial in nilpotent 2-form generators (the class of
 d-alpha plus any base curvature classes), truncated at the component's top
-generator degree k (so the component has dimension 2k+1).  Each coefficient
-is either a smooth jet or a delta germ in the local angle phi; a jet times a
-germ is resolved at once by the Leibniz pairing, and a germ times a germ is
-an error.  The single odd object alpha is tracked by a flag, and the product
-of two alpha-flagged elements is zero.
+generator degree k (so the component has dimension 2k+1), with smooth jets
+in the local angle phi as coefficients.  The delta form of `j_form` has germ
+coefficients and never enters the ring: `integrate_component` pairs it with
+the smooth factors at top degree only, the one degree that integrates.
 
 The module also builds the two power series the localization consumes:
 
@@ -19,17 +18,16 @@ Series are evaluated by Horner's rule over the truncated algebra: the
 argument (curvature part plus a constant-free jet) is nilpotent there, so
 every evaluation is a finite exact computation.
 
-Both products over roots group equal roots first.  A group of r equal roots
+Both products over roots group equal roots first: a group of r equal roots
 (all n+1 tangential roots of the Hopf sphere, say) raises its scalar series
-to the r-th power by J.C.P. Miller's recurrence, which costs O(length^2)
-scalar operations, and is then evaluated once: one Horner pass and one form
-product per distinct root instead of per root.  The per-root checks
-(tangential roots for Todd, eigenvalue != 1 for the normal factor) still
-run on every root.
+to the r-th power by J.C.P. Miller's recurrence and is evaluated once.  The
+per-root checks (tangential roots for Todd, eigenvalue != 1 for the normal
+factor) still run on every root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,15 +62,14 @@ class ChernRoot:
 
 
 class FormElement:
-    """Polynomial in even generators whose coefficients are jets or germs."""
+    """Polynomial in even generators with smooth-jet coefficients."""
 
-    __slots__ = ("generators", "truncation", "jet_order", "terms", "alpha")
+    __slots__ = ("generators", "truncation", "jet_order", "terms")
 
-    def __init__(self, generators, truncation, jet_order, terms=None, alpha=False):
+    def __init__(self, generators, truncation, jet_order, terms=None):
         self.generators = tuple(generators)
         self.truncation = int(truncation)
         self.jet_order = int(jet_order)
-        self.alpha = bool(alpha)
         clean = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
@@ -124,33 +121,26 @@ class FormElement:
 
     def __add__(self, other):
         self._check(other)
-        if self.alpha != other.alpha and not (self.is_zero() or other.is_zero()):
-            raise FormError("cannot add alpha-flagged and plain elements")
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            out[exp] = _add(out[exp], coeff) if exp in out else coeff
-        return FormElement(self.generators, self.truncation, self.jet_order, out,
-                           alpha=self.alpha or other.alpha)
+            out[exp] = out[exp] + coeff if exp in out else coeff
+        return FormElement(self.generators, self.truncation, self.jet_order, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
             s = _coerce(other)
             return FormElement(self.generators, self.truncation, self.jet_order,
-                               {e: c * s for e, c in self.terms.items()}, alpha=self.alpha)
+                               {e: c * s for e, c in self.terms.items()})
         self._check(other)
-        if self.alpha and other.alpha:
-            return FormElement.zero(self.generators, self.truncation,
-                                    self.jet_order)  # alpha ^ alpha = 0
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 if sum(exp) > self.truncation:
                     continue
-                prod = _times(c1, c2)
-                out[exp] = _add(out[exp], prod) if exp in out else prod
-        return FormElement(self.generators, self.truncation, self.jet_order, out,
-                           alpha=self.alpha or other.alpha)
+                prod = c1 * c2
+                out[exp] = out[exp] + prod if exp in out else prod
+        return FormElement(self.generators, self.truncation, self.jet_order, out)
 
     __rmul__ = __mul__
 
@@ -163,8 +153,8 @@ class FormElement:
     def __eq__(self, other):
         if not isinstance(other, FormElement):
             return NotImplemented
-        return (self.generators, self.truncation, self.alpha, self.terms) == \
-            (other.generators, other.truncation, other.alpha, other.terms)
+        return (self.generators, self.truncation, self.terms) == \
+            (other.generators, other.truncation, other.terms)
 
     __hash__ = None
 
@@ -174,23 +164,7 @@ class FormElement:
         def mono(exp):
             body = "*".join(f"{g}^{e}" for g, e in zip(self.generators, exp) if e)
             return body or "1"
-        head = "alpha*" if self.alpha else ""
-        return " + ".join(f"{head}[{c!r}]*{mono(e)}" for e, c in sorted(self.terms.items()))
-
-
-def _add(a, b):
-    if type(a) is not type(b):
-        raise FormError("cannot add a smooth term to a germ term")
-    return a + b
-
-
-def _times(a, b):
-    """Product of two coefficients; a jet acts on a germ by the Leibniz pairing."""
-    if isinstance(a, SmoothJet):
-        return a * b if isinstance(b, SmoothJet) else multiply_smooth(b, a)
-    if isinstance(b, SmoothJet):
-        return multiply_smooth(a, b)
-    raise FormError("cannot multiply two germ coefficients")
+        return " + ".join(f"[{c!r}]*{mono(e)}" for e, c in sorted(self.terms.items()))
 
 
 # ----------------------------------------------------------------------
@@ -199,27 +173,19 @@ def _times(a, b):
 
 def _series_invert(coeffs):
     """Multiplicative inverse of a power series with invertible constant term."""
-    c0 = coeffs[0]
-    inv0 = ExactScalar.one() / c0
+    inv0 = ExactScalar.one() / coeffs[0]
     out = [inv0]
     for n in range(1, len(coeffs)):
         acc = ExactScalar.zero()
         for j in range(1, n + 1):
-            if j < len(coeffs):
-                acc = acc + coeffs[j] * out[n - j]
+            acc = acc + coeffs[j] * out[n - j]
         out.append(-inv0 * acc)
     return out
 
 
-def _exp_series(length, scale=1):
-    """Coefficients of e^{scale * t} up to the given length."""
-    s = _coerce(scale)
-    out = [ExactScalar.one()]
-    acc = ExactScalar.one()
-    for n in range(1, length):
-        acc = acc * s * ExactScalar.from_rational(Fraction(1, n))
-        out.append(acc)
-    return out
+def _exp_series(length):
+    """Coefficients of e^t up to the given length."""
+    return [ExactScalar.from_rational(Fraction(1, math.factorial(n))) for n in range(length)]
 
 
 def todd_series(length, direction="plus"):
@@ -234,16 +200,9 @@ def todd_series(length, direction="plus"):
         raise FormError(f"unknown Todd direction {direction!r}")
     # "plus": (1-e^-x)/x = sum (-x)^j/(j+1)!; "minus": (e^x-1)/x = sum x^j/(j+1)!
     sign = -1 if direction == "plus" else 1
-    denom = [ExactScalar.from_rational(Fraction(sign ** j, _fact(j + 1)))
+    denom = [ExactScalar.from_rational(Fraction(sign ** j, math.factorial(j + 1)))
              for j in range(length)]
     return _series_invert(denom)
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 _EIGENVALUE_ONE = ("fixed-set mismatch: normal eigenvalue 1 means the direction "
@@ -371,11 +330,12 @@ def _series_power(coeffs, r):
 
 
 def j_form(component, *, jet_order):
-    """The contact form's delta-form over a fixed component.
+    """The contact delta form over a fixed component, with alpha left implicit.
 
-    alpha wedge sum_j d0^(j)(-mu w phi) (d-alpha)^j / j!, where w is the
-    component's Reeb weight and the first generator plays the role of the
-    d-alpha class.  Requires a positive moment constant (ellipticity).
+    sum_j d0^(j)(-mu w phi) (d-alpha)^j / j!, where w is the component's
+    Reeb weight and the first generator plays the role of the d-alpha class.
+    Its germ coefficients are read by `integrate_component` alone.  Requires
+    a positive moment constant (ellipticity).
     """
     mu = Fraction(component.mu)
     if mu <= 0:
@@ -390,29 +350,33 @@ def j_form(component, *, jet_order):
     terms = {}
     for j, germ in enumerate(germs):
         exp = tuple(j if i == 0 else 0 for i in range(len(gens)))
-        terms[exp] = germ * ExactScalar.from_rational(Fraction(1, _fact(j)))
-    return FormElement(gens, k, jet_order, terms, alpha=True)
+        terms[exp] = germ * ExactScalar.from_rational(Fraction(1, math.factorial(j)))
+    return FormElement(gens, k, jet_order, terms)
 
 
-def integrate_component(form, pairing):
-    """Pair an alpha-flagged form against the component's top pairing table.
+def integrate_component(smooth, delta, pairing):
+    """The germ of smooth * delta, alpha implicit, paired with the top pairing table.
 
-    Only monomials of top generator degree pair nontrivially (lower degrees
-    integrate to zero on an odd-dimensional component); their coefficients
-    must be germs, which are summed weighted by the pairing values.  A top
-    monomial missing from the pairing table is an error.
+    `smooth` is a jet form, `delta` the germ form of `j_form`.  Only
+    monomials of top generator degree k integrate nontrivially on an
+    odd-dimensional component, so only their products are formed: a germ
+    times a jet by the Leibniz pairing.  Each top monomial's sum is weighted
+    by its pairing value; a nonzero sum missing from the table is an error.
     """
-    if not form.alpha:
-        raise FormError("only alpha-flagged elements integrate nontrivially")
-    k = form.truncation
+    smooth._check(delta)
+    k = smooth.truncation
+    top = {}
+    for e1, jet in smooth.terms.items():
+        for e2, germ in delta.terms.items():
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            if sum(exp) == k:
+                prod = multiply_smooth(germ, jet)
+                top[exp] = top[exp] + prod if exp in top else prod
     total = DeltaGerm.zero()
-    for exp, coeff in form.terms.items():
-        if sum(exp) != k:
-            continue  # degree parity: no contribution off the top
+    for exp, germ in top.items():
+        if germ.is_zero():
+            continue
         if exp not in pairing:
             raise FormError(f"pairing table has no entry for surviving monomial {exp}")
-        if not isinstance(coeff, DeltaGerm):
-            raise FormError("top coefficient carries no germ; nothing to integrate "
-                            "against the delta form")
-        total = total + coeff * pairing[exp]
+        total = total + germ * pairing[exp]
     return total

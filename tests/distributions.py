@@ -1,13 +1,14 @@
-"""Test-only distributions: boundary-value germs, the trigonometric pairing
-and the derivative of a germ.
+"""Test-only distributions: boundary-value germs, the trigonometric pairing,
+the derivative of a germ and the reader of germ documents.
 
-All serve as independent routes that the germ calculus is checked against;
-the localization pipeline itself uses neither.
+All serve as independent routes that the germ calculus and its serialization
+are checked against; the localization pipeline itself uses none of them.
 """
 
+import re
 from fractions import Fraction
 
-from contact_index.deltas import DeltaError, DeltaGerm
+from contact_index.deltas import GERM_VAR, DeltaError, DeltaGerm
 from contact_index.scalars import ExactScalar, _coerce
 
 
@@ -131,3 +132,38 @@ class HalfDeltaGerm:
             return "0"
         return " + ".join(
             f"({c})*d{'+' if s > 0 else '-'}^({j})" for (s, j), c in sorted(self.terms.items()))
+
+
+def _field(doc, key, path):
+    if key not in doc:
+        raise DeltaError(f"{path}{key}: missing field")
+    return doc[key]
+
+
+def germ_from_document(doc):
+    """Inverse of `germ_to_document`: the (germ, location) pair, exactly.
+
+    A field of the wrong shape raises `DeltaError` naming the field.
+    """
+    location_text = _field(doc, "location", "")
+    m = re.match(r"^e\^\{2pi\*i\*(-?\d+)/(\d+)\}$", location_text)
+    if not m:
+        raise DeltaError(f"unparseable germ location {location_text!r}")
+    location = Fraction(int(m.group(1)), int(m.group(2)))
+    variables = _field(doc, "variables", "")
+    if variables != [GERM_VAR]:
+        raise DeltaError(f"variables: germs are one-variable in {GERM_VAR!r}, "
+                         f"got {variables!r}")
+    terms = {}
+    for i, t in enumerate(_field(doc, "terms", "")):
+        path = f"terms[{i}]."
+        order = _field(t, "derivative_order", path)
+        if not (isinstance(order, list) and len(order) == 1
+                and type(order[0]) is int and order[0] >= 0):
+            raise DeltaError(f"{path}derivative_order: expected [j] with an integer "
+                             f"j >= 0, got {order!r}")
+        if order[0] in terms:
+            raise DeltaError(f"{path}derivative_order: repeated order {order[0]}")
+        terms[order[0]] = ExactScalar.from_text(_field(t, "scalar", path))
+    dense = [terms.get(j, ExactScalar.zero()) for j in range(max(terms, default=-1) + 1)]
+    return DeltaGerm(dense), location % 1

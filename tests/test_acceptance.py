@@ -20,7 +20,7 @@ from contact_index.deltas import (DeltaGerm, SmoothJet, multiply_smooth,
 from contact_index.engine import (CalibrationConfig, assemble_character,
                                   build_preset, calibrate_conventions,
                                   corollary_expand, dh_fourier, germ_at)
-from contact_index.forms import integrate_component, j_form
+from contact_index.forms import FormElement, integrate_component, j_form
 from contact_index.scalars import ExactScalar
 from distributions import HalfDeltaGerm, derivative
 
@@ -172,7 +172,7 @@ def test_criterion_8_contact_form_independence():
 
 
 def test_criterion_9_calibration_uniqueness():
-    cfg = calibrate_conventions(max_m=20)
+    cfg = calibrate_conventions()
     assert cfg == CalibrationConfig(poisson_sign=1, orientation_sign=1,
                                     todd_direction="plus")
     _report(9, "exactly one of the eight convention combinations passes the anchors")
@@ -184,7 +184,8 @@ def test_criterion_10_volume_transform():
     # independent route: drop the Todd factor from the worked sphere example
     # and re-integrate the delta form alone
     (comp,) = hopf.components[Fraction(0, 1)]
-    direct = integrate_component(j_form(comp, jet_order=5), comp.pairing)
+    one = FormElement.one(comp.generators, comp.k, 5)
+    direct = integrate_component(one, j_form(comp, jet_order=5), comp.pairing)
     direct = direct * (TWO_PI * I).inverse()
     assert got == direct
     assert got == DeltaGerm.delta(1, TWO_PI * I)

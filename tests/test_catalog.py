@@ -266,6 +266,12 @@ class TestDocumentShape:
          r"^components\[0\]\.pairing\[0\]\.value: missing field"),
         (_set(["components", 0, "pairing", 0, "mono"], ["x"]),
          r"^components\[0\]\.pairing\[0\]\.mono: expected an integer"),
+        (_set(["components", 0, "moment", "mu"], True),
+         r"^components\[0\]\.moment\.mu: expected an integer or an exact 'p/q' string"),
+        (_set(["components", 0, "moment", "mu"], 0.5),
+         r"^components\[0\]\.moment\.mu: expected an integer or an exact 'p/q' string"),
+        (_set(["components", 0, "at"], False),
+         r"^components\[0\]\.at: expected an integer or an exact 'p/q' string"),
     ])
     def test_wrong_shape_names_the_field(self, edit, field):
         doc = _circle_doc()

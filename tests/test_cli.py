@@ -10,7 +10,8 @@ from contact_index import engine, oracle
 from contact_index.cli import main
 from contact_index.catalog import dump_model, model_to_document, preset_weighted_s3
 from contact_index.engine import build_preset
-from contact_index.deltas import germ_from_document
+from contact_index.scalars import ExactScalar, approx_display
+from distributions import germ_from_document
 
 
 @pytest.fixture()
@@ -26,6 +27,12 @@ def calibrated(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["calibrate"])
     assert result.exit_code == 0, result.output
     return tmp_path
+
+
+def _circle_document(**component_fields):
+    doc = model_to_document(build_preset("circle", ()))
+    doc["components"][0].update(component_fields)
+    return doc
 
 
 def _strip_stamp(text):
@@ -53,7 +60,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("passes,count", [(False, 0), (True, 8)], ids=["none", "all"])
     def test_anchor_failures_exit_five(self, runner, tmp_path, monkeypatch, passes, count):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(engine, "_anchor_pass", lambda cfg, max_m: passes)
+        monkeypatch.setattr(engine, "_anchor_pass", lambda cfg: passes)
         result = runner.invoke(main, ["calibrate"])
         assert result.exit_code == 5
         assert f"{count} of 8 passed the anchors" in result.output
@@ -64,6 +71,12 @@ class TestCalibrate:
         ('"x"', "calibration record"),
         ('{"poisson_sign": null, "orientation_sign": 1, "todd_direction": "plus"}',
          "poisson_sign"),
+        ('{"poisson_sign": true, "orientation_sign": 1, "todd_direction": "plus"}',
+         "poisson_sign"),
+        ('{"poisson_sign": 1.0, "orientation_sign": 1, "todd_direction": "plus"}',
+         "poisson_sign"),
+        ('{"poisson_sign": 1, "orientation_sign": -1.0, "todd_direction": "plus"}',
+         "orientation_sign"),
     ])
     def test_malformed_calibration_file_exits_two(self, runner, tmp_path, monkeypatch,
                                                   text, field):
@@ -73,6 +86,12 @@ class TestCalibrate:
         result = runner.invoke(main, ["character", "--preset", "circle", "--max-m", "2"])
         assert result.exit_code == 2, result.output
         assert field in result.output
+
+    def test_has_no_window_option(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["calibrate", "--max-m", "20"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--max-m" in result.output
 
     def test_env_var_overrides_the_path(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -108,6 +127,22 @@ class TestGermCommand:
         terms = json.loads(result.output)["germ"]["terms"]
         assert len(terms) == 1
         assert terms[0]["scalar"] == "(1/2)*pi^1"
+
+    def test_every_term_carries_its_approximation(self, runner, calibrated):
+        result = runner.invoke(main, ["germ", "--preset", "hopf", "--n", "3", "--at", "0/1",
+                                      "--digits", "6"])
+        assert result.exit_code == 0
+        terms = json.loads(result.output)["germ"]["terms"]
+        assert len(terms) == 4
+        for term in terms:
+            value = ExactScalar.from_text(term["scalar"])
+            assert term["approx"] == approx_display(value, 6)
+
+    def test_has_no_format_option(self, runner, calibrated):
+        result = runner.invoke(main, ["germ", "--preset", "circle", "--at", "0/1",
+                                      "--format", "json"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--format" in result.output
 
     def test_bad_fraction_is_a_config_error(self, runner, calibrated):
         result = runner.invoke(main, ["germ", "--preset", "circle", "--at", "x/y"])
@@ -191,6 +226,10 @@ class TestCharacterCommand:
         ({"components": []}, "ambient_n"),
         ({"ambient_n": 1, "components": 5}, "components"),
         ([1], "model document"),
+        (_circle_document(moment={"mu": True, "reeb_weight": 1}),
+         "components[0].moment.mu: expected an integer or an exact 'p/q' string"),
+        (_circle_document(at=False),
+         "components[0].at: expected an integer or an exact 'p/q' string"),
     ])
     def test_malformed_model_document_exits_two(self, runner, calibrated, doc, field):
         path = calibrated / "bad.json"

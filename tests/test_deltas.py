@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from contact_index.deltas import (DeltaError, DeltaGerm, SmoothJet,
-                                  fourier_contribution, germ_from_document,
-                                  germ_to_document, multiply_smooth, scale_variable)
+                                  fourier_contribution, germ_to_document, multiply_smooth,
+                                  scale_variable)
 from contact_index.scalars import ExactScalar
-from distributions import HalfDeltaGerm, pair_with_trig
+from distributions import HalfDeltaGerm, germ_from_document, pair_with_trig
 
 ONE = ExactScalar.one()
 I = ExactScalar.i()

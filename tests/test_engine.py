@@ -347,19 +347,19 @@ def _cpn_with_amplitudes(n, amplitudes):
 
 class TestCalibration:
     def test_exactly_one_combination_passes(self):
-        cfg = calibrate_conventions(max_m=15)
+        cfg = calibrate_conventions()
         assert cfg == CalibrationConfig(poisson_sign=1, orientation_sign=1,
                                         todd_direction="plus")
 
     def test_idempotent(self):
-        assert calibrate_conventions(max_m=10) == calibrate_conventions(max_m=10)
+        assert calibrate_conventions() == calibrate_conventions()
 
     @pytest.mark.parametrize("passes,count", [(False, 0), (True, 8)], ids=["none", "all"])
     def test_anchor_failures_raise(self, monkeypatch, passes, count):
-        monkeypatch.setattr(engine, "_anchor_pass", lambda cfg, max_m: passes)
+        monkeypatch.setattr(engine, "_anchor_pass", lambda cfg: passes)
         with pytest.raises(CalibrationError, match=f"exactly one convention combination; "
                                                    f"{count} of 8 passed the anchors"):
-            calibrate_conventions(max_m=10)
+            calibrate_conventions()
 
     def test_wrong_conventions_break_the_anchors(self):
         bad = CalibrationConfig(poisson_sign=-1, orientation_sign=1,

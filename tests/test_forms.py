@@ -1,6 +1,7 @@
 """Form algebra: Todd and determinant factors, the delta form, integration."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -243,8 +244,7 @@ def _sphere_component():
 class TestJForm:
     def test_sphere_delta_form(self):
         form = j_form(_sphere_component(), jet_order=4)
-        assert form.alpha
-        # alpha (d0(-phi) + d0'(-phi) dA): constant term d0, linear term -d0'
+        # d0(-phi) + d0'(-phi) dA: constant term d0, linear term -d0'
         d0 = DeltaGerm.delta(0)
         d1 = DeltaGerm.delta(1)
         assert form.terms[(0,)] == d0
@@ -290,43 +290,9 @@ class TestJForm:
 
 
 class TestMultiply:
-    def _alpha_germ_form(self):
-        d0 = DeltaGerm.delta(0)
-        d1 = DeltaGerm.delta(1)
-        base = FormElement(("dA",), 1, 4, {
-            (0,): d0,
-            (1,): d1 * ExactScalar.from_rational(-1),
-        }, alpha=True)
-        return base
-
-    def test_todd_times_delta_form_expansion(self):
-        # (1 + i dA) * alpha (d0 - d0' dA) = alpha d0 + alpha dA (i d0 - d0')
-        td = FormElement.one(("dA",), 1, 4) + \
-            FormElement.generator("dA", ("dA",), 1, 4, coeff=I)
-        prod = td * self._alpha_germ_form()
-        d0 = DeltaGerm.delta(0)
-        d1 = DeltaGerm.delta(1)
-        assert prod.terms[(0,)] == d0
-        assert prod.terms[(1,)] == d0 * I - d1
-
     def test_multiplying_by_one_is_identity(self):
         x = FormElement.generator("dA", ("dA",), 2, 4)
         assert FormElement.one(("dA",), 2, 4) * x == x
-
-    def test_alpha_squares_to_zero(self):
-        a = self._alpha_germ_form()
-        assert (a * a).is_zero()
-
-    def test_adding_a_jet_coefficient_to_a_germ_coefficient_is_rejected(self):
-        jet = FormElement.generator("dA", ("dA",), 1, 4)
-        germ = FormElement(("dA",), 1, 4, {(1,): DeltaGerm.delta(1)})
-        with pytest.raises(FormError, match="smooth term to a germ term"):
-            jet + germ
-
-    def test_multiplying_two_germ_coefficients_is_rejected(self):
-        germ = FormElement(("dA",), 1, 4, {(0,): DeltaGerm.delta(0)})
-        with pytest.raises(FormError, match="two germ coefficients"):
-            germ * germ
 
     def test_basis_mismatch_is_rejected(self):
         a = FormElement.one(("dA",), 1, 4)
@@ -358,27 +324,54 @@ class TestIntegrate:
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
                                   pairing={(): TWO_PI})
-        form = j_form(comp, jet_order=4)
-        assert integrate_component(form, comp.pairing) == DeltaGerm.delta(0, TWO_PI)
+        one = FormElement.one((), 0, 4)
+        germ = integrate_component(one, j_form(comp, jet_order=4), comp.pairing)
+        assert germ == DeltaGerm.delta(0, TWO_PI)
 
     def test_sphere_reproduces_worked_example(self):
         comp = _sphere_component()
         td = todd(comp.tangential, comp.generators, comp.k, jet_order=5, direction="plus")
-        germ = integrate_component(td * j_form(comp, jet_order=5), comp.pairing)
+        germ = integrate_component(td, j_form(comp, jet_order=5), comp.pairing)
         germ = germ * (TWO_PI * I).inverse()
         expected = DeltaGerm([TWO_PI, TWO_PI * I])
         assert germ == expected
 
+    def test_todd_times_delta_form_expansion(self):
+        # (1 + i dA) * (d0 - d0' dA) has top coefficient i d0 - d0' at dA
+        td = FormElement.one(("dA",), 1, 4) + \
+            FormElement.generator("dA", ("dA",), 1, 4, coeff=I)
+        delta = FormElement(("dA",), 1, 4, {(0,): DeltaGerm.delta(0),
+                                             (1,): DeltaGerm.delta(1, -1)})
+        germ = integrate_component(td, delta, {(1,): ONE})
+        assert germ == DeltaGerm.delta(0) * I - DeltaGerm.delta(1)
+
     def test_zero_form_integrates_to_zero(self):
-        form = FormElement(("dA",), 1, 4, {}, alpha=True)
-        assert integrate_component(form, {(1,): TWO_PI}).is_zero()
+        zero = FormElement.zero(("dA",), 1, 4)
+        delta = j_form(_sphere_component(), jet_order=4)
+        assert integrate_component(zero, delta, {(1,): TWO_PI}).is_zero()
 
     def test_missing_pairing_entry_is_an_error(self):
-        form = j_form(_sphere_component(), jet_order=4)
-        with pytest.raises(FormError, match="pairing"):
-            integrate_component(form, {})
+        one = FormElement.one(("dA",), 1, 4)
+        with pytest.raises(FormError, match=re.escape("surviving monomial (1,)")):
+            integrate_component(one, j_form(_sphere_component(), jet_order=4), {})
 
-    def test_plain_elements_do_not_integrate(self):
-        td = FormElement.one(("dA",), 1, 4)
-        with pytest.raises(FormError, match="alpha"):
-            integrate_component(td, {(1,): TWO_PI})
+    def test_missing_entry_of_a_nonzero_top_monomial_names_it(self):
+        # two generators: only the e1 monomial is missing, and its coefficient
+        # e1 * d0 is nonzero
+        gens = ("dA", "e1")
+        smooth = FormElement.one(gens, 1, 4) + FormElement.generator("e1", gens, 1, 4)
+        delta = j_form(replace(_sphere_component(), generators=gens), jet_order=4)
+        with pytest.raises(FormError, match=re.escape("surviving monomial (0, 1)")):
+            integrate_component(smooth, delta, {(1, 0): TWO_PI})
+
+    def test_missing_entry_of_a_vanishing_top_monomial_is_not_needed(self):
+        # (phi - dA) * (d0 - d0' dA) at dA: phi * (-d0') - d0 = d0 - d0 = 0
+        smooth = FormElement.from_jet(SmoothJet.variable(4), ("dA",), 1) - \
+            FormElement.generator("dA", ("dA",), 1, 4)
+        delta = j_form(_sphere_component(), jet_order=4)
+        assert integrate_component(smooth, delta, {}).is_zero()
+
+    def test_basis_mismatch_is_rejected(self):
+        delta = j_form(_sphere_component(), jet_order=4)
+        with pytest.raises(FormError, match="basis"):
+            integrate_component(FormElement.one(("dA",), 2, 4), delta, {(1,): TWO_PI})

@@ -1,11 +1,21 @@
-"""Golden SHA-256s of character reports, a byte-identity net for the engine.
+"""Golden SHA-256s of character and volume reports, a byte-identity net for the engine.
 
-Each hash is of `character_document` at max_m = 30, serialized as JSON with
-sorted keys, for one preset under one of the eight calibrations (in the
-order of `CALIBRATIONS`).  The hashes were recorded with the per-point
-assembly, before torsion points were evaluated once per Galois orbit, so
-any change in a report, however small, fails here.  They do not depend on
-the benchmark's reference hashes.
+Each hash is of a report serialized as JSON with sorted keys, under one of
+the eight calibrations (in the order of `CALIBRATIONS`):
+
+* `GOLDEN`: `character_document` at max_m = 30 for one preset, recorded with
+  the per-point assembly, before torsion points were evaluated once per
+  Galois orbit;
+* `GOLDEN_TWO_GENERATORS`: the same for the model documents of
+  `TWO_GENERATOR_MODELS`, whose components carry a second curvature
+  generator e1, so the form products and the top pairing run over more
+  than one monomial;
+* `GOLDEN_DH`: the germ document of `dh_fourier` for one preset.
+
+The last two were recorded while `FormElement` still multiplied jets into
+germs inside the form algebra, before the delta form was paired only at
+integration.  Any change in a report, however small, fails here.  The
+hashes do not depend on the benchmark's reference hashes.
 """
 
 import hashlib
@@ -13,8 +23,10 @@ import json
 
 import pytest
 
+from contact_index.catalog import model_from_document
+from contact_index.deltas import germ_to_document
 from contact_index.engine import (CalibrationConfig, assemble_character, build_preset,
-                                  character_document)
+                                  character_document, dh_fourier)
 
 CALIBRATIONS = [CalibrationConfig(s, o, d) for s in (1, -1) for o in (1, -1)
                 for d in ("plus", "minus")]
@@ -141,3 +153,132 @@ def test_character_report_is_byte_identical(kind, params):
         text = json.dumps(character_document(result), sort_keys=True)
         got.append(hashlib.sha256(text.encode()).hexdigest())
     assert tuple(got) == GOLDEN[kind, params]
+
+
+def _sha(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _identity_component(mu):
+    """The five-dimensional identity component, generators (dA, e1)."""
+    return {
+        "at": "0/1", "dim": 5,
+        "tangential_roots": [{"curv": ["(1*z4^1)*pi^0", "(1)*pi^0"], "weight": 1,
+                              "eig": "0/1"}] * 2
+        + [{"curv": ["(1*z4^1)*pi^0", "0"], "weight": 1, "eig": "0/1"}],
+        "normal_roots": [],
+        "moment": {"mu": mu, "reeb_weight": 1},
+        "pairing": [{"mono": [2, 0], "value": "(8)*pi^3"},
+                    {"mono": [1, 1], "value": "(2)*pi^3"},
+                    {"mono": [0, 2], "value": "(-1)*pi^3"}],
+    }
+
+
+def _turn_component(at):
+    """A three-dimensional component at the point `at`, generators (dA, e1):
+    one tangential root of weight 1, one normal root with eigenvalue
+    e^{2 pi i at}, moment 2."""
+    return {
+        "at": at, "dim": 3,
+        "tangential_roots": [{"curv": ["(1)*pi^0", "(1/2)*pi^0"], "weight": 1,
+                              "eig": "0/1"}],
+        "normal_roots": [{"curv": ["0", "(1)*pi^0"], "weight": 1, "eig": at}],
+        "moment": {"mu": "2", "reeb_weight": 1},
+        "pairing": [{"mono": [1, 0], "value": "(4)*pi^2"},
+                    {"mono": [0, 1], "value": "(-3/2)*pi^2"}],
+    }
+
+
+TWO_GENERATOR_MODELS = {
+    "half-turn": {
+        "rank": 1, "ambient_n": 2, "model_id": "two-generators-half-turn",
+        "components": [_identity_component("1"), _turn_component("1/2")],
+    },
+    # 1/3 and 2/3 form one Galois orbit, evaluated once
+    "third-turns": {
+        "rank": 1, "ambient_n": 2, "model_id": "two-generators-third-turns",
+        "components": [_identity_component("3/2"), _turn_component("1/3"),
+                       _turn_component("2/3")],
+    },
+}
+
+GOLDEN_TWO_GENERATORS = {
+    "half-turn": (
+        "cb34163fad9ba86e2a23a88f475c9912053817e2036ef2008369746883e4c13a",
+        "fb9ce10353079d7372800302f8b71cd601759476885e58dbaa9076c8beba45f3",
+        "a24fd127cededfe5fb4e13932cde9c8a8b0acb1c61aab87992f9510f19972eb4",
+        "6419683d58e69a3cf2f043abf6a74c6d04275c6affe99383a93c70fcc8c66984",
+        "75ca44ec88b8d39224ffcbbddd189aacbdf7f28e28bdd8bef6de418e19d24cd4",
+        "23a52be7c13589c5a22306d4d19af05cc412d989274845f822c13e4e2b3881cd",
+        "20f088236dc199fe79b34299850a7a3f7c97d7f5a60982c9735dbd7efa126abb",
+        "51a0c4a4075f45169f25d7af354111cd403e5e06a96fbc03bf4d52ca263b4d40",
+    ),
+    "third-turns": (
+        "5320814ede751bfc73e959bda3f1289f0df1b1cca6c828cb7a5e6279228378a6",
+        "d07d2453d7c089503896a4e1c77cc81770fb2508e0ef329deabf92a1af79e7de",
+        "ead1909d5c0ea94479392a3bf046085cd02d9e25b283a9da75c4412183c5ef93",
+        "a44738a7ec4b5ba27e7a6ed4931bc1771a259c5260c9585cc3b55325f259e8ad",
+        "0bbddb3991e828b5bb772977f7d76eaf748d5b482515e83f3d499633f09d69c7",
+        "c95655d21603f4e00f86bb206a99f8943239f6006956d59a3a25642728725449",
+        "6435c21201dfdb9a1bbc4101d666774e7b5816d67b8a41fbb9a2cba5cbeb2d1d",
+        "84291c51c0674cd1d39c4b20d1a6a9d8c93b715a96f1c2a82314021b6a0dbee4",
+    ),
+}
+
+GOLDEN_DH = {
+    ("circle", ()): (
+        "006c85c54f14b2d6380cb290bdeaa17727d0ee7f19019dee6d5f6e62f3f35333",
+        "006c85c54f14b2d6380cb290bdeaa17727d0ee7f19019dee6d5f6e62f3f35333",
+        "b81708249db70832d6fb36d8c446b39b6c4cb69feffa209e70cddf4506a9aa0d",
+        "b81708249db70832d6fb36d8c446b39b6c4cb69feffa209e70cddf4506a9aa0d",
+        "006c85c54f14b2d6380cb290bdeaa17727d0ee7f19019dee6d5f6e62f3f35333",
+        "006c85c54f14b2d6380cb290bdeaa17727d0ee7f19019dee6d5f6e62f3f35333",
+        "b81708249db70832d6fb36d8c446b39b6c4cb69feffa209e70cddf4506a9aa0d",
+        "b81708249db70832d6fb36d8c446b39b6c4cb69feffa209e70cddf4506a9aa0d",
+    ),
+    ("hopf", (1,)): (
+        "44bb1f4508c331815fe133570ee13e8382b63b5434ecf6059785902d344329c5",
+        "44bb1f4508c331815fe133570ee13e8382b63b5434ecf6059785902d344329c5",
+        "13315d3b39b855ccf5a31e1dd407520c2d9f59c40c8d34ff0078a5dc6e8f8685",
+        "13315d3b39b855ccf5a31e1dd407520c2d9f59c40c8d34ff0078a5dc6e8f8685",
+        "44bb1f4508c331815fe133570ee13e8382b63b5434ecf6059785902d344329c5",
+        "44bb1f4508c331815fe133570ee13e8382b63b5434ecf6059785902d344329c5",
+        "13315d3b39b855ccf5a31e1dd407520c2d9f59c40c8d34ff0078a5dc6e8f8685",
+        "13315d3b39b855ccf5a31e1dd407520c2d9f59c40c8d34ff0078a5dc6e8f8685",
+    ),
+    ("hopf", (2,)): (
+        "4895685d38d26bed1b4b6a25dee400b669e585a248e2fcbdeacd4e2cde7596bd",
+        "4895685d38d26bed1b4b6a25dee400b669e585a248e2fcbdeacd4e2cde7596bd",
+        "e8523677a096dfa1a486f5af123c077d1c155f1973f0f3f756767210afbc31b5",
+        "e8523677a096dfa1a486f5af123c077d1c155f1973f0f3f756767210afbc31b5",
+        "4895685d38d26bed1b4b6a25dee400b669e585a248e2fcbdeacd4e2cde7596bd",
+        "4895685d38d26bed1b4b6a25dee400b669e585a248e2fcbdeacd4e2cde7596bd",
+        "e8523677a096dfa1a486f5af123c077d1c155f1973f0f3f756767210afbc31b5",
+        "e8523677a096dfa1a486f5af123c077d1c155f1973f0f3f756767210afbc31b5",
+    ),
+    ("hopf", (3,)): (
+        "32a42073ee36bd3fa04c79ad456c2f3bdef0abf143b78b060bb59c94da9548c3",
+        "32a42073ee36bd3fa04c79ad456c2f3bdef0abf143b78b060bb59c94da9548c3",
+        "2774935d7edd63a0ddee93238c10916f48799a779d9965a4bd29cddcf4a627f1",
+        "2774935d7edd63a0ddee93238c10916f48799a779d9965a4bd29cddcf4a627f1",
+        "32a42073ee36bd3fa04c79ad456c2f3bdef0abf143b78b060bb59c94da9548c3",
+        "32a42073ee36bd3fa04c79ad456c2f3bdef0abf143b78b060bb59c94da9548c3",
+        "2774935d7edd63a0ddee93238c10916f48799a779d9965a4bd29cddcf4a627f1",
+        "2774935d7edd63a0ddee93238c10916f48799a779d9965a4bd29cddcf4a627f1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_TWO_GENERATORS))
+def test_two_generator_character_report_is_byte_identical(name):
+    model = model_from_document(TWO_GENERATOR_MODELS[name])
+    got = tuple(_sha(character_document(assemble_character(model, 30, cal)))
+                for cal in CALIBRATIONS)
+    assert got == GOLDEN_TWO_GENERATORS[name]
+
+
+@pytest.mark.parametrize("kind,params", list(GOLDEN_DH), ids=lambda v: str(v))
+def test_volume_report_is_byte_identical(kind, params):
+    got = tuple(_sha(germ_to_document(dh_fourier(build_preset(kind, params, cal), cal), 0))
+                for cal in CALIBRATIONS)
+    assert got == GOLDEN_DH[kind, params]
