@@ -71,6 +71,9 @@ class FixedComponentData:
         for i, root in enumerate(self.normal):
             if len(root.weight) != rank:
                 raise ModelError(f"{path}.normal_roots[{i}].weight: expected {rank} entries")
+            if at == IDENTITY:
+                raise ModelError(f"{path}.normal_roots[{i}]: the identity fixes all of M, "
+                                 f"so its components have no normal directions")
             if at is not None and Fraction(root.eigenvalue_exponent) % 1 == 0:
                 raise ModelError(
                     f"{path}.normal_roots[{i}].eig: normal eigenvalue 1 at a fixed "
@@ -124,8 +127,7 @@ class ContactModel:
                 if not comps:
                     raise ModelError(f"components[{at}]: empty component list; drop the point")
                 for idx, comp in enumerate(comps):
-                    comp.validate(self.rank, self.ambient_n,
-                                  at if at != IDENTITY else None,
+                    comp.validate(self.rank, self.ambient_n, at,
                                   path=f"components[{at}][{idx}]")
         else:
             if self.identity_model is None:

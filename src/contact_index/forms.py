@@ -14,6 +14,11 @@ The module also builds the two power series the localization consumes:
 * the inverse normal determinant factor (1 - lambda e^x)^-1 for a normal
   root with torsion eigenvalue lambda != 1.
 
+Rational series are computed over Q: the Todd series, its powers and the
+exponential series are lists of `Fraction`s, lifted to exact scalars only at
+evaluation.  The normal factor has a cyclotomic eigenvalue and runs in
+`ExactScalar`; the inversion and power kernels take either type.
+
 Series are evaluated by Horner's rule over the truncated algebra: the
 argument (curvature part plus a constant-free jet) is nilpotent there, so
 every evaluation is a finite exact computation.
@@ -172,37 +177,39 @@ class FormElement:
 # ----------------------------------------------------------------------
 
 def _series_invert(coeffs):
-    """Multiplicative inverse of a power series with invertible constant term."""
-    inv0 = ExactScalar.one() / coeffs[0]
+    """Multiplicative inverse of a power series with invertible constant term.
+
+    The coefficients are all `Fraction`s or all `ExactScalar`s; the inverse
+    has the same type.  Only +, *, 1 / f0 and negation are used.
+    """
+    inv0 = 1 / coeffs[0]
     out = [inv0]
     for n in range(1, len(coeffs)):
-        acc = ExactScalar.zero()
-        for j in range(1, n + 1):
+        acc = coeffs[1] * out[n - 1]
+        for j in range(2, n + 1):
             acc = acc + coeffs[j] * out[n - j]
         out.append(-inv0 * acc)
     return out
 
 
 def _exp_series(length):
-    """Coefficients of e^t up to the given length."""
-    return [ExactScalar.from_rational(Fraction(1, math.factorial(n))) for n in range(length)]
+    """Coefficients of e^t up to the given length, as `Fraction`s."""
+    return [Fraction(1, math.factorial(n)) for n in range(length)]
 
 
 def todd_series(length, direction="plus"):
     """Taylor coefficients of the Todd factor.
 
     direction "plus" gives x/(1-e^-x) (coefficients 1, 1/2, 1/12, 0, -1/720,
-    ...), direction "minus" gives x/(e^x-1).  Computed by exact power-series
-    division; the Bernoulli-number recurrence serves as the independent check
-    in the test suite.
+    ...), direction "minus" gives x/(e^x-1).  Computed over Q, as `Fraction`s,
+    by exact power-series division; the Bernoulli-number recurrence serves as
+    the independent check in the test suite.
     """
     if direction not in ("plus", "minus"):
         raise FormError(f"unknown Todd direction {direction!r}")
     # "plus": (1-e^-x)/x = sum (-x)^j/(j+1)!; "minus": (e^x-1)/x = sum x^j/(j+1)!
     sign = -1 if direction == "plus" else 1
-    denom = [ExactScalar.from_rational(Fraction(sign ** j, math.factorial(j + 1)))
-             for j in range(length)]
-    return _series_invert(denom)
+    return _series_invert([Fraction(sign ** j, math.factorial(j + 1)) for j in range(length)])
 
 
 _EIGENVALUE_ONE = ("fixed-set mismatch: normal eigenvalue 1 means the direction "
@@ -309,23 +316,25 @@ def _series_power(coeffs, r):
 
     J.C.P. Miller's recurrence: g_0 = f_0^r and
     g_n = (1 / (n f_0)) sum_{k=1..n} ((r+1) k - n) f_k g_{n-k},
-    exact and truncated at the length of the input.
+    exact and truncated at the length of the input.  As in `_series_invert`
+    the coefficients are all `Fraction`s or all `ExactScalar`s; zero
+    coefficients are skipped by their truth value.
     """
     if r == 1:
         return list(coeffs)
     f0 = coeffs[0]
-    inv0 = f0.inverse()
-    g0 = ExactScalar.one()
+    inv0 = 1 / f0
+    g0 = f0 * inv0  # one, in the coefficients' type
     for _ in range(r):
         g0 = g0 * f0
     out = [g0]
     for n in range(1, len(coeffs)):
-        acc = ExactScalar.zero()
+        acc = 0
         for k in range(1, n + 1):
             weight = (r + 1) * k - n
-            if weight and not coeffs[k].is_zero():
+            if weight and coeffs[k]:
                 acc = acc + coeffs[k] * out[n - k] * weight
-        out.append(acc * inv0 * ExactScalar.from_rational(Fraction(1, n)))
+        out.append(acc * inv0 * Fraction(1, n))
     return out
 
 
@@ -346,11 +355,10 @@ def j_form(component, *, jet_order):
                         "on each component (constant-moment normalization)")
     k = component.k
     gens = component.generators
-    germs = [scale_variable(DeltaGerm.delta(j), -mu * w) for j in range(k + 1)]
     terms = {}
-    for j, germ in enumerate(germs):
+    for j in range(k + 1):
         exp = tuple(j if i == 0 else 0 for i in range(len(gens)))
-        terms[exp] = germ * ExactScalar.from_rational(Fraction(1, math.factorial(j)))
+        terms[exp] = scale_variable(DeltaGerm.delta(j, Fraction(1, math.factorial(j))), -mu * w)
     return FormElement(gens, k, jet_order, terms)
 
 

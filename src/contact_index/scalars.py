@@ -532,6 +532,9 @@ class ExactScalar:
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
 
+    def __rtruediv__(self, other):
+        return _coerce(other) * self.inverse()
+
     def galois(self, t):
         return ExactScalar({k: c.galois(t) for k, c in self.terms.items()})
 
@@ -542,6 +545,9 @@ class ExactScalar:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_rational(self):
         return set(self.terms) <= {0} and all(c.is_rational() for c in self.terms.values())

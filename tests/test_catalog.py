@@ -223,6 +223,14 @@ def _circle_doc():
     return model_to_document(preset_circle())
 
 
+def _identity_with_a_normal_root_doc():
+    """The three-sphere's identity component with a normal root at eigenvalue -1."""
+    doc = model_to_document(preset_hopf_sphere(1))
+    doc["ambient_n"] = 2
+    doc["components"][0]["normal_roots"] = [{"curv": ["0"], "weight": 1, "eig": "1/2"}]
+    return doc
+
+
 def _set(path, value):
     """An edit of the circle document: set the field at `path` (keys and indices)."""
     def edit(doc):
@@ -282,6 +290,14 @@ class TestDocumentShape:
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ModelError, match="^model document: expected an object"):
             model_from_document([1])
+
+    def test_identity_component_with_a_normal_root_is_rejected(self):
+        # the identity fixes all of M, so k must equal ambient_n: a
+        # three-dimensional identity component in ambient rank 2 cannot take
+        # up the missing direction as a normal root at eigenvalue -1
+        with pytest.raises(ModelError, match=r"^components\[0\]\[0\]\.normal_roots\[0\]: "
+                                             r"the identity fixes all of M"):
+            model_from_document(_identity_with_a_normal_root_doc())
 
     @pytest.mark.parametrize("edit,field", [
         (_drop(["identity_model"]), r"^identity_model: missing field"),

@@ -35,6 +35,14 @@ def _circle_document(**component_fields):
     return doc
 
 
+def _identity_with_a_normal_root():
+    """A three-dimensional identity component with a normal root, ambient rank 2."""
+    doc = model_to_document(build_preset("hopf", (1,)))
+    doc["ambient_n"] = 2
+    doc["components"][0]["normal_roots"] = [{"curv": ["0"], "weight": 1, "eig": "1/2"}]
+    return doc
+
+
 def _strip_stamp(text):
     doc = json.loads(text)
     doc.pop("generated_at", None)
@@ -230,6 +238,8 @@ class TestCharacterCommand:
          "components[0].moment.mu: expected an integer or an exact 'p/q' string"),
         (_circle_document(at=False),
          "components[0].at: expected an integer or an exact 'p/q' string"),
+        (_identity_with_a_normal_root(),
+         "components[0][0].normal_roots[0]: the identity fixes all of M"),
     ])
     def test_malformed_model_document_exits_two(self, runner, calibrated, doc, field):
         path = calibrated / "bad.json"
