@@ -177,13 +177,13 @@ def scale_variable(germ, a):
 
     The homogeneity is forced by a d0(a x) = sign(a) d0(x) together with
     term-wise differentiation.  a = 0 is the ellipticity-violating case and
-    is rejected.
+    is rejected.  Zero terms pass through untouched.
     """
     a = Fraction(a)
     if a == 0:
         raise DeltaError("cannot rescale a germ variable by zero (ellipticity violation)")
     sign = 1 if a > 0 else -1
-    return DeltaGerm([c * ExactScalar.from_rational(sign * a ** (-(j + 1)))
+    return DeltaGerm([c * ExactScalar.from_rational(sign * a ** (-(j + 1))) if c else c
                       for j, c in enumerate(germ.terms)])
 
 
@@ -233,12 +233,10 @@ def fourier_contribution(germ, location, poisson_sign):
     inv_two_pi = ExactScalar.pi_power(-1, Fraction(1, 2))
     s_i = ExactScalar.i() * poisson_sign
     # polynomial part: sum_j c_j (s i)^j m^j, coefficients indexed by power of m
-    poly = []
-    for j, c in enumerate(germ.terms):
-        w = inv_two_pi * c
-        for _ in range(j):
-            w = w * s_i
-        poly.append(w)
+    poly, weight = [], inv_two_pi  # weight runs through (1/2pi) (s i)^j
+    for c in germ.terms:
+        poly.append(weight * c)
+        weight = weight * s_i
     table = {}
     for r in range(q):
         zeta_pow = ExactScalar.root_of_unity(-poisson_sign * r * loc.numerator,

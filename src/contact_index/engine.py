@@ -98,7 +98,7 @@ def _inverse_two_pi_i_power(k):
 def _component_germ(comp, calibration):
     """(2 pi i)^-k times the pairing of Todd, inverse determinant and delta form."""
     k = comp.k
-    jet_order = k + 4  # enough for every derivative the germ carries
+    jet_order = k  # the Leibniz pairing reads jets only up to j_form's top order k
     td = todd(comp.tangential, comp.generators, k, jet_order=jet_order,
               direction=calibration.todd_direction)
     dc = dc_inverse(comp.normal, comp.generators, k, jet_order=jet_order)
@@ -129,8 +129,8 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
     n = model.ambient_n
     total = DeltaGerm.zero()
     for comp in model.components.get(IDENTITY, []):
-        one = FormElement.one(comp.generators, comp.k, comp.k + 4)
-        total = total + integrate_component(one, j_form(comp, jet_order=comp.k + 4),
+        one = FormElement.one(comp.generators, comp.k, comp.k)
+        total = total + integrate_component(one, j_form(comp, jet_order=comp.k),
                                             comp.pairing)
     return total * _inverse_two_pi_i_power(n)
 

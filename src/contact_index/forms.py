@@ -19,9 +19,9 @@ exponential series are lists of `Fraction`s, lifted to exact scalars only at
 evaluation.  The normal factor has a cyclotomic eigenvalue and runs in
 `ExactScalar`; the inversion and power kernels take either type.
 
-Series are evaluated by Horner's rule over the truncated algebra: the
-argument (curvature part plus a constant-free jet) is nilpotent there, so
-every evaluation is a finite exact computation.
+Series are evaluated as power sums over the truncated algebra, each as long as
+its argument reads (`_series_length`): the argument (curvature part plus a
+constant-free jet) is nilpotent there, so every evaluation is finite and exact.
 
 Both products over roots group equal roots first: a group of r equal roots
 (all n+1 tangential roots of the Hopf sphere, say) raises its scalar series
@@ -93,11 +93,6 @@ class FormElement:
     @staticmethod
     def zero(generators, truncation, jet_order):
         return FormElement(generators, truncation, jet_order, {})
-
-    @staticmethod
-    def from_scalar(scalar, generators, truncation, jet_order):
-        return FormElement.from_jet(SmoothJet.one(jet_order) * _coerce(scalar),
-                                    generators, truncation)
 
     @staticmethod
     def from_jet(jet, generators, truncation):
@@ -228,13 +223,14 @@ def normal_factor_series(eigenvalue, length):
 
 
 def evaluate_series(coeffs, element):
-    """Horner evaluation of sum_j coeffs[j] * element^j in the truncated algebra.
+    """sum_j coeffs[j] * element^j in the truncated algebra, from running powers.
 
     The element must have no constant term (its zeroth jet coefficient at
     generator exponent zero vanishes), so it is nilpotent and the sum is
     finite: element^j vanishes for j > truncation + jet order, and already
     for j > truncation when no coefficient carries a phi part (a root of
     weight 0).  The series must be long enough for the terms that survive.
+    Zero terms and powers past the last term are skipped: O(k) products for i a dA.
     """
     const = element.terms.get((0,) * len(element.generators))
     if const is not None and not const.constant_term().is_zero():
@@ -244,12 +240,14 @@ def evaluate_series(coeffs, element):
         need += element.jet_order
     if len(coeffs) < need:
         raise FormError(f"series too short: need {need} coefficients, got {len(coeffs)}")
-    acc = FormElement.from_scalar(coeffs[need - 1], element.generators, element.truncation,
-                                  element.jet_order)
-    for j in range(need - 2, -1, -1):
-        acc = acc * element
-        acc = acc + FormElement.from_scalar(coeffs[j], element.generators,
-                                            element.truncation, element.jet_order)
+    last = max((j for j in range(need) if coeffs[j]), default=-1)
+    gens, trunc, order = element.generators, element.truncation, element.jet_order
+    acc, power = FormElement.zero(gens, trunc, order), FormElement.one(gens, trunc, order)
+    for j in range(last + 1):
+        if j:
+            power = element if j == 1 else power * element
+        if coeffs[j]:
+            acc = acc + power * coeffs[j]
     return acc
 
 
@@ -274,8 +272,8 @@ def todd(roots, generators, truncation, *, jet_order, direction="plus"):
         if not root.is_tangential():
             raise FormError("Todd factors take tangential roots only "
                             "(torsion eigenvalue must be 1)")
-    series = todd_series(truncation + jet_order + 1, direction)
-    return _root_product(roots, lambda root: series, generators, truncation, jet_order)
+    series = todd_series(_series_length(roots, truncation, jet_order), direction)
+    return _root_product(roots, lambda root, n: series[:n], generators, truncation, jet_order)
 
 
 def dc_inverse(roots, generators, truncation, *, jet_order):
@@ -283,17 +281,21 @@ def dc_inverse(roots, generators, truncation, *, jet_order):
     for root in roots:
         if root.is_tangential():
             raise FormError(_EIGENVALUE_ONE)
-    length = truncation + jet_order + 1
-    return _root_product(roots, lambda root: normal_factor_series(root.eigenvalue(), length),
+    return _root_product(roots, lambda root, n: normal_factor_series(root.eigenvalue(), n),
                          generators, truncation, jet_order)
 
 
+def _series_length(roots, truncation, jet_order):
+    """Coefficients `evaluate_series` reads at these roots' values (see its docstring)."""
+    return truncation + 1 + (jet_order if any(root.weight[0] for root in roots) else 0)
+
+
 def _root_product(roots, series_of, generators, truncation, jet_order):
-    """Product over roots of series_of(root) evaluated at root_value(root).
+    """Product over roots of series_of(root, length) evaluated at root_value(root).
 
     Equal roots are grouped (a list scan: the scalars are unhashable); a
     group of r equal roots contributes the r-th power of its series,
-    evaluated once.
+    evaluated once, all at the group's `_series_length`.
     """
     groups = []
     for root in roots:
@@ -305,9 +307,9 @@ def _root_product(roots, series_of, generators, truncation, jet_order):
             groups.append([root, 1])
     acc = FormElement.one(generators, truncation, jet_order)
     for root, count in groups:
-        series = _series_power(series_of(root), count)
-        acc = acc * evaluate_series(series, root_value(root, generators, truncation,
-                                                       jet_order))
+        n = _series_length([root], truncation, jet_order)
+        acc = acc * evaluate_series(_series_power(series_of(root, n), count),
+                                    root_value(root, generators, truncation, jet_order))
     return acc
 
 

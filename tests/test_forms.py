@@ -11,7 +11,7 @@ import pytest
 from contact_index import forms
 from contact_index.catalog import FixedComponentData
 from contact_index.deltas import DeltaGerm, SmoothJet
-from contact_index.engine import CalibrationConfig, build_preset
+from contact_index.engine import CalibrationConfig, build_preset, germ_at
 from contact_index.forms import (ChernRoot, FormElement, FormError, _series_power,
                                  dc_inverse, evaluate_series, integrate_component, j_form,
                                  normal_factor_series, root_value, todd, todd_series)
@@ -131,8 +131,7 @@ class TestNormalDeterminant:
         length = k + order + 1
         exp_series = [ExactScalar.from_rational(Fraction(1, factorial(j))) for j in range(length)]
         e_v = evaluate_series(exp_series, root_value(r, gens, k, order))
-        direct = FormElement.one(gens, k, order) - \
-            FormElement.from_scalar(lam, gens, k, order) * e_v
+        direct = FormElement.one(gens, k, order) - FormElement.one(gens, k, order) * lam * e_v
         assert inv * direct == FormElement.one(gens, k, order)
 
 
@@ -182,11 +181,10 @@ class TestGroupedRoots:
 def _full_horner(coeffs, element):
     """Horner's rule over every power up to truncation + jet order."""
     need = element.truncation + element.jet_order + 1
-    acc = FormElement.from_scalar(coeffs[need - 1], element.generators,
-                                  element.truncation, element.jet_order)
+    one = FormElement.one(element.generators, element.truncation, element.jet_order)
+    acc = one * coeffs[need - 1]
     for j in range(need - 2, -1, -1):
-        acc = acc * element + FormElement.from_scalar(
-            coeffs[j], element.generators, element.truncation, element.jet_order)
+        acc = acc * element + one * coeffs[j]
     return acc
 
 
@@ -195,6 +193,16 @@ ALL_PRESETS = [("circle", ()), ("hopf", (1,)), ("hopf", (2,)), ("hopf", (3,)),
                ("weighted-s3", (5, 7)), ("prequantum-cpn", (1,)), ("prequantum-cpn", (2,))]
 ALL_CALIBRATIONS = [CalibrationConfig(s, o, d) for s in (1, -1) for o in (1, -1)
                     for d in ("plus", "minus")]
+
+
+def _components(name, params):
+    """Every component of a preset under every calibration, with its Todd direction."""
+    for cal in ALL_CALIBRATIONS:
+        model = build_preset(name, params, cal)
+        model = model.identity_model or model  # rank 2: the principal reduction
+        for comps in model.components.values():
+            for comp in comps:
+                yield comp, cal.todd_direction
 
 
 class TestShortHorner:
@@ -207,24 +215,89 @@ class TestShortHorner:
             evaluate_series(series, y)
 
     @pytest.mark.parametrize("name, params", ALL_PRESETS)
-    def test_short_and_full_loops_agree_on_every_calibration(self, name, params,
-                                                             monkeypatch):
-        cases = []
-        for cal in ALL_CALIBRATIONS:
-            model = build_preset(name, params, cal)
-            model = model.identity_model or model  # rank 2: the principal reduction
-            for comp in (c for comps in model.components.values() for c in comps):
-                cases.append((comp, cal.todd_direction))
+    def test_short_and_full_loops_agree_on_every_calibration(self, name, params):
+        # the reference takes no grouping, no Miller power and no sizing: one
+        # series of k + jet order + 1 terms per root, by the full Horner loop
+        def reference(roots, series_of, gens, k, order):
+            acc = FormElement.one(gens, k, order)
+            for root in roots:
+                acc = acc * _full_horner(series_of(root, k + order + 1),
+                                         root_value(root, gens, k, order))
+            return acc
 
-        def forms_of(comp, direction):
-            order = comp.k + 4
-            return (todd(comp.tangential, comp.generators, comp.k, jet_order=order,
-                         direction=direction),
-                    dc_inverse(comp.normal, comp.generators, comp.k, jet_order=order))
+        for comp, direction in _components(name, params):
+            k, gens = comp.k, comp.generators
+            for order in (k, k + 4):
+                assert todd(comp.tangential, gens, k, jet_order=order, direction=direction) \
+                    == reference(comp.tangential, lambda r, n: todd_series(n, direction),
+                                 gens, k, order)
+                assert dc_inverse(comp.normal, gens, k, jet_order=order) == reference(
+                    comp.normal, lambda r, n: normal_factor_series(r.eigenvalue(), n),
+                    gens, k, order)
 
-        short = [forms_of(*case) for case in cases]
-        monkeypatch.setattr(forms, "evaluate_series", _full_horner)
-        assert short == [forms_of(*case) for case in cases]
+
+class TestJetOrder:
+    @pytest.mark.parametrize("name, params", ALL_PRESETS)
+    def test_jet_order_k_gives_the_germ_of_jet_order_k_plus_4(self, name, params):
+        # the delta form's top derivative order is k, and the Leibniz pairing
+        # reads no jet term above it
+        def germ(comp, direction, order):
+            gens, k = comp.generators, comp.k
+            smooth = todd(comp.tangential, gens, k, jet_order=order, direction=direction) \
+                * dc_inverse(comp.normal, gens, k, jet_order=order)
+            return integrate_component(smooth, j_form(comp, jet_order=order), comp.pairing)
+
+        for comp, direction in _components(name, params):
+            assert germ(comp, direction, comp.k) == germ(comp, direction, comp.k + 4)
+
+
+class TestSeriesSizing:
+    """Each root's series is built, and raised to its power, at the length its
+    argument reads: truncation + 1, plus the jet order for a nonzero weight."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        seen = {"todd_series": [], "_series_power": []}
+        real_todd_series, real_series_power = forms.todd_series, forms._series_power
+
+        def spy_todd_series(length, direction="plus"):
+            seen["todd_series"].append(length)
+            return real_todd_series(length, direction)
+
+        def spy_series_power(coeffs, r):
+            seen["_series_power"].append(len(coeffs))
+            return real_series_power(coeffs, r)
+
+        monkeypatch.setattr(forms, "todd_series", spy_todd_series)
+        monkeypatch.setattr(forms, "_series_power", spy_series_power)
+        return seen
+
+    def test_hopf_tangential_roots_read_the_truncation_only(self, monkeypatch):
+        model = build_preset("hopf", (20,))
+        (comp,) = model.components[Fraction(0)]
+        assert comp.k == 20 and len(comp.tangential) == 21
+        seen = self.spy(monkeypatch)
+        todd(comp.tangential, comp.generators, 20, jet_order=20)
+        assert seen == {"todd_series": [21], "_series_power": [21]}
+        # the engine asks for the same: jet order k, and one Todd series
+        seen["todd_series"].clear()
+        germ_at(model, 0)
+        assert seen["todd_series"] == [21]
+
+    def test_a_root_of_nonzero_weight_adds_the_jet_order(self, monkeypatch):
+        flat = ChernRoot(curvature=(I,), weight=(0,))
+        turning = ChernRoot(curvature=(I,), weight=(2,))
+        seen = self.spy(monkeypatch)
+        todd([flat, turning, flat], ("dA",), 2, jet_order=3)
+        # one series at the longest length, a prefix for the weight-0 group
+        assert seen == {"todd_series": [6], "_series_power": [3, 6]}
+
+    def test_circle_normal_series_has_jet_order_plus_one_terms(self, monkeypatch):
+        (comp,) = build_preset("weighted-s3", (2, 3)).components[Fraction(1, 2)]
+        assert comp.k == 0 and len(comp.normal) == 1 and comp.normal[0].weight[0]
+        seen = self.spy(monkeypatch)
+        dc_inverse(comp.normal, comp.generators, 0, jet_order=5)
+        assert seen == {"todd_series": [], "_series_power": [6]}
 
 
 def _sphere_component():

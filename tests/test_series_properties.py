@@ -1,20 +1,26 @@
 """Property tests: the series kernels give the same values over Q and over
-the cyclotomic scalars.
+the cyclotomic scalars, and `evaluate_series` agrees with Horner's rule.
 
 `forms._series_invert` and `forms._series_power` are one code path for both
 number types: the Todd series runs them over `Fraction`, the normal factor
-over `ExactScalar`.  Seeded through a derandomized hypothesis profile, so
-every run draws the same examples.
+over `ExactScalar`.  `forms.evaluate_series` sums running powers of its
+nilpotent argument and reads only the coefficients that can survive; the
+reference here runs Horner's rule over every coefficient it is given.
+Seeded through a derandomized hypothesis profile, so every run draws the
+same examples.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from contact_index.forms import _series_invert, _series_power  # noqa: E402
+from contact_index.deltas import SmoothJet  # noqa: E402
+from contact_index.forms import (FormElement, FormError, _series_invert,  # noqa: E402
+                                 _series_power, evaluate_series)
 from contact_index.scalars import ExactScalar  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -66,3 +72,50 @@ def test_power_agrees_over_q_and_the_cyclotomic_scalars(f, r):
     for _ in range(r):
         expected = truncated_product(f, expected)
     assert over_q == expected
+
+
+# -- evaluate_series against Horner's rule -----------------------------------
+
+I = ExactScalar.i()
+scalars = st.sampled_from([ExactScalar.zero(), ExactScalar.one(), ExactScalar.from_rational(-2),
+                           ExactScalar.from_rational(Fraction(1, 3)), I, I * -3])
+
+
+@st.composite
+def nilpotent_forms(draw):
+    """A form with no constant term: 1 or 2 generators, truncation 0-4, jet
+    order 0-4, up to three terms whose jets have a phi part or not."""
+    gens = ("a", "b")[:draw(st.integers(1, 2))]
+    truncation, jet_order = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    with_phi = draw(st.booleans())
+    exps = [e for e in product(range(truncation + 1), repeat=len(gens)) if sum(e) <= truncation]
+    terms = {}
+    for exp in draw(st.lists(st.sampled_from(exps), max_size=3, unique=True)):
+        coeffs = draw(st.lists(scalars, min_size=1, max_size=jet_order + 1 if with_phi else 1))
+        if not any(exp):
+            coeffs[0] = ExactScalar.zero()
+        terms[exp] = SmoothJet(jet_order, coeffs)
+    return FormElement(gens, truncation, jet_order, terms)
+
+
+def horner(coeffs, element):
+    """Horner's rule over every coefficient given, whatever vanishes."""
+    one = FormElement.one(element.generators, element.truncation, element.jet_order)
+    acc = one * 0
+    for c in reversed(coeffs):
+        acc = acc * element + one * c
+    return acc
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(nilpotent_forms(), st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(-2, 3)]),
+                                   min_size=11, max_size=11),
+       st.integers(0, 2), st.booleans())
+def test_power_sums_equal_horners_rule(element, raw, extra, exact):
+    has_phi = any(len(jet.coeffs) > 1 for jet in element.terms.values())
+    need = element.truncation + 1 + (element.jet_order if has_phi else 0)
+    coeffs = lift(raw) if exact else [Fraction(c) for c in raw]
+    assert evaluate_series(coeffs[:need + extra], element) == horner(coeffs[:need + extra],
+                                                                     element)
+    with pytest.raises(FormError, match=f"need {need} coefficients, got {need - 1}"):
+        evaluate_series(coeffs[:need - 1], element)
