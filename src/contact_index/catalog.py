@@ -111,7 +111,6 @@ class ContactModel:
     model_id: str
     components: dict = field(default_factory=dict)  # torsion point -> [components]
     fiber_families: list = field(default_factory=list)  # rank-2 only
-    identity_model: "ContactModel | None" = None  # rank-2: principal-only reduction
 
     @property
     def torsion_support(self):
@@ -130,9 +129,6 @@ class ContactModel:
                     comp.validate(self.rank, self.ambient_n, at,
                                   path=f"components[{at}][{idx}]")
         else:
-            if self.identity_model is None:
-                raise ModelError("identity_model: rank-2 models need the principal reduction")
-            self.identity_model.validate()
             for idx, fam in enumerate(self.fiber_families):
                 fam.component.validate(self.rank, self.ambient_n, None,
                                        path=f"fiber_families[{idx}]")
@@ -251,8 +247,7 @@ def preset_prequantum_cpn(n, orientation=1):
         )
         families.append(FiberFamily(sigma=j, component=comp))
     return ContactModel(rank=2, ambient_n=n, model_id=f"prequantum-cp{n}",
-                        fiber_families=families,
-                        identity_model=preset_hopf_sphere(n, orientation)).validate()
+                        fiber_families=families).validate()
 
 
 def scaled_model(model, lam):
@@ -287,8 +282,6 @@ def scaled_model(model, lam):
                     for at, comps in model.components.items()},
         fiber_families=[FiberFamily(f.sigma, scale_component(f.component))
                         for f in model.fiber_families],
-        identity_model=scaled_model(model.identity_model, lam)
-        if model.identity_model else None,
     )
 
 
@@ -431,14 +424,13 @@ def model_from_document(doc, model_id=None):
         model = ContactModel(rank=1, ambient_n=ambient, model_id=mid,
                              components=components)
     elif rank == 2:
-        identity = model_from_document(_get(doc, "identity_model", ""))
         families = []
         for i, f in enumerate(_list(doc, "fiber_families", "")):
             comp = _component_from_doc(f, rank, f"fiber_families[{i}]")
             sigma = _int(_get(f, "sigma", f"fiber_families[{i}]."), f"fiber_families[{i}].sigma")
             families.append(FiberFamily(sigma=sigma, component=comp))
         model = ContactModel(rank=2, ambient_n=ambient, model_id=mid,
-                             fiber_families=families, identity_model=identity)
+                             fiber_families=families)
     else:
         raise ModelError("rank: only 1 and 2 are supported")
     return model.validate()
@@ -460,7 +452,6 @@ def model_to_document(model):
         "rank": 2,
         "ambient_n": model.ambient_n,
         "model_id": model.model_id,
-        "identity_model": model_to_document(model.identity_model),
         "fiber_families": [
             {"sigma": fam.sigma, **_component_to_doc(fam.component)}
             for fam in model.fiber_families

@@ -141,21 +141,12 @@ def _parse_at(text):
     return frac % 1
 
 
-def _run(body):
-    """Map library exceptions onto the documented exit codes."""
-    try:
-        return body()
-    except click.ClickException:
-        raise
-    except UnsupportedModelError as exc:
-        click.echo(f"unsupported: {exc}", err=True)
-        sys.exit(EXIT_UNSUPPORTED)
-    except CalibrationError as exc:
-        click.echo(f"calibration failure: {exc}", err=True)
-        sys.exit(EXIT_CALIBRATION)
-    except (ModelError, ScalarError, DeltaError, FormError, EngineError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+def _report(model, calibration, **fields):
+    return {"model_id": model.model_id, "calibration": calibration.as_dict(), **fields}
+
+
+def _window(model, max_m, max_k):
+    return model.ambient_n * max_m if max_k is None else max_k  # holds |k| <= n |m|
 
 
 def _model_options(fn):
@@ -167,7 +158,25 @@ def _model_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        """Run a command, mapping library exceptions onto the documented exit codes."""
+        try:
+            return super().invoke(ctx)
+        except click.ClickException:
+            raise
+        except UnsupportedModelError as exc:
+            click.echo(f"unsupported: {exc}", err=True)
+            sys.exit(EXIT_UNSUPPORTED)
+        except CalibrationError as exc:
+            click.echo(f"calibration failure: {exc}", err=True)
+            sys.exit(EXIT_CALIBRATION)
+        except (ModelError, ScalarError, DeltaError, FormError, EngineError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact index characters of elliptic contact circle actions."""
 
@@ -179,22 +188,15 @@ def main():
 @click.option("--digits", type=click.IntRange(min=0), default=4)
 def germ(preset, n, weights, model_path, at_text, out, digits):
     """Germ of the index at one torsion point."""
-    def body():
-        calibration = _load_calibration()
-        model = _resolve_model(preset, n, weights, model_path, calibration)
-        at = _parse_at(at_text)
-        g = germ_at(model, at, calibration)
-        doc = germ_to_document(g, at)
-        for term in doc["terms"]:
-            term["approx"] = approx_display(g.terms[term["derivative_order"][0]], digits)
-        report = _stamp({
-            "model_id": model.model_id,
-            "calibration": calibration.as_dict(),
-            "at": f"{at.numerator}/{at.denominator}",
-            "germ": doc,
-        })
-        _emit(_json_text(report), out)
-    _run(body)
+    calibration = _load_calibration()
+    model = _resolve_model(preset, n, weights, model_path, calibration)
+    at = _parse_at(at_text)
+    g = germ_at(model, at, calibration)
+    doc = germ_to_document(g, at)
+    for term in doc["terms"]:
+        term["approx"] = approx_display(g.terms[term["derivative_order"][0]], digits)
+    report = _report(model, calibration, at=f"{at.numerator}/{at.denominator}", germ=doc)
+    _emit(_json_text(_stamp(report)), out)
 
 
 @main.command()
@@ -205,19 +207,17 @@ def germ(preset, n, weights, model_path, at_text, out, digits):
 @click.option("--digits", type=click.IntRange(min=0), default=4)
 def character(preset, n, weights, model_path, max_m, out, fmt, digits):
     """Fourier coefficients and the quasi-polynomial of the index character."""
-    def body():
-        calibration = _load_calibration()
-        model = _resolve_model(preset, n, weights, model_path, calibration)
-        result = assemble_character(model, max_m, calibration)
-        if fmt == "csv":
-            lines = ["m,value"]
-            for m in sorted(result.coefficients):
-                value = result.integers[m]
-                lines.append(f"{m},{result.coefficients[m].to_text() if value is None else value}")
-            _emit("\n".join(lines), out)
-        else:
-            _emit(_json_text(_stamp(character_document(result, digits))), out)
-    _run(body)
+    calibration = _load_calibration()
+    model = _resolve_model(preset, n, weights, model_path, calibration)
+    result = assemble_character(model, max_m, calibration)
+    if fmt == "csv":
+        lines = ["m,value"]
+        for m in sorted(result.coefficients):
+            value = result.integers[m]
+            lines.append(f"{m},{result.coefficients[m].to_text() if value is None else value}")
+        _emit("\n".join(lines), out)
+    else:
+        _emit(_json_text(_stamp(character_document(result, digits))), out)
 
 
 @main.command()
@@ -225,19 +225,10 @@ def character(preset, n, weights, model_path, max_m, out, fmt, digits):
 @click.option("--out", type=click.Path(), default=None)
 def dh(preset, n, weights, model_path, out):
     """The volume transform: the identity germ with the Todd factor dropped."""
-    def body():
-        calibration = _load_calibration()
-        model = _resolve_model(preset, n, weights, model_path, calibration)
-        g = dh_fourier(model, calibration)
-        doc = germ_to_document(g, Fraction(0))
-        report = _stamp({
-            "model_id": model.model_id,
-            "calibration": calibration.as_dict(),
-            "transform": "volume",
-            "germ": doc,
-        })
-        _emit(_json_text(report), out)
-    _run(body)
+    calibration = _load_calibration()
+    model = _resolve_model(preset, n, weights, model_path, calibration)
+    doc = germ_to_document(dh_fourier(model, calibration), Fraction(0))
+    _emit(_json_text(_stamp(_report(model, calibration, transform="volume", germ=doc))), out)
 
 
 @main.command()
@@ -247,18 +238,10 @@ def dh(preset, n, weights, model_path, out):
 @click.option("--out", type=click.Path(), default=None)
 def corollary(preset, n, weights, model_path, max_m, max_k, out):
     """Per-index group characters of a rank-2 prequantum model."""
-    def body():
-        calibration = _load_calibration()
-        model = _resolve_model(preset, n, weights, model_path, calibration)
-        window = model.ambient_n * max_m if max_k is None else max_k  # holds |k| <= n |m|
-        table = corollary_expand(model, max_m, window, calibration)
-        report = _stamp({
-            "model_id": model.model_id,
-            "calibration": calibration.as_dict(),
-            "characters": _characters(table),
-        })
-        _emit(_json_text(report), out)
-    _run(body)
+    calibration = _load_calibration()
+    model = _resolve_model(preset, n, weights, model_path, calibration)
+    table = corollary_expand(model, max_m, _window(model, max_m, max_k), calibration)
+    _emit(_json_text(_stamp(_report(model, calibration, characters=_characters(table)))), out)
 
 
 def _characters(table):
@@ -276,18 +259,13 @@ def _verify_one(kind, params, max_m, max_k, calibration):
     model = build_preset(kind, params, calibration)
     mismatches = []
     if kind == "prequantum-cpn":
-        window = model.ambient_n * max_m if max_k is None else max_k
-        table = corollary_expand(model, max_m, window, calibration)
+        table = corollary_expand(model, max_m, _window(model, max_m, max_k), calibration)
         for m in range(-max_m, max_m + 1):
             expected = oracle.cpn_weight_multiplicities(params[0], m)
             if table[m] != expected:
                 mismatches.append({"m": m, "engine": table[m],
                                    "oracle": expected})
-        doc = {
-            "model_id": model.model_id,
-            "calibration": calibration.as_dict(),
-            "characters": _characters(table),
-        }
+        doc = _report(model, calibration, characters=_characters(table))
     else:
         result = assemble_character(model, max_m, calibration)
         for m in range(-max_m, max_m + 1):
@@ -310,33 +288,30 @@ def _verify_one(kind, params, max_m, max_k, calibration):
 @click.option("--out", type=click.Path(), default=None)
 def verify(preset, n, weights, model_path, max_m, max_k, run_all, out):
     """Compare engine characters against the brute-force oracle (exit 4 on diff)."""
-    def body():
-        calibration = _load_calibration()
-        if model_path:
-            raise UnsupportedModelError(
-                "verification needs a bundled preset: user models carry no oracle")
-        if run_all:
-            targets = VERIFY_ALL
-        elif preset is None:
-            raise ConfigError("give --preset or --all")
-        else:
-            targets = (_preset_target(preset, n, weights),)
-        report = {"max_m": max_m, "calibration": calibration.as_dict(), "results": []}
-        any_mismatch = False
-        for kind, params in targets:
-            doc, mismatches = _verify_one(kind, params, max_m, max_k, calibration)
-            label = doc["model_id"]
-            report["results"].append(doc)
-            status = "ok" if not mismatches else f"MISMATCH ({len(mismatches)} values)"
-            click.echo(f"{label}: {status}")
-            for d in mismatches[:10]:
-                click.echo(f"  m={d['m']}: engine {d['engine']} oracle {d['oracle']}")
-            any_mismatch = any_mismatch or bool(mismatches)
-        if out:
-            _emit(_json_text(_stamp(report)), out)
-        if any_mismatch:
-            sys.exit(EXIT_MISMATCH)
-    _run(body)
+    calibration = _load_calibration()
+    if model_path:
+        raise UnsupportedModelError(
+            "verification needs a bundled preset: user models carry no oracle")
+    if run_all:
+        targets = VERIFY_ALL
+    elif preset is None:
+        raise ConfigError("give --preset or --all")
+    else:
+        targets = (_preset_target(preset, n, weights),)
+    report = {"max_m": max_m, "calibration": calibration.as_dict(), "results": []}
+    any_mismatch = False
+    for kind, params in targets:
+        doc, mismatches = _verify_one(kind, params, max_m, max_k, calibration)
+        report["results"].append(doc)
+        status = "ok" if not mismatches else f"MISMATCH ({len(mismatches)} values)"
+        click.echo(f"{doc['model_id']}: {status}")
+        for d in mismatches[:10]:
+            click.echo(f"  m={d['m']}: engine {d['engine']} oracle {d['oracle']}")
+        any_mismatch = any_mismatch or bool(mismatches)
+    if out:
+        _emit(_json_text(_stamp(report)), out)
+    if any_mismatch:
+        sys.exit(EXIT_MISMATCH)
 
 
 @main.command()
@@ -344,16 +319,14 @@ def verify(preset, n, weights, model_path, max_m, max_k, run_all, out):
               help="Calibration file path (default: the standard artifact location).")
 def calibrate(out):
     """Select and record the unique passing convention combination."""
-    def body():
-        cfg = calibrate_conventions()
-        path = out or _calibration_path()
-        doc = {"version": CALIBRATION_VERSION, **cfg.as_dict()}
-        _atomic_write(path, _json_text(doc) + "\n")
-        click.echo(f"calibration: poisson_sign={cfg.poisson_sign} "
-                   f"orientation_sign={cfg.orientation_sign} "
-                   f"todd_direction={cfg.todd_direction}")
-        click.echo(f"written to {path}")
-    _run(body)
+    cfg = calibrate_conventions()
+    path = out or _calibration_path()
+    doc = {"version": CALIBRATION_VERSION, **cfg.as_dict()}
+    _atomic_write(path, _json_text(doc) + "\n")
+    click.echo(f"calibration: poisson_sign={cfg.poisson_sign} "
+               f"orientation_sign={cfg.orientation_sign} "
+               f"todd_direction={cfg.todd_direction}")
+    click.echo(f"written to {path}")
 
 
 if __name__ == "__main__":

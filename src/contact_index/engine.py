@@ -139,7 +139,7 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
 # quasi-polynomials
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class QuasiPolynomial:
     """Per-residue polynomials in m; period 1 is a plain polynomial.
 
@@ -181,19 +181,6 @@ class QuasiPolynomial:
                     coeffs[e] = Fraction(acc, den)
             terms[k] = CyclotomicNumber(level, coeffs).demote()
         return ExactScalar(terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuasiPolynomial):
-            return NotImplemented
-        period = math.lcm(self.period, other.period)
-        for r in range(period):
-            a = self.polys[r % self.period]
-            b = other.polys[r % other.period]
-            if len(a) != len(b) or any(not (x - y).is_zero() for x, y in zip(a, b)):
-                return False
-        return True
-
-    __hash__ = None
 
     def to_document(self):
         return {
@@ -474,18 +461,15 @@ def _divide_binomials(num, strides):
 # ----------------------------------------------------------------------
 
 _ANCHOR_MAX_M = 20
+_ANCHORS = (("circle", (), lambda m: 1), ("hopf", (1,), lambda m: 1 - m))
 
 
 def _anchor_pass(calibration):
-    circle = build_preset("circle", (), calibration)
-    res = assemble_character(circle, _ANCHOR_MAX_M, calibration)
-    for m in range(-_ANCHOR_MAX_M, _ANCHOR_MAX_M + 1):
-        if not (res.coefficients[m] - ExactScalar.one()).is_zero():
-            return False
-    hopf = build_preset("hopf", (1,), calibration)
-    res = assemble_character(hopf, _ANCHOR_MAX_M, calibration)
-    for m in range(-_ANCHOR_MAX_M, _ANCHOR_MAX_M + 1):
-        if not (res.coefficients[m] - ExactScalar.from_rational(1 - m)).is_zero():
+    for name, params, expected in _ANCHORS:
+        res = assemble_character(build_preset(name, params, calibration), _ANCHOR_MAX_M,
+                                 calibration)
+        if any(res.integers[m] != expected(m)
+               for m in range(-_ANCHOR_MAX_M, _ANCHOR_MAX_M + 1)):
             return False
     return True
 

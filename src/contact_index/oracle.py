@@ -169,12 +169,17 @@ def circle_character(m):
 
 
 def oracle_character(model_kind, params, m):
-    """Dispatch table giving the expected exact coefficient c_m per model."""
+    """Dispatch table giving the expected exact coefficient c_m per model.
+
+    Hopf spheres take the binomial polynomial: `cpn_chi` enumerates
+    binom(m+n, n) lattice points and stays the cross-check the tests hold
+    equal to it.  Weighted three-spheres enumerate, O(m/a) per value.
+    """
     if model_kind == "circle":
         return circle_character(m)
     if model_kind == "hopf":
         (n,) = params
-        return cpn_chi(n, -m)
+        return cpn_chi_polynomial(n, -m)
     if model_kind == "weighted-s3":
         a, b = params
         return sphere_char_oracle(a, b, m)

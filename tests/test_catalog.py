@@ -11,6 +11,7 @@ from contact_index.catalog import (IDENTITY, ContactModel, FixedComponentData,
                                    model_to_document, preset_circle,
                                    preset_hopf_sphere, preset_prequantum_cpn,
                                    preset_weighted_s3, scaled_model)
+from contact_index.engine import corollary_expand
 from contact_index.forms import ChernRoot
 from contact_index.scalars import ExactScalar
 
@@ -85,7 +86,6 @@ class TestPrequantumPreset:
     def test_structure(self):
         m = preset_prequantum_cpn(1)
         assert m.rank == 2 and len(m.fiber_families) == 2
-        assert m.identity_model.components == preset_hopf_sphere(1).components
         sigmas = [f.sigma for f in m.fiber_families]
         assert sigmas == [0, 1]
 
@@ -94,6 +94,14 @@ class TestPrequantumPreset:
             m = preset_prequantum_cpn(n)
             for fam in m.fiber_families:
                 assert fam.component.k + len(fam.component.normal) == n
+
+    def test_a_document_with_the_old_principal_reduction_still_loads(self):
+        # rank-2 documents used to carry the round sphere as "identity_model";
+        # the key is now ignored like any other unknown one
+        doc = model_to_document(preset_prequantum_cpn(1))
+        doc["identity_model"] = model_to_document(preset_hopf_sphere(1))
+        assert corollary_expand(model_from_document(doc), 8, 8) == \
+            corollary_expand(preset_prequantum_cpn(1), 8, 8)
 
 
 class TestScaling:
@@ -300,7 +308,6 @@ class TestDocumentShape:
             model_from_document(_identity_with_a_normal_root_doc())
 
     @pytest.mark.parametrize("edit,field", [
-        (_drop(["identity_model"]), r"^identity_model: missing field"),
         (_drop(["fiber_families", 1, "sigma"]), r"^fiber_families\[1\]\.sigma: missing field"),
         (_set(["fiber_families", 1, "sigma"], True),
          r"^fiber_families\[1\]\.sigma: expected an integer"),

@@ -6,11 +6,12 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from contact_index import engine, oracle
+from contact_index import cli, engine, oracle
 from contact_index.cli import main
-from contact_index.catalog import dump_model, model_to_document, preset_weighted_s3
+from contact_index.catalog import ModelError, dump_model, model_to_document, preset_weighted_s3
+from contact_index.deltas import DeltaError
 from contact_index.engine import build_preset
-from contact_index.scalars import ExactScalar, approx_display
+from contact_index.scalars import ExactScalar, ScalarError, approx_display
 from distributions import germ_from_document
 
 
@@ -71,6 +72,7 @@ class TestCalibrate:
         monkeypatch.setattr(engine, "_anchor_pass", lambda cfg: passes)
         result = runner.invoke(main, ["calibrate"])
         assert result.exit_code == 5
+        assert result.stderr.startswith("calibration failure: ")
         assert f"{count} of 8 passed the anchors" in result.output
         assert not (tmp_path / "contact-index-calibration.json").exists()
 
@@ -166,6 +168,7 @@ class TestGermCommand:
         result = runner.invoke(main, ["germ", "--preset", "prequantum-cpn",
                                       "--n", "1", "--at", "0/1"])
         assert result.exit_code == 3
+        assert result.stderr.startswith("unsupported: ")
 
     def test_out_writes_a_file(self, runner, calibrated):
         out = calibrated / "germ.json"
@@ -310,6 +313,7 @@ class TestCorollaryCommand:
     def test_rank_one_is_unsupported(self, runner, calibrated):
         result = runner.invoke(main, ["corollary", "--preset", "circle"])
         assert result.exit_code == 3
+        assert result.stderr.startswith("unsupported: ")
 
     @pytest.mark.parametrize("flag, value", [("--max-m", "-2"), ("--max-k", "-5")])
     def test_negative_window_exits_2_naming_the_value(self, runner, calibrated, flag, value):
@@ -352,6 +356,12 @@ class TestVerifyCommand:
                                       "--max-m", "50"])
         assert result.exit_code == 0
         assert "hopf-1: ok" in result.output
+
+    def test_large_sphere_passes_through_the_binomial_oracle(self, runner, calibrated):
+        # enumerating binom(m+12, 12) lattice points per value would not finish
+        result = runner.invoke(main, ["verify", "--preset", "hopf", "--n", "12"])
+        assert result.exit_code == 0, result.output
+        assert "hopf-12: ok" in result.output
 
     def test_weighted_passes(self, runner, calibrated):
         result = runner.invoke(main, ["verify", "--preset", "weighted-s3",
@@ -397,6 +407,7 @@ class TestVerifyCommand:
         dump_model(preset_weighted_s3(1, 2), path)
         result = runner.invoke(main, ["verify", "--model", str(path)])
         assert result.exit_code == 3
+        assert result.stderr.startswith("unsupported: ")
 
     def test_report_file_carries_the_full_document(self, runner, calibrated):
         out = calibrated / "verify.json"
@@ -423,3 +434,35 @@ class TestVerifyCommand:
         assert result.exit_code == 4
         assert "MISMATCH" in result.output
         assert result.output.count("m=") == 10  # first ten differing m
+
+
+class TestErrorBoundary:
+    """Library exceptions map to exit codes in one place, for every command."""
+
+    def test_form_error_exits_two_naming_the_moment_covector(self, runner, calibrated):
+        path = calibrated / "flat.json"
+        path.write_text(json.dumps(_circle_document(moment={"mu": "1", "reeb_weight": 0})))
+        result = runner.invoke(main, ["character", "--model", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+        assert "moment covector" in result.stderr
+
+    # FormError and EngineError reach the boundary from real inputs elsewhere in this file
+    @pytest.mark.parametrize("error", [ModelError, ScalarError, DeltaError])
+    def test_library_errors_exit_two(self, runner, calibrated, monkeypatch, error):
+        def fail(*args):
+            raise error("raised in the germ")
+        monkeypatch.setattr(cli, "germ_at", fail)
+        result = runner.invoke(main, ["germ", "--preset", "circle", "--at", "0/1"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: raised in the germ\n"
+
+    def test_other_exceptions_are_not_mapped(self, runner, calibrated, monkeypatch):
+        boom = RuntimeError("not a library error")
+
+        def fail(*args):
+            raise boom
+        monkeypatch.setattr(cli, "germ_at", fail)
+        result = runner.invoke(main, ["germ", "--preset", "circle", "--at", "0/1"])
+        assert result.exit_code == 1
+        assert result.exception is boom

@@ -18,6 +18,7 @@ from contact_index.engine import (CalibrationConfig, CalibrationError, EngineErr
                                   dh_fourier, fit_quasi_polynomial, germ_at,
                                   residual_factors)
 from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi
+from character_reference import quasi_equal
 from laurent_reference import corollary_reference
 
 ONE = ExactScalar.one()
@@ -141,7 +142,7 @@ class TestCharacters:
         short = assemble_character(model, max_m)
         full = assemble_character(model, 3 * a * b)
         assert short.quasi.period == a * b
-        assert short.quasi == full.quasi
+        assert quasi_equal(short.quasi, full.quasi)
         assert sorted(short.coefficients) == list(range(-max_m, max_m + 1))
         for m in range(-max_m, max_m + 1):
             assert short.integers[m] == \
@@ -172,7 +173,9 @@ class TestQuasiPolynomialFit:
     def test_equality_across_periods(self):
         a = QuasiPolynomial(1, {0: [ONE]})
         b = QuasiPolynomial(2, {0: [ONE], 1: [ONE]})
-        assert a == b
+        assert quasi_equal(a, b)
+        assert not quasi_equal(a, QuasiPolynomial(2, {0: [ONE], 1: [ONE, ONE]}))
+        assert a != QuasiPolynomial(1, {0: [ONE]})  # the class itself compares by identity
 
     def test_integer_evaluation_matches_exact_horner(self):
         rng = random.Random(17)
@@ -255,7 +258,7 @@ class TestDoubleExpansion:
             model = build_preset("prequantum-cpn", (n,))
             table = corollary_expand(model, 8, 20)
             # chi_{-m} of the principal reduction is the weight sum of slice m
-            principal = assemble_character(model.identity_model, 8)
+            principal = assemble_character(build_preset("hopf", (n,)), 8)
             for m in range(-8, 9):
                 assert sum(table[m].values()) == principal.integers[-m]
 
@@ -326,8 +329,7 @@ class TestDoubleExpansion:
             mu=Fraction(1), reeb_weight=(2, -1),
             pairing={(): TWO_PI})
         model = ContactModel(rank=2, ambient_n=1, model_id="bad",
-                             fiber_families=[FiberFamily(sigma=2, component=comp)],
-                             identity_model=build_preset("hopf", (1,)))
+                             fiber_families=[FiberFamily(sigma=2, component=comp)])
         with pytest.raises(UnsupportedModelError, match="separate"):
             corollary_expand(model, 2, 4)
 

@@ -190,7 +190,7 @@ def _full_horner(coeffs, element):
 
 ALL_PRESETS = [("circle", ()), ("hopf", (1,)), ("hopf", (2,)), ("hopf", (3,)),
                ("weighted-s3", (1, 2)), ("weighted-s3", (2, 3)), ("weighted-s3", (3, 4)),
-               ("weighted-s3", (5, 7)), ("prequantum-cpn", (1,)), ("prequantum-cpn", (2,))]
+               ("weighted-s3", (5, 7))]
 ALL_CALIBRATIONS = [CalibrationConfig(s, o, d) for s in (1, -1) for o in (1, -1)
                     for d in ("plus", "minus")]
 
@@ -199,7 +199,6 @@ def _components(name, params):
     """Every component of a preset under every calibration, with its Todd direction."""
     for cal in ALL_CALIBRATIONS:
         model = build_preset(name, params, cal)
-        model = model.identity_model or model  # rank 2: the principal reduction
         for comps in model.components.values():
             for comp in comps:
                 yield comp, cal.todd_direction
