@@ -50,8 +50,8 @@ VERIFY_ALL = (
 )
 
 
-class ConfigError(click.ClickException):
-    exit_code = EXIT_CONFIG
+class ConfigError(ValueError):
+    """A command-line input that cannot be used: a missing option, a bad value or file."""
 
 
 def _calibration_path():
@@ -127,10 +127,7 @@ def _resolve_model(preset, n, weights, model_path, calibration):
             return load_model(model_path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load model {model_path!r}: {exc}")
-    try:
-        return build_preset(*_preset_target(preset, n, weights), calibration)
-    except ModelError as exc:
-        raise ConfigError(str(exc))
+    return build_preset(*_preset_target(preset, n, weights), calibration)
 
 
 def _parse_at(text):
@@ -163,15 +160,13 @@ class _Main(click.Group):
         """Run a command, mapping library exceptions onto the documented exit codes."""
         try:
             return super().invoke(ctx)
-        except click.ClickException:
-            raise
         except UnsupportedModelError as exc:
             click.echo(f"unsupported: {exc}", err=True)
             sys.exit(EXIT_UNSUPPORTED)
         except CalibrationError as exc:
             click.echo(f"calibration failure: {exc}", err=True)
             sys.exit(EXIT_CALIBRATION)
-        except (ModelError, ScalarError, DeltaError, FormError, EngineError) as exc:
+        except (ConfigError, ModelError, ScalarError, DeltaError, FormError, EngineError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
 

@@ -31,6 +31,9 @@ Canonicalization does its linear algebra once per level and caches it:
 * `galois(t)`, zeta -> zeta^t, permutes exponents mod L and folds once.
   Row e of the trace table of level L holds the folded sum of zeta^(e t)
   over the units t = 1 mod 4, so the trace down to Q(i) is linear in them.
+* `inverse` multiplies the other conjugates over Q(i) (the trace table's
+  units), so x times their product P is a norm N in Q(i), and divides once:
+  x^-1 = P * conj(N) / |N|^2.
 """
 
 from __future__ import annotations
@@ -45,53 +48,6 @@ from functools import lru_cache
 
 class ScalarError(ValueError):
     """Raised for structurally invalid scalar operations."""
-
-
-# ----------------------------------------------------------------------
-# dense polynomial helpers over Fraction (ascending coefficients)
-# ----------------------------------------------------------------------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_sub(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    return _poly_trim(out)
-
-
-def _poly_divmod(p, d):
-    """Exact division with remainder; d must be nonzero."""
-    p = list(p)
-    q = [Fraction(0)] * max(len(p) - len(d) + 1, 0)
-    lead = d[-1]
-    while len(p) >= len(d) and _poly_trim(p):
-        shift = len(p) - len(d)
-        c = p[-1] / lead
-        q[shift] = c
-        for i, b in enumerate(d):
-            p[shift + i] -= c * b
-        _poly_trim(p)
-    return _poly_trim(q), _poly_trim(p)
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +73,7 @@ def cyclotomic_polynomial(n):
                 q[k - d] = p[k] + q[k]
             assert all(p[k] + q[k] == 0 for k in range(d)), "cyclotomic division must be exact"
             p = q[:len(p) - d]
-    return tuple(Fraction(c) for c in p)
+    return tuple(p)
 
 
 def _mobius(n):
@@ -161,7 +117,7 @@ def _fold_table(level):
     Phi_level is monic and integral, so every row is exact over Z.
     """
     phi = _euler_phi(level)
-    top = [-int(c) for c in cyclotomic_polynomial(level)[:phi]]  # x^phi
+    top = [-c for c in cyclotomic_polynomial(level)[:phi]]  # x^phi
     rows = []
     row = top
     for _ in range(phi, level):
@@ -244,9 +200,15 @@ def _demotion_map(level, m):
 
 
 @lru_cache(maxsize=None)
+def _units_over_qi(level):
+    """The units t = 1 mod 4 of `level`, ascending: Gal(Q(zeta_level)/Q(i)) as zeta -> zeta^t."""
+    return tuple(t for t in range(1, level, 4) if math.gcd(t, level) == 1)
+
+
+@lru_cache(maxsize=None)
 def _trace_table(level):
-    """Row e: sum of zeta^(e t) over t = 1 mod 4 coprime to `level`, folded."""
-    ts = [t for t in range(1, level, 4) if math.gcd(t, level) == 1]
+    """Row e: sum of zeta^(e t) over the units t of `_units_over_qi(level)`, folded."""
+    ts = _units_over_qi(level)
     return tuple(tuple(_fold(Counter(e * t % level for t in ts), level).items())
                  for e in range(_euler_phi(level)))
 
@@ -373,24 +335,19 @@ class CyclotomicNumber:
                                           for e, c in _fold(raw, a.level).items()}).demote()
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse through the norm down to Q(i).
+
+        P, the product of the conjugates `galois(t)` over t = 1 mod 4, t != 1,
+        makes N = self * P the norm to Q(i), so self^-1 = P * conj(N) / |N|^2.
+        """
         if not self.coeffs:
             raise ScalarError("division by zero cyclotomic number")
-        mod = list(cyclotomic_polynomial(self.level))
-        deg = max(self.coeffs)
-        f = [self.coeffs.get(e, Fraction(0)) for e in range(deg + 1)]
-        # extended gcd of f and the cyclotomic polynomial
-        r0, r1 = list(mod), list(f)
-        s0, s1 = [], [Fraction(1)]
-        while _poly_trim(list(r1)):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(r0) != 1:
-            raise ScalarError("element is a zero divisor; cannot invert")
-        c = r0[0]
-        inv = {e: v / c for e, v in enumerate(s0) if v != 0}
-        return CyclotomicNumber(self.level, _fold(inv, self.level)).demote()
+        others = CyclotomicNumber.from_rational(1, self.level)
+        for t in _units_over_qi(self.level)[1:]:
+            others = others * self.galois(t)
+        norm = self * others
+        conj = norm.galois(-1)
+        return others * conj * CyclotomicNumber.from_rational(1 / (norm * conj).rational_value())
 
     def galois(self, t):
         """The automorphism zeta -> zeta^t, for t coprime to the level."""

@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 
 from contact_index import oracle
-from contact_index.catalog import (IDENTITY, ContactModel, FixedComponentData,
-                                   ModelError, dump_model, load_model, model_from_document,
-                                   model_to_document, preset_circle,
+from contact_index.catalog import (IDENTITY, ContactModel, ModelError, dump_model, load_model,
+                                   model_from_document, model_to_document, preset_circle,
                                    preset_hopf_sphere, preset_prequantum_cpn,
                                    preset_weighted_s3, scaled_model)
 from contact_index.engine import corollary_expand
-from contact_index.forms import ChernRoot
 from contact_index.scalars import ExactScalar
 
 

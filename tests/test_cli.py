@@ -1,7 +1,6 @@
 """Command-line surface: flags, exit codes, exact outputs, determinism."""
 
 import json
-import os
 
 import pytest
 from click.testing import CliRunner
@@ -446,6 +445,30 @@ class TestErrorBoundary:
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: ")
         assert "moment covector" in result.stderr
+
+    @pytest.mark.parametrize("calibration,args", [
+        (None, ["character", "--preset", "circle"]),
+        ("{not json", ["character", "--preset", "circle"]),
+        ("calibrate", ["germ", "--preset", "circle", "--at", "1/0"]),
+        ("calibrate", ["character", "--preset", "weighted-s3", "--weights", "1"]),
+        ("calibrate", ["character", "--preset", "hopf"]),
+        ("calibrate", ["character", "--preset", "circle", "--model", "model.json"]),
+        ("calibrate", ["verify"]),
+        ("calibrate", ["character", "--preset", "weighted-s3", "--weights", "2,4"]),
+    ], ids=["missing-calibration", "unreadable-calibration", "at-zero-denominator",
+            "one-weight", "hopf-without-n", "preset-and-model", "verify-without-target",
+            "weights-not-coprime"])
+    def test_input_errors_exit_two_with_one_prefix(self, runner, tmp_path, monkeypatch,
+                                                   calibration, args):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CONTACT_INDEX_CALIBRATION", raising=False)
+        if calibration == "calibrate":
+            assert runner.invoke(main, ["calibrate"]).exit_code == 0
+        elif calibration is not None:
+            (tmp_path / "contact-index-calibration.json").write_text(calibration)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: "), result.stderr
 
     # FormError and EngineError reach the boundary from real inputs elsewhere in this file
     @pytest.mark.parametrize("error", [ModelError, ScalarError, DeltaError])

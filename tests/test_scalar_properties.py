@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from contact_index.scalars import CyclotomicNumber, _euler_phi  # noqa: E402
+from contact_index.scalars import CyclotomicNumber, ScalarError, _euler_phi  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -102,3 +102,39 @@ def test_relative_trace_sums_the_maps_fixing_i(case):
             explicit = explicit + x.galois(t)
     assert trace.level == 4
     assert trace == explicit
+
+
+@st.composite
+def invertible(draw, multipliers=(1,)):
+    """(x, level): a nonzero number at one of `LEVELS` and a multiple of its level."""
+    m = draw(st.sampled_from(LEVELS))
+    x = draw(at_level(m).filter(lambda x: not x.is_zero()))
+    return x, m * draw(st.sampled_from(multipliers))
+
+
+@DETERMINISTIC
+@given(invertible())
+def test_inverse_times_self_is_one(case):
+    x, _ = case
+    assert x * x.inverse() == 1
+
+
+@settings(DETERMINISTIC, max_examples=30)
+@given(invertible(multipliers=(2, 3, 5)))
+def test_inverse_forgets_promotion(case):
+    x, level = case
+    assert canonical(x.promote(level).inverse()) == canonical(x.inverse())
+
+
+@DETERMINISTIC
+@given(invertible(), st.data())
+def test_inverse_commutes_with_galois(case, data):
+    x, level = case
+    t = data.draw(st.integers(1, level - 1).filter(lambda t: math.gcd(t, level) == 1))
+    assert x.galois(t).inverse() == x.inverse().galois(t)
+
+
+def test_zero_has_no_inverse():
+    for level in LEVELS:
+        with pytest.raises(ScalarError, match="division by zero"):
+            CyclotomicNumber(level, {}).inverse()
