@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .scalars import CyclotomicNumber, ExactScalar, _euler_phi, approx_display
+from .scalars import CyclotomicNumber, ExactScalar, _euler_phi, _make, approx_display
 from .deltas import DeltaGerm, _poly_add, fourier_contribution, germ_to_document
 from .forms import FormElement, dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
@@ -144,13 +144,11 @@ class QuasiPolynomial:
     """Per-residue polynomials in m; period 1 is a plain polynomial.
 
     Evaluation runs in integers.  Once per residue, the coefficients of each
-    pi-grade k are promoted to the lcm level L_k of that grade, and the
-    polynomial splits into rational component polynomials, one per (k,
-    basis exponent e), each stored as integer numerators over one common
-    denominator.  `evaluate(m)` runs Horner's rule on the numerators and
-    divides once per component; the cyclotomic parts are demoted, so the
-    value is the canonical one.  A rational quasi-polynomial is the case of
-    one component (k = 0, L_0 = 4, e = 0).
+    pi-grade k are promoted to the lcm level L_k of that grade and written
+    over one denominator D_k, one integer polynomial per (k, basis exponent
+    e).  `evaluate(m)` runs Horner's rule on them and builds each grade as
+    their values over D_k, demoted, so the value is the canonical one.  A
+    rational quasi-polynomial is one component (k = 0, L_0 = 4, e = 0).
     """
 
     period: int
@@ -171,15 +169,15 @@ class QuasiPolynomial:
 
     def evaluate(self, m):
         terms = {}
-        for k, level, components in self._integer[m % self.period]:
-            coeffs = {}
-            for e, den, nums in components:
+        for k, level, den, components in self._integer[m % self.period]:
+            nums = {}
+            for e, column in components:
                 acc = 0
-                for c in reversed(nums):
+                for c in reversed(column):
                     acc = acc * m + c
                 if acc:
-                    coeffs[e] = Fraction(acc, den)
-            terms[k] = CyclotomicNumber(level, coeffs).demote()
+                    nums[e] = acc
+            terms[k] = _make(level, den, nums).demote()
         return ExactScalar(terms)
 
     def to_document(self):
@@ -192,18 +190,17 @@ class QuasiPolynomial:
 
 
 def _integer_components(coeffs):
-    """[(k, L_k, [(e, den, numerators)])] for ascending ExactScalar coefficients."""
+    """[(k, L_k, D_k, [(e, numerators)])] for ascending ExactScalar coefficients."""
     out = []
     for k in sorted({k for c in coeffs for k in c.terms}):
         parts = [c.terms.get(k) for c in coeffs]
         level = math.lcm(*(p.level for p in parts if p is not None))
-        promoted = [p.promote(level).coeffs if p is not None else {} for p in parts]
-        components = []
-        for e in sorted({e for p in promoted for e in p}):
-            column = [p.get(e, Fraction(0)) for p in promoted]
-            den = math.lcm(*(c.denominator for c in column))
-            components.append((e, den, [c.numerator * (den // c.denominator) for c in column]))
-        out.append((k, level, components))
+        zero = _make(level, 1, {})
+        promoted = [p.promote(level) if p is not None else zero for p in parts]
+        den = math.lcm(*(p.den for p in promoted))
+        scaled = [{e: c * (den // p.den) for e, c in p.nums.items()} for p in promoted]
+        out.append((k, level, den, [(e, [p.get(e, 0) for p in scaled])
+                                    for e in sorted({e for p in scaled for e in p})]))
     return out
 
 
@@ -292,11 +289,11 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
 
 
 def _integer_value(c):
-    if c.is_rational():
-        value = c.rational_value()
-        if value.denominator == 1:
-            return value.numerator
-    return None
+    """c as an int, or None; every grade of a `QuasiPolynomial.evaluate` value is demoted."""
+    x = c.terms.get(0) if c.terms.keys() <= {0} else None
+    if x is None:
+        return None if c.terms else 0
+    return x.nums[0] if x.level == 4 and x.den == 1 and x.nums.keys() == {0} else None
 
 
 def _galois_maps(model, q, points):

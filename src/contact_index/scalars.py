@@ -10,6 +10,11 @@ at multiples of 4 so that i = zeta_4 is always representable and needs no
 special casing.  pi is a formal graded symbol; nothing in this module ever
 evaluates it numerically except the display helper at the very bottom.
 
+A cyclotomic number is stored as integer numerators over one denominator
+(see `CyclotomicNumber`), and every operation but the rare non-identity
+demotion solve runs in Python integers; `_make`, the one trusted
+constructor, divides out the gcd.
+
 Canonicalization does its linear algebra once per level and caches it:
 
 * The fold table of level L holds the integer rows x^e mod Phi_L for
@@ -25,15 +30,15 @@ Canonicalization does its linear algebra once per level and caches it:
   through the fold table.
 * When (phi(m) - 1) * L/m < phi(L), each zeta_m^j = zeta_L^(j L/m) is
   already a basis vector: the pivots are the exponents j L/m, the inverse
-  is the identity, and membership is the support test alone.  Every (L, 4)
-  with L < 420 is of this kind; pairs such as (420, 4) or (572, 44) are not,
-  and go through the same map.
+  is the identity, and membership is the support test alone: the
+  numerators carry over.  Every (L, 4) with L < 420 is of this kind; pairs
+  such as (420, 4) or (572, 44) are not, and solve over Fractions.
 * `galois(t)`, zeta -> zeta^t, permutes exponents mod L and folds once.
   Row e of the trace table of level L holds the folded sum of zeta^(e t)
   over the units t = 1 mod 4, so the trace down to Q(i) is linear in them.
-* `inverse` multiplies the other conjugates over Q(i) (the trace table's
-  units), so x times their product P is a norm N in Q(i), and divides once:
-  x^-1 = P * conj(N) / |N|^2.
+* `inverse` demotes first, then multiplies the other conjugates over Q(i)
+  (the trace table's units), so x times their product P is a norm N in
+  Q(i), and divides once: x^-1 = P * conj(N) / |N|^2.
 """
 
 from __future__ import annotations
@@ -146,12 +151,6 @@ def _fold(raw, level):
     return {e: c for e, c in out.items() if c}
 
 
-def _integral(coeffs):
-    """(d, {exponent: integer}) with coeffs == numerators / d."""
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
-
-
 @lru_cache(maxsize=None)
 def _subfield_levels(level):
     """Proper divisors of `level` that are multiples of 4, ascending."""
@@ -213,14 +212,30 @@ def _trace_table(level):
                  for e in range(_euler_phi(level)))
 
 
+def _make(level, den, nums):
+    """nums / den at `level`, trusted: den > 0, nonzero numerators, exponents < phi(level)."""
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {e: c // g for e, c in nums.items()}
+    x = object.__new__(CyclotomicNumber)
+    object.__setattr__(x, "level", level)
+    object.__setattr__(x, "den", den)
+    object.__setattr__(x, "nums", nums)
+    return x
+
+
 class CyclotomicNumber:
     """Element of Q(zeta_L) in the power basis mod the cyclotomic polynomial.
 
-    The level L is always a multiple of 4.  Values are immutable; equality
-    promotes both operands to the lcm level and compares reduced forms.
+    The level L is always a multiple of 4.  The value is sum nums[e] zeta^e
+    over den > 0, with no zero numerator and gcd(den, *nums) = 1, so it is
+    canonical at its level; `coeffs`, {exponent: Fraction}, is derived from
+    it.  Values are immutable; equality promotes both operands to the lcm
+    level and compares (den, nums).
     """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "den", "nums")
 
     def __init__(self, level, coeffs):
         if level % 4 != 0 or level <= 0:
@@ -234,24 +249,35 @@ class CyclotomicNumber:
                 if not (0 <= e < phi):
                     raise ScalarError(f"exponent {e} out of range for level {level}")
                 clean[e] = c
+        den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", {e: c.numerator * (den // c.denominator)
+                                          for e, c in clean.items()})
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicNumber is immutable")
+
+    @property
+    def coeffs(self):
+        """{exponent: Fraction}, a view derived from (den, nums)."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rational(q, level=4):
-        return CyclotomicNumber(level, {0: Fraction(q)})
+        if level % 4 != 0 or level <= 0:
+            raise ScalarError(f"cyclotomic level must be a positive multiple of 4, got {level}")
+        q = Fraction(q)
+        return _make(level, q.denominator, {0: q.numerator} if q else {})
 
     @staticmethod
     def zeta(level, exponent=1):
         """zeta_level ^ exponent, reduced."""
         if level % 4 != 0:
             raise ScalarError("level must be a multiple of 4")
-        return CyclotomicNumber(level, _fold({exponent % level: Fraction(1)}, level))
+        return _make(level, 1, _fold({exponent % level: 1}, level))
 
     @staticmethod
     def root_of_unity(p, q):
@@ -272,13 +298,13 @@ class CyclotomicNumber:
         if new_level == self.level:
             return self
         step = new_level // self.level
-        return CyclotomicNumber(new_level, _fold({e * step: c for e, c in self.coeffs.items()},
-                                                 new_level))
+        return _make(new_level, self.den,
+                     _fold({e * step: c for e, c in self.nums.items()}, new_level))
 
     def demote(self):
         """Canonical form: the smallest level (multiple of 4) containing the value."""
-        if not self.coeffs:
-            return CyclotomicNumber(4, {}) if self.level != 4 else self
+        if not self.nums:
+            return _make(4, 1, {}) if self.level != 4 else self
         for m in _subfield_levels(self.level):
             down = self._try_demote(m)
             if down is not None:
@@ -288,16 +314,20 @@ class CyclotomicNumber:
     def _try_demote(self, m):
         # Solve promote(b, level) == self for b in Q(zeta_m) through the cached map.
         support, pivots, inverse = _demotion_map(self.level, m)
-        if not self.coeffs.keys() <= support:
+        if not self.nums.keys() <= support:
             return None
-        at = [self.coeffs.get(e, 0) for e in pivots]
+        step = self.level // m
+        if (_euler_phi(m) - 1) * step < _euler_phi(self.level):  # pivots j * step, inverse 1
+            return _make(m, self.den, {j: self.nums[e] for j, e in enumerate(pivots)
+                                       if e in self.nums})
+        coeffs = self.coeffs
+        at = [coeffs.get(e, 0) for e in pivots]
         sol = {}
         for j, row in enumerate(inverse):
             c = sum(a * at[k] for k, a in row)
             if c:
                 sol[j] = c
-        step = self.level // m
-        if _fold({j * step: c for j, c in sol.items()}, self.level) != self.coeffs:
+        if _fold({j * step: c for j, c in sol.items()}, self.level) != coeffs:
             return None  # inconsistent: value not in the subfield
         return CyclotomicNumber(m, sol)
 
@@ -310,42 +340,40 @@ class CyclotomicNumber:
 
     def __add__(self, other):
         a, b = CyclotomicNumber._common(self, other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return CyclotomicNumber(a.level, out).demote()
+        den = math.lcm(a.den, b.den)
+        out = {e: c * (den // a.den) for e, c in a.nums.items()}
+        for e, c in b.nums.items():
+            out[e] = out.get(e, 0) + c * (den // b.den)
+        return _make(a.level, den, {e: c for e, c in out.items() if c}).demote()
 
     def __neg__(self):
-        return CyclotomicNumber(self.level, {e: -c for e, c in self.coeffs.items()})
+        return _make(self.level, self.den, {e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         a, b = CyclotomicNumber._common(self, other)
-        den_a, num_a = _integral(a.coeffs)
-        den_b, num_b = _integral(b.coeffs)
         raw = {}
-        for e1, c1 in num_a.items():
-            for e2, c2 in num_b.items():
+        for e1, c1 in a.nums.items():
+            for e2, c2 in b.nums.items():
                 raw[e1 + e2] = raw.get(e1 + e2, 0) + c1 * c2
         # reduced operands keep e1 + e2 <= 2 phi - 2 < level
-        den = den_a * den_b
-        return CyclotomicNumber(a.level, {e: Fraction(c, den)
-                                          for e, c in _fold(raw, a.level).items()}).demote()
+        return _make(a.level, a.den * b.den, _fold(raw, a.level)).demote()
 
     def inverse(self):
-        """Multiplicative inverse through the norm down to Q(i).
+        """Multiplicative inverse through the norm down to Q(i), from the canonical level.
 
         P, the product of the conjugates `galois(t)` over t = 1 mod 4, t != 1,
         makes N = self * P the norm to Q(i), so self^-1 = P * conj(N) / |N|^2.
         """
-        if not self.coeffs:
+        if not self.nums:
             raise ScalarError("division by zero cyclotomic number")
-        others = CyclotomicNumber.from_rational(1, self.level)
-        for t in _units_over_qi(self.level)[1:]:
-            others = others * self.galois(t)
-        norm = self * others
+        x = self.demote()
+        others = CyclotomicNumber.from_rational(1, x.level)
+        for t in _units_over_qi(x.level)[1:]:
+            others = others * x.galois(t)
+        norm = x * others
         conj = norm.galois(-1)
         return others * conj * CyclotomicNumber.from_rational(1 / (norm * conj).rational_value())
 
@@ -353,32 +381,33 @@ class CyclotomicNumber:
         """The automorphism zeta -> zeta^t, for t coprime to the level."""
         if math.gcd(t, self.level) != 1:
             raise ScalarError(f"{t} is not coprime to the level {self.level}")
-        return CyclotomicNumber(self.level, _fold({e * t % self.level: c
-                                                   for e, c in self.coeffs.items()}, self.level))
+        return _make(self.level, self.den, _fold({e * t % self.level: c
+                                                  for e, c in self.nums.items()}, self.level))
 
     def relative_trace(self, level):
         """Trace from Q(zeta_level) down to Q(i): the sum of `galois(t)`, t = 1 mod 4."""
         rows = _trace_table(level)
+        x = self.promote(level)
         raw = {}
-        for e, c in self.promote(level).coeffs.items():
+        for e, c in x.nums.items():
             for j, r in rows[e]:
                 raw[j] = raw.get(j, 0) + c * r
-        return CyclotomicNumber(level, raw).demote()
+        return _make(level, x.den, {j: c for j, c in raw.items() if c}).demote()
 
     # -- predicates and views -----------------------------------------
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def is_rational(self):
         d = self.demote()
-        return d.level == 4 and set(d.coeffs) <= {0}
+        return d.level == 4 and d.nums.keys() <= {0}
 
     def rational_value(self):
         d = self.demote()
         if not d.is_rational():
             raise ScalarError(f"not a rational number: {self!r}")
-        return d.coeffs.get(0, Fraction(0))
+        return Fraction(d.nums.get(0, 0), d.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -386,17 +415,17 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = CyclotomicNumber._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     __hash__ = None
 
     def complex_value(self):
-        return sum(float(c) * cmath.exp(2j * cmath.pi * e / self.level)
-                   for e, c in self.coeffs.items()) if self.coeffs else 0j
+        return sum(c / self.den * cmath.exp(2j * cmath.pi * e / self.level)
+                   for e, c in self.nums.items()) if self.nums else 0j
 
     def __repr__(self):
         d = self.demote()
-        if not d.coeffs:
+        if not d.nums:
             return "0"
         parts = [f"{c}*z{d.level}^{e}" if e else f"{c}" for e, c in sorted(d.coeffs.items())]
         return " + ".join(parts)
@@ -537,9 +566,11 @@ class ExactScalar:
         parts = []
         for k in sorted(self.terms):
             c = self.terms[k].demote()
-            for e in sorted(c.coeffs):
-                q = c.coeffs[e]
-                body = f"{q}" if e == 0 else f"{q}*z{c.level}^{e}"
+            for e in sorted(c.nums):
+                n = c.nums[e]
+                g = math.gcd(n, c.den)
+                q = f"{n // g}" if c.den == g else f"{n // g}/{c.den // g}"
+                body = q if e == 0 else f"{q}*z{c.level}^{e}"
                 parts.append(f"({body})*pi^{k}")
         return " + ".join(parts)
 

@@ -206,6 +206,39 @@ class TestQuasiPolynomialFit:
                 assert got.to_text() == want.to_text(), (period, m)
                 assert all(c.level == c.demote().level for c in got.terms.values())
 
+    # Irrational residue coefficients whose values at chosen m are integers
+    # (m = 4; m = 4; m = 2), non-integer rationals (m = 3; m = 5) or carry a
+    # pi-grade over an integer grade 0 (m = -4, every odd m); the constant
+    # 20 z12 + 1/3 is given at level 24, so its integer values need demotion.
+    READ_OFF_CASES = {
+        "i-quadratic": {0: [{0: CyclotomicNumber(4, {1: 12})},
+                            {0: CyclotomicNumber(4, {0: Fraction(1, 2), 1: -7})},
+                            {0: CyclotomicNumber(4, {1: 1})}]},
+        "z12-over-z24": {0: [{0: CyclotomicNumber(24, {0: Fraction(1, 3), 2: 20})},
+                             {0: CyclotomicNumber(12, {0: Fraction(2, 3), 1: -9})},
+                             {0: CyclotomicNumber(12, {1: 1})}]},
+        "pi-graded": {0: [{0: CyclotomicNumber(4, {0: 1, 1: -8}),
+                           1: CyclotomicNumber(12, {1: -2})},
+                          {0: CyclotomicNumber(4, {0: Fraction(1, 2), 1: 2}),
+                           1: CyclotomicNumber(12, {1: 1})},
+                          {0: CyclotomicNumber(4, {1: 1})}],
+                      1: [{1: CyclotomicNumber(4, {0: 2})}, {0: CyclotomicNumber(4, {0: 1})}]},
+    }
+
+    @pytest.mark.parametrize("name", READ_OFF_CASES)
+    def test_integer_read_off_matches_the_rational_reference(self, name):
+        polys = {r: [ExactScalar(terms) for terms in poly]
+                 for r, poly in self.READ_OFF_CASES[name].items()}
+        qp = QuasiPolynomial(len(polys), polys)
+        kinds = set()
+        for m in range(-12, 13):
+            c = qp.evaluate(m)
+            want = int(c.rational_value()) if c.is_integer() else None
+            assert engine._integer_value(c) == want, (name, m)
+            kinds.add("integer" if c.is_integer() else "rational" if c.is_rational()
+                      else "pi" if set(c.terms) - {0} else "irrational")
+        assert "integer" in kinds and {"rational", "pi"} & kinds, kinds
+
     @pytest.mark.parametrize("n", [*range(1, 9), 12, 16, 20])
     def test_hopf_characters_against_the_binomial_polynomial(self, n):
         max_m = 30 if n <= 8 else 100  # 12, 16, 20 at 100: the benchmark's sizes

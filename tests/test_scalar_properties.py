@@ -1,4 +1,5 @@
-"""Property tests: promotion and the Galois maps commute with the ring operations.
+"""Property tests: promotion and the Galois maps commute with the ring operations,
+and every operation returns the canonical (den, nums) representation.
 
 Seeded through a derandomized hypothesis profile, so every run draws the
 same examples.
@@ -120,7 +121,7 @@ def test_inverse_times_self_is_one(case):
 
 
 @settings(DETERMINISTIC, max_examples=30)
-@given(invertible(multipliers=(2, 3, 5)))
+@given(invertible(multipliers=(2, 3, 5, 11, 13)))
 def test_inverse_forgets_promotion(case):
     x, level = case
     assert canonical(x.promote(level).inverse()) == canonical(x.inverse())
@@ -138,3 +139,33 @@ def test_zero_has_no_inverse():
     for level in LEVELS:
         with pytest.raises(ScalarError, match="division by zero"):
             CyclotomicNumber(level, {}).inverse()
+
+
+def assert_canonical(v):
+    """den >= 1, no zero numerator, gcd(den, *nums) == 1, and the public constructor agrees."""
+    assert v.den >= 1
+    assert all(v.nums.values())
+    assert math.gcd(v.den, *v.nums.values()) == 1
+    rebuilt = CyclotomicNumber(v.level, v.coeffs)
+    assert (rebuilt.den, rebuilt.nums) == (v.den, v.nums)
+
+
+@st.composite
+def operands(draw):
+    """(x, y, t, level): x at one of `LEVELS`, y at another, a unit t and a multiple of x's level."""
+    m = draw(st.sampled_from(LEVELS))
+    y = draw(at_level(draw(st.sampled_from(LEVELS))))
+    t = draw(st.integers(1, m - 1).filter(lambda t: math.gcd(t, m) == 1))
+    return draw(at_level(m)), y, t, m * draw(st.sampled_from(MULTIPLIERS))
+
+
+@DETERMINISTIC
+@given(operands())
+def test_every_operation_returns_the_canonical_representation(case):
+    x, y, t, level = case
+    results = [x, x + y, x * y, -x, x.galois(t), x.promote(level), x.relative_trace(level),
+               x.demote()]
+    if not x.is_zero():
+        results.append(x.inverse())
+    for v in results:
+        assert_canonical(v)

@@ -3,7 +3,8 @@
 The cyclotomic polynomials, inversion in Q(zeta_L), and the Todd and
 normal-factor series are each compared with sympy's own construction:
 `cyclotomic_poly`, `invert` modulo Phi_L over QQ, and power-series
-arithmetic over QQ (`ring_series`).  Skipped when sympy is not installed.
+arithmetic over QQ (`ring_series`).  sympy is in the `test` extra, so CI
+runs this file; it is skipped where sympy is not installed.
 """
 
 import random
