@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .scalars import ExactScalar
+from .scalars import ExactScalar, ScalarError
 from .forms import ChernRoot
 
 
@@ -59,9 +59,15 @@ class FixedComponentData:
             raise ModelError(
                 f"{path}: dimension bookkeeping failed: k={self.k} plus "
                 f"{len(self.normal)} normal roots must equal ambient rank {ambient_n}")
+        for key, roots in (("tangential_roots", self.tangential), ("normal_roots", self.normal)):
+            for i, root in enumerate(roots):
+                if len(root.weight) != rank:
+                    raise ModelError(f"{path}.{key}[{i}].weight: expected {rank} entries")
+                for j, c in enumerate(root.curvature):
+                    if c.pi:
+                        raise ModelError(f"{path}.{key}[{i}].curv[{j}]: a curvature has "
+                                         f"pi-grade 0, got {c.pi}")
         for i, root in enumerate(self.tangential):
-            if len(root.weight) != rank:
-                raise ModelError(f"{path}.tangential_roots[{i}].weight: expected {rank} entries")
             if Fraction(root.eigenvalue_exponent) % 1 != 0:
                 raise ModelError(f"{path}.tangential_roots[{i}].eig: tangential roots "
                                  f"must have eigenvalue 1")
@@ -69,8 +75,6 @@ class FixedComponentData:
                 raise ModelError(f"{path}.tangential_roots[{i}].curv: expected "
                                  f"{len(self.generators)} coefficients")
         for i, root in enumerate(self.normal):
-            if len(root.weight) != rank:
-                raise ModelError(f"{path}.normal_roots[{i}].weight: expected {rank} entries")
             if at == IDENTITY:
                 raise ModelError(f"{path}.normal_roots[{i}]: the identity fixes all of M, "
                                  f"so its components have no normal directions")
@@ -78,13 +82,15 @@ class FixedComponentData:
                 raise ModelError(
                     f"{path}.normal_roots[{i}].eig: normal eigenvalue 1 at a fixed "
                     f"component means the direction is tangential (fixed-set mismatch)")
-        for mono in self.pairing:
+        for mono, value in self.pairing.items():
             if len(mono) != len(self.generators):
                 raise ModelError(f"{path}.pairing: monomial {mono} does not match the "
                                  f"generator count")
-        for mono, value in self.pairing.items():
             if sum(mono) == self.k and value.is_zero():
                 raise ModelError(f"{path}.pairing: top pairing value for {mono} is zero")
+            if value and value.pi != sum(mono) + 1:
+                raise ModelError(f"{path}.pairing: the value for {mono} has pi-grade "
+                                 f"{sum(mono) + 1} (|mono| + 1), got {value.pi}")
         if not any(sum(mono) == self.k for mono in self.pairing):
             raise ModelError(f"{path}.pairing: no entry of top degree {self.k}")
 
@@ -302,9 +308,11 @@ def _parse_fraction(text, path):
 
 
 def _parse_scalar(text, path):
+    if not isinstance(text, str):
+        raise ModelError(f"{path}: expected a scalar string, got {text!r}")
     try:
         return ExactScalar.from_text(text)
-    except Exception as exc:
+    except ScalarError as exc:
         raise ModelError(f"{path}: malformed scalar {text!r} ({exc})") from None
 
 

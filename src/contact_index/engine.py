@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .scalars import CyclotomicNumber, ExactScalar, _euler_phi, _make, approx_display
+from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _euler_phi, _make,
+                      approx_display)
 from .deltas import DeltaGerm, _poly_add, fourier_contribution, germ_to_document
 from .forms import FormElement, dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
@@ -91,8 +92,8 @@ def build_preset(name, params, calibration=DEFAULT_CALIBRATION):
 
 def _inverse_two_pi_i_power(k):
     """(2 pi i)^-k as the one graded scalar 2^-k i^-k pi^-k."""
-    return ExactScalar({-k: CyclotomicNumber.zeta(4, -k)
-                        * CyclotomicNumber.from_rational(Fraction(1, 2 ** k))})
+    return ExactScalar(-k, CyclotomicNumber.zeta(4, -k)
+                       * CyclotomicNumber.from_rational(Fraction(1, 2 ** k)))
 
 
 def _component_germ(comp, calibration):
@@ -143,12 +144,13 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
 class QuasiPolynomial:
     """Per-residue polynomials in m; period 1 is a plain polynomial.
 
-    Evaluation runs in integers.  Once per residue, the coefficients of each
-    pi-grade k are promoted to the lcm level L_k of that grade and written
-    over one denominator D_k, one integer polynomial per (k, basis exponent
-    e).  `evaluate(m)` runs Horner's rule on them and builds each grade as
-    their values over D_k, demoted, so the value is the canonical one.  A
-    rational quasi-polynomial is one component (k = 0, L_0 = 4, e = 0).
+    Every coefficient of one residue polynomial has the same pi-grade k
+    (zero coefficients aside), so its values do too.  Evaluation runs in
+    integers: once per residue, the coefficients are promoted to their lcm
+    level L and written over one denominator D, one integer polynomial per
+    basis exponent e.  `evaluate(m)` runs Horner's rule on them and returns
+    their values over D, demoted, times pi^k, so the value is the canonical
+    one.  A rational quasi-polynomial has k = 0, L = 4 and e = 0 alone.
     """
 
     period: int
@@ -168,17 +170,15 @@ class QuasiPolynomial:
         self._integer = {r: _integer_components(c) for r, c in trimmed.items()}
 
     def evaluate(self, m):
-        terms = {}
-        for k, level, den, components in self._integer[m % self.period]:
-            nums = {}
-            for e, column in components:
-                acc = 0
-                for c in reversed(column):
-                    acc = acc * m + c
-                if acc:
-                    nums[e] = acc
-            terms[k] = _make(level, den, nums).demote()
-        return ExactScalar(terms)
+        k, level, den, components = self._integer[m % self.period]
+        nums = {}
+        for e, column in components:
+            acc = 0
+            for c in reversed(column):
+                acc = acc * m + c
+            if acc:
+                nums[e] = acc
+        return ExactScalar(k, _make(level, den, nums).demote() if nums else 0)
 
     def to_document(self):
         return {
@@ -190,18 +190,16 @@ class QuasiPolynomial:
 
 
 def _integer_components(coeffs):
-    """[(k, L_k, D_k, [(e, numerators)])] for ascending ExactScalar coefficients."""
-    out = []
-    for k in sorted({k for c in coeffs for k in c.terms}):
-        parts = [c.terms.get(k) for c in coeffs]
-        level = math.lcm(*(p.level for p in parts if p is not None))
-        zero = _make(level, 1, {})
-        promoted = [p.promote(level) if p is not None else zero for p in parts]
-        den = math.lcm(*(p.den for p in promoted))
-        scaled = [{e: c * (den // p.den) for e, c in p.nums.items()} for p in promoted]
-        out.append((k, level, den, [(e, [p.get(e, 0) for p in scaled])
-                                    for e in sorted({e for p in scaled for e in p})]))
-    return out
+    """(k, L, D, [(e, numerators)]) for ascending ExactScalar coefficients of grade k."""
+    grades = sorted({c.pi for c in coeffs if c})
+    if len(grades) > 1:
+        raise ScalarError(f"a residue polynomial mixes pi-grades {grades}")
+    level = math.lcm(4, *(c.value.level for c in coeffs))
+    promoted = [c.value.promote(level) for c in coeffs]
+    den = math.lcm(*(p.den for p in promoted))
+    scaled = [{e: c * (den // p.den) for e, c in p.nums.items()} for p in promoted]
+    return (grades[0] if grades else 0, level, den,
+            [(e, [p.get(e, 0) for p in scaled]) for e in sorted({e for p in scaled for e in p})])
 
 
 def fit_quasi_polynomial(contributions):
@@ -289,11 +287,11 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
 
 
 def _integer_value(c):
-    """c as an int, or None; every grade of a `QuasiPolynomial.evaluate` value is demoted."""
-    x = c.terms.get(0) if c.terms.keys() <= {0} else None
-    if x is None:
-        return None if c.terms else 0
-    return x.nums[0] if x.level == 4 and x.den == 1 and x.nums.keys() == {0} else None
+    """c as an int, or None; a `QuasiPolynomial.evaluate` value is demoted."""
+    x = c.value
+    if c.pi or x.level != 4 or x.den != 1 or not x.nums.keys() <= {0}:
+        return None
+    return x.nums.get(0, 0)
 
 
 def _galois_maps(model, q, points):
@@ -306,7 +304,7 @@ def _galois_maps(model, q, points):
     roots = [r for c in comps for r in c.tangential + c.normal]
     scalars = [s for r in roots for s in r.curvature] + \
         [s for c in comps for s in c.pairing.values()]
-    if any(c.demote().level != 4 for s in scalars for c in s.terms.values()) or \
+    if any(s and s.value.demote().level != 4 for s in scalars) or \
             any(q % Fraction(r.eigenvalue_exponent).denominator for r in roots):
         return None
     level = math.lcm(4, q)

@@ -213,8 +213,7 @@ _EIGENVALUE_ONE = ("fixed-set mismatch: normal eigenvalue 1 means the direction 
 
 def normal_factor_series(eigenvalue, length):
     """Taylor coefficients of (1 - lambda e^t)^-1 for lambda != 1."""
-    lam = ExactScalar.from_cyclotomic(eigenvalue) if isinstance(eigenvalue, CyclotomicNumber) \
-        else _coerce(eigenvalue)
+    lam = _coerce(eigenvalue)
     if (ExactScalar.one() - lam).is_zero():
         raise FormError(_EIGENVALUE_ONE)
     exp_t = _exp_series(length)

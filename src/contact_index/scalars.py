@@ -1,14 +1,19 @@
-"""Exact scalars: cyclotomic numbers graded by integer powers of pi.
+"""Exact scalars: a cyclotomic number times one integer power of pi.
 
-Every number that appears in a germ or a character table is a finite sum
+Every number that appears in a germ or a character table is
 
-    sum_k  c_k * pi^k,        c_k in Q(zeta_L),
+    c * pi^k,        c in Q(zeta_L), k an integer,
 
-with the cyclotomic coefficients stored in the power basis of the L-th
-cyclotomic field modulo the L-th cyclotomic polynomial.  Levels are kept
-at multiples of 4 so that i = zeta_4 is always representable and needs no
-special casing.  pi is a formal graded symbol; nothing in this module ever
-evaluates it numerically except the display helper at the very bottom.
+with c stored in the power basis of the L-th cyclotomic field modulo the
+L-th cyclotomic polynomial.  Levels are kept at multiples of 4 so that
+i = zeta_4 is always representable and needs no special casing.  pi is a
+formal graded symbol; nothing in this module ever evaluates it numerically
+except the display helpers.
+
+Every stage of the index formula carries one power of pi, its grade:
+curvatures 0, the pairing of a monomial J |J| + 1 (Stokes), germs 1,
+characters 0.  So `ExactScalar` is one pair (pi, value); zero has grade 0,
+and adding two nonzero scalars of different grades raises `ScalarError`.
 
 A cyclotomic number is stored as integer numerators over one denominator
 (see `CyclotomicNumber`), and every operation but the rare non-identity
@@ -212,6 +217,11 @@ def _trace_table(level):
                  for e in range(_euler_phi(level)))
 
 
+def _check_level(level):
+    if level % 4 != 0 or level <= 0:
+        raise ScalarError(f"cyclotomic level must be a positive multiple of 4, got {level}")
+
+
 def _make(level, den, nums):
     """nums / den at `level`, trusted: den > 0, nonzero numerators, exponents < phi(level)."""
     g = math.gcd(den, *nums.values())
@@ -238,8 +248,7 @@ class CyclotomicNumber:
     __slots__ = ("level", "den", "nums")
 
     def __init__(self, level, coeffs):
-        if level % 4 != 0 or level <= 0:
-            raise ScalarError(f"cyclotomic level must be a positive multiple of 4, got {level}")
+        _check_level(level)
         phi = _euler_phi(level)
         clean = {}
         for e, c in coeffs.items():
@@ -267,16 +276,14 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_rational(q, level=4):
-        if level % 4 != 0 or level <= 0:
-            raise ScalarError(f"cyclotomic level must be a positive multiple of 4, got {level}")
+        _check_level(level)
         q = Fraction(q)
         return _make(level, q.denominator, {0: q.numerator} if q else {})
 
     @staticmethod
     def zeta(level, exponent=1):
         """zeta_level ^ exponent, reduced."""
-        if level % 4 != 0:
-            raise ScalarError("level must be a multiple of 4")
+        _check_level(level)
         return _make(level, 1, _fold({exponent % level: 1}, level))
 
     @staticmethod
@@ -293,10 +300,9 @@ class CyclotomicNumber:
         """Embed into Q(zeta_{new_level}); the current level must divide it."""
         if new_level % self.level != 0:
             raise ScalarError(f"cannot promote level {self.level} to non-multiple {new_level}")
-        if new_level % 4 != 0:
-            raise ScalarError("target level must be a multiple of 4")
         if new_level == self.level:
             return self
+        _check_level(new_level)
         step = new_level // self.level
         return _make(new_level, self.den,
                      _fold({e * step: c for e, c in self.nums.items()}, new_level))
@@ -431,19 +437,21 @@ class CyclotomicNumber:
         return " + ".join(parts)
 
 
+_ZERO = _make(4, 1, {})
+
+
 class ExactScalar:
-    """Finite sum of cyclotomic numbers weighted by integer powers of pi."""
+    """value * pi^pi: one cyclotomic number at one grade (see the module docstring)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("pi", "value")
 
-    def __init__(self, terms):
-        clean = {}
-        for k, c in terms.items():
-            if not isinstance(c, CyclotomicNumber):
-                c = CyclotomicNumber.from_rational(c)
-            if not c.is_zero():
-                clean[int(k)] = c
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, pi, value):
+        if not isinstance(value, CyclotomicNumber):
+            value = CyclotomicNumber.from_rational(value)
+        if not value.nums:
+            pi, value = 0, _ZERO
+        object.__setattr__(self, "pi", int(pi))
+        object.__setattr__(self, "value", value)
 
     def __setattr__(self, *a):
         raise AttributeError("ExactScalar is immutable")
@@ -452,68 +460,58 @@ class ExactScalar:
 
     @staticmethod
     def zero():
-        return ExactScalar({})
+        return ExactScalar(0, _ZERO)
 
     @staticmethod
     def one():
-        return ExactScalar({0: CyclotomicNumber.from_rational(1)})
+        return ExactScalar(0, 1)
 
     @staticmethod
     def from_rational(q):
-        return ExactScalar({0: CyclotomicNumber.from_rational(Fraction(q))})
+        return ExactScalar(0, q)
 
     @staticmethod
     def i():
-        return ExactScalar({0: CyclotomicNumber.zeta(4, 1)})
+        return ExactScalar(0, CyclotomicNumber.zeta(4, 1))
 
     @staticmethod
     def pi_power(k, coeff=1):
-        return ExactScalar({k: CyclotomicNumber.from_rational(Fraction(coeff))})
+        return ExactScalar(k, coeff)
 
     @staticmethod
     def root_of_unity(p, q):
-        return ExactScalar({0: CyclotomicNumber.root_of_unity(p, q)})
-
-    @staticmethod
-    def from_cyclotomic(c):
-        return ExactScalar({0: c})
+        return ExactScalar(0, CyclotomicNumber.root_of_unity(p, q))
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return ExactScalar(out)
+        if not other.value.nums:
+            return self
+        if not self.value.nums:
+            return other
+        if self.pi != other.pi:
+            raise ScalarError(f"cannot add scalars of pi-grades {self.pi} and {other.pi}")
+        return ExactScalar(self.pi, self.value + other.value)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar({k: -c for k, c in self.terms.items()})
+        return ExactScalar(self.pi, -self.value)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __mul__(self, other):
         other = _coerce(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                p = c1 * c2
-                out[k] = out[k] + p if k in out else p
-        return ExactScalar(out)
+        if not (self.value.nums and other.value.nums):
+            return ExactScalar.zero()
+        return ExactScalar(self.pi + other.pi, self.value * other.value)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if len(self.terms) != 1:
-            raise ScalarError(
-                f"scalar is not invertible: needs exactly one pi-term, has {len(self.terms)} "
-                f"(pi-grades {sorted(self.terms)})")
-        (k, c), = self.terms.items()
-        return ExactScalar({-k: c.inverse()})
+        return ExactScalar(-self.pi, self.value.inverse())
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -522,28 +520,26 @@ class ExactScalar:
         return _coerce(other) * self.inverse()
 
     def galois(self, t):
-        return ExactScalar({k: c.galois(t) for k, c in self.terms.items()})
+        return ExactScalar(self.pi, self.value.galois(t))
 
     def relative_trace(self, level):
-        return ExactScalar({k: c.relative_trace(level) for k, c in self.terms.items()})
+        return ExactScalar(self.pi, self.value.relative_trace(level)) if self else self
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.value.nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.value.nums)
 
     def is_rational(self):
-        return set(self.terms) <= {0} and all(c.is_rational() for c in self.terms.values())
+        return self.pi == 0 and self.value.is_rational()
 
     def rational_value(self):
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_rational():
             raise ScalarError(f"not rational: {self}")
-        return self.terms[0].rational_value()
+        return self.value.rational_value()
 
     def is_integer(self):
         return self.is_rational() and self.rational_value().denominator == 1
@@ -553,52 +549,51 @@ class ExactScalar:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        return (self - other).is_zero()
+        return self.pi == other.pi and self.value == other.value
 
     __hash__ = None
 
     # -- text form ---------------------------------------------------
 
     def to_text(self):
-        """Canonical text form, e.g. ``(1/2*z12^3)*pi^-1 + (2)*pi^0``."""
-        if not self.terms:
+        """Canonical text form, e.g. ``(2)*pi^-1 + (1/2*z12^3)*pi^-1``; zero is ``0``."""
+        if not self.value.nums:
             return "0"
+        c = self.value.demote()
         parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k].demote()
-            for e in sorted(c.nums):
-                n = c.nums[e]
-                g = math.gcd(n, c.den)
-                q = f"{n // g}" if c.den == g else f"{n // g}/{c.den // g}"
-                body = q if e == 0 else f"{q}*z{c.level}^{e}"
-                parts.append(f"({body})*pi^{k}")
+        for e in sorted(c.nums):
+            n = c.nums[e]
+            g = math.gcd(n, c.den)
+            q = f"{n // g}" if c.den == g else f"{n // g}/{c.den // g}"
+            body = q if e == 0 else f"{q}*z{c.level}^{e}"
+            parts.append(f"({body})*pi^{self.pi}")
         return " + ".join(parts)
 
-    _TERM_RE = re.compile(
-        r"^\((?P<rat>-?\d+(?:/\d+)?)(?:\*z(?P<lvl>\d+)\^(?P<exp>\d+))?\)\*pi\^(?P<pik>-?\d+)$")
+    _TERM_RE = re.compile(r"^\((?P<rat>-?\d+(?:/0*[1-9]\d*)?)"  # no zero denominator
+                          r"(?:\*z(?P<lvl>\d+)\^(?P<exp>\d+))?\)\*pi\^(?P<pik>-?\d+)$")
 
     @staticmethod
     def from_text(text):
+        """Parse the `to_text` form; every term must carry the same pi-grade."""
         text = text.strip()
         if text == "0":
             return ExactScalar.zero()
-        total = ExactScalar.zero()
+        total, grades = ExactScalar.zero(), set()
         for raw in text.split(" + "):
             m = ExactScalar._TERM_RE.match(raw.strip())
             if not m:
                 raise ScalarError(f"unparseable scalar term: {raw!r}")
-            q = Fraction(m.group("rat"))
-            k = int(m.group("pik"))
-            if m.group("lvl") is None:
-                cyc = CyclotomicNumber.from_rational(q)
-            else:
-                cyc = CyclotomicNumber.zeta(int(m.group("lvl")), int(m.group("exp"))) * \
-                    CyclotomicNumber.from_rational(q)
-            total = total + ExactScalar({k: cyc})
+            grades.add(int(m.group("pik")))
+            if len(grades) > 1:
+                raise ScalarError(f"scalar mixes pi-grades {sorted(grades)}")
+            cyc = CyclotomicNumber.from_rational(Fraction(m.group("rat")))
+            if m.group("lvl") is not None:
+                cyc = CyclotomicNumber.zeta(int(m.group("lvl")), int(m.group("exp"))) * cyc
+            total = total + ExactScalar(int(m.group("pik")), cyc)
         return total
 
     def complex_value(self):
-        return sum(c.complex_value() * math.pi ** k for k, c in self.terms.items()) if self.terms else 0j
+        return self.value.complex_value() * math.pi ** self.pi
 
     def __repr__(self):
         return self.to_text()
@@ -607,10 +602,8 @@ class ExactScalar:
 def _coerce(x):
     if isinstance(x, ExactScalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return ExactScalar.from_rational(x)
-    if isinstance(x, CyclotomicNumber):
-        return ExactScalar.from_cyclotomic(x)
+    if isinstance(x, (int, Fraction, CyclotomicNumber)):
+        return ExactScalar(0, x)
     raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
 
 

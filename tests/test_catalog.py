@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -238,7 +239,7 @@ def _identity_with_a_normal_root_doc():
 
 
 def _set(path, value):
-    """An edit of the circle document: set the field at `path` (keys and indices)."""
+    """An edit of a model document: set the field at `path` (keys and indices)."""
     def edit(doc):
         *outer, last = path
         for key in outer:
@@ -292,6 +293,48 @@ class TestDocumentShape:
         edit(doc)
         with pytest.raises(ModelError, match=field):
             model_from_document(doc)
+
+    # the grade rule: curvatures have pi-grade 0, the pairing of a monomial J
+    # grade |J| + 1; scalar text that does not parse names its field too
+    @pytest.mark.parametrize("edit,field", [
+        (_set(["components", 0, "tangential_roots", 0, "curv", 0], "(1)*pi^1"),
+         r"^components\[0\]\[0\]\.tangential_roots\[0\]\.curv\[0\]: a curvature has "
+         r"pi-grade 0, got 1"),
+        (_set(["components", 0, "pairing", 0, "value"], "(4)*pi^3"),
+         r"^components\[0\]\[0\]\.pairing: the value for \(1,\) has pi-grade 2 "
+         r"\(\|mono\| \+ 1\), got 3"),
+        (_set(["components", 0, "pairing", 0, "value"], "(1)*pi^1 + (1)*pi^2"),
+         r"^components\[0\]\.pairing\[0\]\.value: malformed scalar .*mixes pi-grades \[1, 2\]"),
+        (_set(["components", 0, "tangential_roots", 0, "curv", 0], "(1/0)*pi^0"),
+         r"^components\[0\]\.tangential_roots\[0\]\.curv\[0\]: malformed scalar "
+         r".*unparseable"),
+        (_set(["components", 0, "tangential_roots", 0, "curv", 0], "(1*z0^1)*pi^0"),
+         r"^components\[0\]\.tangential_roots\[0\]\.curv\[0\]: malformed scalar .*level"),
+        (_set(["components", 0, "pairing", 0, "value"], 4),
+         r"^components\[0\]\.pairing\[0\]\.value: expected a scalar string, got 4"),
+    ], ids=["curvature-grade-1", "pairing-one-grade-off", "pairing-mixed-grades",
+            "zero-denominator", "level-zero", "not-a-string"])
+    def test_scalar_grade_rule_names_the_field(self, edit, field):
+        doc = model_to_document(preset_hopf_sphere(1))
+        edit(doc)
+        with pytest.raises(ModelError, match=field):
+            model_from_document(doc)
+
+    def test_zero_pairing_below_the_top_degree_has_any_grade(self):
+        doc = model_to_document(preset_hopf_sphere(1))
+        doc["components"][0]["pairing"].append({"mono": [0], "value": "0"})
+        model_from_document(doc)
+
+    def test_readme_example_loads_and_reserializes_canonically(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Model documents"):]
+        start = section.index("```json\n") + len("```json\n")
+        (tmp_path / "readme.json").write_text(section[start:section.index("```", start)])
+        model = load_model(tmp_path / "readme.json")
+        assert model.components[IDENTITY][0].pairing[(1,)].pi == 2
+        dump_model(model, tmp_path / "first.json")
+        dump_model(load_model(tmp_path / "first.json"), tmp_path / "second.json")
+        assert (tmp_path / "second.json").read_text() == (tmp_path / "first.json").read_text()
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ModelError, match="^model document: expected an object"):

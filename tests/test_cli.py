@@ -470,6 +470,29 @@ class TestErrorBoundary:
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: "), result.stderr
 
+    @pytest.mark.parametrize("field,text,message", [
+        ("curv", "(1/0)*pi^0", "components[0].tangential_roots[0].curv[0]: malformed scalar"),
+        ("curv", "(1*z0^1)*pi^0", "components[0].tangential_roots[0].curv[0]: malformed scalar"),
+        ("curv", "(1)*pi^1",
+         "components[0][0].tangential_roots[0].curv[0]: a curvature has pi-grade 0, got 1"),
+        ("pairing", "(4)*pi^1", "components[0][0].pairing: the value for (1,) has pi-grade 2"),
+        ("pairing", "(1)*pi^1 + (1)*pi^2", "components[0].pairing[0].value: malformed scalar"),
+    ], ids=["zero-denominator", "level-zero", "curvature-grade-1", "pairing-one-grade-off",
+            "pairing-mixed-grades"])
+    def test_bad_model_scalars_exit_two_naming_the_field(self, runner, calibrated, field,
+                                                         text, message):
+        doc = model_to_document(build_preset("hopf", (1,)))
+        if field == "curv":
+            doc["components"][0]["tangential_roots"][0]["curv"][0] = text
+        else:
+            doc["components"][0]["pairing"][0]["value"] = text
+        path = calibrated / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["character", "--model", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: cannot load model"), result.stderr
+        assert f"': {message}" in result.stderr
+
     # FormError and EngineError reach the boundary from real inputs elsewhere in this file
     @pytest.mark.parametrize("error", [ModelError, ScalarError, DeltaError])
     def test_library_errors_exit_two(self, runner, calibrated, monkeypatch, error):

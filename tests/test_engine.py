@@ -17,7 +17,7 @@ from contact_index.engine import (CalibrationConfig, CalibrationError, EngineErr
                                   calibrate_conventions, corollary_expand,
                                   dh_fourier, fit_quasi_polynomial, germ_at,
                                   residual_factors)
-from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi
+from contact_index.scalars import CyclotomicNumber, ExactScalar, ScalarError, _euler_phi
 from character_reference import quasi_equal
 from laurent_reference import corollary_reference
 
@@ -170,6 +170,12 @@ class TestQuasiPolynomialFit:
             want = 2 * (-1) ** (m % 2) + m % 3 + m
             assert qp.evaluate(m) == ExactScalar.from_rational(want), m
 
+    def test_a_residue_polynomial_has_one_pi_grade(self):
+        assert QuasiPolynomial(1, {0: [TWO_PI, ExactScalar.zero(), TWO_PI]}).evaluate(3) == \
+            ExactScalar.pi_power(1, 20)
+        with pytest.raises(ScalarError, match=r"mixes pi-grades \[0, 1\]"):
+            QuasiPolynomial(1, {0: [ONE, TWO_PI]})
+
     def test_equality_across_periods(self):
         a = QuasiPolynomial(1, {0: [ONE]})
         b = QuasiPolynomial(2, {0: [ONE], 1: [ONE]})
@@ -180,14 +186,13 @@ class TestQuasiPolynomialFit:
     def test_integer_evaluation_matches_exact_horner(self):
         rng = random.Random(17)
 
-        def scalar():
-            terms = {}
-            for k in rng.sample([-1, 0, 1], rng.randint(0, 3)):
-                level = rng.choice([4, 12, 20])
-                terms[k] = CyclotomicNumber(level, {
-                    e: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-                    for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))})
-            return ExactScalar(terms)
+        def scalar(grade):  # zero one time in four
+            if not rng.randint(0, 3):
+                return ExactScalar.zero()
+            level = rng.choice([4, 12, 20])
+            return ExactScalar(grade, CyclotomicNumber(level, {
+                e: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))}))
 
         def horner(coeffs, m):  # the reference: exact scalar arithmetic throughout
             acc = ExactScalar.zero()
@@ -196,39 +201,41 @@ class TestQuasiPolynomialFit:
             return acc
 
         for period in (1, 3, 4):
-            polys = {r: [scalar() for _ in range(rng.randint(0, 4))]
-                     for r in range(period) if rng.random() < 0.8}
+            # one pi-grade per residue polynomial, random in {-1, 0, 1}
+            polys = {r: [scalar(grade) for _ in range(rng.randint(0, 4))]
+                     for r, grade in ((r, rng.randint(-1, 1)) for r in range(period))
+                     if rng.random() < 0.8}
             qp = QuasiPolynomial(period, polys)
             for m in range(-13, 14):
                 want = horner(polys.get(m % period, []), m)
                 got = qp.evaluate(m)
                 assert got == want, (period, m)
                 assert got.to_text() == want.to_text(), (period, m)
-                assert all(c.level == c.demote().level for c in got.terms.values())
+                assert got.value.level == got.value.demote().level
 
-    # Irrational residue coefficients whose values at chosen m are integers
-    # (m = 4; m = 4; m = 2), non-integer rationals (m = 3; m = 5) or carry a
-    # pi-grade over an integer grade 0 (m = -4, every odd m); the constant
-    # 20 z12 + 1/3 is given at level 24, so its integer values need demotion.
+    # Irrational residue coefficients, residue -> (pi-grade, coefficients),
+    # whose values at chosen m are integers (m = 4; m = 4; m = 2, -4),
+    # non-integer rationals (m = 3; m = 5) or carry pi^1 (every odd m); the
+    # constant 20 z12 + 1/3 is given at level 24, so its integer values need
+    # demotion.
     READ_OFF_CASES = {
-        "i-quadratic": {0: [{0: CyclotomicNumber(4, {1: 12})},
-                            {0: CyclotomicNumber(4, {0: Fraction(1, 2), 1: -7})},
-                            {0: CyclotomicNumber(4, {1: 1})}]},
-        "z12-over-z24": {0: [{0: CyclotomicNumber(24, {0: Fraction(1, 3), 2: 20})},
-                             {0: CyclotomicNumber(12, {0: Fraction(2, 3), 1: -9})},
-                             {0: CyclotomicNumber(12, {1: 1})}]},
-        "pi-graded": {0: [{0: CyclotomicNumber(4, {0: 1, 1: -8}),
-                           1: CyclotomicNumber(12, {1: -2})},
-                          {0: CyclotomicNumber(4, {0: Fraction(1, 2), 1: 2}),
-                           1: CyclotomicNumber(12, {1: 1})},
-                          {0: CyclotomicNumber(4, {1: 1})}],
-                      1: [{1: CyclotomicNumber(4, {0: 2})}, {0: CyclotomicNumber(4, {0: 1})}]},
+        "i-quadratic": {0: (0, [CyclotomicNumber(4, {1: 12}),
+                                CyclotomicNumber(4, {0: Fraction(1, 2), 1: -7}),
+                                CyclotomicNumber(4, {1: 1})])},
+        "z12-over-z24": {0: (0, [CyclotomicNumber(24, {0: Fraction(1, 3), 2: 20}),
+                                 CyclotomicNumber(12, {0: Fraction(2, 3), 1: -9}),
+                                 CyclotomicNumber(12, {1: 1})])},
+        "pi-graded": {0: (0, [CyclotomicNumber(4, {0: 1, 1: -8}),
+                              CyclotomicNumber(4, {0: Fraction(1, 2), 1: 2}),
+                              CyclotomicNumber(4, {1: 1})]),
+                      1: (1, [CyclotomicNumber(12, {1: -2}), CyclotomicNumber(12, {1: 1}),
+                              CyclotomicNumber(4, {0: 2})])},
     }
 
     @pytest.mark.parametrize("name", READ_OFF_CASES)
     def test_integer_read_off_matches_the_rational_reference(self, name):
-        polys = {r: [ExactScalar(terms) for terms in poly]
-                 for r, poly in self.READ_OFF_CASES[name].items()}
+        polys = {r: [ExactScalar(grade, c) for c in poly]
+                 for r, (grade, poly) in self.READ_OFF_CASES[name].items()}
         qp = QuasiPolynomial(len(polys), polys)
         kinds = set()
         for m in range(-12, 13):
@@ -236,7 +243,7 @@ class TestQuasiPolynomialFit:
             want = int(c.rational_value()) if c.is_integer() else None
             assert engine._integer_value(c) == want, (name, m)
             kinds.add("integer" if c.is_integer() else "rational" if c.is_rational()
-                      else "pi" if set(c.terms) - {0} else "irrational")
+                      else "pi" if c.pi else "irrational")
         assert "integer" in kinds and {"rational", "pi"} & kinds, kinds
 
     @pytest.mark.parametrize("n", [*range(1, 9), 12, 16, 20])

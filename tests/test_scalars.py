@@ -90,56 +90,71 @@ class TestArithmeticExamples:
         assert q == ExactScalar.pi_power(1, -2) * I
         assert q * (TWO_PI * I) == TWO_PI * TWO_PI
 
-    def test_division_by_multi_term_scalar_is_rejected(self):
-        bad = ONE + TWO_PI
-        with pytest.raises(ScalarError, match="pi-grades"):
-            ONE / bad
+    def test_adding_different_pi_grades_is_rejected(self):
+        with pytest.raises(ScalarError, match="pi-grades 0 and 1"):
+            ONE + TWO_PI
+
+    def test_zero_adds_to_every_grade(self):
+        for x in (ONE, TWO_PI, ExactScalar.pi_power(-1, 3) * I):
+            assert x + ExactScalar.zero() == x == ExactScalar.zero() + x
+            assert (x - x).pi == 0
 
     def test_division_by_zero_is_rejected(self):
         with pytest.raises(ScalarError):
             ONE / ExactScalar.zero()
 
     def test_self_subtraction_is_structural_zero(self):
-        x = ExactScalar.root_of_unity(2, 5) * TWO_PI + I
+        x = ExactScalar.root_of_unity(2, 5) * TWO_PI + I * TWO_PI
         assert (x - x).is_zero()
 
 
 def _random_scalar(rng):
-    terms = {}
+    """A sum of one to three scaled roots of unity at one pi-grade, random in {-1, 0, 1}."""
+    k = rng.randint(-1, 1)
+    value = CyclotomicNumber.from_rational(0)
     for _ in range(rng.randint(1, 3)):
-        k = rng.randint(-2, 2)
         q = rng.choice([3, 4, 12])
-        cyc = CyclotomicNumber.root_of_unity(rng.randint(0, q - 1), q) * \
+        value = value + CyclotomicNumber.root_of_unity(rng.randint(0, q - 1), q) * \
             CyclotomicNumber.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        terms[k] = terms[k] + cyc if k in terms else cyc
-    return ExactScalar(terms)
+    return ExactScalar(k, value)
+
+
+def _at_grade(x, k):
+    """x's cyclotomic value at pi-grade k: an operand x can be added to."""
+    return ExactScalar(k, x.value)
 
 
 class TestRingAxioms:
     def test_axioms_on_randomized_inputs(self):
-        # 2000 triples x 5 axiom checks = 10^4 exact property cases
+        # 2000 triples x 5 axiom checks = 10^4 exact property cases; the
+        # additive axioms take b and c at a's grade
         rng = random.Random(20260809)
         for _ in range(2000):
             a, b, c = (_random_scalar(rng) for _ in range(3))
-            assert a + b == b + a
+            b_a, c_a, c_b = _at_grade(b, a.pi), _at_grade(c, a.pi), _at_grade(c, b.pi)
+            assert a + b_a == b_a + a
             assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
+            assert (a + b_a) + c_a == a + (b_a + c_a)
             assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+            assert a * (b + c_b) == a * b + a * c_b
+            if a and b and a.pi != b.pi:
+                with pytest.raises(ScalarError):
+                    a + b
 
     def test_conjugation_is_an_automorphism(self):
         rng = random.Random(7)
         for _ in range(300):
             a, b = _random_scalar(rng), _random_scalar(rng)
             assert (a * b).galois(-1) == a.galois(-1) * b.galois(-1)
-            assert (a + b).galois(-1) == a.galois(-1) + b.galois(-1)
+            b_a = _at_grade(b, a.pi)
+            assert (a + b_a).galois(-1) == a.galois(-1) + b_a.galois(-1)
 
     def test_inversion_round_trips(self):
         rng = random.Random(11)
         count = 0
         while count < 200:
             a = _random_scalar(rng)
-            if len(a.terms) != 1:
+            if a.is_zero():
                 continue
             count += 1
             assert a * a.inverse() == ONE
@@ -153,7 +168,7 @@ class TestTextForm:
             I,
             TWO_PI,
             ExactScalar.pi_power(-1, Fraction(1, 2)),
-            ExactScalar.root_of_unity(2, 3) * TWO_PI + ExactScalar.from_rational(Fraction(-7, 3)),
+            ExactScalar.root_of_unity(2, 3) * TWO_PI + ExactScalar.pi_power(1, Fraction(-7, 3)),
         ]
         for x in cases:
             assert ExactScalar.from_text(x.to_text()) == x
@@ -165,12 +180,23 @@ class TestTextForm:
             assert ExactScalar.from_text(x.to_text()) == x
 
     def test_canonical_text_is_identical_for_equal_values(self):
-        a = ExactScalar({0: CyclotomicNumber.zeta(4, 1).promote(24)})
+        a = ExactScalar(0, CyclotomicNumber.zeta(4, 1).promote(24))
         assert a.to_text() == I.to_text()
 
     def test_rejects_garbage(self):
         with pytest.raises(ScalarError):
             ExactScalar.from_text("pi + 1")
+
+    @pytest.mark.parametrize("text", ["(1/0)*pi^0", "(1*z0^1)*pi^0", "(1)*pi^1 + (1)*pi^2",
+                                      "(1)*pi^0 + (0)*pi^1"])
+    def test_rejects_zero_denominators_level_zero_and_mixed_grades(self, text):
+        with pytest.raises(ScalarError):
+            ExactScalar.from_text(text)
+
+    @pytest.mark.parametrize("level", [0, -4, 6])
+    def test_zeta_rejects_a_level_that_is_not_a_positive_multiple_of_four(self, level):
+        with pytest.raises(ScalarError, match="positive multiple of 4"):
+            CyclotomicNumber.zeta(level, 1)
 
 
 class TestApproxDisplay:
