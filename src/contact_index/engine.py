@@ -6,9 +6,10 @@ inverse normal determinant and the contact delta form; Fourier conversion
 of the germs gives one polynomial in m per residue class modulo each torsion
 order.  The germs at p/q are Galois conjugates, so an orbit is evaluated
 once and its table summed as a relative trace down to Q(i), unless the
-model fails the guard in `assemble_character`.
-Those tables are summed once per residue class into the character's
-quasi-polynomial, and every coefficient is read off it.
+model fails the guard in `assemble_character`.  Each table is converted
+once to integer components, per cyclotomic basis exponent one column of
+numerators over one denominator; they are summed per order, then per
+residue of the period, and every coefficient is read off by integer Horner.
 
 The rank-2 double expansion runs in integers: each slice's numerator is
 divided by one binomial (1 - x^s) at a time with a stride recurrence, and
@@ -24,12 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _euler_phi, _make,
-                      approx_display)
-from .deltas import DeltaGerm, _poly_add, fourier_contribution, germ_to_document
+from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _euler_phi, _fold, _make,
+                      _scalar_text, approx_display)
+from .deltas import DeltaGerm, fourier_contribution, germ_to_document
 from .forms import FormElement, dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
                       preset_weighted_s3)
@@ -140,75 +141,117 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
 # quasi-polynomials
 # ----------------------------------------------------------------------
 
-@dataclass(eq=False)
 class QuasiPolynomial:
     """Per-residue polynomials in m; period 1 is a plain polynomial.
 
-    Every coefficient of one residue polynomial has the same pi-grade k
-    (zero coefficients aside), so its values do too.  Evaluation runs in
-    integers: once per residue, the coefficients are promoted to their lcm
-    level L and written over one denominator D, one integer polynomial per
-    basis exponent e.  `evaluate(m)` runs Horner's rule on them and returns
-    their values over D, demoted, times pi^k, so the value is the canonical
-    one.  A rational quasi-polynomial has k = 0, L = 4 and e = 0 alone.
+    A residue polynomial is held in integer components (k, L, D, columns):
+    its m^j coefficient is sum_e columns[e][j] zeta_L^e / D * pi^k.  Columns
+    have the polynomial's length, trailing zeros trimmed, and none is zero.
+    L need not be minimal nor D reduced: `evaluate(m)` (Horner's rule on the
+    columns) and `to_document` demote what they return.  The constructor
+    converts residue -> ExactScalar lists; `polys` derives them back.
     """
 
-    period: int
-    polys: dict  # residue -> ascending ExactScalar coefficients
-    _integer: dict = field(init=False, repr=False)  # residue -> _integer_components
-
-    def __post_init__(self):
-        if self.period < 1:
+    def __init__(self, period, polys):
+        if period < 1:
             raise EngineError("period must be positive")
-        trimmed = {}
-        for r in range(self.period):
-            coeffs = list(self.polys.get(r, []))
-            while coeffs and coeffs[-1].is_zero():
-                coeffs.pop()
-            trimmed[r] = coeffs
-        self.polys = trimmed
-        self._integer = {r: _integer_components(c) for r, c in trimmed.items()}
+        self.period = period
+        self._integer = [_integer_components(polys.get(r, [])) for r in range(period)]
+
+    @classmethod
+    def _of_components(cls, components):
+        qp = object.__new__(cls)
+        qp.period, qp._integer = len(components), components
+        return qp
+
+    @property
+    def polys(self):
+        return {r: [ExactScalar(k, _make(*x)) for k, *x in _coefficients(c)]
+                for r, c in enumerate(self._integer)}
 
     def evaluate(self, m):
-        k, level, den, components = self._integer[m % self.period]
-        nums = {}
-        for e, column in components:
-            acc = 0
-            for c in reversed(column):
-                acc = acc * m + c
-            if acc:
-                nums[e] = acc
-        return ExactScalar(k, _make(level, den, nums).demote() if nums else 0)
+        return self.read(m)[0]
+
+    def read(self, m):
+        """(`evaluate(m)`, that value as an int or None), from one integer Horner pass."""
+        k, level, den, columns = self._integer[m % self.period]
+        if not k and level == 4 and len(columns) == 1 and 0 in columns:  # a rational residue
+            n, rest = divmod(_horner(columns[0], m), den)
+            if not rest:
+                return ExactScalar(0, _make(4, 1, {0: n} if n else {})), n
+        value = ExactScalar(k, _make(level, den, {e: v for e, c in columns.items()
+                                                  if (v := _horner(c, m))}).demote())
+        x = value.value
+        return value, (x.nums.get(0, 0) if not value.pi and x.den == 1 and x.level == 4
+                       and x.nums.keys() <= {0} else None)
 
     def to_document(self):
         return {
             "period": self.period,
             "polys": [{"residue": r,
-                       "coefficients": [c.to_text() for c in self.polys[r]]}
-                      for r in range(self.period)],
+                       "coefficients": [_scalar_text(*x) for x in _coefficients(c)]}
+                      for r, c in enumerate(self._integer)],
         }
 
 
+def _horner(column, m):
+    acc = 0
+    for c in reversed(column):
+        acc = acc * m + c
+    return acc
+
+
+def _coefficients(components):
+    """(k, level, den, nums) per coefficient, at its canonical level (unreduced at 4)."""
+    k, level, den, columns = components
+    for j in range(len(next(iter(columns.values()), ()))):
+        nums = {e: column[j] for e, column in columns.items() if column[j]}
+        if level == 4:
+            yield k, 4, den, nums
+        else:
+            x = _make(level, den, nums).demote()
+            yield k, x.level, x.den, x.nums
+
+
 def _integer_components(coeffs):
-    """(k, L, D, [(e, numerators)]) for ascending ExactScalar coefficients of grade k."""
-    grades = sorted({c.pi for c in coeffs if c})
-    if len(grades) > 1:
-        raise ScalarError(f"a residue polynomial mixes pi-grades {grades}")
-    level = math.lcm(4, *(c.value.level for c in coeffs))
-    promoted = [c.value.promote(level) for c in coeffs]
-    den = math.lcm(*(p.den for p in promoted))
-    scaled = [{e: c * (den // p.den) for e, c in p.nums.items()} for p in promoted]
-    return (grades[0] if grades else 0, level, den,
-            [(e, [p.get(e, 0) for p in scaled]) for e in sorted({e for p in scaled for e in p})])
+    """The components of ascending ExactScalar coefficients, one coefficient at a time."""
+    return _sum_components([(c.pi, c.value.level, c.value.den,
+                             {e: [0] * j + [n] for e, n in c.value.nums.items()})
+                            for j, c in enumerate(coeffs) if c])
+
+
+def _sum_components(parts):
+    """Components of a sum, over the lcm level (`_fold` promotes columns) and denominator."""
+    parts = [p for p in parts if p[3]]
+    if len(parts) < 2:  # a part is trimmed already
+        return parts[0] if parts else (0, 4, 1, {})
+    if len(grades := {p[0] for p in parts}) > 1:
+        raise ScalarError(f"a residue polynomial mixes pi-grades {sorted(grades)}")
+    level, den = math.lcm(*[p[1] for p in parts]), math.lcm(*[p[2] for p in parts])
+    width = max(len(next(iter(p[3].values()))) for p in parts)
+    out = {}
+    for _, part_level, part_den, columns in parts:
+        if part_level != level:
+            raw = [_fold({e * (level // part_level): c[j] for e, c in columns.items()}, level)
+                   for j in range(len(next(iter(columns.values()))))]
+            columns = {e: [r.get(e, 0) for r in raw] for e in {e for r in raw for e in r}}
+        scale = den // part_den
+        for e, column in columns.items():
+            acc = out.setdefault(e, [0] * width)
+            for j, c in enumerate(column):
+                acc[j] += c * scale
+    length = max((j + 1 for col in out.values() for j, c in enumerate(col) if c), default=0)
+    return (parts[0][0], level, den,
+            {e: column[:length] for e, column in out.items() if any(column[:length])})
 
 
 def fit_quasi_polynomial(contributions):
-    """Sum Fourier tables into one quasi-polynomial.
+    """Sum Fourier tables into one quasi-polynomial, in integer components.
 
     `contributions` lists (q, table) pairs as `fourier_contribution` returns
-    them.  Tables of one torsion order are summed first, once per residue
-    mod q; an orbit that `assemble_character` evaluated once arrives as one
-    table of traces, with values in Q(i)[pi].
+    them (an orbit evaluated once is one table of traces, in Q(i)[pi]).
+    Each table is converted once per residue mod q, the tables of one order
+    are summed, and then the orders once per residue mod the period.
 
     Every residue polynomial has degree at most the largest k = (dim - 1)/2
     of a fixed component, so no check is made: `j_form` emits d0^(j) only
@@ -218,16 +261,12 @@ def fit_quasi_polynomial(contributions):
     """
     by_order = {}
     for q, table in contributions:
-        acc = by_order.get(q, [[]] * q)
-        by_order[q] = [_poly_add(acc[r], table[r]) for r in range(q)]
-    period = math.lcm(*by_order)
-    polys = {}
-    for r in range(period):
-        poly = []
-        for q, acc in by_order.items():
-            poly = _poly_add(poly, acc[r % q])
-        polys[r] = poly
-    return QuasiPolynomial(period, polys)
+        by_order.setdefault(q, []).append([_integer_components(table[r]) for r in range(q)])
+    sums = {q: [_sum_components(parts) for parts in zip(*tables)]
+            for q, tables in by_order.items()}
+    period = math.lcm(*sums)
+    return QuasiPolynomial._of_components(
+        [_sum_components([rows[r % q] for q, rows in sums.items()]) for r in range(period)])
 
 
 # ----------------------------------------------------------------------
@@ -281,17 +320,10 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
                              for r, poly in table.items()}
                 contributions.append((q, table))
     quasi = fit_quasi_polynomial(contributions)
-    coefficients = {m: quasi.evaluate(m) for m in range(-max_m, max_m + 1)}
-    integers = {m: _integer_value(c) for m, c in coefficients.items()}
+    coefficients, integers = {}, {}
+    for m in range(-max_m, max_m + 1):
+        coefficients[m], integers[m] = quasi.read(m)
     return CharacterResult(model.model_id, calibration, germs, coefficients, quasi, integers)
-
-
-def _integer_value(c):
-    """c as an int, or None; a `QuasiPolynomial.evaluate` value is demoted."""
-    x = c.value
-    if c.pi or x.level != 4 or x.den != 1 or not x.nums.keys() <= {0}:
-        return None
-    return x.nums.get(0, 0)
 
 
 def _galois_maps(model, q, points):
@@ -498,11 +530,12 @@ def calibrate_conventions():
 
 def character_document(result, digits=4):
     def coeff_entry(m):
-        c = result.coefficients[m]
-        entry = {"m": m, "value": c.to_text(), "approx": approx_display(c, digits)}
-        if result.integers[m] is not None:
-            entry["integer"] = result.integers[m]
-        return entry
+        c, n = result.coefficients[m], result.integers[m]
+        if n is None:
+            return {"m": m, "value": c.to_text(), "approx": approx_display(c, digits)}
+        nums = c.value.nums  # an integer coefficient: level 4, denominator 1
+        return {"m": m, "value": _scalar_text(0, 4, 1, nums),
+                "approx": approx_display(nums.get(0, 0), digits), "integer": n}
 
     return {
         "model_id": result.model_id,

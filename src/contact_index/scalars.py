@@ -438,6 +438,9 @@ class CyclotomicNumber:
 
 
 _ZERO = _make(4, 1, {})
+# The largest level `ExactScalar.from_text` accepts: a level's tables cost about
+# its cube to build (1000 takes half a second); computed levels are not bounded.
+MAX_TEXT_LEVEL = 1024
 
 
 class ExactScalar:
@@ -557,24 +560,15 @@ class ExactScalar:
 
     def to_text(self):
         """Canonical text form, e.g. ``(2)*pi^-1 + (1/2*z12^3)*pi^-1``; zero is ``0``."""
-        if not self.value.nums:
-            return "0"
         c = self.value.demote()
-        parts = []
-        for e in sorted(c.nums):
-            n = c.nums[e]
-            g = math.gcd(n, c.den)
-            q = f"{n // g}" if c.den == g else f"{n // g}/{c.den // g}"
-            body = q if e == 0 else f"{q}*z{c.level}^{e}"
-            parts.append(f"({body})*pi^{self.pi}")
-        return " + ".join(parts)
+        return _scalar_text(self.pi, c.level, c.den, c.nums)
 
     _TERM_RE = re.compile(r"^\((?P<rat>-?\d+(?:/0*[1-9]\d*)?)"  # no zero denominator
                           r"(?:\*z(?P<lvl>\d+)\^(?P<exp>\d+))?\)\*pi\^(?P<pik>-?\d+)$")
 
     @staticmethod
     def from_text(text):
-        """Parse the `to_text` form; every term must carry the same pi-grade."""
+        """Parse the `to_text` form: one pi-grade, levels at most `MAX_TEXT_LEVEL`."""
         text = text.strip()
         if text == "0":
             return ExactScalar.zero()
@@ -588,7 +582,10 @@ class ExactScalar:
                 raise ScalarError(f"scalar mixes pi-grades {sorted(grades)}")
             cyc = CyclotomicNumber.from_rational(Fraction(m.group("rat")))
             if m.group("lvl") is not None:
-                cyc = CyclotomicNumber.zeta(int(m.group("lvl")), int(m.group("exp"))) * cyc
+                level = int(m.group("lvl"))
+                if level > MAX_TEXT_LEVEL:
+                    raise ScalarError(f"cyclotomic level {level} exceeds {MAX_TEXT_LEVEL}")
+                cyc = CyclotomicNumber.zeta(level, int(m.group("exp"))) * cyc
             total = total + ExactScalar(int(m.group("pik")), cyc)
         return total
 
@@ -607,9 +604,19 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
 
 
+def _scalar_text(pi, level, den, nums):
+    """`to_text` of sum nums[e] zeta_level^e / den * pi^pi at its canonical level."""
+    parts = []
+    for e, n in sorted(nums.items()):  # nonzero numerators
+        g = math.gcd(n, den)
+        q = f"{n // g}" if den == g else f"{n // g}/{den // g}"
+        parts.append(f"({q if e == 0 else f'{q}*z{level}^{e}'})*pi^{pi}")
+    return " + ".join(parts) or "0"
+
+
 def approx_display(a, digits=4):
-    """Decimal rendering for reports only; never fed back into computation."""
-    z = a.complex_value()
+    """Decimal rendering for reports only; a rational (int or Fraction) formats n / den."""
+    z = a.complex_value() if isinstance(a, ExactScalar) else complex(a.numerator / a.denominator)
     re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
     if abs(z.imag) < 10 ** (-digits - 6) * max(1.0, abs(z.real)):
         return re_s

@@ -1,16 +1,22 @@
-"""Test-only reference for character assembly: one germ per torsion point.
+"""Test-only references for character assembly.
 
 `character_reference` is the direct computation that the engine's orbit
 evaluation must reproduce: every torsion point's germ from `germ_at`, every
 nonzero germ's Fourier table from `fourier_contribution`, the tables summed
 into the quasi-polynomial, and each coefficient read off it.
 `quasi_equal` compares two quasi-polynomials as functions of m.
+
+`ScalarFit` is the route that `fit_quasi_polynomial` must reproduce in
+integers: the tables summed as ExactScalars, per residue mod each order and
+then per residue mod the period, and each value found by Horner's rule in
+ExactScalars.
 """
 
 import math
 
-from contact_index.deltas import fourier_contribution
+from contact_index.deltas import _poly_add, fourier_contribution
 from contact_index.engine import DEFAULT_CALIBRATION, fit_quasi_polynomial, germ_at
+from contact_index.scalars import ExactScalar
 
 
 def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
@@ -29,8 +35,43 @@ def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
 
 def quasi_equal(a, b):
     """Equal residue polynomials over the lcm of the two periods."""
+    a_polys, b_polys = a.polys, b.polys  # each derived from integer components
     for r in range(math.lcm(a.period, b.period)):
-        x, y = a.polys[r % a.period], b.polys[r % b.period]
+        x, y = a_polys[r % a.period], b_polys[r % b.period]
         if len(x) != len(y) or any(not (u - v).is_zero() for u, v in zip(x, y)):
             return False
     return True
+
+
+class ScalarFit:
+    """The quasi-polynomial of Fourier tables, summed in ExactScalars."""
+
+    def __init__(self, contributions):
+        by_order = {}
+        for q, table in contributions:
+            acc = by_order.get(q, [[]] * q)
+            by_order[q] = [_poly_add(acc[r], table[r]) for r in range(q)]
+        self.period = math.lcm(*by_order)
+        self.polys = {}
+        for r in range(self.period):
+            poly = []
+            for q, acc in by_order.items():
+                poly = _poly_add(poly, acc[r % q])
+            while poly and poly[-1].is_zero():
+                poly.pop()
+            self.polys[r] = poly
+
+    def to_document(self):
+        return {"period": self.period,
+                "polys": [{"residue": r, "coefficients": [c.to_text() for c in self.polys[r]]}
+                          for r in range(self.period)]}
+
+    def evaluate(self, m):
+        acc = ExactScalar.zero()
+        for c in reversed(self.polys[m % self.period]):
+            acc = acc * m + c
+        return acc
+
+    def integer(self, m):
+        value = self.evaluate(m)
+        return int(value.rational_value()) if value.is_integer() else None

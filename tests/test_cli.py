@@ -242,12 +242,16 @@ class TestCharacterCommand:
          "components[0].at: expected an integer or an exact 'p/q' string"),
         (_identity_with_a_normal_root(),
          "components[0][0].normal_roots[0]: the identity fixes all of M"),
+        (_circle_document(pairing=[{"mono": [], "value": "(2*z1028^0)*pi^1"}]),
+         "components[0].pairing[0].value: malformed scalar '(2*z1028^0)*pi^1' "
+         "(cyclotomic level 1028 exceeds 1024)"),
     ])
     def test_malformed_model_document_exits_two(self, runner, calibrated, doc, field):
         path = calibrated / "bad.json"
         path.write_text(json.dumps(doc))
         result = runner.invoke(main, ["character", "--model", str(path)])
         assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
         assert field in result.output
 
     def test_non_integer_coefficients_print_exactly(self, runner, calibrated):

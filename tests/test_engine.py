@@ -18,7 +18,7 @@ from contact_index.engine import (CalibrationConfig, CalibrationError, EngineErr
                                   dh_fourier, fit_quasi_polynomial, germ_at,
                                   residual_factors)
 from contact_index.scalars import CyclotomicNumber, ExactScalar, ScalarError, _euler_phi
-from character_reference import quasi_equal
+from character_reference import ScalarFit, quasi_equal
 from laurent_reference import corollary_reference
 
 ONE = ExactScalar.one()
@@ -239,9 +239,10 @@ class TestQuasiPolynomialFit:
         qp = QuasiPolynomial(len(polys), polys)
         kinds = set()
         for m in range(-12, 13):
-            c = qp.evaluate(m)
+            c, integer = qp.read(m)
+            assert c == qp.evaluate(m), (name, m)
             want = int(c.rational_value()) if c.is_integer() else None
-            assert engine._integer_value(c) == want, (name, m)
+            assert integer == want, (name, m)
             kinds.add("integer" if c.is_integer() else "rational" if c.is_rational()
                       else "pi" if c.pi else "irrational")
         assert "integer" in kinds and {"rational", "pi"} & kinds, kinds
@@ -253,6 +254,69 @@ class TestQuasiPolynomialFit:
         assert res.quasi.period == 1
         for m in range(-max_m, max_m + 1):
             assert res.integers[m] == oracle.cpn_chi_polynomial(n, -m), (n, m)
+
+
+FIT_MODELS = [("circle", ()), *(("hopf", (n,)) for n in range(1, 9)),
+              *(("weighted-s3", ab) for ab in ((8, 3), (4, 7), (12, 5), (16, 9)))]
+
+
+class TestIntegerFitAgainstTheScalarRoute:
+    """`fit_quasi_polynomial` sums integer components; `ScalarFit` sums ExactScalars.
+
+    The weighted spheres have torsion orders divisible by 4, which take the
+    point-by-point path, so one order arrives as several tables.
+    """
+
+    @staticmethod
+    def assert_matches(quasi, reference, ms, integers=None):
+        assert quasi.to_document() == reference.to_document()
+        for m in ms:
+            got, want = quasi.evaluate(m), reference.evaluate(m)
+            assert got == want, m
+            assert got.to_text() == want.to_text(), m
+            assert quasi.read(m)[1] == reference.integer(m), m
+            if integers is not None:
+                assert integers[m] == reference.integer(m), m
+
+    @pytest.mark.parametrize("name,params", FIT_MODELS, ids=[f"{n}{p}" for n, p in FIT_MODELS])
+    def test_bundled_models(self, name, params, monkeypatch):
+        seen = []
+        fit = engine.fit_quasi_polynomial
+        monkeypatch.setattr(engine, "fit_quasi_polynomial", lambda c: seen.append(c) or fit(c))
+        max_m = params[0] * params[1] if name == "weighted-s3" else 30
+        result = assemble_character(build_preset(name, params), max_m)
+        (contributions,) = seen
+        ms = range(-max_m, max_m + 1)
+        self.assert_matches(result.quasi, ScalarFit(contributions), ms, result.integers)
+        assert all(result.coefficients[m] == result.quasi.evaluate(m) for m in ms)
+
+    def test_orders_at_levels_8_and_12(self):
+        # residue r carries pi^(r % 2); period 24 keeps the parity, so each
+        # residue has one grade.  Order 8 arrives as two tables, one at level
+        # 4 only, whose top coefficients cancel; both orders are promoted to
+        # level 24 in the sum over the period.
+        def s(r, value):
+            return ExactScalar.pi_power(r % 2) * value
+
+        def zeta(p, q):
+            return ExactScalar.root_of_unity(p, q)
+
+        eight = {r: [s(r, zeta(r, 8) * Fraction(r + 1, 3)), s(r, Fraction(1, 2)), s(r, I)]
+                 for r in range(8)}
+        eight_at_4 = {r: [s(r, Fraction(-1, 6)), ExactScalar.zero(), s(r, -I)]
+                      for r in range(8)}
+        twelve = {r: [s(r, zeta(r, 12) * Fraction(r, 4) + Fraction(1, 3)),
+                      s(r, zeta(r + 1, 12) * Fraction(5, 7))] for r in range(12)}
+        contributions = [(8, eight), (12, twelve), (8, eight_at_4)]
+        quasi = fit_quasi_polynomial(contributions)
+        assert quasi.period == 24
+        assert {len(p) for p in quasi.polys.values()} == {2}
+        assert {c.value.level for p in quasi.polys.values() for c in p} >= {8, 12, 24}
+        self.assert_matches(quasi, ScalarFit(contributions), range(-30, 31))
+
+    def test_orders_of_different_grades_at_one_residue_raise(self):
+        with pytest.raises(ScalarError, match=r"mixes pi-grades \[0, 1\]"):
+            fit_quasi_polynomial([(1, {0: [ONE]}), (2, {0: [TWO_PI], 1: [ExactScalar.zero()]})])
 
 
 class TestVolumeTransform:

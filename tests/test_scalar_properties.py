@@ -1,5 +1,6 @@
 """Property tests: promotion and the Galois maps commute with the ring operations,
-and every operation returns the canonical (den, nums) representation.
+every operation returns the canonical (den, nums) representation, and the
+rational route of `approx_display` writes what the complex route writes.
 
 Seeded through a derandomized hypothesis profile, so every run draws the
 same examples.
@@ -7,14 +8,16 @@ same examples.
 
 from fractions import Fraction
 
+import cmath
 import math
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from contact_index.scalars import CyclotomicNumber, ScalarError, _euler_phi  # noqa: E402
+from contact_index.scalars import (CyclotomicNumber, ExactScalar, ScalarError,  # noqa: E402
+                                   _euler_phi, approx_display)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -169,3 +172,37 @@ def test_every_operation_returns_the_canonical_representation(case):
         results.append(x.inverse())
     for v in results:
         assert_canonical(v)
+
+
+def complex_route(value, digits):
+    """`approx_display` of the ExactScalar of `value` as it was written before its
+    rational route: the complex value summed term by term through cmath."""
+    x = ExactScalar.from_rational(value)
+    z = sum(c / x.value.den * cmath.exp(2j * cmath.pi * e / x.value.level)
+            for e, c in x.value.nums.items()) if x.value.nums else 0j
+    z = z * math.pi ** x.pi
+    re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
+    if abs(z.imag) < 10 ** (-digits - 6) * max(1.0, abs(z.real)):
+        return re_s
+    im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{re_s}{sign}{im_s}i"
+
+
+wide_fractions = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
+                           st.one_of(st.just(1), st.integers(1, 2 ** 70)))
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(wide_fractions, st.integers(0, 8))
+@example(Fraction(0), 4)
+@example(Fraction(-7, 3), 0)
+@example(Fraction(2 ** 53 + 1), 4)
+@example(Fraction(-(2 ** 60) - 3, 7), 8)
+@example(Fraction(35059744171120209526176, 514710375938), 4)  # not float(n) / float(den)
+def test_the_rational_route_of_approx_display_matches_the_complex_route(value, digits):
+    want = complex_route(value, digits)
+    assert approx_display(value, digits) == want
+    assert approx_display(ExactScalar.from_rational(value), digits) == want
+    if value.denominator == 1:
+        assert approx_display(int(value), digits) == want

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from contact_index.scalars import (CyclotomicNumber, ExactScalar, ScalarError,
-                                   _demotion_map, _euler_phi, _subfield_levels,
+from contact_index.scalars import (MAX_TEXT_LEVEL, CyclotomicNumber, ExactScalar, ScalarError,
+                                   _demotion_map, _euler_phi, _fold_table, _subfield_levels,
                                    approx_display, cyclotomic_polynomial)
 
 
@@ -192,6 +192,17 @@ class TestTextForm:
     def test_rejects_zero_denominators_level_zero_and_mixed_grades(self, text):
         with pytest.raises(ScalarError):
             ExactScalar.from_text(text)
+
+    def test_the_level_bound_itself_parses(self):
+        text = f"(1*z{MAX_TEXT_LEVEL}^{MAX_TEXT_LEVEL // 4})*pi^0"  # zeta^(L/4) = i
+        assert ExactScalar.from_text(text) == I
+
+    def test_a_level_past_the_bound_is_refused_before_its_tables_are_built(self):
+        level = MAX_TEXT_LEVEL + 4
+        misses = _fold_table.cache_info().misses
+        with pytest.raises(ScalarError, match=f"level {level} exceeds {MAX_TEXT_LEVEL}"):
+            ExactScalar.from_text(f"(1)*pi^0 + (1*z{level}^1)*pi^0")
+        assert _fold_table.cache_info().misses == misses
 
     @pytest.mark.parametrize("level", [0, -4, 6])
     def test_zeta_rejects_a_level_that_is_not_a_positive_multiple_of_four(self, level):
