@@ -175,15 +175,14 @@ class QuasiPolynomial:
     def read(self, m):
         """(`evaluate(m)`, that value as an int or None), from one integer Horner pass."""
         k, level, den, columns = self._integer[m % self.period]
-        if not k and level == 4 and len(columns) == 1 and 0 in columns:  # a rational residue
+        # A rational residue takes its int by one divmod (8% of ws3-torsion `wall_s`, BENCH_17).
+        if not k and level == 4 and columns.keys() == {0}:
             n, rest = divmod(_horner(columns[0], m), den)
             if not rest:
                 return ExactScalar(0, _make(4, 1, {0: n} if n else {})), n
-        value = ExactScalar(k, _make(level, den, {e: v for e, c in columns.items()
-                                                  if (v := _horner(c, m))}).demote())
-        x = value.value
-        return value, (x.nums.get(0, 0) if not value.pi and x.den == 1 and x.level == 4
-                       and x.nums.keys() <= {0} else None)
+        x = _make(level, den, {e: v for e, c in columns.items() if (v := _horner(c, m))}).demote()
+        value = ExactScalar(k, x)
+        return value, (x.nums.get(0, 0) if value.is_rational() and x.den == 1 else None)
 
     def to_document(self):
         return {
@@ -202,7 +201,8 @@ def _horner(column, m):
 
 
 def _coefficients(components):
-    """(k, level, den, nums) per coefficient, at its canonical level (unreduced at 4)."""
+    """(k, level, den, nums) per coefficient at its canonical level; level 4 cannot
+    demote, so it skips `_make` (4% of ws3-torsion `wall_s`, BENCH_17)."""
     k, level, den, columns = components
     for j in range(len(next(iter(columns.values()), ()))):
         nums = {e: column[j] for e, column in columns.items() if column[j]}
@@ -530,12 +530,11 @@ def calibrate_conventions():
 
 def character_document(result, digits=4):
     def coeff_entry(m):
-        c, n = result.coefficients[m], result.integers[m]
-        if n is None:
-            return {"m": m, "value": c.to_text(), "approx": approx_display(c, digits)}
-        nums = c.value.nums  # an integer coefficient: level 4, denominator 1
-        return {"m": m, "value": _scalar_text(0, 4, 1, nums),
-                "approx": approx_display(nums.get(0, 0), digits), "integer": n}
+        c = result.coefficients[m]
+        entry = {"m": m, "value": c.to_text(), "approx": approx_display(c, digits)}
+        if result.integers[m] is not None:
+            entry["integer"] = result.integers[m]
+        return entry
 
     return {
         "model_id": result.model_id,

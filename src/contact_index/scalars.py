@@ -615,8 +615,9 @@ def _scalar_text(pi, level, den, nums):
 
 
 def approx_display(a, digits=4):
-    """Decimal rendering for reports only; a rational (int or Fraction) formats n / den."""
-    z = a.complex_value() if isinstance(a, ExactScalar) else complex(a.numerator / a.denominator)
+    """Decimal rendering for reports only; a rational formats n / den without cmath."""
+    x = a.value
+    z = complex(x.nums.get(0, 0) / x.den) if not a.pi and x.nums.keys() <= {0} else a.complex_value()
     re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
     if abs(z.imag) < 10 ** (-digits - 6) * max(1.0, abs(z.real)):
         return re_s

@@ -201,8 +201,6 @@ wide_fractions = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
 @example(Fraction(-(2 ** 60) - 3, 7), 8)
 @example(Fraction(35059744171120209526176, 514710375938), 4)  # not float(n) / float(den)
 def test_the_rational_route_of_approx_display_matches_the_complex_route(value, digits):
-    want = complex_route(value, digits)
-    assert approx_display(value, digits) == want
-    assert approx_display(ExactScalar.from_rational(value), digits) == want
-    if value.denominator == 1:
-        assert approx_display(int(value), digits) == want
+    want, x = complex_route(value, digits), ExactScalar.from_rational(value)
+    assert approx_display(x, digits) == want
+    assert approx_display(ExactScalar(0, x.value.promote(12)), digits) == want  # held at level 12
