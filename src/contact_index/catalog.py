@@ -3,9 +3,9 @@
 A model is a finite table of exact numbers per fixed component: dimension,
 tangential and normal Chern roots (with torsion eigenvalues), the constant
 moment pairing, and the top pairing values of the contact volume monomials.
-Presets cover the free circle, the round odd spheres, weighted three-spheres
-and the prequantum circle bundle over complex projective space; arbitrary
-component tables load from a JSON document with exact rationals as strings.
+Presets cover spheres with pairwise coprime speeds (the free circle, the round
+odd spheres, weighted three-spheres) and the prequantum circle bundle over CP^n;
+arbitrary component tables load from a JSON document with exact rationals as strings.
 
 All preset pairing values are derived from the `oracle.ball_integral`
 Stokes computation (magnitude (2 pi)^{k+1}, orientation applied uniformly)
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .scalars import ExactScalar, ScalarError
+from .scalars import CyclotomicNumber, ExactScalar, ScalarError
 from .forms import ChernRoot
 
 
@@ -145,89 +145,67 @@ class ContactModel:
 # presets
 # ----------------------------------------------------------------------
 
-def _top_pairing(k, orientation):
-    """o * (2 pi)^{k+1}: Stokes magnitude with the calibrated orientation."""
-    return ExactScalar.pi_power(k + 1, Fraction(orientation * 2 ** (k + 1)))
+def _sphere(weights, orientation, model_id):
+    """The circle acting on the unit sphere S(a) in C^{n+1} with pairwise coprime speeds a.
+
+    * Identity, dimension 2n+1: the quotient's tangent bundle pulls back to
+      n+1 line factors of curvature i * a_j * dA (the weighted Euler
+      sequence), weight 0 as the quotient action is trivial.  The top
+      pairing is the Stokes value of alpha (dA)^n, (2 pi)^{n+1} over the
+      product of the speeds.  The circle (n = 0) has no generator and no roots.
+    * At p/a_j, p = 1..a_j - 1 (coprime speeds: no other point fixes
+      anything): the j-th axis circle.  Its normal direction l != j has
+      weight -a_l and eigenvalue the (-a_l)-th power of the torsion point;
+      its pairing is the orbit length, 2 pi over the rotation speed a_j.
+    """
+    if any(a < 1 for a in weights):
+        raise ModelError("weights must be positive")
+    if math.lcm(*weights) != math.prod(weights):  # some pair shares a factor
+        a, b = next((a, b) for j, a in enumerate(weights) for b in weights[j + 1:]
+                    if math.gcd(a, b) != 1)
+        raise ModelError(f"weights ({a}, {b}) are not coprime: orbifold strata "
+                         f"beyond the supported scope")
+    n = len(weights) - 1
+    roots = {a: ChernRoot(curvature=(ExactScalar(0, CyclotomicNumber(4, {1: a})),),
+                          weight=(0,)) for a in set(weights)}  # one per distinct speed
+    identity = FixedComponentData(
+        dim_odd=2 * n + 1, generators=("dA",) if n else (),
+        tangential=[roots[a] for a in weights] if n else [], normal=[],
+        mu=Fraction(1), reeb_weight=(1,),
+        pairing={(n,) if n else (): ExactScalar.pi_power(
+            n + 1, Fraction(orientation * 2 ** (n + 1), math.prod(weights)))},
+    )
+    components = {IDENTITY: [identity]}
+    for j, a in enumerate(weights):
+        for p in range(1, a):
+            at = Fraction(p, a)
+            components[at] = [FixedComponentData(
+                dim_odd=1, generators=(), tangential=[],
+                normal=[ChernRoot(curvature=(), weight=(-b,), eigenvalue_exponent=(-b * at) % 1)
+                        for l, b in enumerate(weights) if l != j],
+                mu=Fraction(1), reeb_weight=(1,),
+                pairing={(): ExactScalar.pi_power(1, Fraction(2 * orientation, a))},
+            )]
+    return ContactModel(rank=1, ambient_n=n, model_id=model_id,
+                        components=components).validate()
 
 
 def preset_circle(orientation=1):
-    """The free circle acting on itself: one 1-dimensional identity component."""
-    comp = FixedComponentData(
-        dim_odd=1, generators=(), tangential=[], normal=[],
-        mu=Fraction(1), reeb_weight=(1,),
-        pairing={(): ExactScalar.pi_power(1, 2 * orientation)},  # orbit length 2 pi
-    )
-    return ContactModel(rank=1, ambient_n=0, model_id="circle",
-                        components={IDENTITY: [comp]}).validate()
+    """The free circle acting on itself: the sphere S(1) in C."""
+    return _sphere((1,), orientation, "circle")
 
 
 def preset_hopf_sphere(n, orientation=1):
-    """The round sphere S^{2n+1} with its free diagonal circle action.
-
-    The tangential data is the pullback of the base tangent bundle written
-    as n+1 line factors of equal curvature i * dA (the base Euler-sequence
-    splitting), weight 0 because the quotient action is trivial.  The top
-    pairing is the Stokes value of alpha (dA)^n.
-    """
+    """The round sphere S^{2n+1} with its free diagonal circle action: speeds (1, ..., 1)."""
     if n < 1:
         raise ModelError("hopf sphere needs n >= 1")
-    i = ExactScalar.i()
-    comp = FixedComponentData(
-        dim_odd=2 * n + 1, generators=("dA",),
-        tangential=[ChernRoot(curvature=(i,), weight=(0,)) for _ in range(n + 1)],
-        normal=[],
-        mu=Fraction(1), reeb_weight=(1,),
-        pairing={(n,): _top_pairing(n, orientation)},
-    )
-    return ContactModel(rank=1, ambient_n=n, model_id=f"hopf-{n}",
-                        components={IDENTITY: [comp]}).validate()
+    return _sphere((1,) * (n + 1), orientation, f"hopf-{n}")
 
 
 def preset_weighted_s3(a, b, orientation=1):
-    """S^3 with the circle acting with coprime speeds (a, b) on the two axes.
-
-    The identity component carries the two quotient line classes with
-    curvatures i*a*dA and i*b*dA and the weighted volume (2 pi)^2/(a b).
-    Each nontrivial root of unity of order dividing a fixes the first axis
-    circle, whose single normal direction carries weight -b and eigenvalue
-    the (-b)-th power of the torsion point; symmetrically for b.  Orbit
-    lengths on the fixed circles are 2 pi over the rotation speed.
-    """
+    """S^3 with the circle acting with coprime speeds (a, b) on the two axes."""
     a, b = int(a), int(b)
-    if a < 1 or b < 1:
-        raise ModelError("weights must be positive")
-    if math.gcd(a, b) != 1:
-        raise ModelError(f"weights ({a}, {b}) are not coprime: orbifold strata "
-                         f"beyond the supported scope")
-    i = ExactScalar.i()
-    identity = FixedComponentData(
-        dim_odd=3, generators=("dA",),
-        tangential=[ChernRoot(curvature=(i * a,), weight=(0,)),
-                    ChernRoot(curvature=(i * b,), weight=(0,))],
-        normal=[],
-        mu=Fraction(1), reeb_weight=(1,),
-        pairing={(1,): ExactScalar.pi_power(2, Fraction(4 * orientation, a * b))},
-    )
-    components = {IDENTITY: [identity]}
-
-    def circle_component(speed, normal_weight, at):
-        return FixedComponentData(
-            dim_odd=1, generators=(),
-            tangential=[],
-            normal=[ChernRoot(curvature=(), weight=(normal_weight,),
-                              eigenvalue_exponent=(normal_weight * at) % 1)],
-            mu=Fraction(1), reeb_weight=(1,),
-            pairing={(): ExactScalar.pi_power(1, Fraction(2 * orientation, speed))},
-        )
-
-    for p in range(1, a):
-        at = Fraction(p, a)
-        components.setdefault(at, []).append(circle_component(a, -b, at))
-    for p in range(1, b):
-        at = Fraction(p, b)
-        components.setdefault(at, []).append(circle_component(b, -a, at))
-    return ContactModel(rank=1, ambient_n=1, model_id=f"weighted-s3-{a}-{b}",
-                        components=components).validate()
+    return _sphere((a, b), orientation, f"weighted-s3-{a}-{b}")
 
 
 def preset_prequantum_cpn(n, orientation=1):

@@ -34,10 +34,10 @@ Canonicalization does its linear algebra once per level and caches it:
   an O(phi(m)^2) solve on the pivot coordinates, and one re-embedding
   through the fold table.
 * When (phi(m) - 1) * L/m < phi(L), each zeta_m^j = zeta_L^(j L/m) is
-  already a basis vector: the pivots are the exponents j L/m, the inverse
-  is the identity, and membership is the support test alone: the
-  numerators carry over.  Every (L, 4) with L < 420 is of this kind; pairs
-  such as (420, 4) or (572, 44) are not, and solve over Fractions.
+  already a basis vector: membership is "every exponent is a multiple of
+  L/m", the numerators carry over, and no demotion map is built.  Every
+  (L, 4) with L < 420 is of this kind; pairs such as (420, 4) or (572, 44)
+  are not, and solve over Fractions.
 * `galois(t)`, zeta -> zeta^t, permutes exponents mod L and folds once.
   Row e of the trace table of level L holds the folded sum of zeta^(e t)
   over the units t = 1 mod 4, so the trace down to Q(i) is linear in them.
@@ -318,14 +318,15 @@ class CyclotomicNumber:
         return self
 
     def _try_demote(self, m):
+        step = self.level // m
+        if (_euler_phi(m) - 1) * step < _euler_phi(self.level):  # pivots j * step, inverse 1
+            if any(e % step for e in self.nums):
+                return None
+            return _make(m, self.den, {e // step: c for e, c in self.nums.items()})
         # Solve promote(b, level) == self for b in Q(zeta_m) through the cached map.
         support, pivots, inverse = _demotion_map(self.level, m)
         if not self.nums.keys() <= support:
             return None
-        step = self.level // m
-        if (_euler_phi(m) - 1) * step < _euler_phi(self.level):  # pivots j * step, inverse 1
-            return _make(m, self.den, {j: self.nums[e] for j, e in enumerate(pivots)
-                                       if e in self.nums})
         coeffs = self.coeffs
         at = [coeffs.get(e, 0) for e in pivots]
         sol = {}
@@ -615,11 +616,11 @@ def _scalar_text(pi, level, den, nums):
 
 
 def approx_display(a, digits=4):
-    """Decimal rendering for reports only; a rational formats n / den without cmath."""
+    """Decimal rendering for reports only; an exactly real value shows no imaginary part."""
     x = a.value
     z = complex(x.nums.get(0, 0) / x.den) if not a.pi and x.nums.keys() <= {0} else a.complex_value()
     re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
-    if abs(z.imag) < 10 ** (-digits - 6) * max(1.0, abs(z.real)):
+    if not z.imag or x == x.galois(-1):
         return re_s
     im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
     sign = "+" if z.imag >= 0 else "-"

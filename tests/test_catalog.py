@@ -320,6 +320,32 @@ class TestDocumentShape:
         with pytest.raises(ModelError, match=field):
             model_from_document(doc)
 
+    # the component invariants `FixedComponentData.validate` and the loader check
+    @pytest.mark.parametrize("edit,field", [
+        (_set(["components", 0, "dim"], 2),
+         r"^components\[0\]\[0\]\.dim: component dimension must be odd and positive"),
+        (_set(["components", 0, "moment", "reeb_weight"], [1, 1]),
+         r"^components\[0\]\[0\]\.moment\.reeb_weight: expected 1 entries"),
+        (_set(["components", 0, "tangential_roots", 0, "weight"], [0, 0]),
+         r"^components\[0\]\[0\]\.tangential_roots\[0\]\.weight: expected 1 entries"),
+        (_set(["components", 0, "tangential_roots", 0, "eig"], "1/2"),
+         r"^components\[0\]\[0\]\.tangential_roots\[0\]\.eig: tangential roots must have "
+         r"eigenvalue 1"),
+        (_set(["components", 0, "pairing", 0, "value"], "0"),
+         r"^components\[0\]\[0\]\.pairing: top pairing value for \(1,\) is zero"),
+        (_set(["components", 0, "pairing"], [{"mono": [0], "value": "(1)*pi^1"}]),
+         r"^components\[0\]\[0\]\.pairing: no entry of top degree 1"),
+        (_set(["components", 0, "tangential_roots", 0, "curv"], ["(1*z4^1)*pi^0", "0"]),
+         r"^components\[0\]\.tangential_roots: inconsistent curvature vector lengths"),
+        (_set(["rank"], 3), r"^rank: only 1 and 2 are supported"),
+    ], ids=["even-dim", "reeb-weight-length", "root-weight-length", "tangential-eig",
+            "zero-top-pairing", "no-top-degree", "curvature-lengths", "rank-3"])
+    def test_validation_rule_names_the_field(self, edit, field):
+        doc = model_to_document(preset_hopf_sphere(1))
+        edit(doc)
+        with pytest.raises(ModelError, match=field):
+            model_from_document(doc)
+
     def test_zero_pairing_below_the_top_degree_has_any_grade(self):
         doc = model_to_document(preset_hopf_sphere(1))
         doc["components"][0]["pairing"].append({"mono": [0], "value": "0"})

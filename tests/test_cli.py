@@ -288,6 +288,11 @@ class TestCharacterCommand:
         assert result.exit_code == 2
         assert "--digits" in result.output
 
+    def test_empty_window_exits_2(self, runner, calibrated):
+        result = runner.invoke(main, ["character", "--preset", "circle", "--max-m", "0"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and "max_m" in result.stderr
+
 
 class TestDhCommand:
     def test_sphere_volume_transform(self, runner, calibrated):
@@ -300,6 +305,11 @@ class TestDhCommand:
         result = runner.invoke(main, ["dh", "--help"])
         assert result.exit_code == 0
         assert "--digits" not in result.output
+
+    def test_rank_two_is_unsupported(self, runner, calibrated):
+        result = runner.invoke(main, ["dh", "--preset", "prequantum-cpn", "--n", "1"])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("unsupported: ")
 
 
 class TestCorollaryCommand:

@@ -12,6 +12,11 @@ the eight calibrations (in the order of `CALIBRATIONS`):
   than one monomial;
 * `GOLDEN_DH`: the germ document of `dh_fourier` for one preset.
 
+`GOLDEN_MODEL_DOCUMENTS` holds the `model_to_document` hashes of the sphere
+presets under orientation +1 and -1, recorded while each of the three
+presets was still written out by hand, before they were built by one
+weighted-sphere function.
+
 The last two were recorded while `FormElement` still multiplied jets into
 germs inside the form algebra, before the delta form was paired only at
 integration.  Any change in a report, however small, fails here.  The
@@ -23,7 +28,7 @@ import json
 
 import pytest
 
-from contact_index.catalog import model_from_document
+from contact_index.catalog import model_from_document, model_to_document
 from contact_index.deltas import germ_to_document
 from contact_index.engine import (CalibrationConfig, assemble_character, build_preset,
                                   character_document, dh_fourier)
@@ -282,3 +287,54 @@ def test_volume_report_is_byte_identical(kind, params):
     got = tuple(_sha(germ_to_document(dh_fourier(build_preset(kind, params, cal), cal), 0))
                 for cal in CALIBRATIONS)
     assert got == GOLDEN_DH[kind, params]
+
+
+GOLDEN_MODEL_DOCUMENTS = {
+    ("circle", ()): (
+        "d8e6944a21e580a5268cfba3e17ec56a16d6ac1782ef827e4a9a838425a77886",
+        "ea0da0f882cdc21611dce3e0321b07b63b14c05a0482dd9ad1bb98cf0fc2011e",
+    ),
+    ("hopf", (1,)): (
+        "f3e0a90470f3a7bfc1af0384e9efbefee4860c8eca8ad3aaf25f33cf17a4f57c",
+        "61426e7d2e410a13404786a8baf4e384c9388f329e82cafd50a43ceec7157831",
+    ),
+    ("hopf", (2,)): (
+        "e2efee57ee7a602a3205f3e3c355cd553bfb05c86aa5b23445cdab00a903e6a3",
+        "948f34e90cd8c9e19591490626fd3a098d66a67ae2df5743e062de32943603c2",
+    ),
+    ("hopf", (3,)): (
+        "7e04871953f2ce854df924bc08ef871b607fab52b46f37a4165c078acd1b4b36",
+        "4536f28760c182404dfc387c41d0678092fbf08fb60a8669013e6d0a6cd9bba8",
+    ),
+    ("hopf", (12,)): (
+        "5ba764944b3cb29c4bfbe756a8efe81e07a8a6d7ee9b012a2d11fc8cc67f04ad",
+        "91853843bca6de2304a5d56d7ee810b5b14a5d2730acdffe2e95bdf504ed4889",
+    ),
+    ("weighted-s3", (1, 2)): (
+        "9c09ce1ee48f709f4e5aa81c0b5a92e781b6c7ce74a33356c02f28917426a020",
+        "bec52ee1d95f596c8387648e25049619fca8d111933f72a1a24671847706d3f1",
+    ),
+    ("weighted-s3", (2, 3)): (
+        "7e24d1d1f5a0a6c96d2c25031e87364e3a4ffc4cfd455b0db04fda345d4b87bc",
+        "c8f69671bcd949ef0afa66c8e9b3d8980a798efd3997f1ddf36dfbe1137af29e",
+    ),
+    ("weighted-s3", (3, 4)): (
+        "abe0ce47cbb6f8c51ccc83b87615c872517e26e50b0d880aaa18e6c61bd9d32c",
+        "661a1a40d3f5952ee29f8d6499404354d89f14fad954c1119fd5daca92302a59",
+    ),
+    ("weighted-s3", (11, 13)): (
+        "162c483a98ac5e70b73f5309ea547161567326e80ad3a208d5603fbecd04e974",
+        "578075f676dbc577bb41b84bd1ff155616613302062a21896af4313fe315fc8f",
+    ),
+    ("weighted-s3", (13, 17)): (
+        "c134c57d0b3e1135f9c0d5bb0f2ca73128e9c5513dbaba7066bf6b7ec5cc0c8d",
+        "0264d000db84db4a6cc43fdfd6caccd9c48766eed438ef91dbb483471f8c0b89",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind,params", list(GOLDEN_MODEL_DOCUMENTS), ids=lambda v: str(v))
+def test_preset_model_document_is_byte_identical(kind, params):
+    got = tuple(_sha(model_to_document(build_preset(kind, params, CalibrationConfig(1, o))))
+                for o in (1, -1))
+    assert got == GOLDEN_MODEL_DOCUMENTS[kind, params]

@@ -68,6 +68,12 @@ class TestCyclotomicLevels:
                     assert pivots == grid and support == frozenset(grid), (level, m)
                     assert inverse == tuple(((j, 1),) for j in range(len(grid))), (level, m)
 
+    def test_demotion_below_the_first_fold_builds_no_map(self):
+        # every subfield of level 1024 is of the support-test kind
+        _demotion_map.cache_clear()
+        assert ExactScalar.from_text("(1*z1024^1)*pi^0").value.level == 1024
+        assert _demotion_map.cache_info().currsize == 0
+
     def test_cross_level_equality(self):
         a = CyclotomicNumber.root_of_unity(1, 4)
         b = CyclotomicNumber.zeta(24, 6)  # the same root at level 24
@@ -220,6 +226,17 @@ class TestApproxDisplay:
     def test_third_root_of_unity(self):
         s = approx_display(ExactScalar.root_of_unity(1, 3), 3)
         assert s == "-0.5+0.866i"
+
+    @pytest.mark.parametrize("value, digits, expected", [
+        (ExactScalar(0, CyclotomicNumber.zeta(12, 1) + CyclotomicNumber.zeta(12, 11)), 12,
+         "1.732050807569"),
+        (ONE, 320, "1"),
+    ], ids=["sqrt3", "one-at-320-digits"])
+    def test_a_real_value_has_no_imaginary_part(self, value, digits, expected):
+        assert approx_display(value, digits) == expected
+
+    def test_a_non_real_value_keeps_its_imaginary_part_at_any_digits(self):
+        assert approx_display(I, 320).endswith("+1i")
 
     def test_display_never_feeds_back(self):
         # the display is a string; exact arithmetic objects never accept floats
