@@ -15,10 +15,12 @@ the fixed circle).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 
 from .scalars import CyclotomicNumber, ExactScalar, ScalarError
 from .forms import ChernRoot
@@ -457,5 +459,40 @@ def _reject_float(text):
 
 def dump_model(model, path):
     with open(path, "w") as fh:
-        json.dump(model_to_document(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(document_text(model_to_document(model)) + "\n")
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(depth):
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def document_text(doc, depth=0):
+    """`doc` as `json.dumps(doc, indent=2, sort_keys=True)` writes it, byte for byte.
+
+    Python walks only containers of containers (dict keys are str).  A container of
+    scalars, or a list of non-empty flat dicts, is one C-encoder call whose item
+    separator holds the newline and indent; in the list, `},` + newline + indent + `{`
+    is a seam between dicts, as no encoded string holds a raw newline.
+    """
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
+        return _flat_encoder(0)(doc)
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if _SCALARS.issuperset(map(type, doc.values() if isinstance(doc, dict) else doc)):
+        text = _flat_encoder(depth + 1)(doc)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if isinstance(doc, dict):
+        body = ("," + inner).join(json.encoder.encode_basestring_ascii(k) + ": "
+                                  + document_text(v, depth + 1) for k, v in sorted(doc.items()))
+        return "{" + inner + body + pad + "}"
+    if ({dict}.issuperset(map(type, doc)) and all(doc)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, doc))))):
+        deeper = inner + "  "
+        body = _flat_encoder(depth + 2)(doc)[2:-2].replace(
+            "}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + body + inner + "}" + pad + "]"
+    return "[" + inner + ("," + inner).join(document_text(v, depth + 1) for v in doc) + pad + "]"

@@ -22,7 +22,7 @@ from fractions import Fraction
 import click
 
 from . import oracle
-from .catalog import ModelError, load_model
+from .catalog import ModelError, document_text, load_model
 from .deltas import DeltaError, germ_to_document
 from .engine import (CalibrationConfig, CalibrationError, EngineError, UnsupportedModelError,
                      assemble_character, build_preset, calibrate_conventions,
@@ -72,16 +72,18 @@ def _load_calibration():
 
 
 def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".contact-index-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".contact-index-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(text, out):
@@ -89,10 +91,6 @@ def _emit(text, out):
         _atomic_write(out, text if text.endswith("\n") else text + "\n")
     else:
         click.echo(text)
-
-
-def _json_text(doc):
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _stamp(doc):
@@ -191,7 +189,7 @@ def germ(preset, n, weights, model_path, at_text, out, digits):
     for term in doc["terms"]:
         term["approx"] = approx_display(g.terms[term["derivative_order"][0]], digits)
     report = _report(model, calibration, at=f"{at.numerator}/{at.denominator}", germ=doc)
-    _emit(_json_text(_stamp(report)), out)
+    _emit(document_text(_stamp(report)), out)
 
 
 @main.command()
@@ -212,7 +210,7 @@ def character(preset, n, weights, model_path, max_m, out, fmt, digits):
             lines.append(f"{m},{result.coefficients[m].to_text() if value is None else value}")
         _emit("\n".join(lines), out)
     else:
-        _emit(_json_text(_stamp(character_document(result, digits))), out)
+        _emit(document_text(_stamp(character_document(result, digits))), out)
 
 
 @main.command()
@@ -223,7 +221,7 @@ def dh(preset, n, weights, model_path, out):
     calibration = _load_calibration()
     model = _resolve_model(preset, n, weights, model_path, calibration)
     doc = germ_to_document(dh_fourier(model, calibration), Fraction(0))
-    _emit(_json_text(_stamp(_report(model, calibration, transform="volume", germ=doc))), out)
+    _emit(document_text(_stamp(_report(model, calibration, transform="volume", germ=doc))), out)
 
 
 @main.command()
@@ -236,7 +234,7 @@ def corollary(preset, n, weights, model_path, max_m, max_k, out):
     calibration = _load_calibration()
     model = _resolve_model(preset, n, weights, model_path, calibration)
     table = corollary_expand(model, max_m, _window(model, max_m, max_k), calibration)
-    _emit(_json_text(_stamp(_report(model, calibration, characters=_characters(table)))), out)
+    _emit(document_text(_stamp(_report(model, calibration, characters=_characters(table)))), out)
 
 
 def _characters(table):
@@ -304,7 +302,7 @@ def verify(preset, n, weights, model_path, max_m, max_k, run_all, out):
             click.echo(f"  m={d['m']}: engine {d['engine']} oracle {d['oracle']}")
         any_mismatch = any_mismatch or bool(mismatches)
     if out:
-        _emit(_json_text(_stamp(report)), out)
+        _emit(document_text(_stamp(report)), out)
     if any_mismatch:
         sys.exit(EXIT_MISMATCH)
 
@@ -317,7 +315,7 @@ def calibrate(out):
     cfg = calibrate_conventions()
     path = out or _calibration_path()
     doc = {"version": CALIBRATION_VERSION, **cfg.as_dict()}
-    _atomic_write(path, _json_text(doc) + "\n")
+    _atomic_write(path, document_text(doc) + "\n")
     click.echo(f"calibration: poisson_sign={cfg.poisson_sign} "
                f"orientation_sign={cfg.orientation_sign} "
                f"todd_direction={cfg.todd_direction}")

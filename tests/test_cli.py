@@ -507,6 +507,23 @@ class TestErrorBoundary:
         assert result.stderr.startswith("error: cannot load model"), result.stderr
         assert f"': {message}" in result.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["character", "--preset", "circle", "--max-m", "3"],
+        ["dh", "--preset", "hopf", "--n", "1"],
+        ["calibrate"],
+    ], ids=["character", "dh", "calibrate"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_two_naming_the_path(self, runner, calibrated, args, target):
+        if target == "directory":
+            out = calibrated / "reports"
+            out.mkdir()
+        else:
+            out = calibrated / "missing" / "report.json"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(f"error: cannot write {str(out)!r}: "), result.stderr
+        assert not list(calibrated.rglob(".contact-index-*"))
+
     # FormError and EngineError reach the boundary from real inputs elsewhere in this file
     @pytest.mark.parametrize("error", [ModelError, ScalarError, DeltaError])
     def test_library_errors_exit_two(self, runner, calibrated, monkeypatch, error):

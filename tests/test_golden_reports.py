@@ -17,6 +17,9 @@ presets under orientation +1 and -1, recorded while each of the three
 presets was still written out by hand, before they were built by one
 weighted-sphere function.
 
+`GOLDEN_WRITTEN_TEXT` pins the indented text itself, as the CLI and
+`dump_model` write it, for a few commands.
+
 The last two were recorded while `FormElement` still multiplied jets into
 germs inside the form algebra, before the delta form was paired only at
 integration.  Any change in a report, however small, fails here.  The
@@ -27,8 +30,10 @@ import hashlib
 import json
 
 import pytest
+from click.testing import CliRunner
 
-from contact_index.catalog import model_from_document, model_to_document
+from contact_index.catalog import dump_model, model_from_document, model_to_document
+from contact_index.cli import main
 from contact_index.deltas import germ_to_document
 from contact_index.engine import (CalibrationConfig, assemble_character, build_preset,
                                   character_document, dh_fourier)
@@ -338,3 +343,62 @@ def test_preset_model_document_is_byte_identical(kind, params):
     got = tuple(_sha(model_to_document(build_preset(kind, params, CalibrationConfig(1, o))))
                 for o in (1, -1))
     assert got == GOLDEN_MODEL_DOCUMENTS[kind, params]
+
+
+# SHA-256s of the indented text each command writes, with the `generated_at`
+# line removed, recorded while the CLI still wrote through the stdlib's
+# `json.dumps(doc, indent=2, sort_keys=True)`.
+GOLDEN_WRITTEN_TEXT = {
+    "verify-all":
+        "3fbc8e828dad9312f574a8e25222db961e206b9e56173bdbcbb162af21bda6fb",
+    "corollary-cp2":
+        "a7ac4ede37fd28606021494b4d15ce8cccf0e1a0631dd67537a16d384942060e",
+    "character-model-ws3-3-4":
+        "e84f38602414933f09eff1181d1b043a142fd14789cf84eaf31f92058579658e",
+    "germ-ws3-5-7@2/5":
+        "0370493600e4c8fd606f73eebbb0f4b820f55f3aa1a824a0f18d6660a9c67109",
+    "dh-hopf-3":
+        "7cfa2e12487b08c3e9ae2462a25c6fb93604629a69b3c727f684b229e3c79f36",
+    "calibrate":
+        "76311136e6264bc3ab5f9bf75af483c7e936c285bb6651afeba4b29bc61f30e0",
+    "dump-model-hopf-2":
+        "ff948da664ae72fa60e7f1eedd87e9ac14b95c3f44b46130810355e4ff703617",
+}
+
+
+def _written_texts(root):
+    runner = CliRunner()
+    env = {"CONTACT_INDEX_CALIBRATION": str(root / "calibration.json")}
+
+    def run(*args):
+        result = runner.invoke(main, list(args), env=env)
+        assert result.exit_code == 0, result.output
+        return result.stdout
+
+    def written(*args):
+        out = root / "out.json"
+        run(*args, "--out", str(out))
+        return out.read_text()
+
+    run("calibrate")
+    texts = {"calibrate": (root / "calibration.json").read_text()}
+    dump_model(build_preset("weighted-s3", (3, 4)), root / "ws3-3-4.json")
+    dump_model(build_preset("hopf", (2,)), root / "hopf-2.json")
+    texts["dump-model-hopf-2"] = (root / "hopf-2.json").read_text()
+    texts["verify-all"] = written("verify", "--all")
+    texts["corollary-cp2"] = written("corollary", "--preset", "prequantum-cpn", "--n", "2")
+    texts["character-model-ws3-3-4"] = run("character", "--model", str(root / "ws3-3-4.json"),
+                                           "--max-m", "36")
+    texts["germ-ws3-5-7@2/5"] = run("germ", "--preset", "weighted-s3", "--weights", "5,7",
+                                    "--at", "2/5")
+    texts["dh-hopf-3"] = run("dh", "--preset", "hopf", "--n", "3")
+    return texts
+
+
+def test_written_report_text_is_byte_identical(tmp_path):
+    got = {}
+    for name, text in _written_texts(tmp_path).items():
+        kept = "".join(line for line in text.splitlines(keepends=True)
+                       if '"generated_at": ' not in line)
+        got[name] = hashlib.sha256(kept.encode()).hexdigest()
+    assert got == GOLDEN_WRITTEN_TEXT
