@@ -10,8 +10,8 @@ bundled model.
 """
 
 from .scalars import CyclotomicNumber, ExactScalar, ScalarError, approx_display
-from .deltas import (DeltaError, DeltaGerm, SmoothJet, fourier_contribution,
-                     multiply_smooth, scale_variable)
+from .deltas import (DeltaError, DeltaGerm, fourier_contribution, multiply_smooth,
+                     scale_variable)
 from .forms import (ChernRoot, FormElement, FormError, dc_inverse,
                     integrate_component, j_form, todd, todd_series)
 from .catalog import (ContactModel, FixedComponentData, ModelError, dump_model,
@@ -26,7 +26,7 @@ from . import oracle
 
 __all__ = [
     "CyclotomicNumber", "ExactScalar", "ScalarError", "approx_display",
-    "DeltaError", "DeltaGerm", "SmoothJet", "fourier_contribution",
+    "DeltaError", "DeltaGerm", "fourier_contribution",
     "multiply_smooth", "scale_variable",
     "ChernRoot", "FormElement", "FormError", "dc_inverse",
     "integrate_component", "j_form", "todd", "todd_series",

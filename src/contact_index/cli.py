@@ -72,10 +72,14 @@ def _load_calibration():
 
 
 def _atomic_write(path, text):
+    """Write through a temporary file and `os.replace`, with the mode of a plain open."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".contact-index-")
+        umask = os.umask(0)  # read by setting; mkstemp's file is 0600 whatever the umask
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -178,7 +182,7 @@ def main():
 @_model_options
 @click.option("--at", "at_text", required=True, help="Torsion point p/q.")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--digits", type=click.IntRange(min=0), default=4)
+@click.option("--digits", type=click.IntRange(0, 15), default=4)
 def germ(preset, n, weights, model_path, at_text, out, digits):
     """Germ of the index at one torsion point."""
     calibration = _load_calibration()
@@ -197,7 +201,7 @@ def germ(preset, n, weights, model_path, at_text, out, digits):
 @click.option("--max-m", type=int, default=50)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--digits", type=click.IntRange(min=0), default=4)
+@click.option("--digits", type=click.IntRange(0, 15), default=4)
 def character(preset, n, weights, model_path, max_m, out, fmt, digits):
     """Fourier coefficients and the quasi-polynomial of the index character."""
     calibration = _load_calibration()

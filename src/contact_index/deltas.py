@@ -5,12 +5,15 @@ variable phi, with exact scalar coefficients.  The module implements the
 rewrite rules the localization needs:
 
 * rescaling of the argument,  d0^(j)(a x) = sign(a) a^-(j+1) d0^(j)(x);
-* multiplication by a truncated smooth jet (Leibniz pairing);
+* multiplication by a smooth jet (Leibniz pairing);
 * conversion of a germ sitting at a root of unity into Fourier
   coefficients (a quasi-polynomial in the frequency).
 
-Jets and germs are dense ascending coefficient lists with trailing zeros
-trimmed; every operation returns a new value.
+Germs are dense ascending coefficient lists with trailing zeros trimmed;
+every operation returns a new value.  Jets are not a type of their own:
+smooth forms live in `forms.FormElement`, one ring over the generators and
+phi, and a jet reaches `multiply_smooth` as the ascending list of one
+generator monomial's phi coefficients.
 """
 
 from __future__ import annotations
@@ -41,73 +44,6 @@ def _poly_add(a, b):
     if len(a) < len(b):
         a, b = b, a
     return [x + y for x, y in zip(a, b)] + a[len(b):]
-
-
-class SmoothJet:
-    """Truncated power series in phi with exact coefficients.
-
-    `coeffs[e]` is the coefficient of phi^e.  Terms of degree above the
-    truncation order are dropped; products re-truncate.  The jet of the
-    constant 1 is the multiplicative identity.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order, coeffs=()):
-        self.order = int(order)
-        self.coeffs = _trimmed(list(coeffs)[:self.order + 1])
-
-    @staticmethod
-    def one(order):
-        return SmoothJet(order, [ExactScalar.one()])
-
-    @staticmethod
-    def variable(order, coeff=1):
-        """The jet coeff * phi."""
-        return SmoothJet(order, [ExactScalar.zero(), _coerce(coeff)])
-
-    def __add__(self, other):
-        return SmoothJet(min(self.order, other.order), _poly_add(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return SmoothJet(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            s = _coerce(other)
-            return SmoothJet(self.order, [c * s for c in self.coeffs])
-        order = min(self.order, other.order)
-        out = [ExactScalar.zero()] * min(order + 1, len(self.coeffs) + len(other.coeffs))
-        for e1, c1 in enumerate(self.coeffs[:order + 1]):
-            if c1.is_zero():
-                continue
-            for e2, c2 in enumerate(other.coeffs[:order + 1 - e1]):
-                out[e1 + e2] = out[e1 + e2] + c1 * c2
-        return SmoothJet(order, out)
-
-    __rmul__ = __mul__
-
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else ExactScalar.zero()
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, SmoothJet):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c})*{GERM_VAR}^{e}" if e else f"({c})"
-                          for e, c in enumerate(self.coeffs) if not c.is_zero())
 
 
 class DeltaGerm:
@@ -190,18 +126,15 @@ def scale_variable(germ, a):
 def multiply_smooth(germ, jet):
     """Multiply a germ by a smooth jet via the Leibniz pairing.
 
-    phi^k d0^(j) = 0 when k > j, else (-1)^k j!/(j-k)! d0^(j-k); extended
-    bilinearly over jet and germ terms.  The jet must be truncated at least
-    to the germ's top derivative order, otherwise dropped jet terms could
-    still pair nontrivially.
+    `jet` is the ascending list of the jet's phi coefficients (zeros
+    allowed).  phi^k d0^(j) = 0 when k > j, else (-1)^k j!/(j-k)! d0^(j-k);
+    extended bilinearly over jet and germ terms.  Truncating the jet is the
+    caller's part: phi terms above the germ's top derivative order pair to
+    zero, but any dropped below it are missed (`forms.integrate_component`
+    checks its jet order).
     """
-    need = germ.max_order()
-    if jet.order < need:
-        raise DeltaError(
-            f"jet truncation order {jet.order} is below the germ's top derivative "
-            f"order {need}; raise the truncation to at least {need}")
     out = [ExactScalar.zero()] * len(germ.terms)
-    for k, jc in enumerate(jet.coeffs[:len(germ.terms)]):
+    for k, jc in enumerate(jet[:len(germ.terms)]):
         if jc.is_zero():
             continue
         for j in range(k, len(germ.terms)):

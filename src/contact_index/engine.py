@@ -147,33 +147,16 @@ class QuasiPolynomial:
     A residue polynomial is held in integer components (k, L, D, columns):
     its m^j coefficient is sum_e columns[e][j] zeta_L^e / D * pi^k.  Columns
     have the polynomial's length, trailing zeros trimmed, and none is zero.
-    L need not be minimal nor D reduced: `evaluate(m)` (Horner's rule on the
-    columns) and `to_document` demote what they return.  The constructor
-    converts residue -> ExactScalar lists; `polys` derives them back.
+    L need not be minimal nor D reduced: `read(m)` (Horner's rule on the
+    columns) and `to_document` demote what they return.  Built by
+    `fit_quasi_polynomial`, one components tuple per residue.
     """
 
-    def __init__(self, period, polys):
-        if period < 1:
-            raise EngineError("period must be positive")
-        self.period = period
-        self._integer = [_integer_components(polys.get(r, [])) for r in range(period)]
-
-    @classmethod
-    def _of_components(cls, components):
-        qp = object.__new__(cls)
-        qp.period, qp._integer = len(components), components
-        return qp
-
-    @property
-    def polys(self):
-        return {r: [ExactScalar(k, _make(*x)) for k, *x in _coefficients(c)]
-                for r, c in enumerate(self._integer)}
-
-    def evaluate(self, m):
-        return self.read(m)[0]
+    def __init__(self, components):
+        self.period, self._integer = len(components), components
 
     def read(self, m):
-        """(`evaluate(m)`, that value as an int or None), from one integer Horner pass."""
+        """(the value at m, that value as an int or None), from one integer Horner pass."""
         k, level, den, columns = self._integer[m % self.period]
         # A rational residue takes its int by one divmod (8% of ws3-torsion `wall_s`, BENCH_17).
         if not k and level == 4 and columns.keys() == {0}:
@@ -265,7 +248,7 @@ def fit_quasi_polynomial(contributions):
     sums = {q: [_sum_components(parts) for parts in zip(*tables)]
             for q, tables in by_order.items()}
     period = math.lcm(*sums)
-    return QuasiPolynomial._of_components(
+    return QuasiPolynomial(
         [_sum_components([rows[r % q] for q, rows in sums.items()]) for r in range(period)])
 
 

@@ -1,11 +1,15 @@
-"""Truncated algebra of commuting even form generators over a fixed component.
+"""Truncated algebra of even form generators and the angle phi on a fixed component.
 
-A form element is a polynomial in nilpotent 2-form generators (the class of
-d-alpha plus any base curvature classes), truncated at the component's top
-generator degree k (so the component has dimension 2k+1), with smooth jets
-in the local angle phi as coefficients.  The delta form of `j_form` has germ
-coefficients and never enters the ring: `integrate_component` pairs it with
-the smooth factors at top degree only, the one degree that integrates.
+A form element is one polynomial in nilpotent 2-form generators (the class
+of d-alpha plus any base curvature classes) and the local angle phi, with
+exact scalar coefficients.  It is truncated separately in each: at the
+component's top generator degree k (so the component has dimension 2k+1)
+and at the jet order in phi.  The smooth jets in phi are thus no separate
+type: a jet is the list of a generator monomial's phi coefficients.  The
+delta form of `j_form` holds germ coefficients at phi exponent 0 and never
+enters the ring's products: `integrate_component` groups the smooth terms
+by generator monomial into phi-coefficient lists and pairs each with a
+germ at top degree only, the one degree that integrates.
 
 The module also builds the two power series the localization consumes:
 
@@ -21,7 +25,7 @@ evaluation.  The normal factor has a cyclotomic eigenvalue and runs in
 
 Series are evaluated as power sums over the truncated algebra, each as long as
 its argument reads (`_series_length`): the argument (curvature part plus a
-constant-free jet) is nilpotent there, so every evaluation is finite and exact.
+multiple of phi) is nilpotent there, so every evaluation is finite and exact.
 
 Both products over roots group equal roots first: a group of r equal roots
 (all n+1 tangential roots of the Hopf sphere, say) raises its scalar series
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import CyclotomicNumber, ExactScalar, _coerce
-from .deltas import DeltaGerm, SmoothJet, multiply_smooth, scale_variable
+from .deltas import GERM_VAR, DeltaGerm, multiply_smooth, scale_variable
 
 
 class FormError(ValueError):
@@ -67,7 +71,13 @@ class ChernRoot:
 
 
 class FormElement:
-    """Polynomial in even generators with smooth-jet coefficients."""
+    """Polynomial in the even generators and phi, truncated separately in each.
+
+    `terms` maps (generator exponents..., phi exponent) to a nonzero
+    coefficient: an `ExactScalar`, or a `DeltaGerm` at phi exponent 0 in
+    the delta form of `j_form`.  Terms of generator degree above
+    `truncation` or of phi degree above `jet_order` are dropped.
+    """
 
     __slots__ = ("generators", "truncation", "jet_order", "terms")
 
@@ -75,38 +85,25 @@ class FormElement:
         self.generators = tuple(generators)
         self.truncation = int(truncation)
         self.jet_order = int(jet_order)
-        clean = {}
+        clean, width = {}, len(self.generators) + 1
         for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != len(self.generators) or any(e < 0 for e in exp):
-                raise FormError(f"bad generator exponent {exp}")
-            if sum(exp) <= self.truncation and not coeff.is_zero():
-                clean[exp] = coeff
+            if len(exp) != width or min(exp) < 0:
+                raise FormError(f"bad exponent {exp}")
+            if exp[-1] <= self.jet_order and sum(exp) - exp[-1] <= self.truncation \
+                    and not coeff.is_zero():
+                clean[tuple(exp)] = coeff
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def one(generators, truncation, jet_order):
-        return FormElement.from_jet(SmoothJet.one(jet_order), generators, truncation)
+        g = tuple(generators)
+        return FormElement(g, truncation, jet_order, {(0,) * (len(g) + 1): ExactScalar.one()})
 
     @staticmethod
     def zero(generators, truncation, jet_order):
         return FormElement(generators, truncation, jet_order, {})
-
-    @staticmethod
-    def from_jet(jet, generators, truncation):
-        g = tuple(generators)
-        return FormElement(g, truncation, jet.order, {(0,) * len(g): jet})
-
-    @staticmethod
-    def generator(name, generators, truncation, jet_order, coeff=1):
-        g = tuple(generators)
-        exp = tuple(1 if x == name else 0 for x in g)
-        if sum(exp) != 1:
-            raise FormError(f"unknown generator {name!r}")
-        jet = SmoothJet.one(jet_order) * _coerce(coeff)
-        return FormElement(g, truncation, jet_order, {exp: jet})
 
     # -- structural helpers -----------------------------------------------
 
@@ -124,7 +121,8 @@ class FormElement:
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
             out[exp] = out[exp] + coeff if exp in out else coeff
-        return FormElement(self.generators, self.truncation, self.jet_order, out)
+        return FormElement(self.generators, self.truncation,
+                           min(self.jet_order, other.jet_order), out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
@@ -132,15 +130,16 @@ class FormElement:
             return FormElement(self.generators, self.truncation, self.jet_order,
                                {e: c * s for e, c in self.terms.items()})
         self._check(other)
+        truncation, order = self.truncation, min(self.jet_order, other.jet_order)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                if sum(exp) > self.truncation:
+                if exp[-1] > order or sum(exp) - exp[-1] > truncation:
                     continue
                 prod = c1 * c2
                 out[exp] = out[exp] + prod if exp in out else prod
-        return FormElement(self.generators, self.truncation, self.jet_order, out)
+        return FormElement(self.generators, truncation, order, out)
 
     __rmul__ = __mul__
 
@@ -162,7 +161,7 @@ class FormElement:
         if not self.terms:
             return "0"
         def mono(exp):
-            body = "*".join(f"{g}^{e}" for g, e in zip(self.generators, exp) if e)
+            body = "*".join(f"{g}^{e}" for g, e in zip(self.generators + (GERM_VAR,), exp) if e)
             return body or "1"
         return " + ".join(f"[{c!r}]*{mono(e)}" for e, c in sorted(self.terms.items()))
 
@@ -224,18 +223,17 @@ def normal_factor_series(eigenvalue, length):
 def evaluate_series(coeffs, element):
     """sum_j coeffs[j] * element^j in the truncated algebra, from running powers.
 
-    The element must have no constant term (its zeroth jet coefficient at
-    generator exponent zero vanishes), so it is nilpotent and the sum is
-    finite: element^j vanishes for j > truncation + jet order, and already
-    for j > truncation when no coefficient carries a phi part (a root of
-    weight 0).  The series must be long enough for the terms that survive.
-    Zero terms and powers past the last term are skipped: O(k) products for i a dA.
+    The element must have no constant term (no all-zero exponent), so it is
+    nilpotent and the sum is finite: element^j vanishes for j > truncation +
+    jet order, and already for j > truncation when no term carries a phi
+    power (a root of weight 0).  The series must be long enough for the
+    terms that survive.  Zero terms and powers past the last term are
+    skipped: O(k) products for i a dA.
     """
-    const = element.terms.get((0,) * len(element.generators))
-    if const is not None and not const.constant_term().is_zero():
+    if (0,) * (len(element.generators) + 1) in element.terms:
         raise FormError("series argument must have zero constant term")
     need = element.truncation + 1
-    if any(len(c.coeffs) > 1 for c in element.terms.values()):
+    if any(e[-1] for e in element.terms):
         need += element.jet_order
     if len(coeffs) < need:
         raise FormError(f"series too short: need {need} coefficients, got {len(coeffs)}")
@@ -252,17 +250,11 @@ def evaluate_series(coeffs, element):
 
 def root_value(root, generators, truncation, jet_order):
     """Equivariant value of a Chern root: curvature + i w phi, w its circle weight."""
-    elem = FormElement.zero(generators, truncation, jet_order)
-    for name, c in zip(generators, root.curvature):
-        c = _coerce(c)
-        if not c.is_zero():
-            elem = elem + FormElement.generator(name, generators, truncation,
-                                                jet_order, coeff=c)
-    w = root.weight[0]
-    if w:
-        jet = SmoothJet.variable(jet_order, coeff=ExactScalar.i() * w)
-        elem = elem + FormElement.from_jet(jet, generators, truncation)
-    return elem
+    n = len(generators)
+    terms = {(0,) * n + (1,): ExactScalar.i() * root.weight[0]}
+    for i, c in zip(range(n), root.curvature):
+        terms[tuple(int(j == i) for j in range(n + 1))] = _coerce(c)
+    return FormElement(generators, truncation, jet_order, terms)
 
 
 def todd(roots, generators, truncation, *, jet_order, direction="plus"):
@@ -358,7 +350,7 @@ def j_form(component, *, jet_order):
     gens = component.generators
     terms = {}
     for j in range(k + 1):
-        exp = tuple(j if i == 0 else 0 for i in range(len(gens)))
+        exp = tuple(j if i == 0 else 0 for i in range(len(gens))) + (0,)
         terms[exp] = scale_variable(DeltaGerm.delta(j, Fraction(1, math.factorial(j))), -mu * w)
     return FormElement(gens, k, jet_order, terms)
 
@@ -366,18 +358,32 @@ def j_form(component, *, jet_order):
 def integrate_component(smooth, delta, pairing):
     """The germ of smooth * delta, alpha implicit, paired with the top pairing table.
 
-    `smooth` is a jet form, `delta` the germ form of `j_form`.  Only
+    `smooth` is a scalar form, `delta` the germ form of `j_form`.  The
+    smooth terms are grouped by generator monomial into jets, ascending
+    lists of phi coefficients up to the highest phi power present.  Only
     monomials of top generator degree k integrate nontrivially on an
     odd-dimensional component, so only their products are formed: a germ
-    times a jet by the Leibniz pairing.  Each top monomial's sum is weighted
-    by its pairing value; a nonzero sum missing from the table is an error.
+    times a jet by the Leibniz pairing.  The jet order must reach the
+    germs' top derivative order, otherwise dropped phi terms could still
+    pair nontrivially.  Each top monomial's sum is weighted by its pairing
+    value; a nonzero sum missing from the table is an error.
     """
     smooth._check(delta)
+    need = max((germ.max_order() for germ in delta.terms.values()), default=0)
+    if smooth.jet_order < need:
+        raise FormError(
+            f"jet truncation order {smooth.jet_order} is below the germ's top derivative "
+            f"order {need}; raise the truncation to at least {need}")
+    jets = {}
+    for exp, c in smooth.terms.items():
+        jet = jets.setdefault(exp[:-1], [])
+        jet.extend([ExactScalar.zero()] * (exp[-1] + 1 - len(jet)))
+        jet[exp[-1]] = c
     k = smooth.truncation
     top = {}
-    for e1, jet in smooth.terms.items():
+    for e1, jet in jets.items():
         for e2, germ in delta.terms.items():
-            exp = tuple(a + b for a, b in zip(e1, e2))
+            exp = tuple(a + b for a, b in zip(e1, e2))  # e2's phi exponent 0 drops out
             if sum(exp) == k:
                 prod = multiply_smooth(germ, jet)
                 top[exp] = top[exp] + prod if exp in top else prod

@@ -616,7 +616,11 @@ def _scalar_text(pi, level, den, nums):
 
 
 def approx_display(a, digits=4):
-    """Decimal rendering for reports only; an exactly real value shows no imaginary part."""
+    """Decimal rendering for reports only; an exactly real value shows no imaginary part.
+
+    The digits are those of a double, so past about 15 they show float noise:
+    the CLI bounds `--digits` to 0..15.
+    """
     x = a.value
     z = complex(x.nums.get(0, 0) / x.den) if not a.pi and x.nums.keys() <= {0} else a.complex_value()
     re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"

@@ -29,18 +29,20 @@ def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
         if not germ.is_zero():
             contributions.append(fourier_contribution(germ, at, calibration.poisson_sign))
     quasi = fit_quasi_polynomial(contributions)
-    coefficients = {m: quasi.evaluate(m) for m in range(-max_m, max_m + 1)}
+    coefficients = {m: quasi.read(m)[0] for m in range(-max_m, max_m + 1)}
     return germs, quasi, coefficients
 
 
 def quasi_equal(a, b):
-    """Equal residue polynomials over the lcm of the two periods."""
-    a_polys, b_polys = a.polys, b.polys  # each derived from integer components
-    for r in range(math.lcm(a.period, b.period)):
-        x, y = a_polys[r % a.period], b_polys[r % b.period]
-        if len(x) != len(y) or any(not (u - v).is_zero() for u, v in zip(x, y)):
-            return False
-    return True
+    """Equal residue polynomials over the lcm of the two periods.
+
+    Compares the canonical coefficient text of `to_document`, which is equal
+    exactly when the values are.
+    """
+    a_polys, b_polys = (
+        [p["coefficients"] for p in q.to_document()["polys"]] for q in (a, b))
+    return all(a_polys[r % a.period] == b_polys[r % b.period]
+               for r in range(math.lcm(a.period, b.period)))
 
 
 class ScalarFit:

@@ -1,6 +1,8 @@
 """Command-line surface: flags, exit codes, exact outputs, determinism."""
 
 import json
+import os
+import stat
 
 import pytest
 from click.testing import CliRunner
@@ -163,6 +165,14 @@ class TestGermCommand:
         assert result.exit_code == 2
         assert "--digits" in result.output
 
+    @pytest.mark.parametrize("digits, code", [("15", 0), ("16", 2)])
+    def test_digits_stop_at_double_precision(self, runner, calibrated, digits, code):
+        result = runner.invoke(main, ["germ", "--preset", "weighted-s3", "--weights", "2,3",
+                                      "--at", "1/3", "--digits", digits])
+        assert result.exit_code == code, result.output
+        if code:
+            assert "--digits" in result.output and "0<=x<=15" in result.output
+
     def test_rank_two_is_unsupported(self, runner, calibrated):
         result = runner.invoke(main, ["germ", "--preset", "prequantum-cpn",
                                       "--n", "1", "--at", "0/1"])
@@ -287,6 +297,14 @@ class TestCharacterCommand:
                                       "--max-m", "3", "--digits", "-1"])
         assert result.exit_code == 2
         assert "--digits" in result.output
+
+    @pytest.mark.parametrize("digits, code", [("15", 0), ("16", 2)])
+    def test_digits_stop_at_double_precision(self, runner, calibrated, digits, code):
+        result = runner.invoke(main, ["character", "--preset", "weighted-s3", "--weights", "2,3",
+                                      "--max-m", "3", "--digits", digits])
+        assert result.exit_code == code, result.output
+        if code:
+            assert "--digits" in result.output and "0<=x<=15" in result.output
 
     def test_empty_window_exits_2(self, runner, calibrated):
         result = runner.invoke(main, ["character", "--preset", "circle", "--max-m", "0"])
@@ -523,6 +541,23 @@ class TestErrorBoundary:
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith(f"error: cannot write {str(out)!r}: "), result.stderr
         assert not list(calibrated.rglob(".contact-index-*"))
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_written_files_take_the_mode_of_a_plain_open(self, runner, tmp_path, monkeypatch,
+                                                         umask, mode):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CONTACT_INDEX_CALIBRATION", raising=False)
+        saved = os.umask(umask)
+        try:
+            assert runner.invoke(main, ["calibrate"]).exit_code == 0
+            result = runner.invoke(main, ["dh", "--preset", "hopf", "--n", "1",
+                                          "--out", "dh.json"])
+            assert result.exit_code == 0, result.output
+        finally:
+            os.umask(saved)
+        for name in ("contact-index-calibration.json", "dh.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
     # FormError and EngineError reach the boundary from real inputs elsewhere in this file
     @pytest.mark.parametrize("error", [ModelError, ScalarError, DeltaError])

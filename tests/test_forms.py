@@ -10,7 +10,7 @@ import pytest
 
 from contact_index import forms
 from contact_index.catalog import FixedComponentData
-from contact_index.deltas import DeltaGerm, SmoothJet
+from contact_index.deltas import DeltaGerm
 from contact_index.engine import CalibrationConfig, build_preset, germ_at
 from contact_index.forms import (ChernRoot, FormElement, FormError, _series_power,
                                  dc_inverse, evaluate_series, integrate_component, j_form,
@@ -60,8 +60,7 @@ class TestTodd:
         # two factors of curvature i dA at truncation 1 multiply to 1 + i dA
         r = ChernRoot(curvature=(I,), weight=(0,))
         td = todd([r, r], ("dA",), 1, jet_order=4)
-        expected = FormElement.one(("dA",), 1, 4) + \
-            FormElement.generator("dA", ("dA",), 1, 4, coeff=I)
+        expected = FormElement.one(("dA",), 1, 4) + FormElement(("dA",), 1, 4, {(1, 0): I})
         assert td == expected
 
     def test_single_root_taylor_coefficients(self):
@@ -69,9 +68,9 @@ class TestTodd:
         c = ExactScalar.from_rational(1)
         r = ChernRoot(curvature=(c,), weight=(0,))
         td = todd([r], ("dA",), 2, jet_order=4)
-        assert td.terms[(0,)].constant_term() == ONE
-        assert td.terms[(1,)].constant_term() == ExactScalar.from_rational(Fraction(1, 2))
-        assert td.terms[(2,)].constant_term() == ExactScalar.from_rational(Fraction(1, 12))
+        assert td.terms[(0, 0)] == ONE
+        assert td.terms[(1, 0)] == ExactScalar.from_rational(Fraction(1, 2))
+        assert td.terms[(2, 0)] == ExactScalar.from_rational(Fraction(1, 12))
 
     def test_multiplicativity(self):
         rng = random.Random(5)
@@ -96,9 +95,8 @@ class TestNormalDeterminant:
         # (1 + e^{i b phi})^-1 = 1/2 - (i b / 4) phi + O(phi^2), b = 3
         r = ChernRoot(curvature=(), weight=(3,), eigenvalue_exponent=Fraction(1, 2))
         dc = dc_inverse([r], (), 0, jet_order=1)
-        jet = dc.terms[()]
-        assert jet.coeffs[0] == ExactScalar.from_rational(Fraction(1, 2))
-        assert jet.coeffs[1] == I * ExactScalar.from_rational(Fraction(-3, 4))
+        assert dc.terms[(0,)] == ExactScalar.from_rational(Fraction(1, 2))
+        assert dc.terms[(1,)] == I * ExactScalar.from_rational(Fraction(-3, 4))
 
     def test_minus_one_eigenvalue_jet_against_finite_differences(self):
         # numeric oracle: central differences of t -> 1/(1 + e^{3 i t}) at 0
@@ -107,14 +105,14 @@ class TestNormalDeterminant:
         h = 1e-6
         d1 = (f(h) - f(-h)) / (2 * h)
         r = ChernRoot(curvature=(), weight=(3,), eigenvalue_exponent=Fraction(1, 2))
-        jet = dc_inverse([r], (), 0, jet_order=1).terms[()]
-        assert abs(jet.coeffs[0].complex_value() - f(0)) < 1e-12
-        assert abs(jet.coeffs[1].complex_value() - d1) < 1e-6
+        dc = dc_inverse([r], (), 0, jet_order=1)
+        assert abs(dc.terms[(0,)].complex_value() - f(0)) < 1e-12
+        assert abs(dc.terms[(1,)].complex_value() - d1) < 1e-6
 
     def test_cube_root_eigenvalue_constant(self):
         r = ChernRoot(curvature=(), weight=(0,), eigenvalue_exponent=Fraction(1, 3))
         dc = dc_inverse([r], (), 0, jet_order=0)
-        value = dc.terms[()].constant_term()
+        value = dc.terms[(0,)]
         lam = ExactScalar.root_of_unity(1, 3)
         assert value * (ONE - lam) == ONE
 
@@ -313,35 +311,35 @@ class TestJForm:
         # d0(-phi) + d0'(-phi) dA: constant term d0, linear term -d0'
         d0 = DeltaGerm.delta(0)
         d1 = DeltaGerm.delta(1)
-        assert form.terms[(0,)] == d0
-        assert form.terms[(1,)] == d1 * ExactScalar.from_rational(-1)
+        assert form.terms[(0, 0)] == d0
+        assert form.terms[(1, 0)] == d1 * ExactScalar.from_rational(-1)
 
     def test_circle_delta_form(self):
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
                                   pairing={(): TWO_PI})
         form = j_form(comp, jet_order=4)
-        assert form.terms[()] == DeltaGerm.delta(0)
+        assert form.terms[(0,)] == DeltaGerm.delta(0)
 
     def test_parity_no_generator_term_in_dimension_one(self):
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
                                   pairing={(): TWO_PI})
         form = j_form(comp, jet_order=4)
-        assert set(form.terms) == {()}
+        assert set(form.terms) == {(0,)}
 
     def test_five_sphere_delta_form_is_the_taylor_sum(self):
         # alpha sum_j d0^(j)(-phi) dA^j / j!: d0, -d0', d0''/2
         (comp,) = build_preset("hopf", (2,)).components[Fraction(0)]
         form = j_form(comp, jet_order=4)
-        assert [form.terms[(j,)] for j in range(3)] == [
+        assert [form.terms[(j, 0)] for j in range(3)] == [
             DeltaGerm.delta(0), DeltaGerm.delta(1, -1), DeltaGerm.delta(2, Fraction(1, 2))]
 
     def test_moment_constant_rescales_the_delta_argument(self):
         # mu = 2: d0^(j)(-2 phi) = -(-2)^-(j+1) d0^(j)(phi)
         form = j_form(replace(_sphere_component(), mu=Fraction(2)), jet_order=4)
-        assert form.terms[(0,)] == DeltaGerm.delta(0, Fraction(1, 2))
-        assert form.terms[(1,)] == DeltaGerm.delta(1, Fraction(-1, 4))
+        assert form.terms[(0, 0)] == DeltaGerm.delta(0, Fraction(1, 2))
+        assert form.terms[(1, 0)] == DeltaGerm.delta(1, Fraction(-1, 4))
 
     def test_zero_reeb_weight_is_rejected(self):
         with pytest.raises(FormError, match="pair nontrivially"):
@@ -357,7 +355,7 @@ class TestJForm:
 
 class TestMultiply:
     def test_multiplying_by_one_is_identity(self):
-        x = FormElement.generator("dA", ("dA",), 2, 4)
+        x = FormElement(("dA",), 2, 4, {(1, 0): ONE, (0, 2): I})
         assert FormElement.one(("dA",), 2, 4) * x == x
 
     def test_basis_mismatch_is_rejected(self):
@@ -368,21 +366,44 @@ class TestMultiply:
 
     def test_truncation_consistency(self):
         # truncate(a b) computed at high truncation equals the product computed
-        # directly at the low truncation
+        # directly at the low truncation, in the generators and in phi
         rng = random.Random(13)
         for _ in range(25):
-            def random_form(k):
+            def random_form(k, order):
                 terms = {}
                 for e in range(k + 1):
-                    terms[(e,)] = SmoothJet.one(4) * \
-                        ExactScalar.from_rational(rng.randint(-4, 4))
-                return FormElement(("dA",), k, 4, terms)
-            hi_a, hi_b = random_form(4), random_form(4)
-            lo_a = FormElement(("dA",), 2, 4, hi_a.terms)
-            lo_b = FormElement(("dA",), 2, 4, hi_b.terms)
-            hi_prod = hi_a * hi_b
-            cut = FormElement(("dA",), 2, 4, hi_prod.terms)
-            assert cut == lo_a * lo_b
+                    for f in range(order + 1):
+                        terms[(e, f)] = ExactScalar.from_rational(rng.randint(-4, 4))
+                return FormElement(("dA",), k, order, terms)
+            hi_a, hi_b = random_form(4, 4), random_form(4, 4)
+            for k, order in ((2, 4), (4, 2), (2, 1)):
+                lo_a = FormElement(("dA",), k, order, hi_a.terms)
+                lo_b = FormElement(("dA",), k, order, hi_b.terms)
+                cut = FormElement(("dA",), k, order, (hi_a * hi_b).terms)
+                assert cut == lo_a * lo_b
+
+    def test_product_jet_order_is_the_lower_one(self):
+        phi = FormElement((), 0, 4, {(1,): ONE})
+        low = FormElement.one((), 0, 1) + phi
+        prod = (phi + phi * phi) * low
+        assert prod.jet_order == 1 and prod == FormElement((), 0, 1, {(1,): ONE})
+
+    def test_exponent_needs_a_phi_entry(self):
+        with pytest.raises(FormError, match="bad exponent"):
+            FormElement(("dA",), 1, 4, {(1,): ONE})
+
+
+class TestRootValue:
+    def test_two_generator_curvature_and_a_nonzero_weight(self):
+        # curvature i e1 - 2 e2 and weight 3: i e1 - 2 e2 + 3 i phi
+        gens = ("e1", "e2")
+        r = ChernRoot(curvature=(I, ExactScalar.from_rational(-2)), weight=(3,))
+        assert root_value(r, gens, 2, 3) == FormElement(gens, 2, 3, {
+            (1, 0, 0): I, (0, 1, 0): ExactScalar.from_rational(-2), (0, 0, 1): I * 3})
+        # truncation 0 drops the curvature, jet order 0 the phi term
+        assert root_value(r, gens, 0, 3) == FormElement(gens, 0, 3, {(0, 0, 1): I * 3})
+        assert root_value(r, gens, 2, 0) == FormElement(gens, 2, 0, {
+            (1, 0, 0): I, (0, 1, 0): ExactScalar.from_rational(-2)})
 
 
 class TestIntegrate:
@@ -404,10 +425,9 @@ class TestIntegrate:
 
     def test_todd_times_delta_form_expansion(self):
         # (1 + i dA) * (d0 - d0' dA) has top coefficient i d0 - d0' at dA
-        td = FormElement.one(("dA",), 1, 4) + \
-            FormElement.generator("dA", ("dA",), 1, 4, coeff=I)
-        delta = FormElement(("dA",), 1, 4, {(0,): DeltaGerm.delta(0),
-                                             (1,): DeltaGerm.delta(1, -1)})
+        td = FormElement.one(("dA",), 1, 4) + FormElement(("dA",), 1, 4, {(1, 0): I})
+        delta = FormElement(("dA",), 1, 4, {(0, 0): DeltaGerm.delta(0),
+                                             (1, 0): DeltaGerm.delta(1, -1)})
         germ = integrate_component(td, delta, {(1,): ONE})
         assert germ == DeltaGerm.delta(0) * I - DeltaGerm.delta(1)
 
@@ -425,17 +445,34 @@ class TestIntegrate:
         # two generators: only the e1 monomial is missing, and its coefficient
         # e1 * d0 is nonzero
         gens = ("dA", "e1")
-        smooth = FormElement.one(gens, 1, 4) + FormElement.generator("e1", gens, 1, 4)
+        smooth = FormElement(gens, 1, 4, {(0, 0, 0): ONE, (0, 1, 0): ONE})
         delta = j_form(replace(_sphere_component(), generators=gens), jet_order=4)
         with pytest.raises(FormError, match=re.escape("surviving monomial (0, 1)")):
             integrate_component(smooth, delta, {(1, 0): TWO_PI})
 
     def test_missing_entry_of_a_vanishing_top_monomial_is_not_needed(self):
         # (phi - dA) * (d0 - d0' dA) at dA: phi * (-d0') - d0 = d0 - d0 = 0
-        smooth = FormElement.from_jet(SmoothJet.variable(4), ("dA",), 1) - \
-            FormElement.generator("dA", ("dA",), 1, 4)
+        smooth = FormElement(("dA",), 1, 4, {(0, 1): ONE, (1, 0): -ONE})
         delta = j_form(_sphere_component(), jet_order=4)
         assert integrate_component(smooth, delta, {}).is_zero()
+
+    def test_insufficient_jet_order_is_an_error(self):
+        # a germ of order 3 against a jet of order 1: the dropped phi^2 and
+        # phi^3 would still pair with it
+        delta = FormElement((), 0, 4, {(0,): DeltaGerm.delta(3)})
+        with pytest.raises(FormError, match="raise the truncation to at least 3"):
+            integrate_component(FormElement.one((), 0, 1), delta, {(): ONE})
+        assert integrate_component(FormElement.one((), 0, 3), delta, {(): ONE}) == \
+            DeltaGerm.delta(3)
+
+    def test_jets_group_by_generator_monomial(self):
+        # (2 phi^3 + dA (1 + phi)) * (d0^(3) + d0^(1) dA) at dA pairs the jets
+        # 2 phi^3 d0^(1) + (1 + phi) d0^(3) = 0 + d0^(3) - 3 d0^(2)
+        delta = FormElement(("dA",), 1, 3, {(0, 0): DeltaGerm.delta(3),
+                                             (1, 0): DeltaGerm.delta(1)})
+        smooth = FormElement(("dA",), 1, 3, {(0, 3): ONE * 2, (1, 0): ONE, (1, 1): ONE})
+        assert integrate_component(smooth, delta, {(1,): ONE}) == \
+            DeltaGerm.delta(3) - DeltaGerm.delta(2, 3)
 
     def test_basis_mismatch_is_rejected(self):
         delta = j_form(_sphere_component(), jet_order=4)

@@ -152,7 +152,8 @@ def assert_germ_orders_within_the_bound(model, calibration):
     for at, germ in result.germs.items():
         assert len(germ.terms) <= bound, at
     assert max(len(g.terms) for g in result.germs.values()) == bound
-    assert all(len(poly) <= bound for poly in result.quasi.polys.values())
+    assert all(len(poly["coefficients"]) <= bound
+               for poly in result.quasi.to_document()["polys"])
 
 
 @pytest.mark.parametrize("name,params", PRESETS, ids=[f"{n}{p}" for n, p in PRESETS])
