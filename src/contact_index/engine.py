@@ -7,9 +7,9 @@ of the germs gives one polynomial in m per residue class modulo each torsion
 order.  The germs at p/q are Galois conjugates, so an orbit is evaluated
 once and its table summed as a relative trace down to Q(i), unless the
 model fails the guard in `assemble_character`.  Each table is converted
-once to integer components, per cyclotomic basis exponent one column of
-numerators over one denominator; they are summed per order, then per
-residue of the period, and every coefficient is read off by integer Horner.
+once to integer components, numerators over one denominator per basis
+exponent, summed per order, then per residue of the period; the window is
+read by integer Horner per residue, equal ints sharing one immutable scalar.
 
 The rank-2 double expansion runs in integers: each slice's numerator is
 divided by one binomial (1 - x^s) at a time with a stride recurrence, and
@@ -142,14 +142,16 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
 # ----------------------------------------------------------------------
 
 class QuasiPolynomial:
-    """Per-residue polynomials in m; period 1 is a plain polynomial.
+    """Per-residue polynomials in m, built by `fit_quasi_polynomial`; period 1 is a polynomial.
 
     A residue polynomial is held in integer components (k, L, D, columns):
     its m^j coefficient is sum_e columns[e][j] zeta_L^e / D * pi^k.  Columns
     have the polynomial's length, trailing zeros trimmed, and none is zero.
     L need not be minimal nor D reduced: `read(m)` (Horner's rule on the
-    columns) and `to_document` demote what they return.  Built by
-    `fit_quasi_polynomial`, one components tuple per residue.
+    columns) and `to_document` demote what they return.  `window` walks each
+    residue once: a rational one (k = 0, L = 4, exponent 0) takes each int by
+    one divmod, and equal ints share one immutable ExactScalar (a memo of the
+    call); other values go through `read`.
     """
 
     def __init__(self, components):
@@ -158,14 +160,21 @@ class QuasiPolynomial:
     def read(self, m):
         """(the value at m, that value as an int or None), from one integer Horner pass."""
         k, level, den, columns = self._integer[m % self.period]
-        # A rational residue takes its int by one divmod (8% of ws3-torsion `wall_s`, BENCH_17).
-        if not k and level == 4 and columns.keys() == {0}:
-            n, rest = divmod(_horner(columns[0], m), den)
-            if not rest:
-                return ExactScalar(0, _make(4, 1, {0: n} if n else {})), n
         x = _make(level, den, {e: v for e, c in columns.items() if (v := _horner(c, m))}).demote()
         value = ExactScalar(k, x)
         return value, (x.nums.get(0, 0) if value.is_rational() and x.den == 1 else None)
+
+    def window(self, max_m):
+        """(coefficients, integers) for |m| <= max_m, keys ascending (see the class)."""
+        pairs, shared = [None] * (2 * max_m + 1), {}
+        for r, (k, level, den, columns) in enumerate(self._integer):
+            rational = not k and level == 4 and columns.keys() == {0}
+            for m in range(-max_m + (r + max_m) % self.period, max_m + 1, self.period):
+                n, rest = divmod(_horner(columns[0], m), den) if rational else (None, 1)
+                if not rest and n not in shared:
+                    shared[n] = ExactScalar(0, _make(4, 1, {0: n} if n else {})), n
+                pairs[m + max_m] = self.read(m) if rest else shared[n]
+        return tuple(dict(zip(range(-max_m, max_m + 1), column)) for column in zip(*pairs))
 
     def to_document(self):
         return {
@@ -303,9 +312,7 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
                              for r, poly in table.items()}
                 contributions.append((q, table))
     quasi = fit_quasi_polynomial(contributions)
-    coefficients, integers = {}, {}
-    for m in range(-max_m, max_m + 1):
-        coefficients[m], integers[m] = quasi.read(m)
+    coefficients, integers = quasi.window(max_m)
     return CharacterResult(model.model_id, calibration, germs, coefficients, quasi, integers)
 
 
@@ -512,12 +519,15 @@ def calibrate_conventions():
 # ----------------------------------------------------------------------
 
 def character_document(result, digits=4):
+    texts = {}  # int -> its (value, approx) texts, for this call only
+
     def coeff_entry(m):
-        c = result.coefficients[m]
-        entry = {"m": m, "value": c.to_text(), "approx": approx_display(c, digits)}
-        if result.integers[m] is not None:
-            entry["integer"] = result.integers[m]
-        return entry
+        c, n = result.coefficients[m], result.integers[m]
+        if n is None:
+            return {"m": m, "value": c.to_text(), "approx": approx_display(c, digits)}
+        if n not in texts:
+            texts[n] = {"value": c.to_text(), "approx": approx_display(c, digits)}
+        return {"m": m, **texts[n], "integer": n}
 
     return {
         "model_id": result.model_id,

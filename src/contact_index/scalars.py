@@ -619,13 +619,33 @@ def approx_display(a, digits=4):
     """Decimal rendering for reports only; an exactly real value shows no imaginary part.
 
     The digits are those of a double, so past about 15 they show float noise:
-    the CLI bounds `--digits` to 0..15.
+    the CLI bounds `--digits` to 0..15.  Past double range see `_e_display`.
     """
     x = a.value
-    z = complex(x.nums.get(0, 0) / x.den) if not a.pi and x.nums.keys() <= {0} else a.complex_value()
+    try:
+        z = a.complex_value() if a.pi or x.nums.keys() - {0} else complex(x.nums.get(0, 0) / x.den)
+    except OverflowError:
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        return _e_display(a, digits)
     re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
     if not z.imag or x == x.galois(-1):
         return re_s
     im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_s}{sign}{im_s}i"
+
+
+def _e_display(a, digits):
+    """`approx_display` in e notation (``1e+400``) from the exact parts 2 Re = x + conj x and
+    2i Im = x - conj x of a = x pi^k, their numerators divided by 10^t before any float."""
+    x, p = a.value, a.pi * math.log10(math.pi)  # pi^k = 10^p
+    texts = []
+    for y, trig in ((x + x.galois(-1), math.cos), (x - x.galois(-1), math.sin)):
+        t = len(str(max(map(abs, y.nums.values()), default=0))) - len(str(y.den)) + math.floor(p)
+        scale = Fraction(10) ** (math.floor(p) - t) / y.den
+        v = sum(float(n * scale) * trig(2 * math.pi * e / y.level) for e, n in y.nums.items())
+        mantissa, exponent = f"{v * 10 ** (p % 1) / 2:.{digits}e}".split("e")
+        texts.append(f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent) + t:+d}" if v else "0")
+    re_s, im_s = texts
+    return re_s if im_s == "0" else f"{re_s}{'' if im_s[0] == '-' else '+'}{im_s}i"

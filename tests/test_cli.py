@@ -279,6 +279,18 @@ class TestCharacterCommand:
         assert doc["non_integer_coefficients"] == list(range(-2, 3))
         assert not any("integer" in e for e in doc["coefficients"])
 
+    def test_a_pairing_beyond_double_range_writes_its_report(self, runner, calibrated):
+        path = calibrated / "big.json"
+        path.write_text(json.dumps(_circle_document(
+            pairing=[{"mono": [], "value": f"({2 * 10 ** 400})*pi^1"}])))
+        character = runner.invoke(main, ["character", "--model", str(path), "--max-m", "2"])
+        assert character.exit_code == 0, character.output
+        entries = json.loads(character.output)["coefficients"]
+        assert [(e["integer"], e["approx"]) for e in entries] == [(10 ** 400, "1e+400")] * 5
+        germ = runner.invoke(main, ["germ", "--model", str(path), "--at", "0"])
+        assert germ.exit_code == 0, germ.output
+        assert [t["approx"] for t in json.loads(germ.output)["germ"]["terms"]] == ["6.2832e+400"]
+
     def test_preset_and_model_are_mutually_exclusive(self, runner, calibrated):
         result = runner.invoke(main, ["character", "--preset", "circle",
                                       "--model", "x.json"])

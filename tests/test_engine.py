@@ -18,7 +18,8 @@ from contact_index.engine import (CalibrationConfig, CalibrationError, EngineErr
                                   calibrate_conventions, corollary_expand,
                                   dh_fourier, fit_quasi_polynomial, germ_at,
                                   residual_factors)
-from contact_index.scalars import CyclotomicNumber, ExactScalar, ScalarError, _euler_phi
+from contact_index.scalars import (CyclotomicNumber, ExactScalar, ScalarError, _euler_phi,
+                                   approx_display)
 from character_reference import ScalarFit, quasi_equal
 from laurent_reference import corollary_reference
 
@@ -144,7 +145,11 @@ class TestCharacters:
     def test_quasi_polynomial_evaluates_like_the_samples(self):
         res = assemble_character(build_preset("weighted-s3", (3, 4)), 60)
         for m in range(-60, 61):
-            assert res.quasi.read(m)[0] == res.coefficients[m]
+            want = oracle.sphere_char_oracle(3, 4, m)
+            assert res.coefficients[m] == ExactScalar.from_rational(want), m
+            assert res.integers[m] == want, m
+            value, integer = res.quasi.read(m)
+            assert value.to_text() == res.coefficients[m].to_text() and integer == want, m
 
     @pytest.mark.parametrize("a,b,max_m", [(5, 7, 3), (2, 3, 1)])
     def test_window_below_the_period_gives_the_whole_quasi_polynomial(self, a, b, max_m):
@@ -217,6 +222,62 @@ class TestQuasiPolynomialFit:
                 assert got == want, (period, m)
                 assert got.to_text() == want.to_text(), (period, m)
                 assert got.value.level == got.value.demote().level
+
+    def test_window_reads_what_read_reads_one_residue_at_a_time(self):
+        rng = random.Random(21)
+
+        def coefficient(kind, grade):
+            if kind == "integer":
+                return ExactScalar.from_rational(rng.randint(-9, 9))
+            if kind == "rational":  # some values are integers, some not
+                return ExactScalar.from_rational(Fraction(rng.randint(-9, 9), rng.randint(2, 6)))
+            level = rng.choice([12, 20])
+            return ExactScalar(grade if kind == "pi" else 0, CyclotomicNumber(
+                level, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                        for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))}))
+
+        kinds, seen = ("integer", "rational", "irrational", "pi", "zero"), set()
+        for period in (1, 2, 5, 7, 12):
+            for _ in range(4):
+                polys = {}
+                for r in range(period):
+                    kind, grade = rng.choice(kinds), rng.choice([-1, 1])
+                    polys[r] = [coefficient(kind, grade) for _ in range(rng.randint(1, 3))] \
+                        if kind != "zero" else []
+                qp = fit_quasi_polynomial([(period, polys)])
+                for max_m in {1, 2, period // 2, period, 2 * period + 3} - {0}:
+                    coefficients, integers = qp.window(max_m)
+                    span = list(range(-max_m, max_m + 1))
+                    assert list(coefficients) == span and list(integers) == span
+                    for m in span:
+                        value, integer = qp.read(m)
+                        assert coefficients[m] == value, (period, max_m, m)
+                        assert coefficients[m].to_text() == value.to_text(), (period, max_m, m)
+                        assert integers[m] == integer, (period, max_m, m)
+                        seen.add("integer" if integer is not None else "other")
+                    self.assert_document_is_the_per_entry_formula(qp, coefficients, integers)
+        assert seen == {"integer", "other"}
+
+    @staticmethod
+    def assert_document_is_the_per_entry_formula(qp, coefficients, integers):
+        result = engine.CharacterResult("synthetic", CalibrationConfig(), {}, coefficients, qp,
+                                        integers)
+        for digits in (0, 4, 15):
+            doc = engine.character_document(result, digits)
+            want = []
+            for m in sorted(coefficients):
+                value, integer = qp.read(m)
+                entry = {"m": m, "value": value.to_text(), "approx": approx_display(value, digits)}
+                want.append(entry if integer is None else {**entry, "integer": integer})
+            assert doc["coefficients"] == want
+            assert doc["non_integer_coefficients"] == \
+                [m for m in sorted(coefficients) if qp.read(m)[1] is None]
+
+    def test_window_shares_equal_integers_within_one_call_only(self):
+        qp = fit_quasi_polynomial([(3, {0: [ONE], 1: [ONE], 2: [ONE]})])
+        first, _ = qp.window(4)
+        assert all(first[m] is first[-4] for m in first)  # across residues too
+        assert qp.window(4)[0][-4] is not first[-4]
 
     # Irrational residue coefficients, residue -> (pi-grade, coefficients),
     # whose values at chosen m are integers (m = 4; m = 4; m = 2, -4),

@@ -1,6 +1,7 @@
 """Property tests: promotion and the Galois maps commute with the ring operations,
-every operation returns the canonical (den, nums) representation, and the
-rational route of `approx_display` writes what the complex route writes.
+every operation returns the canonical (den, nums) representation, the
+rational route of `approx_display` writes what the complex route writes, and
+its e notation past double range keeps every value a double holds as it was.
 
 Seeded through a derandomized hypothesis profile, so every run draws the
 same examples.
@@ -10,6 +11,7 @@ from fractions import Fraction
 
 import cmath
 import math
+import re
 
 import pytest
 
@@ -204,3 +206,59 @@ def test_the_rational_route_of_approx_display_matches_the_complex_route(value, d
     want, x = complex_route(value, digits), ExactScalar.from_rational(value)
     assert approx_display(x, digits) == want
     assert approx_display(ExactScalar(0, x.value.promote(12)), digits) == want  # held at level 12
+
+
+def display_before_e_notation(a, digits):
+    """`approx_display` as it was written before values beyond double range
+    printed in e notation: it raised OverflowError or wrote inf or nan there."""
+    x = a.value
+    z = complex(x.nums.get(0, 0) / x.den) if not a.pi and x.nums.keys() <= {0} \
+        else a.complex_value()
+    re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
+    if not z.imag or x == x.galois(-1):
+        return re_s
+    im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{re_s}{sign}{im_s}i"
+
+
+@st.composite
+def scalars_near_double_range(draw):
+    level = draw(st.sampled_from((4, 12, 20)))
+    size = draw(st.sampled_from((2 ** 20, 2 ** 1000, 2 ** 1030, 2 ** 1400)))
+    nums = draw(st.dictionaries(st.integers(0, _euler_phi(level) - 1),
+                                st.integers(-size, size), min_size=1, max_size=3))
+    den = draw(st.one_of(st.just(1), st.integers(1, 2 ** 70)))
+    grade = draw(st.one_of(st.integers(-3, 3), st.integers(-700, 700)))
+    return ExactScalar(grade, CyclotomicNumber(level, {e: Fraction(n, den)
+                                                       for e, n in nums.items()}))
+
+
+_E_TEXT = r"-?\d(?:\.\d+)?e[+-]\d+"
+
+
+@settings(DETERMINISTIC, max_examples=400)
+@given(scalars_near_double_range(), st.integers(0, 15))
+@example(ExactScalar(0, CyclotomicNumber(12, {0: 15 * 10 ** 307, 2: 15 * 10 ** 307})),
+         4)  # each term is a double, their sum is not
+@example(ExactScalar.pi_power(-1000, 10 ** 600), 4)  # pi^k underflows, the numerator overflows
+def test_approx_display_changes_only_past_double_range(a, digits):
+    try:
+        before = display_before_e_notation(a, digits)
+    except OverflowError:
+        before = "overflow"
+    got = approx_display(a, digits)
+    if not any(word in before for word in ("overflow", "inf", "nan")):
+        assert got == before
+        return
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    parts = re.fullmatch(f"(0|{_E_TEXT})(?:([+-](?:{_E_TEXT}))i)?", got)
+    assert parts, got
+    x = a.value
+    exact = sum(mpmath.mpf(n) / x.den * mpmath.expjpi(mpmath.mpf(2 * e) / x.level)
+                for e, n in x.nums.items()) * mpmath.pi ** a.pi
+    scale = max(abs(n) for n in x.nums.values()) / mpmath.mpf(x.den) * mpmath.pi ** a.pi
+    for text, want in ((parts[1], exact.real), (parts[2] or "0", exact.imag)):
+        error = abs(mpmath.mpf(text) - want)
+        assert error <= scale * 1e-9 + abs(want) * 10 ** -digits, (got, text, want)

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: cyclotomic levels, pi grading, text round trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -231,9 +232,22 @@ class TestApproxDisplay:
         (ExactScalar(0, CyclotomicNumber.zeta(12, 1) + CyclotomicNumber.zeta(12, 11)), 12,
          "1.732050807569"),
         (ONE, 320, "1"),
-    ], ids=["sqrt3", "one-at-320-digits"])
+        (ExactScalar.from_rational(int(sys.float_info.max)), 4, str(int(sys.float_info.max))),
+    ], ids=["sqrt3", "one-at-320-digits", "largest-double"])
     def test_a_real_value_has_no_imaginary_part(self, value, digits, expected):
         assert approx_display(value, digits) == expected
+
+    @pytest.mark.parametrize("value, expected", [
+        (ExactScalar.from_rational(10 ** 400), "1e+400"),
+        (ExactScalar(0, CyclotomicNumber.zeta(12) * CyclotomicNumber.from_rational(10 ** 400)),
+         "8.6603e+399+5e+399i"),
+        (ExactScalar.pi_power(1000), "1.4121e+497"),
+        (ExactScalar(0, CyclotomicNumber(4, {1: -10 ** 400})), "0-1e+400i"),
+        (ExactScalar.from_rational(Fraction(-10 ** 400, 3)), "-3.3333e+399"),
+        (ExactScalar.from_rational(2 ** 1024), "1.7977e+308"),
+    ], ids=["10^400", "10^400-z12", "pi^1000", "minus-10^400-i", "over-three", "2^1024"])
+    def test_a_value_beyond_double_range_prints_in_e_notation(self, value, expected):
+        assert approx_display(value, 4) == expected
 
     def test_a_non_real_value_keeps_its_imaginary_part_at_any_digits(self):
         assert approx_display(I, 320).endswith("+1i")
