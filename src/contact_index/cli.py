@@ -28,7 +28,7 @@ from .engine import (CalibrationConfig, CalibrationError, EngineError, Unsupport
                      assemble_character, build_preset, calibrate_conventions,
                      character_document, corollary_expand, dh_fourier, germ_at)
 from .forms import FormError
-from .scalars import ScalarError, approx_display
+from .scalars import ScalarError, _int_text, approx_display
 
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
@@ -211,7 +211,8 @@ def character(preset, n, weights, model_path, max_m, out, fmt, digits):
         lines = ["m,value"]
         for m in sorted(result.coefficients):
             value = result.integers[m]
-            lines.append(f"{m},{result.coefficients[m].to_text() if value is None else value}")
+            text = result.coefficients[m].to_text() if value is None else _int_text(value)
+            lines.append(f"{m},{text}")
         _emit("\n".join(lines), out)
     else:
         _emit(document_text(_stamp(character_document(result, digits))), out)

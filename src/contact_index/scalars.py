@@ -16,28 +16,29 @@ characters 0.  So `ExactScalar` is one pair (pi, value); zero has grade 0,
 and adding two nonzero scalars of different grades raises `ScalarError`.
 
 A cyclotomic number is stored as integer numerators over one denominator
-(see `CyclotomicNumber`), and every operation but the rare non-identity
-demotion solve runs in Python integers; `_make`, the one trusted
-constructor, divides out the gcd.
+(see `CyclotomicNumber`), and every operation runs in Python integers;
+`_make`, the one trusted constructor, divides out the gcd.
 
-Canonicalization does its linear algebra once per level and caches it:
+Canonicalization keeps its tables per level, each built once and cached:
 
 * The fold table of level L holds the integer rows x^e mod Phi_L for
   phi(L) <= e < L (Phi_L is monic and integral).  Reduction adds c * row[e]
   for each exponent past the basis, with no polynomial division; a product
   of reduced operands has exponents <= 2 phi(L) - 2 < L, and every other
   caller reduces exponents mod L first.
-* The demotion map of a pair (L, m), m | L, holds the rows where the
-  embedding Q(zeta_m) -> Q(zeta_L) is nonzero, phi(m) pivot rows P, and the
-  inverse of the embedding matrix restricted to P, from one Gauss-Jordan
-  elimination.  Testing membership in the subfield is then a support check,
-  an O(phi(m)^2) solve on the pivot coordinates, and one re-embedding
-  through the fold table.
-* When (phi(m) - 1) * L/m < phi(L), each zeta_m^j = zeta_L^(j L/m) is
-  already a basis vector: membership is "every exponent is a multiple of
-  L/m", the numerators carry over, and no demotion map is built.  Every
-  (L, 4) with L < 420 is of this kind; pairs such as (420, 4) or (572, 44)
-  are not, and solve over Fractions.
+* `demote` drops one prime p from the level L at a time, wherever 4 | L/p,
+  for as long as the value lies in Q(zeta_L') with L' = L/p.  If p | L' or
+  phi(L') < p, each zeta_L'^j, j < phi(L'), is the basis vector
+  zeta_L^(j p): the value is in the subfield exactly when every exponent is
+  a multiple of p.  This support test is tried first.  Otherwise p divides L
+  once; with s = 1/p mod L' and t = 1/L' mod p, zeta_L^e =
+  zeta_L'^(e s) zeta_p^(e t), so grouping the terms by e t mod p writes the
+  value as the sum of X_b zeta_p^b, each X_b folded at L'.  Since 1, zeta_p,
+  ..., zeta_p^(p-2) is a basis over Q(zeta_L') (the linear-disjointness
+  split behind Breuer's integral bases of cyclotomic subfields, AAECC 8,
+  1997), the value lies in Q(zeta_L') exactly when X_1 = ... = X_(p-1), and
+  it is then X_0 - X_(p-1).  The smallest level holding a value is unique,
+  so the primes may be dropped in any order.
 * `galois(t)`, zeta -> zeta^t, permutes exponents mod L and folds once.
   Row e of the trace table of level L holds the folded sum of zeta^(e t)
   over the units t = 1 mod 4, so the trace down to Q(i) is linear in them.
@@ -51,6 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -86,33 +88,29 @@ def cyclotomic_polynomial(n):
     return tuple(p)
 
 
-def _mobius(n):
-    out = 1
-    p = 2
+@lru_cache(maxsize=None)
+def _primes(n):
+    """The distinct prime factors of n, ascending."""
+    out, p = [], 2
     while p * p <= n:
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    return -out if n > 1 else out
+    return tuple(out + [n] * (n > 1))
+
+
+def _mobius(n):
+    ps = _primes(n)
+    return 0 if any(n % (p * p) == 0 for p in ps) else (-1) ** len(ps)
 
 
 @lru_cache(maxsize=None)
 def _euler_phi(n):
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
+    for p in _primes(n):
+        n -= n // p
+    return n
 
 
 # ----------------------------------------------------------------------
@@ -156,51 +154,38 @@ def _fold(raw, level):
     return {e: c for e, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
-def _subfield_levels(level):
-    """Proper divisors of `level` that are multiples of 4, ascending."""
-    return tuple(d for d in range(4, level) if level % d == 0 and d % 4 == 0)
+def _is_support_test(level, p):
+    """Whether each zeta_(level/p)^j, j < phi(level/p), is the basis vector zeta_level^(j p)."""
+    sub = level // p
+    return sub % p == 0 or _euler_phi(sub) < p
 
 
 @lru_cache(maxsize=None)
-def _demotion_map(level, m):
-    """The embedding Q(zeta_m) -> Q(zeta_level), solved once.
+def _descent_primes(level):
+    """The primes p with 4 | level/p, those that `_is_support_test` decides first."""
+    return tuple(sorted((p for p in _primes(level) if level % (4 * p) == 0),
+                        key=lambda p: not _is_support_test(level, p)))
 
-    Column j of the embedding matrix E (phi(level) x phi(m)) holds the
-    coordinates of zeta_level^(j*level/m).  Returns ``(support, pivots,
-    inverse)``: the rows where E is nonzero, phi(m) rows P with E[P, :]
-    invertible, and the rows of E[P, :]^-1 as (index, Fraction) pairs.
-    """
-    step = level // m
-    phi_m = _euler_phi(m)
-    cols = [_fold({j * step: 1}, level) for j in range(phi_m)]
-    support = frozenset(e for col in cols for e in col)
-    # Gauss-Jordan on [E^T | I]: the row operations R that bring E^T to
-    # reduced echelon form equal (E[P, :]^T)^-1 on its pivot columns P.
-    rows = [[Fraction(col.get(e, 0)) for e in range(_euler_phi(level))]
-            + [Fraction(int(j == k)) for k in range(phi_m)]
-            for j, col in enumerate(cols)]
-    pivots = []
-    for e in sorted(support):
-        r = len(pivots)
-        piv = next((i for i in range(r, phi_m) if rows[i][e]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][e]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(phi_m):
-            if i != r and rows[i][e]:
-                f = rows[i][e]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(e)
-        if len(pivots) == phi_m:
-            break
-    assert len(pivots) == phi_m, "the embedding of a subfield is injective"
-    right = [row[-phi_m:] for row in rows]  # R = (E[P, :]^T)^-1
-    inverse = tuple(tuple((k, right[k][j]) for k in range(phi_m) if right[k][j])
-                    for j in range(phi_m))
-    return support, tuple(pivots), inverse
+
+def _descend(level, nums, p):
+    """The numerators at level/p of the value nums at `level`, or None if it is not there."""
+    sub = level // p
+    if _is_support_test(level, p):
+        if any(e % p for e in nums):
+            return None
+        return {e // p: c for e, c in nums.items()}
+    # p does not divide sub: zeta_level^e = zeta_sub^(e s) * zeta_p^(e t)
+    s, t = pow(p, -1, sub), pow(sub, -1, p)
+    groups = [{} for _ in range(p)]  # X_b: the terms with e t = b mod p, at level sub
+    for e, c in nums.items():
+        groups[e * t % p][e * s % sub] = c
+    top = _fold(groups[-1], sub)
+    if any(_fold(g, sub) != top for g in groups[1:-1]):
+        return None
+    out = _fold(groups[0], sub)  # X_0 + X_(p-1) (zeta_p + ... + zeta_p^(p-1))
+    for k, c in top.items():
+        out[k] = out.get(k, 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -308,35 +293,19 @@ class CyclotomicNumber:
                      _fold({e * step: c for e, c in self.nums.items()}, new_level))
 
     def demote(self):
-        """Canonical form: the smallest level (multiple of 4) containing the value."""
+        """Canonical form: the smallest level (multiple of 4) containing the value.
+
+        Drops one prime p at a time while the value lies in Q(zeta_{L/p}), 4 | L/p
+        (see the module docstring).  A prime that fails at L fails at every level
+        below it, so each prime is dropped until it fails and never tried again.
+        """
         if not self.nums:
             return _make(4, 1, {}) if self.level != 4 else self
-        for m in _subfield_levels(self.level):
-            down = self._try_demote(m)
-            if down is not None:
-                return down
-        return self
-
-    def _try_demote(self, m):
-        step = self.level // m
-        if (_euler_phi(m) - 1) * step < _euler_phi(self.level):  # pivots j * step, inverse 1
-            if any(e % step for e in self.nums):
-                return None
-            return _make(m, self.den, {e // step: c for e, c in self.nums.items()})
-        # Solve promote(b, level) == self for b in Q(zeta_m) through the cached map.
-        support, pivots, inverse = _demotion_map(self.level, m)
-        if not self.nums.keys() <= support:
-            return None
-        coeffs = self.coeffs
-        at = [coeffs.get(e, 0) for e in pivots]
-        sol = {}
-        for j, row in enumerate(inverse):
-            c = sum(a * at[k] for k, a in row)
-            if c:
-                sol[j] = c
-        if _fold({j * step: c for j, c in sol.items()}, self.level) != coeffs:
-            return None  # inconsistent: value not in the subfield
-        return CyclotomicNumber(m, sol)
+        level, nums = self.level, self.nums
+        for p in _descent_primes(level):
+            while level % (4 * p) == 0 and (down := _descend(level, nums, p)) is not None:
+                level, nums = level // p, down
+        return self if level == self.level else _make(level, self.den, nums)
 
     @staticmethod
     def _common(a, b):
@@ -439,8 +408,9 @@ class CyclotomicNumber:
 
 
 _ZERO = _make(4, 1, {})
-# The largest level `ExactScalar.from_text` accepts: a level's tables cost about
-# its cube to build (1000 takes half a second); computed levels are not bounded.
+# The largest level `ExactScalar.from_text` accepts: a level's fold and trace tables
+# cost about its square to build (0.02 and 0.05 s at 1020, 0.2 and 0.8 s at 4080);
+# computed levels are not bounded.
 MAX_TEXT_LEVEL = 1024
 
 
@@ -578,16 +548,18 @@ class ExactScalar:
             m = ExactScalar._TERM_RE.match(raw.strip())
             if not m:
                 raise ScalarError(f"unparseable scalar term: {raw!r}")
-            grades.add(int(m.group("pik")))
+            try:
+                pik, rat = int(m.group("pik")), Fraction(m.group("rat"))
+                level, exp = int(m.group("lvl") or 4), int(m.group("exp") or 0)
+            except ValueError:  # the pattern admits only digits: past Python's digit limit
+                raise _digit_limit(max(map(len, re.findall(r"\d+", raw)))) from None
+            grades.add(pik)
             if len(grades) > 1:
                 raise ScalarError(f"scalar mixes pi-grades {sorted(grades)}")
-            cyc = CyclotomicNumber.from_rational(Fraction(m.group("rat")))
-            if m.group("lvl") is not None:
-                level = int(m.group("lvl"))
-                if level > MAX_TEXT_LEVEL:
-                    raise ScalarError(f"cyclotomic level {level} exceeds {MAX_TEXT_LEVEL}")
-                cyc = CyclotomicNumber.zeta(level, int(m.group("exp"))) * cyc
-            total = total + ExactScalar(int(m.group("pik")), cyc)
+            if level > MAX_TEXT_LEVEL:
+                raise ScalarError(f"cyclotomic level {level} exceeds {MAX_TEXT_LEVEL}")
+            cyc = CyclotomicNumber.zeta(level, exp) * CyclotomicNumber.from_rational(rat)
+            total = total + ExactScalar(pik, cyc)
         return total
 
     def complex_value(self):
@@ -608,11 +580,34 @@ def _coerce(x):
 def _scalar_text(pi, level, den, nums):
     """`to_text` of sum nums[e] zeta_level^e / den * pi^pi at its canonical level."""
     parts = []
-    for e, n in sorted(nums.items()):  # nonzero numerators
-        g = math.gcd(n, den)
-        q = f"{n // g}" if den == g else f"{n // g}/{den // g}"
-        parts.append(f"({q if e == 0 else f'{q}*z{level}^{e}'})*pi^{pi}")
+    try:
+        for e, n in sorted(nums.items()):  # nonzero numerators
+            g = math.gcd(n, den)
+            q = f"{n // g}" if den == g else f"{n // g}/{den // g}"
+            parts.append(f"({q if e == 0 else f'{q}*z{level}^{e}'})*pi^{pi}")
+    except ValueError:  # str of an int fails only past Python's digit limit
+        raise _digit_limit(_digits(max(abs(n), den) // g)) from None
     return " + ".join(parts) or "0"
+
+
+def _digits(n):
+    """The number of decimal digits of |n|, 1 for 0, counted without writing n as text."""
+    k = int((abs(n).bit_length() - 1) * math.log10(2)) + 1  # 10^(k-1) <= |n| < 10^(k+1)
+    return k + (abs(n) >= 10 ** k)
+
+
+def _digit_limit(digits):
+    """The `ScalarError` for an integer past Python's int/text digit limit."""
+    return ScalarError(f"an integer of {digits} digits is past the limit of "
+                       f"{sys.get_int_max_str_digits()} digits for integer text")
+
+
+def _int_text(n):
+    """str(n), or a `ScalarError` past Python's digit limit for int-to-text conversion."""
+    try:
+        return str(n)
+    except ValueError:  # str of an int fails only past the digit limit
+        raise _digit_limit(_digits(n)) from None
 
 
 def approx_display(a, digits=4):
@@ -642,7 +637,7 @@ def _e_display(a, digits):
     x, p = a.value, a.pi * math.log10(math.pi)  # pi^k = 10^p
     texts = []
     for y, trig in ((x + x.galois(-1), math.cos), (x - x.galois(-1), math.sin)):
-        t = len(str(max(map(abs, y.nums.values()), default=0))) - len(str(y.den)) + math.floor(p)
+        t = _digits(max(map(abs, y.nums.values()), default=0)) - _digits(y.den) + math.floor(p)
         scale = Fraction(10) ** (math.floor(p) - t) / y.den
         v = sum(float(n * scale) * trig(2 * math.pi * e / y.level) for e, n in y.nums.items())
         mantissa, exponent = f"{v * 10 ** (p % 1) / 2:.{digits}e}".split("e")

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -290,6 +291,27 @@ class TestCharacterCommand:
         germ = runner.invoke(main, ["germ", "--model", str(path), "--at", "0"])
         assert germ.exit_code == 0, germ.output
         assert [t["approx"] for t in json.loads(germ.output)["germ"]["terms"]] == ["6.2832e+400"]
+
+    @pytest.mark.parametrize("extra, message", [
+        (0, "error: an integer of "),
+        (701, "error: cannot load model"),
+    ], ids=["report-past-the-limit", "pairing-past-the-limit"])
+    def test_integers_past_the_text_digit_limit_exit_two(self, runner, calibrated, extra,
+                                                         message):
+        # a pairing at the limit parses, and its coefficients have one digit more
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer text has no digit limit here")
+        doc = model_to_document(build_preset("hopf", (1,)))
+        doc["components"][0]["pairing"][0]["value"] = f"(4{'0' * (limit + extra - 1)})*pi^2"
+        path = calibrated / "huge.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["character", "--model", str(path), "--max-m", "50"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith(message), result.stderr[:200]
+        assert f"digits is past the limit of {limit} digits for integer text" in result.stderr
+        if extra:
+            assert "components[0].pairing[0].value: malformed scalar" in result.stderr
 
     def test_preset_and_model_are_mutually_exclusive(self, runner, calibrated):
         result = runner.invoke(main, ["character", "--preset", "circle",

@@ -64,6 +64,42 @@ def test_promotion_is_a_ring_homomorphism(case):
     assert canonical(x + y) == canonical(up_x + up_y)
 
 
+# p^2 | L (72), p dividing L once with phi(L/p) < p (44), and p dividing L once
+# with phi(L/p) >= p, where the value is split along zeta_p (60, 420, 660, 1020)
+DESCENT_LEVELS = (72, 44, 60, 420, 660, 1020)
+
+
+@st.composite
+def descent_case(draw):
+    """A number at one of `DESCENT_LEVELS` made from one or two subfield values, not demoted,
+    and in half the draws moved off its subfield by a root of unity."""
+    level = draw(st.sampled_from(DESCENT_LEVELS))
+    subfields = [m for m in range(4, level + 1, 4) if level % m == 0]
+    coeffs = {}
+    for m in draw(st.lists(st.sampled_from(subfields), min_size=1, max_size=2)):
+        for e, c in draw(at_level(m)).promote(level).coeffs.items():
+            coeffs[e] = coeffs.get(e, 0) + c
+    x = CyclotomicNumber(level, coeffs)
+    if draw(st.booleans()):
+        x = (x * CyclotomicNumber.zeta(level, draw(st.integers(1, level - 1)))).promote(level)
+    return x
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(descent_case())
+@example(CyclotomicNumber.root_of_unity(1, 5).promote(60))
+@example(CyclotomicNumber.root_of_unity(1, 3).promote(72))
+@example(CyclotomicNumber.zeta(1020, 255))
+def test_demotion_stops_at_the_smallest_level(x):
+    # Q(zeta_m) inside Q(zeta_L) is the field fixed by the units t = 1 mod m; only
+    # `galois` and `==` decide it, and neither demotes
+    d = x.demote().level
+    units = [t for t in range(1, x.level) if math.gcd(t, x.level) == 1]
+    assert all(x.galois(t) == x for t in units if t % d == 1)
+    for p in (p for p in range(2, d) if d % (4 * p) == 0 and all(p % q for q in range(2, p))):
+        assert any(x.galois(t) != x for t in units if t % (d // p) == 1), (x.level, d, p)
+
+
 GALOIS_LEVELS = (12, 20, 28, 44, 52, 60, 68)
 
 

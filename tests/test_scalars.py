@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from contact_index.scalars import (MAX_TEXT_LEVEL, CyclotomicNumber, ExactScalar, ScalarError,
-                                   _demotion_map, _euler_phi, _fold_table, _subfield_levels,
-                                   approx_display, cyclotomic_polynomial)
+                                   _fold_table, approx_display, cyclotomic_polynomial)
 
 
 ONE = ExactScalar.one()
@@ -52,28 +51,15 @@ class TestCyclotomicLevels:
         (CyclotomicNumber.root_of_unity(1, 13), 572, 52),
         (CyclotomicNumber.root_of_unity(1, 3), 60, 12),
         (CyclotomicNumber.root_of_unity(1, 11) * CyclotomicNumber.root_of_unity(1, 13), 572, 572),
-    ], ids=["i@24", "i@420", "zeta11@572", "zeta13@572", "zeta3@60", "zeta11*zeta13@572"])
+        (CyclotomicNumber.root_of_unity(1, 5), 60, 20),
+        (ExactScalar.from_text("(1*z1020^255)*pi^0").value, 1020, 4),
+        (ExactScalar.from_text("(1*z1020^1)*pi^0 + (2*z1020^5)*pi^0").value, 1020, 1020),
+    ], ids=["i@24", "i@420", "zeta11@572", "zeta13@572", "zeta3@60", "zeta11*zeta13@572",
+            "zeta5@60", "z1020^255-is-i", "z1020-stays"])
     def test_demote_round_trip(self, value, level, expected):
         down = value.promote(level).demote()
         assert down.level == expected == value.level
         assert down.coeffs == value.coeffs
-
-    def test_demotion_below_the_first_fold_is_a_support_test(self):
-        # (phi(m) - 1) * L/m < phi(L): every zeta_m^j embeds as one basis vector
-        for level in range(8, 136, 4):
-            for m in _subfield_levels(level):
-                step = level // m
-                support, pivots, inverse = _demotion_map(level, m)
-                if (_euler_phi(m) - 1) * step < _euler_phi(level):
-                    grid = tuple(j * step for j in range(_euler_phi(m)))
-                    assert pivots == grid and support == frozenset(grid), (level, m)
-                    assert inverse == tuple(((j, 1),) for j in range(len(grid))), (level, m)
-
-    def test_demotion_below_the_first_fold_builds_no_map(self):
-        # every subfield of level 1024 is of the support-test kind
-        _demotion_map.cache_clear()
-        assert ExactScalar.from_text("(1*z1024^1)*pi^0").value.level == 1024
-        assert _demotion_map.cache_info().currsize == 0
 
     def test_cross_level_equality(self):
         a = CyclotomicNumber.root_of_unity(1, 4)
@@ -211,6 +197,17 @@ class TestTextForm:
             ExactScalar.from_text(f"(1)*pi^0 + (1*z{level}^1)*pi^0")
         assert _fold_table.cache_info().misses == misses
 
+    @pytest.mark.parametrize("text_of", [
+        lambda digits: ExactScalar.from_rational(10 ** (digits - 1)).to_text(),
+        lambda digits: ExactScalar.from_text(f"(1/{'1' * digits})*pi^0"),
+    ], ids=["to_text", "from_text"])
+    def test_integers_past_the_text_digit_limit_raise_a_scalar_error(self, text_of):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer text has no digit limit here")
+        with pytest.raises(ScalarError, match=f"of {limit + 1} digits is past the limit of {limit}"):
+            text_of(limit + 1)
+
     @pytest.mark.parametrize("level", [0, -4, 6])
     def test_zeta_rejects_a_level_that_is_not_a_positive_multiple_of_four(self, level):
         with pytest.raises(ScalarError, match="positive multiple of 4"):
@@ -245,7 +242,9 @@ class TestApproxDisplay:
         (ExactScalar(0, CyclotomicNumber(4, {1: -10 ** 400})), "0-1e+400i"),
         (ExactScalar.from_rational(Fraction(-10 ** 400, 3)), "-3.3333e+399"),
         (ExactScalar.from_rational(2 ** 1024), "1.7977e+308"),
-    ], ids=["10^400", "10^400-z12", "pi^1000", "minus-10^400-i", "over-three", "2^1024"])
+        (ExactScalar.from_rational(Fraction(-10 ** 5000, 3)), "-3.3333e+4999"),
+    ], ids=["10^400", "10^400-z12", "pi^1000", "minus-10^400-i", "over-three", "2^1024",
+            "past-the-text-digit-limit"])
     def test_a_value_beyond_double_range_prints_in_e_notation(self, value, expected):
         assert approx_display(value, 4) == expected
 
