@@ -293,7 +293,9 @@ def _parse_scalar(text, path):
     try:
         return ExactScalar.from_text(text)
     except ScalarError as exc:
-        raise ModelError(f"{path}: malformed scalar {text!r} ({exc})") from None
+        shown = repr(text) if len(text) <= 60 else \
+            f"{text[:24]!r}...{text[-24:]!r} of {len(text)} characters"
+        raise ModelError(f"{path}: malformed scalar {shown} ({exc})") from None
 
 
 def _get(doc, key, path):

@@ -8,8 +8,9 @@ and at the jet order in phi.  The smooth jets in phi are thus no separate
 type: a jet is the list of a generator monomial's phi coefficients.  The
 delta form of `j_form` holds germ coefficients at phi exponent 0 and never
 enters the ring's products: `integrate_component` groups the smooth terms
-by generator monomial into phi-coefficient lists and pairs each with a
-germ at top degree only, the one degree that integrates.
+by generator monomial into phi-coefficient lists and pairs a list of
+degree d only with the delta terms of degree k - d, so every product lands
+on top degree, the one degree that integrates.
 
 The module also builds the two power series the localization consumes:
 
@@ -18,20 +19,19 @@ The module also builds the two power series the localization consumes:
 * the inverse normal determinant factor (1 - lambda e^x)^-1 for a normal
   root with torsion eigenvalue lambda != 1.
 
-Rational series are computed over Q: the Todd series, its powers and the
-exponential series are lists of `Fraction`s, lifted to exact scalars only at
-evaluation.  The normal factor has a cyclotomic eigenvalue and runs in
-`ExactScalar`; the inversion and power kernels take either type.
+For r equal roots both are powers of a simple series: h^-r for Todd, with h =
+(1-e^-x)/x or (e^x-1)/x, and (1-lambda e^x)^-r.  Both kernels take any integer
+exponent by J.C.P. Miller's recurrence (the inverse is the power -1; there is
+no `_series_invert`): `_rational_power` computes the rational Todd powers in
+Python integers, `_series_power` the cyclotomic normal factor in `ExactScalar`.
 
 Series are evaluated as power sums over the truncated algebra, each as long as
 its argument reads (`_series_length`): the argument (curvature part plus a
 multiple of phi) is nilpotent there, so every evaluation is finite and exact.
 
-Both products over roots group equal roots first: a group of r equal roots
-(all n+1 tangential roots of the Hopf sphere, say) raises its scalar series
-to the r-th power by J.C.P. Miller's recurrence and is evaluated once.  The
-per-root checks (tangential roots for Todd, eigenvalue != 1 for the normal
-factor) still run on every root.
+Both products over roots evaluate one power per group of equal roots (all
+n+1 tangential roots of the Hopf sphere, say); the per-root checks (tangential
+roots for Todd, eigenvalue != 1 for the normal factor) run on every root.
 """
 
 from __future__ import annotations
@@ -101,10 +101,6 @@ class FormElement:
         g = tuple(generators)
         return FormElement(g, truncation, jet_order, {(0,) * (len(g) + 1): ExactScalar.one()})
 
-    @staticmethod
-    def zero(generators, truncation, jet_order):
-        return FormElement(generators, truncation, jet_order, {})
-
     # -- structural helpers -----------------------------------------------
 
     def _check(self, other):
@@ -170,54 +166,40 @@ class FormElement:
 # power series over the truncated algebra
 # ----------------------------------------------------------------------
 
-def _series_invert(coeffs):
-    """Multiplicative inverse of a power series with invertible constant term.
-
-    The coefficients are all `Fraction`s or all `ExactScalar`s; the inverse
-    has the same type.  Only +, *, 1 / f0 and negation are used.
-    """
-    inv0 = 1 / coeffs[0]
-    out = [inv0]
-    for n in range(1, len(coeffs)):
-        acc = coeffs[1] * out[n - 1]
-        for j in range(2, n + 1):
-            acc = acc + coeffs[j] * out[n - j]
-        out.append(-inv0 * acc)
-    return out
-
-
-def _exp_series(length):
-    """Coefficients of e^t up to the given length, as `Fraction`s."""
-    return [Fraction(1, math.factorial(n)) for n in range(length)]
+def _todd_quotient(length, direction):
+    """Coefficients of (1-e^-x)/x ("plus") or (e^x-1)/x ("minus"): sum (-+x)^j/(j+1)!."""
+    if direction not in ("plus", "minus"):
+        raise FormError(f"unknown Todd direction {direction!r}")
+    sign = -1 if direction == "plus" else 1
+    return [Fraction(sign ** j, math.factorial(j + 1)) for j in range(length)]
 
 
 def todd_series(length, direction="plus"):
     """Taylor coefficients of the Todd factor.
 
     direction "plus" gives x/(1-e^-x) (coefficients 1, 1/2, 1/12, 0, -1/720,
-    ...), direction "minus" gives x/(e^x-1).  Computed over Q, as `Fraction`s,
-    by exact power-series division; the Bernoulli-number recurrence serves as
-    the independent check in the test suite.
+    ...), direction "minus" gives x/(e^x-1): the power -1 of the quotient over Q,
+    by `_rational_power`; the tests check it by the Bernoulli-number recurrence.
     """
-    if direction not in ("plus", "minus"):
-        raise FormError(f"unknown Todd direction {direction!r}")
-    # "plus": (1-e^-x)/x = sum (-x)^j/(j+1)!; "minus": (e^x-1)/x = sum x^j/(j+1)!
-    sign = -1 if direction == "plus" else 1
-    return _series_invert([Fraction(sign ** j, math.factorial(j + 1)) for j in range(length)])
+    return _rational_power(_todd_quotient(length, direction), -1)
 
 
 _EIGENVALUE_ONE = ("fixed-set mismatch: normal eigenvalue 1 means the direction "
                    "is tangential and the component was mis-identified")
 
 
+def _normal_determinant(eigenvalue, length):
+    """Taylor coefficients of 1 - lambda e^t for lambda != 1, as `ExactScalar`s."""
+    lam = _coerce(eigenvalue)
+    head = ExactScalar.one() - lam
+    if head.is_zero():
+        raise FormError(_EIGENVALUE_ONE)
+    return [head] + [-(lam * Fraction(1, math.factorial(n))) for n in range(1, length)]
+
+
 def normal_factor_series(eigenvalue, length):
     """Taylor coefficients of (1 - lambda e^t)^-1 for lambda != 1."""
-    lam = _coerce(eigenvalue)
-    if (ExactScalar.one() - lam).is_zero():
-        raise FormError(_EIGENVALUE_ONE)
-    exp_t = _exp_series(length)
-    series = [ExactScalar.one() - lam * exp_t[0]] + [-(lam * c) for c in exp_t[1:]]
-    return _series_invert(series)
+    return _series_power(_normal_determinant(eigenvalue, length), -1)
 
 
 def evaluate_series(coeffs, element):
@@ -228,7 +210,7 @@ def evaluate_series(coeffs, element):
     jet order, and already for j > truncation when no term carries a phi
     power (a root of weight 0).  The series must be long enough for the
     terms that survive.  Zero terms and powers past the last term are
-    skipped: O(k) products for i a dA.
+    skipped: O(k) products for i a dA.  The sum is kept in one term map.
     """
     if (0,) * (len(element.generators) + 1) in element.terms:
         raise FormError("series argument must have zero constant term")
@@ -239,13 +221,15 @@ def evaluate_series(coeffs, element):
         raise FormError(f"series too short: need {need} coefficients, got {len(coeffs)}")
     last = max((j for j in range(need) if coeffs[j]), default=-1)
     gens, trunc, order = element.generators, element.truncation, element.jet_order
-    acc, power = FormElement.zero(gens, trunc, order), FormElement.one(gens, trunc, order)
+    acc, power = {}, FormElement.one(gens, trunc, order)
     for j in range(last + 1):
         if j:
             power = element if j == 1 else power * element
         if coeffs[j]:
-            acc = acc + power * coeffs[j]
-    return acc
+            for exp, c in power.terms.items():
+                term = c * coeffs[j]
+                acc[exp] = acc[exp] + term if exp in acc else term
+    return FormElement(gens, trunc, order, acc)
 
 
 def root_value(root, generators, truncation, jet_order):
@@ -263,8 +247,9 @@ def todd(roots, generators, truncation, *, jet_order, direction="plus"):
         if not root.is_tangential():
             raise FormError("Todd factors take tangential roots only "
                             "(torsion eigenvalue must be 1)")
-    series = todd_series(_series_length(roots, truncation, jet_order), direction)
-    return _root_product(roots, lambda root, n: series[:n], generators, truncation, jet_order)
+    quotient = _todd_quotient(_series_length(roots, truncation, jet_order), direction)
+    return _root_product(roots, lambda root, n, r: _rational_power(quotient[:n], -r),
+                         generators, truncation, jet_order)
 
 
 def dc_inverse(roots, generators, truncation, *, jet_order):
@@ -272,8 +257,9 @@ def dc_inverse(roots, generators, truncation, *, jet_order):
     for root in roots:
         if root.is_tangential():
             raise FormError(_EIGENVALUE_ONE)
-    return _root_product(roots, lambda root, n: normal_factor_series(root.eigenvalue(), n),
-                         generators, truncation, jet_order)
+    return _root_product(
+        roots, lambda root, n, r: _series_power(_normal_determinant(root.eigenvalue(), n), -r),
+        generators, truncation, jet_order)
 
 
 def _series_length(roots, truncation, jet_order):
@@ -281,12 +267,11 @@ def _series_length(roots, truncation, jet_order):
     return truncation + 1 + (jet_order if any(root.weight[0] for root in roots) else 0)
 
 
-def _root_product(roots, series_of, generators, truncation, jet_order):
-    """Product over roots of series_of(root, length) evaluated at root_value(root).
+def _root_product(roots, power_of, generators, truncation, jet_order):
+    """Product over root groups of power_of(root, length, r) evaluated at root_value(root).
 
-    Equal roots are grouped (a list scan: the scalars are unhashable); a
-    group of r equal roots contributes the r-th power of its series,
-    evaluated once, all at the group's `_series_length`.
+    Equal roots are grouped (a list scan: the scalars are unhashable); a group of
+    r equal roots is evaluated once, as power_of(root, its `_series_length`, r).
     """
     groups = []
     for root in roots:
@@ -299,27 +284,22 @@ def _root_product(roots, series_of, generators, truncation, jet_order):
     acc = FormElement.one(generators, truncation, jet_order)
     for root, count in groups:
         n = _series_length([root], truncation, jet_order)
-        acc = acc * evaluate_series(_series_power(series_of(root, n), count),
+        acc = acc * evaluate_series(power_of(root, n, count),
                                     root_value(root, generators, truncation, jet_order))
     return acc
 
 
 def _series_power(coeffs, r):
-    """The r-th power of a power series with invertible constant term.
+    """The r-th power, r any integer, of a series of `ExactScalar`s with invertible f_0.
 
-    J.C.P. Miller's recurrence: g_0 = f_0^r and
+    J.C.P. Miller's recurrence: g_0 = f_0^r and, skipping zero terms,
     g_n = (1 / (n f_0)) sum_{k=1..n} ((r+1) k - n) f_k g_{n-k},
-    exact and truncated at the length of the input.  As in `_series_invert`
-    the coefficients are all `Fraction`s or all `ExactScalar`s; zero
-    coefficients are skipped by their truth value.
+    truncated at the length of the input; r = -1 is the inverse.
     """
-    if r == 1:
-        return list(coeffs)
-    f0 = coeffs[0]
-    inv0 = 1 / f0
+    f0, inv0 = coeffs[0], 1 / coeffs[0]
     g0 = f0 * inv0  # one, in the coefficients' type
-    for _ in range(r):
-        g0 = g0 * f0
+    for _ in range(abs(r)):
+        g0 = g0 * (f0 if r > 0 else inv0)
     out = [g0]
     for n in range(1, len(coeffs)):
         acc = 0
@@ -328,6 +308,30 @@ def _series_power(coeffs, r):
             if weight and coeffs[k]:
                 acc = acc + coeffs[k] * out[n - k] * weight
         out.append(acc * inv0 * Fraction(1, n))
+    return out
+
+
+def _rational_power(coeffs, r):
+    """The r-th power, r any integer, of a series of `Fraction`s with f_0 != 0, in integers.
+
+    Miller's recurrence over one denominator: with f_k = F_k / D,
+    g_n = f_0^r A_n / (n! F_0^n), A_0 = 1, and
+    A_n = sum_{k=1..n} ((r+1) k - n) F_k A_{n-k} (n-1)!/(n-k)! F_0^(k-1),
+    so every A_n is an integer and each coefficient costs one `Fraction`.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    g0 = Fraction(nums[0], den) ** r
+    tilted = [f * nums[0] ** (k - 1) if k else 0 for k, f in enumerate(nums)]  # F_k F_0^(k-1)
+    a, out, scale = [1], [g0], 1
+    for n in range(1, len(nums)):
+        acc, falling = 0, 1  # falling = (n-1)!/(n-k)!
+        for k in range(1, n + 1):
+            acc += ((r + 1) * k - n) * tilted[k] * a[n - k] * falling
+            falling *= n - k
+        a.append(acc)
+        scale *= n * nums[0]  # n! F_0^n
+        out.append(Fraction(g0.numerator * acc, g0.denominator * scale))
     return out
 
 
@@ -379,14 +383,16 @@ def integrate_component(smooth, delta, pairing):
         jet = jets.setdefault(exp[:-1], [])
         jet.extend([ExactScalar.zero()] * (exp[-1] + 1 - len(jet)))
         jet[exp[-1]] = c
+    by_degree = {}
+    for exp, germ in delta.terms.items():
+        by_degree.setdefault(sum(exp), []).append((exp, germ))
     k = smooth.truncation
     top = {}
     for e1, jet in jets.items():
-        for e2, germ in delta.terms.items():
+        for e2, germ in by_degree.get(k - sum(e1), ()):
             exp = tuple(a + b for a, b in zip(e1, e2))  # e2's phi exponent 0 drops out
-            if sum(exp) == k:
-                prod = multiply_smooth(germ, jet)
-                top[exp] = top[exp] + prod if exp in top else prod
+            prod = multiply_smooth(germ, jet)
+            top[exp] = top[exp] + prod if exp in top else prod
     total = DeltaGerm.zero()
     for exp, germ in top.items():
         if germ.is_zero():

@@ -611,7 +611,7 @@ def _int_text(n):
 
 
 def approx_display(a, digits=4):
-    """Decimal rendering for reports only; an exactly real value shows no imaginary part.
+    """Report-only decimals: no imaginary part if exactly real, real part 0 if exactly imaginary.
 
     The digits are those of a double, so past about 15 they show float noise:
     the CLI bounds `--digits` to 0..15.  Past double range see `_e_display`.
@@ -624,8 +624,9 @@ def approx_display(a, digits=4):
     if not cmath.isfinite(z):
         return _e_display(a, digits)
     re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
-    if not z.imag or x == x.galois(-1):
+    if not z.imag or x == (conj := x.galois(-1)):
         return re_s
+    re_s = "0" if x == -conj else re_s
     im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_s}{sign}{im_s}i"

@@ -310,8 +310,10 @@ class TestCharacterCommand:
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith(message), result.stderr[:200]
         assert f"digits is past the limit of {limit} digits for integer text" in result.stderr
+        assert len(result.stderr) < 400, result.stderr[:600]
         if extra:
             assert "components[0].pairing[0].value: malformed scalar" in result.stderr
+            assert f"of {limit + extra + 7} characters" in result.stderr
 
     def test_preset_and_model_are_mutually_exclusive(self, runner, calibrated):
         result = runner.invoke(main, ["character", "--preset", "circle",

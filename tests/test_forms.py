@@ -12,9 +12,10 @@ from contact_index import forms
 from contact_index.catalog import FixedComponentData
 from contact_index.deltas import DeltaGerm
 from contact_index.engine import CalibrationConfig, build_preset, germ_at
-from contact_index.forms import (ChernRoot, FormElement, FormError, _series_power,
-                                 dc_inverse, evaluate_series, integrate_component, j_form,
-                                 normal_factor_series, root_value, todd, todd_series)
+from contact_index.forms import (ChernRoot, FormElement, FormError, _rational_power,
+                                 _series_power, dc_inverse, evaluate_series,
+                                 integrate_component, j_form, normal_factor_series,
+                                 root_value, todd, todd_series)
 from contact_index.scalars import CyclotomicNumber, ExactScalar
 
 ONE = ExactScalar.one()
@@ -164,14 +165,15 @@ class TestGroupedRoots:
     def test_series_power_against_repeated_multiplication(self, r, kind):
         length = 8
         if kind == "todd":
-            f = todd_series(length, "plus")
+            f, power = todd_series(length, "plus"), _rational_power
         else:  # constant term 1/(1 - zeta_5^2) != 1
             f = normal_factor_series(CyclotomicNumber.root_of_unity(2, 5), length)
+            power = _series_power
         expected = [ONE] + [ExactScalar.zero()] * (length - 1)
         for _ in range(r):
             expected = [sum((expected[j] * f[n - j] for j in range(n + 1)), ExactScalar.zero())
                         for n in range(length)]
-        got = _series_power(f, r)
+        got = power(f, r)
         assert len(got) == length
         assert all(a == b for a, b in zip(got, expected))
 
@@ -254,19 +256,14 @@ class TestSeriesSizing:
 
     @staticmethod
     def spy(monkeypatch):
-        seen = {"todd_series": [], "_series_power": []}
-        real_todd_series, real_series_power = forms.todd_series, forms._series_power
-
-        def spy_todd_series(length, direction="plus"):
-            seen["todd_series"].append(length)
-            return real_todd_series(length, direction)
-
-        def spy_series_power(coeffs, r):
-            seen["_series_power"].append(len(coeffs))
-            return real_series_power(coeffs, r)
-
-        monkeypatch.setattr(forms, "todd_series", spy_todd_series)
-        monkeypatch.setattr(forms, "_series_power", spy_series_power)
+        """Record the length each series kernel is called at."""
+        seen = {"_todd_quotient": [], "_rational_power": [], "_series_power": []}
+        for name in seen:
+            def spied(first, *args, name=name, real=getattr(forms, name)):
+                # `_todd_quotient` takes a length, the power kernels a series
+                seen[name].append(first if isinstance(first, int) else len(first))
+                return real(first, *args)
+            monkeypatch.setattr(forms, name, spied)
         return seen
 
     def test_hopf_tangential_roots_read_the_truncation_only(self, monkeypatch):
@@ -275,26 +272,26 @@ class TestSeriesSizing:
         assert comp.k == 20 and len(comp.tangential) == 21
         seen = self.spy(monkeypatch)
         todd(comp.tangential, comp.generators, 20, jet_order=20)
-        assert seen == {"todd_series": [21], "_series_power": [21]}
-        # the engine asks for the same: jet order k, and one Todd series
-        seen["todd_series"].clear()
+        assert seen == {"_todd_quotient": [21], "_rational_power": [21], "_series_power": []}
+        # the engine asks for the same: jet order k, and one Todd quotient
+        seen["_todd_quotient"].clear()
         germ_at(model, 0)
-        assert seen["todd_series"] == [21]
+        assert seen["_todd_quotient"] == [21]
 
     def test_a_root_of_nonzero_weight_adds_the_jet_order(self, monkeypatch):
         flat = ChernRoot(curvature=(I,), weight=(0,))
         turning = ChernRoot(curvature=(I,), weight=(2,))
         seen = self.spy(monkeypatch)
         todd([flat, turning, flat], ("dA",), 2, jet_order=3)
-        # one series at the longest length, a prefix for the weight-0 group
-        assert seen == {"todd_series": [6], "_series_power": [3, 6]}
+        # one quotient at the longest length, a prefix for the weight-0 group
+        assert seen == {"_todd_quotient": [6], "_rational_power": [3, 6], "_series_power": []}
 
     def test_circle_normal_series_has_jet_order_plus_one_terms(self, monkeypatch):
         (comp,) = build_preset("weighted-s3", (2, 3)).components[Fraction(1, 2)]
         assert comp.k == 0 and len(comp.normal) == 1 and comp.normal[0].weight[0]
         seen = self.spy(monkeypatch)
         dc_inverse(comp.normal, comp.generators, 0, jet_order=5)
-        assert seen == {"todd_series": [], "_series_power": [6]}
+        assert seen == {"_todd_quotient": [], "_rational_power": [], "_series_power": [6]}
 
 
 def _sphere_component():
@@ -432,7 +429,7 @@ class TestIntegrate:
         assert germ == DeltaGerm.delta(0) * I - DeltaGerm.delta(1)
 
     def test_zero_form_integrates_to_zero(self):
-        zero = FormElement.zero(("dA",), 1, 4)
+        zero = FormElement(("dA",), 1, 4)
         delta = j_form(_sphere_component(), jet_order=4)
         assert integrate_component(zero, delta, {(1,): TWO_PI}).is_zero()
 

@@ -246,13 +246,16 @@ def test_the_rational_route_of_approx_display_matches_the_complex_route(value, d
 
 def display_before_e_notation(a, digits):
     """`approx_display` as it was written before values beyond double range
-    printed in e notation: it raised OverflowError or wrote inf or nan there."""
+    printed in e notation: it raised OverflowError or wrote inf or nan there.
+    An exactly imaginary value shows real part 0, as it does now."""
     x = a.value
     z = complex(x.nums.get(0, 0) / x.den) if not a.pi and x.nums.keys() <= {0} \
         else a.complex_value()
     re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
     if not z.imag or x == x.galois(-1):
         return re_s
+    if x == -x.galois(-1):
+        re_s = "0"
     im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_s}{sign}{im_s}i"

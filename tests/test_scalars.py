@@ -251,6 +251,16 @@ class TestApproxDisplay:
     def test_a_non_real_value_keeps_its_imaginary_part_at_any_digits(self):
         assert approx_display(I, 320).endswith("+1i")
 
+    @pytest.mark.parametrize("value, digits, expected", [
+        (I * 10 ** 20, 4, "0+100000000000000000000i"),
+        (ExactScalar.pi_power(1, Fraction(-5, 6)) * I, 15, "0-2.617993877991494i"),
+        (ExactScalar(0, CyclotomicNumber.zeta(44, 1) - CyclotomicNumber.zeta(44, 43)), 15,
+         "0+0.284629676546571i"),
+    ], ids=["10^20-i", "hopf-germ-term", "z44-difference"])
+    def test_an_exactly_imaginary_value_has_real_part_zero(self, value, digits, expected):
+        # their floats have the noisy real parts 6123.234, -0 and 0.000000000000001
+        assert approx_display(value, digits) == expected
+
     def test_display_never_feeds_back(self):
         # the display is a string; exact arithmetic objects never accept floats
         with pytest.raises(TypeError):

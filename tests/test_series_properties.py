@@ -1,13 +1,15 @@
-"""Property tests: the series kernels give the same values over Q and over
-the cyclotomic scalars, and `evaluate_series` agrees with Horner's rule.
+"""Property tests: the two series power kernels agree, and `evaluate_series`
+agrees with Horner's rule.
 
-`forms._series_invert` and `forms._series_power` are one code path for both
-number types: the Todd series runs them over `Fraction`, the normal factor
-over `ExactScalar`.  `forms.evaluate_series` sums running powers of its
-nilpotent argument and reads only the coefficients that can survive; the
-reference here runs Horner's rule over every coefficient it is given.
-Seeded through a derandomized hypothesis profile, so every run draws the
-same examples.
+`forms._rational_power` raises a series over Q to any integer power in
+Python integers (the Todd factor); `forms._series_power` runs the same
+Miller recurrence over `ExactScalar` (the normal factor).  Both are checked
+against each other, against f^r f^-r = 1 and against repeated truncated
+multiplication, by f itself or, for r < 0, by its inverse from the naive
+recurrence.  `forms.evaluate_series` sums running powers of its nilpotent
+argument and reads only the coefficients that can survive; the reference
+here runs Horner's rule over every coefficient it is given.  Seeded through
+a derandomized hypothesis profile, so every run draws the same examples.
 """
 
 from fractions import Fraction
@@ -18,13 +20,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from contact_index.forms import (FormElement, FormError, _series_invert,  # noqa: E402
+from contact_index.forms import (FormElement, FormError, _rational_power,  # noqa: E402
                                  _series_power, evaluate_series)
 from contact_index.scalars import ExactScalar  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+exponents = st.integers(-5, 5)
 
 
 @st.composite
@@ -47,30 +50,41 @@ def unit(length):
     return [Fraction(1)] + [Fraction(0)] * (length - 1)
 
 
-@DETERMINISTIC
-@given(rational_series())
-def test_inverse_agrees_over_q_and_the_cyclotomic_scalars(f):
-    over_q = _series_invert(f)
-    lifted = _series_invert(lift(f))
-    assert all(type(c) is Fraction for c in over_q)
-    assert all(type(c) is ExactScalar for c in lifted)
-    assert lifted == lift(over_q)
-    assert truncated_product(f, over_q) == unit(len(f))
-    assert truncated_product(lift(f), lifted) == lift(unit(len(f)))
+def naive_inverse(f):
+    """1/f by solving f * g = 1 term by term."""
+    g = [1 / f[0]]
+    for n in range(1, len(f)):
+        g.append(-sum(f[j] * g[n - j] for j in range(1, n + 1)) / f[0])
+    return g
 
 
 @DETERMINISTIC
-@given(rational_series(), st.integers(0, 5))
-def test_power_agrees_over_q_and_the_cyclotomic_scalars(f, r):
-    over_q = _series_power(f, r)
+@given(rational_series(), exponents)
+def test_integer_kernel_agrees_with_the_cyclotomic_kernel(f, r):
+    over_q = _rational_power(f, r)
     lifted = _series_power(lift(f), r)
+    assert len(over_q) == len(f)
     assert all(type(c) is Fraction for c in over_q)
     assert all(type(c) is ExactScalar for c in lifted)
     assert lifted == lift(over_q)
+
+
+@DETERMINISTIC
+@given(rational_series(), exponents)
+def test_power_times_opposite_power_is_one(f, r):
+    assert truncated_product(_rational_power(f, r), _rational_power(f, -r)) == unit(len(f))
+
+
+@DETERMINISTIC
+@given(rational_series(), exponents)
+def test_power_equals_repeated_multiplication(f, r):
+    inverse = naive_inverse(f)
+    assert truncated_product(f, inverse) == unit(len(f))
+    factor = f if r >= 0 else inverse
     expected = unit(len(f))
-    for _ in range(r):
-        expected = truncated_product(f, expected)
-    assert over_q == expected
+    for _ in range(abs(r)):
+        expected = truncated_product(factor, expected)
+    assert _rational_power(f, r) == expected
 
 
 # -- evaluate_series against Horner's rule -----------------------------------

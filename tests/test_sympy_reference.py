@@ -1,9 +1,9 @@
 """sympy as an independent reference for the exact kernels.
 
-The cyclotomic polynomials, inversion in Q(zeta_L), and the Todd and
-normal-factor series are each compared with sympy's own construction:
-`cyclotomic_poly`, `invert` modulo Phi_L over QQ, and power-series
-arithmetic over QQ (`ring_series`).  sympy is in the `test` extra, so CI
+The cyclotomic polynomials, inversion in Q(zeta_L), the Todd series and
+its powers, and the normal-factor series are each compared with sympy's own
+construction: `cyclotomic_poly`, `invert` modulo Phi_L over QQ, and
+power-series arithmetic over QQ (`ring_series`).  sympy is in the `test` extra, so CI
 runs this file; it is skipped where sympy is not installed.
 """
 
@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 
 sympy = pytest.importorskip("sympy")
-from sympy.polys.ring_series import rs_exp, rs_series, rs_series_inversion  # noqa: E402
+from sympy.polys.ring_series import rs_exp, rs_pow, rs_series, rs_series_inversion  # noqa: E402
 
-from contact_index.forms import normal_factor_series, todd_series  # noqa: E402
+from contact_index.forms import (_rational_power, _todd_quotient,  # noqa: E402
+                                 normal_factor_series, todd_series)
 from contact_index.scalars import (CyclotomicNumber, _euler_phi,  # noqa: E402
                                    cyclotomic_polynomial)
 
@@ -73,6 +74,14 @@ def test_todd_series_minus_is_x_over_exp_x_minus_one():
     _, x = _ring()
     series = rs_series_inversion((rs_exp(x, x, TERMS + 1) - 1).exquo(x), x, TERMS)
     assert todd_series(TERMS, "minus") == _ascending(series, TERMS)
+
+
+@pytest.mark.parametrize("r", [-3, 2, 5, 13, 21])
+def test_todd_power_is_sympys_power_of_x_over_one_minus_exp_minus_x(r):
+    _, x = _ring()
+    series = rs_pow(rs_series_inversion((1 - rs_exp(-x, x, TERMS + 1)).exquo(x), x, TERMS),
+                    r, x, TERMS)
+    assert _rational_power(_todd_quotient(TERMS, "plus"), -r) == _ascending(series, TERMS)
 
 
 def test_normal_factor_at_minus_one_is_one_over_one_plus_exp():
