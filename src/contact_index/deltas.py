@@ -119,7 +119,7 @@ def scale_variable(germ, a):
     if a == 0:
         raise DeltaError("cannot rescale a germ variable by zero (ellipticity violation)")
     sign = 1 if a > 0 else -1
-    return DeltaGerm([c * ExactScalar.from_rational(sign * a ** (-(j + 1))) if c else c
+    return DeltaGerm([c * (sign * a ** (-(j + 1))) if c else c
                       for j, c in enumerate(germ.terms)])
 
 
@@ -131,9 +131,14 @@ def multiply_smooth(germ, jet):
     extended bilinearly over jet and germ terms.  Truncating the jet is the
     caller's part: phi terms above the germ's top derivative order pair to
     zero, but any dropped below it are missed (`forms.integrate_component`
-    checks its jet order).
+    checks its jet order).  Each weight (-1)^k j!/(j-k)! is an int: an
+    `ExactScalar` times an int scales its numerators, with no cyclotomic product.
     """
-    out = [ExactScalar.zero()] * len(germ.terms)
+    return DeltaGerm(_leibniz_into([ExactScalar.zero()] * len(germ.terms), germ, jet))
+
+
+def _leibniz_into(out, germ, jet):
+    """Add the Leibniz pairing of `multiply_smooth` into the coefficient list out; return out."""
     for k, jc in enumerate(jet[:len(germ.terms)]):
         if jc.is_zero():
             continue
@@ -143,10 +148,9 @@ def multiply_smooth(germ, jet):
                 continue
             coeff = jc * gc
             if k:
-                num = Fraction(math.factorial(j), math.factorial(j - k))
-                coeff = coeff * ExactScalar.from_rational((-1) ** k * num)
+                coeff = coeff * ((-1) ** k * math.factorial(j) // math.factorial(j - k))
             out[j - k] = out[j - k] + coeff
-    return DeltaGerm(out)
+    return out
 
 
 def fourier_contribution(germ, location, poisson_sign):
@@ -157,7 +161,8 @@ def fourier_contribution(germ, location, poisson_sign):
         c_m = zeta^{-s m} (1/2pi) sum_j c_j (s i m)^j
 
     with the convention sign s = +-1.  The result is exact: it is returned
-    as the pair (q, residue mod q -> polynomial-in-m coefficient list).
+    as the pair (q, residue mod q -> polynomial-in-m coefficient list).  At
+    the identity zeta = 1, and the polynomial is row 0 as it stands.
     """
     if poisson_sign not in (1, -1):
         raise DeltaError("poisson sign must be +1 or -1")
@@ -170,10 +175,11 @@ def fourier_contribution(germ, location, poisson_sign):
     for c in germ.terms:
         poly.append(weight * c)
         weight = weight * s_i
+    if not loc:  # the identity: zeta^0 = 1
+        return 1, {0: poly}
     table = {}
     for r in range(q):
-        zeta_pow = ExactScalar.root_of_unity(-poisson_sign * r * loc.numerator,
-                                             loc.denominator) if loc else ExactScalar.one()
+        zeta_pow = ExactScalar.root_of_unity(-poisson_sign * r * loc.numerator, q)
         table[r] = [zeta_pow * p for p in poly]
     return q, table
 

@@ -104,7 +104,8 @@ def _component_germ(comp, calibration):
     td = todd(comp.tangential, comp.generators, k, jet_order=jet_order,
               direction=calibration.todd_direction)
     dc = dc_inverse(comp.normal, comp.generators, k, jet_order=jet_order)
-    germ = integrate_component(td * dc, j_form(comp, jet_order=jet_order), comp.pairing)
+    smooth = td * dc if comp.normal else td  # no normal roots: dc is one
+    germ = integrate_component(smooth, j_form(comp, jet_order=jet_order), comp.pairing)
     return germ * _inverse_two_pi_i_power(k)
 
 

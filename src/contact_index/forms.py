@@ -30,8 +30,10 @@ its argument reads (`_series_length`): the argument (curvature part plus a
 multiple of phi) is nilpotent there, so every evaluation is finite and exact.
 
 Both products over roots evaluate one power per group of equal roots (all
-n+1 tangential roots of the Hopf sphere, say); the per-root checks (tangential
-roots for Todd, eigenvalue != 1 for the normal factor) run on every root.
+n+1 tangential roots of the Hopf sphere, say) and start from the first group's
+series: only the empty product is `FormElement.one`, and no form is multiplied
+by one.  The per-root checks (tangential roots for Todd, eigenvalue != 1 for
+the normal factor) run on every root.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import CyclotomicNumber, ExactScalar, _coerce
-from .deltas import GERM_VAR, DeltaGerm, multiply_smooth, scale_variable
+from .deltas import GERM_VAR, DeltaGerm, _leibniz_into
 
 
 class FormError(ValueError):
@@ -122,9 +124,8 @@ class FormElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
-            s = _coerce(other)
             return FormElement(self.generators, self.truncation, self.jet_order,
-                               {e: c * s for e, c in self.terms.items()})
+                               {e: c * other for e, c in self.terms.items()})
         self._check(other)
         truncation, order = self.truncation, min(self.jet_order, other.jet_order)
         out = {}
@@ -140,7 +141,7 @@ class FormElement:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * ExactScalar.from_rational(-1)
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
@@ -210,7 +211,8 @@ def evaluate_series(coeffs, element):
     jet order, and already for j > truncation when no term carries a phi
     power (a root of weight 0).  The series must be long enough for the
     terms that survive.  Zero terms and powers past the last term are
-    skipped: O(k) products for i a dA.  The sum is kept in one term map.
+    skipped: O(k) products for i a dA.  The sum is kept in one term map,
+    which starts from coeffs[0] itself: no product by one.
     """
     if (0,) * (len(element.generators) + 1) in element.terms:
         raise FormError("series argument must have zero constant term")
@@ -221,10 +223,10 @@ def evaluate_series(coeffs, element):
         raise FormError(f"series too short: need {need} coefficients, got {len(coeffs)}")
     last = max((j for j in range(need) if coeffs[j]), default=-1)
     gens, trunc, order = element.generators, element.truncation, element.jet_order
-    acc, power = {}, FormElement.one(gens, trunc, order)
-    for j in range(last + 1):
-        if j:
-            power = element if j == 1 else power * element
+    acc, power = {(0,) * (len(gens) + 1): _coerce(coeffs[0])}, element
+    for j in range(1, last + 1):
+        if j > 1:
+            power = power * element
         if coeffs[j]:
             for exp, c in power.terms.items():
                 term = c * coeffs[j]
@@ -281,12 +283,13 @@ def _root_product(roots, power_of, generators, truncation, jet_order):
                 break
         else:
             groups.append([root, 1])
-    acc = FormElement.one(generators, truncation, jet_order)
+    acc = None
     for root, count in groups:
         n = _series_length([root], truncation, jet_order)
-        acc = acc * evaluate_series(power_of(root, n, count),
-                                    root_value(root, generators, truncation, jet_order))
-    return acc
+        factor = evaluate_series(power_of(root, n, count),
+                                 root_value(root, generators, truncation, jet_order))
+        acc = factor if acc is None else acc * factor
+    return FormElement.one(generators, truncation, jet_order) if acc is None else acc
 
 
 def _series_power(coeffs, r):
@@ -340,8 +343,10 @@ def j_form(component, *, jet_order):
 
     sum_j d0^(j)(-mu w phi) (d-alpha)^j / j!, where w is the component's
     Reeb weight and the first generator plays the role of the d-alpha class.
-    Its germ coefficients are read by `integrate_component` alone.  Requires
-    a positive moment constant (ellipticity).
+    By the rescaling rule of `deltas.scale_variable`, term j is d0^(j)(phi)
+    times one rational, sign(a) a^-(j+1) / j! with a = -mu w: no cyclotomic
+    product.  Its germ coefficients are read by `integrate_component` alone.
+    Requires a positive moment constant (ellipticity).
     """
     mu = Fraction(component.mu)
     if mu <= 0:
@@ -350,12 +355,12 @@ def j_form(component, *, jet_order):
     if not w:
         raise FormError("the moment covector must pair nontrivially with the circle "
                         "on each component (constant-moment normalization)")
-    k = component.k
-    gens = component.generators
+    k, gens, a = component.k, component.generators, -mu * w
+    sign = 1 if a > 0 else -1
     terms = {}
     for j in range(k + 1):
         exp = tuple(j if i == 0 else 0 for i in range(len(gens))) + (0,)
-        terms[exp] = scale_variable(DeltaGerm.delta(j, Fraction(1, math.factorial(j))), -mu * w)
+        terms[exp] = DeltaGerm.delta(j, Fraction(sign, math.factorial(j)) / a ** (j + 1))
     return FormElement(gens, k, jet_order, terms)
 
 
@@ -367,7 +372,8 @@ def integrate_component(smooth, delta, pairing):
     lists of phi coefficients up to the highest phi power present.  Only
     monomials of top generator degree k integrate nontrivially on an
     odd-dimensional component, so only their products are formed: a germ
-    times a jet by the Leibniz pairing.  The jet order must reach the
+    times a jet by the Leibniz pairing, summed into one coefficient list per
+    top monomial (`deltas._leibniz_into`).  The jet order must reach the
     germs' top derivative order, otherwise dropped phi terms could still
     pair nontrivially.  Each top monomial's sum is weighted by its pairing
     value; a nonzero sum missing from the table is an error.
@@ -391,11 +397,10 @@ def integrate_component(smooth, delta, pairing):
     for e1, jet in jets.items():
         for e2, germ in by_degree.get(k - sum(e1), ()):
             exp = tuple(a + b for a, b in zip(e1, e2))  # e2's phi exponent 0 drops out
-            prod = multiply_smooth(germ, jet)
-            top[exp] = top[exp] + prod if exp in top else prod
+            _leibniz_into(top.setdefault(exp, [ExactScalar.zero()] * (need + 1)), germ, jet)
     total = DeltaGerm.zero()
-    for exp, germ in top.items():
-        if germ.is_zero():
+    for exp, coeffs in top.items():
+        if (germ := DeltaGerm(coeffs)).is_zero():
             continue
         if exp not in pairing:
             raise FormError(f"pairing table has no entry for surviving monomial {exp}")

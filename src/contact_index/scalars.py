@@ -17,7 +17,9 @@ and adding two nonzero scalars of different grades raises `ScalarError`.
 
 A cyclotomic number is stored as integer numerators over one denominator
 (see `CyclotomicNumber`), and every operation runs in Python integers;
-`_make`, the one trusted constructor, divides out the gcd.
+`_make`, the one trusted constructor, divides out the gcd.  An `ExactScalar`
+times an int or a Fraction scales the numerators at the same level and only
+demotes (a rational multiple lies in the same subfields): no product, no fold.
 
 Canonicalization keeps its tables per level, each built once and cached:
 
@@ -477,6 +479,12 @@ class ExactScalar:
         return self + (-_coerce(other))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # see the module docstring
+            x, n = self.value, other.numerator
+            if not (n and x.nums):
+                return ExactScalar.zero()
+            return ExactScalar(self.pi, _make(x.level, x.den * other.denominator,
+                                              {e: c * n for e, c in x.nums.items()}).demote())
         other = _coerce(other)
         if not (self.value.nums and other.value.nums):
             return ExactScalar.zero()

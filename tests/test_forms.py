@@ -10,7 +10,7 @@ import pytest
 
 from contact_index import forms
 from contact_index.catalog import FixedComponentData
-from contact_index.deltas import DeltaGerm
+from contact_index.deltas import DeltaGerm, scale_variable
 from contact_index.engine import CalibrationConfig, build_preset, germ_at
 from contact_index.forms import (ChernRoot, FormElement, FormError, _rational_power,
                                  _series_power, dc_inverse, evaluate_series,
@@ -349,6 +349,32 @@ class TestJForm:
         with pytest.raises(FormError, match="ellipticity"):
             j_form(comp, jet_order=4)
 
+    @pytest.mark.parametrize("mu, w", [(Fraction(1), 1), (Fraction(1), -1),
+                                       (Fraction(3, 2), 2), (Fraction(2, 5), -3)])
+    def test_each_term_is_the_rescaled_taylor_term(self, mu, w):
+        # one rational per term: d0^(j)(-mu w phi) / j! through the rescaling rule
+        def parts(germ):
+            return [(c.pi, c.value.level, c.value.den, c.value.nums) for c in germ.terms]
+        for k in range(7):
+            comp = FixedComponentData(dim_odd=2 * k + 1, generators=("dA",), tangential=[],
+                                      normal=[], mu=mu, reeb_weight=(w,),
+                                      pairing={(k,): TWO_PI})
+            form = j_form(comp, jet_order=k)
+            assert set(form.terms) == {(j, 0) for j in range(k + 1)}
+            for j in range(k + 1):
+                old = scale_variable(DeltaGerm.delta(j, Fraction(1, factorial(j))), -mu * w)
+                assert parts(form.terms[(j, 0)]) == parts(old), (mu, w, k, j)
+
+    def test_the_checks_keep_their_messages(self):
+        for mu in (Fraction(0), Fraction(-1)):
+            with pytest.raises(FormError) as err:
+                j_form(replace(_sphere_component(), mu=mu), jet_order=4)
+            assert str(err.value) == "ellipticity violation: moment constant must be positive"
+        with pytest.raises(FormError) as err:
+            j_form(replace(_sphere_component(), reeb_weight=(0,)), jet_order=4)
+        assert str(err.value) == ("the moment covector must pair nontrivially with the circle "
+                                  "on each component (constant-moment normalization)")
+
 
 class TestMultiply:
     def test_multiplying_by_one_is_identity(self):
@@ -388,6 +414,28 @@ class TestMultiply:
     def test_exponent_needs_a_phi_entry(self):
         with pytest.raises(FormError, match="bad exponent"):
             FormElement(("dA",), 1, 4, {(1,): ONE})
+
+
+class TestNoProductByOne:
+    def test_the_hopf_identity_germ_multiplies_no_form_by_one(self, monkeypatch):
+        model = build_preset("hopf", (4,))
+        (comp,) = model.components[Fraction(0)]
+        assert not comp.normal and all(r == comp.tangential[0] for r in comp.tangential)
+        operands, real = [], FormElement.__mul__
+
+        def spied(self, other):
+            operands.extend((self, other))
+            return real(self, other)
+        monkeypatch.setattr(FormElement, "__mul__", spied)
+        germ_at(model, 0)
+        assert operands  # the running powers of the one Todd group's series
+        for f in operands:
+            assert f != FormElement.one(f.generators, f.truncation, f.jet_order)
+
+    def test_the_empty_products_are_one(self):
+        one = FormElement.one(("dA",), 3, 3)
+        assert todd([], ("dA",), 3, jet_order=3) == one
+        assert dc_inverse([], ("dA",), 3, jet_order=3) == one
 
 
 class TestRootValue:

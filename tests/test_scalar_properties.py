@@ -176,6 +176,36 @@ def test_inverse_commutes_with_galois(case, data):
     assert x.galois(t).inverse() == x.inverse().galois(t)
 
 
+@st.composite
+def scaling_case(draw):
+    """(x, n): x at a level 4..840, demoted, moved off its subfield by a root of unity
+    or promoted back to that level, and n an int or a Fraction."""
+    level = 4 * draw(st.integers(1, 210))
+    x = draw(at_level(level)).demote()
+    how = draw(st.sampled_from(("demoted", "moved", "promoted")))
+    if how == "moved":
+        x = x * CyclotomicNumber.zeta(level, draw(st.integers(1, level - 1)))
+    elif how == "promoted":
+        x = x.promote(level)
+    n = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6), fractions))
+    return ExactScalar(draw(st.integers(-3, 3)), x), n
+
+
+def parts(s):
+    return s.pi, s.value.level, s.value.den, s.value.nums
+
+
+@DETERMINISTIC
+@given(scaling_case())
+@example((ExactScalar(2, CyclotomicNumber.zeta(840, 7)), 0))
+@example((ExactScalar(-1, CyclotomicNumber.zeta(60, 12).promote(840)), -1))
+@example((ExactScalar.zero(), Fraction(-3, 7)))
+def test_a_rational_factor_scales_as_the_cyclotomic_product_does(case):
+    # the int/Fraction route of ExactScalar.__mul__ skips the product, not the demotion
+    x, n = case
+    assert parts(x * n) == parts(n * x) == parts(x * ExactScalar.from_rational(n))
+
+
 def test_zero_has_no_inverse():
     for level in LEVELS:
         with pytest.raises(ScalarError, match="division by zero"):
