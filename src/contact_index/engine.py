@@ -4,12 +4,13 @@ The contributions are assembled per Galois orbit of torsion points: each
 fixed component yields (2 pi i)^-k times the pairing of its Todd factor, its
 inverse normal determinant and the contact delta form; Fourier conversion
 of the germs gives one polynomial in m per residue class modulo each torsion
-order.  The germs at p/q are Galois conjugates, so an orbit is evaluated
-once and its table summed as a relative trace down to Q(i), unless the
-model fails the guard in `assemble_character`.  Each table is converted
-once to integer components, numerators over one denominator per basis
-exponent, summed per order, then per residue of the period; the window is
-read by integer Horner per residue, equal ints sharing one immutable scalar.
+order.  The points of order q form one Galois orbit over Q(i), two if 4
+divides q; an orbit is evaluated once and its table summed as a relative
+trace down to Q(i), unless the model fails the guard in
+`assemble_character`.  Each table is converted once to integer components,
+numerators over one denominator per basis exponent, summed per order, then
+per residue of the period; the window is read by integer Horner per
+residue, equal ints sharing one immutable scalar.
 
 The rank-2 double expansion runs in integers: each slice's numerator is
 divided by one binomial (1 - x^s) at a time with a stride recurrence, and
@@ -28,8 +29,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _euler_phi, _fold, _make,
-                      _scalar_text, approx_display)
+from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _fold, _make, _scalar_text,
+                      _units_over_qi, approx_display)
 from .deltas import DeltaGerm, fourier_contribution, germ_to_document
 from .forms import FormElement, dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
@@ -285,30 +286,26 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
     |m| <= max_m are its values.  Any `max_m` >= 1 gives the whole
     quasi-polynomial, whatever the period.
 
-    The points of one order q are evaluated once, at the representative p0/q:
-    the germ at p/q is the representative's under zeta -> zeta^t, t = 1 mod
-    4 and t = p/p0 mod q, and the orbit's table is the representative's with
-    each entry replaced by its trace to Q(i).  The guard, else point by
-    point: 4 does not divide q, every p/q with p prime to q is in the
-    support, every curvature and pairing scalar lies in Q(i)[pi], every
-    eigenvalue exponent has a denominator dividing q, and the components at
-    p/q are the representative's with each exponent e mapped to t e mod 1.
+    The points are evaluated once per Galois orbit (see `_orbits`), at p0/q:
+    the germ at t p0/q is p0's under zeta -> zeta^t, and the orbit's table
+    is p0's traced to Q(i).  The guard of an orbit of more than one point,
+    else p0 is its own orbit: every member is in the support with p0's
+    components, each exponent e mapped to t e mod 1; every curvature and
+    pairing scalar lies in Q(i)[pi]; every eigenvalue's denominator divides q.
     """
     if model.rank != 1:
         raise UnsupportedModelError("characters are assembled for rank-1 models")
     if max_m < 1:
         raise EngineError("max_m must be at least 1")
-    germs = {}
+    germs = dict.fromkeys(model.torsion_support)
     contributions = []
     for q, points in itertools.groupby(model.torsion_support, key=lambda t: t.denominator):
-        points = list(points)
-        maps = _galois_maps(model, q, points)
-        for orbit in [points] if maps else [[at] for at in points]:  # else point by point
+        for orbit, maps in _orbits(model, q, points):
             germ = germ_at(model, orbit[0], calibration)
-            germs.update(zip(orbit, [germ.galois(t) for t in maps] if maps else [germ]))
+            germs.update(zip(orbit, [germ, *(germ.galois(t) for t in maps[1:])]))
             if not germ.is_zero():
                 _, table = fourier_contribution(germ, orbit[0], calibration.poisson_sign)
-                if maps:
+                if len(orbit) > 1:
                     table = {r: [c.relative_trace(math.lcm(4, q)) for c in poly]
                              for r, poly in table.items()}
                 contributions.append((q, table))
@@ -317,28 +314,31 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
     return CharacterResult(model.model_id, calibration, germs, coefficients, quasi, integers)
 
 
-def _galois_maps(model, q, points):
-    """Per point, its t for `assemble_character`; None where the guard fails."""
+def _orbits(model, q, points):
+    """(orbit, maps) per orbit of the points of order q: for the first point p0 not yet
+    taken, t p0/q mod 1 over the maps t of `_units_over_qi(lcm(4, q))` (the units that
+    `relative_trace` sums over), or p0 alone with the map 1 where the guard fails."""
     def conjugate(roots, t):
         return [replace(r, eigenvalue_exponent=t * r.eigenvalue_exponent % 1) for r in roots]
-    if len(points) == 1 or q % 4 == 0 or len(points) != _euler_phi(q):
-        return None
-    comps = model.components[points[0]]
-    roots = [r for c in comps for r in c.tangential + c.normal]
-    scalars = [s for r in roots for s in r.curvature] + \
-        [s for c in comps for s in c.pairing.values()]
-    if any(s and s.value.demote().level != 4 for s in scalars) or \
-            any(q % Fraction(r.eigenvalue_exponent).denominator for r in roots):
-        return None
-    level = math.lcm(4, q)
-    inverse = pow(points[0].numerator, -1, q)
-    maps = [next(t for t in range(at.numerator * inverse % q, level, q) if t % 4 == 1)
-            for at in points]
-    if any(model.components[at] != [replace(c, tangential=conjugate(c.tangential, t),
-                                            normal=conjugate(c.normal, t)) for c in comps]
-           for at, t in zip(points, maps)):
-        return None
-    return maps
+    units, done = _units_over_qi(math.lcm(4, q)), set()
+    for p0 in points:
+        if p0 in done:
+            continue
+        orbit = [Fraction(t * p0.numerator % q, q) for t in units]
+        if len(orbit) > 1:
+            comps = model.components[p0]
+            roots = [r for c in comps for r in c.tangential + c.normal]
+            scalars = [s for r in roots for s in r.curvature] + \
+                [s for c in comps for s in c.pairing.values()]
+            if any(s and s.value.demote().level != 4 for s in scalars) or \
+                    any(q % Fraction(r.eigenvalue_exponent).denominator for r in roots) or \
+                    any(model.components.get(at) != [
+                        replace(c, tangential=conjugate(c.tangential, t),
+                                normal=conjugate(c.normal, t)) for c in comps]
+                        for at, t in zip(orbit, units)):
+                orbit = [p0]
+        done.update(orbit)
+        yield orbit, units[:len(orbit)]
 
 
 # ----------------------------------------------------------------------
@@ -520,15 +520,13 @@ def calibrate_conventions():
 # ----------------------------------------------------------------------
 
 def character_document(result, digits=4):
-    texts = {}  # int -> its (value, approx) texts, for this call only
+    texts = {}  # id(coefficient) -> its (value, approx) texts; `window` shares equal ints
 
     def coeff_entry(m):
         c, n = result.coefficients[m], result.integers[m]
-        if n is None:
-            return {"m": m, "value": c.to_text(), "approx": approx_display(c, digits)}
-        if n not in texts:
-            texts[n] = {"value": c.to_text(), "approx": approx_display(c, digits)}
-        return {"m": m, **texts[n], "integer": n}
+        if id(c) not in texts:
+            texts[id(c)] = {"value": c.to_text(), "approx": approx_display(c, digits)}
+        return {"m": m, **texts[id(c)], **({} if n is None else {"integer": n})}
 
     return {
         "model_id": result.model_id,

@@ -125,9 +125,10 @@ class TestCharacters:
         assert res.quasi.period == 6
 
     def test_oracle_equivalence_beyond_the_bundled_pairs(self):
-        for a, b in ((3, 5), (4, 5)):
-            res = assemble_character(build_preset("weighted-s3", (a, b)), 60)
-            for m in range(-60, 61):
+        # (1, 120): every order divisible by 4 from 4 to 120, two Galois orbits each
+        for a, b, max_m in ((3, 5, 60), (4, 5, 60), (1, 120, 100)):
+            res = assemble_character(build_preset("weighted-s3", (a, b)), max_m)
+            for m in range(-max_m, max_m + 1):
                 assert res.integers[m] == \
                     oracle.sphere_char_oracle(a, b, m), (a, b, m)
 
@@ -278,6 +279,18 @@ class TestQuasiPolynomialFit:
         first, _ = qp.window(4)
         assert all(first[m] is first[-4] for m in first)  # across residues too
         assert qp.window(4)[0][-4] is not first[-4]
+
+    def test_the_report_reads_every_coefficient_it_writes(self):
+        result = assemble_character(build_preset("hopf", (12,)), 20)
+        assert result.integers[7] == result.integers[6] == 0  # earlier m share its integer
+        before = engine.character_document(result)["coefficients"]
+        result.coefficients[7] = result.coefficients[7] + ONE
+        after = engine.character_document(result)["coefficients"]
+        assert [e for e in after if e["m"] != 7] == [e for e in before if e["m"] != 7]
+        (entry,) = [e for e in after if e["m"] == 7]
+        assert entry == {"m": 7, "value": result.coefficients[7].to_text(),
+                         "approx": approx_display(result.coefficients[7], 4), "integer": 0}
+        assert entry != [e for e in before if e["m"] == 7][0]
 
     # Irrational residue coefficients, residue -> (pi-grade, coefficients),
     # whose values at chosen m are integers (m = 4; m = 4; m = 2, -4),

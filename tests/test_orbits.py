@@ -2,10 +2,11 @@
 
 `assemble_character` must reproduce the per-point reference of
 `character_reference` exactly: on the bundled weighted spheres, where each
-orbit of torsion points is evaluated once, and on model documents that
-break one of the guards, where the orbit falls back to the per-point loop.
-On both, every germ has at most k + 1 terms, the degree bound that
-`fit_quasi_polynomial` relies on without checking it.
+orbit of torsion points is evaluated once (one orbit of order q when 4 does
+not divide q, two when it does), and on model documents that break one of
+the guards, where each point is its own orbit.  On both, every germ has at
+most k + 1 terms, the degree bound that `fit_quasi_polynomial` relies on
+without checking it.
 """
 
 import math
@@ -13,14 +14,16 @@ from fractions import Fraction
 
 import pytest
 
+from contact_index import engine
 from contact_index.catalog import model_from_document, model_to_document
-from contact_index.engine import (CalibrationConfig, _galois_maps, assemble_character,
-                                  build_preset, germ_at)
+from contact_index.engine import (CalibrationConfig, _orbits, assemble_character, build_preset,
+                                  germ_at)
+from contact_index.scalars import _euler_phi, _units_over_qi
 from character_reference import character_reference, quasi_equal
 
 CALIBRATIONS = [CalibrationConfig(s, o, d) for s in (1, -1) for o in (1, -1)
                 for d in ("plus", "minus")]
-PAIRS = [(2, 3), (3, 4), (4, 5), (3, 10), (6, 7), (5, 7), (11, 13)]
+PAIRS = [(2, 3), (3, 4), (4, 5), (3, 10), (6, 7), (5, 7), (11, 13), (5, 8), (3, 16)]
 
 
 def assert_matches_reference(model, max_m, calibration):
@@ -54,8 +57,27 @@ def test_weighted_spheres_match_the_per_point_reference(a, b):
 def test_bundled_orbits_take_the_orbit_path(a, b):
     model = build_preset("weighted-s3", (a, b))
     for q, points in orbits(model).items():
-        taken = _galois_maps(model, q, points) is not None
-        assert taken == (len(points) > 1 and q % 4 != 0), q
+        units = _units_over_qi(math.lcm(4, q))
+        found = list(_orbits(model, q, points))
+        assert sorted(at for orbit, _ in found for at in orbit) == points, q
+        assert [len(orbit) for orbit, _ in found] == \
+            ([_euler_phi(q)] if q % 4 else [_euler_phi(q) // 2] * 2), q
+        for orbit, maps in found:
+            assert maps == units, q
+            assert orbit == [Fraction(t * orbit[0].numerator % q, q) for t in maps], q
+
+
+def test_an_order_divisible_by_four_takes_one_germ_per_orbit(monkeypatch):
+    calls = []
+
+    def spy(model, at, calibration):
+        calls.append(at)
+        return germ_at(model, at, calibration)
+
+    monkeypatch.setattr(engine, "germ_at", spy)
+    assemble_character(build_preset("weighted-s3", (3, 16)), 96)
+    assert calls == [Fraction(p, q) for p, q in
+                     ((0, 1), (1, 2), (1, 3), (1, 4), (3, 4), (1, 8), (3, 8), (1, 16), (3, 16))]
 
 
 pytest.importorskip("hypothesis")
@@ -64,25 +86,29 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 @st.composite
 def torsion_point(draw):
-    """(a, b, p, q, calibration): p/q a torsion point of weighted-s3 (a, b), 4 not dividing q."""
+    """(a, b, r, t, q, calibration): t r/q a torsion point of weighted-s3 (a, b).
+
+    r/q is 1/q or -1/q, the representatives of the two cosets of the units
+    t = 1 mod 4 (one coset when 4 does not divide q), and t is drawn from
+    those units.
+    """
     a = draw(st.integers(1, 30))
     b = draw(st.integers(1, 30).filter(lambda b: math.gcd(a, b) == 1))
-    orders = [d for d in range(2, 31) if (a % d == 0 or b % d == 0) and d % 4]
+    orders = [d for d in range(2, 31) if a % d == 0 or b % d == 0]
     assume(orders)
     q = draw(st.sampled_from(orders))
-    p = draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1))
-    return a, b, p, q, draw(st.sampled_from(CALIBRATIONS))
+    r = draw(st.sampled_from((1, q - 1)))
+    t = draw(st.sampled_from(_units_over_qi(math.lcm(4, q))))
+    return a, b, r, t, q, draw(st.sampled_from(CALIBRATIONS))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(torsion_point())
 def test_germs_of_an_orbit_are_galois_conjugates(case):
-    a, b, p, q, calibration = case
+    a, b, r, t, q, calibration = case
     model = build_preset("weighted-s3", (a, b), calibration)
-    level = math.lcm(4, q)
-    t = next(t for t in range(1, level) if t % 4 == 1 and t % q == p)
-    assert germ_at(model, Fraction(p, q), calibration) == \
-        germ_at(model, Fraction(1, q), calibration).galois(t)
+    assert germ_at(model, Fraction(t * r % q, q), calibration) == \
+        germ_at(model, Fraction(r, q), calibration).galois(t)
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +157,7 @@ def _broken_model(edit):
 def test_broken_orbits_fall_back_to_the_per_point_loop(edit):
     model = _broken_model(edit)
     points = orbits(model)[5]
-    assert _galois_maps(model, 5, points) is None
+    assert list(_orbits(model, 5, points)) == [([at], (1,)) for at in points]
     for calibration in CALIBRATIONS[:2]:
         assert_matches_reference(model, 20, calibration)
 
