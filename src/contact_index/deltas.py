@@ -7,7 +7,7 @@ rewrite rules the localization needs:
 * rescaling of the argument,  d0^(j)(a x) = sign(a) a^-(j+1) d0^(j)(x);
 * multiplication by a smooth jet (Leibniz pairing);
 * conversion of a germ sitting at a root of unity into Fourier
-  coefficients (a quasi-polynomial in the frequency).
+  coefficients (a quasi-polynomial in the frequency), summed over Galois maps.
 
 Germs are dense ascending coefficient lists with trailing zeros trimmed;
 every operation returns a new value.  Jets are not a type of their own:
@@ -19,9 +19,10 @@ generator monomial's phi coefficients.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
-from .scalars import ExactScalar, _coerce
+from .scalars import ExactScalar, ScalarError, _coerce, _trace_table
 
 GERM_VAR = "phi"
 
@@ -153,35 +154,46 @@ def _leibniz_into(out, germ, jet):
     return out
 
 
-def fourier_contribution(germ, location, poisson_sign):
-    """Fourier coefficients contributed by a germ at a torsion point.
+def fourier_contribution(germ, location, poisson_sign, maps=(1,)):
+    """Fourier coefficients of a germ at a torsion point, summed over Galois maps.
 
     A germ sum_j c_j d0^(j)(phi) sitting at zeta = e^{2 pi i p/q} contributes
-
-        c_m = zeta^{-s m} (1/2pi) sum_j c_j (s i m)^j
-
-    with the convention sign s = +-1.  The result is exact: it is returned
-    as the pair (q, residue mod q -> polynomial-in-m coefficient list).  At
-    the identity zeta = 1, and the polynomial is row 0 as it stands.
+    c_m = zeta^{-s m} (1/2pi) sum_j c_j (s i m)^j, s = +-1, here summed over the
+    maps zeta_L -> zeta_L^t, a group of units mod L: (1,) for the point alone,
+    `_units_over_qi(L)` for its orbit's trace to Q(i).  Returns (q, rows), row r
+    for m = r mod q in the integer components of `engine.QuasiPolynomial`.  The
+    germ is written once in integers at L = lcm(4, q, its coefficients' levels):
+    1/2pi is grade -1 and a factor 2 in D, (s i)^j the exponent shift s j L/4,
+    zeta^{-s r p} the shift (-s r p mod q) L/q, and row r reads each shifted
+    exponent's trace from `scalars._trace_table(L, maps)`, at that table's level.
     """
     if poisson_sign not in (1, -1):
         raise DeltaError("poisson sign must be +1 or -1")
     loc = Fraction(location) % 1
-    q = loc.denominator
-    inv_two_pi = ExactScalar.pi_power(-1, Fraction(1, 2))
-    s_i = ExactScalar.i() * poisson_sign
-    # polynomial part: sum_j c_j (s i)^j m^j, coefficients indexed by power of m
-    poly, weight = [], inv_two_pi  # weight runs through (1/2pi) (s i)^j
-    for c in germ.terms:
-        poly.append(weight * c)
-        weight = weight * s_i
-    if not loc:  # the identity: zeta^0 = 1
-        return 1, {0: poly}
-    table = {}
+    q, p = loc.denominator, loc.numerator
+    terms = [(j, c.value) for j, c in enumerate(germ.terms) if c]
+    if len(grades := {germ.terms[j].pi for j, _ in terms}) > 1:
+        raise ScalarError(f"a germ mixes pi-grades {sorted(grades)}")
+    level = math.lcm(4, q, *(x.level for _, x in terms))
+    den = math.lcm(*(x.den for _, x in terms))
+    exponents = [(j, (e * (level // x.level) + poisson_sign * j * level // 4) % level,
+                  n * (den // x.den)) for j, x in terms for e, n in x.nums.items()]
+    sub, table = _trace_table(level, tuple(maps))
+    grade, width, rows = max(grades, default=1) - 1, len(germ.terms), []
     for r in range(q):
-        zeta_pow = ExactScalar.root_of_unity(-poisson_sign * r * loc.numerator, q)
-        table[r] = [zeta_pow * p for p in poly]
-    return q, table
+        shift = (-poisson_sign * r * p % q) * (level // q)
+        columns = defaultdict(lambda: [0] * width)
+        for j, e, n in exponents:
+            for x, v in table[(e + shift) % level]:
+                columns[x][j] += n * v
+        rows.append(_trimmed_row(grade, sub, 2 * den, columns))
+    return q, rows
+
+
+def _trimmed_row(k, level, den, columns):
+    """(k, level, den, columns), every column cut to the polynomial's length, none zero."""
+    length = max((j + 1 for col in columns.values() for j, c in enumerate(col) if c), default=0)
+    return k, level, den, {e: col[:length] for e, col in columns.items() if any(col[:length])}
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,12 @@ fixed component yields (2 pi i)^-k times the pairing of its Todd factor, its
 inverse normal determinant and the contact delta form; Fourier conversion
 of the germs gives one polynomial in m per residue class modulo each torsion
 order.  The points of order q form one Galois orbit over Q(i), two if 4
-divides q; an orbit is evaluated once and its table summed as a relative
-trace down to Q(i), unless the model fails the guard in
-`assemble_character`.  Each table is converted once to integer components,
-numerators over one denominator per basis exponent, summed per order, then
-per residue of the period; the window is read by integer Horner per
-residue, equal ints sharing one immutable scalar.
+divides q; an orbit is evaluated once and `fourier_contribution` sums its
+rows over the orbit's Galois maps, a trace down to Q(i), unless the model
+fails the guard in `assemble_character`.  The rows come in integer
+components, numerators over one denominator per basis exponent; they are
+summed per order, then per residue of the period, and the window is read
+by integer Horner per residue, equal ints sharing one immutable scalar.
 
 The rank-2 double expansion runs in integers: each slice's numerator is
 divided by one binomial (1 - x^s) at a time with a stride recurrence, and
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _fold, _make, _scalar_text,
                       _units_over_qi, approx_display)
-from .deltas import DeltaGerm, fourier_contribution, germ_to_document
+from .deltas import DeltaGerm, _trimmed_row, fourier_contribution, germ_to_document
 from .forms import FormElement, dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
                       preset_weighted_s3)
@@ -207,13 +207,6 @@ def _coefficients(components):
             yield k, x.level, x.den, x.nums
 
 
-def _integer_components(coeffs):
-    """The components of ascending ExactScalar coefficients, one coefficient at a time."""
-    return _sum_components([(c.pi, c.value.level, c.value.den,
-                             {e: [0] * j + [n] for e, n in c.value.nums.items()})
-                            for j, c in enumerate(coeffs) if c])
-
-
 def _sum_components(parts):
     """Components of a sum, over the lcm level (`_fold` promotes columns) and denominator."""
     parts = [p for p in parts if p[3]]
@@ -234,18 +227,16 @@ def _sum_components(parts):
             acc = out.setdefault(e, [0] * width)
             for j, c in enumerate(column):
                 acc[j] += c * scale
-    length = max((j + 1 for col in out.values() for j, c in enumerate(col) if c), default=0)
-    return (parts[0][0], level, den,
-            {e: column[:length] for e, column in out.items() if any(column[:length])})
+    return _trimmed_row(parts[0][0], level, den, out)
 
 
 def fit_quasi_polynomial(contributions):
-    """Sum Fourier tables into one quasi-polynomial, in integer components.
+    """Sum Fourier rows into one quasi-polynomial, in integer components.
 
-    `contributions` lists (q, table) pairs as `fourier_contribution` returns
-    them (an orbit evaluated once is one table of traces, in Q(i)[pi]).
-    Each table is converted once per residue mod q, the tables of one order
-    are summed, and then the orders once per residue mod the period.
+    `contributions` lists (q, rows) pairs as `fourier_contribution` returns
+    them, row r in the components of `QuasiPolynomial` (an orbit's rows are
+    its traces, at level 4).  The rows of one order are summed per residue
+    mod q, and then the orders once per residue mod the period.
 
     Every residue polynomial has degree at most the largest k = (dim - 1)/2
     of a fixed component, so no check is made: `j_form` emits d0^(j) only
@@ -254,8 +245,8 @@ def fit_quasi_polynomial(contributions):
     germ has at most k + 1 terms and its Fourier polynomial degree <= k.
     """
     by_order = {}
-    for q, table in contributions:
-        by_order.setdefault(q, []).append([_integer_components(table[r]) for r in range(q)])
+    for q, rows in contributions:
+        by_order.setdefault(q, []).append(rows)
     sums = {q: [_sum_components(parts) for parts in zip(*tables)]
             for q, tables in by_order.items()}
     period = math.lcm(*sums)
@@ -287,8 +278,8 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
     quasi-polynomial, whatever the period.
 
     The points are evaluated once per Galois orbit (see `_orbits`), at p0/q:
-    the germ at t p0/q is p0's under zeta -> zeta^t, and the orbit's table
-    is p0's traced to Q(i).  The guard of an orbit of more than one point,
+    the germ at t p0/q is p0's under zeta -> zeta^t, and the orbit's rows
+    are p0's traced to Q(i).  The guard of an orbit of more than one point,
     else p0 is its own orbit: every member is in the support with p0's
     components, each exponent e mapped to t e mod 1; every curvature and
     pairing scalar lies in Q(i)[pi]; every eigenvalue's denominator divides q.
@@ -304,11 +295,8 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
             germ = germ_at(model, orbit[0], calibration)
             germs.update(zip(orbit, [germ, *(germ.galois(t) for t in maps[1:])]))
             if not germ.is_zero():
-                _, table = fourier_contribution(germ, orbit[0], calibration.poisson_sign)
-                if len(orbit) > 1:
-                    table = {r: [c.relative_trace(math.lcm(4, q)) for c in poly]
-                             for r, poly in table.items()}
-                contributions.append((q, table))
+                contributions.append(
+                    fourier_contribution(germ, orbit[0], calibration.poisson_sign, maps))
     quasi = fit_quasi_polynomial(contributions)
     coefficients, integers = quasi.window(max_m)
     return CharacterResult(model.model_id, calibration, germs, coefficients, quasi, integers)
@@ -317,7 +305,7 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
 def _orbits(model, q, points):
     """(orbit, maps) per orbit of the points of order q: for the first point p0 not yet
     taken, t p0/q mod 1 over the maps t of `_units_over_qi(lcm(4, q))` (the units that
-    `relative_trace` sums over), or p0 alone with the map 1 where the guard fails."""
+    `fourier_contribution` sums over), or p0 alone with the map 1 where the guard fails."""
     def conjugate(roots, t):
         return [replace(r, eigenvalue_exponent=t * r.eigenvalue_exponent % 1) for r in roots]
     units, done = _units_over_qi(math.lcm(4, q)), set()

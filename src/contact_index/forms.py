@@ -198,11 +198,6 @@ def _normal_determinant(eigenvalue, length):
     return [head] + [-(lam * Fraction(1, math.factorial(n))) for n in range(1, length)]
 
 
-def normal_factor_series(eigenvalue, length):
-    """Taylor coefficients of (1 - lambda e^t)^-1 for lambda != 1."""
-    return _series_power(_normal_determinant(eigenvalue, length), -1)
-
-
 def evaluate_series(coeffs, element):
     """sum_j coeffs[j] * element^j in the truncated algebra, from running powers.
 

@@ -42,10 +42,11 @@ Canonicalization keeps its tables per level, each built once and cached:
   it is then X_0 - X_(p-1).  The smallest level holding a value is unique,
   so the primes may be dropped in any order.
 * `galois(t)`, zeta -> zeta^t, permutes exponents mod L and folds once.
-  Row e of the trace table of level L holds the folded sum of zeta^(e t)
-  over the units t = 1 mod 4, so the trace down to Q(i) is linear in them.
+  Row e < L of the trace table of L and a group of maps t holds the sum of
+  zeta^(e t) over the maps, at the smallest level holding every row (4 for
+  the units t = 1 mod 4); row e t is row e, so one is folded per orbit.
 * `inverse` demotes first, then multiplies the other conjugates over Q(i)
-  (the trace table's units), so x times their product P is a norm N in
+  (the units t = 1 mod 4), so x times their product P is a norm N in
   Q(i), and divides once: x^-1 = P * conj(N) / |N|^2.
 """
 
@@ -197,11 +198,23 @@ def _units_over_qi(level):
 
 
 @lru_cache(maxsize=None)
-def _trace_table(level):
-    """Row e: sum of zeta^(e t) over the units t of `_units_over_qi(level)`, folded."""
-    ts = _units_over_qi(level)
-    return tuple(tuple(_fold(Counter(e * t % level for t in ts), level).items())
-                 for e in range(_euler_phi(level)))
+def _trace_table(level, maps):
+    """(L', rows): row e < level is the sum of zeta_level^(e t) over the maps t, at L', the
+    smallest level holding every row.  The maps must be a group of units mod level, so
+    row e t is row e: one row is folded and demoted per orbit of exponents."""
+    if bad := [t for t in maps if math.gcd(t, level) != 1]:
+        raise ScalarError(f"{bad[0]} is not coprime to the level {level}")
+    if {t * u % level for t in maps for u in maps} != set(maps):
+        raise ScalarError(f"the maps are not a group of units mod {level}")
+    rows = [None] * level
+    for e in range(level):
+        if rows[e] is None:
+            x = _make(level, 1, _fold(Counter(e * t % level for t in maps), level)).demote()
+            for t in maps:
+                rows[e * t % level] = x
+    sub = math.lcm(*(x.level for x in rows))
+    held = {id(x): tuple(x.promote(sub).nums.items()) for x in rows}
+    return sub, tuple(held[id(x)] for x in rows)
 
 
 def _check_level(level):
@@ -362,16 +375,6 @@ class CyclotomicNumber:
         return _make(self.level, self.den, _fold({e * t % self.level: c
                                                   for e, c in self.nums.items()}, self.level))
 
-    def relative_trace(self, level):
-        """Trace from Q(zeta_level) down to Q(i): the sum of `galois(t)`, t = 1 mod 4."""
-        rows = _trace_table(level)
-        x = self.promote(level)
-        raw = {}
-        for e, c in x.nums.items():
-            for j, r in rows[e]:
-                raw[j] = raw.get(j, 0) + c * r
-        return _make(level, x.den, {j: c for j, c in raw.items() if c}).demote()
-
     # -- predicates and views -----------------------------------------
 
     def is_zero(self):
@@ -410,9 +413,9 @@ class CyclotomicNumber:
 
 
 _ZERO = _make(4, 1, {})
-# The largest level `ExactScalar.from_text` accepts: a level's fold and trace tables
-# cost about its square to build (0.02 and 0.05 s at 1020, 0.2 and 0.8 s at 4080);
-# computed levels are not bounded.
+# The largest level `ExactScalar.from_text` accepts: a level's fold table and trace tables
+# (units over Q(i); the map 1) cost up to its square to build (0.015, 0.006, 0.05 s at 1020;
+# 0.15, 0.04, 0.28 s at 4080, one 2-vCPU Xeon core); computed levels are not bounded.
 MAX_TEXT_LEVEL = 1024
 
 
@@ -503,9 +506,6 @@ class ExactScalar:
 
     def galois(self, t):
         return ExactScalar(self.pi, self.value.galois(t))
-
-    def relative_trace(self, level):
-        return ExactScalar(self.pi, self.value.relative_trace(level)) if self else self
 
     # -- predicates ---------------------------------------------------
 

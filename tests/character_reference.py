@@ -2,20 +2,26 @@
 
 `character_reference` is the direct computation that the engine's orbit
 evaluation must reproduce: every torsion point's germ from `germ_at`, every
-nonzero germ's Fourier table from `fourier_contribution`, the tables summed
-into the quasi-polynomial, and each coefficient read off it.
+nonzero germ's Fourier rows from `fourier_contribution` at that point alone,
+the rows summed into the quasi-polynomial, and each coefficient read off it.
 `quasi_equal` compares two quasi-polynomials as functions of m.
 
-`ScalarFit` is the route that `fit_quasi_polynomial` must reproduce in
-integers: the tables summed as ExactScalars, per residue mod each order and
-then per residue mod the period, and each value found by Horner's rule in
-ExactScalars.
+`fourier_table` is the Fourier conversion in ExactScalars, one cyclotomic
+product per residue and coefficient, that `fourier_contribution` must
+reproduce in integers.  `components` turns an ExactScalar polynomial into
+the integer components that `fit_quasi_polynomial` sums, one coefficient at
+a time.  `ScalarFit` is the route that `fit_quasi_polynomial` must
+reproduce in integers: ExactScalar tables summed per residue mod each order
+and then per residue mod the period, and each value found by Horner's rule
+in ExactScalars.
 """
 
 import math
+from fractions import Fraction
 
 from contact_index.deltas import _poly_add, fourier_contribution
-from contact_index.engine import DEFAULT_CALIBRATION, fit_quasi_polynomial, germ_at
+from contact_index.engine import (DEFAULT_CALIBRATION, _sum_components, fit_quasi_polynomial,
+                                  germ_at)
 from contact_index.scalars import ExactScalar
 
 
@@ -31,6 +37,26 @@ def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
     quasi = fit_quasi_polynomial(contributions)
     coefficients = {m: quasi.read(m)[0] for m in range(-max_m, max_m + 1)}
     return germs, quasi, coefficients
+
+
+def fourier_table(germ, at, s):
+    """(q, residue -> ExactScalar coefficients) of the germ at the point `at` alone:
+    zeta^{-s r p} (1/2pi) sum_j c_j (s i)^j m^j, by cyclotomic products."""
+    loc = Fraction(at) % 1
+    poly, weight = [], ExactScalar.pi_power(-1, Fraction(1, 2))
+    for c in germ.terms:  # weight runs through (1/2pi) (s i)^j
+        poly.append(weight * c)
+        weight = weight * (ExactScalar.i() * s)
+    return loc.denominator, {r: [ExactScalar.root_of_unity(-s * r * loc.numerator,
+                                                           loc.denominator) * c for c in poly]
+                             for r in range(loc.denominator)}
+
+
+def components(poly):
+    """The integer components of ascending ExactScalar coefficients, one coefficient at a time."""
+    return _sum_components([(c.pi, c.value.level, c.value.den,
+                             {e: [0] * j + [n] for e, n in c.value.nums.items()})
+                            for j, c in enumerate(poly) if c])
 
 
 def quasi_equal(a, b):

@@ -8,8 +8,9 @@ import pytest
 
 from contact_index.deltas import (DeltaError, DeltaGerm, fourier_contribution,
                                   germ_to_document, multiply_smooth, scale_variable)
+from contact_index.engine import QuasiPolynomial
 from contact_index.forms import FormElement
-from contact_index.scalars import ExactScalar
+from contact_index.scalars import ExactScalar, ScalarError
 from distributions import HalfDeltaGerm, germ_from_document, pair_with_trig
 
 ONE = ExactScalar.one()
@@ -23,12 +24,9 @@ d1 = DeltaGerm.delta(1)
 d2 = DeltaGerm.delta(2)
 
 
-def evaluate_quasi(table_pair, m):
-    q, table = table_pair
-    acc = ExactScalar.zero()
-    for j, c in enumerate(table[m % q]):
-        acc = acc + c * ExactScalar.from_rational(Fraction(m) ** j)
-    return acc
+def evaluate_quasi(pair, m):
+    """The value at m of `fourier_contribution`'s (q, rows)."""
+    return QuasiPolynomial(pair[1]).read(m)[0]
 
 
 class TestScaleVariable:
@@ -113,6 +111,10 @@ class TestFourier:
             for m in (-7, -1, 0, 2, 9):
                 assert evaluate_quasi(p_sum, m) == \
                     evaluate_quasi(p1, m) + evaluate_quasi(p2, m)
+
+    def test_a_germ_has_one_pi_grade(self):
+        with pytest.raises(ScalarError, match=r"mixes pi-grades \[0, 1\]"):
+            fourier_contribution(DeltaGerm([ONE, TWO_PI]), Fraction(1, 3), +1)
 
 
 class TestPairWithTrig:

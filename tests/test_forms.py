@@ -12,15 +12,19 @@ from contact_index import forms
 from contact_index.catalog import FixedComponentData
 from contact_index.deltas import DeltaGerm, scale_variable
 from contact_index.engine import CalibrationConfig, build_preset, germ_at
-from contact_index.forms import (ChernRoot, FormElement, FormError, _rational_power,
-                                 _series_power, dc_inverse, evaluate_series,
-                                 integrate_component, j_form, normal_factor_series,
-                                 root_value, todd, todd_series)
+from contact_index.forms import (ChernRoot, FormElement, FormError, _normal_determinant,
+                                 _rational_power, _series_power, dc_inverse, evaluate_series,
+                                 integrate_component, j_form, root_value, todd, todd_series)
 from contact_index.scalars import CyclotomicNumber, ExactScalar
 
 ONE = ExactScalar.one()
 I = ExactScalar.i()
 TWO_PI = ExactScalar.pi_power(1, 2)
+
+
+def normal_factor_series(eigenvalue, length):
+    """Taylor coefficients of (1 - lambda e^t)^-1 for lambda != 1."""
+    return _series_power(_normal_determinant(eigenvalue, length), -1)
 
 
 def bernoulli_numbers(count):

@@ -6,7 +6,9 @@ orbit of torsion points is evaluated once (one orbit of order q when 4 does
 not divide q, two when it does), and on model documents that break one of
 the guards, where each point is its own orbit.  On both, every germ has at
 most k + 1 terms, the degree bound that `fit_quasi_polynomial` relies on
-without checking it.
+without checking it.  An orbit's integer rows from `fourier_contribution`
+are the sum of its members' ExactScalar tables, at level 4, and once the
+trace table is built they take no cyclotomic product, fold or demotion.
 """
 
 import math
@@ -14,12 +16,13 @@ from fractions import Fraction
 
 import pytest
 
-from contact_index import engine
+from contact_index import engine, scalars
 from contact_index.catalog import model_from_document, model_to_document
-from contact_index.engine import (CalibrationConfig, _orbits, assemble_character, build_preset,
-                                  germ_at)
-from contact_index.scalars import _euler_phi, _units_over_qi
-from character_reference import character_reference, quasi_equal
+from contact_index.deltas import fourier_contribution
+from contact_index.engine import (CalibrationConfig, QuasiPolynomial, _orbits,
+                                  assemble_character, build_preset, germ_at)
+from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi, _units_over_qi
+from character_reference import character_reference, fourier_table, quasi_equal
 
 CALIBRATIONS = [CalibrationConfig(s, o, d) for s in (1, -1) for o in (1, -1)
                 for d in ("plus", "minus")]
@@ -78,6 +81,52 @@ def test_an_order_divisible_by_four_takes_one_germ_per_orbit(monkeypatch):
     assemble_character(build_preset("weighted-s3", (3, 16)), 96)
     assert calls == [Fraction(p, q) for p, q in
                      ((0, 1), (1, 2), (1, 3), (1, 4), (3, 4), (1, 8), (3, 8), (1, 16), (3, 16))]
+
+
+def exact_horner(coeffs, m):
+    acc = ExactScalar.zero()
+    for c in reversed(coeffs):
+        acc = acc * m + c
+    return acc
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (5, 8), (3, 16), (1, 60)])
+@pytest.mark.parametrize("s", [1, -1])
+def test_orbit_rows_are_the_sum_of_the_members_tables(a, b, s):
+    calibration = CalibrationConfig(poisson_sign=s)
+    model = build_preset("weighted-s3", (a, b), calibration)
+    for q, points in orbits(model).items():
+        for orbit, maps in _orbits(model, q, points):
+            p0 = orbit[0]
+            germ = germ_at(model, p0, calibration)
+            order, rows = fourier_contribution(germ, p0, s, maps)
+            assert order == q and len(rows) == q, p0
+            if len(orbit) > 1:  # traced down to Q(i)
+                assert {level for _, level, _, _ in rows} == {4}, p0
+            tables = [fourier_table(germ.galois(t), t * p0, s)[1] for t in maps]
+            quasi = QuasiPolynomial(rows)
+            for m in range(-q, q):
+                want = sum((exact_horner(table[m % q], m) for table in tables),
+                           ExactScalar.zero())
+                assert quasi.read(m)[0] == want, (p0, m)
+
+
+def test_an_orbit_takes_no_product_fold_or_demotion_once_its_table_is_built(monkeypatch):
+    model = build_preset("weighted-s3", (1, 420))
+    p0 = Fraction(1, 420)
+    ((orbit, maps),) = [o for o in _orbits(model, 420, orbits(model)[420]) if p0 in o[0]]
+    assert orbit[0] == p0 and len(orbit) > 1
+    germ = germ_at(model, p0)
+    want = fourier_contribution(germ, p0, 1, maps)  # builds the trace table
+    calls = []
+    for owner, name in ((CyclotomicNumber, "__mul__"), (CyclotomicNumber, "demote"),
+                        (scalars, "_fold")):
+        def spy(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, spy)
+    assert fourier_contribution(germ, p0, 1, maps) == want
+    assert calls == []
 
 
 pytest.importorskip("hypothesis")

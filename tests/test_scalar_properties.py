@@ -7,6 +7,7 @@ Seeded through a derandomized hypothesis profile, so every run draws the
 same examples.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import cmath
@@ -19,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from contact_index.scalars import (CyclotomicNumber, ExactScalar, ScalarError,  # noqa: E402
-                                   _euler_phi, approx_display)
+                                   _euler_phi, _trace_table, _units_over_qi, approx_display)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -133,17 +134,41 @@ def test_conjugation_is_galois_minus_one(case):
     assert x.galois(-1).complex_value() == pytest.approx(x.complex_value().conjugate())
 
 
-@DETERMINISTIC
-@given(galois_case())
-def test_relative_trace_sums_the_maps_fixing_i(case):
-    x, _, _, _, level = case
-    trace = x.relative_trace(level)
-    explicit = CyclotomicNumber(4, {})
-    for t in range(1, level, 4):
-        if math.gcd(t, level) == 1:
-            explicit = explicit + x.galois(t)
-    assert trace.level == 4
-    assert trace == explicit
+@pytest.mark.parametrize("level", (*LEVELS, 1020))
+def test_trace_table_rows_sum_the_maps_fixing_i(level):
+    """Row e is the sum of zeta^e's images zeta^(e t) over the units t = 1 mod 4, every
+    image folded on its own: no row is shared."""
+    units = _units_over_qi(level)
+    sub, rows = _trace_table(level, units)
+    assert sub == 4 and len(rows) == level
+    powers = [CyclotomicNumber.zeta(level, k).nums for k in range(level)]
+    for e in range(level):
+        explicit = Counter()
+        for t in units:
+            explicit.update(powers[e * t % level])
+        assert CyclotomicNumber(4, dict(rows[e])) == CyclotomicNumber(level, explicit), e
+
+
+def test_the_image_of_a_power_of_zeta_is_its_power():
+    for level in LEVELS:
+        for t in _units_over_qi(level):
+            assert all(CyclotomicNumber.zeta(level, e).galois(t) ==
+                       CyclotomicNumber.zeta(level, e * t) for e in range(level))
+
+
+@pytest.mark.parametrize("level", (*LEVELS, 1020))
+def test_trace_table_of_the_map_one_holds_the_powers_of_zeta(level):
+    sub, rows = _trace_table(level, (1,))
+    assert sub == level and len(rows) == level
+    for e in range(level):
+        assert CyclotomicNumber(level, dict(rows[e])) == CyclotomicNumber.zeta(level, e), e
+
+
+def test_trace_table_maps_are_a_group_of_units():
+    with pytest.raises(ScalarError, match="3 is not coprime to the level 12"):
+        _trace_table(12, (1, 3))
+    with pytest.raises(ScalarError, match="not a group of units mod 40"):
+        _trace_table(40, (1, 9, 13, 17))  # the units over Q(i) mod 20, not closed mod 40
 
 
 @st.composite
@@ -234,8 +259,7 @@ def operands(draw):
 @given(operands())
 def test_every_operation_returns_the_canonical_representation(case):
     x, y, t, level = case
-    results = [x, x + y, x * y, -x, x.galois(t), x.promote(level), x.relative_trace(level),
-               x.demote()]
+    results = [x, x + y, x * y, -x, x.galois(t), x.promote(level), x.demote()]
     if not x.is_zero():
         results.append(x.inverse())
     for v in results:

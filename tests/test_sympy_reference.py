@@ -15,14 +15,19 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.ring_series import rs_exp, rs_pow, rs_series, rs_series_inversion  # noqa: E402
 
-from contact_index.forms import (_rational_power, _todd_quotient,  # noqa: E402
-                                 normal_factor_series, todd_series)
+from contact_index.forms import (_normal_determinant, _rational_power,  # noqa: E402
+                                 _series_power, _todd_quotient, todd_series)
 from contact_index.scalars import (CyclotomicNumber, _euler_phi,  # noqa: E402
                                    cyclotomic_polynomial)
 
 X = sympy.Symbol("x")
 INVERSE_LEVELS = (12, 20, 44, 52, 68)
 TERMS = 30
+
+
+def normal_factor_series(eigenvalue, length):
+    """Taylor coefficients of (1 - lambda e^t)^-1 for lambda != 1."""
+    return _series_power(_normal_determinant(eigenvalue, length), -1)
 
 
 def _ascending(series, length):
