@@ -10,10 +10,9 @@ bundled model.
 """
 
 from .scalars import CyclotomicNumber, ExactScalar, ScalarError, approx_display
-from .deltas import (DeltaError, DeltaGerm, fourier_contribution, multiply_smooth,
-                     scale_variable)
+from .deltas import DeltaError, DeltaGerm, fourier_contribution
 from .forms import (ChernRoot, FormElement, FormError, dc_inverse,
-                    integrate_component, j_form, todd, todd_series)
+                    integrate_component, j_form, todd)
 from .catalog import (ContactModel, FixedComponentData, ModelError, dump_model,
                       load_model, model_from_document, model_to_document,
                       preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
@@ -27,9 +26,8 @@ from . import oracle
 __all__ = [
     "CyclotomicNumber", "ExactScalar", "ScalarError", "approx_display",
     "DeltaError", "DeltaGerm", "fourier_contribution",
-    "multiply_smooth", "scale_variable",
     "ChernRoot", "FormElement", "FormError", "dc_inverse",
-    "integrate_component", "j_form", "todd", "todd_series",
+    "integrate_component", "j_form", "todd",
     "ContactModel", "FixedComponentData", "ModelError", "dump_model",
     "load_model", "model_from_document", "model_to_document",
     "preset_circle", "preset_hopf_sphere", "preset_prequantum_cpn",

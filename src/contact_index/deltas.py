@@ -1,19 +1,13 @@
-"""Germs of delta distributions at a point of the circle, and their calculus.
+"""Germs of delta distributions at a point of the circle, and their Fourier conversion.
 
 A germ is a finite combination sum_j c_j d0^(j)(phi) in the local angle
-variable phi, with exact scalar coefficients.  The module implements the
-rewrite rules the localization needs:
-
-* rescaling of the argument,  d0^(j)(a x) = sign(a) a^-(j+1) d0^(j)(x);
-* multiplication by a smooth jet (Leibniz pairing);
-* conversion of a germ sitting at a root of unity into Fourier
-  coefficients (a quasi-polynomial in the frequency), summed over Galois maps.
+variable phi, with exact scalar coefficients.  The localization builds its
+germs in `forms.integrate_component`, in closed form; the one rewrite left
+here is the conversion of a germ sitting at a root of unity into Fourier
+coefficients (a quasi-polynomial in the frequency), summed over Galois maps.
 
 Germs are dense ascending coefficient lists with trailing zeros trimmed;
-every operation returns a new value.  Jets are not a type of their own:
-smooth forms live in `forms.FormElement`, one ring over the generators and
-phi, and a jet reaches `multiply_smooth` as the ascending list of one
-generator monomial's phi coefficients.
+every operation returns a new value.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ GERM_VAR = "phi"
 
 
 class DeltaError(ValueError):
-    """Raised for invalid germ operations (ellipticity, truncation, ...)."""
+    """Raised for invalid germ operations (a negative derivative order, a bad sign, ...)."""
 
 
 def _trimmed(coeffs):
@@ -60,6 +54,9 @@ class DeltaGerm:
 
     @staticmethod
     def delta(order=0, coeff=1):
+        """coeff * d0^(order); a negative order raises `DeltaError`."""
+        if order < 0:
+            raise DeltaError(f"a derivative order must be nonnegative, got {order}")
         return DeltaGerm([ExactScalar.zero()] * order + [_coerce(coeff)])
 
     @staticmethod
@@ -88,9 +85,6 @@ class DeltaGerm:
     def is_zero(self):
         return not self.terms
 
-    def max_order(self):
-        return max(len(self.terms) - 1, 0)
-
     def __eq__(self, other):
         if not isinstance(other, DeltaGerm):
             return NotImplemented
@@ -106,53 +100,8 @@ class DeltaGerm:
 
 
 # ----------------------------------------------------------------------
-# operations
+# Fourier conversion
 # ----------------------------------------------------------------------
-
-def scale_variable(germ, a):
-    """Rewrite d0^(j)(a x) in terms of d0^(j)(x): coefficient sign(a) a^-(j+1).
-
-    The homogeneity is forced by a d0(a x) = sign(a) d0(x) together with
-    term-wise differentiation.  a = 0 is the ellipticity-violating case and
-    is rejected.  Zero terms pass through untouched.
-    """
-    a = Fraction(a)
-    if a == 0:
-        raise DeltaError("cannot rescale a germ variable by zero (ellipticity violation)")
-    sign = 1 if a > 0 else -1
-    return DeltaGerm([c * (sign * a ** (-(j + 1))) if c else c
-                      for j, c in enumerate(germ.terms)])
-
-
-def multiply_smooth(germ, jet):
-    """Multiply a germ by a smooth jet via the Leibniz pairing.
-
-    `jet` is the ascending list of the jet's phi coefficients (zeros
-    allowed).  phi^k d0^(j) = 0 when k > j, else (-1)^k j!/(j-k)! d0^(j-k);
-    extended bilinearly over jet and germ terms.  Truncating the jet is the
-    caller's part: phi terms above the germ's top derivative order pair to
-    zero, but any dropped below it are missed (`forms.integrate_component`
-    checks its jet order).  Each weight (-1)^k j!/(j-k)! is an int: an
-    `ExactScalar` times an int scales its numerators, with no cyclotomic product.
-    """
-    return DeltaGerm(_leibniz_into([ExactScalar.zero()] * len(germ.terms), germ, jet))
-
-
-def _leibniz_into(out, germ, jet):
-    """Add the Leibniz pairing of `multiply_smooth` into the coefficient list out; return out."""
-    for k, jc in enumerate(jet[:len(germ.terms)]):
-        if jc.is_zero():
-            continue
-        for j in range(k, len(germ.terms)):
-            gc = germ.terms[j]
-            if gc.is_zero():
-                continue
-            coeff = jc * gc
-            if k:
-                coeff = coeff * ((-1) ** k * math.factorial(j) // math.factorial(j - k))
-            out[j - k] = out[j - k] + coeff
-    return out
-
 
 def fourier_contribution(germ, location, poisson_sign, maps=(1,)):
     """Fourier coefficients of a germ at a torsion point, summed over Galois maps.

@@ -239,10 +239,10 @@ def fit_quasi_polynomial(contributions):
     mod q, and then the orders once per residue mod the period.
 
     Every residue polynomial has degree at most the largest k = (dim - 1)/2
-    of a fixed component, so no check is made: `j_form` emits d0^(j) only
-    for j <= k, `multiply_smooth` never raises a germ's order,
-    `integrate_component` sums germs and `galois` keeps their length, so a
-    germ has at most k + 1 terms and its Fourier polynomial degree <= k.
+    of a fixed component, so no check is made: `j_form` has k + 1 terms,
+    `integrate_component` pairs them down to orders <= k and sums germs, and
+    `galois` keeps their length, so a germ has at most k + 1 terms and its
+    Fourier polynomial degree <= k.
     """
     by_order = {}
     for q, rows in contributions:

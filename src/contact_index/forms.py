@@ -4,13 +4,13 @@ A form element is one polynomial in nilpotent 2-form generators (the class
 of d-alpha plus any base curvature classes) and the local angle phi, with
 exact scalar coefficients.  It is truncated separately in each: at the
 component's top generator degree k (so the component has dimension 2k+1)
-and at the jet order in phi.  The smooth jets in phi are thus no separate
-type: a jet is the list of a generator monomial's phi coefficients.  The
-delta form of `j_form` holds germ coefficients at phi exponent 0 and never
-enters the ring's products: `integrate_component` groups the smooth terms
-by generator monomial into phi-coefficient lists and pairs a list of
-degree d only with the delta terms of degree k - d, so every product lands
-on top degree, the one degree that integrates.
+and at the jet order in phi.  Smooth jets in phi are thus no separate type.
+
+The delta form of `j_form` is no form element: it is the list of its k + 1
+rationals, term j a rational multiple of d0^(j)(phi) (d-alpha)^j.
+`integrate_component` pairs a smooth term of generator degree d with delta
+term k - d alone, so every product lands on top degree, the one degree that
+integrates, and costs one rational Leibniz weight.
 
 The module also builds the two power series the localization consumes:
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import CyclotomicNumber, ExactScalar, _coerce
-from .deltas import GERM_VAR, DeltaGerm, _leibniz_into
+from .deltas import GERM_VAR, DeltaGerm
 
 
 class FormError(ValueError):
@@ -76,9 +76,8 @@ class FormElement:
     """Polynomial in the even generators and phi, truncated separately in each.
 
     `terms` maps (generator exponents..., phi exponent) to a nonzero
-    coefficient: an `ExactScalar`, or a `DeltaGerm` at phi exponent 0 in
-    the delta form of `j_form`.  Terms of generator degree above
-    `truncation` or of phi degree above `jet_order` are dropped.
+    `ExactScalar`.  Terms of generator degree above `truncation` or of phi
+    degree above `jet_order` are dropped.
     """
 
     __slots__ = ("generators", "truncation", "jet_order", "terms")
@@ -173,16 +172,6 @@ def _todd_quotient(length, direction):
         raise FormError(f"unknown Todd direction {direction!r}")
     sign = -1 if direction == "plus" else 1
     return [Fraction(sign ** j, math.factorial(j + 1)) for j in range(length)]
-
-
-def todd_series(length, direction="plus"):
-    """Taylor coefficients of the Todd factor.
-
-    direction "plus" gives x/(1-e^-x) (coefficients 1, 1/2, 1/12, 0, -1/720,
-    ...), direction "minus" gives x/(e^x-1): the power -1 of the quotient over Q,
-    by `_rational_power`; the tests check it by the Bernoulli-number recurrence.
-    """
-    return _rational_power(_todd_quotient(length, direction), -1)
 
 
 _EIGENVALUE_ONE = ("fixed-set mismatch: normal eigenvalue 1 means the direction "
@@ -334,14 +323,18 @@ def _rational_power(coeffs, r):
 
 
 def j_form(component, *, jet_order):
-    """The contact delta form over a fixed component, with alpha left implicit.
+    """The contact delta form over a fixed component, as its k + 1 rationals.
 
-    sum_j d0^(j)(-mu w phi) (d-alpha)^j / j!, where w is the component's
-    Reeb weight and the first generator plays the role of the d-alpha class.
-    By the rescaling rule of `deltas.scale_variable`, term j is d0^(j)(phi)
-    times one rational, sign(a) a^-(j+1) / j! with a = -mu w: no cyclotomic
-    product.  Its germ coefficients are read by `integrate_component` alone.
+    sum_j d0^(j)(-mu w phi) (d-alpha)^j / j!, with alpha left implicit, where w
+    is the component's Reeb weight and the first generator plays the role of
+    the d-alpha class.  By the rescaling rule d0^(j)(a x) = sign(a) a^-(j+1)
+    d0^(j)(x), term j is d0^(j)(phi) (d-alpha)^j times c_j = sign(a) a^-(j+1)
+    / j! with a = -mu w; the form is the list [c_0, ..., c_k] of `Fraction`s.
     Requires a positive moment constant (ellipticity).
+
+    `jet_order` is not read, since the form has no phi terms.  It stays
+    because `perfbench/tracing.py` observes it by name; a trace collector in
+    the library (ROADMAP item 1) would remove that need.
     """
     mu = Fraction(component.mu)
     if mu <= 0:
@@ -350,52 +343,44 @@ def j_form(component, *, jet_order):
     if not w:
         raise FormError("the moment covector must pair nontrivially with the circle "
                         "on each component (constant-moment normalization)")
-    k, gens, a = component.k, component.generators, -mu * w
+    a = -mu * w
     sign = 1 if a > 0 else -1
-    terms = {}
-    for j in range(k + 1):
-        exp = tuple(j if i == 0 else 0 for i in range(len(gens))) + (0,)
-        terms[exp] = DeltaGerm.delta(j, Fraction(sign, math.factorial(j)) / a ** (j + 1))
-    return FormElement(gens, k, jet_order, terms)
+    return [Fraction(sign, math.factorial(j)) / a ** (j + 1) for j in range(component.k + 1)]
 
 
 def integrate_component(smooth, delta, pairing):
     """The germ of smooth * delta, alpha implicit, paired with the top pairing table.
 
-    `smooth` is a scalar form, `delta` the germ form of `j_form`.  The
-    smooth terms are grouped by generator monomial into jets, ascending
-    lists of phi coefficients up to the highest phi power present.  Only
-    monomials of top generator degree k integrate nontrivially on an
-    odd-dimensional component, so only their products are formed: a germ
-    times a jet by the Leibniz pairing, summed into one coefficient list per
-    top monomial (`deltas._leibniz_into`).  The jet order must reach the
-    germs' top derivative order, otherwise dropped phi terms could still
-    pair nontrivially.  Each top monomial's sum is weighted by its pairing
-    value; a nonzero sum missing from the table is an error.
+    `smooth` is a scalar form of truncation k, `delta` the k + 1 rationals of
+    `j_form`.  Only monomials of top generator degree k integrate on an
+    odd-dimensional component, so a smooth term c g^e phi^p of generator
+    degree d meets delta term j = k - d alone, on the top monomial e + j dA.
+    By the Leibniz rule phi^p d0^(j) = (-1)^p j!/(j-p)! d0^(j-p), zero for
+    p > j, it adds c c_j (-1)^p j!/(j-p)! to order j - p: one `ExactScalar`
+    scaled by one rational.  The jet order must reach k, the delta form's top
+    derivative order, otherwise dropped phi terms could still pair
+    nontrivially.  Each top monomial's germ is weighted by its pairing value;
+    a nonzero germ missing from the table is an error.
     """
-    smooth._check(delta)
-    need = max((germ.max_order() for germ in delta.terms.values()), default=0)
-    if smooth.jet_order < need:
+    k = smooth.truncation
+    if len(delta) != k + 1:
+        raise FormError(f"form basis mismatch: a delta form of {len(delta)} terms "
+                        f"against truncation {k}")
+    if smooth.jet_order < k:
         raise FormError(
             f"jet truncation order {smooth.jet_order} is below the germ's top derivative "
-            f"order {need}; raise the truncation to at least {need}")
-    jets = {}
-    for exp, c in smooth.terms.items():
-        jet = jets.setdefault(exp[:-1], [])
-        jet.extend([ExactScalar.zero()] * (exp[-1] + 1 - len(jet)))
-        jet[exp[-1]] = c
-    by_degree = {}
-    for exp, germ in delta.terms.items():
-        by_degree.setdefault(sum(exp), []).append((exp, germ))
-    k = smooth.truncation
+            f"order {k}; raise the truncation to at least {k}")
     top = {}
-    for e1, jet in jets.items():
-        for e2, germ in by_degree.get(k - sum(e1), ()):
-            exp = tuple(a + b for a, b in zip(e1, e2))  # e2's phi exponent 0 drops out
-            _leibniz_into(top.setdefault(exp, [ExactScalar.zero()] * (need + 1)), germ, jet)
+    for (*e, p), c in smooth.terms.items():
+        j = k - sum(e)
+        if p <= j:
+            orders = top.setdefault((e[0] + j, *e[1:]) if e else (), {})
+            term = c * (delta[j] * (-1) ** p * math.perm(j, p))
+            orders[j - p] = orders[j - p] + term if j - p in orders else term
     total = DeltaGerm.zero()
-    for exp, coeffs in top.items():
-        if (germ := DeltaGerm(coeffs)).is_zero():
+    for exp, orders in top.items():
+        germ = DeltaGerm([orders.get(i, ExactScalar.zero()) for i in range(max(orders) + 1)])
+        if germ.is_zero():
             continue
         if exp not in pairing:
             raise FormError(f"pairing table has no entry for surviving monomial {exp}")

@@ -201,18 +201,21 @@ def _units_over_qi(level):
 def _trace_table(level, maps):
     """(L', rows): row e < level is the sum of zeta_level^(e t) over the maps t, at L', the
     smallest level holding every row.  The maps must be a group of units mod level, so
-    row e t is row e: one row is folded and demoted per orbit of exponents."""
+    row e t is row e: one row is folded per orbit of exponents, and demoted only while
+    L' is below level (no row is held above it; for the map 1, row 1 is zeta itself)."""
     if bad := [t for t in maps if math.gcd(t, level) != 1]:
         raise ScalarError(f"{bad[0]} is not coprime to the level {level}")
     if {t * u % level for t in maps for u in maps} != set(maps):
         raise ScalarError(f"the maps are not a group of units mod {level}")
-    rows = [None] * level
+    rows, sub = [None] * level, 4
     for e in range(level):
         if rows[e] is None:
-            x = _make(level, 1, _fold(Counter(e * t % level for t in maps), level)).demote()
+            x = _make(level, 1, _fold(Counter(e * t % level for t in maps), level))
+            if sub < level:
+                x = x.demote()
+                sub = math.lcm(sub, x.level)
             for t in maps:
                 rows[e * t % level] = x
-    sub = math.lcm(*(x.level for x in rows))
     held = {id(x): tuple(x.promote(sub).nums.items()) for x in rows}
     return sub, tuple(held[id(x)] for x in rows)
 
@@ -414,8 +417,8 @@ class CyclotomicNumber:
 
 _ZERO = _make(4, 1, {})
 # The largest level `ExactScalar.from_text` accepts: a level's fold table and trace tables
-# (units over Q(i); the map 1) cost up to its square to build (0.015, 0.006, 0.05 s at 1020;
-# 0.15, 0.04, 0.28 s at 4080, one 2-vCPU Xeon core); computed levels are not bounded.
+# (units over Q(i); the map 1) cost up to its square to build (0.016, 0.007, 0.017 s at 1020;
+# 0.21, 0.05, 0.09 s at 4080, one 2-vCPU Xeon core); computed levels are not bounded.
 MAX_TEXT_LEVEL = 1024
 
 

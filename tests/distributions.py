@@ -1,15 +1,76 @@
-"""Test-only distributions: boundary-value germs, the trigonometric pairing,
-the derivative of a germ and the reader of germ documents.
+"""Test-only distributions: the general germ calculus, boundary-value germs,
+the trigonometric pairing, the derivative of a germ and the reader of germ
+documents.
 
-All serve as independent routes that the germ calculus and its serialization
-are checked against; the localization pipeline itself uses none of them.
+All serve as independent routes that the library's closed forms and its
+serialization are checked against; the localization pipeline itself uses
+none of them.  The general calculus (`scale_variable`, `multiply_smooth`)
+rewrites any germ; `reference_integral` runs it the long way round, one
+rescaled delta and one jet per generator monomial, as the reference for
+`forms.integrate_component` paired with `forms.j_form`.
 """
 
+import math
 import re
 from fractions import Fraction
 
 from contact_index.deltas import GERM_VAR, DeltaError, DeltaGerm
 from contact_index.scalars import ExactScalar, _coerce
+
+
+def scale_variable(germ, a):
+    """Rewrite d0^(j)(a x) in terms of d0^(j)(x): coefficient sign(a) a^-(j+1).
+
+    The homogeneity is forced by a d0(a x) = sign(a) d0(x) together with
+    term-wise differentiation.  a = 0 is the ellipticity-violating case and
+    is rejected.
+    """
+    a = Fraction(a)
+    if a == 0:
+        raise DeltaError("cannot rescale a germ variable by zero (ellipticity violation)")
+    sign = 1 if a > 0 else -1
+    return DeltaGerm([c * (sign * a ** (-(j + 1))) for j, c in enumerate(germ.terms)])
+
+
+def multiply_smooth(germ, jet):
+    """Multiply a germ by a smooth jet via the Leibniz pairing.
+
+    `jet` is the ascending list of the jet's phi coefficients (zeros
+    allowed).  phi^k d0^(j) = 0 when k > j, else (-1)^k j!/(j-k)! d0^(j-k);
+    extended bilinearly over jet and germ terms.
+    """
+    out = [ExactScalar.zero()] * len(germ.terms)
+    for k, jc in enumerate(jet[:len(germ.terms)]):
+        for j in range(k, len(germ.terms)):
+            out[j - k] = out[j - k] + jc * germ.terms[j] * ((-1) ** k * math.perm(j, k))
+    return DeltaGerm(out)
+
+
+def reference_integral(smooth, component):
+    """integrate_component(smooth, j_form(component), pairing) by the general calculus.
+
+    The smooth terms are grouped by generator monomial e into jets; a jet of
+    generator degree d meets d0^(j)(-mu w phi) (d-alpha)^j / j! for j = k - d
+    alone, rescaled by `scale_variable` and multiplied by `multiply_smooth`.
+    The germs are summed per top monomial e + j dA, and every nonzero sum is
+    weighted by the component's pairing value, which must be there.
+    """
+    k, a = component.k, -Fraction(component.mu) * component.reeb_weight[0]
+    jets = {}
+    for exp, c in smooth.terms.items():
+        jet = jets.setdefault(exp[:-1], [ExactScalar.zero()] * (smooth.jet_order + 1))
+        jet[exp[-1]] = c
+    top = {}
+    for e, jet in jets.items():
+        j = k - sum(e)
+        delta = scale_variable(DeltaGerm.delta(j, Fraction(1, math.factorial(j))), a)
+        mono = (e[0] + j, *e[1:]) if e else ()
+        top[mono] = top.get(mono, DeltaGerm.zero()) + multiply_smooth(delta, jet)
+    total = DeltaGerm.zero()
+    for mono, germ in top.items():
+        if not germ.is_zero():
+            total = total + germ * component.pairing[mono]
+    return total
 
 
 def pair_with_trig(germ, trig):

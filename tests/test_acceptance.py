@@ -15,13 +15,13 @@ from click.testing import CliRunner
 from contact_index import oracle
 from contact_index.catalog import scaled_model
 from contact_index.cli import main
-from contact_index.deltas import DeltaGerm, multiply_smooth, scale_variable
+from contact_index.deltas import DeltaGerm
 from contact_index.engine import (CalibrationConfig, assemble_character,
                                   build_preset, calibrate_conventions,
                                   corollary_expand, dh_fourier, germ_at)
 from contact_index.forms import FormElement, integrate_component, j_form
 from contact_index.scalars import ExactScalar
-from distributions import HalfDeltaGerm, derivative
+from distributions import HalfDeltaGerm, derivative, multiply_smooth, scale_variable
 
 TWO_PI = ExactScalar.pi_power(1, 2)
 I = ExactScalar.i()

@@ -1,4 +1,5 @@
-"""Delta germ calculus: rescaling, smooth multiplication, Fourier."""
+"""Delta germs: the general calculus of the tests (rescaling, smooth
+multiplication), Fourier conversion, serialization."""
 
 import random
 import re
@@ -6,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from contact_index.deltas import (DeltaError, DeltaGerm, fourier_contribution,
-                                  germ_to_document, multiply_smooth, scale_variable)
+from contact_index.deltas import DeltaError, DeltaGerm, fourier_contribution, germ_to_document
 from contact_index.engine import QuasiPolynomial
 from contact_index.forms import FormElement
 from contact_index.scalars import ExactScalar, ScalarError
-from distributions import HalfDeltaGerm, germ_from_document, pair_with_trig
+from distributions import (HalfDeltaGerm, germ_from_document, multiply_smooth,
+                           pair_with_trig, scale_variable)
 
 ONE = ExactScalar.one()
 I = ExactScalar.i()
@@ -27,6 +28,12 @@ d2 = DeltaGerm.delta(2)
 def evaluate_quasi(pair, m):
     """The value at m of `fourier_contribution`'s (q, rows)."""
     return QuasiPolynomial(pair[1]).read(m)[0]
+
+
+class TestDelta:
+    def test_a_negative_order_is_rejected_by_name(self):
+        with pytest.raises(DeltaError, match="nonnegative, got -2"):
+            DeltaGerm.delta(-2, 3)
 
 
 class TestScaleVariable:

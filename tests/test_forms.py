@@ -10,16 +10,23 @@ import pytest
 
 from contact_index import forms
 from contact_index.catalog import FixedComponentData
-from contact_index.deltas import DeltaGerm, scale_variable
+from contact_index.deltas import DeltaGerm
 from contact_index.engine import CalibrationConfig, build_preset, germ_at
 from contact_index.forms import (ChernRoot, FormElement, FormError, _normal_determinant,
-                                 _rational_power, _series_power, dc_inverse, evaluate_series,
-                                 integrate_component, j_form, root_value, todd, todd_series)
+                                 _rational_power, _series_power, _todd_quotient, dc_inverse,
+                                 evaluate_series, integrate_component, j_form, root_value,
+                                 todd)
 from contact_index.scalars import CyclotomicNumber, ExactScalar
+from distributions import reference_integral, scale_variable
 
 ONE = ExactScalar.one()
 I = ExactScalar.i()
 TWO_PI = ExactScalar.pi_power(1, 2)
+
+
+def todd_series(length, direction="plus"):
+    """Taylor coefficients of x/(1-e^-x) ("plus") or x/(e^x-1) ("minus")."""
+    return _rational_power(_todd_quotient(length, direction), -1)
 
 
 def normal_factor_series(eigenvalue, length):
@@ -298,6 +305,12 @@ class TestSeriesSizing:
         assert seen == {"_todd_quotient": [], "_rational_power": [], "_series_power": [6]}
 
 
+def _seven_dimensional_component(generators, pairing):
+    """A fixed component with k = 3, mu = 1 and Reeb weight 1, and no roots."""
+    return FixedComponentData(dim_odd=7, generators=generators, tangential=[], normal=[],
+                              mu=Fraction(1), reeb_weight=(1,), pairing=pairing)
+
+
 def _sphere_component():
     return FixedComponentData(
         dim_odd=3, generators=("dA",),
@@ -308,39 +321,30 @@ def _sphere_component():
 
 class TestJForm:
     def test_sphere_delta_form(self):
-        form = j_form(_sphere_component(), jet_order=4)
         # d0(-phi) + d0'(-phi) dA: constant term d0, linear term -d0'
-        d0 = DeltaGerm.delta(0)
-        d1 = DeltaGerm.delta(1)
-        assert form.terms[(0, 0)] == d0
-        assert form.terms[(1, 0)] == d1 * ExactScalar.from_rational(-1)
+        assert j_form(_sphere_component(), jet_order=4) == [1, -1]
 
     def test_circle_delta_form(self):
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
                                   pairing={(): TWO_PI})
-        form = j_form(comp, jet_order=4)
-        assert form.terms[(0,)] == DeltaGerm.delta(0)
+        assert j_form(comp, jet_order=4) == [1]
 
     def test_parity_no_generator_term_in_dimension_one(self):
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
                                   pairing={(): TWO_PI})
-        form = j_form(comp, jet_order=4)
-        assert set(form.terms) == {(0,)}
+        assert len(j_form(comp, jet_order=4)) == 1
 
     def test_five_sphere_delta_form_is_the_taylor_sum(self):
         # alpha sum_j d0^(j)(-phi) dA^j / j!: d0, -d0', d0''/2
         (comp,) = build_preset("hopf", (2,)).components[Fraction(0)]
-        form = j_form(comp, jet_order=4)
-        assert [form.terms[(j, 0)] for j in range(3)] == [
-            DeltaGerm.delta(0), DeltaGerm.delta(1, -1), DeltaGerm.delta(2, Fraction(1, 2))]
+        assert j_form(comp, jet_order=4) == [1, -1, Fraction(1, 2)]
 
     def test_moment_constant_rescales_the_delta_argument(self):
         # mu = 2: d0^(j)(-2 phi) = -(-2)^-(j+1) d0^(j)(phi)
         form = j_form(replace(_sphere_component(), mu=Fraction(2)), jet_order=4)
-        assert form.terms[(0, 0)] == DeltaGerm.delta(0, Fraction(1, 2))
-        assert form.terms[(1, 0)] == DeltaGerm.delta(1, Fraction(-1, 4))
+        assert form == [Fraction(1, 2), Fraction(-1, 4)]
 
     def test_zero_reeb_weight_is_rejected(self):
         with pytest.raises(FormError, match="pair nontrivially"):
@@ -364,10 +368,10 @@ class TestJForm:
                                       normal=[], mu=mu, reeb_weight=(w,),
                                       pairing={(k,): TWO_PI})
             form = j_form(comp, jet_order=k)
-            assert set(form.terms) == {(j, 0) for j in range(k + 1)}
-            for j in range(k + 1):
+            assert len(form) == k + 1 and all(type(c) is Fraction for c in form)
+            for j, c in enumerate(form):
                 old = scale_variable(DeltaGerm.delta(j, Fraction(1, factorial(j))), -mu * w)
-                assert parts(form.terms[(j, 0)]) == parts(old), (mu, w, k, j)
+                assert parts(DeltaGerm.delta(j, c)) == parts(old), (mu, w, k, j)
 
     def test_the_checks_keep_their_messages(self):
         for mu in (Fraction(0), Fraction(-1)):
@@ -474,11 +478,13 @@ class TestIntegrate:
 
     def test_todd_times_delta_form_expansion(self):
         # (1 + i dA) * (d0 - d0' dA) has top coefficient i d0 - d0' at dA
+        comp = replace(_sphere_component(), pairing={(1,): ONE})
         td = FormElement.one(("dA",), 1, 4) + FormElement(("dA",), 1, 4, {(1, 0): I})
-        delta = FormElement(("dA",), 1, 4, {(0, 0): DeltaGerm.delta(0),
-                                             (1, 0): DeltaGerm.delta(1, -1)})
-        germ = integrate_component(td, delta, {(1,): ONE})
+        delta = j_form(comp, jet_order=4)
+        assert delta == [1, -1]
+        germ = integrate_component(td, delta, comp.pairing)
         assert germ == DeltaGerm.delta(0) * I - DeltaGerm.delta(1)
+        assert germ == reference_integral(td, comp)
 
     def test_zero_form_integrates_to_zero(self):
         zero = FormElement(("dA",), 1, 4)
@@ -506,22 +512,28 @@ class TestIntegrate:
         assert integrate_component(smooth, delta, {}).is_zero()
 
     def test_insufficient_jet_order_is_an_error(self):
-        # a germ of order 3 against a jet of order 1: the dropped phi^2 and
-        # phi^3 would still pair with it
-        delta = FormElement((), 0, 4, {(0,): DeltaGerm.delta(3)})
+        # k = 3: the delta form reaches d0^(3), and against a jet of order 1
+        # the dropped phi^2 and phi^3 would still pair with it
+        comp = _seven_dimensional_component(("dA",), {(3,): ONE})
+        delta = j_form(comp, jet_order=3)
+        assert delta == [1, -1, Fraction(1, 2), Fraction(-1, 6)]
         with pytest.raises(FormError, match="raise the truncation to at least 3"):
-            integrate_component(FormElement.one((), 0, 1), delta, {(): ONE})
-        assert integrate_component(FormElement.one((), 0, 3), delta, {(): ONE}) == \
-            DeltaGerm.delta(3)
+            integrate_component(FormElement.one(("dA",), 3, 1), delta, comp.pairing)
+        one = FormElement.one(("dA",), 3, 3)
+        assert integrate_component(one, delta, comp.pairing) == \
+            DeltaGerm.delta(3, Fraction(-1, 6)) == reference_integral(one, comp)
 
     def test_jets_group_by_generator_monomial(self):
-        # (2 phi^3 + dA (1 + phi)) * (d0^(3) + d0^(1) dA) at dA pairs the jets
-        # 2 phi^3 d0^(1) + (1 + phi) d0^(3) = 0 + d0^(3) - 3 d0^(2)
-        delta = FormElement(("dA",), 1, 3, {(0, 0): DeltaGerm.delta(3),
-                                             (1, 0): DeltaGerm.delta(1)})
-        smooth = FormElement(("dA",), 1, 3, {(0, 3): ONE * 2, (1, 0): ONE, (1, 1): ONE})
-        assert integrate_component(smooth, delta, {(1,): ONE}) == \
-            DeltaGerm.delta(3) - DeltaGerm.delta(2, 3)
+        # k = 3, delta form d0 - d0^(1) dA + d0^(2) dA^2/2 - d0^(3) dA^3/6
+        # (alpha implicit): 2 phi^3 meets -d0^(3)/6 and dA^2 (1 + phi) meets
+        # -d0^(1), both at dA^3, 2 d0 - d0^(1) + d0; e1^2 phi meets -d0^(1)
+        # at dA e1^2, giving d0, which pairs to 2
+        comp = _seven_dimensional_component(("dA", "e1"), {(3, 0): ONE, (1, 2): ONE * 2})
+        smooth = FormElement(("dA", "e1"), 3, 3, {
+            (0, 0, 3): ONE * 2, (2, 0, 0): ONE, (2, 0, 1): ONE, (0, 2, 1): ONE})
+        germ = integrate_component(smooth, j_form(comp, jet_order=3), comp.pairing)
+        assert germ == DeltaGerm.delta(0, 5) - DeltaGerm.delta(1)
+        assert germ == reference_integral(smooth, comp)
 
     def test_basis_mismatch_is_rejected(self):
         delta = j_form(_sphere_component(), jet_order=4)

@@ -16,13 +16,18 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.ring_series import rs_exp, rs_pow, rs_series, rs_series_inversion  # noqa: E402
 
 from contact_index.forms import (_normal_determinant, _rational_power,  # noqa: E402
-                                 _series_power, _todd_quotient, todd_series)
+                                 _series_power, _todd_quotient)
 from contact_index.scalars import (CyclotomicNumber, _euler_phi,  # noqa: E402
                                    cyclotomic_polynomial)
 
 X = sympy.Symbol("x")
 INVERSE_LEVELS = (12, 20, 44, 52, 68)
 TERMS = 30
+
+
+def todd_series(length, direction):
+    """Taylor coefficients of x/(1-e^-x) ("plus") or x/(e^x-1) ("minus")."""
+    return _rational_power(_todd_quotient(length, direction), -1)
 
 
 def normal_factor_series(eigenvalue, length):
