@@ -1,8 +1,8 @@
 """Localization engine: germs at torsion points, characters, calibration.
 
 The contributions are assembled per Galois orbit of torsion points: each
-fixed component yields (2 pi i)^-k times the pairing of its Todd factor, its
-inverse normal determinant and the contact delta form; Fourier conversion
+fixed component pairs its Todd factor, its inverse normal determinant and the
+contact delta form against its pairing table times (2 pi i)^-k; Fourier conversion
 of the germs gives one polynomial in m per residue class modulo each torsion
 order.  The points of order q form one Galois orbit over Q(i), two if 4
 divides q; an orbit is evaluated once and `fourier_contribution` sums its
@@ -10,7 +10,7 @@ rows over the orbit's Galois maps, a trace down to Q(i), unless the model
 fails the guard in `assemble_character`.  The rows come in integer
 components, numerators over one denominator per basis exponent; they are
 summed per order, then per residue of the period, and the window is read
-by integer Horner per residue, equal ints sharing one immutable scalar.
+per residue in ints (Horner or forward differences), equal ints sharing a scalar.
 
 The rank-2 double expansion runs in integers: each slice's numerator is
 divided by one binomial (1 - x^s) at a time with a stride recurrence, and
@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _fold, _make, _scalar_text,
-                      _units_over_qi, approx_display)
+from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _fold, _integer, _make,
+                      _scalar_text, _units_over_qi, approx_display)
 from .deltas import DeltaGerm, _trimmed_row, fourier_contribution, germ_to_document
 from .forms import FormElement, dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
@@ -92,10 +92,10 @@ def build_preset(name, params, calibration=DEFAULT_CALIBRATION):
     raise EngineError(f"unknown preset {name!r}")
 
 
-def _inverse_two_pi_i_power(k):
-    """(2 pi i)^-k as the one graded scalar 2^-k i^-k pi^-k."""
-    return ExactScalar(-k, CyclotomicNumber.zeta(4, -k)
-                       * CyclotomicNumber.from_rational(Fraction(1, 2 ** k)))
+def _scaled_pairing(pairing, k):
+    """The pairing table times (2 pi i)^-k = 2^-k i^-k pi^-k, one product per entry."""
+    scale = ExactScalar(-k, CyclotomicNumber.zeta(4, -k)) * Fraction(1, 2 ** k)
+    return {exp: value * scale for exp, value in pairing.items()} if k else pairing
 
 
 def _component_germ(comp, calibration):
@@ -105,9 +105,9 @@ def _component_germ(comp, calibration):
     td = todd(comp.tangential, comp.generators, k, jet_order=jet_order,
               direction=calibration.todd_direction)
     dc = dc_inverse(comp.normal, comp.generators, k, jet_order=jet_order)
-    smooth = td * dc if comp.normal else td  # no normal roots: dc is one
-    germ = integrate_component(smooth, j_form(comp, jet_order=jet_order), comp.pairing)
-    return germ * _inverse_two_pi_i_power(k)
+    smooth = td * dc if comp.tangential and comp.normal else dc if comp.normal else td
+    return integrate_component(smooth, j_form(comp, jet_order=jet_order),
+                               _scaled_pairing(comp.pairing, k))
 
 
 def germ_at(model, at, calibration=DEFAULT_CALIBRATION):
@@ -130,13 +130,12 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
     """The volume transform: the identity computation with the Todd factor dropped."""
     if model.rank != 1:
         raise UnsupportedModelError("the volume transform is computed for rank-1 models")
-    n = model.ambient_n
     total = DeltaGerm.zero()
     for comp in model.components.get(IDENTITY, []):
         one = FormElement.one(comp.generators, comp.k, comp.k)
         total = total + integrate_component(one, j_form(comp, jet_order=comp.k),
-                                            comp.pairing)
-    return total * _inverse_two_pi_i_power(n)
+                                            _scaled_pairing(comp.pairing, model.ambient_n))
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -151,9 +150,11 @@ class QuasiPolynomial:
     have the polynomial's length, trailing zeros trimmed, and none is zero.
     L need not be minimal nor D reduced: `read(m)` (Horner's rule on the
     columns) and `to_document` demote what they return.  `window` walks each
-    residue once: a rational one (k = 0, L = 4, exponent 0) takes each int by
-    one divmod, and equal ints share one immutable ExactScalar (a memo of the
-    call); other values go through `read`.
+    residue once: a rational one (k = 0, L = 4, exponent 0) of degree d takes
+    its ints by Horner and divmod, or, for d >= 2 past 2 (d + 1) points, once
+    the first d + 1 are ints, by integer forward differences (one
+    `itertools.accumulate` per order); equal ints share one immutable
+    ExactScalar (a memo of the call); other values go through `read`.
     """
 
     def __init__(self, components):
@@ -169,13 +170,12 @@ class QuasiPolynomial:
     def window(self, max_m):
         """(coefficients, integers) for |m| <= max_m, keys ascending (see the class)."""
         pairs, shared = [None] * (2 * max_m + 1), {}
-        for r, (k, level, den, columns) in enumerate(self._integer):
-            rational = not k and level == 4 and columns.keys() == {0}
-            for m in range(-max_m + (r + max_m) % self.period, max_m + 1, self.period):
-                n, rest = divmod(_horner(columns[0], m), den) if rational else (None, 1)
-                if not rest and n not in shared:
-                    shared[n] = ExactScalar(0, _make(4, 1, {0: n} if n else {})), n
-                pairs[m + max_m] = self.read(m) if rest else shared[n]
+        for r, row in enumerate(self._integer):
+            ms = range(-max_m + (r + max_m) % self.period, max_m + 1, self.period)
+            for m, n in zip(ms, _integer_values(*row, ms)):
+                if n is not None and n not in shared:
+                    shared[n] = _integer(n), n
+                pairs[m + max_m] = self.read(m) if n is None else shared[n]
         return tuple(dict(zip(range(-max_m, max_m + 1), column)) for column in zip(*pairs))
 
     def to_document(self):
@@ -192,6 +192,22 @@ def _horner(column, m):
     for c in reversed(column):
         acc = acc * m + c
     return acc
+
+
+def _integer_values(k, level, den, columns, ms):
+    """Per m of the progression ms, the residue's value as an int, or None (see the class)."""
+    if k or level != 4 or columns.keys() != {0}:
+        return [None] * len(ms)
+    column, d = columns[0], len(columns[0]) - 1
+    if d < 2 or len(ms) <= 2 * (d + 1) or any(_horner(column, m) % den for m in ms[:d + 1]):
+        return [None if rest else n for n, rest in (divmod(_horner(column, m), den) for m in ms)]
+    lead = [_horner(column, m) // den for m in ms[:d + 1]]  # becomes Delta^j v_0 in place
+    for j in range(1, d + 1):
+        lead[j:] = [b - a for a, b in zip(lead[j - 1:], lead[j:])]
+    run = [lead[d]] * (len(ms) - d)
+    for j in range(d - 1, -1, -1):
+        run = list(itertools.accumulate(run, initial=lead[j]))
+    return run
 
 
 def _coefficients(components):

@@ -26,8 +26,8 @@ no `_series_invert`): `_rational_power` computes the rational Todd powers in
 Python integers, `_series_power` the cyclotomic normal factor in `ExactScalar`.
 
 Series are evaluated as power sums over the truncated algebra, each as long as
-its argument reads (`_series_length`): the argument (curvature part plus a
-multiple of phi) is nilpotent there, so every evaluation is finite and exact.
+its argument reads (`_series_length`), finite and exact as the argument is
+nilpotent there; a one-term argument (every preset's root) takes scalar powers.
 
 Both products over roots evaluate one power per group of equal roots (all
 n+1 tangential roots of the Hopf sphere, say) and start from the first group's
@@ -195,8 +195,9 @@ def evaluate_series(coeffs, element):
     jet order, and already for j > truncation when no term carries a phi
     power (a root of weight 0).  The series must be long enough for the
     terms that survive.  Zero terms and powers past the last term are
-    skipped: O(k) products for i a dA.  The sum is kept in one term map,
-    which starts from coeffs[0] itself: no product by one.
+    skipped.  A one-term argument c x^e (i a dA, i w phi) takes power j as c^j at j e,
+    up to the first power past the truncation or the jet order: no form product.
+    The sum is kept in one term map, which starts from coeffs[0]: no product by one.
     """
     if (0,) * (len(element.generators) + 1) in element.terms:
         raise FormError("series argument must have zero constant term")
@@ -208,6 +209,15 @@ def evaluate_series(coeffs, element):
     last = max((j for j in range(need) if coeffs[j]), default=-1)
     gens, trunc, order = element.generators, element.truncation, element.jet_order
     acc, power = {(0,) * (len(gens) + 1): _coerce(coeffs[0])}, element
+    if len(element.terms) == 1:
+        ((exp, c),) = element.terms.items()
+        for j in range(1, last + 1):
+            if j * (sum(exp) - exp[-1]) > trunc or j * exp[-1] > order:
+                break
+            scalar = scalar * c if j > 1 else c
+            if coeffs[j]:
+                acc[tuple(j * a for a in exp)] = scalar * coeffs[j]
+        return FormElement(gens, trunc, order, acc)
     for j in range(1, last + 1):
         if j > 1:
             power = power * element
@@ -256,13 +266,13 @@ def _series_length(roots, truncation, jet_order):
 def _root_product(roots, power_of, generators, truncation, jet_order):
     """Product over root groups of power_of(root, length, r) evaluated at root_value(root).
 
-    Equal roots are grouped (a list scan: the scalars are unhashable); a group of
-    r equal roots is evaluated once, as power_of(root, its `_series_length`, r).
+    Equal roots are grouped (a list scan by identity, then `==`: the scalars are unhashable);
+    a group of r equal roots is evaluated once, as power_of(root, its `_series_length`, r).
     """
     groups = []
     for root in roots:
         for group in groups:
-            if group[0] == root:
+            if group[0] is root or group[0] == root:
                 group[1] += 1
                 break
         else:

@@ -17,7 +17,8 @@ and adding two nonzero scalars of different grades raises `ScalarError`.
 
 A cyclotomic number is stored as integer numerators over one denominator
 (see `CyclotomicNumber`), and every operation runs in Python integers;
-`_make`, the one trusted constructor, divides out the gcd.  An `ExactScalar`
+`_make` and `_integer`, the trusted constructors, set the slots through
+their member descriptors, and `_make` divides out the gcd.  An `ExactScalar`
 times an int or a Fraction scales the numerators at the same level and only
 demotes (a rational multiple lies in the same subfields): no product, no fold.
 
@@ -232,9 +233,9 @@ def _make(level, den, nums):
         den //= g
         nums = {e: c // g for e, c in nums.items()}
     x = object.__new__(CyclotomicNumber)
-    object.__setattr__(x, "level", level)
-    object.__setattr__(x, "den", den)
-    object.__setattr__(x, "nums", nums)
+    _set_level(x, level)
+    _set_den(x, den)
+    _set_nums(x, nums)
     return x
 
 
@@ -415,7 +416,6 @@ class CyclotomicNumber:
         return " + ".join(parts)
 
 
-_ZERO = _make(4, 1, {})
 # The largest level `ExactScalar.from_text` accepts: a level's fold table and trace tables
 # (units over Q(i); the map 1) cost up to its square to build (0.016, 0.007, 0.017 s at 1020;
 # 0.21, 0.05, 0.09 s at 4080, one 2-vCPU Xeon core); computed levels are not bounded.
@@ -432,8 +432,8 @@ class ExactScalar:
             value = CyclotomicNumber.from_rational(value)
         if not value.nums:
             pi, value = 0, _ZERO
-        object.__setattr__(self, "pi", int(pi))
-        object.__setattr__(self, "value", value)
+        _set_pi(self, int(pi))
+        _set_value(self, value)
 
     def __setattr__(self, *a):
         raise AttributeError("ExactScalar is immutable")
@@ -578,6 +578,20 @@ class ExactScalar:
 
     def __repr__(self):
         return self.to_text()
+
+
+_set_level, _set_den, _set_nums = (CyclotomicNumber.__dict__[s].__set__
+                                   for s in CyclotomicNumber.__slots__)
+_set_pi, _set_value = (ExactScalar.__dict__[s].__set__ for s in ExactScalar.__slots__)
+_ZERO = _make(4, 1, {})
+
+
+def _integer(n):
+    """The int n as an `ExactScalar`, trusted: no coercion, no demotion."""
+    x = object.__new__(ExactScalar)
+    _set_pi(x, 0)
+    _set_value(x, _make(4, 1, {0: n}) if n else _ZERO)
+    return x
 
 
 def _coerce(x):

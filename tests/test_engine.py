@@ -11,6 +11,7 @@ from contact_index import oracle
 from contact_index.catalog import (IDENTITY, ContactModel, FiberFamily,
                                    FixedComponentData, preset_circle, scaled_model)
 from contact_index.deltas import DeltaGerm
+from contact_index.forms import FormElement, integrate_component, j_form, todd
 from contact_index import engine
 from contact_index.engine import (DEFAULT_CALIBRATION, CalibrationConfig, CalibrationError,
                                   EngineError, UnsupportedModelError,
@@ -96,6 +97,49 @@ class TestGerms:
             assert not germ_at(model, at).is_zero()
         for at in (Fraction(1, 5), Fraction(1, 4), Fraction(5, 6)):
             assert germ_at(model, at).is_zero()
+
+
+class TestOneRescale:
+    """(2 pi i)^-k is folded into the pairing table, so each top monomial's germ takes one
+    `DeltaGerm.__mul__`, by its scaled pairing value, and the total is not scaled again."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls, real = [], DeltaGerm.__mul__
+
+        def spied(self, scalar):
+            calls.append(scalar)
+            return real(self, scalar)
+        monkeypatch.setattr(DeltaGerm, "__mul__", spied)
+        return calls
+
+    @staticmethod
+    def twice_scaled(comp, smooth, k):
+        """The germ scaled the other way round: by the pairing, then by (2 pi i)^-k."""
+        germ = integrate_component(smooth, j_form(comp, jet_order=comp.k), comp.pairing)
+        scale = ONE
+        for _ in range(k):
+            scale = scale * (TWO_PI * I).inverse()
+        return germ * scale
+
+    def test_germ_at_scales_each_top_monomial_once(self, monkeypatch):
+        model = build_preset("hopf", (8,))
+        (comp,) = model.components[IDENTITY]
+        want = self.twice_scaled(comp, todd(comp.tangential, comp.generators, 8,
+                                            jet_order=8, direction="plus"), 8)
+        calls = self.spy(monkeypatch)
+        germ = germ_at(model, IDENTITY)
+        assert len(calls) == len(comp.pairing) == 1  # the top monomial dA^8
+        assert germ == want
+
+    def test_dh_fourier_scales_each_top_monomial_once(self, monkeypatch):
+        model = build_preset("hopf", (3,))
+        (comp,) = model.components[IDENTITY]
+        want = self.twice_scaled(comp, FormElement.one(comp.generators, 3, 3), 3)
+        calls = self.spy(monkeypatch)
+        germ = dh_fourier(model)
+        assert len(calls) == len(comp.pairing) == 1
+        assert germ == want
 
 
 class TestScalingInvariance:

@@ -424,26 +424,93 @@ class TestMultiply:
             FormElement(("dA",), 1, 4, {(1,): ONE})
 
 
+def spy_form_products(monkeypatch):
+    """The operand pairs of every `FormElement.__mul__` taken from here on."""
+    operands, real = [], FormElement.__mul__
+
+    def spied(self, other):
+        operands.append((self, other))
+        return real(self, other)
+    monkeypatch.setattr(FormElement, "__mul__", spied)
+    return operands
+
+
 class TestNoProductByOne:
     def test_the_hopf_identity_germ_multiplies_no_form_by_one(self, monkeypatch):
+        # one Todd group of the one-term argument i dA: no form product at all
         model = build_preset("hopf", (4,))
         (comp,) = model.components[Fraction(0)]
-        assert not comp.normal and all(r == comp.tangential[0] for r in comp.tangential)
-        operands, real = [], FormElement.__mul__
-
-        def spied(self, other):
-            operands.extend((self, other))
-            return real(self, other)
-        monkeypatch.setattr(FormElement, "__mul__", spied)
+        assert not comp.normal and all(r is comp.tangential[0] for r in comp.tangential)
+        operands = spy_form_products(monkeypatch)
         germ_at(model, 0)
-        assert operands  # the running powers of the one Todd group's series
-        for f in operands:
+        assert operands == []
+
+    def test_the_weighted_sphere_takes_one_product_and_none_by_one(self, monkeypatch):
+        # (2, 3): two Todd groups at the identity make the one product; a torsion
+        # circle has no tangential roots, so its normal factor is used as it is
+        model = build_preset("weighted-s3", (2, 3))
+        assert sorted(model.components) == [0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+        operands = spy_form_products(monkeypatch)
+        for at in model.components:
+            germ_at(model, at)
+        (pair,) = operands
+        for f in pair:
             assert f != FormElement.one(f.generators, f.truncation, f.jet_order)
+            assert len(f.terms) == 2  # 1 + (a/2) i dA + ..., truncated at k = 1
 
     def test_the_empty_products_are_one(self):
         one = FormElement.one(("dA",), 3, 3)
         assert todd([], ("dA",), 3, jet_order=3) == one
         assert dc_inverse([], ("dA",), 3, jet_order=3) == one
+
+
+def running_power_sum(coeffs, element):
+    """sum_j coeffs[j] element^j, every power a `FormElement.__mul__` of the last by element."""
+    one = FormElement.one(element.generators, element.truncation, element.jet_order)
+    acc, power = one * coeffs[0], one
+    for c in coeffs[1:]:
+        power = power * element
+        acc = acc + power * c
+    return acc
+
+
+class TestOneTermArgument:
+    """`evaluate_series` writes the powers of c x^e as c^j at j e, with no form product."""
+
+    Z12 = ExactScalar(0, CyclotomicNumber(12, {1: Fraction(2, 3), 2: -1}))
+    # (generators, truncation, jet order, exponent): the powers of (2, 0) and (0, 0, 2)
+    # reach the truncation 4 and the jet order 6 exactly; (1, 1, 0) stops at 3 of 7
+    CASES = [(("dA",), 4, 3, (1, 0)), (("dA",), 4, 3, (2, 0)), (("dA",), 5, 4, (0, 1)),
+             (("dA",), 3, 6, (0, 2)), ((), 0, 5, (1,)), (("e1", "e2"), 7, 2, (1, 1, 0)),
+             (("e1", "e2"), 4, 6, (0, 0, 2)), (("e1", "e2"), 2, 2, (0, 1, 1))]
+
+    @pytest.mark.parametrize("gens, k, order, exp", CASES)
+    @pytest.mark.parametrize("scalar", [I * 3, ExactScalar.from_rational(Fraction(-2, 5)),
+                                        Z12], ids=["3i", "-2/5", "z12"])
+    def test_powers_equal_the_running_form_products(self, monkeypatch, gens, k, order, exp,
+                                                    scalar):
+        rng = random.Random(repr((exp, k, order)))
+        element = FormElement(gens, k, order, {exp: scalar})
+        need = k + 1 + (order if exp[-1] else 0)
+        for series in ([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(need)],
+                       [ExactScalar(0, CyclotomicNumber(12, {rng.randint(0, 3):
+                                                             rng.randint(-4, 4)}))
+                        for _ in range(need)]):
+            want = running_power_sum(series, element)
+            operands = spy_form_products(monkeypatch)
+            got = evaluate_series(series, element)
+            monkeypatch.undo()
+            assert operands == []
+            assert got == want and got.jet_order == order
+            assert repr(got) == repr(want)
+
+    def test_the_power_at_the_jet_order_is_kept_and_the_next_is_dropped(self):
+        # (i phi)^3 at jet order 3 is the last term; (i phi^2)^2 is past it
+        got = evaluate_series([ONE] * 6, FormElement(("dA",), 2, 3, {(0, 1): I}))
+        assert got == FormElement(("dA",), 2, 3, {(0, 0): ONE, (0, 1): I, (0, 2): -ONE,
+                                                  (0, 3): -I})
+        got = evaluate_series([ONE] * 6, FormElement(("dA",), 2, 3, {(0, 2): I}))
+        assert got == FormElement(("dA",), 2, 3, {(0, 0): ONE, (0, 2): I})
 
 
 class TestRootValue:
