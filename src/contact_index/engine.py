@@ -170,12 +170,16 @@ class QuasiPolynomial:
     def window(self, max_m):
         """(coefficients, integers) for |m| <= max_m, keys ascending (see the class)."""
         pairs, shared = [None] * (2 * max_m + 1), {}
-        for r, row in enumerate(self._integer):
+        for r, (k, level, den, columns) in enumerate(self._integer):
             ms = range(-max_m + (r + max_m) % self.period, max_m + 1, self.period)
-            for m, n in zip(ms, _integer_values(*row, ms)):
-                if n is not None and n not in shared:
+            rational = not k and level == 4 and columns.keys() == {0}
+            run = rational and len(columns[0]) > 2 and _forward_differences(columns[0], den, ms)
+            for i, m in enumerate(ms):
+                n, rest = (run[i], 0) if run else \
+                    divmod(_horner(columns[0], m), den) if rational else (None, 1)
+                if not rest and n not in shared:
                     shared[n] = _integer(n), n
-                pairs[m + max_m] = self.read(m) if n is None else shared[n]
+                pairs[m + max_m] = self.read(m) if rest else shared[n]
         return tuple(dict(zip(range(-max_m, max_m + 1), column)) for column in zip(*pairs))
 
     def to_document(self):
@@ -194,13 +198,11 @@ def _horner(column, m):
     return acc
 
 
-def _integer_values(k, level, den, columns, ms):
-    """Per m of the progression ms, the residue's value as an int, or None (see the class)."""
-    if k or level != 4 or columns.keys() != {0}:
-        return [None] * len(ms)
-    column, d = columns[0], len(columns[0]) - 1
-    if d < 2 or len(ms) <= 2 * (d + 1) or any(_horner(column, m) % den for m in ms[:d + 1]):
-        return [None if rest else n for n, rest in (divmod(_horner(column, m), den) for m in ms)]
+def _forward_differences(column, den, ms):
+    """column(m) / den over ms as ints, or None where the class's conditions fail."""
+    d = len(column) - 1
+    if len(ms) <= 2 * (d + 1) or any(_horner(column, m) % den for m in ms[:d + 1]):
+        return None
     lead = [_horner(column, m) // den for m in ms[:d + 1]]  # becomes Delta^j v_0 in place
     for j in range(1, d + 1):
         lead[j:] = [b - a for a, b in zip(lead[j - 1:], lead[j:])]

@@ -190,14 +190,13 @@ def _normal_determinant(eigenvalue, length):
 def evaluate_series(coeffs, element):
     """sum_j coeffs[j] * element^j in the truncated algebra, from running powers.
 
-    The element must have no constant term (no all-zero exponent), so it is
-    nilpotent and the sum is finite: element^j vanishes for j > truncation +
-    jet order, and already for j > truncation when no term carries a phi
-    power (a root of weight 0).  The series must be long enough for the
-    terms that survive.  Zero terms and powers past the last term are
-    skipped.  A one-term argument c x^e (i a dA, i w phi) takes power j as c^j at j e,
-    up to the first power past the truncation or the jet order: no form product.
-    The sum is kept in one term map, which starts from coeffs[0]: no product by one.
+    The element must have no constant term (no all-zero exponent), so it is nilpotent
+    and the sum is finite: element^j vanishes for j > truncation + jet order, and
+    already for j > truncation when no term carries a phi power (a root of weight
+    0).  The series must be long enough for the terms that survive.  Zero terms and
+    powers past the last term are skipped.  A one-term argument c x^e (i a dA, i w
+    phi) takes power j as c^j at j e, up to the first power past the truncation or
+    the jet order: no form product.  The sum starts from coeffs[0]: no product by one.
     """
     if (0,) * (len(element.generators) + 1) in element.terms:
         raise FormError("series argument must have zero constant term")

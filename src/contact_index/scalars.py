@@ -580,9 +580,8 @@ class ExactScalar:
         return self.to_text()
 
 
-_set_level, _set_den, _set_nums = (CyclotomicNumber.__dict__[s].__set__
-                                   for s in CyclotomicNumber.__slots__)
-_set_pi, _set_value = (ExactScalar.__dict__[s].__set__ for s in ExactScalar.__slots__)
+_set_level, _set_den, _set_nums, _set_pi, _set_value = (
+    vars(cls)[s].__set__ for cls in (CyclotomicNumber, ExactScalar) for s in cls.__slots__)
 _ZERO = _make(4, 1, {})
 
 
