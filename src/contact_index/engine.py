@@ -8,9 +8,8 @@ order.  The points of order q form one Galois orbit over Q(i), two if 4
 divides q; an orbit is evaluated once and `fourier_contribution` sums its
 rows over the orbit's Galois maps, a trace down to Q(i), unless the model
 fails the guard in `assemble_character`.  The rows come in integer
-components, numerators over one denominator per basis exponent; they are
-summed per order, then per residue of the period, and the window is read
-per residue in ints (Horner or forward differences), equal ints sharing a scalar.
+components, numerators over one denominator per basis exponent, summed and
+kept per order; the window is read in whole lists of ints, equal ints sharing a scalar.
 
 The rank-2 double expansion runs in integers: each slice's numerator is
 divided by one binomial (1 - x^s) at a time with a stride recurrence, and
@@ -24,10 +23,12 @@ characters (the free circle and the round three-sphere).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from operator import add, mul
 
 from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _fold, _integer, _make,
                       _scalar_text, _units_over_qi, approx_display)
@@ -56,9 +57,7 @@ class CalibrationConfig:
     todd_direction: str = "plus"
 
     def as_dict(self):
-        return {"poisson_sign": self.poisson_sign,
-                "orientation_sign": self.orientation_sign,
-                "todd_direction": self.todd_direction}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d):
@@ -120,22 +119,18 @@ def germ_at(model, at, calibration=DEFAULT_CALIBRATION):
         raise UnsupportedModelError(
             "germs at single points are computed for rank-1 models; rank-2 models "
             "go through corollary_expand")
-    total = DeltaGerm.zero()
-    for comp in model.components.get(Fraction(at) % 1, []):
-        total = total + _component_germ(comp, calibration)
-    return total
+    return sum((_component_germ(comp, calibration)
+                for comp in model.components.get(Fraction(at) % 1, [])), DeltaGerm.zero())
 
 
 def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
     """The volume transform: the identity computation with the Todd factor dropped."""
     if model.rank != 1:
         raise UnsupportedModelError("the volume transform is computed for rank-1 models")
-    total = DeltaGerm.zero()
-    for comp in model.components.get(IDENTITY, []):
-        one = FormElement.one(comp.generators, comp.k, comp.k)
-        total = total + integrate_component(one, j_form(comp, jet_order=comp.k),
-                                            _scaled_pairing(comp.pairing, model.ambient_n))
-    return total
+    return sum((integrate_component(FormElement.one(comp.generators, comp.k, comp.k),
+                                    j_form(comp, jet_order=comp.k),
+                                    _scaled_pairing(comp.pairing, model.ambient_n))
+                for comp in model.components.get(IDENTITY, [])), DeltaGerm.zero())
 
 
 # ----------------------------------------------------------------------
@@ -143,52 +138,68 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
 # ----------------------------------------------------------------------
 
 class QuasiPolynomial:
-    """Per-residue polynomials in m, built by `fit_quasi_polynomial`; period 1 is a polynomial.
+    """Per-order polynomials in m, built by `fit_quasi_polynomial`; period 1 is a polynomial.
 
-    A residue polynomial is held in integer components (k, L, D, columns):
-    its m^j coefficient is sum_e columns[e][j] zeta_L^e / D * pi^k.  Columns
-    have the polynomial's length, trailing zeros trimmed, and none is zero.
-    L need not be minimal nor D reduced: `read(m)` (Horner's rule on the
-    columns) and `to_document` demote what they return.  `window` walks each
-    residue once: a rational one (k = 0, L = 4, exponent 0) of degree d takes
-    its ints by Horner and divmod, or, for d >= 2 past 2 (d + 1) points, once
-    the first d + 1 are ints, by integer forward differences (one
-    `itertools.accumulate` per order); equal ints share one immutable
-    ExactScalar (a memo of the call); other values go through `read`.
+    `orders[q]` maps (k, e) to columns of ints, columns[j][r] the m^j coefficient of
+    residue r mod q in zeta_L^e / D * pi^k (one level L and denominator D for all); the
+    value at m sums each order's row at m mod q, and `period` is the lcm of the orders.
+    `window` reads rational parts (k = e = 0) in whole lists: per order by Horner across
+    every m, or for degree d >= 2 past 2 (d + 1) q points by forward differences per residue
+    (one `itertools.accumulate` per order below d), the sum divided by D once per m.  Equal
+    ints share one ExactScalar per call; a remainder or an irrational part uses `read`.
     """
 
-    def __init__(self, components):
-        self.period, self._integer = len(components), components
+    def __init__(self, level, den, orders):
+        self.level, self.den, self.orders, self.period = level, den, orders, math.lcm(*orders)
 
     def read(self, m):
         """(the value at m, that value as an int or None), from one integer Horner pass."""
-        k, level, den, columns = self._integer[m % self.period]
-        x = _make(level, den, {e: v for e, c in columns.items() if (v := _horner(c, m))}).demote()
-        value = ExactScalar(k, x)
+        sums = {}
+        for q, columns in self.orders.items():
+            for key, cols in columns.items():
+                sums[key] = sums.get(key, 0) + _horner([col[m % q] for col in cols], m)
+        x = _make(self.level, self.den, {e: v for (_, e), v in sums.items() if v}).demote()
+        value = ExactScalar(next((k for (k, _), v in sums.items() if v), 0), x)
         return value, (x.nums.get(0, 0) if value.is_rational() and x.den == 1 else None)
 
     def window(self, max_m):
         """(coefficients, integers) for |m| <= max_m, keys ascending (see the class)."""
-        pairs, shared = [None] * (2 * max_m + 1), {}
-        for r, (k, level, den, columns) in enumerate(self._integer):
-            ms = range(-max_m + (r + max_m) % self.period, max_m + 1, self.period)
-            rational = not k and level == 4 and columns.keys() == {0}
-            run = rational and len(columns[0]) > 2 and _forward_differences(columns[0], den, ms)
-            for i, m in enumerate(ms):
-                n, rest = (run[i], 0) if run else \
-                    divmod(_horner(columns[0], m), den) if rational else (None, 1)
-                if not rest and n not in shared:
-                    shared[n] = _integer(n), n
-                pairs[m + max_m] = self.read(m) if rest else shared[n]
-        return tuple(dict(zip(range(-max_m, max_m + 1), column)) for column in zip(*pairs))
+        ms, total = range(-max_m, max_m + 1), [0] * (2 * max_m + 1)
+        if any(key != (0, 0) for columns in self.orders.values() for key in columns):
+            return tuple(dict(zip(ms, column)) for column in zip(*map(self.read, ms)))
+        for q, cols in ((q, c[0, 0]) for q, c in self.orders.items() if c):
+            if len(cols) > 2 and len(ms) > 2 * len(cols) * q:
+                run = _differences(cols, q, ms)
+            else:  # Horner on the columns repeated cyclically from ms[0] mod q
+                run = functools.reduce(lambda acc, c: list(map(add, map(mul, acc, ms), c)), [
+                    (col * (len(ms) // q + 2))[ms[0] % q:][:len(ms)] for col in cols[::-1]])
+            total = list(map(add, total, run))
+        ints = [None if rest else n for n, rest in map(divmod, total, itertools.repeat(self.den))]
+        shared = {n: _integer(n) for n in set(ints) if n is not None}
+        return ({m: self.read(m)[0] if n is None else shared[n] for m, n in zip(ms, ints)},
+                dict(zip(ms, ints)))
 
     def to_document(self):
-        return {
-            "period": self.period,
-            "polys": [{"residue": r,
-                       "coefficients": [_scalar_text(*x) for x in _coefficients(c)]}
-                      for r, c in enumerate(self._integer)],
-        }
+        period, wide = self.period, {}  # (k, e) -> columns over the period
+        width = max((len(c) for cs in self.orders.values() for c in cs.values()), default=0)
+        for q, columns in self.orders.items():
+            for key, cols in columns.items():
+                acc = wide.setdefault(key, [[0] * period for _ in range(width)])
+                acc[:len(cols)] = [list(map(add, a, c * (period // q))) for a, c in zip(acc, cols)]
+
+        @functools.cache
+        def text(*nums):  # one coefficient's numerators, keyed as `wide`; level 4 cannot demote
+            k = next((k for (k, _), n in zip(wide, nums) if n), 0)
+            terms = {e: n for (_, e), n in zip(wide, nums) if n}
+            x = _make(self.level, self.den, terms).demote() if self.level > 4 else None
+            return _scalar_text(k, x.level, x.den, x.nums) if x else \
+                _scalar_text(k, 4, self.den, terms)
+
+        rows = zip(range(period), *(map(text, *(acc[j] for acc in wide.values()))
+                                    for j in range(width)))
+        return {"period": period, "polys": [{"residue": r, "coefficients": row if row[-1:] != ["0"]
+                                             else row[:len(row) - len([*itertools.takewhile(
+                                                 "0".__eq__, row[::-1])])]} for r, *row in rows]}
 
 
 def _horner(column, m):
@@ -198,43 +209,31 @@ def _horner(column, m):
     return acc
 
 
-def _forward_differences(column, den, ms):
-    """column(m) / den over ms as ints, or None where the class's conditions fail."""
-    d = len(column) - 1
-    if len(ms) <= 2 * (d + 1) or any(_horner(column, m) % den for m in ms[:d + 1]):
-        return None
-    lead = [_horner(column, m) // den for m in ms[:d + 1]]  # becomes Delta^j v_0 in place
-    for j in range(1, d + 1):
-        lead[j:] = [b - a for a, b in zip(lead[j - 1:], lead[j:])]
-    run = [lead[d]] * (len(ms) - d)
-    for j in range(d - 1, -1, -1):
-        run = list(itertools.accumulate(run, initial=lead[j]))
-    return run
+def _differences(cols, q, ms):
+    """The numerators at every m of ms by integer forward differences per residue (more than
+    len(cols) points each), exact for integer columns; they run over the gcd of the leading
+    differences, which divides every value: hopf n = 20 @100 takes 0.30 ms, not 0.48 ms."""
+    acc, d = [0] * len(ms), len(cols) - 1
+    for offset in range(q):
+        points = ms[offset::q]
+        lead = [_horner([col[points[0] % q] for col in cols], m) for m in points[:d + 1]]
+        for j in range(1, d + 1):  # lead[j] becomes Delta^j v_0 in place
+            lead[j:] = [b - a for a, b in zip(lead[j - 1:], lead[j:])]
+        g = math.gcd(*lead) or 1
+        acc[offset::q] = map(mul, functools.reduce(lambda run, c: list(itertools.accumulate(
+            run, initial=c // g)), lead[d - 1::-1], [lead[d] // g] * (len(points) - d)),
+            itertools.repeat(g))
+    return acc
 
 
-def _coefficients(components):
-    """(k, level, den, nums) per coefficient at its canonical level; level 4 cannot
-    demote, so it skips `_make` (4% of ws3-torsion `wall_s`, BENCH_17)."""
-    k, level, den, columns = components
-    for j in range(len(next(iter(columns.values()), ()))):
-        nums = {e: column[j] for e, column in columns.items() if column[j]}
-        if level == 4:
-            yield k, 4, den, nums
-        else:
-            x = _make(level, den, nums).demote()
-            yield k, x.level, x.den, x.nums
-
-
-def _sum_components(parts):
-    """Components of a sum, over the lcm level (`_fold` promotes columns) and denominator."""
+def _sum_components(parts, level, den):
+    """Components of a sum at `level` (`_fold` promotes columns) over `den`."""
     parts = [p for p in parts if p[3]]
-    if len(parts) < 2:  # a part is trimmed already
-        return parts[0] if parts else (0, 4, 1, {})
+    if len(parts) == 1 and parts[0][1:3] == (level, den):  # a part is trimmed already
+        return parts[0]
     if len(grades := {p[0] for p in parts}) > 1:
         raise ScalarError(f"a residue polynomial mixes pi-grades {sorted(grades)}")
-    level, den = math.lcm(*[p[1] for p in parts]), math.lcm(*[p[2] for p in parts])
-    width = max(len(next(iter(p[3].values()))) for p in parts)
-    out = {}
+    width, out = max((len(c) for p in parts for c in p[3].values()), default=0), {}
     for _, part_level, part_den, columns in parts:
         if part_level != level:
             raw = [_fold({e * (level // part_level): c[j] for e, c in columns.items()}, level)
@@ -243,33 +242,45 @@ def _sum_components(parts):
         scale = den // part_den
         for e, column in columns.items():
             acc = out.setdefault(e, [0] * width)
-            for j, c in enumerate(column):
-                acc[j] += c * scale
-    return _trimmed_row(parts[0][0], level, den, out)
+            acc[:len(column)] = [a + c * scale for a, c in zip(acc, column)]
+    return _trimmed_row(min(grades, default=0), level, den, out)
 
 
 def fit_quasi_polynomial(contributions):
-    """Sum Fourier rows into one quasi-polynomial, in integer components.
+    """Sum Fourier rows into one quasi-polynomial, in integer columns per order.
 
-    `contributions` lists (q, rows) pairs as `fourier_contribution` returns
-    them, row r in the components of `QuasiPolynomial` (an orbit's rows are
-    its traces, at level 4).  The rows of one order are summed per residue
-    mod q, and then the orders once per residue mod the period.
+    `contributions` lists (q, rows) pairs as `fourier_contribution` returns them, row r
+    in the components (k, level, den, columns) of residue r mod q (an orbit's rows are its
+    traces, at level 4).  Each order's rows are summed per residue mod q at the lcm level
+    and denominator of all rows, O(sum of the orders) sums, into the columns of
+    `QuasiPolynomial`.  Rows of two pi-grades that meet at a residue (r mod q, r' mod q'
+    with r = r' mod gcd(q, q')) raise `ScalarError`.
 
-    Every residue polynomial has degree at most the largest k = (dim - 1)/2
-    of a fixed component, so no check is made: `j_form` has k + 1 terms,
-    `integrate_component` pairs them down to orders <= k and sums germs, and
-    `galois` keeps their length, so a germ has at most k + 1 terms and its
-    Fourier polynomial degree <= k.
+    Every residue polynomial has degree at most the largest k = (dim - 1)/2 of a fixed
+    component, so no check is made: `j_form` has k + 1 terms, `integrate_component` pairs
+    them down to orders <= k and sums germs, and `galois` keeps their length, so a germ has
+    at most k + 1 terms and its Fourier polynomial degree <= k.
     """
     by_order = {}
-    for q, rows in contributions:
-        by_order.setdefault(q, []).append(rows)
-    sums = {q: [_sum_components(parts) for parts in zip(*tables)]
-            for q, tables in by_order.items()}
-    period = math.lcm(*sums)
-    return QuasiPolynomial(
-        [_sum_components([rows[r % q] for q, rows in sums.items()]) for r in range(period)])
+    for q, table in contributions:
+        by_order.setdefault(q, []).append(table)
+    rows = [row for _, table in contributions for row in table if row[3]]
+    level, den = math.lcm(4, *(row[1] for row in rows)), math.lcm(*(row[2] for row in rows))
+    orders, held = {}, {}  # held: (q, k) -> the residues mod q where grade k is nonzero
+    for q, tables in by_order.items():
+        columns = orders[q] = {}
+        for r, parts in enumerate(zip(*tables)):
+            k, _, _, row = _sum_components(parts, level, den)
+            for e, column in row.items():
+                cols = columns.setdefault((k, e), [])
+                cols += [[0] * q for _ in column[len(cols):]]
+                for j, c in enumerate(column):
+                    cols[j][r] = c
+                held.setdefault((q, k), set()).add(r)
+    for ((q, k), rs), ((p, g), ps) in itertools.combinations(held.items(), 2):
+        if k != g and {r % math.gcd(q, p) for r in rs} & {r % math.gcd(q, p) for r in ps}:
+            raise ScalarError(f"a residue polynomial mixes pi-grades {sorted((k, g))}")
+    return QuasiPolynomial(level, den, orders)
 
 
 # ----------------------------------------------------------------------
@@ -289,11 +300,9 @@ class CharacterResult:
 def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
     """Sum the Fourier contributions of every torsion germ of a rank-1 model.
 
-    The contributions are summed per residue class into the quasi-polynomial
-    of period the lcm of the torsion orders (see
-    `fit_quasi_polynomial`); the exact coefficients for
-    |m| <= max_m are its values.  Any `max_m` >= 1 gives the whole
-    quasi-polynomial, whatever the period.
+    The contributions are summed per torsion order into the quasi-polynomial
+    (see `fit_quasi_polynomial`), whose values at |m| <= max_m are the exact
+    coefficients.  Any `max_m` >= 1 gives the whole quasi-polynomial.
 
     The points are evaluated once per Galois orbit (see `_orbits`), at p0/q:
     the germ at t p0/q is p0's under zeta -> zeta^t, and the orbit's rows
@@ -489,13 +498,10 @@ _ANCHORS = (("circle", (), lambda m: 1), ("hopf", (1,), lambda m: 1 - m))
 
 
 def _anchor_pass(calibration):
-    for name, params, expected in _ANCHORS:
-        res = assemble_character(build_preset(name, params, calibration), _ANCHOR_MAX_M,
-                                 calibration)
-        if any(res.integers[m] != expected(m)
-               for m in range(-_ANCHOR_MAX_M, _ANCHOR_MAX_M + 1)):
-            return False
-    return True
+    return all(assemble_character(build_preset(name, params, calibration), _ANCHOR_MAX_M,
+                                  calibration).integers ==
+               {m: expected(m) for m in range(-_ANCHOR_MAX_M, _ANCHOR_MAX_M + 1)}
+               for name, params, expected in _ANCHORS)
 
 
 def calibrate_conventions():
@@ -506,14 +512,8 @@ def calibrate_conventions():
     sphere character.  Zero or several passing triples signal an
     implementation bug and raise `CalibrationError`.
     """
-    passing = []
-    for o in (1, -1):
-        for s in (1, -1):
-            for direction in ("plus", "minus"):
-                cfg = CalibrationConfig(poisson_sign=s, orientation_sign=o,
-                                        todd_direction=direction)
-                if _anchor_pass(cfg):
-                    passing.append(cfg)
+    passing = [cfg for o, s, direction in itertools.product((1, -1), (1, -1), ("plus", "minus"))
+               if _anchor_pass(cfg := CalibrationConfig(s, o, direction))]
     if len(passing) != 1:
         raise CalibrationError(
             f"calibration must single out exactly one convention combination; "

@@ -54,9 +54,11 @@ def fourier_table(germ, at, s):
 
 def components(poly):
     """The integer components of ascending ExactScalar coefficients, one coefficient at a time."""
-    return _sum_components([(c.pi, c.value.level, c.value.den,
-                             {e: [0] * j + [n] for e, n in c.value.nums.items()})
-                            for j, c in enumerate(poly) if c])
+    parts = [(c.pi, c.value.level, c.value.den, {e: [0] * j + [n] for e, n in
+                                                   c.value.nums.items()})
+             for j, c in enumerate(poly) if c]
+    return _sum_components(parts, math.lcm(4, *(p[1] for p in parts)),
+                           math.lcm(*(p[2] for p in parts)))
 
 
 def quasi_equal(a, b):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from contact_index.deltas import DeltaError, DeltaGerm, fourier_contribution, germ_to_document
-from contact_index.engine import QuasiPolynomial
+from contact_index.engine import fit_quasi_polynomial
 from contact_index.forms import FormElement
 from contact_index.scalars import ExactScalar, ScalarError
 from distributions import (HalfDeltaGerm, germ_from_document, multiply_smooth,
@@ -27,7 +27,7 @@ d2 = DeltaGerm.delta(2)
 
 def evaluate_quasi(pair, m):
     """The value at m of `fourier_contribution`'s (q, rows)."""
-    return QuasiPolynomial(pair[1]).read(m)[0]
+    return fit_quasi_polynomial([pair]).read(m)[0]
 
 
 class TestDelta:

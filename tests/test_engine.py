@@ -1,5 +1,6 @@
 """Engine: germs, character assembly, quasi-polynomials, the double expansion."""
 
+import math
 import random
 import re
 from dataclasses import replace
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from contact_index import oracle
+from contact_index import catalog, oracle
 from contact_index.catalog import (IDENTITY, ContactModel, FiberFamily,
                                    FixedComponentData, preset_circle, scaled_model)
 from contact_index.deltas import DeltaGerm
@@ -448,6 +449,71 @@ class TestIntegerFitAgainstTheScalarRoute:
     def test_orders_of_different_grades_at_one_residue_raise(self):
         with pytest.raises(ScalarError, match=r"mixes pi-grades \[0, 1\]"):
             fit([(1, {0: [ONE]}), (2, {0: [TWO_PI], 1: [ExactScalar.zero()]})])
+
+    def test_orders_of_different_grades_that_never_meet_keep_their_grades(self):
+        # r = 0 mod 2 and r' = 1 mod 4 never hold together: no residue mixes grades
+        two = {0: [ONE], 1: []}
+        four = {0: [], 1: [TWO_PI, TWO_PI], 2: [], 3: []}
+        quasi = fit([(2, two), (4, four)])
+        assert quasi.period == 4
+        self.assert_matches(quasi, ScalarFit([(2, two), (4, four)]), range(-12, 13))
+
+    def test_two_grades_meet_only_where_the_residues_agree_mod_the_gcd(self):
+        # 3 mod 6 and 1 mod 4 meet at 9 mod 12 (gcd 2, both odd)
+        six = {r: [ONE] if r == 3 else [] for r in range(6)}
+        four = {r: [TWO_PI] if r == 1 else [] for r in range(4)}
+        with pytest.raises(ScalarError, match=r"mixes pi-grades \[0, 1\]"):
+            fit([(6, six), (4, four)])
+        four = {r: [TWO_PI] if r == 2 else [] for r in range(4)}
+        assert fit([(6, six), (4, four)]).period == 12
+
+
+class TestPerOrderFit:
+    """The fit sums rows once per residue of each order, never per residue of the period."""
+
+    def test_row_sums_are_bounded_by_the_sum_of_the_orders(self, monkeypatch):
+        model = catalog._sphere((23, 24, 25), DEFAULT_CALIBRATION.orientation_sign, "s")
+        orders = {at.denominator for at in model.torsion_support}
+        calls, real = [], engine._sum_components
+        monkeypatch.setattr(engine, "_sum_components",
+                            lambda *args: calls.append(1) or real(*args))
+        result = assemble_character(model, 100)
+        assert result.quasi.period == 13800
+        assert 0 < len(calls) <= sum(orders) == 113
+
+    def test_the_quasi_polynomial_holds_one_part_per_order(self):
+        model = catalog._sphere((5, 7, 9, 11), DEFAULT_CALIBRATION.orientation_sign, "s")
+        quasi = assemble_character(model, 10).quasi
+        assert sorted(quasi.orders) == sorted({at.denominator for at in model.torsion_support})
+        for q, columns in quasi.orders.items():
+            assert all(len(col) == q for cols in columns.values() for col in cols), q
+
+
+def sphere_character(weights, m):
+    """c_m = L_a(-m) + (-1)^n L_a(m - sum a) on S(a) in C^{n+1}: Serre duality on the
+    weighted projective space, L_a counting the monomials of weighted degree m."""
+    n = len(weights) - 1
+    return oracle.lattice_count_series(weights, -m) + \
+        (-1) ** n * oracle.lattice_count_series(weights, m - sum(weights))
+
+
+class TestSpheresOfThreeOrMoreWeights:
+    """Weighted spheres past dimension three against the lattice count, at every |m| <= 60."""
+
+    @pytest.mark.parametrize("weights", [(2, 3, 5), (5, 7, 9, 11), (23, 24, 25)])
+    def test_characters_equal_the_serre_dual_lattice_counts(self, weights):
+        model = catalog._sphere(weights, DEFAULT_CALIBRATION.orientation_sign,
+                                "sphere-" + "-".join(map(str, weights)))
+        result = assemble_character(model, 60)
+        assert result.quasi.period == math.lcm(*weights)
+        for m in range(-60, 61):
+            assert result.integers[m] == sphere_character(weights, m), (weights, m)
+
+    def test_the_formula_is_the_bundled_oracle_on_two_weights(self):
+        for a, b in ((1, 1), (2, 3), (5, 7)):
+            for m in range(-40, 41):
+                assert sphere_character((a, b), m) == \
+                    oracle.oracle_character("weighted-s3", (a, b), m), (a, b, m)
 
 
 class TestVolumeTransform:

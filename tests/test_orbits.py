@@ -19,8 +19,8 @@ import pytest
 from contact_index import engine, scalars
 from contact_index.catalog import model_from_document, model_to_document
 from contact_index.deltas import fourier_contribution
-from contact_index.engine import (CalibrationConfig, QuasiPolynomial, _orbits,
-                                  assemble_character, build_preset, germ_at)
+from contact_index.engine import (CalibrationConfig, _orbits, assemble_character,
+                                  build_preset, fit_quasi_polynomial, germ_at)
 from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi, _units_over_qi
 from character_reference import character_reference, fourier_table, quasi_equal
 
@@ -104,7 +104,7 @@ def test_orbit_rows_are_the_sum_of_the_members_tables(a, b, s):
             if len(orbit) > 1:  # traced down to Q(i)
                 assert {level for _, level, _, _ in rows} == {4}, p0
             tables = [fourier_table(germ.galois(t), t * p0, s)[1] for t in maps]
-            quasi = QuasiPolynomial(rows)
+            quasi = fit_quasi_polynomial([(q, rows)])
             for m in range(-q, q):
                 want = sum((exact_horner(table[m % q], m) for table in tables),
                            ExactScalar.zero())

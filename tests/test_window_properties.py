@@ -1,16 +1,22 @@
 """Property tests: `QuasiPolynomial.window` reads what `read` reads, at every m.
 
-`window` takes the values of a rational residue polynomial of degree d >= 2
-past 2 (d + 1) points by integer forward differences once its first d + 1
-values are ints, and by Horner and divmod otherwise.  Each residue here is
-drawn by its values at the first d + 1 points of its progression in the
-window, m0, m0 + period, ...: all ints (an integer-valued polynomial, so the
-difference route), or with non-integer rationals among them (the Horner
-route, which must give `read`'s exact non-integer scalars).  Seeded through
-a derandomized hypothesis profile, so every run draws the same examples.
+`window` reads the rational parts of the quasi-polynomial in whole lists:
+per order, an integer polynomial of degree d >= 2 past 2 (d + 1) q points
+by forward differences over each residue's progression, other orders by
+Horner across the window, and the sum over the orders divided by the
+denominator once per m, a remainder sending m through `read`.  A single
+order's residue here is drawn by its values at the first d + 1 points of
+its progression in the window, m0, m0 + period, ...: all ints (an
+integer-valued polynomial), or with non-integer rationals among them
+(which must come out as `read`'s exact non-integer scalars).  Several
+orders, with rational and level-12 parts, are checked against the
+per-residue sum of `character_reference.ScalarFit` as well.  Seeded
+through a derandomized hypothesis profile, so every run draws the same
+examples.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,8 +25,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from contact_index.engine import fit_quasi_polynomial  # noqa: E402
-from contact_index.scalars import ExactScalar  # noqa: E402
-from character_reference import components  # noqa: E402
+from contact_index.scalars import CyclotomicNumber, ExactScalar  # noqa: E402
+from character_reference import ScalarFit, components  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -102,7 +108,7 @@ def test_rational_residues_read_as_read_does(case):
 @pytest.mark.parametrize("degree", [2, 5, 24])
 @pytest.mark.parametrize("at", ["first", "last"])
 def test_a_non_integer_among_the_first_values_keeps_its_exact_scalar(degree, at):
-    # ints at the first d + 1 points but one, which is 1/2 off: no forward differences
+    # ints at the first d + 1 points but one, which is 1/2 off: a remainder, so `read`
     period, max_m = 3, 200
     values = [(-1) ** i * i ** 3 for i in range(degree + 1)]
     values[0 if at == "first" else degree] += Fraction(1, 2)
@@ -144,3 +150,81 @@ def test_the_constructed_polynomials_pass_through_their_values():
     for i, want in enumerate([Fraction(1, 3), 4, -2, 9]):
         m = -7 + 5 * i
         assert sum(c * m ** n for n, c in enumerate(poly)) == want
+
+
+# ----------------------------------------------------------------------
+# several torsion orders, one column store each
+# ----------------------------------------------------------------------
+
+ORDERS = (1, 3, 4, 6)
+KINDS = ("integer", "rational", "rational at level 12", "level 12")
+
+
+@st.composite
+def orders(draw):
+    """(grade, max_m, contributions): per order in a nonempty subset of ORDERS, one or two
+    tables of ExactScalar polynomials of degree -1 (zero) to 5, the coefficients of each
+    table of one kind: ints, rationals, rationals written at level 12, or level-12 values
+    with nonzero exponents (as a point outside any orbit writes its rows)."""
+    grade = draw(st.sampled_from([0, 0, 0, 1]))
+    chosen = draw(st.lists(st.sampled_from(ORDERS), min_size=1, max_size=4, unique=True))
+    contributions = []
+    for q in chosen:
+        for _ in range(draw(st.integers(1, 2))):
+            kind = draw(st.sampled_from(KINDS))
+
+            def coefficient():
+                if kind == "integer":
+                    value = draw(st.integers(-50, 50))
+                elif kind == "rational":
+                    value = Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 6)))
+                else:
+                    exponents = [0] if kind == "rational at level 12" else range(4)
+                    value = CyclotomicNumber(12, {e: Fraction(draw(st.integers(-9, 9)),
+                                                              draw(st.integers(1, 4)))
+                                                  for e in exponents})
+                return ExactScalar(grade, value)
+
+            contributions.append((q, {r: [coefficient() for _ in range(draw(st.integers(0, 6)))]
+                                      for r in range(q)}))
+    max_m = draw(st.one_of(st.integers(1, 14), st.integers(60, 200)))
+    return grade, max_m, contributions
+
+
+def fit_tables(contributions):
+    return fit_quasi_polynomial([(q, [components(table[r]) for r in range(q)])
+                                 for q, table in contributions])
+
+
+@DETERMINISTIC
+@given(orders())
+def test_several_orders_read_as_the_per_residue_sum_does(case):
+    grade, max_m, contributions = case
+    qp, reference = fit_tables(contributions), ScalarFit(contributions)
+    assert qp.period == reference.period == math.lcm(*(q for q, _ in contributions))
+    assert sorted(qp.orders) == sorted({q for q, _ in contributions})
+    assert qp.to_document() == reference.to_document()
+    integers = assert_window_is_read(qp, max_m)
+    for m in integers:
+        assert qp.read(m)[0] == reference.evaluate(m), m
+        assert integers[m] == reference.integer(m), m
+
+
+@pytest.mark.parametrize("max_m", [1, 2, 5, 11, 12, 40, 150])
+def test_integer_orders_of_degree_three_take_differences_where_the_window_is_long(
+        monkeypatch, max_m):
+    # order 1 of degree 3 takes differences past 2 * 4 * 1 points, order 6 past 48
+    cubic = [ExactScalar.from_rational(c) for c in (5, -2, 0, 3)]
+    contributions = [(1, {0: cubic}),
+                     (6, {r: [ExactScalar.from_rational(c) for c in (r, 1 - r, r * r, -1)]
+                          for r in range(6)}),
+                     (4, {r: [ExactScalar.from_rational(Fraction(r, 2))] for r in range(4)})]
+    calls, real = [], itertools.accumulate
+    monkeypatch.setattr(itertools, "accumulate", lambda *a, **k: calls.append(1) or real(*a, **k))
+    qp = fit_tables(contributions)
+    qp.window(max_m)
+    monkeypatch.undo()
+    span = 2 * max_m + 1
+    assert len(calls) == 3 * ((span > 8) + 6 * (span > 48))
+    assert qp.to_document() == ScalarFit(contributions).to_document()
+    assert_window_is_read(qp, max_m)
