@@ -212,7 +212,7 @@ def _horner(column, m):
 def _differences(cols, q, ms):
     """The numerators at every m of ms by integer forward differences per residue (more than
     len(cols) points each), exact for integer columns; they run over the gcd of the leading
-    differences, which divides every value: hopf n = 20 @100 takes 0.30 ms, not 0.48 ms."""
+    differences, which divides every value (hopf n = 20 @100: 0.30 ms, not 0.48, on a Xeon)."""
     acc, d = [0] * len(ms), len(cols) - 1
     for offset in range(q):
         points = ms[offset::q]
