@@ -451,7 +451,10 @@ def model_to_document(model):
 
 def load_model(path):
     with open(path) as fh:
-        doc = json.load(fh, parse_float=_reject_float)
+        try:
+            doc = json.load(fh, parse_float=_reject_float)
+        except RecursionError:
+            raise ModelError(f"model document {str(path)!r} is nested too deeply") from None
     return model_from_document(doc)
 
 

@@ -67,7 +67,7 @@ def _load_calibration():
         with open(path) as fh:
             doc = json.load(fh)
         return CalibrationConfig.from_dict(doc)
-    except (OSError, ValueError, KeyError, EngineError) as exc:
+    except (OSError, ValueError, KeyError, EngineError, RecursionError) as exc:
         raise ConfigError(f"unreadable calibration file {path!r}: {exc}")
 
 

@@ -16,13 +16,13 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-from .scalars import ExactScalar, ScalarError, _coerce, _trace_table
+from .scalars import ScalarError, _coerce, _trace_table
 
 GERM_VAR = "phi"
 
 
 class DeltaError(ValueError):
-    """Raised for invalid germ operations (a negative derivative order, a bad sign, ...)."""
+    """Raised for invalid germ operations (a Poisson sign other than +1 or -1, ...)."""
 
 
 def _trimmed(coeffs):
@@ -51,13 +51,6 @@ class DeltaGerm:
 
     def __init__(self, terms=()):
         self.terms = _trimmed(terms)
-
-    @staticmethod
-    def delta(order=0, coeff=1):
-        """coeff * d0^(order); a negative order raises `DeltaError`."""
-        if order < 0:
-            raise DeltaError(f"a derivative order must be nonnegative, got {order}")
-        return DeltaGerm([ExactScalar.zero()] * order + [_coerce(coeff)])
 
     @staticmethod
     def zero():

@@ -99,13 +99,12 @@ def _scaled_pairing(pairing, k):
 
 def _component_germ(comp, calibration):
     """(2 pi i)^-k times the pairing of Todd, inverse determinant and delta form."""
-    k = comp.k
-    jet_order = k  # the Leibniz pairing reads jets only up to j_form's top order k
-    td = todd(comp.tangential, comp.generators, k, jet_order=jet_order,
+    k = comp.k  # the pairing reads no smooth term of total degree above k
+    td = todd(comp.tangential, comp.generators, jet_order=k,
               direction=calibration.todd_direction)
-    dc = dc_inverse(comp.normal, comp.generators, k, jet_order=jet_order)
+    dc = dc_inverse(comp.normal, comp.generators, jet_order=k)
     smooth = td * dc if comp.tangential and comp.normal else dc if comp.normal else td
-    return integrate_component(smooth, j_form(comp, jet_order=jet_order),
+    return integrate_component(smooth, j_form(comp, jet_order=k),
                                _scaled_pairing(comp.pairing, k))
 
 
@@ -127,7 +126,7 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
     """The volume transform: the identity computation with the Todd factor dropped."""
     if model.rank != 1:
         raise UnsupportedModelError("the volume transform is computed for rank-1 models")
-    return sum((integrate_component(FormElement.one(comp.generators, comp.k, comp.k),
+    return sum((integrate_component(FormElement.one(comp.generators, comp.k),
                                     j_form(comp, jet_order=comp.k),
                                     _scaled_pairing(comp.pairing, model.ambient_n))
                 for comp in model.components.get(IDENTITY, [])), DeltaGerm.zero())

@@ -2,9 +2,10 @@
 
 A form element is one polynomial in nilpotent 2-form generators (the class
 of d-alpha plus any base curvature classes) and the local angle phi, with
-exact scalar coefficients.  It is truncated separately in each: at the
-component's top generator degree k (so the component has dimension 2k+1)
-and at the jet order in phi.  Smooth jets in phi are thus no separate type.
+exact scalar coefficients.  It is truncated once, at total degree k (the component
+has dimension 2k+1): the pairing reads no term c g^e phi^p with |e| + p > k, and
+degrees add under products, so the cut is exact.  Smooth jets in phi are thus no
+separate type.
 
 The delta form of `j_form` is no form element: it is the list of its k + 1
 rationals, term j a rational multiple of d0^(j)(phi) (d-alpha)^j.
@@ -25,9 +26,9 @@ exponent by J.C.P. Miller's recurrence (the inverse is the power -1; there is
 no `_series_invert`): `_rational_power` computes the rational Todd powers in
 Python integers, `_series_power` the cyclotomic normal factor in `ExactScalar`.
 
-Series are evaluated as power sums over the truncated algebra, each as long as
-its argument reads (`_series_length`), finite and exact as the argument is
-nilpotent there; a one-term argument (every preset's root) takes scalar powers.
+Series are evaluated as power sums over the truncated algebra, each k + 1
+coefficients long, finite and exact as the argument is nilpotent there; a
+one-term argument (every preset's root) takes scalar powers.
 
 Both products over roots evaluate one power per group of equal roots (all
 n+1 tangential roots of the Hopf sphere, say) and start from the first group's
@@ -73,34 +74,31 @@ class ChernRoot:
 
 
 class FormElement:
-    """Polynomial in the even generators and phi, truncated separately in each.
+    """Polynomial in the even generators and phi, truncated at total degree.
 
     `terms` maps (generator exponents..., phi exponent) to a nonzero
-    `ExactScalar`.  Terms of generator degree above `truncation` or of phi
-    degree above `jet_order` are dropped.
+    `ExactScalar`.  Terms whose exponents sum above `truncation` are dropped.
     """
 
-    __slots__ = ("generators", "truncation", "jet_order", "terms")
+    __slots__ = ("generators", "truncation", "terms")
 
-    def __init__(self, generators, truncation, jet_order, terms=None):
+    def __init__(self, generators, truncation, terms=None):
         self.generators = tuple(generators)
         self.truncation = int(truncation)
-        self.jet_order = int(jet_order)
         clean, width = {}, len(self.generators) + 1
         for exp, coeff in (terms or {}).items():
             if len(exp) != width or min(exp) < 0:
                 raise FormError(f"bad exponent {exp}")
-            if exp[-1] <= self.jet_order and sum(exp) - exp[-1] <= self.truncation \
-                    and not coeff.is_zero():
+            if sum(exp) <= self.truncation and not coeff.is_zero():
                 clean[tuple(exp)] = coeff
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def one(generators, truncation, jet_order):
+    def one(generators, truncation):
         g = tuple(generators)
-        return FormElement(g, truncation, jet_order, {(0,) * (len(g) + 1): ExactScalar.one()})
+        return FormElement(g, truncation, {(0,) * (len(g) + 1): ExactScalar.one()})
 
     # -- structural helpers -----------------------------------------------
 
@@ -118,24 +116,22 @@ class FormElement:
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
             out[exp] = out[exp] + coeff if exp in out else coeff
-        return FormElement(self.generators, self.truncation,
-                           min(self.jet_order, other.jet_order), out)
+        return FormElement(self.generators, self.truncation, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactScalar)):
-            return FormElement(self.generators, self.truncation, self.jet_order,
+            return FormElement(self.generators, self.truncation,
                                {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        truncation, order = self.truncation, min(self.jet_order, other.jet_order)
-        out = {}
+        truncation, out = self.truncation, {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                if exp[-1] > order or sum(exp) - exp[-1] > truncation:
+                if sum(exp) > truncation:
                     continue
                 prod = c1 * c2
                 out[exp] = out[exp] + prod if exp in out else prod
-        return FormElement(self.generators, truncation, order, out)
+        return FormElement(self.generators, truncation, out)
 
     __rmul__ = __mul__
 
@@ -190,33 +186,29 @@ def _normal_determinant(eigenvalue, length):
 def evaluate_series(coeffs, element):
     """sum_j coeffs[j] * element^j in the truncated algebra, from running powers.
 
-    The element must have no constant term (no all-zero exponent), so it is nilpotent
-    and the sum is finite: element^j vanishes for j > truncation + jet order, and
-    already for j > truncation when no term carries a phi power (a root of weight
-    0).  The series must be long enough for the terms that survive.  Zero terms and
-    powers past the last term are skipped.  A one-term argument c x^e (i a dA, i w
-    phi) takes power j as c^j at j e, up to the first power past the truncation or
-    the jet order: no form product.  The sum starts from coeffs[0]: no product by one.
+    The element must have no constant term (no all-zero exponent), so every term has
+    total degree at least 1 and element^j vanishes for j > truncation: the sum is
+    finite and reads truncation + 1 coefficients, which the series must have.  Zero
+    terms and powers past the last term are skipped.  A one-term argument c x^e
+    (i a dA, i w phi) takes power j as c^j at j e, up to the first power past the
+    truncation: no form product.  The sum starts from coeffs[0]: no product by one.
     """
     if (0,) * (len(element.generators) + 1) in element.terms:
         raise FormError("series argument must have zero constant term")
-    need = element.truncation + 1
-    if any(e[-1] for e in element.terms):
-        need += element.jet_order
-    if len(coeffs) < need:
-        raise FormError(f"series too short: need {need} coefficients, got {len(coeffs)}")
-    last = max((j for j in range(need) if coeffs[j]), default=-1)
-    gens, trunc, order = element.generators, element.truncation, element.jet_order
+    gens, trunc = element.generators, element.truncation
+    if len(coeffs) <= trunc:
+        raise FormError(f"series too short: need {trunc + 1} coefficients, got {len(coeffs)}")
+    last = max((j for j in range(trunc + 1) if coeffs[j]), default=-1)
     acc, power = {(0,) * (len(gens) + 1): _coerce(coeffs[0])}, element
     if len(element.terms) == 1:
         ((exp, c),) = element.terms.items()
         for j in range(1, last + 1):
-            if j * (sum(exp) - exp[-1]) > trunc or j * exp[-1] > order:
+            if j * sum(exp) > trunc:
                 break
             scalar = scalar * c if j > 1 else c
             if coeffs[j]:
                 acc[tuple(j * a for a in exp)] = scalar * coeffs[j]
-        return FormElement(gens, trunc, order, acc)
+        return FormElement(gens, trunc, acc)
     for j in range(1, last + 1):
         if j > 1:
             power = power * element
@@ -224,49 +216,45 @@ def evaluate_series(coeffs, element):
             for exp, c in power.terms.items():
                 term = c * coeffs[j]
                 acc[exp] = acc[exp] + term if exp in acc else term
-    return FormElement(gens, trunc, order, acc)
+    return FormElement(gens, trunc, acc)
 
 
-def root_value(root, generators, truncation, jet_order):
+def root_value(root, generators, truncation):
     """Equivariant value of a Chern root: curvature + i w phi, w its circle weight."""
     n = len(generators)
     terms = {(0,) * n + (1,): ExactScalar.i() * root.weight[0]}
     for i, c in zip(range(n), root.curvature):
         terms[tuple(int(j == i) for j in range(n + 1))] = _coerce(c)
-    return FormElement(generators, truncation, jet_order, terms)
+    return FormElement(generators, truncation, terms)
 
 
-def todd(roots, generators, truncation, *, jet_order, direction="plus"):
-    """Product of Todd factors over tangential Chern roots (empty product = 1)."""
+def todd(roots, generators, *, jet_order, direction="plus"):
+    """Product of the Todd factors of tangential Chern roots, cut at total degree `jet_order`."""
     for root in roots:
         if not root.is_tangential():
             raise FormError("Todd factors take tangential roots only "
                             "(torsion eigenvalue must be 1)")
-    quotient = _todd_quotient(_series_length(roots, truncation, jet_order), direction)
-    return _root_product(roots, lambda root, n, r: _rational_power(quotient[:n], -r),
-                         generators, truncation, jet_order)
+    quotient = _todd_quotient(jet_order + 1, direction)
+    return _root_product(roots, lambda root, r: _rational_power(quotient, -r),
+                         generators, jet_order)
 
 
-def dc_inverse(roots, generators, truncation, *, jet_order):
-    """Inverse normal determinant: product over roots of (1 - lambda e^value)^-1."""
+def dc_inverse(roots, generators, *, jet_order):
+    """Product of (1 - lambda e^value)^-1 over normal roots, cut at total degree `jet_order`."""
     for root in roots:
         if root.is_tangential():
             raise FormError(_EIGENVALUE_ONE)
+    length = jet_order + 1
     return _root_product(
-        roots, lambda root, n, r: _series_power(_normal_determinant(root.eigenvalue(), n), -r),
-        generators, truncation, jet_order)
+        roots, lambda root, r: _series_power(_normal_determinant(root.eigenvalue(), length), -r),
+        generators, jet_order)
 
 
-def _series_length(roots, truncation, jet_order):
-    """Coefficients `evaluate_series` reads at these roots' values (see its docstring)."""
-    return truncation + 1 + (jet_order if any(root.weight[0] for root in roots) else 0)
-
-
-def _root_product(roots, power_of, generators, truncation, jet_order):
-    """Product over root groups of power_of(root, length, r) evaluated at root_value(root).
+def _root_product(roots, power_of, generators, truncation):
+    """Product over root groups of power_of(root, r) evaluated at root_value(root).
 
     Equal roots are grouped (a list scan by identity, then `==`: the scalars are unhashable);
-    a group of r equal roots is evaluated once, as power_of(root, its `_series_length`, r).
+    a group of r equal roots is evaluated once, as power_of(root, r) of truncation + 1 terms.
     """
     groups = []
     for root in roots:
@@ -278,11 +266,10 @@ def _root_product(roots, power_of, generators, truncation, jet_order):
             groups.append([root, 1])
     acc = None
     for root, count in groups:
-        n = _series_length([root], truncation, jet_order)
-        factor = evaluate_series(power_of(root, n, count),
-                                 root_value(root, generators, truncation, jet_order))
+        factor = evaluate_series(power_of(root, count),
+                                 root_value(root, generators, truncation))
         acc = factor if acc is None else acc * factor
-    return FormElement.one(generators, truncation, jet_order) if acc is None else acc
+    return FormElement.one(generators, truncation) if acc is None else acc
 
 
 def _series_power(coeffs, r):
@@ -366,26 +353,21 @@ def integrate_component(smooth, delta, pairing):
     degree d meets delta term j = k - d alone, on the top monomial e + j dA.
     By the Leibniz rule phi^p d0^(j) = (-1)^p j!/(j-p)! d0^(j-p), zero for
     p > j, it adds c c_j (-1)^p j!/(j-p)! to order j - p: one `ExactScalar`
-    scaled by one rational.  The jet order must reach k, the delta form's top
-    derivative order, otherwise dropped phi terms could still pair
-    nontrivially.  Each top monomial's germ is weighted by its pairing value;
-    a nonzero germ missing from the table is an error.
+    scaled by one rational.  A term of the form has d + p <= k, so p <= j
+    always, and the terms the truncation dropped would all pair to zero.
+    Each top monomial's germ is weighted by its pairing value; a nonzero germ
+    missing from the table is an error.
     """
     k = smooth.truncation
     if len(delta) != k + 1:
         raise FormError(f"form basis mismatch: a delta form of {len(delta)} terms "
                         f"against truncation {k}")
-    if smooth.jet_order < k:
-        raise FormError(
-            f"jet truncation order {smooth.jet_order} is below the germ's top derivative "
-            f"order {k}; raise the truncation to at least {k}")
     top = {}
     for (*e, p), c in smooth.terms.items():
         j = k - sum(e)
-        if p <= j:
-            orders = top.setdefault((e[0] + j, *e[1:]) if e else (), {})
-            term = c * (delta[j] * (-1) ** p * math.perm(j, p))
-            orders[j - p] = orders[j - p] + term if j - p in orders else term
+        orders = top.setdefault((e[0] + j, *e[1:]) if e else (), {})
+        term = c * (delta[j] * (-1) ** p * math.perm(j, p))
+        orders[j - p] = orders[j - p] + term if j - p in orders else term
     total = DeltaGerm.zero()
     for exp, orders in top.items():
         germ = DeltaGerm([orders.get(i, ExactScalar.zero()) for i in range(max(orders) + 1)])

@@ -647,11 +647,12 @@ def approx_display(a, digits=4):
         z = complex(math.inf)
     if not cmath.isfinite(z):
         return _e_display(a, digits)
-    re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
+    # trailing zeros are stripped after a decimal point only: 10 stays 10 at 0 digits
+    re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") if digits else f"{z.real:.0f}"
     if not z.imag or x == (conj := x.galois(-1)):
         return re_s
     re_s = "0" if x == -conj else re_s
-    im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
+    im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") if digits else f"{abs(z.imag):.0f}"
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_s}{sign}{im_s}i"
 

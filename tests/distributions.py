@@ -1,6 +1,6 @@
-"""Test-only distributions: the general germ calculus, boundary-value germs,
-the trigonometric pairing, the derivative of a germ and the reader of germ
-documents.
+"""Test-only distributions: the single delta term, the general germ calculus,
+boundary-value germs, the trigonometric pairing, the derivative of a germ and
+the reader of germ documents.
 
 All serve as independent routes that the library's closed forms and its
 serialization are checked against; the localization pipeline itself uses
@@ -16,6 +16,13 @@ from fractions import Fraction
 
 from contact_index.deltas import GERM_VAR, DeltaError, DeltaGerm
 from contact_index.scalars import ExactScalar, _coerce
+
+
+def delta(order=0, coeff=1):
+    """coeff * d0^(order); a negative order raises `DeltaError`."""
+    if order < 0:
+        raise DeltaError(f"a derivative order must be nonnegative, got {order}")
+    return DeltaGerm([ExactScalar.zero()] * order + [_coerce(coeff)])
 
 
 def scale_variable(germ, a):
@@ -46,10 +53,13 @@ def multiply_smooth(germ, jet):
     return DeltaGerm(out)
 
 
-def reference_integral(smooth, component):
+def reference_integral(terms, component):
     """integrate_component(smooth, j_form(component), pairing) by the general calculus.
 
-    The smooth terms are grouped by generator monomial e into jets; a jet of
+    `terms` maps (generator exponents..., phi exponent) to scalars, as
+    `FormElement.terms` does, but with no truncation: any phi power may appear,
+    and a generator monomial above top degree k, which does not integrate, is
+    skipped.  The terms are grouped by generator monomial e into jets; a jet of
     generator degree d meets d0^(j)(-mu w phi) (d-alpha)^j / j! for j = k - d
     alone, rescaled by `scale_variable` and multiplied by `multiply_smooth`.
     The germs are summed per top monomial e + j dA, and every nonzero sum is
@@ -57,15 +67,16 @@ def reference_integral(smooth, component):
     """
     k, a = component.k, -Fraction(component.mu) * component.reeb_weight[0]
     jets = {}
-    for exp, c in smooth.terms.items():
-        jet = jets.setdefault(exp[:-1], [ExactScalar.zero()] * (smooth.jet_order + 1))
-        jet[exp[-1]] = c
+    for exp, c in terms.items():
+        if sum(exp[:-1]) <= k:
+            jets.setdefault(exp[:-1], {})[exp[-1]] = c
     top = {}
-    for e, jet in jets.items():
+    for e, powers in jets.items():
         j = k - sum(e)
-        delta = scale_variable(DeltaGerm.delta(j, Fraction(1, math.factorial(j))), a)
+        jet = [powers.get(p, ExactScalar.zero()) for p in range(max(powers) + 1)]
+        term = scale_variable(delta(j, Fraction(1, math.factorial(j))), a)
         mono = (e[0] + j, *e[1:]) if e else ()
-        top[mono] = top.get(mono, DeltaGerm.zero()) + multiply_smooth(delta, jet)
+        top[mono] = top.get(mono, DeltaGerm.zero()) + multiply_smooth(term, jet)
     total = DeltaGerm.zero()
     for mono, germ in top.items():
         if not germ.is_zero():

@@ -21,7 +21,7 @@ from contact_index.engine import (CalibrationConfig, assemble_character,
                                   corollary_expand, dh_fourier, germ_at)
 from contact_index.forms import FormElement, integrate_component, j_form
 from contact_index.scalars import ExactScalar
-from distributions import HalfDeltaGerm, derivative, multiply_smooth, scale_variable
+from distributions import HalfDeltaGerm, delta, derivative, multiply_smooth, scale_variable
 
 TWO_PI = ExactScalar.pi_power(1, 2)
 I = ExactScalar.i()
@@ -122,15 +122,15 @@ def test_criterion_7_distribution_identity_suite():
         coeff = ExactScalar.from_rational(
             Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
         order = rng.randint(0, 6)
-        germ = DeltaGerm.delta(order, coeff)
+        germ = delta(order, coeff)
         a = Fraction(rng.randint(-9, 9) or 2, rng.randint(1, 9))
         # (d3) scale round trip
         assert scale_variable(scale_variable(germ, a), 1 / a) == germ
         cases += 1
         # (d2) delta-level identities
-        assert multiply_smooth(DeltaGerm.delta(0, coeff), x).is_zero()
-        assert multiply_smooth(DeltaGerm.delta(1, coeff), x) == \
-            DeltaGerm.delta(0, coeff * ExactScalar.from_rational(-1))
+        assert multiply_smooth(delta(0, coeff), x).is_zero()
+        assert multiply_smooth(delta(1, coeff), x) == \
+            delta(0, coeff * ExactScalar.from_rational(-1))
         cases += 2
         # (d1) boundary rewrite agrees with the direct delta
         combo = HalfDeltaGerm.half(1, order, coeff) + HalfDeltaGerm.half(-1, order, coeff)
@@ -146,7 +146,7 @@ def test_criterion_7_distribution_identity_suite():
         # (d2) boundary product rule sums to the delta rule
         const, rest = combo.multiply_by_x()
         assert const.is_zero()
-        expected = DeltaGerm.delta(order - 1,
+        expected = delta(order - 1,
                                    coeff * ExactScalar.from_rational(-order)) \
             if order else DeltaGerm.zero()
         assert rest.reduce() == expected
@@ -183,11 +183,11 @@ def test_criterion_10_volume_transform():
     # independent route: drop the Todd factor from the worked sphere example
     # and re-integrate the delta form alone
     (comp,) = hopf.components[Fraction(0, 1)]
-    one = FormElement.one(comp.generators, comp.k, 5)
-    direct = integrate_component(one, j_form(comp, jet_order=5), comp.pairing)
+    one = FormElement.one(comp.generators, comp.k)
+    direct = integrate_component(one, j_form(comp, jet_order=comp.k), comp.pairing)
     direct = direct * (TWO_PI * I).inverse()
     assert got == direct
-    assert got == DeltaGerm.delta(1, TWO_PI * I)
+    assert got == delta(1, TWO_PI * I)
     for lam in (2, 3, 5):
         assert dh_fourier(scaled_model(hopf, lam)) == got
     _report(10, "volume transform drops the Todd factor and is scaling-invariant")

@@ -99,6 +99,16 @@ class TestCalibrate:
         assert result.exit_code == 2, result.output
         assert field in result.output
 
+    def test_deeply_nested_calibration_file_exits_two_naming_it(self, runner, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CONTACT_INDEX_CALIBRATION", raising=False)
+        (tmp_path / "contact-index-calibration.json").write_text("[" * 200_000)
+        result = runner.invoke(main, ["character", "--preset", "circle", "--max-m", "2"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: unreadable calibration file "
+                                         "'contact-index-calibration.json': maximum recursion")
+
     def test_has_no_window_option(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         result = runner.invoke(main, ["calibrate", "--max-m", "20"])
@@ -264,6 +274,14 @@ class TestCharacterCommand:
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ")
         assert field in result.output
+
+    def test_deeply_nested_model_document_exits_two_naming_it(self, runner, calibrated):
+        path = calibrated / "deep.json"
+        path.write_text('{"a":' * 100_000)
+        result = runner.invoke(main, ["character", "--model", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
+        assert f"{str(path)!r} is nested too deeply" in result.output
 
     def test_non_integer_coefficients_print_exactly(self, runner, calibrated):
         # the circle with half its orbit length: every coefficient is 1/2

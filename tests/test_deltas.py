@@ -11,7 +11,7 @@ from contact_index.deltas import DeltaError, DeltaGerm, fourier_contribution, ge
 from contact_index.engine import fit_quasi_polynomial
 from contact_index.forms import FormElement
 from contact_index.scalars import ExactScalar, ScalarError
-from distributions import (HalfDeltaGerm, germ_from_document, multiply_smooth,
+from distributions import (HalfDeltaGerm, delta, germ_from_document, multiply_smooth,
                            pair_with_trig, scale_variable)
 
 ONE = ExactScalar.one()
@@ -20,9 +20,9 @@ TWO_PI = ExactScalar.pi_power(1, 2)
 ZERO = ExactScalar.zero()
 PHI = [ZERO, ONE]  # the jet of phi: ascending phi coefficients
 
-d0 = DeltaGerm.delta(0)
-d1 = DeltaGerm.delta(1)
-d2 = DeltaGerm.delta(2)
+d0 = delta(0)
+d1 = delta(1)
+d2 = delta(2)
 
 
 def evaluate_quasi(pair, m):
@@ -33,7 +33,7 @@ def evaluate_quasi(pair, m):
 class TestDelta:
     def test_a_negative_order_is_rejected_by_name(self):
         with pytest.raises(DeltaError, match="nonnegative, got -2"):
-            DeltaGerm.delta(-2, 3)
+            delta(-2, 3)
 
 
 class TestScaleVariable:
@@ -54,7 +54,7 @@ class TestScaleVariable:
         rng = random.Random(101)
         for _ in range(400):
             order = rng.randint(0, 5)
-            germ = DeltaGerm.delta(order, ExactScalar.from_rational(
+            germ = delta(order, ExactScalar.from_rational(
                 Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))))
             a = Fraction(rng.randint(-9, 9) or 3, rng.randint(1, 9))
             assert scale_variable(scale_variable(germ, a), 1 / a) == germ
@@ -79,8 +79,8 @@ class TestMultiplySmooth:
 
     def test_leibniz_general_order(self):
         # phi^2 * d0^(3) = 3!/(1!) d0^(1) = 6 d0' with sign (+1)^2
-        got = multiply_smooth(DeltaGerm.delta(3), [ZERO, ZERO, ONE])
-        assert got == DeltaGerm.delta(1, ExactScalar.from_rational(6))
+        got = multiply_smooth(delta(3), [ZERO, ZERO, ONE])
+        assert got == delta(1, ExactScalar.from_rational(6))
 
 
 class TestFourier:
@@ -108,9 +108,9 @@ class TestFourier:
     def test_linearity(self):
         rng = random.Random(3)
         for _ in range(60):
-            g1 = DeltaGerm.delta(rng.randint(0, 4),
+            g1 = delta(rng.randint(0, 4),
                                  ExactScalar.from_rational(rng.randint(-5, 5)))
-            g2 = DeltaGerm.delta(rng.randint(0, 4),
+            g2 = delta(rng.randint(0, 4),
                                  ExactScalar.from_rational(rng.randint(-5, 5)))
             p_sum = fourier_contribution(g1 + g2, Fraction(1, 3), +1)
             p1 = fourier_contribution(g1, Fraction(1, 3), +1)
@@ -263,17 +263,18 @@ class TestModuleAction:
             return rng.choice(units) * ExactScalar.pi_power(
                 grade, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
 
-        def jet(at_least):
-            order, grade = rng.randint(at_least, 8), rng.randint(-1, 1)
-            return FormElement((), 0, order, {
+        def jet(truncation):
+            grade = rng.randint(-1, 1)
+            return FormElement((), truncation, {
                 (e,): scalar(grade) for e in range(rng.randint(0, 9))})
 
         def coefficients(form):
-            return [form.terms.get((e,), ZERO) for e in range(form.jet_order + 1)]
+            return [form.terms.get((e,), ZERO) for e in range(form.truncation + 1)]
 
         for _ in range(80):
             order, grade = rng.randint(0, 6), rng.randint(-1, 1)
             germ = DeltaGerm([scalar(grade) for _ in range(order + 1)])
-            a, b = jet(order), jet(order)
+            truncation = rng.randint(order, 8)
+            a, b = jet(truncation), jet(truncation)
             assert multiply_smooth(multiply_smooth(germ, coefficients(a)), coefficients(b)) == \
                 multiply_smooth(germ, coefficients(a * b))

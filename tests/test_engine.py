@@ -23,6 +23,7 @@ from contact_index.engine import (DEFAULT_CALIBRATION, CalibrationConfig, Calibr
 from contact_index.scalars import (CyclotomicNumber, ExactScalar, ScalarError, _euler_phi,
                                    approx_display)
 from character_reference import ScalarFit, components, fourier_table, quasi_equal
+from distributions import delta
 from laurent_reference import corollary_reference
 
 ONE = ExactScalar.one()
@@ -57,7 +58,7 @@ RANK1_PRESETS = [
 class TestGerms:
     def test_circle_identity_germ(self):
         assert germ_at(build_preset("circle", ()), IDENTITY) == \
-            DeltaGerm.delta(0, TWO_PI)
+            delta(0, TWO_PI)
 
     def test_sphere_identity_germ(self):
         germ = germ_at(build_preset("hopf", (1,)), IDENTITY)
@@ -70,7 +71,7 @@ class TestGerms:
 
     def test_weighted_half_turn_germ_value(self):
         germ = germ_at(build_preset("weighted-s3", (1, 2)), Fraction(1, 2))
-        assert germ == DeltaGerm.delta(0, ExactScalar.pi_power(1, Fraction(1, 2)))
+        assert germ == delta(0, ExactScalar.pi_power(1, Fraction(1, 2)))
 
     def test_weighted_third_turn_has_cyclotomic_coefficient(self):
         germ = germ_at(build_preset("weighted-s3", (2, 3)), Fraction(1, 3))
@@ -126,7 +127,7 @@ class TestOneRescale:
     def test_germ_at_scales_each_top_monomial_once(self, monkeypatch):
         model = build_preset("hopf", (8,))
         (comp,) = model.components[IDENTITY]
-        want = self.twice_scaled(comp, todd(comp.tangential, comp.generators, 8,
+        want = self.twice_scaled(comp, todd(comp.tangential, comp.generators,
                                             jet_order=8, direction="plus"), 8)
         calls = self.spy(monkeypatch)
         germ = germ_at(model, IDENTITY)
@@ -136,7 +137,7 @@ class TestOneRescale:
     def test_dh_fourier_scales_each_top_monomial_once(self, monkeypatch):
         model = build_preset("hopf", (3,))
         (comp,) = model.components[IDENTITY]
-        want = self.twice_scaled(comp, FormElement.one(comp.generators, 3, 3), 3)
+        want = self.twice_scaled(comp, FormElement.one(comp.generators, 3), 3)
         calls = self.spy(monkeypatch)
         germ = dh_fourier(model)
         assert len(calls) == len(comp.pairing) == 1
@@ -523,7 +524,7 @@ class TestVolumeTransform:
 
     def test_sphere_drops_the_todd_factor(self):
         got = dh_fourier(build_preset("hopf", (1,)))
-        assert got == DeltaGerm.delta(1, TWO_PI * I)
+        assert got == delta(1, TWO_PI * I)
 
     def test_scaling_invariance(self):
         for name, params in RANK1_PRESETS:

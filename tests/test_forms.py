@@ -9,7 +9,7 @@ from math import comb, factorial
 import pytest
 
 from contact_index import forms
-from contact_index.catalog import FixedComponentData
+from contact_index.catalog import FixedComponentData, model_from_document
 from contact_index.deltas import DeltaGerm
 from contact_index.engine import CalibrationConfig, build_preset, germ_at
 from contact_index.forms import (ChernRoot, FormElement, FormError, _normal_determinant,
@@ -17,7 +17,8 @@ from contact_index.forms import (ChernRoot, FormElement, FormError, _normal_dete
                                  evaluate_series, integrate_component, j_form, root_value,
                                  todd)
 from contact_index.scalars import CyclotomicNumber, ExactScalar
-from distributions import reference_integral, scale_variable
+from distributions import delta, reference_integral, scale_variable
+from test_golden_reports import TWO_GENERATOR_MODELS
 
 ONE = ExactScalar.one()
 I = ExactScalar.i()
@@ -66,20 +67,20 @@ class TestToddSeries:
 
 class TestTodd:
     def test_empty_product_is_one(self):
-        assert todd([], ("dA",), 2, jet_order=4) == FormElement.one(("dA",), 2, 4)
+        assert todd([], ("dA",), jet_order=2) == FormElement.one(("dA",), 2)
 
     def test_round_sphere_value(self):
         # two factors of curvature i dA at truncation 1 multiply to 1 + i dA
         r = ChernRoot(curvature=(I,), weight=(0,))
-        td = todd([r, r], ("dA",), 1, jet_order=4)
-        expected = FormElement.one(("dA",), 1, 4) + FormElement(("dA",), 1, 4, {(1, 0): I})
+        td = todd([r, r], ("dA",), jet_order=1)
+        expected = FormElement.one(("dA",), 1) + FormElement(("dA",), 1, {(1, 0): I})
         assert td == expected
 
     def test_single_root_taylor_coefficients(self):
         # 1 + c/2 + c^2/12 for curvature c, frozen from the recurrence oracle
         c = ExactScalar.from_rational(1)
         r = ChernRoot(curvature=(c,), weight=(0,))
-        td = todd([r], ("dA",), 2, jet_order=4)
+        td = todd([r], ("dA",), jet_order=2)
         assert td.terms[(0, 0)] == ONE
         assert td.terms[(1, 0)] == ExactScalar.from_rational(Fraction(1, 2))
         assert td.terms[(2, 0)] == ExactScalar.from_rational(Fraction(1, 12))
@@ -89,24 +90,23 @@ class TestTodd:
         for _ in range(20):
             roots = [ChernRoot(curvature=(ExactScalar.from_rational(rng.randint(-3, 3)),),
                                weight=(rng.randint(-2, 2),)) for _ in range(3)]
-            left = todd(roots[:1], ("dA",), 2, jet_order=4) * \
-                todd(roots[1:], ("dA",), 2, jet_order=4)
-            assert left == todd(roots, ("dA",), 2, jet_order=4)
+            left = todd(roots[:1], ("dA",), jet_order=4) * todd(roots[1:], ("dA",), jet_order=4)
+            assert left == todd(roots, ("dA",), jet_order=4)
 
     def test_tangential_precondition(self):
         bad = ChernRoot(curvature=(I,), weight=(0,), eigenvalue_exponent=Fraction(1, 2))
         with pytest.raises(FormError, match="tangential"):
-            todd([bad], ("dA",), 1, jet_order=4)
+            todd([bad], ("dA",), jet_order=1)
 
 
 class TestNormalDeterminant:
     def test_empty_product_is_one(self):
-        assert dc_inverse([], ("dA",), 2, jet_order=4) == FormElement.one(("dA",), 2, 4)
+        assert dc_inverse([], ("dA",), jet_order=2) == FormElement.one(("dA",), 2)
 
     def test_minus_one_eigenvalue_jet(self):
         # (1 + e^{i b phi})^-1 = 1/2 - (i b / 4) phi + O(phi^2), b = 3
         r = ChernRoot(curvature=(), weight=(3,), eigenvalue_exponent=Fraction(1, 2))
-        dc = dc_inverse([r], (), 0, jet_order=1)
+        dc = dc_inverse([r], (), jet_order=1)
         assert dc.terms[(0,)] == ExactScalar.from_rational(Fraction(1, 2))
         assert dc.terms[(1,)] == I * ExactScalar.from_rational(Fraction(-3, 4))
 
@@ -117,13 +117,13 @@ class TestNormalDeterminant:
         h = 1e-6
         d1 = (f(h) - f(-h)) / (2 * h)
         r = ChernRoot(curvature=(), weight=(3,), eigenvalue_exponent=Fraction(1, 2))
-        dc = dc_inverse([r], (), 0, jet_order=1)
+        dc = dc_inverse([r], (), jet_order=1)
         assert abs(dc.terms[(0,)].complex_value() - f(0)) < 1e-12
         assert abs(dc.terms[(1,)].complex_value() - d1) < 1e-6
 
     def test_cube_root_eigenvalue_constant(self):
         r = ChernRoot(curvature=(), weight=(0,), eigenvalue_exponent=Fraction(1, 3))
-        dc = dc_inverse([r], (), 0, jet_order=0)
+        dc = dc_inverse([r], (), jet_order=0)
         value = dc.terms[(0,)]
         lam = ExactScalar.root_of_unity(1, 3)
         assert value * (ONE - lam) == ONE
@@ -135,14 +135,13 @@ class TestNormalDeterminant:
     def test_product_with_direct_determinant_is_one(self):
         # dc_inverse(root) times the directly assembled (1 - lambda e^value) is 1
         r = ChernRoot(curvature=(I,), weight=(2,), eigenvalue_exponent=Fraction(1, 4))
-        gens, k, order = ("dA",), 2, 3
-        inv = dc_inverse([r], gens, k, jet_order=order)
+        gens, k = ("dA",), 3
+        inv = dc_inverse([r], gens, jet_order=k)
         lam = ExactScalar.root_of_unity(1, 4)
-        length = k + order + 1
-        exp_series = [ExactScalar.from_rational(Fraction(1, factorial(j))) for j in range(length)]
-        e_v = evaluate_series(exp_series, root_value(r, gens, k, order))
-        direct = FormElement.one(gens, k, order) - FormElement.one(gens, k, order) * lam * e_v
-        assert inv * direct == FormElement.one(gens, k, order)
+        exp_series = [ExactScalar.from_rational(Fraction(1, factorial(j))) for j in range(k + 1)]
+        e_v = evaluate_series(exp_series, root_value(r, gens, k))
+        direct = FormElement.one(gens, k) - FormElement.one(gens, k) * lam * e_v
+        assert inv * direct == FormElement.one(gens, k)
 
 
 class TestGroupedRoots:
@@ -153,23 +152,23 @@ class TestGroupedRoots:
                 ChernRoot(curvature=(ExactScalar.from_rational(-1),), weight=(0,))]
         for _ in range(12):
             roots = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
-            expected = FormElement.one(("dA",), 2, 3)
+            expected = FormElement.one(("dA",), 3)
             for r in roots:
-                expected = expected * todd([r], ("dA",), 2, jet_order=3, direction=direction)
-            assert todd(roots, ("dA",), 2, jet_order=3, direction=direction) == expected
+                expected = expected * todd([r], ("dA",), jet_order=3, direction=direction)
+            assert todd(roots, ("dA",), jet_order=3, direction=direction) == expected
 
     def test_repeated_normal_root_squares_its_factor(self):
         r = ChernRoot(curvature=(I,), weight=(3,), eigenvalue_exponent=Fraction(2, 5))
-        single = dc_inverse([r], ("dA",), 2, jet_order=3)
-        assert dc_inverse([r, r], ("dA",), 2, jet_order=3) == single * single
+        single = dc_inverse([r], ("dA",), jet_order=3)
+        assert dc_inverse([r, r], ("dA",), jet_order=3) == single * single
 
     def test_every_repeated_root_is_checked(self):
         good = ChernRoot(curvature=(I,), weight=(0,))
         bad = ChernRoot(curvature=(I,), weight=(0,), eigenvalue_exponent=Fraction(1, 2))
         with pytest.raises(FormError, match="tangential"):
-            todd([good, good, bad], ("dA",), 1, jet_order=2)
+            todd([good, good, bad], ("dA",), jet_order=2)
         with pytest.raises(FormError, match="mis-identified"):
-            dc_inverse([bad, bad, good], ("dA",), 1, jet_order=2)
+            dc_inverse([bad, bad, good], ("dA",), jet_order=2)
 
     @pytest.mark.parametrize("r", [0, 1, 2, 5])
     @pytest.mark.parametrize("kind", ["todd", "normal"])
@@ -190,12 +189,11 @@ class TestGroupedRoots:
 
 
 def _full_horner(coeffs, element):
-    """Horner's rule over every power up to truncation + jet order."""
-    need = element.truncation + element.jet_order + 1
-    one = FormElement.one(element.generators, element.truncation, element.jet_order)
-    acc = one * coeffs[need - 1]
-    for j in range(need - 2, -1, -1):
-        acc = acc * element + one * coeffs[j]
+    """Horner's rule over every coefficient given, past the truncation too."""
+    one = FormElement.one(element.generators, element.truncation)
+    acc = one * coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * element + one * c
     return acc
 
 
@@ -216,54 +214,110 @@ def _components(name, params):
 
 
 class TestShortHorner:
-    def test_weight_zero_argument_stops_at_the_truncation(self):
-        x = root_value(ChernRoot(curvature=(I,), weight=(0,)), ("dA",), 2, 5)
-        series = todd_series(3, "plus")  # truncation + 1 coefficients suffice
-        assert evaluate_series(series, x) == _full_horner(todd_series(8, "plus"), x)
-        y = root_value(ChernRoot(curvature=(I,), weight=(1,)), ("dA",), 2, 5)
-        with pytest.raises(FormError, match="need 8"):
-            evaluate_series(series, y)
+    def test_every_argument_reads_truncation_plus_one_coefficients(self):
+        # a root with a phi term (weight 1) reads no more of its series than one without
+        series = todd_series(3, "plus")
+        for weight in (0, 1):
+            x = root_value(ChernRoot(curvature=(I,), weight=(weight,)), ("dA",), 2)
+            assert evaluate_series(series, x) == _full_horner(todd_series(8, "plus"), x)
+            with pytest.raises(FormError, match="need 3 coefficients, got 2"):
+                evaluate_series(series[:2], x)
 
     @pytest.mark.parametrize("name, params", ALL_PRESETS)
     def test_short_and_full_loops_agree_on_every_calibration(self, name, params):
         # the reference takes no grouping, no Miller power and no sizing: one
-        # series of k + jet order + 1 terms per root, by the full Horner loop
-        def reference(roots, series_of, gens, k, order):
-            acc = FormElement.one(gens, k, order)
+        # series of truncation + 5 terms per root, by the full Horner loop
+        def reference(roots, series_of, gens, order):
+            acc = FormElement.one(gens, order)
             for root in roots:
-                acc = acc * _full_horner(series_of(root, k + order + 1),
-                                         root_value(root, gens, k, order))
+                acc = acc * _full_horner(series_of(root, order + 5),
+                                         root_value(root, gens, order))
             return acc
 
         for comp, direction in _components(name, params):
             k, gens = comp.k, comp.generators
             for order in (k, k + 4):
-                assert todd(comp.tangential, gens, k, jet_order=order, direction=direction) \
+                assert todd(comp.tangential, gens, jet_order=order, direction=direction) \
                     == reference(comp.tangential, lambda r, n: todd_series(n, direction),
-                                 gens, k, order)
-                assert dc_inverse(comp.normal, gens, k, jet_order=order) == reference(
+                                 gens, order)
+                assert dc_inverse(comp.normal, gens, jet_order=order) == reference(
                     comp.normal, lambda r, n: normal_factor_series(r.eigenvalue(), n),
-                    gens, k, order)
+                    gens, order)
+
+
+def _seeded_two_generator_components(count=16, seed=30):
+    """Components on (dA, e1), k = 1 to 4, whose tangential roots carry curvature on
+    both generators and weight 1, with up to two normal roots of weight +-1 and
+    curvature at torsion eigenvalues of order 2 to 6."""
+    rng = random.Random(seed)
+
+    def curvature():
+        return tuple(ExactScalar.from_rational(Fraction(rng.randint(-4, 4) or 1,
+                                                        rng.randint(1, 3))) for _ in "ab")
+    for _ in range(count):
+        k = rng.randint(1, 4)
+        tangential = [ChernRoot(curvature=curvature(), weight=(1,))
+                      for _ in range(rng.randint(1, 3))]
+        normal = []
+        for _ in range(rng.randint(0, 2)):
+            q = rng.randint(2, 6)
+            normal.append(ChernRoot(curvature=curvature(), weight=(rng.choice((1, -1)),),
+                                    eigenvalue_exponent=Fraction(rng.randint(1, q - 1), q)))
+        tops = [(k - e, e) for e in range(k + 1)]
+        yield FixedComponentData(
+            dim_odd=2 * k + 1, generators=("dA", "e1"), tangential=tangential, normal=normal,
+            mu=Fraction(rng.randint(1, 5), rng.randint(1, 3)), reeb_weight=(rng.choice((1, 2)),),
+            pairing={e: ExactScalar.pi_power(k + 1, Fraction(rng.randint(-5, 5) or 1))
+                     for e in tops})
 
 
 class TestJetOrder:
+    """A smooth form built at a higher truncation and cut to total degree k pairs
+    to the germ of the form built at k, and so does every term it has of generator
+    degree at most k, whatever its phi power, through the general calculus.  Roots
+    with curvature and a nonzero weight are where the cut at total degree drops
+    terms that a cut at generator degree k and phi degree k would each keep."""
+
+    @staticmethod
+    def check(comp, direction):
+        gens, k = comp.generators, comp.k
+
+        def smooth(order):
+            return todd(comp.tangential, gens, jet_order=order, direction=direction) \
+                * dc_inverse(comp.normal, gens, jet_order=order)
+
+        delta_form = j_form(comp, jet_order=k)
+        germ = integrate_component(smooth(k), delta_form, comp.pairing)
+        wide = smooth(k + 4)
+        assert integrate_component(FormElement(gens, k, wide.terms), delta_form,
+                                   comp.pairing) == germ
+        assert reference_integral(wide.terms, comp) == germ
+
     @pytest.mark.parametrize("name, params", ALL_PRESETS)
     def test_jet_order_k_gives_the_germ_of_jet_order_k_plus_4(self, name, params):
-        # the delta form's top derivative order is k, and the Leibniz pairing
-        # reads no jet term above it
-        def germ(comp, direction, order):
-            gens, k = comp.generators, comp.k
-            smooth = todd(comp.tangential, gens, k, jet_order=order, direction=direction) \
-                * dc_inverse(comp.normal, gens, k, jet_order=order)
-            return integrate_component(smooth, j_form(comp, jet_order=order), comp.pairing)
-
         for comp, direction in _components(name, params):
-            assert germ(comp, direction, comp.k) == germ(comp, direction, comp.k + 4)
+            self.check(comp, direction)
+
+    @pytest.mark.parametrize("name", list(TWO_GENERATOR_MODELS))
+    def test_two_generator_golden_models(self, name):
+        model = model_from_document(TWO_GENERATOR_MODELS[name])
+        for comps in model.components.values():
+            for comp in comps:
+                assert any(r.weight[0] and not r.curvature[1].is_zero()
+                           for r in comp.tangential)
+                for direction in ("plus", "minus"):
+                    self.check(comp, direction)
+
+    def test_seeded_two_generator_components(self):
+        for comp in _seeded_two_generator_components():
+            for direction in ("plus", "minus"):
+                self.check(comp, direction)
 
 
 class TestSeriesSizing:
-    """Each root's series is built, and raised to its power, at the length its
-    argument reads: truncation + 1, plus the jet order for a nonzero weight."""
+    """Each root's series is built, and raised to its power, at the truncation + 1
+    coefficients its argument reads: every term of a root's value has total degree
+    1, with or without a phi term, so its powers vanish past the truncation."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -282,26 +336,26 @@ class TestSeriesSizing:
         (comp,) = model.components[Fraction(0)]
         assert comp.k == 20 and len(comp.tangential) == 21
         seen = self.spy(monkeypatch)
-        todd(comp.tangential, comp.generators, 20, jet_order=20)
+        todd(comp.tangential, comp.generators, jet_order=20)
         assert seen == {"_todd_quotient": [21], "_rational_power": [21], "_series_power": []}
-        # the engine asks for the same: jet order k, and one Todd quotient
+        # the engine asks for the same: truncation k, and one Todd quotient
         seen["_todd_quotient"].clear()
         germ_at(model, 0)
         assert seen["_todd_quotient"] == [21]
 
-    def test_a_root_of_nonzero_weight_adds_the_jet_order(self, monkeypatch):
+    def test_a_root_of_nonzero_weight_reads_truncation_plus_one_terms(self, monkeypatch):
         flat = ChernRoot(curvature=(I,), weight=(0,))
         turning = ChernRoot(curvature=(I,), weight=(2,))
         seen = self.spy(monkeypatch)
-        todd([flat, turning, flat], ("dA",), 2, jet_order=3)
-        # one quotient at the longest length, a prefix for the weight-0 group
-        assert seen == {"_todd_quotient": [6], "_rational_power": [3, 6], "_series_power": []}
+        todd([flat, turning, flat], ("dA",), jet_order=2)
+        # one quotient, and one power per group, all of truncation + 1 terms
+        assert seen == {"_todd_quotient": [3], "_rational_power": [3, 3], "_series_power": []}
 
     def test_circle_normal_series_has_jet_order_plus_one_terms(self, monkeypatch):
         (comp,) = build_preset("weighted-s3", (2, 3)).components[Fraction(1, 2)]
         assert comp.k == 0 and len(comp.normal) == 1 and comp.normal[0].weight[0]
         seen = self.spy(monkeypatch)
-        dc_inverse(comp.normal, comp.generators, 0, jet_order=5)
+        dc_inverse(comp.normal, comp.generators, jet_order=5)
         assert seen == {"_todd_quotient": [], "_rational_power": [], "_series_power": [6]}
 
 
@@ -370,8 +424,8 @@ class TestJForm:
             form = j_form(comp, jet_order=k)
             assert len(form) == k + 1 and all(type(c) is Fraction for c in form)
             for j, c in enumerate(form):
-                old = scale_variable(DeltaGerm.delta(j, Fraction(1, factorial(j))), -mu * w)
-                assert parts(DeltaGerm.delta(j, c)) == parts(old), (mu, w, k, j)
+                old = scale_variable(delta(j, Fraction(1, factorial(j))), -mu * w)
+                assert parts(delta(j, c)) == parts(old), (mu, w, k, j)
 
     def test_the_checks_keep_their_messages(self):
         for mu in (Fraction(0), Fraction(-1)):
@@ -386,42 +440,39 @@ class TestJForm:
 
 class TestMultiply:
     def test_multiplying_by_one_is_identity(self):
-        x = FormElement(("dA",), 2, 4, {(1, 0): ONE, (0, 2): I})
-        assert FormElement.one(("dA",), 2, 4) * x == x
+        x = FormElement(("dA",), 2, {(1, 0): ONE, (0, 2): I})
+        assert FormElement.one(("dA",), 2) * x == x
 
     def test_basis_mismatch_is_rejected(self):
-        a = FormElement.one(("dA",), 1, 4)
-        b = FormElement.one(("dA", "e1"), 1, 4)
+        a = FormElement.one(("dA",), 1)
+        b = FormElement.one(("dA", "e1"), 1)
         with pytest.raises(FormError, match="basis"):
             a * b
 
     def test_truncation_consistency(self):
         # truncate(a b) computed at high truncation equals the product computed
-        # directly at the low truncation, in the generators and in phi
+        # directly at the low truncation: total degrees add under products
         rng = random.Random(13)
         for _ in range(25):
-            def random_form(k, order):
-                terms = {}
-                for e in range(k + 1):
-                    for f in range(order + 1):
-                        terms[(e, f)] = ExactScalar.from_rational(rng.randint(-4, 4))
-                return FormElement(("dA",), k, order, terms)
-            hi_a, hi_b = random_form(4, 4), random_form(4, 4)
-            for k, order in ((2, 4), (4, 2), (2, 1)):
-                lo_a = FormElement(("dA",), k, order, hi_a.terms)
-                lo_b = FormElement(("dA",), k, order, hi_b.terms)
-                cut = FormElement(("dA",), k, order, (hi_a * hi_b).terms)
+            def random_form():
+                terms = {(e, f): ExactScalar.from_rational(rng.randint(-4, 4))
+                         for e in range(5) for f in range(5)}
+                return FormElement(("dA",), 8, terms)
+            hi_a, hi_b = random_form(), random_form()
+            for k in (4, 2, 1, 0):
+                lo_a = FormElement(("dA",), k, hi_a.terms)
+                lo_b = FormElement(("dA",), k, hi_b.terms)
+                cut = FormElement(("dA",), k, (hi_a * hi_b).terms)
                 assert cut == lo_a * lo_b
 
-    def test_product_jet_order_is_the_lower_one(self):
-        phi = FormElement((), 0, 4, {(1,): ONE})
-        low = FormElement.one((), 0, 1) + phi
-        prod = (phi + phi * phi) * low
-        assert prod.jet_order == 1 and prod == FormElement((), 0, 1, {(1,): ONE})
+    def test_terms_past_the_total_degree_are_dropped(self):
+        x = FormElement(("dA",), 2, {(1, 1): ONE, (2, 1): ONE, (0, 3): ONE, (1, 0): I})
+        assert sorted(x.terms) == [(1, 0), (1, 1)]
+        assert x * x == FormElement(("dA",), 2, {(2, 0): -ONE})
 
     def test_exponent_needs_a_phi_entry(self):
         with pytest.raises(FormError, match="bad exponent"):
-            FormElement(("dA",), 1, 4, {(1,): ONE})
+            FormElement(("dA",), 1, {(1,): ONE})
 
 
 def spy_form_products(monkeypatch):
@@ -455,18 +506,18 @@ class TestNoProductByOne:
             germ_at(model, at)
         (pair,) = operands
         for f in pair:
-            assert f != FormElement.one(f.generators, f.truncation, f.jet_order)
+            assert f != FormElement.one(f.generators, f.truncation)
             assert len(f.terms) == 2  # 1 + (a/2) i dA + ..., truncated at k = 1
 
     def test_the_empty_products_are_one(self):
-        one = FormElement.one(("dA",), 3, 3)
-        assert todd([], ("dA",), 3, jet_order=3) == one
-        assert dc_inverse([], ("dA",), 3, jet_order=3) == one
+        one = FormElement.one(("dA",), 3)
+        assert todd([], ("dA",), jet_order=3) == one
+        assert dc_inverse([], ("dA",), jet_order=3) == one
 
 
 def running_power_sum(coeffs, element):
     """sum_j coeffs[j] element^j, every power a `FormElement.__mul__` of the last by element."""
-    one = FormElement.one(element.generators, element.truncation, element.jet_order)
+    one = FormElement.one(element.generators, element.truncation)
     acc, power = one * coeffs[0], one
     for c in coeffs[1:]:
         power = power * element
@@ -478,20 +529,20 @@ class TestOneTermArgument:
     """`evaluate_series` writes the powers of c x^e as c^j at j e, with no form product."""
 
     Z12 = ExactScalar(0, CyclotomicNumber(12, {1: Fraction(2, 3), 2: -1}))
-    # (generators, truncation, jet order, exponent): the powers of (2, 0) and (0, 0, 2)
-    # reach the truncation 4 and the jet order 6 exactly; (1, 1, 0) stops at 3 of 7
-    CASES = [(("dA",), 4, 3, (1, 0)), (("dA",), 4, 3, (2, 0)), (("dA",), 5, 4, (0, 1)),
-             (("dA",), 3, 6, (0, 2)), ((), 0, 5, (1,)), (("e1", "e2"), 7, 2, (1, 1, 0)),
-             (("e1", "e2"), 4, 6, (0, 0, 2)), (("e1", "e2"), 2, 2, (0, 1, 1))]
+    # (generators, truncation, exponent): the powers of (2, 0), (0, 2), (0, 0, 2) and
+    # (0, 1, 1) reach the truncation exactly; those of (1, 1, 0) stop at 6 of 7 and
+    # those of (1, 1) at 4 of 5
+    CASES = [(("dA",), 4, (1, 0)), (("dA",), 4, (2, 0)), (("dA",), 5, (0, 1)),
+             (("dA",), 6, (0, 2)), ((), 5, (1,)), (("e1", "e2"), 7, (1, 1, 0)),
+             (("e1", "e2"), 6, (0, 0, 2)), (("e1", "e2"), 4, (0, 1, 1)), (("dA",), 5, (1, 1))]
 
-    @pytest.mark.parametrize("gens, k, order, exp", CASES)
+    @pytest.mark.parametrize("gens, k, exp", CASES)
     @pytest.mark.parametrize("scalar", [I * 3, ExactScalar.from_rational(Fraction(-2, 5)),
                                         Z12], ids=["3i", "-2/5", "z12"])
-    def test_powers_equal_the_running_form_products(self, monkeypatch, gens, k, order, exp,
-                                                    scalar):
-        rng = random.Random(repr((exp, k, order)))
-        element = FormElement(gens, k, order, {exp: scalar})
-        need = k + 1 + (order if exp[-1] else 0)
+    def test_powers_equal_the_running_form_products(self, monkeypatch, gens, k, exp, scalar):
+        rng = random.Random(repr((exp, k)))
+        element = FormElement(gens, k, {exp: scalar})
+        need = k + 1
         for series in ([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(need)],
                        [ExactScalar(0, CyclotomicNumber(12, {rng.randint(0, 3):
                                                              rng.randint(-4, 4)}))
@@ -501,16 +552,18 @@ class TestOneTermArgument:
             got = evaluate_series(series, element)
             monkeypatch.undo()
             assert operands == []
-            assert got == want and got.jet_order == order
+            assert got == want and got.truncation == k
             assert repr(got) == repr(want)
 
-    def test_the_power_at_the_jet_order_is_kept_and_the_next_is_dropped(self):
-        # (i phi)^3 at jet order 3 is the last term; (i phi^2)^2 is past it
-        got = evaluate_series([ONE] * 6, FormElement(("dA",), 2, 3, {(0, 1): I}))
-        assert got == FormElement(("dA",), 2, 3, {(0, 0): ONE, (0, 1): I, (0, 2): -ONE,
-                                                  (0, 3): -I})
-        got = evaluate_series([ONE] * 6, FormElement(("dA",), 2, 3, {(0, 2): I}))
-        assert got == FormElement(("dA",), 2, 3, {(0, 0): ONE, (0, 2): I})
+    def test_the_power_at_the_truncation_is_kept_and_the_next_is_dropped(self):
+        # (i phi)^3 at truncation 3 is the last term; (i phi^2)^2 and (i dA phi)^2 are past it
+        got = evaluate_series([ONE] * 4, FormElement(("dA",), 3, {(0, 1): I}))
+        assert got == FormElement(("dA",), 3, {(0, 0): ONE, (0, 1): I, (0, 2): -ONE,
+                                               (0, 3): -I})
+        got = evaluate_series([ONE] * 4, FormElement(("dA",), 3, {(0, 2): I}))
+        assert got == FormElement(("dA",), 3, {(0, 0): ONE, (0, 2): I})
+        got = evaluate_series([ONE] * 4, FormElement(("dA",), 3, {(1, 1): I}))
+        assert got == FormElement(("dA",), 3, {(0, 0): ONE, (1, 1): I})
 
 
 class TestRootValue:
@@ -518,12 +571,10 @@ class TestRootValue:
         # curvature i e1 - 2 e2 and weight 3: i e1 - 2 e2 + 3 i phi
         gens = ("e1", "e2")
         r = ChernRoot(curvature=(I, ExactScalar.from_rational(-2)), weight=(3,))
-        assert root_value(r, gens, 2, 3) == FormElement(gens, 2, 3, {
+        assert root_value(r, gens, 2) == FormElement(gens, 2, {
             (1, 0, 0): I, (0, 1, 0): ExactScalar.from_rational(-2), (0, 0, 1): I * 3})
-        # truncation 0 drops the curvature, jet order 0 the phi term
-        assert root_value(r, gens, 0, 3) == FormElement(gens, 0, 3, {(0, 0, 1): I * 3})
-        assert root_value(r, gens, 2, 0) == FormElement(gens, 2, 0, {
-            (1, 0, 0): I, (0, 1, 0): ExactScalar.from_rational(-2)})
+        # every term has total degree 1, so truncation 0 drops them all
+        assert root_value(r, gens, 0) == FormElement(gens, 0)
 
 
 class TestIntegrate:
@@ -531,14 +582,14 @@ class TestIntegrate:
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
                                   pairing={(): TWO_PI})
-        one = FormElement.one((), 0, 4)
-        germ = integrate_component(one, j_form(comp, jet_order=4), comp.pairing)
-        assert germ == DeltaGerm.delta(0, TWO_PI)
+        one = FormElement.one((), 0)
+        germ = integrate_component(one, j_form(comp, jet_order=0), comp.pairing)
+        assert germ == delta(0, TWO_PI)
 
     def test_sphere_reproduces_worked_example(self):
         comp = _sphere_component()
-        td = todd(comp.tangential, comp.generators, comp.k, jet_order=5, direction="plus")
-        germ = integrate_component(td, j_form(comp, jet_order=5), comp.pairing)
+        td = todd(comp.tangential, comp.generators, jet_order=comp.k, direction="plus")
+        germ = integrate_component(td, j_form(comp, jet_order=comp.k), comp.pairing)
         germ = germ * (TWO_PI * I).inverse()
         expected = DeltaGerm([TWO_PI, TWO_PI * I])
         assert germ == expected
@@ -546,49 +597,50 @@ class TestIntegrate:
     def test_todd_times_delta_form_expansion(self):
         # (1 + i dA) * (d0 - d0' dA) has top coefficient i d0 - d0' at dA
         comp = replace(_sphere_component(), pairing={(1,): ONE})
-        td = FormElement.one(("dA",), 1, 4) + FormElement(("dA",), 1, 4, {(1, 0): I})
-        delta = j_form(comp, jet_order=4)
-        assert delta == [1, -1]
-        germ = integrate_component(td, delta, comp.pairing)
-        assert germ == DeltaGerm.delta(0) * I - DeltaGerm.delta(1)
-        assert germ == reference_integral(td, comp)
+        td = FormElement.one(("dA",), 1) + FormElement(("dA",), 1, {(1, 0): I})
+        delta_form = j_form(comp, jet_order=1)
+        assert delta_form == [1, -1]
+        germ = integrate_component(td, delta_form, comp.pairing)
+        assert germ == delta(0) * I - delta(1)
+        assert germ == reference_integral(td.terms, comp)
 
     def test_zero_form_integrates_to_zero(self):
-        zero = FormElement(("dA",), 1, 4)
-        delta = j_form(_sphere_component(), jet_order=4)
-        assert integrate_component(zero, delta, {(1,): TWO_PI}).is_zero()
+        zero = FormElement(("dA",), 1)
+        delta_form = j_form(_sphere_component(), jet_order=1)
+        assert integrate_component(zero, delta_form, {(1,): TWO_PI}).is_zero()
 
     def test_missing_pairing_entry_is_an_error(self):
-        one = FormElement.one(("dA",), 1, 4)
+        one = FormElement.one(("dA",), 1)
         with pytest.raises(FormError, match=re.escape("surviving monomial (1,)")):
-            integrate_component(one, j_form(_sphere_component(), jet_order=4), {})
+            integrate_component(one, j_form(_sphere_component(), jet_order=1), {})
 
     def test_missing_entry_of_a_nonzero_top_monomial_names_it(self):
         # two generators: only the e1 monomial is missing, and its coefficient
         # e1 * d0 is nonzero
         gens = ("dA", "e1")
-        smooth = FormElement(gens, 1, 4, {(0, 0, 0): ONE, (0, 1, 0): ONE})
-        delta = j_form(replace(_sphere_component(), generators=gens), jet_order=4)
+        smooth = FormElement(gens, 1, {(0, 0, 0): ONE, (0, 1, 0): ONE})
+        delta_form = j_form(replace(_sphere_component(), generators=gens), jet_order=1)
         with pytest.raises(FormError, match=re.escape("surviving monomial (0, 1)")):
-            integrate_component(smooth, delta, {(1, 0): TWO_PI})
+            integrate_component(smooth, delta_form, {(1, 0): TWO_PI})
 
     def test_missing_entry_of_a_vanishing_top_monomial_is_not_needed(self):
         # (phi - dA) * (d0 - d0' dA) at dA: phi * (-d0') - d0 = d0 - d0 = 0
-        smooth = FormElement(("dA",), 1, 4, {(0, 1): ONE, (1, 0): -ONE})
-        delta = j_form(_sphere_component(), jet_order=4)
-        assert integrate_component(smooth, delta, {}).is_zero()
+        smooth = FormElement(("dA",), 1, {(0, 1): ONE, (1, 0): -ONE})
+        delta_form = j_form(_sphere_component(), jet_order=1)
+        assert integrate_component(smooth, delta_form, {}).is_zero()
 
-    def test_insufficient_jet_order_is_an_error(self):
-        # k = 3: the delta form reaches d0^(3), and against a jet of order 1
-        # the dropped phi^2 and phi^3 would still pair with it
+    def test_terms_past_total_degree_k_pair_to_zero(self):
+        # k = 3: phi^4, phi^5 meet d0^(3) and dA phi^3, dA^2 phi^2 meet d0^(2), d0^(1),
+        # so the terms the truncation drops are the ones that pair to zero; phi^p for
+        # p <= 3 meets -d0^(3)/6 and leaves (-1)^p 3!/(3-p)! (-1/6) d0^(3-p)
         comp = _seven_dimensional_component(("dA",), {(3,): ONE})
-        delta = j_form(comp, jet_order=3)
-        assert delta == [1, -1, Fraction(1, 2), Fraction(-1, 6)]
-        with pytest.raises(FormError, match="raise the truncation to at least 3"):
-            integrate_component(FormElement.one(("dA",), 3, 1), delta, comp.pairing)
-        one = FormElement.one(("dA",), 3, 3)
-        assert integrate_component(one, delta, comp.pairing) == \
-            DeltaGerm.delta(3, Fraction(-1, 6)) == reference_integral(one, comp)
+        delta_form = j_form(comp, jet_order=3)
+        assert delta_form == [1, -1, Fraction(1, 2), Fraction(-1, 6)]
+        terms = {(0, p): ONE for p in range(6)} | {(1, 3): ONE, (2, 2): ONE}
+        smooth = FormElement(("dA",), 3, terms)
+        assert sorted(smooth.terms) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+        germ = integrate_component(smooth, delta_form, comp.pairing)
+        assert germ == DeltaGerm(delta_form) == reference_integral(terms, comp)
 
     def test_jets_group_by_generator_monomial(self):
         # k = 3, delta form d0 - d0^(1) dA + d0^(2) dA^2/2 - d0^(3) dA^3/6
@@ -596,13 +648,13 @@ class TestIntegrate:
         # -d0^(1), both at dA^3, 2 d0 - d0^(1) + d0; e1^2 phi meets -d0^(1)
         # at dA e1^2, giving d0, which pairs to 2
         comp = _seven_dimensional_component(("dA", "e1"), {(3, 0): ONE, (1, 2): ONE * 2})
-        smooth = FormElement(("dA", "e1"), 3, 3, {
+        smooth = FormElement(("dA", "e1"), 3, {
             (0, 0, 3): ONE * 2, (2, 0, 0): ONE, (2, 0, 1): ONE, (0, 2, 1): ONE})
         germ = integrate_component(smooth, j_form(comp, jet_order=3), comp.pairing)
-        assert germ == DeltaGerm.delta(0, 5) - DeltaGerm.delta(1)
-        assert germ == reference_integral(smooth, comp)
+        assert germ == delta(0, 5) - delta(1)
+        assert germ == reference_integral(smooth.terms, comp)
 
     def test_basis_mismatch_is_rejected(self):
-        delta = j_form(_sphere_component(), jet_order=4)
+        delta_form = j_form(_sphere_component(), jet_order=1)
         with pytest.raises(FormError, match="basis"):
-            integrate_component(FormElement.one(("dA",), 2, 4), delta, {(1,): TWO_PI})
+            integrate_component(FormElement.one(("dA",), 2), delta_form, {(1,): TWO_PI})

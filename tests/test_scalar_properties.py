@@ -266,17 +266,25 @@ def test_every_operation_returns_the_canonical_representation(case):
         assert_canonical(v)
 
 
+def fixed(v, digits):
+    """`v` to `digits` places, the fraction's trailing zeros dropped; at 0 digits there
+    is no fraction, and 10 stays 10."""
+    text = f"{v:.{digits}f}"
+    return text.rstrip("0").rstrip(".") if "." in text else text
+
+
 def complex_route(value, digits):
     """`approx_display` of the ExactScalar of `value` as it was written before its
-    rational route: the complex value summed term by term through cmath."""
+    rational route: the complex value summed term by term through cmath.  The
+    zeros it strips are those after a decimal point only (`fixed`)."""
     x = ExactScalar.from_rational(value)
     z = sum(c / x.value.den * cmath.exp(2j * cmath.pi * e / x.value.level)
             for e, c in x.value.nums.items()) if x.value.nums else 0j
     z = z * math.pi ** x.pi
-    re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
+    re_s = fixed(z.real, digits)
     if abs(z.imag) < 10 ** (-digits - 6) * max(1.0, abs(z.real)):
         return re_s
-    im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
+    im_s = fixed(abs(z.imag), digits)
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_s}{sign}{im_s}i"
 
@@ -292,6 +300,8 @@ wide_fractions = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
 @example(Fraction(2 ** 53 + 1), 4)
 @example(Fraction(-(2 ** 60) - 3, 7), 8)
 @example(Fraction(35059744171120209526176, 514710375938), 4)  # not float(n) / float(den)
+@example(Fraction(10), 0)  # no decimal point, so no zero to strip
+@example(Fraction(-1230), 0)
 def test_the_rational_route_of_approx_display_matches_the_complex_route(value, digits):
     want, x = complex_route(value, digits), ExactScalar.from_rational(value)
     assert approx_display(x, digits) == want
@@ -301,16 +311,17 @@ def test_the_rational_route_of_approx_display_matches_the_complex_route(value, d
 def display_before_e_notation(a, digits):
     """`approx_display` as it was written before values beyond double range
     printed in e notation: it raised OverflowError or wrote inf or nan there.
-    An exactly imaginary value shows real part 0, as it does now."""
+    An exactly imaginary value shows real part 0, and at 0 digits an integer
+    keeps its zeros, as they do now."""
     x = a.value
     z = complex(x.nums.get(0, 0) / x.den) if not a.pi and x.nums.keys() <= {0} \
         else a.complex_value()
-    re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") or "0"
+    re_s = fixed(z.real, digits)
     if not z.imag or x == x.galois(-1):
         return re_s
     if x == -x.galois(-1):
         re_s = "0"
-    im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") or "0"
+    im_s = fixed(abs(z.imag), digits)
     sign = "+" if z.imag >= 0 else "-"
     return f"{re_s}{sign}{im_s}i"
 

@@ -248,6 +248,16 @@ class TestApproxDisplay:
     def test_a_value_beyond_double_range_prints_in_e_notation(self, value, expected):
         assert approx_display(value, 4) == expected
 
+    @pytest.mark.parametrize("value, expected", [
+        (ExactScalar.from_rational(10), "10"),
+        (ExactScalar.from_rational(-1230), "-1230"),
+        (ExactScalar(0, CyclotomicNumber(4, {0: 10, 1: 20})), "10+20i"),
+        (ExactScalar.from_rational(0), "0"),
+        (ExactScalar.from_rational(Fraction(201, 2)), "100"),
+    ], ids=["10", "-1230", "10+20i", "0", "100.5"])
+    def test_zero_digits_keep_the_zeros_of_the_integer_part(self, value, expected):
+        assert approx_display(value, 0) == expected
+
     def test_a_non_real_value_keeps_its_imaginary_part_at_any_digits(self):
         assert approx_display(I, 320).endswith("+1i")
 
