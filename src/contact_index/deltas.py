@@ -3,8 +3,8 @@
 A germ is a finite combination sum_j c_j d0^(j)(phi) in the local angle
 variable phi, with exact scalar coefficients.  The localization builds its
 germs in `forms.integrate_component`, in closed form; the one rewrite left
-here is the conversion of a germ sitting at a root of unity into Fourier
-coefficients (a quasi-polynomial in the frequency), summed over Galois maps.
+here turns a germ at a root of unity into its Fourier coefficients, one
+integer table of a quasi-polynomial in the frequency, summed over Galois maps.
 
 Germs are dense ascending coefficient lists with trailing zeros trimmed;
 every operation returns a new value.
@@ -102,40 +102,39 @@ def fourier_contribution(germ, location, poisson_sign, maps=(1,)):
     A germ sum_j c_j d0^(j)(phi) sitting at zeta = e^{2 pi i p/q} contributes
     c_m = zeta^{-s m} (1/2pi) sum_j c_j (s i m)^j, s = +-1, here summed over the
     maps zeta_L -> zeta_L^t, a group of units mod L: (1,) for the point alone,
-    `_units_over_qi(L)` for its orbit's trace to Q(i).  Returns (q, rows), row r
-    for m = r mod q in the integer components of `engine.QuasiPolynomial`.  The
-    germ is written once in integers at L = lcm(4, q, its coefficients' levels):
-    1/2pi is grade -1 and a factor 2 in D, (s i)^j the exponent shift s j L/4,
-    zeta^{-s r p} the shift (-s r p mod q) L/q, and row r reads each shifted
-    exponent's trace from `scalars._trace_table(L, maps)`, at that table's level.
+    `_units_over_qi(L)` for its orbit's trace to Q(i).  Every term has pi-grade 1 (else
+    `ScalarError`), so c_m has grade 0: returns (q, level, den, columns), columns[e][j][r]
+    / den the zeta_level^e part of the m^j coefficient at m = r mod q.  The germ is written
+    once in integers at L = lcm(4, q, its coefficients' levels): 1/2pi is a factor 2 in den,
+    (s i)^j the exponent shift s j L/4, zeta^{-s r p} the shift (-s r p mod q) L/q, and
+    residue r reads each shifted exponent's trace from `scalars._trace_table(L, maps)`.
     """
     if poisson_sign not in (1, -1):
         raise DeltaError("poisson sign must be +1 or -1")
+    if bad := sorted({c.pi for c in germ.terms if c and c.pi != 1}):
+        raise ScalarError(f"a germ has pi-grade 1, got pi-grade {bad[0]}")
     loc = Fraction(location) % 1
     q, p = loc.denominator, loc.numerator
     terms = [(j, c.value) for j, c in enumerate(germ.terms) if c]
-    if len(grades := {germ.terms[j].pi for j, _ in terms}) > 1:
-        raise ScalarError(f"a germ mixes pi-grades {sorted(grades)}")
     level = math.lcm(4, q, *(x.level for _, x in terms))
     den = math.lcm(*(x.den for _, x in terms))
     exponents = [(j, (e * (level // x.level) + poisson_sign * j * level // 4) % level,
                   n * (den // x.den)) for j, x in terms for e, n in x.nums.items()]
     sub, table = _trace_table(level, tuple(maps))
-    grade, width, rows = max(grades, default=1) - 1, len(germ.terms), []
+    columns = defaultdict(lambda: [[0] * q for _ in germ.terms])
     for r in range(q):
         shift = (-poisson_sign * r * p % q) * (level // q)
-        columns = defaultdict(lambda: [0] * width)
         for j, e, n in exponents:
             for x, v in table[(e + shift) % level]:
-                columns[x][j] += n * v
-        rows.append(_trimmed_row(grade, sub, 2 * den, columns))
-    return q, rows
+                columns[x][j][r] += n * v
+    return q, sub, 2 * den, _trimmed_table(columns)
 
 
-def _trimmed_row(k, level, den, columns):
-    """(k, level, den, columns), every column cut to the polynomial's length, none zero."""
-    length = max((j + 1 for col in columns.values() for j, c in enumerate(col) if c), default=0)
-    return k, level, den, {e: col[:length] for e, col in columns.items() if any(col[:length])}
+def _trimmed_table(columns):
+    """{e: columns} cut to the polynomial's length (its last nonzero m^j), no e all zero."""
+    length = max((j + 1 for cols in columns.values() for j, col in enumerate(cols) if any(col)),
+                 default=0)
+    return {e: cols[:length] for e, cols in columns.items() if any(map(any, cols[:length]))}
 
 
 # ----------------------------------------------------------------------

@@ -6,10 +6,10 @@ contact delta form against its pairing table times (2 pi i)^-k; Fourier conversi
 of the germs gives one polynomial in m per residue class modulo each torsion
 order.  The points of order q form one Galois orbit over Q(i), two if 4
 divides q; an orbit is evaluated once and `fourier_contribution` sums its
-rows over the orbit's Galois maps, a trace down to Q(i), unless the model
-fails the guard in `assemble_character`.  The rows come in integer
-components, numerators over one denominator per basis exponent, summed and
-kept per order; the window is read in whole lists of ints, equal ints sharing a scalar.
+table over the orbit's Galois maps, a trace down to Q(i), unless the model
+fails the guard in `assemble_character`.  A table holds the integer numerators
+per basis exponent over one denominator, pi-grade 0; the fit adds each into its
+order once; the window is read in whole lists of ints, equal ints sharing a scalar.
 
 The rank-2 double expansion runs in integers: each slice's numerator is
 divided by one binomial (1 - x^s) at a time with a stride recurrence, and
@@ -30,9 +30,9 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from operator import add, mul
 
-from .scalars import (CyclotomicNumber, ExactScalar, ScalarError, _fold, _integer, _make,
-                      _scalar_text, _units_over_qi, approx_display)
-from .deltas import DeltaGerm, _trimmed_row, fourier_contribution, germ_to_document
+from .scalars import (CyclotomicNumber, ExactScalar, _fold, _integer, _make, _scalar_text,
+                      _units_over_qi, approx_display)
+from .deltas import DeltaGerm, _trimmed_table, fourier_contribution, germ_to_document
 from .forms import FormElement, dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
                       preset_weighted_s3)
@@ -139,13 +139,13 @@ def dh_fourier(model, calibration=DEFAULT_CALIBRATION):
 class QuasiPolynomial:
     """Per-order polynomials in m, built by `fit_quasi_polynomial`; period 1 is a polynomial.
 
-    `orders[q]` maps (k, e) to columns of ints, columns[j][r] the m^j coefficient of
-    residue r mod q in zeta_L^e / D * pi^k (one level L and denominator D for all); the
-    value at m sums each order's row at m mod q, and `period` is the lcm of the orders.
-    `window` reads rational parts (k = e = 0) in whole lists: per order by Horner across
-    every m, or for degree d >= 2 past 2 (d + 1) q points by forward differences per residue
-    (one `itertools.accumulate` per order below d), the sum divided by D once per m.  Equal
-    ints share one ExactScalar per call; a remainder or an irrational part uses `read`.
+    `orders[q]` maps e to columns of ints, columns[j][r] the m^j coefficient of residue
+    r mod q in zeta_L^e / D (one level L and denominator D for all, pi-grade 0); the value
+    at m sums each order's row at m mod q, and `period` is the lcm of the orders.  `window`
+    reads rational parts (e = 0) in whole lists: per order by Horner across every m, or for
+    degree d >= 2 past 2 (d + 1) q points by forward differences per residue (one
+    `itertools.accumulate` per order below d), the sum divided by D once per m.  Equal ints
+    share one ExactScalar per call; a remainder or an irrational part uses `read`.
     """
 
     def __init__(self, level, den, orders):
@@ -155,18 +155,17 @@ class QuasiPolynomial:
         """(the value at m, that value as an int or None), from one integer Horner pass."""
         sums = {}
         for q, columns in self.orders.items():
-            for key, cols in columns.items():
-                sums[key] = sums.get(key, 0) + _horner([col[m % q] for col in cols], m)
-        x = _make(self.level, self.den, {e: v for (_, e), v in sums.items() if v}).demote()
-        value = ExactScalar(next((k for (k, _), v in sums.items() if v), 0), x)
-        return value, (x.nums.get(0, 0) if value.is_rational() and x.den == 1 else None)
+            for e, cols in columns.items():
+                sums[e] = sums.get(e, 0) + _horner([col[m % q] for col in cols], m)
+        x = _make(self.level, self.den, {e: v for e, v in sums.items() if v}).demote()
+        return ExactScalar(0, x), (x.nums.get(0, 0) if x.is_rational() and x.den == 1 else None)
 
     def window(self, max_m):
         """(coefficients, integers) for |m| <= max_m, keys ascending (see the class)."""
         ms, total = range(-max_m, max_m + 1), [0] * (2 * max_m + 1)
-        if any(key != (0, 0) for columns in self.orders.values() for key in columns):
+        if any(e for columns in self.orders.values() for e in columns):
             return tuple(dict(zip(ms, column)) for column in zip(*map(self.read, ms)))
-        for q, cols in ((q, c[0, 0]) for q, c in self.orders.items() if c):
+        for q, cols in ((q, c[0]) for q, c in self.orders.items() if c):
             if len(cols) > 2 and len(ms) > 2 * len(cols) * q:
                 run = _differences(cols, q, ms)
             else:  # Horner on the columns repeated cyclically from ms[0] mod q
@@ -179,20 +178,19 @@ class QuasiPolynomial:
                 dict(zip(ms, ints)))
 
     def to_document(self):
-        period, wide = self.period, {}  # (k, e) -> columns over the period
+        period, wide = self.period, {}  # e -> columns over the period
         width = max((len(c) for cs in self.orders.values() for c in cs.values()), default=0)
         for q, columns in self.orders.items():
-            for key, cols in columns.items():
-                acc = wide.setdefault(key, [[0] * period for _ in range(width)])
+            for e, cols in columns.items():
+                acc = wide.setdefault(e, [[0] * period for _ in range(width)])
                 acc[:len(cols)] = [list(map(add, a, c * (period // q))) for a, c in zip(acc, cols)]
 
         @functools.cache
         def text(*nums):  # one coefficient's numerators, keyed as `wide`; level 4 cannot demote
-            k = next((k for (k, _), n in zip(wide, nums) if n), 0)
-            terms = {e: n for (_, e), n in zip(wide, nums) if n}
+            terms = {e: n for e, n in zip(wide, nums) if n}
             x = _make(self.level, self.den, terms).demote() if self.level > 4 else None
-            return _scalar_text(k, x.level, x.den, x.nums) if x else \
-                _scalar_text(k, 4, self.den, terms)
+            return _scalar_text(0, x.level, x.den, x.nums) if x else \
+                _scalar_text(0, 4, self.den, terms)
 
         rows = zip(range(period), *(map(text, *(acc[j] for acc in wide.values()))
                                     for j in range(width)))
@@ -225,61 +223,39 @@ def _differences(cols, q, ms):
     return acc
 
 
-def _sum_components(parts, level, den):
-    """Components of a sum at `level` (`_fold` promotes columns) over `den`."""
-    parts = [p for p in parts if p[3]]
-    if len(parts) == 1 and parts[0][1:3] == (level, den):  # a part is trimmed already
-        return parts[0]
-    if len(grades := {p[0] for p in parts}) > 1:
-        raise ScalarError(f"a residue polynomial mixes pi-grades {sorted(grades)}")
-    width, out = max((len(c) for p in parts for c in p[3].values()), default=0), {}
-    for _, part_level, part_den, columns in parts:
-        if part_level != level:
-            raw = [_fold({e * (level // part_level): c[j] for e, c in columns.items()}, level)
-                   for j in range(len(next(iter(columns.values()))))]
-            columns = {e: [r.get(e, 0) for r in raw] for e in {e for r in raw for e in r}}
-        scale = den // part_den
-        for e, column in columns.items():
-            acc = out.setdefault(e, [0] * width)
-            acc[:len(column)] = [a + c * scale for a, c in zip(acc, column)]
-    return _trimmed_row(min(grades, default=0), level, den, out)
+def _add_table(acc, table, level, den):
+    """Add one Fourier table into its order's columns `acc` (see `fit_quasi_polynomial`)."""
+    q, table_level, table_den, columns = table
+    step, scale = level // table_level, den // table_den
+    for e, cols in columns.items():
+        for x, v in (_fold({e * step: scale}, level) if step > 1 else {e: scale}).items():
+            sums = acc.setdefault(x, [])
+            sums += [[0] * q for _ in cols[len(sums):]]
+            for j, col in enumerate(cols):
+                sums[j] = [a + c * v for a, c in zip(sums[j], col)]
 
 
 def fit_quasi_polynomial(contributions):
-    """Sum Fourier rows into one quasi-polynomial, in integer columns per order.
+    """Sum Fourier tables into one quasi-polynomial, in integer columns per order.
 
-    `contributions` lists (q, rows) pairs as `fourier_contribution` returns them, row r
-    in the components (k, level, den, columns) of residue r mod q (an orbit's rows are its
-    traces, at level 4).  Each order's rows are summed per residue mod q at the lcm level
-    and denominator of all rows, O(sum of the orders) sums, into the columns of
-    `QuasiPolynomial`.  Rows of two pi-grades that meet at a residue (r mod q, r' mod q'
-    with r = r' mod gcd(q, q')) raise `ScalarError`.
+    `contributions` lists tables (q, level, den, columns) as `fourier_contribution` returns
+    them (an orbit's table holds its traces, at level 4).  The level L and denominator are
+    the lcm over the nonempty tables.  `_add_table` adds each table into its order once,
+    O(sum of the orders) sums in all, scaled to that denominator; from a level L/s, the
+    columns of exponent e go to the basis by `_fold` of zeta_L^(e s).  Each order is trimmed
+    once after its sum, and every order given keeps a part, so a zero table enters the period.
 
     Every residue polynomial has degree at most the largest k = (dim - 1)/2 of a fixed
     component, so no check is made: `j_form` has k + 1 terms, `integrate_component` pairs
     them down to orders <= k and sums germs, and `galois` keeps their length, so a germ has
     at most k + 1 terms and its Fourier polynomial degree <= k.
     """
-    by_order = {}
-    for q, table in contributions:
-        by_order.setdefault(q, []).append(table)
-    rows = [row for _, table in contributions for row in table if row[3]]
-    level, den = math.lcm(4, *(row[1] for row in rows)), math.lcm(*(row[2] for row in rows))
-    orders, held = {}, {}  # held: (q, k) -> the residues mod q where grade k is nonzero
-    for q, tables in by_order.items():
-        columns = orders[q] = {}
-        for r, parts in enumerate(zip(*tables)):
-            k, _, _, row = _sum_components(parts, level, den)
-            for e, column in row.items():
-                cols = columns.setdefault((k, e), [])
-                cols += [[0] * q for _ in column[len(cols):]]
-                for j, c in enumerate(column):
-                    cols[j][r] = c
-                held.setdefault((q, k), set()).add(r)
-    for ((q, k), rs), ((p, g), ps) in itertools.combinations(held.items(), 2):
-        if k != g and {r % math.gcd(q, p) for r in rs} & {r % math.gcd(q, p) for r in ps}:
-            raise ScalarError(f"a residue polynomial mixes pi-grades {sorted((k, g))}")
-    return QuasiPolynomial(level, den, orders)
+    tables = [table for table in contributions if table[3]]
+    level, den = math.lcm(4, *(t[1] for t in tables)), math.lcm(*(t[2] for t in tables))
+    orders = {}
+    for table in contributions:
+        _add_table(orders.setdefault(table[0], {}), table, level, den)
+    return QuasiPolynomial(level, den, {q: _trimmed_table(acc) for q, acc in orders.items()})
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +280,8 @@ def assemble_character(model, max_m, calibration=DEFAULT_CALIBRATION):
     coefficients.  Any `max_m` >= 1 gives the whole quasi-polynomial.
 
     The points are evaluated once per Galois orbit (see `_orbits`), at p0/q:
-    the germ at t p0/q is p0's under zeta -> zeta^t, and the orbit's rows
-    are p0's traced to Q(i).  The guard of an orbit of more than one point,
+    the germ at t p0/q is p0's under zeta -> zeta^t, and the orbit's table
+    is p0's traced to Q(i).  The guard of an orbit of more than one point,
     else p0 is its own orbit: every member is in the support with p0's
     components, each exponent e mapped to t e mod 1; every curvature and
     pairing scalar lies in Q(i)[pi]; every eigenvalue's denominator divides q.

@@ -11,9 +11,9 @@ formal graded symbol; nothing in this module ever evaluates it numerically
 except the display helpers.
 
 Every stage of the index formula carries one power of pi, its grade:
-curvatures 0, the pairing of a monomial J |J| + 1 (Stokes), germs 1,
-characters 0.  So `ExactScalar` is one pair (pi, value); zero has grade 0,
-and adding two nonzero scalars of different grades raises `ScalarError`.
+curvatures 0, the pairing of a monomial J |J| + 1 (Stokes), germs 1 and
+characters 0, which the Fourier path relies on.  `ExactScalar` is (pi, value);
+zero has grade 0; adding nonzero scalars of two grades raises `ScalarError`.
 
 A cyclotomic number is stored as integer numerators over one denominator
 (see `CyclotomicNumber`), and every operation runs in Python integers;
@@ -647,14 +647,14 @@ def approx_display(a, digits=4):
         z = complex(math.inf)
     if not cmath.isfinite(z):
         return _e_display(a, digits)
-    # trailing zeros are stripped after a decimal point only: 10 stays 10 at 0 digits
-    re_s = f"{z.real:.{digits}f}".rstrip("0").rstrip(".") if digits else f"{z.real:.0f}"
+    # a part that rounds to zero prints 0, not -0 (-0.0 + 0.0 is 0.0); trailing zeros are
+    # stripped after a decimal point only: 10 stays 10 at 0 digits
+    re_s, im_s = (s.rstrip("0").rstrip(".") if digits else s for s in (
+        f"{round(v, digits) + 0.0:.{digits}f}" for v in (z.real, z.imag)))
     if not z.imag or x == (conj := x.galois(-1)):
         return re_s
     re_s = "0" if x == -conj else re_s
-    im_s = f"{abs(z.imag):.{digits}f}".rstrip("0").rstrip(".") if digits else f"{abs(z.imag):.0f}"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{re_s}{sign}{im_s}i"
+    return f"{re_s}{'' if im_s[0] == '-' else '+'}{im_s}i"
 
 
 def _e_display(a, digits):

@@ -2,15 +2,16 @@
 
 `character_reference` is the direct computation that the engine's orbit
 evaluation must reproduce: every torsion point's germ from `germ_at`, every
-nonzero germ's Fourier rows from `fourier_contribution` at that point alone,
-the rows summed into the quasi-polynomial, and each coefficient read off it.
+nonzero germ's Fourier table from `fourier_contribution` at that point
+alone, the tables summed into the quasi-polynomial, and each coefficient
+read off it.
 `quasi_equal` compares two quasi-polynomials as functions of m.
 
 `fourier_table` is the Fourier conversion in ExactScalars, one cyclotomic
 product per residue and coefficient, that `fourier_contribution` must
-reproduce in integers.  `components` turns an ExactScalar polynomial into
-the integer components that `fit_quasi_polynomial` sums, one coefficient at
-a time.  `ScalarFit` is the route that `fit_quasi_polynomial` must
+reproduce in integers.  `components` turns a table of grade-0 ExactScalar
+polynomials into the integer table that `fit_quasi_polynomial` sums, one
+coefficient at a time.  `ScalarFit` is the route that `fit_quasi_polynomial` must
 reproduce in integers: ExactScalar tables summed per residue mod each order
 and then per residue mod the period, and each value found by Horner's rule
 in ExactScalars.
@@ -20,8 +21,7 @@ import math
 from fractions import Fraction
 
 from contact_index.deltas import _poly_add, fourier_contribution
-from contact_index.engine import (DEFAULT_CALIBRATION, _sum_components, fit_quasi_polynomial,
-                                  germ_at)
+from contact_index.engine import DEFAULT_CALIBRATION, fit_quasi_polynomial, germ_at
 from contact_index.scalars import ExactScalar
 
 
@@ -52,13 +52,20 @@ def fourier_table(germ, at, s):
                              for r in range(loc.denominator)}
 
 
-def components(poly):
-    """The integer components of ascending ExactScalar coefficients, one coefficient at a time."""
-    parts = [(c.pi, c.value.level, c.value.den, {e: [0] * j + [n] for e, n in
-                                                   c.value.nums.items()})
-             for j, c in enumerate(poly) if c]
-    return _sum_components(parts, math.lcm(4, *(p[1] for p in parts)),
-                           math.lcm(*(p[2] for p in parts)))
+def components(q, table):
+    """The integer table (q, level, den, columns) of residue -> ascending ExactScalar
+    coefficients of pi-grade 0, each coefficient promoted to the lcm level and scaled to
+    the lcm denominator on its own; columns[e][j][r] is its zeta_level^e numerator."""
+    coefficients = [(r, j, c.value) for r in range(q) for j, c in enumerate(table[r]) if c]
+    assert all(table[r][j].pi == 0 for r, j, _ in coefficients), "a grade other than 0"
+    level = math.lcm(4, *(x.level for _, _, x in coefficients))
+    den = math.lcm(*(x.den for _, _, x in coefficients))
+    width, columns = max((j + 1 for _, j, _ in coefficients), default=0), {}
+    for r, j, x in coefficients:
+        y = x.promote(level)
+        for e, n in y.nums.items():
+            columns.setdefault(e, [[0] * q for _ in range(width)])[j][r] += n * (den // y.den)
+    return q, level, den, columns
 
 
 def quasi_equal(a, b):

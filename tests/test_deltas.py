@@ -25,9 +25,9 @@ d1 = delta(1)
 d2 = delta(2)
 
 
-def evaluate_quasi(pair, m):
-    """The value at m of `fourier_contribution`'s (q, rows)."""
-    return fit_quasi_polynomial([pair]).read(m)[0]
+def evaluate_quasi(table, m):
+    """The value at m of `fourier_contribution`'s table."""
+    return fit_quasi_polynomial([table]).read(m)[0]
 
 
 class TestDelta:
@@ -107,11 +107,9 @@ class TestFourier:
 
     def test_linearity(self):
         rng = random.Random(3)
-        for _ in range(60):
-            g1 = delta(rng.randint(0, 4),
-                                 ExactScalar.from_rational(rng.randint(-5, 5)))
-            g2 = delta(rng.randint(0, 4),
-                                 ExactScalar.from_rational(rng.randint(-5, 5)))
+        for _ in range(60):  # germs have pi-grade 1
+            g1 = delta(rng.randint(0, 4), TWO_PI * rng.randint(-5, 5))
+            g2 = delta(rng.randint(0, 4), TWO_PI * rng.randint(-5, 5))
             p_sum = fourier_contribution(g1 + g2, Fraction(1, 3), +1)
             p1 = fourier_contribution(g1, Fraction(1, 3), +1)
             p2 = fourier_contribution(g2, Fraction(1, 3), +1)
@@ -120,8 +118,13 @@ class TestFourier:
                     evaluate_quasi(p1, m) + evaluate_quasi(p2, m)
 
     def test_a_germ_has_one_pi_grade(self):
-        with pytest.raises(ScalarError, match=r"mixes pi-grades \[0, 1\]"):
+        with pytest.raises(ScalarError, match="a germ has pi-grade 1, got pi-grade 0"):
             fourier_contribution(DeltaGerm([ONE, TWO_PI]), Fraction(1, 3), +1)
+
+    @pytest.mark.parametrize("terms, grade", [([ONE], 0), ([TWO_PI, ZERO, TWO_PI * TWO_PI], 2)])
+    def test_a_germ_of_another_pi_grade_is_rejected(self, terms, grade):
+        with pytest.raises(ScalarError, match=f"a germ has pi-grade 1, got pi-grade {grade}"):
+            fourier_contribution(DeltaGerm(terms), Fraction(1, 3), +1)
 
 
 class TestPairWithTrig:
@@ -138,13 +141,12 @@ class TestPairWithTrig:
         assert pair_with_trig(d0 * TWO_PI, trig) == ExactScalar.pi_power(1, 14)
 
     def test_pairing_reconstructs_fourier_coefficients(self):
-        # <g, p> = 2 pi sum_m c_m a_{-m} for germs at the identity:
+        # <g, p> = 2 pi sum_m c_m a_{-m} for germs at the identity, of pi-grade 1:
         # derivative orders up to 6, trig degree up to 20
         rng = random.Random(77)
         for _ in range(40):
             terms = {
-                rng.randint(0, 6): ExactScalar.from_rational(
-                    Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4)))
+                rng.randint(0, 6): TWO_PI * Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 4))
                 for _ in range(3)}
             germ = DeltaGerm([terms.get(j, 0) for j in range(7)])
             trig = {rng.randint(-20, 20): ExactScalar.from_rational(rng.randint(-3, 3))

@@ -20,8 +20,7 @@ from contact_index.engine import (DEFAULT_CALIBRATION, CalibrationConfig, Calibr
                                   calibrate_conventions, corollary_expand,
                                   dh_fourier, fit_quasi_polynomial, germ_at,
                                   residual_factors)
-from contact_index.scalars import (CyclotomicNumber, ExactScalar, ScalarError, _euler_phi,
-                                   approx_display)
+from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi, approx_display
 from character_reference import ScalarFit, components, fourier_table, quasi_equal
 from distributions import delta
 from laurent_reference import corollary_reference
@@ -40,9 +39,8 @@ def exact_horner(coeffs, m):
 
 
 def fit(contributions):
-    """`fit_quasi_polynomial` of (q, ExactScalar table) pairs, each row through `components`."""
-    return fit_quasi_polynomial([(q, [components(table[r]) for r in range(q)])
-                                 for q, table in contributions])
+    """`fit_quasi_polynomial` of (q, ExactScalar table) pairs, each through `components`."""
+    return fit_quasi_polynomial([components(q, table) for q, table in contributions])
 
 
 RANK1_PRESETS = [
@@ -239,10 +237,6 @@ class TestQuasiPolynomialFit:
             want = 2 * (-1) ** (m % 2) + m % 3 + m
             assert qp.read(m)[0] == ExactScalar.from_rational(want), m
 
-    def test_a_residue_polynomial_keeps_its_pi_grade(self):
-        qp = fit([(1, {0: [TWO_PI, ExactScalar.zero(), TWO_PI]})])
-        assert qp.read(3)[0] == ExactScalar.pi_power(1, 20)
-
     def test_equality_across_periods(self):
         a = fit([(1, {0: [ONE]})])
         b = fit([(2, {0: [ONE], 1: [ONE]})])
@@ -254,19 +248,17 @@ class TestQuasiPolynomialFit:
     def test_integer_evaluation_matches_exact_horner(self):
         rng = random.Random(17)
 
-        def scalar(grade):  # zero one time in four
+        def scalar():  # zero one time in four; a character has pi-grade 0
             if not rng.randint(0, 3):
                 return ExactScalar.zero()
             level = rng.choice([4, 12, 20])
-            return ExactScalar(grade, CyclotomicNumber(level, {
+            return ExactScalar(0, CyclotomicNumber(level, {
                 e: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
                 for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))}))
 
         for period in (1, 3, 4):
-            # one pi-grade per residue polynomial, random in {-1, 0, 1}
-            polys = {r: [scalar(grade) for _ in range(rng.randint(0, 4))]
-                     for r, grade in ((r, rng.randint(-1, 1)) for r in range(period))
-                     if rng.random() < 0.8}
+            polys = {r: [scalar() for _ in range(rng.randint(0, 4))]
+                     for r in range(period) if rng.random() < 0.8}
             qp = fit([(period, {r: polys.get(r, []) for r in range(period)})])
             for m in range(-13, 14):
                 want = exact_horner(polys.get(m % period, []), m)
@@ -278,23 +270,23 @@ class TestQuasiPolynomialFit:
     def test_window_reads_what_read_reads_one_residue_at_a_time(self):
         rng = random.Random(21)
 
-        def coefficient(kind, grade):
+        def coefficient(kind):
             if kind == "integer":
                 return ExactScalar.from_rational(rng.randint(-9, 9))
             if kind == "rational":  # some values are integers, some not
                 return ExactScalar.from_rational(Fraction(rng.randint(-9, 9), rng.randint(2, 6)))
             level = rng.choice([12, 20])
-            return ExactScalar(grade if kind == "pi" else 0, CyclotomicNumber(
+            return ExactScalar(0, CyclotomicNumber(
                 level, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                         for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))}))
 
-        kinds, seen = ("integer", "rational", "irrational", "pi", "zero"), set()
+        kinds, seen = ("integer", "rational", "irrational", "zero"), set()
         for period in (1, 2, 5, 7, 12):
             for _ in range(4):
                 polys = {}
                 for r in range(period):
-                    kind, grade = rng.choice(kinds), rng.choice([-1, 1])
-                    polys[r] = [coefficient(kind, grade) for _ in range(rng.randint(1, 3))] \
+                    kind = rng.choice(kinds)
+                    polys[r] = [coefficient(kind) for _ in range(rng.randint(1, 3))] \
                         if kind != "zero" else []
                 qp = fit([(period, polys)])
                 for max_m in {1, 2, period // 2, period, 2 * period + 3} - {0}:
@@ -343,29 +335,28 @@ class TestQuasiPolynomialFit:
                          "approx": approx_display(result.coefficients[7], 4), "integer": 0}
         assert entry != [e for e in before if e["m"] == 7][0]
 
-    # Irrational residue coefficients, residue -> (pi-grade, coefficients),
-    # whose values at chosen m are integers (m = 4; m = 4; m = 2, -4),
-    # non-integer rationals (m = 3; m = 5) or carry pi^1 (every odd m); the
-    # constant 20 z12 + 1/3 is given at level 24, so its integer values need
-    # demotion.
+    # Irrational residue coefficients, residue -> coefficients, whose values at
+    # chosen m are integers (m = 4; m = 4; m = 2, -4), non-integer rationals
+    # (m = 3; m = 5) or irrational at level 12 (every odd m); the constant
+    # 20 z12 + 1/3 is given at level 24, so its integer values need demotion.
     READ_OFF_CASES = {
-        "i-quadratic": {0: (0, [CyclotomicNumber(4, {1: 12}),
-                                CyclotomicNumber(4, {0: Fraction(1, 2), 1: -7}),
-                                CyclotomicNumber(4, {1: 1})])},
-        "z12-over-z24": {0: (0, [CyclotomicNumber(24, {0: Fraction(1, 3), 2: 20}),
-                                 CyclotomicNumber(12, {0: Fraction(2, 3), 1: -9}),
-                                 CyclotomicNumber(12, {1: 1})])},
-        "pi-graded": {0: (0, [CyclotomicNumber(4, {0: 1, 1: -8}),
-                              CyclotomicNumber(4, {0: Fraction(1, 2), 1: 2}),
-                              CyclotomicNumber(4, {1: 1})]),
-                      1: (1, [CyclotomicNumber(12, {1: -2}), CyclotomicNumber(12, {1: 1}),
-                              CyclotomicNumber(4, {0: 2})])},
+        "i-quadratic": {0: [CyclotomicNumber(4, {1: 12}),
+                            CyclotomicNumber(4, {0: Fraction(1, 2), 1: -7}),
+                            CyclotomicNumber(4, {1: 1})]},
+        "z12-over-z24": {0: [CyclotomicNumber(24, {0: Fraction(1, 3), 2: 20}),
+                             CyclotomicNumber(12, {0: Fraction(2, 3), 1: -9}),
+                             CyclotomicNumber(12, {1: 1})]},
+        "two-residues": {0: [CyclotomicNumber(4, {0: 1, 1: -8}),
+                             CyclotomicNumber(4, {0: Fraction(1, 2), 1: 2}),
+                             CyclotomicNumber(4, {1: 1})],
+                         1: [CyclotomicNumber(12, {1: -2}), CyclotomicNumber(12, {1: 1}),
+                             CyclotomicNumber(4, {0: 2})]},
     }
 
     @pytest.mark.parametrize("name", READ_OFF_CASES)
     def test_integer_read_off_matches_the_rational_reference(self, name):
-        polys = {r: [ExactScalar(grade, c) for c in poly]
-                 for r, (grade, poly) in self.READ_OFF_CASES[name].items()}
+        polys = {r: [ExactScalar(0, c) for c in poly]
+                 for r, poly in self.READ_OFF_CASES[name].items()}
         qp = fit([(len(polys), polys)])
         kinds = set()
         for m in range(-12, 13):
@@ -374,8 +365,8 @@ class TestQuasiPolynomialFit:
             want = int(c.rational_value()) if c.is_integer() else None
             assert integer == want, (name, m)
             kinds.add("integer" if c.is_integer() else "rational" if c.is_rational()
-                      else "pi" if c.pi else "irrational")
-        assert "integer" in kinds and {"rational", "pi"} & kinds, kinds
+                      else "irrational")
+        assert "integer" in kinds and {"rational", "irrational"} & kinds, kinds
 
     @pytest.mark.parametrize("n", [*range(1, 9), 12, 16, 20])
     def test_hopf_characters_against_the_binomial_polynomial(self, n):
@@ -421,22 +412,18 @@ class TestIntegerFitAgainstTheScalarRoute:
         assert all(result.coefficients[m] == result.quasi.read(m)[0] for m in ms)
 
     def test_orders_at_levels_8_and_12(self):
-        # residue r carries pi^(r % 2); period 24 keeps the parity, so each
-        # residue has one grade.  Order 8 arrives as two tables, one at level
-        # 4 only, whose top coefficients cancel; both orders are promoted to
-        # level 24 in the sum over the period.
-        def s(r, value):
-            return ExactScalar.pi_power(r % 2) * value
-
+        # Order 8 arrives as two tables, one at level 4 only, whose top
+        # coefficients cancel; both orders are promoted to level 24 in the
+        # sum over the period.
         def zeta(p, q):
             return ExactScalar.root_of_unity(p, q)
 
-        eight = {r: [s(r, zeta(r, 8) * Fraction(r + 1, 3)), s(r, Fraction(1, 2)), s(r, I)]
+        eight = {r: [zeta(r, 8) * Fraction(r + 1, 3), ExactScalar.from_rational(Fraction(1, 2)), I]
                  for r in range(8)}
-        eight_at_4 = {r: [s(r, Fraction(-1, 6)), ExactScalar.zero(), s(r, -I)]
+        eight_at_4 = {r: [ExactScalar.from_rational(Fraction(-1, 6)), ExactScalar.zero(), -I]
                       for r in range(8)}
-        twelve = {r: [s(r, zeta(r, 12) * Fraction(r, 4) + Fraction(1, 3)),
-                      s(r, zeta(r + 1, 12) * Fraction(5, 7))] for r in range(12)}
+        twelve = {r: [zeta(r, 12) * Fraction(r, 4) + Fraction(1, 3),
+                      zeta(r + 1, 12) * Fraction(5, 7)] for r in range(12)}
         contributions = [(8, eight), (12, twelve), (8, eight_at_4)]
         quasi = fit(contributions)
         assert quasi.period == 24
@@ -447,40 +434,30 @@ class TestIntegerFitAgainstTheScalarRoute:
                 for level in re.findall(r"z(\d+)\^", c)} >= {8, 12, 24}
         self.assert_matches(quasi, ScalarFit(contributions), range(-30, 31))
 
-    def test_orders_of_different_grades_at_one_residue_raise(self):
-        with pytest.raises(ScalarError, match=r"mixes pi-grades \[0, 1\]"):
-            fit([(1, {0: [ONE]}), (2, {0: [TWO_PI], 1: [ExactScalar.zero()]})])
-
-    def test_orders_of_different_grades_that_never_meet_keep_their_grades(self):
-        # r = 0 mod 2 and r' = 1 mod 4 never hold together: no residue mixes grades
-        two = {0: [ONE], 1: []}
-        four = {0: [], 1: [TWO_PI, TWO_PI], 2: [], 3: []}
-        quasi = fit([(2, two), (4, four)])
-        assert quasi.period == 4
-        self.assert_matches(quasi, ScalarFit([(2, two), (4, four)]), range(-12, 13))
-
-    def test_two_grades_meet_only_where_the_residues_agree_mod_the_gcd(self):
-        # 3 mod 6 and 1 mod 4 meet at 9 mod 12 (gcd 2, both odd)
-        six = {r: [ONE] if r == 3 else [] for r in range(6)}
-        four = {r: [TWO_PI] if r == 1 else [] for r in range(4)}
-        with pytest.raises(ScalarError, match=r"mixes pi-grades \[0, 1\]"):
-            fit([(6, six), (4, four)])
-        four = {r: [TWO_PI] if r == 2 else [] for r in range(4)}
-        assert fit([(6, six), (4, four)]).period == 12
-
 
 class TestPerOrderFit:
-    """The fit sums rows once per residue of each order, never per residue of the period."""
+    """The fit adds each table once into its order, never per residue of the period."""
 
-    def test_row_sums_are_bounded_by_the_sum_of_the_orders(self, monkeypatch):
+    def test_one_table_addition_per_contribution(self, monkeypatch):
+        # each addition is O(q) residues, so the fit makes O(sum of the orders) sums; the
+        # orbits' tables are traces at level 4, the fit's level too, so none is folded
         model = catalog._sphere((23, 24, 25), DEFAULT_CALIBRATION.orientation_sign, "s")
-        orders = {at.denominator for at in model.torsion_support}
-        calls, real = [], engine._sum_components
-        monkeypatch.setattr(engine, "_sum_components",
-                            lambda *args: calls.append(1) or real(*args))
+        contributions, real_fourier = [], engine.fourier_contribution
+        monkeypatch.setattr(engine, "fourier_contribution",
+                            lambda *args: contributions.append(real_fourier(*args)) or
+                            contributions[-1])
+        additions, folds, real_add, real_fold = [], [], engine._add_table, engine._fold
+        monkeypatch.setattr(engine, "_add_table",
+                            lambda acc, table, *args: additions.append(table) or
+                            real_add(acc, table, *args))
+        monkeypatch.setattr(engine, "_fold", lambda *args: folds.append(1) or real_fold(*args))
         result = assemble_character(model, 100)
-        assert result.quasi.period == 13800
-        assert 0 < len(calls) <= sum(orders) == 113
+        assert result.quasi.period == 13800 and result.quasi.level == 4
+        assert {table[1] for table in contributions} == {4}
+        assert additions == contributions and len(additions) > 1
+        # the points of order q form one orbit, two if 4 divides q
+        assert sum(table[0] for table in additions) <= 2 * sum(result.quasi.orders) == 226
+        assert folds == []
 
     def test_the_quasi_polynomial_holds_one_part_per_order(self):
         model = catalog._sphere((5, 7, 9, 11), DEFAULT_CALIBRATION.orientation_sign, "s")

@@ -6,9 +6,9 @@ orbit of torsion points is evaluated once (one orbit of order q when 4 does
 not divide q, two when it does), and on model documents that break one of
 the guards, where each point is its own orbit.  On both, every germ has at
 most k + 1 terms, the degree bound that `fit_quasi_polynomial` relies on
-without checking it.  An orbit's integer rows from `fourier_contribution`
-are the sum of its members' ExactScalar tables, at level 4, and once the
-trace table is built they take no cyclotomic product, fold or demotion.
+without checking it.  An orbit's integer table from `fourier_contribution`
+is the sum of its members' ExactScalar tables, at level 4, and once the
+trace table is built it takes no cyclotomic product, fold or demotion.
 """
 
 import math
@@ -99,12 +99,14 @@ def test_orbit_rows_are_the_sum_of_the_members_tables(a, b, s):
         for orbit, maps in _orbits(model, q, points):
             p0 = orbit[0]
             germ = germ_at(model, p0, calibration)
-            order, rows = fourier_contribution(germ, p0, s, maps)
-            assert order == q and len(rows) == q, p0
+            table = fourier_contribution(germ, p0, s, maps)
+            order, level, _, columns = table
+            assert order == q and all(len(col) == q for cols in columns.values()
+                                      for col in cols), p0
             if len(orbit) > 1:  # traced down to Q(i)
-                assert {level for _, level, _, _ in rows} == {4}, p0
+                assert level == 4, p0
             tables = [fourier_table(germ.galois(t), t * p0, s)[1] for t in maps]
-            quasi = fit_quasi_polynomial([(q, rows)])
+            quasi = fit_quasi_polynomial([table])
             for m in range(-q, q):
                 want = sum((exact_horner(table[m % q], m) for table in tables),
                            ExactScalar.zero())

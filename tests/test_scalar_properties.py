@@ -268,9 +268,10 @@ def test_every_operation_returns_the_canonical_representation(case):
 
 def fixed(v, digits):
     """`v` to `digits` places, the fraction's trailing zeros dropped; at 0 digits there
-    is no fraction, and 10 stays 10."""
+    is no fraction, and 10 stays 10.  A value that rounds to zero is 0, never -0."""
     text = f"{v:.{digits}f}"
-    return text.rstrip("0").rstrip(".") if "." in text else text
+    text = text.rstrip("0").rstrip(".") if "." in text else text
+    return "0" if text == "-0" else text
 
 
 def complex_route(value, digits):
@@ -284,9 +285,8 @@ def complex_route(value, digits):
     re_s = fixed(z.real, digits)
     if abs(z.imag) < 10 ** (-digits - 6) * max(1.0, abs(z.real)):
         return re_s
-    im_s = fixed(abs(z.imag), digits)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{re_s}{sign}{im_s}i"
+    im_s = fixed(z.imag, digits)  # a zero imaginary part joins with +
+    return f"{re_s}{'' if im_s.startswith('-') else '+'}{im_s}i"
 
 
 wide_fractions = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
@@ -297,6 +297,8 @@ wide_fractions = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
 @given(wide_fractions, st.integers(0, 8))
 @example(Fraction(0), 4)
 @example(Fraction(-7, 3), 0)
+@example(Fraction(-1, 3), 0)  # rounds to zero: 0, not -0
+@example(Fraction(-1, 100000), 4)
 @example(Fraction(2 ** 53 + 1), 4)
 @example(Fraction(-(2 ** 60) - 3, 7), 8)
 @example(Fraction(35059744171120209526176, 514710375938), 4)  # not float(n) / float(den)
@@ -321,9 +323,8 @@ def display_before_e_notation(a, digits):
         return re_s
     if x == -x.galois(-1):
         re_s = "0"
-    im_s = fixed(abs(z.imag), digits)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{re_s}{sign}{im_s}i"
+    im_s = fixed(z.imag, digits)  # a zero imaginary part joins with +
+    return f"{re_s}{'' if im_s.startswith('-') else '+'}{im_s}i"
 
 
 @st.composite

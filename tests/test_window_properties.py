@@ -59,8 +59,8 @@ def through(values, m0, step):
 
 def quasi(polys):
     period = len(polys)
-    return fit_quasi_polynomial(
-        [(period, [components([ExactScalar.from_rational(c) for c in p]) for p in polys])])
+    return fit_quasi_polynomial([components(period, [[ExactScalar.from_rational(c) for c in p]
+                                                     for p in polys])])
 
 
 def assert_window_is_read(qp, max_m):
@@ -162,11 +162,11 @@ KINDS = ("integer", "rational", "rational at level 12", "level 12")
 
 @st.composite
 def orders(draw):
-    """(grade, max_m, contributions): per order in a nonempty subset of ORDERS, one or two
-    tables of ExactScalar polynomials of degree -1 (zero) to 5, the coefficients of each
-    table of one kind: ints, rationals, rationals written at level 12, or level-12 values
-    with nonzero exponents (as a point outside any orbit writes its rows)."""
-    grade = draw(st.sampled_from([0, 0, 0, 1]))
+    """(max_m, contributions): per order in a nonempty subset of ORDERS, one or two tables
+    of ExactScalar polynomials of degree -1 (zero) to 5, of pi-grade 0 as a character is,
+    the coefficients of each table of one kind: ints, rationals, rationals written at level
+    12, or level-12 values with nonzero exponents (as a point outside any orbit writes its
+    table)."""
     chosen = draw(st.lists(st.sampled_from(ORDERS), min_size=1, max_size=4, unique=True))
     contributions = []
     for q in chosen:
@@ -183,23 +183,22 @@ def orders(draw):
                     value = CyclotomicNumber(12, {e: Fraction(draw(st.integers(-9, 9)),
                                                               draw(st.integers(1, 4)))
                                                   for e in exponents})
-                return ExactScalar(grade, value)
+                return ExactScalar(0, value)
 
             contributions.append((q, {r: [coefficient() for _ in range(draw(st.integers(0, 6)))]
                                       for r in range(q)}))
     max_m = draw(st.one_of(st.integers(1, 14), st.integers(60, 200)))
-    return grade, max_m, contributions
+    return max_m, contributions
 
 
 def fit_tables(contributions):
-    return fit_quasi_polynomial([(q, [components(table[r]) for r in range(q)])
-                                 for q, table in contributions])
+    return fit_quasi_polynomial([components(q, table) for q, table in contributions])
 
 
 @DETERMINISTIC
 @given(orders())
 def test_several_orders_read_as_the_per_residue_sum_does(case):
-    grade, max_m, contributions = case
+    max_m, contributions = case
     qp, reference = fit_tables(contributions), ScalarFit(contributions)
     assert qp.period == reference.period == math.lcm(*(q for q, _ in contributions))
     assert sorted(qp.orders) == sorted({q for q, _ in contributions})
