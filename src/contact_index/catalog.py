@@ -70,7 +70,7 @@ class FixedComponentData:
                         raise ModelError(f"{path}.{key}[{i}].curv[{j}]: a curvature has "
                                          f"pi-grade 0, got {c.pi}")
         for i, root in enumerate(self.tangential):
-            if Fraction(root.eigenvalue_exponent) % 1 != 0:
+            if not root.is_tangential():
                 raise ModelError(f"{path}.tangential_roots[{i}].eig: tangential roots "
                                  f"must have eigenvalue 1")
             if len(root.curvature) != len(self.generators):
@@ -80,7 +80,7 @@ class FixedComponentData:
             if at == IDENTITY:
                 raise ModelError(f"{path}.normal_roots[{i}]: the identity fixes all of M, "
                                  f"so its components have no normal directions")
-            if at is not None and Fraction(root.eigenvalue_exponent) % 1 == 0:
+            if at is not None and root.is_tangential():
                 raise ModelError(
                     f"{path}.normal_roots[{i}].eig: normal eigenvalue 1 at a fixed "
                     f"component means the direction is tangential (fixed-set mismatch)")
@@ -454,7 +454,7 @@ def load_model(path):
         try:
             doc = json.load(fh, parse_float=_reject_float)
         except RecursionError:
-            raise ModelError(f"model document {str(path)!r} is nested too deeply") from None
+            raise ModelError("model document is nested too deeply") from None
     return model_from_document(doc)
 
 

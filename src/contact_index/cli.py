@@ -125,10 +125,12 @@ def _resolve_model(preset, n, weights, model_path, calibration):
     if len(given) != 1:
         raise ConfigError("give exactly one of --preset or --model")
     if model_path:
-        try:
+        try:  # the prefix names the file once; an OSError's own text names it again
             return load_model(model_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load model {model_path!r}: {exc}")
+        except OSError as exc:
+            raise ConfigError(f"cannot load model {model_path!r}: {exc.strerror or exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"cannot load model {model_path!r}: {exc}") from exc
     return build_preset(*_preset_target(preset, n, weights), calibration)
 
 

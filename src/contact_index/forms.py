@@ -70,7 +70,8 @@ class ChernRoot:
         return CyclotomicNumber.root_of_unity(f.numerator, f.denominator)
 
     def is_tangential(self):
-        return Fraction(self.eigenvalue_exponent) % 1 == 0
+        """Whether the torsion eigenvalue is 1, i.e. the exponent is an integer."""
+        return Fraction(self.eigenvalue_exponent).denominator == 1
 
 
 class FormElement:
@@ -280,9 +281,10 @@ def _series_power(coeffs, r):
     truncated at the length of the input; r = -1 is the inverse.
     """
     f0, inv0 = coeffs[0], 1 / coeffs[0]
-    g0 = f0 * inv0  # one, in the coefficients' type
-    for _ in range(abs(r)):
-        g0 = g0 * (f0 if r > 0 else inv0)
+    base = f0 if r > 0 else inv0
+    g0 = base if r else ExactScalar.one()
+    for _ in range(abs(r) - 1):
+        g0 = g0 * base
     out = [g0]
     for n in range(1, len(coeffs)):
         acc = 0
@@ -353,8 +355,9 @@ def integrate_component(smooth, delta, pairing):
     degree d meets delta term j = k - d alone, on the top monomial e + j dA.
     By the Leibniz rule phi^p d0^(j) = (-1)^p j!/(j-p)! d0^(j-p), zero for
     p > j, it adds c c_j (-1)^p j!/(j-p)! to order j - p: one `ExactScalar`
-    scaled by one rational.  A term of the form has d + p <= k, so p <= j
-    always, and the terms the truncation dropped would all pair to zero.
+    scaled by one rational, c_j itself for p = 0.  A term of the form has
+    d + p <= k, so p <= j always, and the terms the truncation dropped would
+    all pair to zero.
     Each top monomial's germ is weighted by its pairing value; a nonzero germ
     missing from the table is an error.
     """
@@ -366,7 +369,7 @@ def integrate_component(smooth, delta, pairing):
     for (*e, p), c in smooth.terms.items():
         j = k - sum(e)
         orders = top.setdefault((e[0] + j, *e[1:]) if e else (), {})
-        term = c * (delta[j] * (-1) ** p * math.perm(j, p))
+        term = c * (delta[j] * (-1) ** p * math.perm(j, p) if p else delta[j])
         orders[j - p] = orders[j - p] + term if j - p in orders else term
     total = DeltaGerm.zero()
     for exp, orders in top.items():

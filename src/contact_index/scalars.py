@@ -18,12 +18,21 @@ zero has grade 0; adding nonzero scalars of two grades raises `ScalarError`.
 A cyclotomic number is stored as integer numerators over one denominator
 (see `CyclotomicNumber`), and every operation runs in Python integers;
 `_make` and `_integer`, the trusted constructors, set the slots through
-their member descriptors, and `_make` divides out the gcd.  An `ExactScalar`
+their member descriptors.  `_make` divides out the gcd; `_integer(n)` sets
+the level-4 value n / 1 without it, since gcd(1, n) = 1.  An `ExactScalar`
 times an int or a Fraction scales the numerators at the same level and only
 demotes (a rational multiple lies in the same subfields): no product, no fold.
 
-Canonicalization keeps its tables per level, each built once and cached:
+Canonicalization keeps its tables per level, each built once and cached, and
+level 4 needs none:
 
+* Level 4, Q(i) with basis 1 and i, is the bottom of the tower, and the
+  germs and windows of the Hopf and prequantum spheres live there.  A sum or
+  a product of two level-4 values, (a + b i)(c + d i) = (ac - bd) + (ad + bc) i
+  in integers, has no exponent past the basis to fold, and no smaller level
+  exists to demote to, so `_make`'s gcd alone makes it canonical: `__add__`,
+  `__mul__` and the int or Fraction scaling skip `_common`, `_fold` and
+  `demote` there.
 * The fold table of level L holds the integer rows x^e mod Phi_L for
   phi(L) <= e < L (Phi_L is monic and integral).  Reduction adds c * row[e]
   for each exponent past the basis, with no polynomial division; a product
@@ -334,12 +343,14 @@ class CyclotomicNumber:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        a, b = CyclotomicNumber._common(self, other)
+        gaussian = self.level == other.level == 4  # see the module docstring
+        a, b = (self, other) if gaussian else CyclotomicNumber._common(self, other)
         den = math.lcm(a.den, b.den)
         out = {e: c * (den // a.den) for e, c in a.nums.items()}
         for e, c in b.nums.items():
             out[e] = out.get(e, 0) + c * (den // b.den)
-        return _make(a.level, den, {e: c for e, c in out.items() if c}).demote()
+        x = _make(a.level, den, {e: c for e, c in out.items() if c})
+        return x if gaussian else x.demote()
 
     def __neg__(self):
         return _make(self.level, self.den, {e: -c for e, c in self.nums.items()})
@@ -348,6 +359,11 @@ class CyclotomicNumber:
         return self + (-other)
 
     def __mul__(self, other):
+        if self.level == other.level == 4:  # (a + b i)(c + d i), see the module docstring
+            x, y = self.nums, other.nums
+            a, b, c, d = x.get(0, 0), x.get(1, 0), y.get(0, 0), y.get(1, 0)
+            nums = {e: v for e, v in ((0, a * c - b * d), (1, a * d + b * c)) if v}
+            return _make(4, self.den * other.den, nums)
         a, b = CyclotomicNumber._common(self, other)
         raw = {}
         for e1, c1 in a.nums.items():
@@ -489,8 +505,8 @@ class ExactScalar:
             x, n = self.value, other.numerator
             if not (n and x.nums):
                 return ExactScalar.zero()
-            return ExactScalar(self.pi, _make(x.level, x.den * other.denominator,
-                                              {e: c * n for e, c in x.nums.items()}).demote())
+            y = _make(x.level, x.den * other.denominator, {e: c * n for e, c in x.nums.items()})
+            return ExactScalar(self.pi, y if x.level == 4 else y.demote())
         other = _coerce(other)
         if not (self.value.nums and other.value.nums):
             return ExactScalar.zero()
@@ -586,10 +602,15 @@ _ZERO = _make(4, 1, {})
 
 
 def _integer(n):
-    """The int n as an `ExactScalar`, trusted: no coercion, no demotion."""
-    x = object.__new__(ExactScalar)
+    """The int n as an `ExactScalar`, trusted: its slots set directly (see the module docstring)."""
+    x, value = object.__new__(ExactScalar), _ZERO
+    if n:
+        value = object.__new__(CyclotomicNumber)
+        _set_level(value, 4)
+        _set_den(value, 1)
+        _set_nums(value, {0: n})
     _set_pi(x, 0)
-    _set_value(x, _make(4, 1, {0: n}) if n else _ZERO)
+    _set_value(x, value)
     return x
 
 

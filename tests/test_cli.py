@@ -280,8 +280,25 @@ class TestCharacterCommand:
         path.write_text('{"a":' * 100_000)
         result = runner.invoke(main, ["character", "--model", str(path)])
         assert result.exit_code == 2, result.output
-        assert result.output.startswith("error: ")
-        assert f"{str(path)!r} is nested too deeply" in result.output
+        assert result.output.startswith("error: cannot load model")
+        assert "is nested too deeply" in result.output
+        assert result.output.count(str(path)) == 1, result.output
+
+    @pytest.mark.parametrize("make, cause", [
+        (lambda path: None, ": No such file or directory"),
+        (lambda path: path.mkdir(), ": Is a directory"),
+        (lambda path: path.write_bytes(b"\xff{}"), "can't decode byte 0xff"),
+        (lambda path: path.write_text("{"), ": Expecting property name"),
+    ], ids=["missing", "directory", "not-utf8", "bad-json"])
+    def test_unreadable_model_files_exit_two_naming_the_file_once(self, runner, calibrated,
+                                                                  make, cause):
+        path = calibrated / "model.json"
+        make(path)
+        result = runner.invoke(main, ["germ", "--model", str(path), "--at", "0"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: cannot load model {str(path)!r}: ")
+        assert cause in result.output
+        assert result.output.count(str(path)) == 1, result.output
 
     def test_non_integer_coefficients_print_exactly(self, runner, calibrated):
         # the circle with half its orbit length: every coefficient is 1/2

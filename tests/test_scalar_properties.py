@@ -1,5 +1,6 @@
 """Property tests: promotion and the Galois maps commute with the ring operations,
 every operation returns the canonical (den, nums) representation, the
+level-4 (Gaussian rational) branch returns what the general route does, the
 rational route of `approx_display` writes what the complex route writes, and
 its e notation past double range keeps every value a double holds as it was.
 
@@ -19,8 +20,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from contact_index import scalars  # noqa: E402
 from contact_index.scalars import (CyclotomicNumber, ExactScalar, ScalarError,  # noqa: E402
-                                   _euler_phi, _trace_table, _units_over_qi, approx_display)
+                                   _euler_phi, _integer, _trace_table, _units_over_qi,
+                                   approx_display)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -229,6 +232,92 @@ def test_a_rational_factor_scales_as_the_cyclotomic_product_does(case):
     # the int/Fraction route of ExactScalar.__mul__ skips the product, not the demotion
     x, n = case
     assert parts(x * n) == parts(n * x) == parts(x * ExactScalar.from_rational(n))
+
+
+wide_ints = st.one_of(st.integers(-2 ** 80, 2 ** 80), st.sampled_from((0, 1, -1)))
+
+
+@st.composite
+def gaussian(draw):
+    """(a + b i) / den at level 4: large and negative numerators, zero parts, zero."""
+    den = draw(st.one_of(st.just(1), st.integers(1, 2 ** 70)))
+    return CyclotomicNumber(4, {0: Fraction(draw(wide_ints), den),
+                                1: Fraction(draw(wide_ints), den)})
+
+
+@st.composite
+def gaussian_pair(draw):
+    """Two Gaussian rationals, the second drawn on its own or cancelling the first: -x
+    (sum zero), the conjugate (product real), minus the conjugate (sum imaginary), or i
+    times the conjugate (product imaginary)."""
+    x = draw(gaussian())
+    pair = draw(st.sampled_from((lambda x: draw(gaussian()), lambda x: -x,
+                                 lambda x: x.galois(-1), lambda x: -x.galois(-1),
+                                 lambda x: x.galois(-1) * CyclotomicNumber.zeta(4, 1))))
+    return x, pair(x)
+
+
+def cyclotomic_parts(x):
+    return x.level, x.den, x.nums
+
+
+def at_twelve(op, x, y):
+    """The general route: both operands promoted to level 12, combined there, demoted."""
+    return op(x.promote(12), y.promote(12)).demote()
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(gaussian_pair())
+@example((CyclotomicNumber(4, {}), CyclotomicNumber(4, {1: Fraction(-3, 4)})))
+@example((CyclotomicNumber(4, {0: 2 ** 90, 1: -(2 ** 90)}),
+          CyclotomicNumber(4, {0: Fraction(1, 2 ** 90), 1: Fraction(1, 2 ** 90)})))
+def test_a_level_4_sum_or_product_is_the_general_routes(pair):
+    x, y = pair
+    for op in (CyclotomicNumber.__add__, CyclotomicNumber.__mul__):
+        got = op(x, y)
+        assert cyclotomic_parts(got) == cyclotomic_parts(at_twelve(op, x, y))
+        assert_canonical(got)
+
+
+@DETERMINISTIC
+@given(gaussian(), st.one_of(wide_ints, st.builds(Fraction, wide_ints, st.integers(1, 2 ** 70))),
+       st.integers(-3, 3))
+@example(CyclotomicNumber(4, {0: 6, 1: -4}), Fraction(-1, 2), 1)
+@example(CyclotomicNumber(4, {1: 5}), 0, 2)
+def test_a_rational_factor_at_level_4_scales_as_the_general_route(x, n, grade):
+    want = parts(ExactScalar(grade, x.promote(12)) * n)
+    assert want[1] == 4
+    assert parts(ExactScalar(grade, x) * n) == parts(n * ExactScalar(grade, x)) == want
+
+
+@DETERMINISTIC
+@given(wide_ints)
+@example(0)
+def test_an_integer_scalar_is_the_general_routes(n):
+    want = ExactScalar(0, CyclotomicNumber.from_rational(n, 12).demote())
+    assert parts(_integer(n)) == parts(want) == parts(ExactScalar.from_rational(n))
+
+
+def test_level_4_arithmetic_calls_no_promotion_fold_or_demotion(monkeypatch):
+    x = CyclotomicNumber(4, {0: Fraction(3, 4), 1: -2})
+    y, minus_conj = CyclotomicNumber(4, {1: Fraction(5, 6)}), -x.galois(-1)
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+    monkeypatch.setattr(CyclotomicNumber, "_common",
+                        staticmethod(spy("_common", CyclotomicNumber._common)))
+    monkeypatch.setattr(CyclotomicNumber, "demote", spy("demote", CyclotomicNumber.demote))
+    monkeypatch.setattr(scalars, "_fold", spy("_fold", scalars._fold))
+    results = [x * y, x + y, x * minus_conj, x + -x, ExactScalar(1, x) * 3,
+               ExactScalar(1, x) * Fraction(-2, 9), _integer(7), _integer(0)]
+    assert calls == []
+    assert x.promote(12) * y == x * y and calls  # the spies see the general route
+    assert [cyclotomic_parts(r) for r in results[:4]] == [
+        (4, 24, {0: 40, 1: 15}), (4, 12, {0: 9, 1: -14}), (4, 16, {0: -73}), (4, 1, {})]
 
 
 def test_zero_has_no_inverse():
