@@ -13,37 +13,38 @@ rationals, term j a rational multiple of d0^(j)(phi) (d-alpha)^j.
 term k - d alone, so every product lands on top degree, the one degree that
 integrates, and costs one rational Leibniz weight.
 
-The module also builds the two power series the localization consumes:
+The module also builds the two power series the localization consumes, each for
+a group of r equal roots: the Todd factor h^-r of tangential roots, h =
+(1-e^-x)/x or (e^x-1)/x by the calibrated direction, by J.C.P. Miller's
+recurrence in integers (`_rational_power`), and the inverse normal determinant
+(1-lambda e^x)^-r, lambda = zeta_q^a != 1 a normal root's torsion eigenvalue, in
+closed form (`_normal_power`), r any integer.  For r >= 1 it is sum_n P(n)
+lambda^n e^(n x), P(n) = C(n+r-1, r-1), so its x^m coefficient is the Abel sum
+of F(n) lambda^n, F(n) = P(n) n^m / m!.  By residues j mod q, sum_n lambda^n n^-z
+= q^-z sum_j lambda^j zeta(z, j/q), whose Hurwitz zetas' polar parts 1/(z-1)
+cancel as sum_j lambda^j = 0; zeta(-s, t) = -B_(s+1)(t)/(s+1) then gives
+sum_(n>=0) n^s lambda^n = -q^s/(s+1) sum_(j<q) lambda^j B_(s+1)(j/q).  As
+B_(s+1)(t+1) - B_(s+1)(t) = (s+1) t^s, the coefficient is sum_j lambda^j R(j) for
+the polynomial R with R(j) - R(j+q) = F(j), its constant dropping for the same
+reason (r = 1, m = 0: 1/(1-lambda) = -(1/q) sum_j j lambda^j).  R is solved for
+from the top coefficient down and evaluated at each j < q by Horner's rule in
+integers, then folded once at lcm(4, q), made and demoted once: no cyclotomic
+product or inverse.  For r <= 0 the factor is sum_k C(-r, k) (-lambda)^k e^(k x).
 
-* the Todd factor of a tangential Chern root, x/(1-e^-x) or x/(e^x-1)
-  depending on the calibrated series direction;
-* the inverse normal determinant factor (1 - lambda e^x)^-1 for a normal
-  root with torsion eigenvalue lambda != 1.
-
-For r equal roots both are powers of a simple series: h^-r for Todd, with h =
-(1-e^-x)/x or (e^x-1)/x, and (1-lambda e^x)^-r.  Both kernels take any integer
-exponent by J.C.P. Miller's recurrence (the inverse is the power -1; there is
-no `_series_invert`): `_rational_power` computes the rational Todd powers in
-Python integers, `_series_power` the cyclotomic normal factor in `ExactScalar`.
-
-Series are evaluated as power sums over the truncated algebra, each k + 1
-coefficients long, finite and exact as the argument is nilpotent there; a
-one-term argument (every preset's root) takes scalar powers.
-
-Both products over roots evaluate one power per group of equal roots (all
-n+1 tangential roots of the Hopf sphere, say) and start from the first group's
-series: only the empty product is `FormElement.one`, and no form is multiplied
-by one.  The per-root checks (tangential roots for Todd, eigenvalue != 1 for
-the normal factor) run on every root.
+Both products over roots start from the first group's series: only the empty
+product is `FormElement.one`.  The per-root checks (tangential roots for Todd,
+eigenvalue != 1 for the normal factor) run on every root.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .scalars import CyclotomicNumber, ExactScalar, _coerce
+from .scalars import ExactScalar, _coerce, _fold, _make
 from .deltas import GERM_VAR, DeltaGerm
 
 
@@ -64,10 +65,6 @@ class ChernRoot:
     curvature: tuple
     weight: tuple
     eigenvalue_exponent: Fraction = Fraction(0)
-
-    def eigenvalue(self):
-        f = Fraction(self.eigenvalue_exponent) % 1
-        return CyclotomicNumber.root_of_unity(f.numerator, f.denominator)
 
     def is_tangential(self):
         """Whether the torsion eigenvalue is 1, i.e. the exponent is an integer."""
@@ -175,15 +172,6 @@ _EIGENVALUE_ONE = ("fixed-set mismatch: normal eigenvalue 1 means the direction 
                    "is tangential and the component was mis-identified")
 
 
-def _normal_determinant(eigenvalue, length):
-    """Taylor coefficients of 1 - lambda e^t for lambda != 1, as `ExactScalar`s."""
-    lam = _coerce(eigenvalue)
-    head = ExactScalar.one() - lam
-    if head.is_zero():
-        raise FormError(_EIGENVALUE_ONE)
-    return [head] + [-(lam * Fraction(1, math.factorial(n))) for n in range(1, length)]
-
-
 def evaluate_series(coeffs, element):
     """sum_j coeffs[j] * element^j in the truncated algebra, from running powers.
 
@@ -245,10 +233,8 @@ def dc_inverse(roots, generators, *, jet_order):
     for root in roots:
         if root.is_tangential():
             raise FormError(_EIGENVALUE_ONE)
-    length = jet_order + 1
-    return _root_product(
-        roots, lambda root, r: _series_power(_normal_determinant(root.eigenvalue(), length), -r),
-        generators, jet_order)
+    return _root_product(roots, lambda root, r: _normal_power(
+        root.eigenvalue_exponent, r, jet_order + 1), generators, jet_order)
 
 
 def _root_product(roots, power_of, generators, truncation):
@@ -273,26 +259,32 @@ def _root_product(roots, power_of, generators, truncation):
     return FormElement.one(generators, truncation) if acc is None else acc
 
 
-def _series_power(coeffs, r):
-    """The r-th power, r any integer, of a series of `ExactScalar`s with invertible f_0.
-
-    J.C.P. Miller's recurrence: g_0 = f_0^r and, skipping zero terms,
-    g_n = (1 / (n f_0)) sum_{k=1..n} ((r+1) k - n) f_k g_{n-k},
-    truncated at the length of the input; r = -1 is the inverse.
-    """
-    f0, inv0 = coeffs[0], 1 / coeffs[0]
-    base = f0 if r > 0 else inv0
-    g0 = base if r else ExactScalar.one()
-    for _ in range(abs(r) - 1):
-        g0 = g0 * base
-    out = [g0]
-    for n in range(1, len(coeffs)):
-        acc = 0
-        for k in range(1, n + 1):
-            weight = (r + 1) * k - n
-            if weight and coeffs[k]:
-                acc = acc + coeffs[k] * out[n - k] * weight
-        out.append(acc * inv0 * Fraction(1, n))
+def _normal_power(exponent, r, length):
+    """The first `length` coefficients of (1 - lambda e^x)^-r, r any integer, as
+    `ExactScalar`s, for lambda = e^(2 pi i exponent) != 1 (see the module docstring)."""
+    a, q = Fraction(exponent).as_integer_ratio()
+    if q == 1:
+        raise FormError(_EIGENVALUE_ONE)
+    level, poly, out = 4 * q // math.gcd(4, q), [1], []
+    for i in range(1, r):  # poly: (r-1)! P(n) = (n+1)...(n+r-1), ascending
+        poly = [x + i * y for x, y in zip([0] + poly, poly + [0])]
+    for m in range(length):
+        if r > 0:  # R(j) - R(j+q) = F(j) and R(0) = 0, from the top coefficient down
+            f, g = [0] * m + poly, [0] * (m + r + 1)  # (r-1)! m! F, and (r-1)! m! R
+            for i in reversed(range(m + r)):
+                g[i + 1] = Fraction(-f[i] - sum(g[t] * math.comb(t, i) * q ** (t - i)
+                                                for t in range(i + 2, m + r + 1)), (i + 1) * q)
+            den = math.lcm(*(c.denominator for c in g[1:]))
+            nums = [int(c * den) for c in reversed(g)]
+            den *= math.factorial(r - 1) * math.factorial(m)
+            terms = [(j, reduce(lambda v, c: v * j + c, nums, 0)) for j in range(1, q)]
+        else:
+            den = math.factorial(m)
+            terms = [(k, (-1) ** k * math.comb(-r, k) * k ** m) for k in range(1 - r)]
+        raw = Counter()
+        for j, c in terms:
+            raw[level // q * (a * j % q)] += c
+        out.append(ExactScalar(0, _make(level, den, _fold(raw, level)).demote()))
     return out
 
 

@@ -16,12 +16,13 @@ characters 0, which the Fourier path relies on.  `ExactScalar` is (pi, value);
 zero has grade 0; adding nonzero scalars of two grades raises `ScalarError`.
 
 A cyclotomic number is stored as integer numerators over one denominator
-(see `CyclotomicNumber`), and every operation runs in Python integers;
-`_make` and `_integer`, the trusted constructors, set the slots through
-their member descriptors.  `_make` divides out the gcd; `_integer(n)` sets
-the level-4 value n / 1 without it, since gcd(1, n) = 1.  An `ExactScalar`
-times an int or a Fraction scales the numerators at the same level and only
-demotes (a rational multiple lies in the same subfields): no product, no fold.
+(see `CyclotomicNumber`), and every operation runs in Python integers.  The
+trusted constructors set the slots through their member descriptors: `_make`
+divides out the gcd, `_integer(n)` sets the level-4 value n / 1 without it, and
+`_scalar` builds each nonzero product, canonical already, past `ExactScalar`'s
+checks.  An `ExactScalar` times an int or a Fraction scales the numerators at
+the same level and only demotes (a rational multiple lies in the same
+subfields): no product, no fold.
 
 Canonicalization keeps its tables per level, each built once and cached, and
 level 4 needs none:
@@ -55,9 +56,9 @@ level 4 needs none:
   Row e < L of the trace table of L and a group of maps t holds the sum of
   zeta^(e t) over the maps, at the smallest level holding every row (4 for
   the units t = 1 mod 4); row e t is row e, so one is folded per orbit.
-* `inverse` demotes first, then multiplies the other conjugates over Q(i)
-  (the units t = 1 mod 4), so x times their product P is a norm N in
-  Q(i), and divides once: x^-1 = P * conj(N) / |N|^2.
+* `inverse` (public scalar division; the pipeline no longer calls it) demotes,
+  multiplies the other conjugates over Q(i) (the units t = 1 mod 4), so x times
+  their product P is a norm N in Q(i), and divides once: x^-1 = P conj(N) / |N|^2.
 """
 
 from __future__ import annotations
@@ -506,11 +507,11 @@ class ExactScalar:
             if not (n and x.nums):
                 return ExactScalar.zero()
             y = _make(x.level, x.den * other.denominator, {e: c * n for e, c in x.nums.items()})
-            return ExactScalar(self.pi, y if x.level == 4 else y.demote())
+            return _scalar(self.pi, y if x.level == 4 else y.demote())
         other = _coerce(other)
         if not (self.value.nums and other.value.nums):
             return ExactScalar.zero()
-        return ExactScalar(self.pi + other.pi, self.value * other.value)
+        return _scalar(self.pi + other.pi, self.value * other.value)
 
     __rmul__ = __mul__
 
@@ -601,17 +602,23 @@ _set_level, _set_den, _set_nums, _set_pi, _set_value = (
 _ZERO = _make(4, 1, {})
 
 
+def _scalar(pi, value):
+    """value * pi^pi, trusted: an int grade and a canonical value, nonzero or at grade 0."""
+    x = object.__new__(ExactScalar)
+    _set_pi(x, pi)
+    _set_value(x, value)
+    return x
+
+
 def _integer(n):
     """The int n as an `ExactScalar`, trusted: its slots set directly (see the module docstring)."""
-    x, value = object.__new__(ExactScalar), _ZERO
+    value = _ZERO
     if n:
         value = object.__new__(CyclotomicNumber)
         _set_level(value, 4)
         _set_den(value, 1)
         _set_nums(value, {0: n})
-    _set_pi(x, 0)
-    _set_value(x, value)
-    return x
+    return _scalar(0, value)
 
 
 def _coerce(x):

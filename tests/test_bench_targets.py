@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from contact_index import catalog, engine, forms, oracle
+from contact_index.scalars import CyclotomicNumber
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PRESETS = [("circle", ()), ("hopf", (1,)), ("weighted-s3", (2, 3)), ("prequantum-cpn", (1,))]
@@ -67,6 +68,9 @@ def test_every_traced_span_is_reached(tmp_path):
             catalog.dump_model(ws3, tmp_path / "ws3.json")
             catalog.load_model(tmp_path / "ws3.json")
             oracle.oracle_character("weighted-s3", (2, 3), 5)
+            # no stage divides cyclotomic numbers (the normal factors are in closed
+            # form), so the scalar division is reached by one direct call
+            CyclotomicNumber.root_of_unity(1, 3).inverse()
     finally:
         tracer.uninstall()
     spans = {name for _, _, name, *_ in tracing.TARGETS}

@@ -467,6 +467,22 @@ class TestPerOrderFit:
             assert all(len(col) == q for cols in columns.values() for col in cols), q
 
 
+class TestNormalFactorsTakeNoInverse:
+    """The normal factors are in closed form: no torsion point divides in Q(zeta_L)."""
+
+    @pytest.mark.parametrize("weights, max_m", [((1, 105), 100), ((11, 13), 429)])
+    def test_assembly_calls_no_cyclotomic_inverse(self, monkeypatch, weights, max_m):
+        calls, real = [], CyclotomicNumber.inverse
+        monkeypatch.setattr(CyclotomicNumber, "inverse", lambda x: calls.append(x) or real(x))
+        model = build_preset("weighted-s3", weights)
+        assert any(comp.normal for comps in model.components.values() for comp in comps)
+        assemble_character(model, max_m)
+        assert calls == []
+        # the spy sees a division that does happen
+        ExactScalar.root_of_unity(1, 3).inverse()
+        assert len(calls) == 1
+
+
 def sphere_character(weights, m):
     """c_m = L_a(-m) + (-1)^n L_a(m - sum a) on S(a) in C^{n+1}: Serre duality on the
     weighted projective space, L_a counting the monomials of weighted degree m."""

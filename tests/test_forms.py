@@ -12,12 +12,12 @@ from contact_index import forms
 from contact_index.catalog import FixedComponentData, model_from_document
 from contact_index.deltas import DeltaGerm
 from contact_index.engine import CalibrationConfig, build_preset, germ_at
-from contact_index.forms import (ChernRoot, FormElement, FormError, _normal_determinant,
-                                 _rational_power, _series_power, _todd_quotient, dc_inverse,
-                                 evaluate_series, integrate_component, j_form, root_value,
-                                 todd)
+from contact_index.forms import (ChernRoot, FormElement, FormError, _normal_power,
+                                 _rational_power, _todd_quotient, dc_inverse, evaluate_series,
+                                 integrate_component, j_form, root_value, todd)
 from contact_index.scalars import CyclotomicNumber, ExactScalar
 from distributions import delta, reference_integral, scale_variable
+from series_reference import eigenvalue, normal_factor_series
 from test_golden_reports import TWO_GENERATOR_MODELS
 
 ONE = ExactScalar.one()
@@ -28,11 +28,6 @@ TWO_PI = ExactScalar.pi_power(1, 2)
 def todd_series(length, direction="plus"):
     """Taylor coefficients of x/(1-e^-x) ("plus") or x/(e^x-1) ("minus")."""
     return _rational_power(_todd_quotient(length, direction), -1)
-
-
-def normal_factor_series(eigenvalue, length):
-    """Taylor coefficients of (1 - lambda e^t)^-1 for lambda != 1."""
-    return _series_power(_normal_determinant(eigenvalue, length), -1)
 
 
 def bernoulli_numbers(count):
@@ -175,15 +170,15 @@ class TestGroupedRoots:
     def test_series_power_against_repeated_multiplication(self, r, kind):
         length = 8
         if kind == "todd":
-            f, power = todd_series(length, "plus"), _rational_power
+            f = todd_series(length, "plus")
+            got = _rational_power(f, r)
         else:  # constant term 1/(1 - zeta_5^2) != 1
             f = normal_factor_series(CyclotomicNumber.root_of_unity(2, 5), length)
-            power = _series_power
+            got = _normal_power(Fraction(2, 5), r, length)
         expected = [ONE] + [ExactScalar.zero()] * (length - 1)
         for _ in range(r):
             expected = [sum((expected[j] * f[n - j] for j in range(n + 1)), ExactScalar.zero())
                         for n in range(length)]
-        got = power(f, r)
         assert len(got) == length
         assert all(a == b for a, b in zip(got, expected))
 
@@ -241,7 +236,8 @@ class TestShortHorner:
                     == reference(comp.tangential, lambda r, n: todd_series(n, direction),
                                  gens, order)
                 assert dc_inverse(comp.normal, gens, jet_order=order) == reference(
-                    comp.normal, lambda r, n: normal_factor_series(r.eigenvalue(), n),
+                    comp.normal,
+                    lambda r, n: normal_factor_series(eigenvalue(r.eigenvalue_exponent), n),
                     gens, order)
 
 
@@ -322,12 +318,14 @@ class TestSeriesSizing:
     @staticmethod
     def spy(monkeypatch):
         """Record the length each series kernel is called at."""
-        seen = {"_todd_quotient": [], "_rational_power": [], "_series_power": []}
+        seen = {"_todd_quotient": [], "_rational_power": [], "_normal_power": []}
         for name in seen:
-            def spied(first, *args, name=name, real=getattr(forms, name)):
-                # `_todd_quotient` takes a length, the power kernels a series
+            def spied(*args, name=name, real=getattr(forms, name)):
+                # `_todd_quotient` takes a length first, `_rational_power` a series and
+                # `_normal_power` its length last
+                first = args[-1] if name == "_normal_power" else args[0]
                 seen[name].append(first if isinstance(first, int) else len(first))
-                return real(first, *args)
+                return real(*args)
             monkeypatch.setattr(forms, name, spied)
         return seen
 
@@ -337,7 +335,7 @@ class TestSeriesSizing:
         assert comp.k == 20 and len(comp.tangential) == 21
         seen = self.spy(monkeypatch)
         todd(comp.tangential, comp.generators, jet_order=20)
-        assert seen == {"_todd_quotient": [21], "_rational_power": [21], "_series_power": []}
+        assert seen == {"_todd_quotient": [21], "_rational_power": [21], "_normal_power": []}
         # the engine asks for the same: truncation k, and one Todd quotient
         seen["_todd_quotient"].clear()
         germ_at(model, 0)
@@ -349,14 +347,14 @@ class TestSeriesSizing:
         seen = self.spy(monkeypatch)
         todd([flat, turning, flat], ("dA",), jet_order=2)
         # one quotient, and one power per group, all of truncation + 1 terms
-        assert seen == {"_todd_quotient": [3], "_rational_power": [3, 3], "_series_power": []}
+        assert seen == {"_todd_quotient": [3], "_rational_power": [3, 3], "_normal_power": []}
 
     def test_circle_normal_series_has_jet_order_plus_one_terms(self, monkeypatch):
         (comp,) = build_preset("weighted-s3", (2, 3)).components[Fraction(1, 2)]
         assert comp.k == 0 and len(comp.normal) == 1 and comp.normal[0].weight[0]
         seen = self.spy(monkeypatch)
         dc_inverse(comp.normal, comp.generators, jet_order=5)
-        assert seen == {"_todd_quotient": [], "_rational_power": [], "_series_power": [6]}
+        assert seen == {"_todd_quotient": [], "_rational_power": [], "_normal_power": [6]}
 
 
 def _seven_dimensional_component(generators, pairing):

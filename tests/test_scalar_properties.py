@@ -1,6 +1,7 @@
 """Property tests: promotion and the Galois maps commute with the ring operations,
 every operation returns the canonical (den, nums) representation, the
-level-4 (Gaussian rational) branch returns what the general route does, the
+level-4 (Gaussian rational) branch returns what the general route does, a
+product whose slots are set directly is what the checked constructor builds, the
 rational route of `approx_display` writes what the complex route writes, and
 its e notation past double range keeps every value a double holds as it was.
 
@@ -232,6 +233,34 @@ def test_a_rational_factor_scales_as_the_cyclotomic_product_does(case):
     # the int/Fraction route of ExactScalar.__mul__ skips the product, not the demotion
     x, n = case
     assert parts(x * n) == parts(n * x) == parts(x * ExactScalar.from_rational(n))
+
+
+@st.composite
+def graded_pair(draw):
+    """Two scalars of grades -3..3 at a level 4..60 or a multiple, either possibly zero,
+    one of them promoted off its canonical level, and an int or Fraction factor."""
+    x, y, level = draw(pair_and_level())
+    x, y = x.demote(), y.promote(level)
+    n = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6), fractions))
+    return ExactScalar(draw(st.integers(-3, 3)), x), ExactScalar(draw(st.integers(-3, 3)), y), n
+
+
+@DETERMINISTIC
+@given(graded_pair())
+@example((ExactScalar(1, CyclotomicNumber.zeta(12, 1)),
+          ExactScalar(-1, CyclotomicNumber.zeta(12, 3)), 2))
+@example((ExactScalar(2, CyclotomicNumber.zeta(4, 1)), ExactScalar.zero(), Fraction(-1, 3)))
+@example((ExactScalar(0, CyclotomicNumber.zeta(60, 5)),
+          ExactScalar(3, CyclotomicNumber.zeta(60, 55)), 0))
+def test_a_product_is_what_the_checked_constructor_builds(case):
+    # ExactScalar.__mul__ sets the slots of a nonzero product directly, past __init__
+    x, y, n = case
+    for got, want in ((x * y, ExactScalar(x.pi + y.pi, x.value * y.value)),
+                      (y * x, ExactScalar(x.pi + y.pi, y.value * x.value)),
+                      (x * n, ExactScalar(x.pi, x.value * CyclotomicNumber.from_rational(n))),
+                      (y * n, ExactScalar(y.pi, y.value * CyclotomicNumber.from_rational(n)))):
+        assert type(got) is ExactScalar and type(got.pi) is int
+        assert parts(got) == parts(want)
 
 
 wide_ints = st.one_of(st.integers(-2 ** 80, 2 ** 80), st.sampled_from((0, 1, -1)))

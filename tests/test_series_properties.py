@@ -2,8 +2,9 @@
 agrees with Horner's rule.
 
 `forms._rational_power` raises a series over Q to any integer power in
-Python integers (the Todd factor); `forms._series_power` runs the same
-Miller recurrence over `ExactScalar` (the normal factor).  Both are checked
+Python integers (the Todd factor); `series_reference.series_power` runs the
+same Miller recurrence over `ExactScalar` (the normal factor's reference,
+see `test_normal_power_properties`).  Both are checked
 against each other, against f^r f^-r = 1 and against repeated truncated
 multiplication, by f itself or, for r < 0, by its inverse from the naive
 recurrence.  `forms.evaluate_series` sums running powers of its nilpotent
@@ -21,8 +22,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from contact_index.forms import (FormElement, FormError, _rational_power,  # noqa: E402
-                                 _series_power, evaluate_series)
+                                 evaluate_series)
 from contact_index.scalars import ExactScalar  # noqa: E402
+from series_reference import series_power  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -62,7 +64,7 @@ def naive_inverse(f):
 @given(rational_series(), exponents)
 def test_integer_kernel_agrees_with_the_cyclotomic_kernel(f, r):
     over_q = _rational_power(f, r)
-    lifted = _series_power(lift(f), r)
+    lifted = series_power(lift(f), r)
     assert len(over_q) == len(f)
     assert all(type(c) is Fraction for c in over_q)
     assert all(type(c) is ExactScalar for c in lifted)

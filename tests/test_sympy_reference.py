@@ -1,7 +1,8 @@
 """sympy as an independent reference for the exact kernels.
 
 The cyclotomic polynomials, inversion in Q(zeta_L), the Todd series and
-its powers, and the normal-factor series are each compared with sympy's own
+its powers, and the normal-factor series (the Miller reference and the
+library's closed form, at lambda = -1) are each compared with sympy's own
 construction: `cyclotomic_poly`, `invert` modulo Phi_L over QQ, and
 power-series arithmetic over QQ (`ring_series`).  sympy is in the `test` extra, so CI
 runs this file; it is skipped where sympy is not installed.
@@ -15,10 +16,10 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.polys.ring_series import rs_exp, rs_pow, rs_series, rs_series_inversion  # noqa: E402
 
-from contact_index.forms import (_normal_determinant, _rational_power,  # noqa: E402
-                                 _series_power, _todd_quotient)
+from contact_index.forms import _normal_power, _rational_power, _todd_quotient  # noqa: E402
 from contact_index.scalars import (CyclotomicNumber, _euler_phi,  # noqa: E402
                                    cyclotomic_polynomial)
+from series_reference import normal_factor_series  # noqa: E402
 
 X = sympy.Symbol("x")
 INVERSE_LEVELS = (12, 20, 44, 52, 68)
@@ -28,11 +29,6 @@ TERMS = 30
 def todd_series(length, direction):
     """Taylor coefficients of x/(1-e^-x) ("plus") or x/(e^x-1) ("minus")."""
     return _rational_power(_todd_quotient(length, direction), -1)
-
-
-def normal_factor_series(eigenvalue, length):
-    """Taylor coefficients of (1 - lambda e^t)^-1 for lambda != 1."""
-    return _series_power(_normal_determinant(eigenvalue, length), -1)
 
 
 def _ascending(series, length):
@@ -97,4 +93,11 @@ def test_todd_power_is_sympys_power_of_x_over_one_minus_exp_minus_x(r):
 def test_normal_factor_at_minus_one_is_one_over_one_plus_exp():
     series = rs_series(1 / (1 + sympy.exp(X)), X, TERMS)
     got = [c.rational_value() for c in normal_factor_series(-1, TERMS)]
+    assert got == _ascending(series, TERMS)
+
+
+@pytest.mark.parametrize("r", [-3, 0, 1, 2, 4])
+def test_closed_form_at_minus_one_is_sympys_power_of_one_plus_exp(r):
+    series = rs_series((1 + sympy.exp(X)) ** -r, X, TERMS)
+    got = [c.rational_value() for c in _normal_power(Fraction(1, 2), r, TERMS)]
     assert got == _ascending(series, TERMS)
