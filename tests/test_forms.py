@@ -323,8 +323,8 @@ class TestSeriesSizing:
             def spied(*args, name=name, real=getattr(forms, name)):
                 # `_todd_quotient` takes a length first, `_rational_power` a series and
                 # `_normal_power` its length last
-                first = args[-1] if name == "_normal_power" else args[0]
-                seen[name].append(first if isinstance(first, int) else len(first))
+                size = args[-1] if name == "_normal_power" else args[0]
+                seen[name].append(size if isinstance(size, int) else len(size))
                 return real(*args)
             monkeypatch.setattr(forms, name, spied)
         return seen
