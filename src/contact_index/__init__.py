@@ -4,12 +4,12 @@ The package computes the character of the natural transversally elliptic
 operator of an elliptic contact circle action as an exact generalized
 function: germs of delta-derivative combinations at torsion points, and the
 quasi-polynomial Fourier coefficients they sum to.  Everything is exact
-cyclotomic-over-pi arithmetic; an independent brute-force oracle (lattice
-point counts, projective-space characters, Stokes volumes) backs every
-bundled model.
+cyclotomic arithmetic, each stage at its own power of pi; an independent
+brute-force oracle (lattice point counts, projective-space characters, Stokes
+volumes) backs every bundled model.
 """
 
-from .scalars import CyclotomicNumber, ExactScalar, ScalarError, approx_display
+from .scalars import CyclotomicNumber, ScalarError, approx_display
 from .deltas import DeltaError, DeltaGerm, fourier_contribution
 from .forms import (ChernRoot, FormElement, FormError, dc_inverse,
                     integrate_component, j_form, todd)
@@ -24,7 +24,7 @@ from .engine import (CalibrationConfig, CalibrationError, DEFAULT_CALIBRATION,
 from . import oracle
 
 __all__ = [
-    "CyclotomicNumber", "ExactScalar", "ScalarError", "approx_display",
+    "CyclotomicNumber", "ScalarError", "approx_display",
     "DeltaError", "DeltaGerm", "fourier_contribution",
     "ChernRoot", "FormElement", "FormError", "dc_inverse",
     "integrate_component", "j_form", "todd",

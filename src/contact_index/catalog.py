@@ -7,6 +7,12 @@ Presets cover spheres with pairwise coprime speeds (the free circle, the round
 odd spheres, weighted three-spheres) and the prequantum circle bundle over CP^n;
 arbitrary component tables load from a JSON document with exact rationals as strings.
 
+Every value is a `CyclotomicNumber` at the pi-grade of its field: a curvature
+has grade 0 and the pairing value of a monomial J grade |J| + 1, so a pairing
+value c stands for c pi^(|J| + 1).  The grades are read in one place,
+`_parse_scalar`, which checks each against its field, and written in one,
+the document writers.
+
 All preset pairing values are derived from the `oracle.ball_integral`
 Stokes computation (magnitude (2 pi)^{k+1}, orientation applied uniformly)
 or from orbit lengths (2 pi divided by the speed of the circle action on
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
 
-from .scalars import CyclotomicNumber, ExactScalar, ScalarError
+from .scalars import CyclotomicNumber, ScalarError
 from .forms import ChernRoot
 
 
@@ -43,7 +49,7 @@ class FixedComponentData:
     normal: list
     mu: Fraction
     reeb_weight: tuple
-    pairing: dict  # generator exponent tuple -> ExactScalar
+    pairing: dict  # generator exponent tuple J -> CyclotomicNumber, pi-grade |J| + 1
 
     @property
     def k(self):
@@ -65,10 +71,6 @@ class FixedComponentData:
             for i, root in enumerate(roots):
                 if len(root.weight) != rank:
                     raise ModelError(f"{path}.{key}[{i}].weight: expected {rank} entries")
-                for j, c in enumerate(root.curvature):
-                    if c.pi:
-                        raise ModelError(f"{path}.{key}[{i}].curv[{j}]: a curvature has "
-                                         f"pi-grade 0, got {c.pi}")
         for i, root in enumerate(self.tangential):
             if not root.is_tangential():
                 raise ModelError(f"{path}.tangential_roots[{i}].eig: tangential roots "
@@ -90,9 +92,6 @@ class FixedComponentData:
                                  f"generator count")
             if sum(mono) == self.k and value.is_zero():
                 raise ModelError(f"{path}.pairing: top pairing value for {mono} is zero")
-            if value and value.pi != sum(mono) + 1:
-                raise ModelError(f"{path}.pairing: the value for {mono} has pi-grade "
-                                 f"{sum(mono) + 1} (|mono| + 1), got {value.pi}")
         if not any(sum(mono) == self.k for mono in self.pairing):
             raise ModelError(f"{path}.pairing: no entry of top degree {self.k}")
 
@@ -168,14 +167,14 @@ def _sphere(weights, orientation, model_id):
         raise ModelError(f"weights ({a}, {b}) are not coprime: orbifold strata "
                          f"beyond the supported scope")
     n = len(weights) - 1
-    roots = {a: ChernRoot(curvature=(ExactScalar(0, CyclotomicNumber(4, {1: a})),),
+    roots = {a: ChernRoot(curvature=(CyclotomicNumber(4, {1: a}),),
                           weight=(0,)) for a in set(weights)}  # one per distinct speed
     identity = FixedComponentData(
         dim_odd=2 * n + 1, generators=("dA",) if n else (),
         tangential=[roots[a] for a in weights] if n else [], normal=[],
         mu=Fraction(1), reeb_weight=(1,),
-        pairing={(n,) if n else (): ExactScalar.pi_power(
-            n + 1, Fraction(orientation * 2 ** (n + 1), math.prod(weights)))},
+        pairing={(n,) if n else (): CyclotomicNumber.from_rational(
+            Fraction(orientation * 2 ** (n + 1), math.prod(weights)))},
     )
     components = {IDENTITY: [identity]}
     for j, a in enumerate(weights):
@@ -186,7 +185,7 @@ def _sphere(weights, orientation, model_id):
                 normal=[ChernRoot(curvature=(), weight=(-b,), eigenvalue_exponent=(-b * at) % 1)
                         for l, b in enumerate(weights) if l != j],
                 mu=Fraction(1), reeb_weight=(1,),
-                pairing={(): ExactScalar.pi_power(1, Fraction(2 * orientation, a))},
+                pairing={(): CyclotomicNumber.from_rational(Fraction(2 * orientation, a))},
             )]
     return ContactModel(rank=1, ambient_n=n, model_id=model_id,
                         components=components).validate()
@@ -229,7 +228,7 @@ def preset_prequantum_cpn(n, orientation=1):
             tangential=[],
             normal=[ChernRoot(curvature=(), weight=(l, -1)) for l in range(n + 1) if l != j],
             mu=Fraction(1), reeb_weight=(j, -1),
-            pairing={(): ExactScalar.pi_power(1, 2 * orientation)},
+            pairing={(): CyclotomicNumber.from_rational(2 * orientation)},
         )
         families.append(FiberFamily(sigma=j, component=comp))
     return ContactModel(rank=2, ambient_n=n, model_id=f"prequantum-cp{n}",
@@ -247,7 +246,7 @@ def scaled_model(model, lam):
     lam = Fraction(lam)
     if lam <= 0:
         raise ModelError("scaling factor must be positive")
-    inv = ExactScalar.from_rational(1 / lam)
+    inv = 1 / lam
 
     def scale_root(root):
         return replace(root, curvature=tuple(c * inv for c in root.curvature))
@@ -258,7 +257,7 @@ def scaled_model(model, lam):
             tangential=[scale_root(r) for r in comp.tangential],
             normal=[scale_root(r) for r in comp.normal],
             mu=comp.mu * lam, reeb_weight=comp.reeb_weight,
-            pairing={mono: value * ExactScalar.from_rational(lam ** (sum(mono) + 1))
+            pairing={mono: value * lam ** (sum(mono) + 1)
                      for mono, value in comp.pairing.items()},
         )
 
@@ -287,15 +286,19 @@ def _parse_fraction(text, path):
         raise ModelError(f"{path}: malformed rational {text!r} ({exc})") from None
 
 
-def _parse_scalar(text, path):
+def _parse_scalar(text, path, grade):
+    """The value of scalar text whose field has pi-grade `grade`; zero fits every grade."""
     if not isinstance(text, str):
         raise ModelError(f"{path}: expected a scalar string, got {text!r}")
     try:
-        return ExactScalar.from_text(text)
+        value, read = CyclotomicNumber.from_text(text)
     except ScalarError as exc:
         shown = repr(text) if len(text) <= 60 else \
             f"{text[:24]!r}...{text[-24:]!r} of {len(text)} characters"
         raise ModelError(f"{path}: malformed scalar {shown} ({exc})") from None
+    if value and read != grade:
+        raise ModelError(f"{path}: this field has pi-grade {grade}, got {read}")
+    return value
 
 
 def _get(doc, key, path):
@@ -333,7 +336,7 @@ def _ints(value, path):
 
 def _root_from_doc(doc, path):
     doc = _object(doc, path)
-    curv = tuple(_parse_scalar(c, f"{path}.curv[{i}]")
+    curv = tuple(_parse_scalar(c, f"{path}.curv[{i}]", 0)
                  for i, c in enumerate(_list(doc, "curv", f"{path}.")))
     weight = _ints(doc.get("weight", 0), f"{path}.weight")
     eig = _parse_fraction(doc.get("eig", "0/1"), f"{path}.eig") % 1
@@ -342,7 +345,7 @@ def _root_from_doc(doc, path):
 
 def _root_to_doc(root):
     return {
-        "curv": [c.to_text() for c in root.curvature],
+        "curv": [c.to_text(pi=0) for c in root.curvature],
         "weight": list(root.weight) if len(root.weight) > 1 else root.weight[0],
         "eig": str(Fraction(root.eigenvalue_exponent) % 1),
     }
@@ -358,8 +361,9 @@ def _component_from_doc(doc, rank, path):
     for i, p in enumerate(_list(doc, "pairing", f"{path}.")):
         where = f"{path}.pairing[{i}]"
         mono = _list(_object(p, where), "mono", f"{where}.", required=True)
-        pairing[_ints(mono, f"{where}.mono")] = _parse_scalar(_get(p, "value", f"{where}."),
-                                                              f"{where}.value")
+        mono = _ints(mono, f"{where}.mono")
+        pairing[mono] = _parse_scalar(_get(p, "value", f"{where}."), f"{where}.value",
+                                      sum(mono) + 1)
     gen_count = None
     for key, length in [(key, len(r.curvature)) for key, rs in roots.items() for r in rs] \
             + [("pairing", len(mono)) for mono in pairing]:
@@ -390,7 +394,7 @@ def _component_to_doc(comp, at=None):
         "moment": {"mu": str(comp.mu),
                    "reeb_weight": (list(comp.reeb_weight) if len(comp.reeb_weight) > 1
                                    else comp.reeb_weight[0])},
-        "pairing": [{"mono": list(mono), "value": value.to_text()}
+        "pairing": [{"mono": list(mono), "value": value.to_text(pi=sum(mono) + 1)}
                     for mono, value in sorted(comp.pairing.items())],
     })
     return doc

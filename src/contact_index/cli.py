@@ -114,9 +114,12 @@ def _preset_target(preset, n, weights):
         if not weights:
             raise ConfigError("--preset weighted-s3 needs --weights a,b")
         parts = [p.strip() for p in weights.split(",")]
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
-            raise ConfigError(f"--weights must be two integers 'a,b', got {weights!r}")
-        return preset, (int(parts[0]), int(parts[1]))
+        try:  # isdigit admits "²", and "--5" passes the lstrip: int refuses both
+            if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+                return preset, (int(parts[0]), int(parts[1]))
+        except ValueError:
+            pass
+        raise ConfigError(f"--weights must be two integers 'a,b', got {weights!r}")
     raise ConfigError(f"unknown preset {preset!r}")
 
 
@@ -193,9 +196,9 @@ def germ(preset, n, weights, model_path, at_text, out, digits):
     g = germ_at(model, at, calibration)
     doc = germ_to_document(g, at)
     for term in doc["terms"]:
-        term["approx"] = approx_display(g.terms[term["derivative_order"][0]], digits)
-    report = _report(model, calibration, at=f"{at.numerator}/{at.denominator}", germ=doc)
-    _emit(document_text(_stamp(report)), out)
+        term["approx"] = approx_display(g.terms[term["derivative_order"][0]], digits, pi=1)
+    point = f"{_int_text(at.numerator)}/{_int_text(at.denominator)}"
+    _emit(document_text(_stamp(_report(model, calibration, at=point, germ=doc))), out)
 
 
 @main.command()

@@ -1,7 +1,9 @@
 """Germs of delta distributions at a point of the circle, and their Fourier conversion.
 
 A germ is a finite combination sum_j c_j d0^(j)(phi) in the local angle
-variable phi, with exact scalar coefficients.  The localization builds its
+variable phi, with exact coefficients of pi-grade 1: each c_j is a
+`CyclotomicNumber` times pi, and the pi is left implicit until a writer
+(`germ_to_document`, the repr) puts it back.  The localization builds its
 germs in `forms.integrate_component`, in closed form; the one rewrite left
 here turns a germ at a root of unity into its Fourier coefficients, one
 integer table of a quasi-polynomial in the frequency, summed over Galois maps.
@@ -16,7 +18,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-from .scalars import ScalarError, _coerce, _trace_table
+from .scalars import _coerce, _int_text, _trace_table
 
 GERM_VAR = "phi"
 
@@ -66,8 +68,7 @@ class DeltaGerm:
         return self + (-other)
 
     def __mul__(self, scalar):
-        s = _coerce(scalar)
-        return DeltaGerm([c * s for c in self.terms])
+        return DeltaGerm([c * scalar for c in self.terms])
 
     __rmul__ = __mul__
 
@@ -88,7 +89,7 @@ class DeltaGerm:
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"({c})*d0^({j})[{GERM_VAR}]" if j else f"({c})*d0[{GERM_VAR}]"
+        return " + ".join(f"({c.to_text(pi=1)})*d0{f'^({j})' if j else ''}[{GERM_VAR}]"
                           for j, c in enumerate(self.terms) if not c.is_zero())
 
 
@@ -102,8 +103,8 @@ def fourier_contribution(germ, location, poisson_sign, maps=(1,)):
     A germ sum_j c_j d0^(j)(phi) sitting at zeta = e^{2 pi i p/q} contributes
     c_m = zeta^{-s m} (1/2pi) sum_j c_j (s i m)^j, s = +-1, here summed over the
     maps zeta_L -> zeta_L^t, a group of units mod L: (1,) for the point alone,
-    `_units_over_qi(L)` for its orbit's trace to Q(i).  Every term has pi-grade 1 (else
-    `ScalarError`), so c_m has grade 0: returns (q, level, den, columns), columns[e][j][r]
+    `_units_over_qi(L)` for its orbit's trace to Q(i).  Every term has pi-grade 1, so
+    c_m has grade 0: returns (q, level, den, columns), columns[e][j][r]
     / den the zeta_level^e part of the m^j coefficient at m = r mod q.  The germ is written
     once in integers at L = lcm(4, q, its coefficients' levels): 1/2pi is a factor 2 in den,
     (s i)^j the exponent shift s j L/4, zeta^{-s r p} the shift (-s r p mod q) L/q, and
@@ -111,11 +112,9 @@ def fourier_contribution(germ, location, poisson_sign, maps=(1,)):
     """
     if poisson_sign not in (1, -1):
         raise DeltaError("poisson sign must be +1 or -1")
-    if bad := sorted({c.pi for c in germ.terms if c and c.pi != 1}):
-        raise ScalarError(f"a germ has pi-grade 1, got pi-grade {bad[0]}")
     loc = Fraction(location) % 1
     q, p = loc.denominator, loc.numerator
-    terms = [(j, c.value) for j, c in enumerate(germ.terms) if c]
+    terms = [(j, c) for j, c in enumerate(germ.terms) if c]
     level = math.lcm(4, q, *(x.level for _, x in terms))
     den = math.lcm(*(x.den for _, x in terms))
     exponents = [(j, (e * (level // x.level) + poisson_sign * j * level // 4) % level,
@@ -144,10 +143,10 @@ def _trimmed_table(columns):
 def germ_to_document(germ, location):
     loc = Fraction(location) % 1
     return {
-        "location": f"e^{{2pi*i*{loc.numerator}/{loc.denominator}}}",
+        "location": f"e^{{2pi*i*{_int_text(loc.numerator)}/{_int_text(loc.denominator)}}}",
         "variables": [GERM_VAR],
         "terms": [
-            {"derivative_order": [j], "scalar": c.to_text()}
+            {"derivative_order": [j], "scalar": c.to_text(pi=1)}
             for j, c in enumerate(germ.terms) if not c.is_zero()
         ],
     }

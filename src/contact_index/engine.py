@@ -30,8 +30,8 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from operator import add, mul
 
-from .scalars import (CyclotomicNumber, ExactScalar, _fold, _integer, _make, _scalar_text,
-                      _units_over_qi, approx_display)
+from .scalars import (CyclotomicNumber, _fold, _integer, _make, _scalar_text, _units_over_qi,
+                      approx_display)
 from .deltas import DeltaGerm, _trimmed_table, fourier_contribution, germ_to_document
 from .forms import FormElement, dc_inverse, integrate_component, j_form, todd
 from .catalog import (IDENTITY, preset_circle, preset_hopf_sphere, preset_prequantum_cpn,
@@ -92,8 +92,9 @@ def build_preset(name, params, calibration=DEFAULT_CALIBRATION):
 
 
 def _scaled_pairing(pairing, k):
-    """The pairing table times (2 pi i)^-k = 2^-k i^-k pi^-k, one product per entry."""
-    scale = ExactScalar(-k, CyclotomicNumber.zeta(4, -k)) * Fraction(1, 2 ** k)
+    """The pairing table times (2 pi i)^-k = 2^-k i^-k pi^-k, one product per entry: the
+    values, of pi-grade k + 1, are multiplied by i^-k / 2^k, and the germ has grade 1."""
+    scale = CyclotomicNumber.zeta(4, -k) * Fraction(1, 2 ** k)
     return {exp: value * scale for exp, value in pairing.items()} if k else pairing
 
 
@@ -145,7 +146,7 @@ class QuasiPolynomial:
     reads rational parts (e = 0) in whole lists: per order by Horner across every m, or for
     degree d >= 2 past 2 (d + 1) q points by forward differences per residue (one
     `itertools.accumulate` per order below d), the sum divided by D once per m.  Equal ints
-    share one ExactScalar per call; a remainder or an irrational part uses `read`.
+    share one `CyclotomicNumber` per call; a remainder or an irrational part uses `read`.
     """
 
     def __init__(self, level, den, orders):
@@ -158,7 +159,7 @@ class QuasiPolynomial:
             for e, cols in columns.items():
                 sums[e] = sums.get(e, 0) + _horner([col[m % q] for col in cols], m)
         x = _make(self.level, self.den, {e: v for e, v in sums.items() if v}).demote()
-        return ExactScalar(0, x), (x.nums.get(0, 0) if x.is_rational() and x.den == 1 else None)
+        return x, (x.nums.get(0, 0) if x.is_rational() and x.den == 1 else None)
 
     def window(self, max_m):
         """(coefficients, integers) for |m| <= max_m, keys ascending (see the class)."""
@@ -267,7 +268,7 @@ class CharacterResult:
     model_id: str
     calibration: CalibrationConfig
     germs: dict            # torsion point -> DeltaGerm
-    coefficients: dict     # m -> ExactScalar
+    coefficients: dict     # m -> CyclotomicNumber, pi-grade 0
     quasi: QuasiPolynomial
     integers: dict         # m -> int, or None where the coefficient is not one
 
@@ -320,7 +321,7 @@ def _orbits(model, q, points):
             roots = [r for c in comps for r in c.tangential + c.normal]
             scalars = [s for r in roots for s in r.curvature] + \
                 [s for c in comps for s in c.pairing.values()]
-            if any(s and s.value.demote().level != 4 for s in scalars) or \
+            if any(s and s.demote().level != 4 for s in scalars) or \
                     any(q % Fraction(r.eigenvalue_exponent).denominator for r in roots) or \
                     any(model.components.get(at) != [
                         replace(c, tangential=conjugate(c.tangential, t),
@@ -341,14 +342,14 @@ def residual_factors(model, m, calibration=DEFAULT_CALIBRATION):
     Each fiber contributes the power m*sigma of the group variable divided by
     the product over its normal roots of (1 - x^e), where e is the root's
     covector paired with (1, sigma).  The contact-form normalization enters
-    through the orbit pairing divided by 2 pi and the moment constant.
+    through the orbit pairing divided by 2 pi and the moment constant: the
+    pairing value, of pi-grade 1, is halved and the pi cancels.
     """
     out = []
     s = calibration.poisson_sign
     for fam in model.fiber_families:
         comp = fam.component
-        amp = comp.pairing[()] * ExactScalar.pi_power(-1, Fraction(1, 2)) \
-            * ExactScalar.from_rational(1 / Fraction(comp.mu))
+        amp = comp.pairing[()] * (1 / (2 * Fraction(comp.mu)))
         if not amp.is_rational():
             raise EngineError("fiber amplitude must be rational")
         exponents = [w[0] + fam.sigma * w[1] for w in (r.weight for r in comp.normal)]

@@ -2,9 +2,10 @@
 
 A form element is one polynomial in nilpotent 2-form generators (the class
 of d-alpha plus any base curvature classes) and the local angle phi, with
-exact scalar coefficients.  It is truncated once, at total degree k (the component
-has dimension 2k+1): the pairing reads no term c g^e phi^p with |e| + p > k, and
-degrees add under products, so the cut is exact.  Smooth jets in phi are thus no
+`CyclotomicNumber` coefficients of pi-grade 0, as curvatures have.  It is
+truncated once, at total degree k (the component has dimension 2k+1): the
+pairing reads no term c g^e phi^p with |e| + p > k, and degrees add under
+products, so the cut is exact.  Smooth jets in phi are thus no
 separate type.
 
 The delta form of `j_form` is no form element: it is the list of its k + 1
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .scalars import ExactScalar, _coerce, _fold, _make
+from .scalars import CyclotomicNumber, _coerce, _fold, _integer, _make
 from .deltas import GERM_VAR, DeltaGerm
 
 
@@ -75,7 +76,7 @@ class FormElement:
     """Polynomial in the even generators and phi, truncated at total degree.
 
     `terms` maps (generator exponents..., phi exponent) to a nonzero
-    `ExactScalar`.  Terms whose exponents sum above `truncation` are dropped.
+    `CyclotomicNumber`.  Terms whose exponents sum above `truncation` are dropped.
     """
 
     __slots__ = ("generators", "truncation", "terms")
@@ -96,7 +97,7 @@ class FormElement:
     @staticmethod
     def one(generators, truncation):
         g = tuple(generators)
-        return FormElement(g, truncation, {(0,) * (len(g) + 1): ExactScalar.one()})
+        return FormElement(g, truncation, {(0,) * (len(g) + 1): _integer(1)})
 
     # -- structural helpers -----------------------------------------------
 
@@ -117,7 +118,7 @@ class FormElement:
         return FormElement(self.generators, self.truncation, out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
+        if isinstance(other, (int, Fraction, CyclotomicNumber)):
             return FormElement(self.generators, self.truncation,
                                {e: c * other for e, c in self.terms.items()})
         self._check(other)
@@ -211,7 +212,7 @@ def evaluate_series(coeffs, element):
 def root_value(root, generators, truncation):
     """Equivariant value of a Chern root: curvature + i w phi, w its circle weight."""
     n = len(generators)
-    terms = {(0,) * n + (1,): ExactScalar.i() * root.weight[0]}
+    terms = {(0,) * n + (1,): CyclotomicNumber.zeta(4, 1) * root.weight[0]}
     for i, c in zip(range(n), root.curvature):
         terms[tuple(int(j == i) for j in range(n + 1))] = _coerce(c)
     return FormElement(generators, truncation, terms)
@@ -261,7 +262,7 @@ def _root_product(roots, power_of, generators, truncation):
 
 def _normal_power(exponent, r, length):
     """The first `length` coefficients of (1 - lambda e^x)^-r, r any integer, as
-    `ExactScalar`s, for lambda = e^(2 pi i exponent) != 1 (see the module docstring)."""
+    `CyclotomicNumber`s, for lambda = e^(2 pi i exponent) != 1 (see the module docstring)."""
     a, q = Fraction(exponent).as_integer_ratio()
     if q == 1:
         raise FormError(_EIGENVALUE_ONE)
@@ -284,7 +285,7 @@ def _normal_power(exponent, r, length):
         raw = Counter()
         for j, c in terms:
             raw[level // q * (a * j % q)] += c
-        out.append(ExactScalar(0, _make(level, den, _fold(raw, level)).demote()))
+        out.append(_make(level, den, _fold(raw, level)).demote())
     return out
 
 
@@ -346,7 +347,7 @@ def integrate_component(smooth, delta, pairing):
     odd-dimensional component, so a smooth term c g^e phi^p of generator
     degree d meets delta term j = k - d alone, on the top monomial e + j dA.
     By the Leibniz rule phi^p d0^(j) = (-1)^p j!/(j-p)! d0^(j-p), zero for
-    p > j, it adds c c_j (-1)^p j!/(j-p)! to order j - p: one `ExactScalar`
+    p > j, it adds c c_j (-1)^p j!/(j-p)! to order j - p: one `CyclotomicNumber`
     scaled by one rational, c_j itself for p = 0.  A term of the form has
     d + p <= k, so p <= j always, and the terms the truncation dropped would
     all pair to zero.
@@ -365,7 +366,7 @@ def integrate_component(smooth, delta, pairing):
         orders[j - p] = orders[j - p] + term if j - p in orders else term
     total = DeltaGerm.zero()
     for exp, orders in top.items():
-        germ = DeltaGerm([orders.get(i, ExactScalar.zero()) for i in range(max(orders) + 1)])
+        germ = DeltaGerm([orders.get(i, 0) for i in range(max(orders) + 1)])
         if germ.is_zero():
             continue
         if exp not in pairing:

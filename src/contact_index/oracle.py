@@ -1,8 +1,7 @@
 """Brute-force ground truth the verification suite compares against.
 
 Everything here is deliberately independent of the localization engine: only
-integer and rational arithmetic (plus the exact-scalar type for the one
-volume integral), with direct enumeration wherever possible.  Where a value
+integer and rational arithmetic, with direct enumeration wherever possible.  Where a value
 admits two elementary routes, both are implemented and the test suite
 asserts their agreement.
 """
@@ -11,8 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .scalars import ExactScalar
 
 
 class OracleError(ValueError):
@@ -155,12 +152,13 @@ def ball_integral(n):
     -2 sum(dx dy), so the sphere integral of alpha (d alpha)^n equals
     (-2)^{n+1} (n+1)! vol(B^{2n+2}) with vol(B^{2n+2}) = pi^{n+1}/(n+1)!,
     i.e. (-2)^{n+1} pi^{n+1}: magnitude (2 pi)^{n+1}, sign from the standard
-    orientation of the ambient coordinates.
+    orientation of the ambient coordinates.  Returns the rational coefficient
+    (-2)^{n+1} of pi^{n+1}, the pi-grade of a top pairing value.
     """
     n = int(n)
     if n < 0:
         raise OracleError("n must be nonnegative")
-    return ExactScalar.pi_power(n + 1, Fraction((-2) ** (n + 1)))
+    return Fraction((-2) ** (n + 1))
 
 
 def circle_character(m):

@@ -1,4 +1,4 @@
-"""Exact scalars: a cyclotomic number times one integer power of pi.
+"""Exact scalars: cyclotomic numbers, each at the power of pi of its stage.
 
 Every number that appears in a germ or a character table is
 
@@ -12,17 +12,18 @@ except the display helpers.
 
 Every stage of the index formula carries one power of pi, its grade:
 curvatures 0, the pairing of a monomial J |J| + 1 (Stokes), germs 1 and
-characters 0, which the Fourier path relies on.  `ExactScalar` is (pi, value);
-zero has grade 0; adding nonzero scalars of two grades raises `ScalarError`.
+characters 0.  The grade is a constant of the stage, not of the value: every
+exact value is a `CyclotomicNumber` c alone, the model loader reads each grade
+(`from_text` returns it) and checks it against its field, and the writers give
+their stage's grade back (`to_text(pi)`, `approx_display(x, digits, pi)`).
 
 A cyclotomic number is stored as integer numerators over one denominator
 (see `CyclotomicNumber`), and every operation runs in Python integers.  The
 trusted constructors set the slots through their member descriptors: `_make`
-divides out the gcd, `_integer(n)` sets the level-4 value n / 1 without it, and
-`_scalar` builds each nonzero product, canonical already, past `ExactScalar`'s
-checks.  An `ExactScalar` times an int or a Fraction scales the numerators at
-the same level and only demotes (a rational multiple lies in the same
-subfields): no product, no fold.
+divides out the gcd and `_integer(n)` sets the level-4 value n / 1 without it.
+A value times an int or a Fraction scales the numerators at the same level and
+only demotes (a rational multiple lies in the same subfields): no product, no
+fold.  Adding zero returns the other operand as it is.
 
 Canonicalization keeps its tables per level, each built once and cached, and
 level 4 needs none:
@@ -56,7 +57,7 @@ level 4 needs none:
   Row e < L of the trace table of L and a group of maps t holds the sum of
   zeta^(e t) over the maps, at the smallest level holding every row (4 for
   the units t = 1 mod 4); row e t is row e, so one is folded per orbit.
-* `inverse` (public scalar division; the pipeline no longer calls it) demotes,
+* `inverse` (public scalar division; no pipeline path calls it) demotes,
   multiplies the other conjugates over Q(i) (the units t = 1 mod 4), so x times
   their product P is a norm N in Q(i), and divides once: x^-1 = P conj(N) / |N|^2.
 """
@@ -344,6 +345,12 @@ class CyclotomicNumber:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
+        if type(other) is not CyclotomicNumber:
+            other = _coerce(other)
+        if not other.nums:  # adding zero promotes, folds and demotes nothing
+            return self
+        if not self.nums:
+            return other
         gaussian = self.level == other.level == 4  # see the module docstring
         a, b = (self, other) if gaussian else CyclotomicNumber._common(self, other)
         den = math.lcm(a.den, b.den)
@@ -353,6 +360,8 @@ class CyclotomicNumber:
         x = _make(a.level, den, {e: c for e, c in out.items() if c})
         return x if gaussian else x.demote()
 
+    __radd__ = __add__
+
     def __neg__(self):
         return _make(self.level, self.den, {e: -c for e, c in self.nums.items()})
 
@@ -360,6 +369,14 @@ class CyclotomicNumber:
         return self + (-other)
 
     def __mul__(self, other):
+        if type(other) is not CyclotomicNumber:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:  # a rational scaling, see the module docstring
+                return _ZERO
+            y = _make(self.level, self.den * other.denominator,
+                      {e: c * other.numerator for e, c in self.nums.items()})
+            return y if self.level == 4 else y.demote()
         if self.level == other.level == 4:  # (a + b i)(c + d i), see the module docstring
             x, y = self.nums, other.nums
             a, b, c, d = x.get(0, 0), x.get(1, 0), y.get(0, 0), y.get(1, 0)
@@ -373,8 +390,13 @@ class CyclotomicNumber:
         # reduced operands keep e1 + e2 <= 2 phi - 2 < level
         return _make(a.level, a.den * b.den, _fold(raw, a.level)).demote()
 
+    __rmul__ = __mul__
+
     def inverse(self):
         """Multiplicative inverse through the norm down to Q(i), from the canonical level.
+
+        No pipeline path divides: this stays only as the public division that the
+        tests and the `TARGETS` table of `perfbench/tracing.py` reach.
 
         P, the product of the conjugates `galois(t)` over t = 1 mod 4, t != 1,
         makes N = self * P the norm to Q(i), so self^-1 = P * conj(N) / |N|^2.
@@ -401,6 +423,9 @@ class CyclotomicNumber:
     def is_zero(self):
         return not self.nums
 
+    def __bool__(self):
+        return bool(self.nums)
+
     def is_rational(self):
         d = self.demote()
         return d.level == 4 and d.nums.keys() <= {0}
@@ -410,6 +435,9 @@ class CyclotomicNumber:
         if not d.is_rational():
             raise ScalarError(f"not a rational number: {self!r}")
         return Fraction(d.nums.get(0, 0), d.den)
+
+    def is_integer(self):
+        return self.is_rational() and self.rational_value().denominator == 1
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -425,6 +453,40 @@ class CyclotomicNumber:
         return sum(c / self.den * cmath.exp(2j * cmath.pi * e / self.level)
                    for e, c in self.nums.items()) if self.nums else 0j
 
+    # -- text form ---------------------------------------------------
+
+    def to_text(self, pi=0):
+        """Canonical text of self * pi^pi, e.g. ``(2)*pi^-1 + (1/2*z12^3)*pi^-1``; zero is ``0``.
+
+        The grade is the writing stage's (see the module docstring)."""
+        c = self.demote()
+        return _scalar_text(pi, c.level, c.den, c.nums)
+
+    @staticmethod
+    def from_text(text):
+        """Parse the `to_text` form into (value, pi-grade), the grade None for ``0``: one
+        pi-grade, levels at most `MAX_TEXT_LEVEL`."""
+        text = text.strip()
+        total, grade = _ZERO, None
+        if text == "0":
+            return total, grade
+        for raw in text.split(" + "):
+            m = _TERM_RE.match(raw.strip())
+            if not m:
+                raise ScalarError(f"unparseable scalar term: {raw!r}")
+            try:
+                pik, rat = int(m.group("pik")), Fraction(m.group("rat"))
+                level, exp = int(m.group("lvl") or 4), int(m.group("exp") or 0)
+            except ValueError:  # the pattern admits only digits: past Python's digit limit
+                raise _digit_limit(max(map(len, re.findall(r"\d+", raw)))) from None
+            if grade not in (None, pik):
+                raise ScalarError(f"scalar mixes pi-grades {sorted((grade, pik))}")
+            grade = pik
+            if level > MAX_TEXT_LEVEL:
+                raise ScalarError(f"cyclotomic level {level} exceeds {MAX_TEXT_LEVEL}")
+            total = total + CyclotomicNumber.zeta(level, exp) * rat
+        return total, grade
+
     def __repr__(self):
         d = self.demote()
         if not d.nums:
@@ -433,200 +495,37 @@ class CyclotomicNumber:
         return " + ".join(parts)
 
 
-# The largest level `ExactScalar.from_text` accepts: a level's fold table and trace tables
+# The largest level `CyclotomicNumber.from_text` accepts: a level's fold table and trace tables
 # (units over Q(i); the map 1) cost up to its square to build (0.016, 0.007, 0.017 s at 1020;
 # 0.21, 0.05, 0.09 s at 4080, one 2-vCPU Xeon core); computed levels are not bounded.
 MAX_TEXT_LEVEL = 1024
 
+_TERM_RE = re.compile(r"^\((?P<rat>-?\d+(?:/0*[1-9]\d*)?)"  # no zero denominator
+                      r"(?:\*z(?P<lvl>\d+)\^(?P<exp>\d+))?\)\*pi\^(?P<pik>-?\d+)$")
 
-class ExactScalar:
-    """value * pi^pi: one cyclotomic number at one grade (see the module docstring)."""
-
-    __slots__ = ("pi", "value")
-
-    def __init__(self, pi, value):
-        if not isinstance(value, CyclotomicNumber):
-            value = CyclotomicNumber.from_rational(value)
-        if not value.nums:
-            pi, value = 0, _ZERO
-        _set_pi(self, int(pi))
-        _set_value(self, value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExactScalar is immutable")
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zero():
-        return ExactScalar(0, _ZERO)
-
-    @staticmethod
-    def one():
-        return ExactScalar(0, 1)
-
-    @staticmethod
-    def from_rational(q):
-        return ExactScalar(0, q)
-
-    @staticmethod
-    def i():
-        return ExactScalar(0, CyclotomicNumber.zeta(4, 1))
-
-    @staticmethod
-    def pi_power(k, coeff=1):
-        return ExactScalar(k, coeff)
-
-    @staticmethod
-    def root_of_unity(p, q):
-        return ExactScalar(0, CyclotomicNumber.root_of_unity(p, q))
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if not other.value.nums:
-            return self
-        if not self.value.nums:
-            return other
-        if self.pi != other.pi:
-            raise ScalarError(f"cannot add scalars of pi-grades {self.pi} and {other.pi}")
-        return ExactScalar(self.pi, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactScalar(self.pi, -self.value)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # see the module docstring
-            x, n = self.value, other.numerator
-            if not (n and x.nums):
-                return ExactScalar.zero()
-            y = _make(x.level, x.den * other.denominator, {e: c * n for e, c in x.nums.items()})
-            return _scalar(self.pi, y if x.level == 4 else y.demote())
-        other = _coerce(other)
-        if not (self.value.nums and other.value.nums):
-            return ExactScalar.zero()
-        return _scalar(self.pi + other.pi, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return ExactScalar(-self.pi, self.value.inverse())
-
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
-    def galois(self, t):
-        return ExactScalar(self.pi, self.value.galois(t))
-
-    # -- predicates ---------------------------------------------------
-
-    def is_zero(self):
-        return not self.value.nums
-
-    def __bool__(self):
-        return bool(self.value.nums)
-
-    def is_rational(self):
-        return self.pi == 0 and self.value.is_rational()
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ScalarError(f"not rational: {self}")
-        return self.value.rational_value()
-
-    def is_integer(self):
-        return self.is_rational() and self.rational_value().denominator == 1
-
-    def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.pi == other.pi and self.value == other.value
-
-    __hash__ = None
-
-    # -- text form ---------------------------------------------------
-
-    def to_text(self):
-        """Canonical text form, e.g. ``(2)*pi^-1 + (1/2*z12^3)*pi^-1``; zero is ``0``."""
-        c = self.value.demote()
-        return _scalar_text(self.pi, c.level, c.den, c.nums)
-
-    _TERM_RE = re.compile(r"^\((?P<rat>-?\d+(?:/0*[1-9]\d*)?)"  # no zero denominator
-                          r"(?:\*z(?P<lvl>\d+)\^(?P<exp>\d+))?\)\*pi\^(?P<pik>-?\d+)$")
-
-    @staticmethod
-    def from_text(text):
-        """Parse the `to_text` form: one pi-grade, levels at most `MAX_TEXT_LEVEL`."""
-        text = text.strip()
-        if text == "0":
-            return ExactScalar.zero()
-        total, grades = ExactScalar.zero(), set()
-        for raw in text.split(" + "):
-            m = ExactScalar._TERM_RE.match(raw.strip())
-            if not m:
-                raise ScalarError(f"unparseable scalar term: {raw!r}")
-            try:
-                pik, rat = int(m.group("pik")), Fraction(m.group("rat"))
-                level, exp = int(m.group("lvl") or 4), int(m.group("exp") or 0)
-            except ValueError:  # the pattern admits only digits: past Python's digit limit
-                raise _digit_limit(max(map(len, re.findall(r"\d+", raw)))) from None
-            grades.add(pik)
-            if len(grades) > 1:
-                raise ScalarError(f"scalar mixes pi-grades {sorted(grades)}")
-            if level > MAX_TEXT_LEVEL:
-                raise ScalarError(f"cyclotomic level {level} exceeds {MAX_TEXT_LEVEL}")
-            cyc = CyclotomicNumber.zeta(level, exp) * CyclotomicNumber.from_rational(rat)
-            total = total + ExactScalar(pik, cyc)
-        return total
-
-    def complex_value(self):
-        return self.value.complex_value() * math.pi ** self.pi
-
-    def __repr__(self):
-        return self.to_text()
-
-
-_set_level, _set_den, _set_nums, _set_pi, _set_value = (
-    vars(cls)[s].__set__ for cls in (CyclotomicNumber, ExactScalar) for s in cls.__slots__)
+_set_level, _set_den, _set_nums = (vars(CyclotomicNumber)[s].__set__
+                                   for s in CyclotomicNumber.__slots__)
 _ZERO = _make(4, 1, {})
 
 
-def _scalar(pi, value):
-    """value * pi^pi, trusted: an int grade and a canonical value, nonzero or at grade 0."""
-    x = object.__new__(ExactScalar)
-    _set_pi(x, pi)
-    _set_value(x, value)
+def _integer(n):
+    """The int n at level 4, trusted: its slots set directly (see the module docstring)."""
+    if not n:
+        return _ZERO
+    x = object.__new__(CyclotomicNumber)
+    _set_level(x, 4)
+    _set_den(x, 1)
+    _set_nums(x, {0: n})
     return x
 
 
-def _integer(n):
-    """The int n as an `ExactScalar`, trusted: its slots set directly (see the module docstring)."""
-    value = _ZERO
-    if n:
-        value = object.__new__(CyclotomicNumber)
-        _set_level(value, 4)
-        _set_den(value, 1)
-        _set_nums(value, {0: n})
-    return _scalar(0, value)
-
-
 def _coerce(x):
-    if isinstance(x, ExactScalar):
+    """x as a `CyclotomicNumber`: an int or a `Fraction` at level 4."""
+    if isinstance(x, CyclotomicNumber):
         return x
-    if isinstance(x, (int, Fraction, CyclotomicNumber)):
-        return ExactScalar(0, x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
+    if isinstance(x, (int, Fraction)):
+        return CyclotomicNumber.from_rational(x)
+    raise TypeError(f"cannot coerce {type(x).__name__} to CyclotomicNumber")
 
 
 def _scalar_text(pi, level, den, nums):
@@ -662,19 +561,20 @@ def _int_text(n):
         raise _digit_limit(_digits(n)) from None
 
 
-def approx_display(a, digits=4):
-    """Report-only decimals: no imaginary part if exactly real, real part 0 if exactly imaginary.
+def approx_display(x, digits=4, pi=0):
+    """Report-only decimals of x pi^pi: no imaginary part if exactly real, real part 0 if
+    exactly imaginary.
 
     The digits are those of a double, so past about 15 they show float noise:
     the CLI bounds `--digits` to 0..15.  Past double range see `_e_display`.
     """
-    x = a.value
     try:
-        z = a.complex_value() if a.pi or x.nums.keys() - {0} else complex(x.nums.get(0, 0) / x.den)
+        z = x.complex_value() * math.pi ** pi if pi or x.nums.keys() - {0} else \
+            complex(x.nums.get(0, 0) / x.den)
     except OverflowError:
         z = complex(math.inf)
     if not cmath.isfinite(z):
-        return _e_display(a, digits)
+        return _e_display(x, digits, pi)
     # a part that rounds to zero prints 0, not -0 (-0.0 + 0.0 is 0.0); trailing zeros are
     # stripped after a decimal point only: 10 stays 10 at 0 digits
     re_s, im_s = (s.rstrip("0").rstrip(".") if digits else s for s in (
@@ -685,10 +585,10 @@ def approx_display(a, digits=4):
     return f"{re_s}{'' if im_s[0] == '-' else '+'}{im_s}i"
 
 
-def _e_display(a, digits):
+def _e_display(x, digits, pi):
     """`approx_display` in e notation (``1e+400``) from the exact parts 2 Re = x + conj x and
-    2i Im = x - conj x of a = x pi^k, their numerators divided by 10^t before any float."""
-    x, p = a.value, a.pi * math.log10(math.pi)  # pi^k = 10^p
+    2i Im = x - conj x of x pi^k, their numerators divided by 10^t before any float."""
+    p = pi * math.log10(math.pi)  # pi^k = 10^p
     texts = []
     for y, trig in ((x + x.galois(-1), math.cos), (x - x.galois(-1), math.sin)):
         t = _digits(max(map(abs, y.nums.values()), default=0)) - _digits(y.den) + math.floor(p)

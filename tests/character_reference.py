@@ -7,14 +7,15 @@ alone, the tables summed into the quasi-polynomial, and each coefficient
 read off it.
 `quasi_equal` compares two quasi-polynomials as functions of m.
 
-`fourier_table` is the Fourier conversion in ExactScalars, one cyclotomic
-product per residue and coefficient, that `fourier_contribution` must
-reproduce in integers.  `components` turns a table of grade-0 ExactScalar
+`fourier_table` is the Fourier conversion in `CyclotomicNumber`s, one
+cyclotomic product per residue and coefficient, that `fourier_contribution`
+must reproduce in integers.  `components` turns a table of cyclotomic
 polynomials into the integer table that `fit_quasi_polynomial` sums, one
 coefficient at a time.  `ScalarFit` is the route that `fit_quasi_polynomial` must
-reproduce in integers: ExactScalar tables summed per residue mod each order
+reproduce in integers: cyclotomic tables summed per residue mod each order
 and then per residue mod the period, and each value found by Horner's rule
-in ExactScalars.
+in `CyclotomicNumber`s.  Germs have pi-grade 1 and the 1/2pi of the Fourier
+conversion cancels the pi, so every table here has grade 0.
 """
 
 import math
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from contact_index.deltas import _poly_add, fourier_contribution
 from contact_index.engine import DEFAULT_CALIBRATION, fit_quasi_polynomial, germ_at
-from contact_index.scalars import ExactScalar
+from contact_index.scalars import CyclotomicNumber
 
 
 def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
@@ -40,24 +41,24 @@ def character_reference(model, max_m, calibration=DEFAULT_CALIBRATION):
 
 
 def fourier_table(germ, at, s):
-    """(q, residue -> ExactScalar coefficients) of the germ at the point `at` alone:
+    """(q, residue -> cyclotomic coefficients) of the germ at the point `at` alone:
     zeta^{-s r p} (1/2pi) sum_j c_j (s i)^j m^j, by cyclotomic products."""
     loc = Fraction(at) % 1
-    poly, weight = [], ExactScalar.pi_power(-1, Fraction(1, 2))
-    for c in germ.terms:  # weight runs through (1/2pi) (s i)^j
+    poly, weight = [], CyclotomicNumber.from_rational(Fraction(1, 2))
+    for c in germ.terms:  # weight runs through (1/2pi) (s i)^j, its pi^-1 cancelling c's pi
         poly.append(weight * c)
-        weight = weight * (ExactScalar.i() * s)
-    return loc.denominator, {r: [ExactScalar.root_of_unity(-s * r * loc.numerator,
-                                                           loc.denominator) * c for c in poly]
+        weight = weight * (CyclotomicNumber.zeta(4, 1) * s)
+    return loc.denominator, {r: [CyclotomicNumber.root_of_unity(-s * r * loc.numerator,
+                                                                loc.denominator) * c
+                                 for c in poly]
                              for r in range(loc.denominator)}
 
 
 def components(q, table):
-    """The integer table (q, level, den, columns) of residue -> ascending ExactScalar
-    coefficients of pi-grade 0, each coefficient promoted to the lcm level and scaled to
-    the lcm denominator on its own; columns[e][j][r] is its zeta_level^e numerator."""
-    coefficients = [(r, j, c.value) for r in range(q) for j, c in enumerate(table[r]) if c]
-    assert all(table[r][j].pi == 0 for r, j, _ in coefficients), "a grade other than 0"
+    """The integer table (q, level, den, columns) of residue -> ascending cyclotomic
+    coefficients, each coefficient promoted to the lcm level and scaled to the lcm
+    denominator on its own; columns[e][j][r] is its zeta_level^e numerator."""
+    coefficients = [(r, j, c) for r in range(q) for j, c in enumerate(table[r]) if c]
     level = math.lcm(4, *(x.level for _, _, x in coefficients))
     den = math.lcm(*(x.den for _, _, x in coefficients))
     width, columns = max((j + 1 for _, j, _ in coefficients), default=0), {}
@@ -81,7 +82,7 @@ def quasi_equal(a, b):
 
 
 class ScalarFit:
-    """The quasi-polynomial of Fourier tables, summed in ExactScalars."""
+    """The quasi-polynomial of Fourier tables, summed in `CyclotomicNumber`s."""
 
     def __init__(self, contributions):
         by_order = {}
@@ -104,7 +105,7 @@ class ScalarFit:
                           for r in range(self.period)]}
 
     def evaluate(self, m):
-        acc = ExactScalar.zero()
+        acc = CyclotomicNumber.from_rational(0)
         for c in reversed(self.polys[m % self.period]):
             acc = acc * m + c
         return acc

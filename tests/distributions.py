@@ -15,14 +15,16 @@ import re
 from fractions import Fraction
 
 from contact_index.deltas import GERM_VAR, DeltaError, DeltaGerm
-from contact_index.scalars import ExactScalar, _coerce
+from contact_index.scalars import CyclotomicNumber, _coerce
+
+ZERO = CyclotomicNumber.from_rational(0)
 
 
 def delta(order=0, coeff=1):
     """coeff * d0^(order); a negative order raises `DeltaError`."""
     if order < 0:
         raise DeltaError(f"a derivative order must be nonnegative, got {order}")
-    return DeltaGerm([ExactScalar.zero()] * order + [_coerce(coeff)])
+    return DeltaGerm([0] * order + [coeff])
 
 
 def scale_variable(germ, a):
@@ -46,7 +48,7 @@ def multiply_smooth(germ, jet):
     allowed).  phi^k d0^(j) = 0 when k > j, else (-1)^k j!/(j-k)! d0^(j-k);
     extended bilinearly over jet and germ terms.
     """
-    out = [ExactScalar.zero()] * len(germ.terms)
+    out = [0] * len(germ.terms)
     for k, jc in enumerate(jet[:len(germ.terms)]):
         for j in range(k, len(germ.terms)):
             out[j - k] = out[j - k] + jc * germ.terms[j] * ((-1) ** k * math.perm(j, k))
@@ -73,7 +75,7 @@ def reference_integral(terms, component):
     top = {}
     for e, powers in jets.items():
         j = k - sum(e)
-        jet = [powers.get(p, ExactScalar.zero()) for p in range(max(powers) + 1)]
+        jet = [powers.get(p, 0) for p in range(max(powers) + 1)]
         term = scale_variable(delta(j, Fraction(1, math.factorial(j))), a)
         mono = (e[0] + j, *e[1:]) if e else ()
         top[mono] = top.get(mono, DeltaGerm.zero()) + multiply_smooth(term, jet)
@@ -91,8 +93,8 @@ def pair_with_trig(germ, trig):
     for the Fourier conversion: for germs at the identity the pairing must
     equal 2 pi sum_m c_m a_{-m}.
     """
-    total = ExactScalar.zero()
-    i = ExactScalar.i()
+    total = ZERO
+    i = CyclotomicNumber.zeta(4, 1)
     for j, c in enumerate(germ.terms):
         for m, a in trig.items():
             val = _coerce(a)
@@ -106,7 +108,7 @@ def pair_with_trig(germ, trig):
 
 def derivative(germ):
     """d/dphi applied once: d0^(j) becomes d0^(j+1)."""
-    return DeltaGerm([ExactScalar.zero()] + germ.terms)
+    return DeltaGerm([0] + germ.terms)
 
 
 class HalfDeltaGerm:
@@ -157,24 +159,26 @@ class HalfDeltaGerm:
             factor = a ** (-(j + 1)) if a > 0 else -((-a) ** (-(j + 1)))
             new_sign = sign if a > 0 else -sign
             key = (new_sign, j)
-            add = c * ExactScalar.from_rational(factor)
+            add = c * factor
             out[key] = out[key] + add if key in out else add
         return HalfDeltaGerm(out)
 
     def multiply_by_x(self):
         """(smooth constant, remaining germ) after one multiplication by x.
 
-        Uses x d+- = +-i/(2pi) and x d+-^(j) = -j d+-^(j-1) for j >= 1.
+        Uses x d+- = +-i/(2pi) and x d+-^(j) = -j d+-^(j-1) for j >= 1.  The constant
+        is a coefficient of pi^-1 times the germ's grade: the pi is left implicit, as
+        the library leaves every grade to its stage.
         """
-        const = ExactScalar.zero()
+        const = ZERO
         out = {}
-        i_over_2pi = ExactScalar.i() * ExactScalar.pi_power(-1, Fraction(1, 2))
+        i_over_2pi = CyclotomicNumber.zeta(4, 1) * Fraction(1, 2)
         for (sign, j), c in self.terms.items():
             if j == 0:
                 const = const + c * i_over_2pi * sign
             else:
                 key = (sign, j - 1)
-                add = c * ExactScalar.from_rational(-j)
+                add = c * -j
                 out[key] = out[key] + add if key in out else add
         return const, HalfDeltaGerm(out)
 
@@ -183,8 +187,8 @@ class HalfDeltaGerm:
         top = max((j for (_, j) in self.terms), default=-1)
         out = []
         for j in range(top + 1):
-            cp = self.terms.get((1, j), ExactScalar.zero())
-            cm = self.terms.get((-1, j), ExactScalar.zero())
+            cp = self.terms.get((1, j), ZERO)
+            cm = self.terms.get((-1, j), ZERO)
             if not (cp - cm).is_zero():
                 raise DeltaError(
                     f"boundary germ at order {j} is unbalanced; cannot reduce to d0 form")
@@ -194,7 +198,7 @@ class HalfDeltaGerm:
     def __eq__(self, other):
         if not isinstance(other, HalfDeltaGerm):
             return NotImplemented
-        diff = self + (other * ExactScalar.from_rational(-1))
+        diff = self + (other * -1)
         return not diff.terms
 
     __hash__ = None
@@ -236,6 +240,6 @@ def germ_from_document(doc):
                              f"j >= 0, got {order!r}")
         if order[0] in terms:
             raise DeltaError(f"{path}derivative_order: repeated order {order[0]}")
-        terms[order[0]] = ExactScalar.from_text(_field(t, "scalar", path))
-    dense = [terms.get(j, ExactScalar.zero()) for j in range(max(terms, default=-1) + 1)]
+        terms[order[0]] = CyclotomicNumber.from_text(_field(t, "scalar", path))[0]
+    dense = [terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]
     return DeltaGerm(dense), location % 1

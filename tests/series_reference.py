@@ -3,7 +3,7 @@
 The library writes (1 - lambda e^x)^-r in closed form (`forms._normal_power`,
 Bernoulli polynomials summed against the powers of lambda).  This module keeps
 the long way round as the reference it is checked against: the Taylor series
-of 1 - lambda e^x over `ExactScalar`, raised to the power -r by Miller's
+of 1 - lambda e^x over `CyclotomicNumber`, raised to the power -r by Miller's
 recurrence, which divides by its constant term 1 - lambda through
 `CyclotomicNumber.inverse`.
 """
@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from contact_index.forms import _EIGENVALUE_ONE, FormError
-from contact_index.scalars import CyclotomicNumber, ExactScalar, _coerce
+from contact_index.scalars import CyclotomicNumber, _coerce
 
 
 def eigenvalue(exponent):
@@ -22,24 +22,24 @@ def eigenvalue(exponent):
 
 
 def normal_determinant(eigenvalue, length):
-    """Taylor coefficients of 1 - lambda e^t for lambda != 1, as `ExactScalar`s."""
+    """Taylor coefficients of 1 - lambda e^t for lambda != 1, as `CyclotomicNumber`s."""
     lam = _coerce(eigenvalue)
-    head = ExactScalar.one() - lam
+    head = CyclotomicNumber.from_rational(1) - lam
     if head.is_zero():
         raise FormError(_EIGENVALUE_ONE)
     return [head] + [-(lam * Fraction(1, math.factorial(n))) for n in range(1, length)]
 
 
 def series_power(coeffs, r):
-    """The r-th power, r any integer, of a series of `ExactScalar`s with invertible f_0.
+    """The r-th power, r any integer, of a series of `CyclotomicNumber`s with invertible f_0.
 
     J.C.P. Miller's recurrence: g_0 = f_0^r and, skipping zero terms,
     g_n = (1 / (n f_0)) sum_{k=1..n} ((r+1) k - n) f_k g_{n-k},
     truncated at the length of the input; r = -1 is the inverse.
     """
-    f0, inv0 = coeffs[0], 1 / coeffs[0]
+    f0, inv0 = coeffs[0], coeffs[0].inverse()
     base = f0 if r > 0 else inv0
-    g0 = base if r else ExactScalar.one()
+    g0 = base if r else CyclotomicNumber.from_rational(1)
     for _ in range(abs(r) - 1):
         g0 = g0 * base
     out = [g0]

@@ -20,11 +20,11 @@ from contact_index.engine import (CalibrationConfig, assemble_character,
                                   build_preset, calibrate_conventions,
                                   corollary_expand, dh_fourier, germ_at)
 from contact_index.forms import FormElement, integrate_component, j_form
-from contact_index.scalars import ExactScalar
+from contact_index.scalars import CyclotomicNumber
 from distributions import HalfDeltaGerm, delta, derivative, multiply_smooth, scale_variable
 
-TWO_PI = ExactScalar.pi_power(1, 2)
-I = ExactScalar.i()
+TWO = CyclotomicNumber.from_rational(2)  # 2 pi at pi-grade 1, its pi left implicit
+I = CyclotomicNumber.zeta(4, 1)
 
 RANK1_PRESETS = [
     ("circle", ()),
@@ -117,9 +117,9 @@ def test_criterion_6_double_expansion():
 def test_criterion_7_distribution_identity_suite():
     rng = random.Random(20260809)
     cases = 0
-    x = [ExactScalar.zero(), ExactScalar.one()]  # the jet of phi
+    x = [CyclotomicNumber.from_rational(0), CyclotomicNumber.from_rational(1)]  # the jet of phi
     for _ in range(150):
-        coeff = ExactScalar.from_rational(
+        coeff = CyclotomicNumber.from_rational(
             Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
         order = rng.randint(0, 6)
         germ = delta(order, coeff)
@@ -130,7 +130,7 @@ def test_criterion_7_distribution_identity_suite():
         # (d2) delta-level identities
         assert multiply_smooth(delta(0, coeff), x).is_zero()
         assert multiply_smooth(delta(1, coeff), x) == \
-            delta(0, coeff * ExactScalar.from_rational(-1))
+            delta(0, coeff * CyclotomicNumber.from_rational(-1))
         cases += 2
         # (d1) boundary rewrite agrees with the direct delta
         combo = HalfDeltaGerm.half(1, order, coeff) + HalfDeltaGerm.half(-1, order, coeff)
@@ -147,13 +147,13 @@ def test_criterion_7_distribution_identity_suite():
         const, rest = combo.multiply_by_x()
         assert const.is_zero()
         expected = delta(order - 1,
-                                   coeff * ExactScalar.from_rational(-order)) \
+                                   coeff * CyclotomicNumber.from_rational(-order)) \
             if order else DeltaGerm.zero()
         assert rest.reduce() == expected
         cases += 1
         # scale_variable homogeneity against the derivative route
         assert scale_variable(derivative(germ), a) == \
-            derivative(scale_variable(germ, a)) * ExactScalar.from_rational(1 / a)
+            derivative(scale_variable(germ, a)) * CyclotomicNumber.from_rational(1 / a)
         cases += 1
     assert cases >= 1000
     _report(7, f"distribution identity suite: {cases} randomized exact checks")
@@ -185,9 +185,9 @@ def test_criterion_10_volume_transform():
     (comp,) = hopf.components[Fraction(0, 1)]
     one = FormElement.one(comp.generators, comp.k)
     direct = integrate_component(one, j_form(comp, jet_order=comp.k), comp.pairing)
-    direct = direct * (TWO_PI * I).inverse()
+    direct = direct * (TWO * I).inverse()
     assert got == direct
-    assert got == delta(1, TWO_PI * I)
+    assert got == delta(1, TWO * I)
     for lam in (2, 3, 5):
         assert dh_fourier(scaled_model(hopf, lam)) == got
     _report(10, "volume transform drops the Todd factor and is scaling-invariant")

@@ -12,7 +12,7 @@ from contact_index.catalog import (IDENTITY, ContactModel, ModelError, dump_mode
                                    preset_hopf_sphere, preset_prequantum_cpn,
                                    preset_weighted_s3, scaled_model)
 from contact_index.engine import corollary_expand
-from contact_index.scalars import ExactScalar
+from contact_index.scalars import CyclotomicNumber
 
 
 class TestCirclePreset:
@@ -71,7 +71,7 @@ class TestWeightedPreset:
         assert comp.k + len(comp.normal) == m.ambient_n
         (root,) = comp.normal
         assert Fraction(root.eigenvalue_exponent) % 1 == Fraction(1, 2)
-        assert comp.pairing[()] == ExactScalar.pi_power(1, 1)  # 2 pi / 2
+        assert comp.pairing[()] == CyclotomicNumber.from_rational(1)  # 2 pi / 2
 
     def test_dimension_bookkeeping_at_every_point(self):
         for a, b in ((1, 2), (2, 3), (3, 4)):
@@ -110,8 +110,8 @@ class TestScaling:
         (orig,) = m.components[IDENTITY]
         (comp,) = s.components[IDENTITY]
         assert comp.mu == 3
-        assert comp.pairing[(1,)] == orig.pairing[(1,)] * ExactScalar.from_rational(9)
-        third = ExactScalar.from_rational(Fraction(1, 3))
+        assert comp.pairing[(1,)] == orig.pairing[(1,)] * 9
+        third = CyclotomicNumber.from_rational(Fraction(1, 3))
         assert comp.tangential[0].curvature[0] == orig.tangential[0].curvature[0] * third
 
     def test_nonpositive_factor_rejected(self):
@@ -138,7 +138,7 @@ class TestDocuments:
         assert path.read_text() == first
 
     def test_hand_written_five_sphere_equals_preset(self):
-        i_text = ExactScalar.i().to_text()
+        i_text = CyclotomicNumber.zeta(4, 1).to_text()
         doc = {
             "rank": 1, "ambient_n": 2, "model_id": "hopf-2",
             "components": [{
@@ -302,15 +302,15 @@ class TestDocumentShape:
         with pytest.raises(ModelError, match=field):
             model_from_document(doc)
 
-    # the grade rule: curvatures have pi-grade 0, the pairing of a monomial J
-    # grade |J| + 1; scalar text that does not parse names its field too
+    # the grade rule, checked as each scalar is parsed: curvatures have pi-grade 0,
+    # the pairing of a monomial J grade |J| + 1; text that does not parse names its
+    # field too
     @pytest.mark.parametrize("edit,field", [
         (_set(["components", 0, "tangential_roots", 0, "curv", 0], "(1)*pi^1"),
-         r"^components\[0\]\[0\]\.tangential_roots\[0\]\.curv\[0\]: a curvature has "
-         r"pi-grade 0, got 1"),
+         r"^components\[0\]\.tangential_roots\[0\]\.curv\[0\]: this field has "
+         r"pi-grade 0, got 1$"),
         (_set(["components", 0, "pairing", 0, "value"], "(4)*pi^3"),
-         r"^components\[0\]\[0\]\.pairing: the value for \(1,\) has pi-grade 2 "
-         r"\(\|mono\| \+ 1\), got 3"),
+         r"^components\[0\]\.pairing\[0\]\.value: this field has pi-grade 2, got 3$"),
         (_set(["components", 0, "pairing", 0, "value"], "(1)*pi^1 + (1)*pi^2"),
          r"^components\[0\]\.pairing\[0\]\.value: malformed scalar .*mixes pi-grades \[1, 2\]"),
         (_set(["components", 0, "tangential_roots", 0, "curv", 0], "(1/0)*pi^0"),
@@ -359,14 +359,26 @@ class TestDocumentShape:
         doc["components"][0]["pairing"].append({"mono": [0], "value": "0"})
         model_from_document(doc)
 
+    def test_a_pairing_below_the_top_degree_has_its_own_grade(self):
+        doc = model_to_document(preset_hopf_sphere(1))
+        doc["components"][0]["pairing"].append({"mono": [0], "value": "(0)*pi^7"})
+        assert model_from_document(doc).components[IDENTITY][0].pairing[(0,)] == 0
+        doc["components"][0]["pairing"][-1]["value"] = "(3)*pi^1"
+        assert model_from_document(doc).components[IDENTITY][0].pairing[(0,)] == 3
+        doc["components"][0]["pairing"][-1]["value"] = "(3)*pi^2"
+        with pytest.raises(ModelError, match=r"^components\[0\]\.pairing\[1\]\.value: this "
+                                             r"field has pi-grade 1, got 2$"):
+            model_from_document(doc)
+
     def test_readme_example_loads_and_reserializes_canonically(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme[readme.index("## Model documents"):]
         start = section.index("```json\n") + len("```json\n")
         (tmp_path / "readme.json").write_text(section[start:section.index("```", start)])
         model = load_model(tmp_path / "readme.json")
-        assert model.components[IDENTITY][0].pairing[(1,)].pi == 2
+        assert model.components[IDENTITY][0].pairing[(1,)] == 4  # 4 pi^2, at grade 2
         dump_model(model, tmp_path / "first.json")
+        assert '"value": "(4)*pi^2"' in (tmp_path / "first.json").read_text()
         dump_model(load_model(tmp_path / "first.json"), tmp_path / "second.json")
         assert (tmp_path / "second.json").read_text() == (tmp_path / "first.json").read_text()
 

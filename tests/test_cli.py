@@ -13,7 +13,7 @@ from contact_index.cli import main
 from contact_index.catalog import ModelError, dump_model, model_to_document, preset_weighted_s3
 from contact_index.deltas import DeltaError
 from contact_index.engine import build_preset
-from contact_index.scalars import ExactScalar, ScalarError, approx_display
+from contact_index.scalars import CyclotomicNumber, ScalarError, approx_display
 from distributions import germ_from_document
 
 
@@ -150,6 +150,18 @@ class TestGermCommand:
         assert len(terms) == 1
         assert terms[0]["scalar"] == "(1/2)*pi^1"
 
+    def test_a_point_past_the_text_digit_limit_exits_two(self, runner, calibrated):
+        # 1e-5000 parses exactly, off the support: the germ is zero, and writing the
+        # point's denominator, 10^5000, is past Python's int-to-text digit limit
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer text has no digit limit here")
+        result = runner.invoke(main, ["germ", "--preset", "weighted-s3", "--weights", "5,7",
+                                      "--at", "1e-5000"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: an integer of 5001 digits is past the limit of "
+                                 f"{limit} digits for integer text\n")
+
     def test_every_term_carries_its_approximation(self, runner, calibrated):
         result = runner.invoke(main, ["germ", "--preset", "hopf", "--n", "3", "--at", "0/1",
                                       "--digits", "6"])
@@ -157,8 +169,9 @@ class TestGermCommand:
         terms = json.loads(result.output)["germ"]["terms"]
         assert len(terms) == 4
         for term in terms:
-            value = ExactScalar.from_text(term["scalar"])
-            assert term["approx"] == approx_display(value, 6)
+            value, grade = CyclotomicNumber.from_text(term["scalar"])
+            assert grade == 1
+            assert term["approx"] == approx_display(value, 6, pi=grade)
 
     def test_has_no_format_option(self, runner, calibrated):
         result = runner.invoke(main, ["germ", "--preset", "circle", "--at", "0/1",
@@ -363,6 +376,15 @@ class TestCharacterCommand:
                                       "--weights", "2;3"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("weights", ["--5,7", "\u00b2,3", "5,\u00b9"])
+    def test_weights_that_pass_isdigit_but_not_int_are_a_config_error(self, runner, calibrated,
+                                                                       weights):
+        # "²".isdigit() holds and "--5" passes lstrip("-"), but int refuses both
+        result = runner.invoke(main, ["character", "--preset", "weighted-s3",
+                                      f"--weights={weights}"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: --weights must be two integers 'a,b', got {weights!r}\n"
+
     def test_negative_digits_is_a_config_error(self, runner, calibrated):
         result = runner.invoke(main, ["character", "--preset", "circle",
                                       "--max-m", "3", "--digits", "-1"])
@@ -558,9 +580,13 @@ class TestErrorBoundary:
         ("calibrate", ["character", "--preset", "circle", "--model", "model.json"]),
         ("calibrate", ["verify"]),
         ("calibrate", ["character", "--preset", "weighted-s3", "--weights", "2,4"]),
+        ("calibrate", ["character", "--preset", "weighted-s3", "--weights=--5,7"]),
+        ("calibrate", ["character", "--preset", "weighted-s3", "--weights=\u00b2,3"]),
+        ("calibrate", ["germ", "--preset", "circle", "--at", "1e-5000"]),
     ], ids=["missing-calibration", "unreadable-calibration", "at-zero-denominator",
             "one-weight", "hopf-without-n", "preset-and-model", "verify-without-target",
-            "weights-not-coprime"])
+            "weights-not-coprime", "weights-double-minus", "weights-superscript-two",
+            "at-past-the-digit-limit"])
     def test_input_errors_exit_two_with_one_prefix(self, runner, tmp_path, monkeypatch,
                                                    calibration, args):
         monkeypatch.chdir(tmp_path)
@@ -577,8 +603,8 @@ class TestErrorBoundary:
         ("curv", "(1/0)*pi^0", "components[0].tangential_roots[0].curv[0]: malformed scalar"),
         ("curv", "(1*z0^1)*pi^0", "components[0].tangential_roots[0].curv[0]: malformed scalar"),
         ("curv", "(1)*pi^1",
-         "components[0][0].tangential_roots[0].curv[0]: a curvature has pi-grade 0, got 1"),
-        ("pairing", "(4)*pi^1", "components[0][0].pairing: the value for (1,) has pi-grade 2"),
+         "components[0].tangential_roots[0].curv[0]: this field has pi-grade 0, got 1"),
+        ("pairing", "(4)*pi^1", "components[0].pairing[0].value: this field has pi-grade 2, got 1"),
         ("pairing", "(1)*pi^1 + (1)*pi^2", "components[0].pairing[0].value: malformed scalar"),
     ], ids=["zero-denominator", "level-zero", "curvature-grade-1", "pairing-one-grade-off",
             "pairing-mixed-grades"])

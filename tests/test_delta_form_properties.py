@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from contact_index.catalog import FixedComponentData  # noqa: E402
 from contact_index.forms import FormElement, integrate_component, j_form  # noqa: E402
-from contact_index.scalars import ExactScalar  # noqa: E402
+from contact_index.scalars import CyclotomicNumber  # noqa: E402
 from distributions import reference_integral  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -36,7 +36,7 @@ fractions = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 
 def cyclotomic(draw):
     """A nonzero rational multiple of a root of unity of order 1 to 12."""
     q = draw(st.integers(1, 12))
-    return ExactScalar.root_of_unity(draw(st.integers(0, q - 1)), q) * draw(fractions)
+    return CyclotomicNumber.root_of_unity(draw(st.integers(0, q - 1)), q) * draw(fractions)
 
 
 @st.composite
@@ -48,7 +48,7 @@ def cases(draw):
         dim_odd=2 * k + 1, generators=gens, tangential=[], normal=[],
         mu=draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 5))),
         reeb_weight=(draw(st.integers(-4, 4).filter(bool)),),
-        pairing={e: ExactScalar.pi_power(k + 1, draw(fractions)) for e in tops})
+        pairing={e: CyclotomicNumber.from_rational(draw(fractions)) for e in tops})
     monomials = [e for e in product(range(k + 1), repeat=len(gens)) if sum(e) <= k]
     exponents = draw(st.lists(st.tuples(st.sampled_from(monomials), st.integers(0, k + 2)),
                               max_size=10, unique=True))

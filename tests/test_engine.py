@@ -20,26 +20,26 @@ from contact_index.engine import (DEFAULT_CALIBRATION, CalibrationConfig, Calibr
                                   calibrate_conventions, corollary_expand,
                                   dh_fourier, fit_quasi_polynomial, germ_at,
                                   residual_factors)
-from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi, approx_display
+from contact_index.scalars import CyclotomicNumber, _euler_phi, approx_display
 from character_reference import ScalarFit, components, fourier_table, quasi_equal
 from distributions import delta
 from laurent_reference import corollary_reference
 
-ONE = ExactScalar.one()
-I = ExactScalar.i()
-TWO_PI = ExactScalar.pi_power(1, 2)
+ONE = CyclotomicNumber.from_rational(1)
+I = CyclotomicNumber.zeta(4, 1)
+TWO = CyclotomicNumber.from_rational(2)  # 2 pi at pi-grade 1, its pi left implicit
 
 
 def exact_horner(coeffs, m):
     """The reference value of a residue polynomial: exact scalar arithmetic throughout."""
-    acc = ExactScalar.zero()
+    acc = CyclotomicNumber.from_rational(0)
     for c in reversed(coeffs):
         acc = acc * m + c
     return acc
 
 
 def fit(contributions):
-    """`fit_quasi_polynomial` of (q, ExactScalar table) pairs, each through `components`."""
+    """`fit_quasi_polynomial` of (q, cyclotomic table) pairs, each through `components`."""
     return fit_quasi_polynomial([components(q, table) for q, table in contributions])
 
 
@@ -56,11 +56,11 @@ RANK1_PRESETS = [
 class TestGerms:
     def test_circle_identity_germ(self):
         assert germ_at(build_preset("circle", ()), IDENTITY) == \
-            delta(0, TWO_PI)
+            delta(0, TWO)
 
     def test_sphere_identity_germ(self):
         germ = germ_at(build_preset("hopf", (1,)), IDENTITY)
-        assert germ == DeltaGerm([TWO_PI, TWO_PI * I])
+        assert germ == DeltaGerm([TWO, TWO * I])
 
     def test_sphere_vanishes_off_the_identity(self):
         hopf = build_preset("hopf", (1,))
@@ -69,14 +69,14 @@ class TestGerms:
 
     def test_weighted_half_turn_germ_value(self):
         germ = germ_at(build_preset("weighted-s3", (1, 2)), Fraction(1, 2))
-        assert germ == delta(0, ExactScalar.pi_power(1, Fraction(1, 2)))
+        assert germ == delta(0, CyclotomicNumber.from_rational(Fraction(1, 2)))
 
     def test_weighted_third_turn_has_cyclotomic_coefficient(self):
         germ = germ_at(build_preset("weighted-s3", (2, 3)), Fraction(1, 3))
         (coeff,) = germ.terms
         # (2 pi / 3) / (1 - e^{-4 pi i/3}): check by multiplying the factor back
-        lam = ExactScalar.root_of_unity(-2, 3)
-        assert coeff * (ONE - lam) == ExactScalar.pi_power(1, Fraction(2, 3))
+        lam = CyclotomicNumber.root_of_unity(-2, 3)
+        assert coeff * (ONE - lam) == CyclotomicNumber.from_rational(Fraction(2, 3))
 
     def test_additivity_over_components(self):
         (circle_comp,) = preset_circle().components[IDENTITY]
@@ -119,7 +119,7 @@ class TestOneRescale:
         germ = integrate_component(smooth, j_form(comp, jet_order=comp.k), comp.pairing)
         scale = ONE
         for _ in range(k):
-            scale = scale * (TWO_PI * I).inverse()
+            scale = scale * (TWO * I).inverse()
         return germ * scale
 
     def test_germ_at_scales_each_top_monomial_once(self, monkeypatch):
@@ -192,13 +192,13 @@ class TestCharacters:
         res = assemble_character(build_preset("hopf", (1,)), 10)
         assert res.quasi.period == 1
         assert res.quasi.to_document()["polys"][0]["coefficients"] == \
-            [ONE.to_text(), ExactScalar.from_rational(-1).to_text()]
+            [ONE.to_text(), CyclotomicNumber.from_rational(-1).to_text()]
 
     def test_quasi_polynomial_evaluates_like_the_samples(self):
         res = assemble_character(build_preset("weighted-s3", (3, 4)), 60)
         for m in range(-60, 61):
             want = oracle.sphere_char_oracle(3, 4, m)
-            assert res.coefficients[m] == ExactScalar.from_rational(want), m
+            assert res.coefficients[m] == CyclotomicNumber.from_rational(want), m
             assert res.integers[m] == want, m
             value, integer = res.quasi.read(m)
             assert value.to_text() == res.coefficients[m].to_text() and integer == want, m
@@ -222,20 +222,20 @@ class TestCharacters:
 
 class TestQuasiPolynomialFit:
     def test_period_one_table_evaluates(self):
-        table = {0: [ExactScalar.from_rational(1), ExactScalar.from_rational(3)]}
+        table = {0: [CyclotomicNumber.from_rational(1), CyclotomicNumber.from_rational(3)]}
         qp = fit([(1, table)])
         assert qp.period == 1
-        assert qp.read(17)[0] == ExactScalar.from_rational(52)
-        assert qp.read(-5)[0] == ExactScalar.from_rational(-14)
+        assert qp.read(17)[0] == CyclotomicNumber.from_rational(52)
+        assert qp.read(-5)[0] == CyclotomicNumber.from_rational(-14)
 
     def test_tables_sum_per_residue_over_the_lcm_period(self):
-        two = {0: [ONE], 1: [ExactScalar.from_rational(-1)]}
-        three = {r: [ExactScalar.from_rational(r), ONE] for r in range(3)}
+        two = {0: [ONE], 1: [CyclotomicNumber.from_rational(-1)]}
+        three = {r: [CyclotomicNumber.from_rational(r), ONE] for r in range(3)}
         qp = fit([(2, two), (3, three), (2, two)])
         assert qp.period == 6
         for m in range(-12, 13):
             want = 2 * (-1) ** (m % 2) + m % 3 + m
-            assert qp.read(m)[0] == ExactScalar.from_rational(want), m
+            assert qp.read(m)[0] == CyclotomicNumber.from_rational(want), m
 
     def test_equality_across_periods(self):
         a = fit([(1, {0: [ONE]})])
@@ -250,11 +250,11 @@ class TestQuasiPolynomialFit:
 
         def scalar():  # zero one time in four; a character has pi-grade 0
             if not rng.randint(0, 3):
-                return ExactScalar.zero()
+                return CyclotomicNumber.from_rational(0)
             level = rng.choice([4, 12, 20])
-            return ExactScalar(0, CyclotomicNumber(level, {
+            return CyclotomicNumber(level, {
                 e: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-                for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))}))
+                for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))})
 
         for period in (1, 3, 4):
             polys = {r: [scalar() for _ in range(rng.randint(0, 4))]
@@ -265,20 +265,21 @@ class TestQuasiPolynomialFit:
                 got = qp.read(m)[0]
                 assert got == want, (period, m)
                 assert got.to_text() == want.to_text(), (period, m)
-                assert got.value.level == got.value.demote().level
+                assert got.level == got.demote().level
 
     def test_window_reads_what_read_reads_one_residue_at_a_time(self):
         rng = random.Random(21)
 
         def coefficient(kind):
             if kind == "integer":
-                return ExactScalar.from_rational(rng.randint(-9, 9))
+                return CyclotomicNumber.from_rational(rng.randint(-9, 9))
             if kind == "rational":  # some values are integers, some not
-                return ExactScalar.from_rational(Fraction(rng.randint(-9, 9), rng.randint(2, 6)))
+                return CyclotomicNumber.from_rational(Fraction(rng.randint(-9, 9),
+                                                               rng.randint(2, 6)))
             level = rng.choice([12, 20])
-            return ExactScalar(0, CyclotomicNumber(
+            return CyclotomicNumber(
                 level, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                        for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))}))
+                        for e in rng.sample(range(_euler_phi(level)), rng.randint(1, 2))})
 
         kinds, seen = ("integer", "rational", "irrational", "zero"), set()
         for period in (1, 2, 5, 7, 12):
@@ -355,8 +356,7 @@ class TestQuasiPolynomialFit:
 
     @pytest.mark.parametrize("name", READ_OFF_CASES)
     def test_integer_read_off_matches_the_rational_reference(self, name):
-        polys = {r: [ExactScalar(0, c) for c in poly]
-                 for r, poly in self.READ_OFF_CASES[name].items()}
+        polys = self.READ_OFF_CASES[name]
         qp = fit([(len(polys), polys)])
         kinds = set()
         for m in range(-12, 13):
@@ -382,7 +382,7 @@ FIT_MODELS = [("circle", ()), *(("hopf", (n,)) for n in range(1, 9)),
 
 
 class TestIntegerFitAgainstTheScalarRoute:
-    """`fit_quasi_polynomial` sums integer components; `ScalarFit` sums ExactScalars.
+    """`fit_quasi_polynomial` sums integer components; `ScalarFit` sums `CyclotomicNumber`s.
 
     On the bundled models the reference is `fourier_table` of every point's
     germ, one point at a time.  The weighted spheres have torsion orders
@@ -416,12 +416,11 @@ class TestIntegerFitAgainstTheScalarRoute:
         # coefficients cancel; both orders are promoted to level 24 in the
         # sum over the period.
         def zeta(p, q):
-            return ExactScalar.root_of_unity(p, q)
+            return CyclotomicNumber.root_of_unity(p, q)
 
-        eight = {r: [zeta(r, 8) * Fraction(r + 1, 3), ExactScalar.from_rational(Fraction(1, 2)), I]
+        eight = {r: [zeta(r, 8) * Fraction(r + 1, 3), ONE * Fraction(1, 2), I]
                  for r in range(8)}
-        eight_at_4 = {r: [ExactScalar.from_rational(Fraction(-1, 6)), ExactScalar.zero(), -I]
-                      for r in range(8)}
+        eight_at_4 = {r: [ONE * Fraction(-1, 6), ONE * 0, -I] for r in range(8)}
         twelve = {r: [zeta(r, 12) * Fraction(r, 4) + Fraction(1, 3),
                       zeta(r + 1, 12) * Fraction(5, 7)] for r in range(12)}
         contributions = [(8, eight), (12, twelve), (8, eight_at_4)]
@@ -479,7 +478,7 @@ class TestNormalFactorsTakeNoInverse:
         assemble_character(model, max_m)
         assert calls == []
         # the spy sees a division that does happen
-        ExactScalar.root_of_unity(1, 3).inverse()
+        CyclotomicNumber.root_of_unity(1, 3).inverse()
         assert len(calls) == 1
 
 
@@ -517,7 +516,7 @@ class TestVolumeTransform:
 
     def test_sphere_drops_the_todd_factor(self):
         got = dh_fourier(build_preset("hopf", (1,)))
-        assert got == delta(1, TWO_PI * I)
+        assert got == delta(1, TWO * I)
 
     def test_scaling_invariance(self):
         for name, params in RANK1_PRESETS:
@@ -612,7 +611,7 @@ class TestDoubleExpansion:
     def test_non_rational_amplitude_is_rejected(self):
         model = _cpn_with_amplitudes(1, [1, 1])
         fam = model.fiber_families[0]
-        fam.component = replace(fam.component, pairing={(): TWO_PI * I})
+        fam.component = replace(fam.component, pairing={(): TWO * I})
         with pytest.raises(EngineError, match="fiber amplitude must be rational"):
             corollary_expand(model, 2, 4)
 
@@ -622,7 +621,7 @@ class TestDoubleExpansion:
             dim_odd=1, generators=(), tangential=[],
             normal=[ChernRoot(curvature=(), weight=(2, -1))],
             mu=Fraction(1), reeb_weight=(2, -1),
-            pairing={(): TWO_PI})
+            pairing={(): TWO})
         model = ContactModel(rank=2, ambient_n=1, model_id="bad",
                              fiber_families=[FiberFamily(sigma=2, component=comp)])
         with pytest.raises(UnsupportedModelError, match="separate"):
@@ -639,7 +638,7 @@ def _cpn_with_amplitudes(n, amplitudes):
     """prequantum-cpn n with the j-th fiber's amplitude set to amplitudes[j]."""
     model = build_preset("prequantum-cpn", (n,))
     return _cpn_with_fibers(n, [
-        (f.sigma, replace(f.component, pairing={(): TWO_PI * Fraction(a)}))
+        (f.sigma, replace(f.component, pairing={(): TWO * Fraction(a)}))
         for f, a in zip(model.fiber_families, amplitudes)])
 
 

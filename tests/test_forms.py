@@ -15,14 +15,14 @@ from contact_index.engine import CalibrationConfig, build_preset, germ_at
 from contact_index.forms import (ChernRoot, FormElement, FormError, _normal_power,
                                  _rational_power, _todd_quotient, dc_inverse, evaluate_series,
                                  integrate_component, j_form, root_value, todd)
-from contact_index.scalars import CyclotomicNumber, ExactScalar
+from contact_index.scalars import CyclotomicNumber
 from distributions import delta, reference_integral, scale_variable
 from series_reference import eigenvalue, normal_factor_series
 from test_golden_reports import TWO_GENERATOR_MODELS
 
-ONE = ExactScalar.one()
-I = ExactScalar.i()
-TWO_PI = ExactScalar.pi_power(1, 2)
+ONE = CyclotomicNumber.from_rational(1)
+I = CyclotomicNumber.zeta(4, 1)
+TWO = CyclotomicNumber.from_rational(2)  # 2 pi at pi-grade 1, its pi left implicit
 
 
 def todd_series(length, direction="plus"):
@@ -73,17 +73,17 @@ class TestTodd:
 
     def test_single_root_taylor_coefficients(self):
         # 1 + c/2 + c^2/12 for curvature c, frozen from the recurrence oracle
-        c = ExactScalar.from_rational(1)
+        c = CyclotomicNumber.from_rational(1)
         r = ChernRoot(curvature=(c,), weight=(0,))
         td = todd([r], ("dA",), jet_order=2)
         assert td.terms[(0, 0)] == ONE
-        assert td.terms[(1, 0)] == ExactScalar.from_rational(Fraction(1, 2))
-        assert td.terms[(2, 0)] == ExactScalar.from_rational(Fraction(1, 12))
+        assert td.terms[(1, 0)] == CyclotomicNumber.from_rational(Fraction(1, 2))
+        assert td.terms[(2, 0)] == CyclotomicNumber.from_rational(Fraction(1, 12))
 
     def test_multiplicativity(self):
         rng = random.Random(5)
         for _ in range(20):
-            roots = [ChernRoot(curvature=(ExactScalar.from_rational(rng.randint(-3, 3)),),
+            roots = [ChernRoot(curvature=(CyclotomicNumber.from_rational(rng.randint(-3, 3)),),
                                weight=(rng.randint(-2, 2),)) for _ in range(3)]
             left = todd(roots[:1], ("dA",), jet_order=4) * todd(roots[1:], ("dA",), jet_order=4)
             assert left == todd(roots, ("dA",), jet_order=4)
@@ -102,8 +102,8 @@ class TestNormalDeterminant:
         # (1 + e^{i b phi})^-1 = 1/2 - (i b / 4) phi + O(phi^2), b = 3
         r = ChernRoot(curvature=(), weight=(3,), eigenvalue_exponent=Fraction(1, 2))
         dc = dc_inverse([r], (), jet_order=1)
-        assert dc.terms[(0,)] == ExactScalar.from_rational(Fraction(1, 2))
-        assert dc.terms[(1,)] == I * ExactScalar.from_rational(Fraction(-3, 4))
+        assert dc.terms[(0,)] == CyclotomicNumber.from_rational(Fraction(1, 2))
+        assert dc.terms[(1,)] == I * CyclotomicNumber.from_rational(Fraction(-3, 4))
 
     def test_minus_one_eigenvalue_jet_against_finite_differences(self):
         # numeric oracle: central differences of t -> 1/(1 + e^{3 i t}) at 0
@@ -120,7 +120,7 @@ class TestNormalDeterminant:
         r = ChernRoot(curvature=(), weight=(0,), eigenvalue_exponent=Fraction(1, 3))
         dc = dc_inverse([r], (), jet_order=0)
         value = dc.terms[(0,)]
-        lam = ExactScalar.root_of_unity(1, 3)
+        lam = CyclotomicNumber.root_of_unity(1, 3)
         assert value * (ONE - lam) == ONE
 
     def test_eigenvalue_one_is_a_fixed_set_mismatch(self):
@@ -132,8 +132,9 @@ class TestNormalDeterminant:
         r = ChernRoot(curvature=(I,), weight=(2,), eigenvalue_exponent=Fraction(1, 4))
         gens, k = ("dA",), 3
         inv = dc_inverse([r], gens, jet_order=k)
-        lam = ExactScalar.root_of_unity(1, 4)
-        exp_series = [ExactScalar.from_rational(Fraction(1, factorial(j))) for j in range(k + 1)]
+        lam = CyclotomicNumber.root_of_unity(1, 4)
+        exp_series = [CyclotomicNumber.from_rational(Fraction(1, factorial(j)))
+                      for j in range(k + 1)]
         e_v = evaluate_series(exp_series, root_value(r, gens, k))
         direct = FormElement.one(gens, k) - FormElement.one(gens, k) * lam * e_v
         assert inv * direct == FormElement.one(gens, k)
@@ -144,7 +145,7 @@ class TestGroupedRoots:
     def test_todd_equals_the_product_of_single_root_factors(self, direction):
         rng = random.Random(11)
         pool = [ChernRoot(curvature=(I * 2,), weight=(1,)),
-                ChernRoot(curvature=(ExactScalar.from_rational(-1),), weight=(0,))]
+                ChernRoot(curvature=(CyclotomicNumber.from_rational(-1),), weight=(0,))]
         for _ in range(12):
             roots = [rng.choice(pool) for _ in range(rng.randint(2, 5))]
             expected = FormElement.one(("dA",), 3)
@@ -175,9 +176,10 @@ class TestGroupedRoots:
         else:  # constant term 1/(1 - zeta_5^2) != 1
             f = normal_factor_series(CyclotomicNumber.root_of_unity(2, 5), length)
             got = _normal_power(Fraction(2, 5), r, length)
-        expected = [ONE] + [ExactScalar.zero()] * (length - 1)
+        expected = [ONE] + [CyclotomicNumber.from_rational(0)] * (length - 1)
         for _ in range(r):
-            expected = [sum((expected[j] * f[n - j] for j in range(n + 1)), ExactScalar.zero())
+            expected = [sum((expected[j] * f[n - j] for j in range(n + 1)),
+                            CyclotomicNumber.from_rational(0))
                         for n in range(length)]
         assert len(got) == length
         assert all(a == b for a, b in zip(got, expected))
@@ -248,7 +250,7 @@ def _seeded_two_generator_components(count=16, seed=30):
     rng = random.Random(seed)
 
     def curvature():
-        return tuple(ExactScalar.from_rational(Fraction(rng.randint(-4, 4) or 1,
+        return tuple(CyclotomicNumber.from_rational(Fraction(rng.randint(-4, 4) or 1,
                                                         rng.randint(1, 3))) for _ in "ab")
     for _ in range(count):
         k = rng.randint(1, 4)
@@ -263,7 +265,7 @@ def _seeded_two_generator_components(count=16, seed=30):
         yield FixedComponentData(
             dim_odd=2 * k + 1, generators=("dA", "e1"), tangential=tangential, normal=normal,
             mu=Fraction(rng.randint(1, 5), rng.randint(1, 3)), reeb_weight=(rng.choice((1, 2)),),
-            pairing={e: ExactScalar.pi_power(k + 1, Fraction(rng.randint(-5, 5) or 1))
+            pairing={e: CyclotomicNumber.from_rational(Fraction(rng.randint(-5, 5) or 1))
                      for e in tops})
 
 
@@ -368,7 +370,7 @@ def _sphere_component():
         dim_odd=3, generators=("dA",),
         tangential=[ChernRoot(curvature=(I,), weight=(0,)) for _ in range(2)],
         normal=[], mu=Fraction(1), reeb_weight=(1,),
-        pairing={(1,): ExactScalar.pi_power(2, 4)})
+        pairing={(1,): CyclotomicNumber.from_rational(4)})
 
 
 class TestJForm:
@@ -379,13 +381,13 @@ class TestJForm:
     def test_circle_delta_form(self):
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
-                                  pairing={(): TWO_PI})
+                                  pairing={(): TWO})
         assert j_form(comp, jet_order=4) == [1]
 
     def test_parity_no_generator_term_in_dimension_one(self):
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
-                                  pairing={(): TWO_PI})
+                                  pairing={(): TWO})
         assert len(j_form(comp, jet_order=4)) == 1
 
     def test_five_sphere_delta_form_is_the_taylor_sum(self):
@@ -405,7 +407,7 @@ class TestJForm:
     def test_nonpositive_moment_is_an_ellipticity_violation(self):
         comp = FixedComponentData(dim_odd=3, generators=("dA",), tangential=[],
                                   normal=[], mu=Fraction(-1), reeb_weight=(1,),
-                                  pairing={(1,): TWO_PI})
+                                  pairing={(1,): TWO})
         with pytest.raises(FormError, match="ellipticity"):
             j_form(comp, jet_order=4)
 
@@ -414,11 +416,11 @@ class TestJForm:
     def test_each_term_is_the_rescaled_taylor_term(self, mu, w):
         # one rational per term: d0^(j)(-mu w phi) / j! through the rescaling rule
         def parts(germ):
-            return [(c.pi, c.value.level, c.value.den, c.value.nums) for c in germ.terms]
+            return [(c.level, c.den, c.nums) for c in germ.terms]
         for k in range(7):
             comp = FixedComponentData(dim_odd=2 * k + 1, generators=("dA",), tangential=[],
                                       normal=[], mu=mu, reeb_weight=(w,),
-                                      pairing={(k,): TWO_PI})
+                                      pairing={(k,): TWO})
             form = j_form(comp, jet_order=k)
             assert len(form) == k + 1 and all(type(c) is Fraction for c in form)
             for j, c in enumerate(form):
@@ -453,7 +455,7 @@ class TestMultiply:
         rng = random.Random(13)
         for _ in range(25):
             def random_form():
-                terms = {(e, f): ExactScalar.from_rational(rng.randint(-4, 4))
+                terms = {(e, f): CyclotomicNumber.from_rational(rng.randint(-4, 4))
                          for e in range(5) for f in range(5)}
                 return FormElement(("dA",), 8, terms)
             hi_a, hi_b = random_form(), random_form()
@@ -526,7 +528,7 @@ def running_power_sum(coeffs, element):
 class TestOneTermArgument:
     """`evaluate_series` writes the powers of c x^e as c^j at j e, with no form product."""
 
-    Z12 = ExactScalar(0, CyclotomicNumber(12, {1: Fraction(2, 3), 2: -1}))
+    Z12 = CyclotomicNumber(12, {1: Fraction(2, 3), 2: -1})
     # (generators, truncation, exponent): the powers of (2, 0), (0, 2), (0, 0, 2) and
     # (0, 1, 1) reach the truncation exactly; those of (1, 1, 0) stop at 6 of 7 and
     # those of (1, 1) at 4 of 5
@@ -535,15 +537,14 @@ class TestOneTermArgument:
              (("e1", "e2"), 6, (0, 0, 2)), (("e1", "e2"), 4, (0, 1, 1)), (("dA",), 5, (1, 1))]
 
     @pytest.mark.parametrize("gens, k, exp", CASES)
-    @pytest.mark.parametrize("scalar", [I * 3, ExactScalar.from_rational(Fraction(-2, 5)),
+    @pytest.mark.parametrize("scalar", [I * 3, CyclotomicNumber.from_rational(Fraction(-2, 5)),
                                         Z12], ids=["3i", "-2/5", "z12"])
     def test_powers_equal_the_running_form_products(self, monkeypatch, gens, k, exp, scalar):
         rng = random.Random(repr((exp, k)))
         element = FormElement(gens, k, {exp: scalar})
         need = k + 1
         for series in ([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(need)],
-                       [ExactScalar(0, CyclotomicNumber(12, {rng.randint(0, 3):
-                                                             rng.randint(-4, 4)}))
+                       [CyclotomicNumber(12, {rng.randint(0, 3): rng.randint(-4, 4)})
                         for _ in range(need)]):
             want = running_power_sum(series, element)
             operands = spy_form_products(monkeypatch)
@@ -568,9 +569,9 @@ class TestRootValue:
     def test_two_generator_curvature_and_a_nonzero_weight(self):
         # curvature i e1 - 2 e2 and weight 3: i e1 - 2 e2 + 3 i phi
         gens = ("e1", "e2")
-        r = ChernRoot(curvature=(I, ExactScalar.from_rational(-2)), weight=(3,))
+        r = ChernRoot(curvature=(I, CyclotomicNumber.from_rational(-2)), weight=(3,))
         assert root_value(r, gens, 2) == FormElement(gens, 2, {
-            (1, 0, 0): I, (0, 1, 0): ExactScalar.from_rational(-2), (0, 0, 1): I * 3})
+            (1, 0, 0): I, (0, 1, 0): CyclotomicNumber.from_rational(-2), (0, 0, 1): I * 3})
         # every term has total degree 1, so truncation 0 drops them all
         assert root_value(r, gens, 0) == FormElement(gens, 0)
 
@@ -579,17 +580,17 @@ class TestIntegrate:
     def test_circle_gives_two_pi_delta(self):
         comp = FixedComponentData(dim_odd=1, generators=(), tangential=[], normal=[],
                                   mu=Fraction(1), reeb_weight=(1,),
-                                  pairing={(): TWO_PI})
+                                  pairing={(): TWO})
         one = FormElement.one((), 0)
         germ = integrate_component(one, j_form(comp, jet_order=0), comp.pairing)
-        assert germ == delta(0, TWO_PI)
+        assert germ == delta(0, TWO)
 
     def test_sphere_reproduces_worked_example(self):
         comp = _sphere_component()
         td = todd(comp.tangential, comp.generators, jet_order=comp.k, direction="plus")
         germ = integrate_component(td, j_form(comp, jet_order=comp.k), comp.pairing)
-        germ = germ * (TWO_PI * I).inverse()
-        expected = DeltaGerm([TWO_PI, TWO_PI * I])
+        germ = germ * (TWO * I).inverse()
+        expected = DeltaGerm([TWO, TWO * I])
         assert germ == expected
 
     def test_todd_times_delta_form_expansion(self):
@@ -605,7 +606,7 @@ class TestIntegrate:
     def test_zero_form_integrates_to_zero(self):
         zero = FormElement(("dA",), 1)
         delta_form = j_form(_sphere_component(), jet_order=1)
-        assert integrate_component(zero, delta_form, {(1,): TWO_PI}).is_zero()
+        assert integrate_component(zero, delta_form, {(1,): TWO}).is_zero()
 
     def test_missing_pairing_entry_is_an_error(self):
         one = FormElement.one(("dA",), 1)
@@ -619,7 +620,7 @@ class TestIntegrate:
         smooth = FormElement(gens, 1, {(0, 0, 0): ONE, (0, 1, 0): ONE})
         delta_form = j_form(replace(_sphere_component(), generators=gens), jet_order=1)
         with pytest.raises(FormError, match=re.escape("surviving monomial (0, 1)")):
-            integrate_component(smooth, delta_form, {(1, 0): TWO_PI})
+            integrate_component(smooth, delta_form, {(1, 0): TWO})
 
     def test_missing_entry_of_a_vanishing_top_monomial_is_not_needed(self):
         # (phi - dA) * (d0 - d0' dA) at dA: phi * (-d0') - d0 = d0 - d0 = 0
@@ -655,4 +656,4 @@ class TestIntegrate:
     def test_basis_mismatch_is_rejected(self):
         delta_form = j_form(_sphere_component(), jet_order=1)
         with pytest.raises(FormError, match="basis"):
-            integrate_component(FormElement.one(("dA",), 2), delta_form, {(1,): TWO_PI})
+            integrate_component(FormElement.one(("dA",), 2), delta_form, {(1,): TWO})

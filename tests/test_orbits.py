@@ -7,7 +7,7 @@ not divide q, two when it does), and on model documents that break one of
 the guards, where each point is its own orbit.  On both, every germ has at
 most k + 1 terms, the degree bound that `fit_quasi_polynomial` relies on
 without checking it.  An orbit's integer table from `fourier_contribution`
-is the sum of its members' ExactScalar tables, at level 4, and once the
+is the sum of its members' cyclotomic tables, at level 4, and once the
 trace table is built it takes no cyclotomic product, fold or demotion.
 """
 
@@ -21,7 +21,7 @@ from contact_index.catalog import model_from_document, model_to_document
 from contact_index.deltas import fourier_contribution
 from contact_index.engine import (CalibrationConfig, _orbits, assemble_character,
                                   build_preset, fit_quasi_polynomial, germ_at)
-from contact_index.scalars import CyclotomicNumber, ExactScalar, _euler_phi, _units_over_qi
+from contact_index.scalars import CyclotomicNumber, _euler_phi, _units_over_qi
 from character_reference import character_reference, fourier_table, quasi_equal
 
 CALIBRATIONS = [CalibrationConfig(s, o, d) for s in (1, -1) for o in (1, -1)
@@ -84,7 +84,7 @@ def test_an_order_divisible_by_four_takes_one_germ_per_orbit(monkeypatch):
 
 
 def exact_horner(coeffs, m):
-    acc = ExactScalar.zero()
+    acc = CyclotomicNumber.from_rational(0)
     for c in reversed(coeffs):
         acc = acc * m + c
     return acc
@@ -109,7 +109,7 @@ def test_orbit_rows_are_the_sum_of_the_members_tables(a, b, s):
             quasi = fit_quasi_polynomial([table])
             for m in range(-q, q):
                 want = sum((exact_horner(table[m % q], m) for table in tables),
-                           ExactScalar.zero())
+                           CyclotomicNumber.from_rational(0))
                 assert quasi.read(m)[0] == want, (p0, m)
 
 

@@ -1,9 +1,9 @@
 """Property tests: promotion and the Galois maps commute with the ring operations,
 every operation returns the canonical (den, nums) representation, the
-level-4 (Gaussian rational) branch returns what the general route does, a
-product whose slots are set directly is what the checked constructor builds, the
-rational route of `approx_display` writes what the complex route writes, and
-its e notation past double range keeps every value a double holds as it was.
+level-4 (Gaussian rational) branch and the int or Fraction scaling return
+what the general route does, the rational route of `approx_display` writes
+what the complex route writes, and its e notation past double range keeps
+every value a double holds as it was.
 
 Seeded through a derandomized hypothesis profile, so every run draws the
 same examples.
@@ -22,9 +22,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from contact_index import scalars  # noqa: E402
-from contact_index.scalars import (CyclotomicNumber, ExactScalar, ScalarError,  # noqa: E402
-                                   _euler_phi, _integer, _trace_table, _units_over_qi,
-                                   approx_display)
+from contact_index.scalars import (CyclotomicNumber, ScalarError, _euler_phi,  # noqa: E402
+                                   _integer, _trace_table, _units_over_qi, approx_display)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -217,50 +216,25 @@ def scaling_case(draw):
     elif how == "promoted":
         x = x.promote(level)
     n = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6), fractions))
-    return ExactScalar(draw(st.integers(-3, 3)), x), n
+    return x, n
 
 
-def parts(s):
-    return s.pi, s.value.level, s.value.den, s.value.nums
+def parts(x):
+    return x.level, x.den, x.nums
 
 
 @DETERMINISTIC
 @given(scaling_case())
-@example((ExactScalar(2, CyclotomicNumber.zeta(840, 7)), 0))
-@example((ExactScalar(-1, CyclotomicNumber.zeta(60, 12).promote(840)), -1))
-@example((ExactScalar.zero(), Fraction(-3, 7)))
+@example((CyclotomicNumber.zeta(840, 7), 0))
+@example((CyclotomicNumber.zeta(60, 12).promote(840), -1))
+@example((CyclotomicNumber(4, {}), Fraction(-3, 7)))
+@example((CyclotomicNumber(60, {}), 5))
 def test_a_rational_factor_scales_as_the_cyclotomic_product_does(case):
-    # the int/Fraction route of ExactScalar.__mul__ skips the product, not the demotion
+    # the int/Fraction route of CyclotomicNumber.__mul__ skips the product, not the demotion
     x, n = case
-    assert parts(x * n) == parts(n * x) == parts(x * ExactScalar.from_rational(n))
-
-
-@st.composite
-def graded_pair(draw):
-    """Two scalars of grades -3..3 at a level 4..60 or a multiple, either possibly zero,
-    one of them promoted off its canonical level, and an int or Fraction factor."""
-    x, y, level = draw(pair_and_level())
-    x, y = x.demote(), y.promote(level)
-    n = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6), fractions))
-    return ExactScalar(draw(st.integers(-3, 3)), x), ExactScalar(draw(st.integers(-3, 3)), y), n
-
-
-@DETERMINISTIC
-@given(graded_pair())
-@example((ExactScalar(1, CyclotomicNumber.zeta(12, 1)),
-          ExactScalar(-1, CyclotomicNumber.zeta(12, 3)), 2))
-@example((ExactScalar(2, CyclotomicNumber.zeta(4, 1)), ExactScalar.zero(), Fraction(-1, 3)))
-@example((ExactScalar(0, CyclotomicNumber.zeta(60, 5)),
-          ExactScalar(3, CyclotomicNumber.zeta(60, 55)), 0))
-def test_a_product_is_what_the_checked_constructor_builds(case):
-    # ExactScalar.__mul__ sets the slots of a nonzero product directly, past __init__
-    x, y, n = case
-    for got, want in ((x * y, ExactScalar(x.pi + y.pi, x.value * y.value)),
-                      (y * x, ExactScalar(x.pi + y.pi, y.value * x.value)),
-                      (x * n, ExactScalar(x.pi, x.value * CyclotomicNumber.from_rational(n))),
-                      (y * n, ExactScalar(y.pi, y.value * CyclotomicNumber.from_rational(n)))):
-        assert type(got) is ExactScalar and type(got.pi) is int
-        assert parts(got) == parts(want)
+    got = x * n
+    assert parts(got) == parts(n * x) == parts(x * CyclotomicNumber.from_rational(n))
+    assert_canonical(got)
 
 
 wide_ints = st.one_of(st.integers(-2 ** 80, 2 ** 80), st.sampled_from((0, 1, -1)))
@@ -286,10 +260,6 @@ def gaussian_pair(draw):
     return x, pair(x)
 
 
-def cyclotomic_parts(x):
-    return x.level, x.den, x.nums
-
-
 def at_twelve(op, x, y):
     """The general route: both operands promoted to level 12, combined there, demoted."""
     return op(x.promote(12), y.promote(12)).demote()
@@ -304,27 +274,26 @@ def test_a_level_4_sum_or_product_is_the_general_routes(pair):
     x, y = pair
     for op in (CyclotomicNumber.__add__, CyclotomicNumber.__mul__):
         got = op(x, y)
-        assert cyclotomic_parts(got) == cyclotomic_parts(at_twelve(op, x, y))
+        assert parts(got) == parts(at_twelve(op, x, y))
         assert_canonical(got)
 
 
 @DETERMINISTIC
-@given(gaussian(), st.one_of(wide_ints, st.builds(Fraction, wide_ints, st.integers(1, 2 ** 70))),
-       st.integers(-3, 3))
-@example(CyclotomicNumber(4, {0: 6, 1: -4}), Fraction(-1, 2), 1)
-@example(CyclotomicNumber(4, {1: 5}), 0, 2)
-def test_a_rational_factor_at_level_4_scales_as_the_general_route(x, n, grade):
-    want = parts(ExactScalar(grade, x.promote(12)) * n)
-    assert want[1] == 4
-    assert parts(ExactScalar(grade, x) * n) == parts(n * ExactScalar(grade, x)) == want
+@given(gaussian(), st.one_of(wide_ints, st.builds(Fraction, wide_ints, st.integers(1, 2 ** 70))))
+@example(CyclotomicNumber(4, {0: 6, 1: -4}), Fraction(-1, 2))
+@example(CyclotomicNumber(4, {1: 5}), 0)
+def test_a_rational_factor_at_level_4_scales_as_the_general_route(x, n):
+    want = parts(x.promote(12) * n)
+    assert want[0] == 4
+    assert parts(x * n) == parts(n * x) == want
 
 
 @DETERMINISTIC
 @given(wide_ints)
 @example(0)
 def test_an_integer_scalar_is_the_general_routes(n):
-    want = ExactScalar(0, CyclotomicNumber.from_rational(n, 12).demote())
-    assert parts(_integer(n)) == parts(want) == parts(ExactScalar.from_rational(n))
+    want = CyclotomicNumber.from_rational(n, 12).demote()
+    assert parts(_integer(n)) == parts(want) == parts(CyclotomicNumber.from_rational(n))
 
 
 def test_level_4_arithmetic_calls_no_promotion_fold_or_demotion(monkeypatch):
@@ -341,11 +310,11 @@ def test_level_4_arithmetic_calls_no_promotion_fold_or_demotion(monkeypatch):
                         staticmethod(spy("_common", CyclotomicNumber._common)))
     monkeypatch.setattr(CyclotomicNumber, "demote", spy("demote", CyclotomicNumber.demote))
     monkeypatch.setattr(scalars, "_fold", spy("_fold", scalars._fold))
-    results = [x * y, x + y, x * minus_conj, x + -x, ExactScalar(1, x) * 3,
-               ExactScalar(1, x) * Fraction(-2, 9), _integer(7), _integer(0)]
+    results = [x * y, x + y, x * minus_conj, x + -x, x * 3, x * Fraction(-2, 9), _integer(7),
+               _integer(0)]
     assert calls == []
     assert x.promote(12) * y == x * y and calls  # the spies see the general route
-    assert [cyclotomic_parts(r) for r in results[:4]] == [
+    assert [parts(r) for r in results[:4]] == [
         (4, 24, {0: 40, 1: 15}), (4, 12, {0: 9, 1: -14}), (4, 16, {0: -73}), (4, 1, {})]
 
 
@@ -393,13 +362,12 @@ def fixed(v, digits):
 
 
 def complex_route(value, digits):
-    """`approx_display` of the ExactScalar of `value` as it was written before its
-    rational route: the complex value summed term by term through cmath.  The
-    zeros it strips are those after a decimal point only (`fixed`)."""
-    x = ExactScalar.from_rational(value)
-    z = sum(c / x.value.den * cmath.exp(2j * cmath.pi * e / x.value.level)
-            for e, c in x.value.nums.items()) if x.value.nums else 0j
-    z = z * math.pi ** x.pi
+    """`approx_display` of `value` as it was written before its rational route: the
+    complex value summed term by term through cmath.  The zeros it strips are those
+    after a decimal point only (`fixed`)."""
+    x = CyclotomicNumber.from_rational(value)
+    z = sum(c / x.den * cmath.exp(2j * cmath.pi * e / x.level)
+            for e, c in x.nums.items()) if x.nums else 0j
     re_s = fixed(z.real, digits)
     if abs(z.imag) < 10 ** (-digits - 6) * max(1.0, abs(z.real)):
         return re_s
@@ -423,19 +391,18 @@ wide_fractions = st.builds(Fraction, st.integers(-2 ** 80, 2 ** 80),
 @example(Fraction(10), 0)  # no decimal point, so no zero to strip
 @example(Fraction(-1230), 0)
 def test_the_rational_route_of_approx_display_matches_the_complex_route(value, digits):
-    want, x = complex_route(value, digits), ExactScalar.from_rational(value)
+    want, x = complex_route(value, digits), CyclotomicNumber.from_rational(value)
     assert approx_display(x, digits) == want
-    assert approx_display(ExactScalar(0, x.value.promote(12)), digits) == want  # held at level 12
+    assert approx_display(x.promote(12), digits) == want  # held at level 12
 
 
-def display_before_e_notation(a, digits):
-    """`approx_display` as it was written before values beyond double range
+def display_before_e_notation(x, pi, digits):
+    """`approx_display` of x pi^pi as it was written before values beyond double range
     printed in e notation: it raised OverflowError or wrote inf or nan there.
     An exactly imaginary value shows real part 0, and at 0 digits an integer
     keeps its zeros, as they do now."""
-    x = a.value
-    z = complex(x.nums.get(0, 0) / x.den) if not a.pi and x.nums.keys() <= {0} \
-        else a.complex_value()
+    z = complex(x.nums.get(0, 0) / x.den) if not pi and x.nums.keys() <= {0} \
+        else x.complex_value() * math.pi ** pi
     re_s = fixed(z.real, digits)
     if not z.imag or x == x.galois(-1):
         return re_s
@@ -453,8 +420,7 @@ def scalars_near_double_range(draw):
                                 st.integers(-size, size), min_size=1, max_size=3))
     den = draw(st.one_of(st.just(1), st.integers(1, 2 ** 70)))
     grade = draw(st.one_of(st.integers(-3, 3), st.integers(-700, 700)))
-    return ExactScalar(grade, CyclotomicNumber(level, {e: Fraction(n, den)
-                                                       for e, n in nums.items()}))
+    return CyclotomicNumber(level, {e: Fraction(n, den) for e, n in nums.items()}), grade
 
 
 _E_TEXT = r"-?\d(?:\.\d+)?e[+-]\d+"
@@ -462,15 +428,17 @@ _E_TEXT = r"-?\d(?:\.\d+)?e[+-]\d+"
 
 @settings(DETERMINISTIC, max_examples=400)
 @given(scalars_near_double_range(), st.integers(0, 15))
-@example(ExactScalar(0, CyclotomicNumber(12, {0: 15 * 10 ** 307, 2: 15 * 10 ** 307})),
+@example((CyclotomicNumber(12, {0: 15 * 10 ** 307, 2: 15 * 10 ** 307}), 0),
          4)  # each term is a double, their sum is not
-@example(ExactScalar.pi_power(-1000, 10 ** 600), 4)  # pi^k underflows, the numerator overflows
-def test_approx_display_changes_only_past_double_range(a, digits):
+# pi^k underflows, the numerator overflows
+@example((CyclotomicNumber.from_rational(10 ** 600), -1000), 4)
+def test_approx_display_changes_only_past_double_range(case, digits):
+    x, pi = case
     try:
-        before = display_before_e_notation(a, digits)
+        before = display_before_e_notation(x, pi, digits)
     except OverflowError:
         before = "overflow"
-    got = approx_display(a, digits)
+    got = approx_display(x, digits, pi)
     if not any(word in before for word in ("overflow", "inf", "nan")):
         assert got == before
         return
@@ -478,10 +446,9 @@ def test_approx_display_changes_only_past_double_range(a, digits):
     mpmath.mp.dps = 40
     parts = re.fullmatch(f"(0|{_E_TEXT})(?:([+-](?:{_E_TEXT}))i)?", got)
     assert parts, got
-    x = a.value
     exact = sum(mpmath.mpf(n) / x.den * mpmath.expjpi(mpmath.mpf(2 * e) / x.level)
-                for e, n in x.nums.items()) * mpmath.pi ** a.pi
-    scale = max(abs(n) for n in x.nums.values()) / mpmath.mpf(x.den) * mpmath.pi ** a.pi
+                for e, n in x.nums.items()) * mpmath.pi ** pi
+    scale = max(abs(n) for n in x.nums.values()) / mpmath.mpf(x.den) * mpmath.pi ** pi
     for text, want in ((parts[1], exact.real), (parts[2] or "0", exact.imag)):
         error = abs(mpmath.mpf(text) - want)
         assert error <= scale * 1e-9 + abs(want) * 10 ** -digits, (got, text, want)

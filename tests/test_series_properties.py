@@ -3,7 +3,7 @@ agrees with Horner's rule.
 
 `forms._rational_power` raises a series over Q to any integer power in
 Python integers (the Todd factor); `series_reference.series_power` runs the
-same Miller recurrence over `ExactScalar` (the normal factor's reference,
+same Miller recurrence over `CyclotomicNumber` (the normal factor's reference,
 see `test_normal_power_properties`).  Both are checked
 against each other, against f^r f^-r = 1 and against repeated truncated
 multiplication, by f itself or, for r < 0, by its inverse from the naive
@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from contact_index.forms import (FormElement, FormError, _rational_power,  # noqa: E402
                                  evaluate_series)
-from contact_index.scalars import ExactScalar  # noqa: E402
+from contact_index.scalars import CyclotomicNumber  # noqa: E402
 from series_reference import series_power  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -40,7 +40,7 @@ def rational_series(draw):
 
 
 def lift(coeffs):
-    return [ExactScalar.from_rational(c) for c in coeffs]
+    return [CyclotomicNumber.from_rational(c) for c in coeffs]
 
 
 def truncated_product(a, b):
@@ -67,7 +67,7 @@ def test_integer_kernel_agrees_with_the_cyclotomic_kernel(f, r):
     lifted = series_power(lift(f), r)
     assert len(over_q) == len(f)
     assert all(type(c) is Fraction for c in over_q)
-    assert all(type(c) is ExactScalar for c in lifted)
+    assert all(type(c) is CyclotomicNumber for c in lifted)
     assert lifted == lift(over_q)
 
 
@@ -91,9 +91,9 @@ def test_power_equals_repeated_multiplication(f, r):
 
 # -- evaluate_series against Horner's rule -----------------------------------
 
-I = ExactScalar.i()
-scalars = st.sampled_from([ExactScalar.zero(), ExactScalar.one(), ExactScalar.from_rational(-2),
-                           ExactScalar.from_rational(Fraction(1, 3)), I, I * -3])
+I = CyclotomicNumber.zeta(4, 1)
+scalars = st.sampled_from([CyclotomicNumber.from_rational(q) for q in (0, 1, -2, Fraction(1, 3))]
+                          + [I, I * -3])
 
 
 @st.composite
@@ -109,7 +109,7 @@ def nilpotent_forms(draw):
     for exp in draw(st.lists(st.sampled_from(exps), max_size=3, unique=True)):
         coeffs = draw(st.lists(scalars, min_size=1, max_size=5 if with_phi else 1))
         if not any(exp):
-            coeffs[0] = ExactScalar.zero()
+            coeffs[0] = CyclotomicNumber.from_rational(0)
         terms.update({exp + (f,): c for f, c in enumerate(coeffs)})
     return FormElement(gens, truncation, terms)
 

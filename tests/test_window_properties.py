@@ -25,7 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from contact_index.engine import fit_quasi_polynomial  # noqa: E402
-from contact_index.scalars import CyclotomicNumber, ExactScalar  # noqa: E402
+from contact_index.scalars import CyclotomicNumber  # noqa: E402
 from character_reference import ScalarFit, components  # noqa: E402
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -59,7 +59,7 @@ def through(values, m0, step):
 
 def quasi(polys):
     period = len(polys)
-    return fit_quasi_polynomial([components(period, [[ExactScalar.from_rational(c) for c in p]
+    return fit_quasi_polynomial([components(period, [[CyclotomicNumber.from_rational(c) for c in p]
                                                      for p in polys])])
 
 
@@ -73,7 +73,7 @@ def assert_window_is_read(qp, max_m):
         assert coefficients[m].to_text() == value.to_text(), m
         assert integers[m] == integer, m
         if integer is not None:
-            assert coefficients[m].value.level == 4 and coefficients[m].value.den == 1
+            assert coefficients[m].level == 4 and coefficients[m].den == 1
     return integers
 
 
@@ -163,7 +163,7 @@ KINDS = ("integer", "rational", "rational at level 12", "level 12")
 @st.composite
 def orders(draw):
     """(max_m, contributions): per order in a nonempty subset of ORDERS, one or two tables
-    of ExactScalar polynomials of degree -1 (zero) to 5, of pi-grade 0 as a character is,
+    of cyclotomic polynomials of degree -1 (zero) to 5, of pi-grade 0 as a character is,
     the coefficients of each table of one kind: ints, rationals, rationals written at level
     12, or level-12 values with nonzero exponents (as a point outside any orbit writes its
     table)."""
@@ -175,15 +175,14 @@ def orders(draw):
 
             def coefficient():
                 if kind == "integer":
-                    value = draw(st.integers(-50, 50))
-                elif kind == "rational":
-                    value = Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 6)))
-                else:
-                    exponents = [0] if kind == "rational at level 12" else range(4)
-                    value = CyclotomicNumber(12, {e: Fraction(draw(st.integers(-9, 9)),
-                                                              draw(st.integers(1, 4)))
-                                                  for e in exponents})
-                return ExactScalar(0, value)
+                    return CyclotomicNumber.from_rational(draw(st.integers(-50, 50)))
+                if kind == "rational":
+                    return CyclotomicNumber.from_rational(
+                        Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 6))))
+                exponents = [0] if kind == "rational at level 12" else range(4)
+                return CyclotomicNumber(12, {e: Fraction(draw(st.integers(-9, 9)),
+                                                         draw(st.integers(1, 4)))
+                                             for e in exponents})
 
             contributions.append((q, {r: [coefficient() for _ in range(draw(st.integers(0, 6)))]
                                       for r in range(q)}))
@@ -213,11 +212,11 @@ def test_several_orders_read_as_the_per_residue_sum_does(case):
 def test_integer_orders_of_degree_three_take_differences_where_the_window_is_long(
         monkeypatch, max_m):
     # order 1 of degree 3 takes differences past 2 * 4 * 1 points, order 6 past 48
-    cubic = [ExactScalar.from_rational(c) for c in (5, -2, 0, 3)]
+    cubic = [CyclotomicNumber.from_rational(c) for c in (5, -2, 0, 3)]
     contributions = [(1, {0: cubic}),
-                     (6, {r: [ExactScalar.from_rational(c) for c in (r, 1 - r, r * r, -1)]
+                     (6, {r: [CyclotomicNumber.from_rational(c) for c in (r, 1 - r, r * r, -1)]
                           for r in range(6)}),
-                     (4, {r: [ExactScalar.from_rational(Fraction(r, 2))] for r in range(4)})]
+                     (4, {r: [CyclotomicNumber.from_rational(Fraction(r, 2))] for r in range(4)})]
     calls, real = [], itertools.accumulate
     monkeypatch.setattr(itertools, "accumulate", lambda *a, **k: calls.append(1) or real(*a, **k))
     qp = fit_tables(contributions)
