@@ -219,7 +219,8 @@ def _field(doc, key, path):
 def germ_from_document(doc):
     """Inverse of `germ_to_document`: the (germ, location) pair, exactly.
 
-    A field of the wrong shape raises `DeltaError` naming the field.
+    A field of the wrong shape, or a term written at a pi-grade other than 1,
+    raises `DeltaError` naming the field.
     """
     location_text = _field(doc, "location", "")
     m = re.match(r"^e\^\{2pi\*i\*(-?\d+)/(\d+)\}$", location_text)
@@ -240,6 +241,9 @@ def germ_from_document(doc):
                              f"j >= 0, got {order!r}")
         if order[0] in terms:
             raise DeltaError(f"{path}derivative_order: repeated order {order[0]}")
-        terms[order[0]] = CyclotomicNumber.from_text(_field(t, "scalar", path))[0]
+        value, grade = CyclotomicNumber.from_text(_field(t, "scalar", path))
+        if grade not in (1, None):  # None: the text 0, which fits every grade
+            raise DeltaError(f"{path}scalar: germ terms have pi-grade 1, got {grade}")
+        terms[order[0]] = value
     dense = [terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]
     return DeltaGerm(dense), location % 1

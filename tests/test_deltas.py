@@ -241,6 +241,19 @@ class TestGermDocumentValidation:
         with pytest.raises(DeltaError, match="repeated order 0"):
             germ_from_document(doc)
 
+    @pytest.mark.parametrize("text", ["(1)*pi^0", "(2)*pi^2", "(1*z4^1)*pi^-1"],
+                             ids=["grade-0", "grade-2", "grade-minus-1"])
+    def test_a_term_at_a_grade_other_than_one_is_rejected(self, text):
+        doc = self._doc()
+        doc["terms"][1]["scalar"] = text
+        with pytest.raises(DeltaError, match=r"terms\[1\]\.scalar: germ terms have pi-grade 1"):
+            germ_from_document(doc)
+
+    def test_a_zero_term_fits_grade_one(self):
+        doc = self._doc()
+        doc["terms"][1]["scalar"] = "0"
+        assert germ_from_document(doc)[0] == d0 * TWO
+
     @pytest.mark.parametrize("path", [("location",), ("variables",), ("terms",),
                                       ("terms", 0, "derivative_order"),
                                       ("terms", 0, "scalar")],
